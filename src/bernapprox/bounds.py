@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
 from .errors import DivergenceWarning, InsufficientDataError, ParameterError
@@ -196,6 +195,8 @@ def hdt_bound(
     the cap Q(0) on the first cell; the rest is adaptive quadrature plus a
     certified tail remainder.
     """
+    from scipy.integrate import quad  # deferred: only the closed forms integrate
+
     if n < 1:
         raise ParameterError("n must be positive")
     alpha = h.alpha
@@ -251,6 +252,8 @@ class HdtExpBound:
 
 
 def hdt_bound_exp(h: HolderSpec, spec: PowerTailSpec, n: int) -> HdtExpBound:
+    from scipy.integrate import quad
+
     if n < 1:
         raise ParameterError("n must be positive")
     alpha, H = h.alpha, h.seminorm

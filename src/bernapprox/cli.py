@@ -12,7 +12,6 @@ import csv
 import difflib
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,25 +20,18 @@ import click
 import numpy as np
 
 from . import __version__, config as cfgmod
-from .bounds import hdt_bound, stieltjes_bound
 from .errors import BernApproxError, ParameterError
 from .experiments import (
     FLOAT_FMT,
     ExperimentConfig,
-    build_family,
-    build_function,
+    Study,
     build_modulus_profile,
-    build_tail_curve,
-    build_weight,
     run_convergence,
     validity_check,
     write_report,
     write_timings,
 )
-from .grids import GridSpec
 from .modulus import holder_seminorm
-from .operators import operator_value, sup_error
-from .tails import tail_z_max
 
 
 def _fmt(value) -> str:
@@ -119,8 +111,6 @@ def _common_options(fn):
     fn = click.option("--out", "out", default="results", envvar="BERNAPPROX_OUT",
                       show_default=True, help="Output directory (env: BERNAPPROX_OUT).")(fn)
     fn = click.option("--seed", "seed", type=int, default=None, help="Override run.seed.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                      show_default=True, help="Primary table format for the run subcommand.")(fn)
     return fn
 
 
@@ -132,27 +122,21 @@ def main():
 
 @main.command()
 @_common_options
-def evaluate(config_path, overrides, out, seed, fmt):
+def evaluate(config_path, overrides, out, seed):
     """Operator values A_n[f](x) on the x grid, one CSV per n."""
 
     def body():
-        cfg = _resolve_config(config_path, overrides, seed)
-        f = build_function(cfg)
-        fam = build_family(cfg)
-        xs = GridSpec(cfg.x_grid_kind, cfg.x_grid_size).points(*fam.x_domain)
+        study = Study(_resolve_config(config_path, overrides, seed))
+        cfg = study.cfg
         outdir = _outdir(out)
         summary_rows = []
         for n in cfg.n_grid:
-            rows = []
-            for x in xs:
-                ov = operator_value(
-                    f, fam, n, float(x), mode=cfg.mode, tail_tol=cfg.szasz_tail_tol,
-                    trials=cfg.mc_trials, seed=cfg.seed,
-                )
-                rows.append([_fmt(x), _fmt(ov.value), _fmt(ov.error_radius)])
+            se = study.sup_error(n)
+            rows = [
+                [_fmt(x), _fmt(ov.value), _fmt(ov.error_radius)]
+                for x, ov in zip(study.x_grid, se.values)
+            ]
             _write_csv(outdir / f"evaluate_n{n}.csv", ["x", "value", "error_radius"], rows)
-            se = sup_error(f, fam, n, xs, mode=cfg.mode, tail_tol=cfg.szasz_tail_tol,
-                           trials=cfg.mc_trials, seed=cfg.seed)
             summary_rows.append(
                 {"n": n, "delta": se.delta, "argmax_x": se.argmax_x, "error_radius": se.error_radius}
             )
@@ -167,14 +151,13 @@ def evaluate(config_path, overrides, out, seed, fmt):
 
 @main.command()
 @_common_options
-def modulus(config_path, overrides, out, seed, fmt):
+def modulus(config_path, overrides, out, seed):
     """Weighted modulus profile: CSV columns delta, omega, slack."""
 
     def body():
-        cfg = _resolve_config(config_path, overrides, seed)
-        f = build_function(cfg)
-        fam = build_family(cfg)
-        w = build_weight(cfg, fam)
+        study = Study(_resolve_config(config_path, overrides, seed))
+        cfg, f, w = study.cfg, study.f, study.w
+        # the whole interval, not just the deltas a bound at min(n) reads
         delta_max = (f.interval.b - f.interval.a) if f.interval.finite else 8.0
         profile = build_modulus_profile(cfg, f, w, delta_max=delta_max)
         outdir = _outdir(out)
@@ -200,16 +183,13 @@ def modulus(config_path, overrides, out, seed, fmt):
 
 @main.command()
 @_common_options
-def tail(config_path, overrides, out, seed, fmt):
+def tail(config_path, overrides, out, seed):
     """Tail curve: CSV columns u, value, half_width plus a JSON header."""
 
     def body():
-        cfg = _resolve_config(config_path, overrides, seed)
-        fam = build_family(cfg)
-        curve = build_tail_curve(cfg, fam)
-        z_max = tail_z_max(curve, floor=cfg.tail_floor, cap=cfg.tail_z_cap)
-        us = np.linspace(0.0, max(z_max, 1e-6), cfg.z_grid_size)
-        vals = np.asarray(curve.at(us), dtype=float)
+        study = Study(_resolve_config(config_path, overrides, seed))
+        cfg, curve, us = study.cfg, study.curve, study.z_grid
+        vals = study.q_on_z.values
         if curve.half_widths is not None:
             hw = np.interp(us, curve.u_grid, curve.half_widths)
             hw_col = [_fmt(v) for v in hw]
@@ -223,7 +203,7 @@ def tail(config_path, overrides, out, seed, fmt):
         )
         header = {
             "config": asdict(cfg), "seed": cfg.seed, "version": __version__,
-            "method": curve.kind, "z_max": z_max,
+            "method": curve.kind, "z_max": study.z_max,
             "lambda_cap": curve.params.get("lambda_cap"),
             "n_max": cfg.tail_n_max, "rng": "pcg64",
         }
@@ -235,33 +215,18 @@ def tail(config_path, overrides, out, seed, fmt):
 
 @main.command()
 @_common_options
-def bound(config_path, overrides, out, seed, fmt):
+def bound(config_path, overrides, out, seed):
     """Bound table: Stieltjes brackets, closed form, empirical delta, ratio."""
 
     def body():
-        cfg = _resolve_config(config_path, overrides, seed)
-        f = build_function(cfg)
-        fam = build_family(cfg)
-        w = build_weight(cfg, fam)
-        curve = build_tail_curve(cfg, fam)
-        z_max = tail_z_max(curve, floor=cfg.tail_floor, cap=cfg.tail_z_cap)
-        z_grid = np.linspace(0.0, max(z_max, 1e-6), cfg.z_grid_size)
-        profile = build_modulus_profile(
-            cfg, f, w, delta_max=z_max / math.sqrt(min(cfg.n_grid))
-        )
-        xs = GridSpec(cfg.x_grid_kind, cfg.x_grid_size).points(*fam.x_domain)
-        holder = None
-        if f.holder is not None:
-            holder = holder_seminorm(f, w, f.holder.alpha, profile)
+        study = Study(_resolve_config(config_path, overrides, seed))
+        cfg = study.cfg
         rows = []
         payload_rows = []
         for n in cfg.n_grid:
-            rep = stieltjes_bound(profile, curve, n, z_grid=z_grid, f_sup=f.sup_abs)
-            se = sup_error(f, fam, n, xs, mode=cfg.mode, tail_tol=cfg.szasz_tail_tol,
-                           trials=cfg.mc_trials, seed=cfg.seed)
-            closed = None
-            if holder is not None:
-                closed = hdt_bound(holder, curve, n).value
+            rep = study.stieltjes(n)
+            se = study.sup_error(n)
+            closed = study.closed_form(n)
             ratio = se.delta / rep.enclosure[1] if rep.enclosure[1] > 0 else None
             rows.append([
                 str(n), _fmt(rep.enclosure[0]), _fmt(rep.enclosure[1]),
@@ -278,6 +243,7 @@ def bound(config_path, overrides, out, seed, fmt):
             ["n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio"],
             rows,
         )
+        holder = study.holder
         _write_json(outdir / "bound.json", {
             "config": asdict(cfg), "seed": cfg.seed, "version": __version__,
             "rows": payload_rows,
@@ -290,7 +256,7 @@ def bound(config_path, overrides, out, seed, fmt):
 
 @main.command()
 @_common_options
-def run(config_path, overrides, out, seed, fmt):
+def run(config_path, overrides, out, seed):
     """Full convergence study; exit 0 iff the bound validity check passes."""
 
     def body():

@@ -4,7 +4,8 @@ Two input formats are accepted: an INI-style text file whose sections map
 to key prefixes, and JSON (either flat dotted keys or nested sections; a
 full run report is also accepted, in which case its echoed ``config``
 object is used).  Unknown keys are rejected so a typo in a tolerance name
-can never silently corrupt a run.
+can never silently corrupt a run.  The schema is derived from the fields of
+``ExperimentConfig``, which carry each key's default and help text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -22,88 +23,22 @@ from .experiments import ExperimentConfig
 
 @dataclass(frozen=True)
 class Field:
-    kind: str  # int | float | str | bool | int-list | opt-float
+    kind: str  # int | float | str | int-list | opt-float
     default: object
     help: str
 
 
-SCHEMA: dict[str, Field] = {
-    "function.name": Field("str", "square", "catalog function: power-cusp, constant, identity, square, exp-decay, sine"),
-    "function.x0": Field("float", 0.5, "cusp location for power-cusp"),
-    "function.alpha": Field("float", 1.0, "cusp exponent for power-cusp, in (0, 1]"),
-    "function.c": Field("float", 1.0, "value of the constant function"),
-    "function.freq": Field("float", 1.0, "frequency of the sine function"),
-    "family.kind": Field("str", "bernoulli", "family: bernoulli or poisson"),
-    "family.eps": Field("float", 1e-3, "bernoulli x-domain trim: x in [eps, 1-eps]"),
-    "family.x_min": Field("float", 1.0, "poisson x-domain lower endpoint"),
-    "family.x_max": Field("float", 64.0, "poisson x-domain upper endpoint"),
-    "weight.kind": Field("str", "family-sigma", "modulus weight: family-sigma, jacobi, unit"),
-    "weight.c": Field("float", 1.0, "jacobi weight constant"),
-    "weight.alpha_exp": Field("float", 0.5, "jacobi exponent at 0"),
-    "weight.beta_exp": Field("float", 0.5, "jacobi exponent at 1"),
-    "grids.x_kind": Field("str", "uniform", "x grid type: uniform or chebyshev"),
-    "grids.x_size": Field("int", 257, "x grid size for the sup over x"),
-    "grids.h_size": Field("int", 65, "modulus h grid size (odd; includes 0 and +-delta)"),
-    "grids.delta_size": Field("int", 49, "modulus delta grid size"),
-    "grids.z_size": Field("int", 257, "z grid size for the Stieltjes enclosure"),
-    "grids.modulus_window": Field("float", 64.0, "x window cap for moduli on unbounded intervals"),
-    "tail.source": Field("str", "exact-conjugate", "tail curve: exact-conjugate, power-tail, empirical"),
-    "tail.p": Field("opt-float", None, "power-tail single-draw exponent p"),
-    "tail.k": Field("opt-float", None, "power-tail constant K (required; no default exists)"),
-    "tail.n_max": Field("int", 4096, "n scan cap for the envelope sup over n"),
-    "tail.lambda_cap": Field("float", 50.0, "conjugation lambda cap (auto-doubles up to 5 times)"),
-    "tail.lambda_size": Field("int", 1001, "conjugation lambda grid size"),
-    "tail.floor": Field("float", 1e-12, "tail value treated as zero beyond z-max"),
-    "tail.z_cap": Field("float", 64.0, "hard cap on z-max"),
-    "tail.trials": Field("int", 100000, "trials per n for the empirical tail"),
-    "tail.x": Field("opt-float", None, "parameter x for the empirical tail (default: family midpoint rule)"),
-    "trial.x0": Field("opt-float", None, "trial cusp location (enables the lower-ratio column)"),
-    "trial.alpha": Field("opt-float", None, "trial cusp exponent"),
-    "run.n_grid": Field("int-list", (16, 64, 256, 1024, 4096), "strictly increasing n values"),
-    "run.seed": Field("int", 20240809, "root seed (pcg64; children via seedsequence-spawn)"),
-    "run.mode": Field("str", "exact", "operator path: exact or monte-carlo"),
-    "run.szasz_tail_tol": Field("float", 1e-12, "certified Szasz truncation tolerance"),
-    "run.mc_trials": Field("int", 10000, "trials per grid point in monte-carlo mode"),
+# field annotation (a string under postponed evaluation) -> value kind
+_KINDS = {
+    "int": "int", "float": "float", "str": "str",
+    "Optional[float]": "opt-float", "tuple[int, ...]": "int-list",
 }
 
-_KEY_TO_ATTR = {
-    "function.name": "function_name",
-    "function.x0": "function_x0",
-    "function.alpha": "function_alpha",
-    "function.c": "function_c",
-    "function.freq": "function_freq",
-    "family.kind": "family_kind",
-    "family.eps": "family_eps",
-    "family.x_min": "family_x_min",
-    "family.x_max": "family_x_max",
-    "weight.kind": "weight_kind",
-    "weight.c": "weight_c",
-    "weight.alpha_exp": "weight_alpha_exp",
-    "weight.beta_exp": "weight_beta_exp",
-    "grids.x_kind": "x_grid_kind",
-    "grids.x_size": "x_grid_size",
-    "grids.h_size": "h_grid_size",
-    "grids.delta_size": "delta_grid_size",
-    "grids.z_size": "z_grid_size",
-    "grids.modulus_window": "modulus_window",
-    "tail.source": "tail_source",
-    "tail.p": "tail_p",
-    "tail.k": "tail_k",
-    "tail.n_max": "tail_n_max",
-    "tail.lambda_cap": "tail_lambda_cap",
-    "tail.lambda_size": "tail_lambda_size",
-    "tail.floor": "tail_floor",
-    "tail.z_cap": "tail_z_cap",
-    "tail.trials": "tail_trials",
-    "tail.x": "tail_x",
-    "trial.x0": "trial_x0",
-    "trial.alpha": "trial_alpha",
-    "run.n_grid": "n_grid",
-    "run.seed": "seed",
-    "run.mode": "mode",
-    "run.szasz_tail_tol": "szasz_tail_tol",
-    "run.mc_trials": "mc_trials",
+SCHEMA: dict[str, Field] = {
+    f.metadata["key"]: Field(_KINDS[f.type], f.default, f.metadata["help"])
+    for f in fields(ExperimentConfig)
 }
+_KEY_TO_ATTR = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 
 
@@ -122,10 +57,6 @@ def _coerce(key: str, raw) -> object:
             return float(raw)
         if fld.kind == "str":
             return str(raw)
-        if fld.kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
         if fld.kind == "opt-float":
             if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("", "none")):
                 return None

@@ -1,6 +1,10 @@
 """End-to-end convergence studies: empirical sup errors across an n grid,
 bound comparison, log-log rate fitting, and deterministic report emission.
 
+A ``Study`` holds one resolved config and builds each n-free stage of the
+bound once, on first use; ``run_convergence`` and every CLI subcommand read
+their stages from it.
+
 Per-n rows are independent of each other and are assembled in n order; all
 randomness flows from the single root seed through SeedSequence children,
 so identical configs produce byte-identical reports.  Wall times are kept
@@ -16,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -24,11 +29,11 @@ import numpy as np
 from . import __version__
 from .errors import InsufficientDataError, ParameterError, ReportIOError
 from .families import RNG_NAME, Family, bernoulli_family, poisson_family
-from .functions import TargetFunction, builtin_catalog, trial_function
+from .functions import HolderSpec, TargetFunction, builtin_catalog, trial_function
 from .grids import GridSpec
-from .modulus import ModulusProfile, WeightSpec, modulus_profile
-from .operators import sup_error
-from .bounds import poisson_curve, stieltjes_bound
+from .modulus import ModulusProfile, WeightSpec, holder_seminorm, modulus_profile
+from .operators import SupError, sup_error
+from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
 from .tails import (
     PowerTailSpec,
     TailCurve,
@@ -42,46 +47,61 @@ from .tails import (
 FLOAT_FMT = "%.17g"
 
 
+def _key(key: str, default, help: str):
+    """A config field with its dotted schema key and its --help line."""
+    return field(default=default, metadata={"key": key, "help": help})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, immutable description of one convergence study."""
+    """Validated, immutable description of one convergence study.
 
-    function_name: str = "square"
-    function_x0: float = 0.5
-    function_alpha: float = 1.0
-    function_c: float = 1.0
-    function_freq: float = 1.0
-    family_kind: str = "bernoulli"
-    family_eps: float = 1e-3
-    family_x_min: float = 1.0
-    family_x_max: float = 64.0
-    weight_kind: str = "family-sigma"
-    weight_c: float = 1.0
-    weight_alpha_exp: float = 0.5
-    weight_beta_exp: float = 0.5
-    x_grid_kind: str = "uniform"
-    x_grid_size: int = 257
-    h_grid_size: int = 65
-    delta_grid_size: int = 49
-    z_grid_size: int = 257
-    modulus_window: float = 64.0
-    tail_source: str = "exact-conjugate"
-    tail_p: Optional[float] = None
-    tail_k: Optional[float] = None
-    tail_n_max: int = 4096
-    tail_lambda_cap: float = 50.0
-    tail_lambda_size: int = 1001
-    tail_floor: float = 1e-12
-    tail_z_cap: float = 64.0
-    tail_trials: int = 100_000
-    tail_x: Optional[float] = None
-    trial_x0: Optional[float] = None
-    trial_alpha: Optional[float] = None
-    n_grid: tuple[int, ...] = (16, 64, 256, 1024, 4096)
-    seed: int = 20240809
-    mode: str = "exact"
-    szasz_tail_tol: float = 1e-12
-    mc_trials: int = 10_000
+    Each field carries its dotted config key and help text; the config
+    schema, its defaults and the --help listing are derived from them.
+    """
+
+    function_name: str = _key(
+        "function.name", "square",
+        "catalog function: power-cusp, constant, identity, square, exp-decay, sine")
+    function_x0: float = _key("function.x0", 0.5, "cusp location for power-cusp")
+    function_alpha: float = _key("function.alpha", 1.0, "cusp exponent for power-cusp, in (0, 1]")
+    function_c: float = _key("function.c", 1.0, "value of the constant function")
+    function_freq: float = _key("function.freq", 1.0, "frequency of the sine function")
+    family_kind: str = _key("family.kind", "bernoulli", "family: bernoulli or poisson")
+    family_eps: float = _key("family.eps", 1e-3, "bernoulli x-domain trim: x in [eps, 1-eps]")
+    family_x_min: float = _key("family.x_min", 1.0, "poisson x-domain lower endpoint")
+    family_x_max: float = _key("family.x_max", 64.0, "poisson x-domain upper endpoint")
+    weight_kind: str = _key("weight.kind", "family-sigma", "modulus weight: family-sigma, jacobi, unit")
+    weight_c: float = _key("weight.c", 1.0, "jacobi weight constant")
+    weight_alpha_exp: float = _key("weight.alpha_exp", 0.5, "jacobi exponent at 0")
+    weight_beta_exp: float = _key("weight.beta_exp", 0.5, "jacobi exponent at 1")
+    x_grid_kind: str = _key("grids.x_kind", "uniform", "x grid type: uniform or chebyshev")
+    x_grid_size: int = _key("grids.x_size", 257, "x grid size for the sup over x")
+    h_grid_size: int = _key("grids.h_size", 65, "modulus h grid size (odd; includes 0 and +-delta)")
+    delta_grid_size: int = _key("grids.delta_size", 49, "modulus delta grid size")
+    z_grid_size: int = _key("grids.z_size", 257, "z grid size for the Stieltjes enclosure")
+    modulus_window: float = _key(
+        "grids.modulus_window", 64.0, "x window cap for moduli on unbounded intervals")
+    tail_source: str = _key(
+        "tail.source", "exact-conjugate", "tail curve: exact-conjugate, power-tail, empirical")
+    tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p")
+    tail_k: Optional[float] = _key("tail.k", None, "power-tail constant K (required; no default exists)")
+    tail_n_max: int = _key("tail.n_max", 4096, "n scan cap for the envelope sup over n")
+    tail_lambda_cap: float = _key(
+        "tail.lambda_cap", 50.0, "conjugation lambda cap (auto-doubles up to 5 times)")
+    tail_lambda_size: int = _key("tail.lambda_size", 1001, "conjugation lambda grid size")
+    tail_floor: float = _key("tail.floor", 1e-12, "tail value treated as zero beyond z-max")
+    tail_z_cap: float = _key("tail.z_cap", 64.0, "hard cap on z-max")
+    tail_trials: int = _key("tail.trials", 100_000, "trials per n for the empirical tail")
+    tail_x: Optional[float] = _key(
+        "tail.x", None, "parameter x for the empirical tail (default: family midpoint rule)")
+    trial_x0: Optional[float] = _key("trial.x0", None, "trial cusp location (enables the lower-ratio column)")
+    trial_alpha: Optional[float] = _key("trial.alpha", None, "trial cusp exponent")
+    n_grid: tuple[int, ...] = _key("run.n_grid", (16, 64, 256, 1024, 4096), "strictly increasing n values")
+    seed: int = _key("run.seed", 20240809, "root seed (pcg64; children via seedsequence-spawn)")
+    mode: str = _key("run.mode", "exact", "operator path: exact or monte-carlo")
+    szasz_tail_tol: float = _key("run.szasz_tail_tol", 1e-12, "certified Szasz truncation tolerance")
+    mc_trials: int = _key("run.mc_trials", 10_000, "trials per grid point in monte-carlo mode")
 
     def __post_init__(self):
         if len(self.n_grid) == 0 or any(
@@ -212,33 +232,115 @@ def build_modulus_profile(
     return modulus_profile(f, w, deltas, xs, cfg.h_grid_size, metadata={"window": window})
 
 
+class Study:
+    """One resolved convergence study, built stage by stage on first use.
+
+    Of the chain Delta_n[f] <= integral omega(z/sqrt(n)) |dQ(z)| only the
+    operator sweep and the z/sqrt(n) rescaling depend on n.  Every other
+    stage (tail curve, z_max, z grid, Q on the z grid, modulus profile,
+    Holder seminorm and constant) is a cached attribute, so each is computed
+    at most once and only if the caller reads it.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def f(self) -> TargetFunction:
+        return build_function(self.cfg)
+
+    @cached_property
+    def fam(self) -> Family:
+        return build_family(self.cfg)
+
+    @cached_property
+    def w(self) -> WeightSpec:
+        return build_weight(self.cfg, self.fam)
+
+    @cached_property
+    def x_grid(self) -> np.ndarray:
+        return GridSpec(self.cfg.x_grid_kind, self.cfg.x_grid_size).points(*self.fam.x_domain)
+
+    @cached_property
+    def curve(self) -> TailCurve:
+        return build_tail_curve(self.cfg, self.fam)
+
+    @cached_property
+    def z_max(self) -> float:
+        return tail_z_max(self.curve, floor=self.cfg.tail_floor, cap=self.cfg.tail_z_cap)
+
+    @cached_property
+    def z_grid(self) -> np.ndarray:
+        return np.linspace(0.0, max(self.z_max, 1e-6), self.cfg.z_grid_size)
+
+    @cached_property
+    def q_on_z(self) -> TailCurve:
+        """Q tabulated on exactly the z grid.
+
+        Read at its own nodes a tabulated curve returns the stored values, so
+        the Stieltjes sums of every n see the curve's values bit for bit
+        without evaluating it again.
+        """
+        c = self.curve
+        return TailCurve(
+            kind=c.kind, u_grid=self.z_grid, values=np.asarray(c.at(self.z_grid), dtype=float),
+            u_max=c.u_max, params=c.params,
+        )
+
+    @cached_property
+    def profile(self) -> ModulusProfile:
+        """Modulus profile out to the largest delta a row needs, z_max/sqrt(min n)."""
+        delta_max = self.z_max / math.sqrt(min(self.cfg.n_grid))
+        return build_modulus_profile(self.cfg, self.f, self.w, delta_max=delta_max)
+
+    @cached_property
+    def holder(self) -> Optional[HolderSpec]:
+        if self.f.holder is None:
+            return None
+        return holder_seminorm(self.f, self.w, self.f.holder.alpha, self.profile)
+
+    @cached_property
+    def hdt_constant(self) -> float:
+        """alpha * integral z^{alpha-1} Q(z) dz, the n-free factor of the closed form."""
+        return hdt_bound(self.holder, self.curve, 1, z_max=self.z_max).constant
+
+    def sup_error(self, n: int) -> SupError:
+        cfg = self.cfg
+        return sup_error(
+            self.f, self.fam, n, self.x_grid,
+            mode=cfg.mode, tail_tol=cfg.szasz_tail_tol, trials=cfg.mc_trials, seed=cfg.seed,
+        )
+
+    def stieltjes(self, n: int) -> BoundReport:
+        return stieltjes_bound(self.profile, self.q_on_z, n, z_grid=self.z_grid, f_sup=self.f.sup_abs)
+
+    def closed_form(self, n: int) -> Optional[float]:
+        """Holder closed form H n^{-alpha/2} * constant; None without Holder data."""
+        h = self.holder
+        if h is None:
+            return None
+        return h.seminorm * n ** (-h.alpha / 2.0) * self.hdt_constant
+
+
 def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
     """Compute per-n sup errors, Stieltjes brackets and optional trial ratios."""
-    f = build_function(cfg)
-    fam = build_family(cfg)
-    w = build_weight(cfg, fam)
-    curve = build_tail_curve(cfg, fam)
-    z_max = tail_z_max(curve, floor=cfg.tail_floor, cap=cfg.tail_z_cap)
-    z_grid = np.linspace(0.0, max(z_max, 1e-6), cfg.z_grid_size)
-    profile = build_modulus_profile(cfg, f, w, delta_max=z_max / math.sqrt(min(cfg.n_grid)))
-    x_grid = GridSpec(cfg.x_grid_kind, cfg.x_grid_size).points(*fam.x_domain)
+    study = Study(cfg)
+    # n-free stages first, so that each row's wall time is its own work
+    _ = study.q_on_z, study.profile
 
     trial = None
     if cfg.trial_alpha is not None:
-        trial = trial_function(cfg.trial_x0, cfg.trial_alpha, fam.interval)
+        trial = trial_function(cfg.trial_x0, cfg.trial_alpha, study.fam.interval)
 
     rows = []
     times = []
     for n in cfg.n_grid:
         t0 = time.perf_counter()
-        se = sup_error(
-            f, fam, n, x_grid,
-            mode=cfg.mode, tail_tol=cfg.szasz_tail_tol, trials=cfg.mc_trials, seed=cfg.seed,
-        )
-        rep = stieltjes_bound(profile, curve, n, z_grid=z_grid, f_sup=f.sup_abs)
+        se = study.sup_error(n)
+        rep = study.stieltjes(n)
         ratio = None
         if trial is not None:
-            tse = sup_error(trial, fam, n, x_grid, mode="exact", tail_tol=cfg.szasz_tail_tol)
+            tse = sup_error(trial, study.fam, n, study.x_grid, mode="exact", tail_tol=cfg.szasz_tail_tol)
             ratio = tse.delta * n ** (cfg.trial_alpha / 2.0) / trial.holder.seminorm
         rows.append(
             ConvergenceRow(

@@ -89,8 +89,35 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
     _check_n(n)
     if fam.kind == "bernoulli":
         return np.arange(n + 1)
-    k_hi = _poisson_upper_quantile(n * x, tail_mass)
-    return np.arange(k_hi + 1)
+    return np.arange(szasz_truncation_point(n * x, tail_mass) + 1)
+
+
+def szasz_truncation_point(mu: float, tail_tol: float) -> int:
+    """Smallest K with the Chernoff bound P(Poisson(mu) > K) <= tail_tol.
+
+    The exponent is mu * h((K - mu)/mu) with h the exact Poisson conjugate
+    from the tail calculus, so the dropped mass is certified.
+    """
+    from .tails import poisson_conjugate  # tails imports this module
+
+    if mu <= 0:
+        return 0
+    target = math.log(1.0 / tail_tol)
+
+    def exponent(k: float) -> float:
+        return mu * poisson_conjugate((k - mu) / mu)
+
+    lo = int(math.ceil(mu))
+    hi = max(lo + 1, int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0)))
+    while exponent(hi) < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exponent(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def family_pmf(fam: Family, x: float, n: int, k) -> Union[float, np.ndarray]:
@@ -249,30 +276,3 @@ def _poisson_inversion(mu: float, rng: np.random.Generator, size):
     if size is None:
         return int(out[0])
     return out.reshape(shape)
-
-
-def _poisson_upper_quantile(mu: float, tail_mass: float) -> int:
-    """Smallest K with Chernoff bound P(Poisson(mu) >= K) <= tail_mass.
-
-    Uses exp(-mu*h((K-mu)/mu)) with h(u) = (1+u)ln(1+u) - u, the exact
-    conjugate of the Poisson log-MGF, so the truncation error is certified.
-    """
-    if mu <= 0:
-        return 0
-    target = math.log(1.0 / tail_mass)
-
-    def exponent(k: float) -> float:
-        u = (k - mu) / mu
-        return mu * ((1.0 + u) * math.log1p(u) - u)
-
-    lo = int(math.ceil(mu))
-    hi = max(lo + 1, int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0)))
-    while exponent(hi) < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exponent(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

@@ -8,7 +8,7 @@ truncation).  A seeded Monte Carlo path covers the generic definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,8 @@ from .families import (
     normalized_sum_samples,
     resolve_rng,
     sample_scaled_sum,
+    spawn_rngs,
+    szasz_truncation_point,
 )
 from .functions import TargetFunction, eval_clamped
 from .grids import resolve_grid
@@ -62,6 +64,7 @@ class SupError:
     argmax_x: float
     x_grid_size: int
     error_radius: float
+    values: tuple[OperatorValue, ...] = field(default=(), repr=False, compare=False)
 
 
 def bernstein_exact(f: TargetFunction, n: int, x: float) -> OperatorValue:
@@ -88,34 +91,6 @@ def bernstein_exact(f: TargetFunction, n: int, x: float) -> OperatorValue:
     )
     w = np.exp(logw)
     return OperatorValue(float(np.sum(w * fvals)), 0.0, "exact-sum")
-
-
-def szasz_truncation_point(mu: float, tail_tol: float) -> int:
-    """Smallest K with the Chernoff bound P(Poisson(mu) > K) <= tail_tol.
-
-    The exponent is mu * h((K - mu)/mu) with h the exact Poisson conjugate
-    from the tail calculus, so the dropped mass is certified.
-    """
-    from .tails import poisson_conjugate
-
-    if mu <= 0:
-        return 0
-    target = math.log(1.0 / tail_tol)
-
-    def exponent(k: float) -> float:
-        return mu * poisson_conjugate((k - mu) / mu)
-
-    lo = int(math.ceil(mu))
-    hi = max(lo + 1, int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0)))
-    while exponent(hi) < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exponent(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) -> OperatorValue:
@@ -197,8 +172,10 @@ def sup_error(
 ) -> SupError:
     """Grid maximum of |A_n[f](x) - f(x)| over the family's x-domain.
 
-    The error radius is the worst operator radius seen on the grid; for the
-    exact Bernstein path it is zero.
+    One pass of operator values over the grid, kept in ``values``; in Monte
+    Carlo mode each grid point draws from its own child generator spawned
+    from ``seed``.  The error radius is the worst operator radius seen on the
+    grid; for the exact Bernstein path it is zero.
     """
     lo, hi = fam.x_domain
     grid = resolve_grid(x_grid, lo, hi)
@@ -208,26 +185,27 @@ def sup_error(
         raise ParameterError(
             f"x-grid [{grid[0]}, {grid[-1]}] exceeds the x-domain [{lo}, {hi}]"
         )
-    rngs = None
+    rngs = [None] * grid.size
     if mode == "monte-carlo":
-        from .families import spawn_rngs
-
+        if seed is None:
+            raise ParameterError("monte-carlo sup error needs a seed")
         rngs = spawn_rngs(seed, grid.size)
+    values = []
     best = -1.0
     best_x = grid[0]
     worst_radius = 0.0
-    for i, xi in enumerate(grid):
-        ov = operator_value(
-            f, fam, n, float(xi), mode=mode, tail_tol=tail_tol, trials=trials,
-            rng=None if rngs is None else rngs[i],
-            seed=None,
-        )
+    for xi, rng in zip(grid, rngs):
+        ov = operator_value(f, fam, n, float(xi), mode=mode, tail_tol=tail_tol, trials=trials, rng=rng)
+        values.append(ov)
         d = abs(ov.value - eval_clamped(f, float(xi)))
         worst_radius = max(worst_radius, ov.error_radius)
         if d > best:
             best = d
             best_x = float(xi)
-    return SupError(n=n, delta=best, argmax_x=best_x, x_grid_size=int(grid.size), error_radius=worst_radius)
+    return SupError(
+        n=n, delta=best, argmax_x=best_x, x_grid_size=int(grid.size),
+        error_radius=worst_radius, values=tuple(values),
+    )
 
 
 def _check_n(n: int, n_max: int):

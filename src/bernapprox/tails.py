@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import BoundaryWarning, ParameterError
 from .families import Family, normalized_sum_samples, spawn_rngs, zeta_log_mgf
@@ -223,6 +222,8 @@ def _conjugate_on_grid(g_values: np.ndarray, grid: np.ndarray, u: float) -> tupl
 
 
 def _golden_refine(g: Callable, u: float, lo: float, hi: float) -> float:
+    from scipy.optimize import minimize_scalar  # deferred: a slow import most CLI calls never need
+
     res = minimize_scalar(
         lambda lam: -(lam * u - float(g(lam))),
         bounds=(lo, hi),

@@ -1,11 +1,16 @@
+import csv
 import json
 
+import numpy as np
 import pytest
+import scipy.integrate
 from click.testing import CliRunner
 
 from bernapprox import config as cfgmod
+from bernapprox import experiments
 from bernapprox.cli import main
 from bernapprox.experiments import ExperimentConfig
+from bernapprox.functions import builtin_catalog, eval_clamped
 
 FAST = [
     "--set", "grids.x_size=65",
@@ -192,3 +197,81 @@ class TestOtherSubcommands:
         assert res.exit_code == 0
         assert b"\r\n" not in (out / "table.csv").read_bytes()
         assert b"\r\n" not in (out / "report.json").read_bytes()
+
+
+class CountingCurve:
+    """Tail-curve proxy recording the size of every evaluation it serves."""
+
+    def __init__(self, curve):
+        self._curve = curve
+        self.sizes = []
+
+    def at(self, u):
+        self.sizes.append(int(np.size(u)))
+        return self._curve.at(u)
+
+    def __getattr__(self, name):
+        return getattr(self._curve, name)
+
+
+@pytest.fixture
+def counting_curve(monkeypatch):
+    proxies = []
+    build = experiments.build_tail_curve
+
+    def counted(cfg, fam):
+        proxies.append(CountingCurve(build(cfg, fam)))
+        return proxies[-1]
+
+    monkeypatch.setattr(experiments, "build_tail_curve", counted)
+    return proxies
+
+
+class TestStudyStagesOnce:
+    @pytest.mark.parametrize("n_grid", ["16,64", "16,32,64,128,256"])
+    def test_run_evaluates_q_on_the_z_grid_once(self, runner, tmp_path, counting_curve, n_grid):
+        res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST
+                            + ["--set", f"run.n_grid={n_grid}"])
+        assert res.exit_code == 0, res.output
+        (curve,) = counting_curve
+        # z_max bisects with scalar queries; the z grid (65 points) is read once
+        assert [s for s in curve.sizes if s > 1] == [65]
+
+    def test_bound_integrates_hdt_once(self, runner, tmp_path, counting_curve, monkeypatch):
+        calls = []
+        quad = scipy.integrate.quad
+
+        def counted_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted_quad)
+        res = runner.invoke(main, ["bound", "--out", str(tmp_path)] + FAST
+                            + ["--set", "run.n_grid=16,64,256"])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+        (curve,) = counting_curve
+        assert [s for s in curve.sizes if s > 1] == [65]
+        assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("cmd", ["evaluate", "modulus"])
+    def test_curve_free_subcommands_never_build_the_curve(self, runner, tmp_path,
+                                                          counting_curve, cmd):
+        res = runner.invoke(main, [cmd, "--out", str(tmp_path)] + FAST)
+        assert res.exit_code == 0, res.output
+        assert counting_curve == []
+
+
+def test_monte_carlo_evaluate_table_matches_summary(runner, tmp_path):
+    res = runner.invoke(main, ["evaluate", "--out", str(tmp_path), "--seed", "7",
+                               "--set", "run.mode=monte-carlo", "--set", "run.n_grid=16",
+                               "--set", "grids.x_size=33", "--set", "run.mc_trials=200"])
+    assert res.exit_code == 0, res.output
+    with open(tmp_path / "evaluate_n16.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    f = builtin_catalog("square")
+    errors = [abs(float(r["value"]) - eval_clamped(f, float(r["x"]))) for r in rows]
+    (summary,) = json.loads((tmp_path / "evaluate.json").read_text())["sup_errors"]
+    assert max(errors) == summary["delta"]
+    assert float(rows[int(np.argmax(errors))]["x"]) == summary["argmax_x"]
+    assert max(float(r["error_radius"]) for r in rows) == summary["error_radius"]

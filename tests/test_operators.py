@@ -275,6 +275,20 @@ class TestSupError:
         mc = sup_error(f, fam, 10, grid, mode="monte-carlo", trials=40_000, seed=5)
         assert abs(mc.delta - exact) <= mc.error_radius + 0.005
 
+    def test_monte_carlo_mode_needs_a_seed(self):
+        f = builtin_catalog("square")
+        grid = np.linspace(0.05, 0.95, 33)
+        with pytest.raises(ParameterError, match="seed"):
+            sup_error(f, bernoulli_family(), 10, grid, mode="monte-carlo", trials=200)
+
+    def test_keeps_the_operator_values_it_maximizes(self):
+        f = builtin_catalog("square")
+        grid = np.linspace(0.05, 0.95, 33)
+        se = sup_error(f, bernoulli_family(), 10, grid)
+        assert [ov.value for ov in se.values] == [
+            bernstein_exact(f, 10, float(x)).value for x in grid
+        ]
+
 
 def test_operator_value_invariants():
     with pytest.raises(ParameterError):
