@@ -6,8 +6,8 @@ with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 Poisson(n*x); all pmf work runs through log-gamma to stay overflow-safe.
 
 Random generation uses numpy's PCG64 Generator; the algorithm name is
-recorded in every report.  Poisson draws use inversion by sequential search
-for mean <= 30 and numpy's transformed-rejection sampler above.
+recorded in every report.  Poisson draws use inversion of a cdf table for
+mean <= 30 and numpy's transformed-rejection sampler above.
 """
 
 from __future__ import annotations
@@ -118,6 +118,31 @@ def szasz_truncation_point(mu: float, tail_tol: float) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def szasz_window(mu: float, tail_tol: float) -> tuple[int, int]:
+    """Integer window [lo, hi] outside which Poisson(mu) has mass <= tail_tol.
+
+    Each side drops at most tail_tol / 2.  hi is szasz_truncation_point.  lo
+    is 1 + the largest j <= mu whose lower Chernoff exponent mu * h((mu-j)/mu)
+    reaches ln(2 / tail_tol), or 0 if there is none.  That certifies
+    P(N < lo) because P(N <= mu - t) <= exp(-mu h(-t/mu)) and h(-s) >= h(s)
+    on [0, 1], so the conjugate h is only queried at nonnegative arguments.
+    """
+    from .tails import poisson_conjugate  # tails imports this module
+
+    side_tol = tail_tol / 2.0
+    hi = szasz_truncation_point(mu, side_tol)
+    if mu <= 0:
+        return 0, hi
+    target = math.log(1.0 / side_tol)
+    # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the
+    # target in [mu - t - target, mu - t] with t = sqrt(2 mu target)
+    t = math.sqrt(2.0 * mu * target)
+    j = np.arange(max(0, math.floor(mu - t - target)), max(0, math.floor(mu - t)) + 1)
+    misses = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) < target)
+    lo = int(j[misses[0]]) if misses.size else int(j[-1]) + 1
+    return lo, hi
 
 
 def family_pmf(fam: Family, x: float, n: int, k) -> Union[float, np.ndarray]:
@@ -257,22 +282,21 @@ def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
 
 
 def _poisson_inversion(mu: float, rng: np.random.Generator, size):
-    """Exact inversion by sequential search; used for small means."""
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
-    u = rng.random(size=shape)
-    flat = np.atleast_1d(u).ravel()
-    out = np.empty(flat.shape, dtype=np.int64)
-    for i, ui in enumerate(flat):
-        k = 0
-        p = math.exp(-mu)
-        cdf = p
-        while ui > cdf:
-            k += 1
-            p *= mu / k
-            cdf += p
-            if p == 0.0:  # cdf saturated; ui was in the far tail
-                break
-        out[i] = k
+    """Exact inversion of a cdf table; used for small means.
+
+    The table follows p_k = p_{k-1} mu / k up to the first k where p
+    underflows to 0.  A draw is the first k with cdf_k >= u, capped at that
+    last k, which is where a uniform beyond the saturated cdf lands.
+    """
+    u = rng.random(size=size)
+    p = math.exp(-mu)
+    cdf = [p]
+    k = 0
+    while p != 0.0:
+        k += 1
+        p *= mu / k
+        cdf.append(cdf[-1] + p)
+    out = np.minimum(np.searchsorted(cdf, u, side="left"), k).astype(np.int64)
     if size is None:
-        return int(out[0])
-    return out.reshape(shape)
+        return int(out)
+    return out

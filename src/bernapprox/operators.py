@@ -1,8 +1,12 @@
 """Approximation operators A_n[f](x) = E f(S_n) and the sup error over a grid.
 
 Exact evaluators exist for both families: Bernstein polynomials (Binomial
-weights) and truncated Szasz sums (Poisson weights with a certified Chernoff
-truncation).  A seeded Monte Carlo path covers the generic definition.
+weights, summed over all of [0, n]) and windowed Szasz sums (Poisson(nx)
+weights summed over a two-sided Chernoff window).  The Szasz window drops at
+most tail_tol / 2 of Poisson mass on each side, so its error radius
+tail_tol * sup|f| certifies the truncation; it does not cover the rounding
+of the log-gamma weights.  A seeded Monte Carlo path covers the generic
+definition.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .families import (
     sample_scaled_sum,
     spawn_rngs,
     szasz_truncation_point,
+    szasz_window,
 )
 from .functions import TargetFunction, eval_clamped
 from .grids import resolve_grid
@@ -96,7 +101,11 @@ def bernstein_exact(f: TargetFunction, n: int, x: float) -> OperatorValue:
 def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) -> OperatorValue:
     """Szasz operator e^{-nx} sum_k (nx)^k/k! f(k/n), truncated with proof.
 
-    Requires f.sup_abs so the dropped tail is bounded by tail_tol * sup|f|.
+    The sum runs over the window [lo, hi] of szasz_window(nx, tail_tol):
+    Chernoff bounds certify at most tail_tol / 2 of Poisson mass below lo and
+    above hi each, so the dropped terms are bounded by the error radius
+    tail_tol * sup|f|.  Requires f.sup_abs for that.  The radius covers the
+    truncation, not the rounding of the log-gamma weights.
     """
     _check_n(n, MAX_BERNSTEIN_N)
     if x < 0:
@@ -110,8 +119,8 @@ def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) ->
     mu = n * x
     if mu == 0.0:  # S_n is a.s. zero; the single-term sum is exact
         return OperatorValue(eval_clamped(f, 0.0), 0.0, "exact-sum")
-    cut = szasz_truncation_point(mu, tail_tol)
-    k = np.arange(cut + 1)
+    lo, hi = szasz_window(mu, tail_tol)
+    k = np.arange(lo, hi + 1)
     logw = k * math.log(mu) - mu - gammaln(k + 1.0)
     w = np.exp(logw)
     fvals = eval_clamped(f, k / n)

@@ -16,9 +16,42 @@ from bernapprox.families import (
     normalized_sum_samples,
     poisson_family,
     sample_scaled_sum,
+    _poisson_inversion,
     spawn_rngs,
     zeta_log_mgf,
 )
+
+
+def loop_poisson_inversion(mu, rng, size):
+    """Oracle: inversion by sequential search, one Python loop per draw."""
+    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
+    u = rng.random(size=shape)
+    flat = np.atleast_1d(u).ravel()
+    out = np.empty(flat.shape, dtype=np.int64)
+    for i, ui in enumerate(flat):
+        k = 0
+        p = math.exp(-mu)
+        cdf = p
+        while ui > cdf:
+            k += 1
+            p *= mu / k
+            cdf += p
+            if p == 0.0:  # cdf saturated; ui was in the far tail
+                break
+        out[i] = k
+    if size is None:
+        return int(out[0])
+    return out.reshape(shape)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        return self.u.reshape(size).copy()
 
 
 @pytest.fixture
@@ -163,6 +196,27 @@ class TestSampling:
         z = normalized_sum_samples(bern, 0.3, 50, 200_000, rng=rng)
         assert abs(np.mean(z)) <= 4 / math.sqrt(200_000) * 1.5
         assert np.var(z) == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("mu", [0.5, 5.0, 29.9])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_poisson_inversion_matches_sequential_search(self, mu, seed):
+        for size in (None, 1, 1000, (20, 3)):
+            got = _poisson_inversion(mu, np.random.default_rng(seed), size)
+            want = loop_poisson_inversion(mu, np.random.default_rng(seed), size)
+            if size is None:
+                assert type(got) is int and got == want
+            else:
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mu", [0.5, 5.0, 29.9])
+    def test_poisson_inversion_caps_uniforms_beyond_the_saturated_cdf(self, mu):
+        # the cdf saturates at 1 or one ulp above, so only u past it reaches
+        # the last table index, where p has underflowed to 0
+        u = [0.0, 0.5, 1.0 - 2.0**-40, np.nextafter(1.0, 0.0), 1.0, 1.0 + 2.0**-52, 1.5, 2.0]
+        got = _poisson_inversion(mu, _FixedUniforms(u), len(u))
+        want = loop_poisson_inversion(mu, _FixedUniforms(u), len(u))
+        assert np.array_equal(got, want)
+        assert got[-1] == got[-2] > got[3]
 
     def test_spawned_streams_differ(self):
         r1, r2 = spawn_rngs(7, 2)

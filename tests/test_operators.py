@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
+from scipy.stats import poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
-from bernapprox.families import bernoulli_family, poisson_family
+from bernapprox.families import bernoulli_family, poisson_family, szasz_window
 from bernapprox.functions import (
     HALF_LINE,
     TargetFunction,
@@ -20,6 +24,7 @@ from bernapprox.operators import (
     szasz_exact,
     szasz_truncation_point,
 )
+from bernapprox.tails import poisson_conjugate
 
 
 def brute_bernstein(f, n, x):
@@ -155,6 +160,68 @@ class TestSzasz:
         f = builtin_catalog("exp-decay")
         v = szasz_exact(f, 3, 0.0, 1e-9)
         assert v.value == 1.0 and v.error_radius == 0.0
+
+
+class TestSzaszWindow:
+    MUS = np.geomspace(1e-3, 1e7, 61)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_dropped_mass_is_certified(self, tol):
+        for mu in self.MUS:
+            lo, hi = szasz_window(float(mu), tol)
+            assert poisson.cdf(lo - 1, mu) + poisson.sf(hi, mu) <= tol
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_width_grows_like_sqrt_mu(self, tol):
+        for mu in self.MUS:
+            lo, hi = szasz_window(float(mu), tol)
+            assert 0 <= lo <= mu <= hi
+            assert hi - lo <= 4.0 * math.sqrt(mu * math.log(1.0 / tol)) + 10.0
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_cuts_match_their_definition(self, tol):
+        # lo: 1 + the largest j <= mu whose lower exponent reaches ln(2/tol)
+        target = math.log(2.0 / tol)
+        for mu in (0.5, 1.0, 28.0, 73.0, 74.0, 100.0, 1234.5, 54321.0):
+            j = np.arange(math.floor(mu) + 1)  # scan every j, no bracket
+            reach = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) >= target)
+            lo = int(reach[-1]) + 1 if reach.size else 0
+            assert szasz_window(mu, tol) == (lo, szasz_truncation_point(mu, tol / 2.0))
+
+    @given(
+        n=st.integers(1, 4096),
+        log_x=st.floats(math.log(1e-3), math.log(64.0)),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        step=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_windowed_sum_within_radius_of_full_sum(self, n, log_x, tol, step):
+        x = math.exp(log_x)
+        mu = n * x
+        if step:  # all weight on the lower half, where the lower cut drops terms
+            f = TargetFunction(HALF_LINE, lambda t: (np.asarray(t, dtype=float) <= x) * 1.0,
+                               name="step", sup_abs=1.0)
+        else:
+            f = builtin_catalog("exp-decay")
+        v = szasz_exact(f, n, x, tol)
+        if mu <= 500.0:
+            full = brute_szasz(f, n, x, terms=int(mu + 40.0 * math.sqrt(mu) + 60.0))
+        else:  # the brute recurrence starts from exp(-mu), which nears underflow
+            k = np.arange(szasz_truncation_point(mu, tol / 2.0) + 1)
+            w = np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
+            full = float(np.sum(w * eval_clamped(f, k / n)))
+        assert abs(v.value - full) <= v.error_radius
+        assert v.error_radius == tol * f.sup_abs
+
+    def test_sup_error_at_large_n(self):
+        # the Szasz-MGF identity E exp(-N/n) = exp(n x expm1(-1/n)); log-gamma
+        # rounding of the weights reaches 3.4e-7 relative in delta at this n
+        n = 65536
+        grid = np.linspace(1.0, 64.0, 33)
+        se = sup_error(builtin_catalog("exp-decay"), poisson_family(), n, grid)
+        expected = np.max(np.abs(np.exp(n * grid * np.expm1(-1.0 / n)) - np.exp(-grid)))
+        assert se.delta == pytest.approx(expected, rel=1e-6)
+        assert se.error_radius == 1e-12
 
 
 class TestGenericMc:
