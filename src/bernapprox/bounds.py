@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -280,30 +280,7 @@ def hdt_bound_exp(h: HolderSpec, spec: PowerTailSpec, n: int) -> HdtExpBound:
 def poisson_curve() -> TailCurve:
     """min(1, 2 exp(-(1+z)ln(1+z)+z)), the exact-conjugate Poisson tail."""
     fn = lambda z: 2.0 * np.exp(-poisson_conjugate(np.abs(np.asarray(z, dtype=float))))  # noqa: E731
-    probe = TailCurve(kind="poisson-conjugate", fn=fn)
-    return TailCurve(kind="poisson-conjugate", fn=fn, u_max=tail_z_max(probe), params={})
-
-
-def poisson_bound(
-    profile: ModulusProfile,
-    n: int,
-    z_grid=None,
-    f_sup: Optional[float] = None,
-    holder: Optional[HolderSpec] = None,
-) -> BoundReport:
-    """Stieltjes bound against the exact-conjugate Poisson curve.
-
-    The profile must be built with the sqrt(x) weight.  With Holder data the
-    closed form C_P H n^{-alpha/2} is attached, C_P computed by quadrature.
-    """
-    curve = poisson_curve()
-    report = stieltjes_bound(profile, curve, n, z_grid=z_grid, f_sup=f_sup)
-    if holder is not None:
-        hdt = hdt_bound(holder, curve, n)
-        meta = dict(report.metadata)
-        meta["c_p"] = hdt.constant
-        report = replace(report, upper_closed_form=hdt.value, metadata=meta)
-    return report
+    return TailCurve(kind="poisson-conjugate", fn=fn)
 
 
 def lower_bound_constant(alpha: float) -> float:

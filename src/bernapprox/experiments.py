@@ -37,9 +37,9 @@ from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
 from .tails import (
     PowerTailSpec,
     TailCurve,
-    atf_curve,
-    conjugate_pair_for_family,
+    conjugate_curve,
     empirical_atf,
+    family_nu,
     power_tail_curve,
     tail_z_max,
 )
@@ -112,6 +112,9 @@ class ExperimentConfig:
             raise ParameterError(f"unknown tail source {self.tail_source!r}")
         if self.tail_source == "power-tail" and (self.tail_p is None or self.tail_k is None):
             raise ParameterError("power-tail source needs both tail.p and tail.k (no default K exists)")
+        for key, value in (("tail.z_cap", self.tail_z_cap), ("tail.lambda_cap", self.tail_lambda_cap)):
+            if not (0.0 < value < math.inf):
+                raise ParameterError(f"{key} must be positive and finite, got {value}")
         if self.mode not in ("exact", "monte-carlo"):
             raise ParameterError(f"unknown mode {self.mode!r}")
         if (self.trial_x0 is None) != (self.trial_alpha is None):
@@ -208,16 +211,10 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
     if fam.kind == "poisson":
         return poisson_curve()
     xg = GridSpec(cfg.x_grid_kind, cfg.x_grid_size).points(*fam.x_domain)
-    u_probe = np.linspace(0.0, cfg.tail_z_cap / 4.0, 65)
-    pair = conjugate_pair_for_family(
-        fam,
-        xg,
-        u_probe,
-        n_max=cfg.tail_n_max,
-        lambda_cap=cfg.tail_lambda_cap,
-        grid_size=cfg.tail_lambda_size,
-    )
-    return atf_curve(pair)
+    nu = family_nu(fam, xg, n_max=cfg.tail_n_max, lambda_cap=cfg.tail_lambda_cap)
+    # the frozen lambda grid is wide enough that u = z_cap / 4 peaks inside it
+    return conjugate_curve(nu, cfg.tail_z_cap / 4.0, lambda_cap=cfg.tail_lambda_cap,
+                           grid_size=cfg.tail_lambda_size)
 
 
 def build_modulus_profile(
@@ -284,7 +281,7 @@ class Study:
         c = self.curve
         return TailCurve(
             kind=c.kind, u_grid=self.z_grid, values=np.asarray(c.at(self.z_grid), dtype=float),
-            u_max=c.u_max, params=c.params,
+            params=c.params,
         )
 
     @cached_property

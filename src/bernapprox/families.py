@@ -24,7 +24,6 @@ from .functions import HALF_LINE, UNIT_INTERVAL, Interval
 
 RNG_NAME = "pcg64"
 POISSON_INVERSION_MAX_MEAN = 30.0
-POISSON_TAIL_MASS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,6 @@ def sigma_weight(kind: str, x) -> np.ndarray:
     if kind == "poisson":
         return np.sqrt(np.clip(arr, 0.0, None))
     raise ParameterError(f"unknown family kind {kind!r}")
-
-
-def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAIL_MASS) -> np.ndarray:
-    """Integer support of n*S_n, Poisson tails truncated below tail_mass."""
-    x = fam.check_x(x)
-    _check_n(n)
-    if fam.kind == "bernoulli":
-        return np.arange(n + 1)
-    return np.arange(szasz_truncation_point(n * x, tail_mass) + 1)
 
 
 def szasz_truncation_point(mu: float, tail_tol: float) -> int:
@@ -184,12 +174,6 @@ def sample_scaled_sum(fam: Family, x: float, n: int, rng: np.random.Generator, s
     return rng.poisson(mu, size=size)
 
 
-def family_sample(fam: Family, x: float, n: int, seed=None, rng: Optional[np.random.Generator] = None):
-    """One realization of S_n = (n*S_n)/n; deterministic given the seed."""
-    gen = resolve_rng(seed, rng)
-    return float(sample_scaled_sum(fam, x, n, gen)) / n
-
-
 def normalized_sum_samples(
     fam: Family,
     x: float,
@@ -236,30 +220,6 @@ def zeta_log_mgf(fam: Family, x: float, lam) -> Union[float, np.ndarray]:
     if np.isscalar(lam):
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class NormalizedVariate:
-    """zeta(x) = (xi - x) / sigma(x): mean 0 and variance 1 by construction."""
-
-    family: Family
-    x: float
-
-    def __post_init__(self):
-        self.family.check_x(self.x)
-
-    def log_mgf(self, lam):
-        return zeta_log_mgf(self.family, self.x, lam)
-
-    def moments(self, tail_mass: float = POISSON_TAIL_MASS) -> tuple[float, float]:
-        """(mean, variance) by truncated exact summation over the support of xi."""
-        ks = family_support(self.family, self.x, 1, tail_mass).astype(float)
-        p = family_pmf(self.family, self.x, 1, ks)
-        sig = family_sigma(self.family, self.x)
-        z = (ks - self.x) / sig
-        mean = float(np.sum(p * z))
-        var = float(np.sum(p * z * z)) - mean * mean
-        return mean, var
 
 
 def _check_n(n: int):

@@ -200,13 +200,3 @@ def builtin_catalog(name: str, **params) -> TargetFunction:
         "power-cusp, constant, identity, square, exp-decay, sine"
     )
 
-
-def scale_function(f: TargetFunction, c: float) -> TargetFunction:
-    """c * f with metadata scaled accordingly."""
-    return TargetFunction(
-        interval=f.interval,
-        evaluator=lambda x, _f=f.evaluator, _c=c: _c * np.asarray(_f(x)),
-        name=f"{c:g}*{f.name}",
-        sup_abs=None if f.sup_abs is None else abs(c) * f.sup_abs,
-        holder=None if f.holder is None else HolderSpec(f.holder.alpha, abs(c) * f.holder.seminorm),
-    )

@@ -2,7 +2,14 @@
 
 The chain is: phi(lambda) = max over sign and parameter of the normalized
 log-MGF; nu(lambda) = sup_n n phi(lambda/sqrt(n)); nu*(u) the Young-Fenchel
-conjugate; and the uniform-in-n tail bound Q(u) <= 2 exp(-nu*(u)).
+conjugate; and the uniform-in-n tail bound Q(u) <= min(1, 2 exp(-nu*(u))).
+
+Conjugation has one path: a uniform lambda grid whose cap doubles while the
+maximizer sits on its end, then the grid maximum refined by golden-section
+search.  ``fenchel_conjugate`` builds the grid per call; ``conjugate_curve``
+builds it once and refines per u on demand, so a curve costs one
+refinement per point it is read at and nothing up front.  The point beyond
+which Q is negligible comes only from ``tail_z_max``.
 
 Numerical conjugation only ever evaluates feasible lambdas, so it can only
 under-estimate nu*; the resulting curve therefore still dominates the true
@@ -50,7 +57,6 @@ class TailCurve:
     u_grid: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
     half_widths: Optional[np.ndarray] = None
-    u_max: float = Z_CAP
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -151,46 +157,14 @@ class TabulatedPhi:
 # nu(lambda) = sup_n n phi(lambda / sqrt(n))
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NuValue:
-    value: float
-    maximizer_n: Optional[int]  # None when the n->infinity limit wins
-    limit_value: float
-
-    @property
-    def limit_is_max(self) -> bool:
-        return self.maximizer_n is None
-
-
-def nu_envelope(phi: Callable, lam: float, n_max: int = DEFAULT_N_MAX) -> NuValue:
-    """Scan n in 1..n_max and compare with the Gaussian limit lam^2 phi''(0)/2.
+def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
+    """Vectorized nu(lambda): a scan over n in 1..n_max, or the Gaussian
+    limit lam^2 phi''(0)/2 where that is larger.
 
     The scan plus the analytic limit brackets the supremum for convex phi
     with quadratic behavior at the origin: scaled arguments beyond the scan
     sit between the last scanned point and the limit.
     """
-    if n_max < 2**10:
-        raise ParameterError(f"n_max must be at least 2^10, got {n_max}")
-    p0 = float(phi(0.0))
-    if abs(p0) > 1e-12:
-        raise ParameterError(f"phi(0) must be 0, got {p0}")
-    ns = np.arange(1, n_max + 1, dtype=float)
-    vals = ns * np.asarray(phi(lam / np.sqrt(ns)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(ns[~np.isfinite(vals)][0])
-        raise ParameterError(f"phi non-finite at lambda/sqrt(n) for n={bad}, lambda={lam}")
-    i = int(np.argmax(vals))
-    scan_best = float(vals[i])
-    h = 1e-4
-    curvature = 2.0 * float(phi(h)) / (h * h)
-    limit = 0.5 * lam * lam * curvature
-    if limit > scan_best:
-        return NuValue(value=limit, maximizer_n=None, limit_value=limit)
-    return NuValue(value=scan_best, maximizer_n=i + 1, limit_value=limit)
-
-
-def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
-    """Vectorized nu(lambda) closure over the scan-plus-limit rule."""
     if n_max < 2**10:
         raise ParameterError(f"n_max must be at least 2^10, got {n_max}")
     ns = np.arange(1, n_max + 1, dtype=float)
@@ -211,15 +185,25 @@ def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
     return nu
 
 
+POISSON_PHI = lambda z: np.expm1(np.asarray(z, dtype=float)) - np.asarray(z, dtype=float)  # noqa: E731
+
+
+def family_nu(
+    fam: Family, x_grid, n_max: int = DEFAULT_N_MAX, lambda_cap: float = DEFAULT_LAMBDA_CAP
+) -> Callable:
+    """The family's nu: exact for Poisson, from a tabulated phi for Bernoulli.
+
+    The phi table reaches the largest cap the conjugation may double to.
+    """
+    if fam.kind == "poisson":
+        # n phi_P(lam/sqrt(n)) decreases in n, so nu = phi_P exactly.
+        return lambda lam: POISSON_PHI(np.abs(np.asarray(lam, dtype=float)))
+    return make_nu(TabulatedPhi(fam, x_grid, t_max=lambda_cap * 2**MAX_CAP_DOUBLINGS), n_max)
+
+
 # ---------------------------------------------------------------------------
 # Young-Fenchel conjugation
 # ---------------------------------------------------------------------------
-
-def _conjugate_on_grid(g_values: np.ndarray, grid: np.ndarray, u: float) -> tuple[float, int]:
-    h = grid * u - g_values
-    i = int(np.argmax(h))
-    return float(h[i]), i
-
 
 def _golden_refine(g: Callable, u: float, lo: float, hi: float) -> float:
     from scipy.optimize import minimize_scalar  # deferred: a slow import most CLI calls never need
@@ -233,6 +217,34 @@ def _golden_refine(g: Callable, u: float, lo: float, hi: float) -> float:
     return float(-res.fun)
 
 
+def _lambda_grid(g: Callable, u: float, cap: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid on [0, cap] and g on it, the cap doubled (at most
+    MAX_CAP_DOUBLINGS times) while lambda u - g(lambda) peaks at its end."""
+    for attempt in range(MAX_CAP_DOUBLINGS + 1):
+        grid = np.linspace(0.0, cap, size)
+        gv = np.asarray(g(grid), dtype=float)
+        if int(np.argmax(grid * u - gv)) < size - 1 or attempt == MAX_CAP_DOUBLINGS:
+            return grid, gv
+        cap *= 2.0
+
+
+def _refined_conjugate(g: Callable, grid: np.ndarray, gv: np.ndarray, u: float) -> float:
+    """Grid maximum of lambda u - g(lambda), refined by bounded golden-section
+    search between the maximizer's neighbours; warns if it peaks at the end."""
+    if u < 0:
+        raise ParameterError(f"u must be nonnegative, got {u}")
+    h = grid * u - gv
+    i = int(np.argmax(h))
+    if i == grid.size - 1:
+        warnings.warn(
+            f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={u:g}",
+            BoundaryWarning,
+        )
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, grid.size - 1)]
+    return max(0.0, float(h[i]), _golden_refine(g, u, lo, hi))
+
+
 def fenchel_conjugate(
     g: Callable,
     u: float,
@@ -243,47 +255,21 @@ def fenchel_conjugate(
     """sup over lambda >= 0 of (lambda u - g(lambda)) for convex g, g(0) = 0.
 
     Grid maximum refined by bounded golden-section search around the grid
-    maximizer.  With the default cap the search range doubles (up to 5
-    times) whenever the maximizer lands on the boundary; an explicitly
-    supplied grid only warns.
+    maximizer.  With the default grid the cap doubles (up to 5 times) while
+    the maximizer lands on the boundary; an explicitly supplied grid only
+    warns.
     """
-    if u < 0:
-        raise ParameterError(f"u must be nonnegative, got {u}")
     g0 = float(g(0.0))
     if abs(g0) > 1e-9:
         raise ParameterError(f"g(0) must be 0, got {g0}")
-    if lambda_grid is not None:
+    if lambda_grid is None:
+        grid, gv = _lambda_grid(g, u, lambda_cap, grid_size)
+    else:
         grid = np.asarray(lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 3 or grid[0] != 0.0:
             raise ParameterError("lambda grid must be 1-d, start at 0, size >= 3")
         gv = np.asarray(g(grid), dtype=float)
-        best, i = _conjugate_on_grid(gv, grid, u)
-        if i == grid.size - 1:
-            warnings.warn(
-                f"conjugate maximizer at the grid boundary lambda={grid[-1]:g} for u={u:g}",
-                BoundaryWarning,
-            )
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        return max(0.0, best, _golden_refine(g, u, lo, hi))
-
-    cap = lambda_cap
-    for attempt in range(MAX_CAP_DOUBLINGS + 1):
-        grid = np.linspace(0.0, cap, grid_size)
-        gv = np.asarray(g(grid), dtype=float)
-        best, i = _conjugate_on_grid(gv, grid, u)
-        if i < grid.size - 1:
-            break
-        if attempt == MAX_CAP_DOUBLINGS:
-            warnings.warn(
-                f"conjugate maximizer still at lambda cap {cap:g} for u={u:g}",
-                BoundaryWarning,
-            )
-            break
-        cap *= 2.0
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    return max(0.0, best, _golden_refine(g, u, lo, hi))
+    return _refined_conjugate(g, grid, gv, u)
 
 
 def poisson_conjugate(u) -> float:
@@ -297,136 +283,34 @@ def poisson_conjugate(u) -> float:
     return out
 
 
-POISSON_PHI = lambda z: np.expm1(np.asarray(z, dtype=float)) - np.asarray(z, dtype=float)  # noqa: E731
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """nu together with its conjugate tabulated on a u grid.
-
-    The lambda cap recorded here is the one that survived construction-time
-    extension; ``nu_star_at`` reuses it and only warns if a later query
-    still maximizes on the boundary.
-    """
-
-    nu: Callable
-    lambda_0: float
-    lambda_cap: float
-    lambda_grid: np.ndarray
-    nu_grid_values: np.ndarray
-    u_grid: np.ndarray
-    nu_star_values: np.ndarray
-
-    def nu_star_at(self, u: float) -> float:
-        if u < 0:
-            raise ParameterError(f"u must be nonnegative, got {u}")
-        best, i = _conjugate_on_grid(self.nu_grid_values, self.lambda_grid, u)
-        if i == self.lambda_grid.size - 1:
-            warnings.warn(
-                f"conjugate maximizer at lambda cap {self.lambda_cap:g} for u={u:g}",
-                BoundaryWarning,
-            )
-        lo = self.lambda_grid[max(i - 1, 0)]
-        hi = self.lambda_grid[min(i + 1, self.lambda_grid.size - 1)]
-        return max(0.0, best, _golden_refine(self.nu, u, lo, hi))
-
-
-def make_conjugate_pair(
-    nu: Callable,
-    u_grid,
-    lambda_cap: float = DEFAULT_LAMBDA_CAP,
-    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
-    lambda_0: float = math.inf,
-) -> ConjugatePair:
-    """Tabulate nu and nu* and freeze a cap large enough for the whole u grid."""
-    us = np.asarray(u_grid, dtype=float)
-    if us.ndim != 1 or us.size < 2 or np.any(us < 0) or np.any(np.diff(us) <= 0):
-        raise ParameterError("u grid must be 1-d, nonnegative, strictly increasing")
-    cap = lambda_cap
-    for _ in range(MAX_CAP_DOUBLINGS + 1):
-        grid = np.linspace(0.0, cap, grid_size)
-        gv = np.asarray(nu(grid), dtype=float)
-        # the largest u pulls the maximizer farthest out
-        _, i = _conjugate_on_grid(gv, grid, float(us[-1]))
-        if i < grid.size - 1:
-            break
-        cap *= 2.0
-    pair = ConjugatePair(
-        nu=nu,
-        lambda_0=lambda_0,
-        lambda_cap=cap,
-        lambda_grid=grid,
-        nu_grid_values=gv,
-        u_grid=us,
-        nu_star_values=np.zeros_like(us),
-    )
-    stars = np.array([pair.nu_star_at(float(u)) for u in us])
-    return ConjugatePair(
-        nu=nu,
-        lambda_0=lambda_0,
-        lambda_cap=cap,
-        lambda_grid=grid,
-        nu_grid_values=gv,
-        u_grid=us,
-        nu_star_values=stars,
-    )
-
-
-def conjugate_pair_for_family(
-    fam: Family,
-    x_grid,
-    u_grid,
-    n_max: int = DEFAULT_N_MAX,
-    lambda_cap: float = DEFAULT_LAMBDA_CAP,
-    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
-    phi_table_size: int = 4001,
-) -> ConjugatePair:
-    """Family-specific pair: exact Poisson conjugate, tabulated Bernoulli phi."""
-    if fam.kind == "poisson":
-        # n phi_P(lam/sqrt(n)) decreases in n, so nu = phi_P exactly.
-        return make_conjugate_pair(
-            lambda lam: POISSON_PHI(np.abs(np.asarray(lam, dtype=float))),
-            u_grid,
-            lambda_cap=lambda_cap,
-            grid_size=grid_size,
-        )
-    phi = TabulatedPhi(fam, x_grid, t_max=lambda_cap * 2**MAX_CAP_DOUBLINGS, size=phi_table_size)
-    return make_conjugate_pair(
-        make_nu(phi, n_max),
-        u_grid,
-        lambda_cap=lambda_cap,
-        grid_size=grid_size,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Upper-bound curves
 # ---------------------------------------------------------------------------
 
-def atf_upper_bound(pair: ConjugatePair, u: float) -> float:
-    """min(1, 2 exp(-nu*(u))), the uniform-in-n tail bound."""
-    return min(1.0, 2.0 * math.exp(-pair.nu_star_at(float(u))))
+def conjugate_curve(
+    nu: Callable,
+    u_hint: float,
+    lambda_cap: float = DEFAULT_LAMBDA_CAP,
+    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
+) -> TailCurve:
+    """min(1, 2 exp(-nu*(u))), the uniform-in-n tail bound, on demand.
 
-
-def atf_curve(pair: ConjugatePair, u_max: Optional[float] = None, params: Optional[dict] = None) -> TailCurve:
-    """Wrap the conjugate bound as a TailCurve evaluated on demand."""
+    The lambda grid and nu on it are computed once, with the cap doubled
+    until the maximizer for ``u_hint`` lies inside; each point is then one
+    refined conjugate.  A larger u that still peaks at the cap warns.
+    """
+    grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
 
     def fn(u):
         arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.array([2.0 * math.exp(-pair.nu_star_at(float(v))) for v in arr])
+        out = np.array([2.0 * math.exp(-_refined_conjugate(nu, grid, gv, float(v))) for v in arr])
         if np.isscalar(u):
             return float(out[0])
         return out.reshape(np.shape(u))
 
-    meta = {"lambda_cap": pair.lambda_cap, "lambda_grid_size": int(pair.lambda_grid.size)}
-    if params:
-        meta.update(params)
-    curve = TailCurve(kind="conjugate", fn=fn, params=meta)
     return TailCurve(
-        kind="conjugate",
-        fn=fn,
-        u_max=tail_z_max(curve) if u_max is None else u_max,
-        params=meta,
+        kind="conjugate", fn=fn,
+        params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)},
     )
 
 
@@ -451,33 +335,16 @@ class PowerTailSpec:
         return min(self.p, 2.0)
 
 
-def power_tail_atf(spec: PowerTailSpec, u) -> float:
-    """min(1, exp(-K u^q)) with q = min(p, 2)."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("u must be nonnegative")
-    out = np.minimum(1.0, np.exp(-spec.K * arr**spec.q))
-    if np.isscalar(u):
-        return float(out)
-    return out
-
-
 def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
+    """min(1, exp(-K u^q)) with q = min(p, 2)."""
     fn = lambda u: np.exp(-spec.K * np.asarray(u, dtype=float) ** spec.q)  # noqa: E731
-    probe = TailCurve(kind="power-tail", fn=fn, params={"p": spec.p, "q": spec.q, "K": spec.K})
-    return TailCurve(
-        kind="power-tail",
-        fn=fn,
-        u_max=tail_z_max(probe),
-        params={"p": spec.p, "q": spec.q, "K": spec.K},
-    )
+    return TailCurve(kind="power-tail", fn=fn, params={"p": spec.p, "q": spec.q, "K": spec.K})
 
 
 def gaussian_curve() -> TailCurve:
     """Subgaussian reference curve min(1, 2 exp(-u^2/2))."""
     fn = lambda u: 2.0 * np.exp(-0.5 * np.asarray(u, dtype=float) ** 2)  # noqa: E731
-    probe = TailCurve(kind="subgaussian", fn=fn)
-    return TailCurve(kind="subgaussian", fn=fn, u_max=tail_z_max(probe), params={})
+    return TailCurve(kind="subgaussian", fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +387,6 @@ def empirical_atf(
         u_grid=us,
         values=vals,
         half_widths=halfw,
-        u_max=float(us[-1]),
         params={
             "x": x,
             "n_set": ns,

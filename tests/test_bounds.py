@@ -12,7 +12,6 @@ from bernapprox.bounds import (
     hdt_bound_exp,
     lower_bound_constant,
     lower_bound_ratio,
-    poisson_bound,
     poisson_curve,
     stieltjes_bound,
 )
@@ -171,20 +170,18 @@ class TestPoissonBound:
             f, WeightSpec(kind="unit"), np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24)]),
             np.linspace(0.0, 64.0, 129),
         )
-        rep = poisson_bound(prof, 16, f_sup=2.0)
+        rep = stieltjes_bound(prof, poisson_curve(), 16, f_sup=2.0)
         # only the certified tail cap 2 sup|f| Q(z_max) ~ 4e-12 remains
         assert rep.enclosure[0] == 0.0
         assert rep.enclosure[1] <= 2.0 * 2.0 * 1.5e-12
 
     def test_closed_form_scaling_and_metadata(self):
-        d = np.linspace(0.0, 8.0, 1001)
-        prof = ModulusProfile(deltas=d, values=d.copy(), enclosure_slack=0.0)
         h = HolderSpec(1.0, 1.0)
-        r16 = poisson_bound(prof, 16, f_sup=4.0, holder=h)
-        r64 = poisson_bound(prof, 64, f_sup=4.0, holder=h)
-        assert r16.upper_closed_form == pytest.approx(self.PINNED_C_P / 4.0, rel=1e-6)
-        assert r64.upper_closed_form == pytest.approx(r16.upper_closed_form / 2.0, rel=1e-9)
-        assert r16.metadata["c_p"] == pytest.approx(self.PINNED_C_P, rel=1e-9)
+        r16 = hdt_bound(h, poisson_curve(), 16)
+        r64 = hdt_bound(h, poisson_curve(), 64)
+        assert r16.value == pytest.approx(self.PINNED_C_P / 4.0, rel=1e-6)
+        assert r64.value == pytest.approx(r16.value / 2.0, rel=1e-9)
+        assert r16.constant == pytest.approx(self.PINNED_C_P, rel=1e-9)
 
 
 class TestLowerBoundConstant:

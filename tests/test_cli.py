@@ -72,6 +72,14 @@ class TestUsageErrors:
         res = runner.invoke(main, ["run", "--set", "run.seed=abc", "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("key", ["tail.z_cap", "tail.lambda_cap"])
+    @pytest.mark.parametrize("value", ["0", "-1.5", "inf"])
+    def test_nonpositive_tail_cap_exit_two(self, runner, tmp_path, key, value):
+        res = runner.invoke(main, ["tail", "--set", f"{key}={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert key in res.output
+
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\nseeed = 5\n")

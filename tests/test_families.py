@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,19 +9,58 @@ from hypothesis import strategies as st
 
 from bernapprox.errors import OverflowComputationError, ParameterError
 from bernapprox.families import (
-    NormalizedVariate,
+    Family,
+    _check_n,
     bernoulli_family,
     family_pmf,
-    family_sample,
     family_sigma,
-    family_support,
     normalized_sum_samples,
     poisson_family,
+    resolve_rng,
     sample_scaled_sum,
     _poisson_inversion,
     spawn_rngs,
+    szasz_truncation_point,
     zeta_log_mgf,
 )
+
+POISSON_TAIL_MASS = 1e-16
+
+
+def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAIL_MASS) -> np.ndarray:
+    """Integer support of n*S_n, Poisson tails truncated below tail_mass."""
+    x = fam.check_x(x)
+    _check_n(n)
+    if fam.kind == "bernoulli":
+        return np.arange(n + 1)
+    return np.arange(szasz_truncation_point(n * x, tail_mass) + 1)
+
+
+def family_sample(fam: Family, x: float, n: int, seed=None, rng: Optional[np.random.Generator] = None):
+    """One realization of S_n = (n*S_n)/n; deterministic given the seed."""
+    gen = resolve_rng(seed, rng)
+    return float(sample_scaled_sum(fam, x, n, gen)) / n
+
+
+@dataclass(frozen=True)
+class NormalizedVariate:
+    """zeta(x) = (xi - x) / sigma(x): mean 0 and variance 1 by construction."""
+
+    family: Family
+    x: float
+
+    def __post_init__(self):
+        self.family.check_x(self.x)
+
+    def moments(self, tail_mass: float = POISSON_TAIL_MASS) -> tuple[float, float]:
+        """(mean, variance) by truncated exact summation over the support of xi."""
+        ks = family_support(self.family, self.x, 1, tail_mass).astype(float)
+        p = family_pmf(self.family, self.x, 1, ks)
+        sig = family_sigma(self.family, self.x)
+        z = (ks - self.x) / sig
+        mean = float(np.sum(p * z))
+        var = float(np.sum(p * z * z)) - mean * mean
+        return mean, var
 
 
 def loop_poisson_inversion(mu, rng, size):

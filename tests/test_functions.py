@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scale_function
+
 from bernapprox.errors import CatalogError, DomainEvaluationError, ParameterError
 from bernapprox.functions import (
     HALF_LINE,
@@ -12,7 +14,6 @@ from bernapprox.functions import (
     TargetFunction,
     builtin_catalog,
     eval_clamped,
-    scale_function,
     trial_function,
 )
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scale_function
+
 from bernapprox.errors import InsufficientDataError, ParameterError, WeightDomainError
 from bernapprox.families import bernoulli_family, family_sigma, poisson_family
-from bernapprox.functions import builtin_catalog, scale_function, trial_function
+from bernapprox.functions import builtin_catalog, trial_function
 from bernapprox.modulus import (
     ModulusProfile,
     WeightSpec,

@@ -1,34 +1,69 @@
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernapprox import tails
 from bernapprox.errors import BoundaryWarning, ParameterError
+from bernapprox.experiments import ExperimentConfig, Study, build_family, build_tail_curve
 from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.tails import (
     POISSON_PHI,
-    ConjugatePair,
     PowerTailSpec,
     TailCurve,
     TabulatedPhi,
-    atf_curve,
-    atf_upper_bound,
-    conjugate_pair_for_family,
+    conjugate_curve,
     empirical_atf,
+    family_nu,
     fenchel_conjugate,
     gaussian_curve,
-    make_conjugate_pair,
     make_nu,
-    nu_envelope,
     phi_sup,
     poisson_conjugate,
-    power_tail_atf,
     power_tail_curve,
     tail_z_max,
 )
 
 SUBGAUSS = lambda lam: np.asarray(lam, dtype=float) ** 2 / 2.0  # noqa: E731
+
+
+@dataclass(frozen=True)
+class NuValue:
+    value: float
+    maximizer_n: Optional[int]  # None when the n->infinity limit wins
+    limit_value: float
+
+    @property
+    def limit_is_max(self) -> bool:
+        return self.maximizer_n is None
+
+
+def nu_envelope(phi: Callable, lam: float, n_max: int = 4096) -> NuValue:
+    """Oracle for make_nu at one lambda: scan n in 1..n_max, compare with the
+    Gaussian limit lam^2 phi''(0)/2 and report which one wins."""
+    if n_max < 2**10:
+        raise ParameterError(f"n_max must be at least 2^10, got {n_max}")
+    p0 = float(phi(0.0))
+    if abs(p0) > 1e-12:
+        raise ParameterError(f"phi(0) must be 0, got {p0}")
+    ns = np.arange(1, n_max + 1, dtype=float)
+    vals = ns * np.asarray(phi(lam / np.sqrt(ns)), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = int(ns[~np.isfinite(vals)][0])
+        raise ParameterError(f"phi non-finite at lambda/sqrt(n) for n={bad}, lambda={lam}")
+    i = int(np.argmax(vals))
+    scan_best = float(vals[i])
+    h = 1e-4
+    curvature = 2.0 * float(phi(h)) / (h * h)
+    limit = 0.5 * lam * lam * curvature
+    if limit > scan_best:
+        return NuValue(value=limit, maximizer_n=None, limit_value=limit)
+    return NuValue(value=scan_best, maximizer_n=i + 1, limit_value=limit)
 
 
 class TestPhiSup:
@@ -183,27 +218,23 @@ class TestPoissonConjugate:
 
 
 @pytest.fixture(scope="module")
-def pois_pair():
-    return conjugate_pair_for_family(
-        poisson_family(), np.linspace(1.0, 64.0, 33), np.linspace(0.0, 20.0, 41)
-    )
+def pois_curve():
+    return conjugate_curve(family_nu(poisson_family(), np.linspace(1.0, 64.0, 33)), 20.0)
 
 
 class TestAtfUpperBound:
-    def test_capped_at_one(self, pois_pair):
-        assert atf_upper_bound(pois_pair, 0.0) == 1.0
+    def test_capped_at_one(self, pois_curve):
+        assert pois_curve.at(0.0) == 1.0
 
     def test_subgaussian_value(self):
-        pair = make_conjugate_pair(SUBGAUSS, np.linspace(0.0, 8.0, 17))
-        assert atf_upper_bound(pair, 3.0) == pytest.approx(2.0 * math.exp(-4.5), rel=1e-9)
+        curve = conjugate_curve(SUBGAUSS, 8.0)
+        assert curve.at(3.0) == pytest.approx(2.0 * math.exp(-4.5), rel=1e-9)
 
-    def test_poisson_value(self, pois_pair):
-        assert atf_upper_bound(pois_pair, math.e - 1.0) == pytest.approx(
-            2.0 * math.exp(-1.0), rel=1e-8
-        )
+    def test_poisson_value(self, pois_curve):
+        assert pois_curve.at(math.e - 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-8)
 
-    def test_curve_nonincreasing_and_capped(self, pois_pair):
-        curve = atf_curve(pois_pair)
+    def test_curve_nonincreasing_and_capped(self, pois_curve):
+        curve = pois_curve
         us = np.linspace(0.0, 20.0, 41)
         vals = np.array([curve.at(float(u)) for u in us])
         assert np.all(vals <= 1.0)
@@ -220,21 +251,21 @@ class TestPowerTail:
             PowerTailSpec(p=2.0, K=0.0)
 
     def test_value_at_zero(self):
-        assert power_tail_atf(PowerTailSpec(p=2.0, K=0.5), 0.0) == 1.0
+        assert power_tail_curve(PowerTailSpec(p=2.0, K=0.5)).at(0.0) == 1.0
 
     def test_bernstein_case_value(self):
         # p = q = 2, K = 1/2 is the classical Bernstein configuration
-        assert power_tail_atf(PowerTailSpec(p=2.0, K=0.5), 2.0) == pytest.approx(
+        assert power_tail_curve(PowerTailSpec(p=2.0, K=0.5)).at(2.0) == pytest.approx(
             math.exp(-2.0), abs=1e-12
         )
 
     def test_exponent_uses_q_not_p(self):
-        spec = PowerTailSpec(p=4.0, K=1.0)
-        assert power_tail_atf(spec, 1.5) == pytest.approx(math.exp(-1.5**2), abs=1e-12)
+        curve = power_tail_curve(PowerTailSpec(p=4.0, K=1.0))
+        assert curve.at(1.5) == pytest.approx(math.exp(-1.5**2), abs=1e-12)
 
     def test_curve_reaches_floor(self):
         curve = power_tail_curve(PowerTailSpec(p=2.0, K=0.5))
-        assert curve.at(curve.u_max + 1e-3) < 1e-12
+        assert curve.at(tail_z_max(curve) + 1e-3) < 1e-12
 
 
 class TestTailCurveType:
@@ -308,24 +339,89 @@ class TestEmpiricalAtf:
             fam, x = poisson_family(), 1.0
             xs = np.linspace(1.0, 64.0, 65)
         us = np.arange(0.0, 4.01, 0.5)
-        pair = conjugate_pair_for_family(fam, xs, np.linspace(0.0, 8.0, 33))
+        curve = conjugate_curve(family_nu(fam, xs), 8.0)
         emp = empirical_atf(fam, x, us, [1, 4, 16, 64], 50_000, seed=11)
         for u, v, hw in zip(emp.u_grid, emp.values, emp.half_widths):
-            assert v <= atf_upper_bound(pair, float(u)) + 3.0 * hw
+            assert v <= curve.at(float(u)) + 3.0 * hw
 
 
 class TestConjugatePairType:
-    def test_bad_u_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            make_conjugate_pair(SUBGAUSS, np.array([1.0]))
-        with pytest.raises(ParameterError):
-            make_conjugate_pair(SUBGAUSS, np.array([0.0, -1.0]))
+    """nu and nu* as a conjugate pair, read through the tail curve."""
 
     def test_nu_star_zero_at_zero(self):
-        pair = make_conjugate_pair(SUBGAUSS, np.linspace(0.0, 4.0, 9))
-        assert pair.nu_star_at(0.0) == 0.0
+        curve = conjugate_curve(SUBGAUSS, 4.0)
+        assert curve.fn(0.0) == 2.0  # 2 exp(-nu*(0)) with nu*(0) = 0 exactly
 
-    def test_tabulated_values_match_on_demand(self):
-        pair = make_conjugate_pair(SUBGAUSS, np.linspace(0.0, 4.0, 9))
-        for u, star in zip(pair.u_grid, pair.nu_star_values):
-            assert star == pytest.approx(pair.nu_star_at(float(u)), abs=1e-12)
+
+def frozen_grid(curve: TailCurve) -> np.ndarray:
+    return np.linspace(0.0, curve.params["lambda_cap"], curve.params["lambda_grid_size"])
+
+
+@pytest.fixture(scope="module")
+def bern_nu():
+    fam = bernoulli_family(0.05)
+    return family_nu(fam, np.linspace(*fam.x_domain, 33), n_max=1024)
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Count the golden-section refinements, the unit of conjugation work."""
+    calls = []
+    inner = tails._golden_refine
+
+    def counting(g, u, lo, hi):
+        calls.append(u)
+        return inner(g, u, lo, hi)
+
+    monkeypatch.setattr(tails, "_golden_refine", counting)
+    return calls
+
+
+class TestConjugateCurve:
+    @pytest.mark.parametrize("which", ["subgauss", "poisson", "bernoulli"])
+    def test_matches_fenchel_conjugate_bit_for_bit(self, which, bern_nu):
+        nu = {"subgauss": SUBGAUSS, "poisson": POISSON_PHI, "bernoulli": bern_nu}[which]
+        curve = conjugate_curve(nu, 16.0, grid_size=301)
+        grid = frozen_grid(curve)
+
+        @given(st.floats(min_value=0.0, max_value=16.0))
+        @settings(max_examples=40, deadline=None)
+        def check(u):
+            oracle = min(1.0, 2.0 * math.exp(-fenchel_conjugate(nu, u, lambda_grid=grid)))
+            assert curve.at(u) == oracle
+
+        check()
+
+    def test_dominates_the_poisson_conjugate(self, pois_curve):
+        # nu* is only ever under-estimated, so Q lies on or above 2 exp(-h(u))
+        # up to the rounding of the two exponents: at some u the refined
+        # lambda u - nu(lambda) rounds above h(u), by at most 2 eps (1 + h) seen
+        eps = np.finfo(float).eps
+        for u in np.linspace(0.0, 20.0, 201):
+            h = poisson_conjugate(float(u))
+            exact = 2.0 * math.exp(-h)
+            if exact < 1.0:
+                assert pois_curve.at(float(u)) >= exact * (1.0 - 4.0 * eps * (1.0 + h))
+
+    def test_params_record_the_frozen_grid(self):
+        # maximizer of lambda u - lambda^2/2 is lambda = u: 120 needs 50 -> 100 -> 200
+        curve = conjugate_curve(SUBGAUSS, 120.0, grid_size=101)
+        assert curve.params == {"lambda_cap": 200.0, "lambda_grid_size": 101}
+
+    def test_negative_u_rejected(self):
+        with pytest.raises(ParameterError):
+            conjugate_curve(SUBGAUSS, 4.0).at(-1.0)
+
+    def test_building_the_curve_refines_nothing(self, refinements):
+        cfg = ExperimentConfig()
+        build_tail_curve(cfg, build_family(cfg))
+        assert refinements == []
+
+    def test_study_refines_once_per_point_read(self, refinements):
+        # the z grid plus tail_z_max's bisection: at(0), at(cap), then one
+        # point per halving of [0, 64] down to 1e-6
+        study = Study(ExperimentConfig())
+        _ = study.q_on_z
+        bisection = 2 + math.ceil(math.log2(study.cfg.tail_z_cap / 1e-6))
+        assert bisection == 28
+        assert len(refinements) == study.cfg.z_grid_size + bisection == 285
