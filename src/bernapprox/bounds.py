@@ -36,8 +36,6 @@ class BoundReport:
     n: int
     upper_stieltjes: float
     enclosure: tuple[float, float]
-    upper_closed_form: Optional[float] = None
-    lower_constant: Optional[float] = None
     empirical_delta: Optional[float] = None
     metadata: dict = field(default_factory=dict)
 
@@ -311,6 +309,14 @@ class LowerBoundTable:
     sigma_bar: float
 
 
+def lower_bound_row(
+    g: TargetFunction, fam: Family, h: HolderSpec, n: int, x_grid, tail_tol: float = 1e-12
+) -> LowerBoundRow:
+    """Delta_n[g] and the ratio Delta_n[g] n^{alpha/2} / H, via the exact operator path."""
+    se = sup_error(g, fam, n, x_grid, mode="exact", tail_tol=tail_tol)
+    return LowerBoundRow(n=n, delta=se.delta, ratio=se.delta * n ** (h.alpha / 2.0) / h.seminorm)
+
+
 def lower_bound_ratio(
     g: TargetFunction,
     fam: Family,
@@ -331,14 +337,11 @@ def lower_bound_ratio(
         raise ParameterError(f"x0={x0} outside the family x-domain [{lo}, {hi}]")
     if x_grid is None:
         x_grid = np.linspace(lo, hi, 257)
-    rows = []
-    for n in sorted(set(int(v) for v in n_set)):
-        se = sup_error(g, fam, n, x_grid, mode="exact", tail_tol=tail_tol)
-        ratio = se.delta * n ** (h.alpha / 2.0) / h.seminorm
-        rows.append(LowerBoundRow(n=n, delta=se.delta, ratio=ratio))
+    ns = sorted(set(int(v) for v in n_set))
+    rows = tuple(lower_bound_row(g, fam, h, n, x_grid, tail_tol) for n in ns)
     g_alpha = lower_bound_constant(h.alpha)
     return LowerBoundTable(
-        rows=tuple(rows),
+        rows=rows,
         g_alpha=g_alpha,
         g_alpha_scaled=g_alpha * sigma_bar**h.alpha,
         alpha=h.alpha,

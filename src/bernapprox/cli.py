@@ -8,10 +8,7 @@ machine-parsable line to stderr of the form
 
 from __future__ import annotations
 
-import csv
 import difflib
-import io
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -22,43 +19,29 @@ import numpy as np
 from . import __version__, config as cfgmod
 from .errors import BernApproxError, ParameterError
 from .experiments import (
-    FLOAT_FMT,
     ExperimentConfig,
     Study,
-    build_modulus_profile,
     run_convergence,
     validity_check,
+    write_csv,
+    write_json,
     write_report,
     write_timings,
 )
 from .modulus import holder_seminorm
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return FLOAT_FMT % float(value)
-
-
-def _write_csv(path: Path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    path.write_text(buf.getvalue(), encoding="utf-8", newline="\n")
-
-
-def _write_json(path: Path, payload: dict):
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+BOUND_COLUMNS = ("n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio")
 
 
 def _resolve_config(config_path, overrides, seed) -> ExperimentConfig:
     if config_path and config_path.startswith("demo:"):
         config_path = str(cfgmod.demo_config_path(config_path.split(":", 1)[1]))
     return cfgmod.resolve(config_path, cfgmod.parse_overrides(overrides), seed)
+
+
+def _echo(cfg: ExperimentConfig) -> dict:
+    """The resolved config, seed and version that every JSON report carries."""
+    return {"config": asdict(cfg), "seed": cfg.seed, "version": __version__}
 
 
 def _outdir(out: str) -> Path:
@@ -132,18 +115,12 @@ def evaluate(config_path, overrides, out, seed):
         summary_rows = []
         for n in cfg.n_grid:
             se = study.sup_error(n)
-            rows = [
-                [_fmt(x), _fmt(ov.value), _fmt(ov.error_radius)]
-                for x, ov in zip(study.x_grid, se.values)
-            ]
-            _write_csv(outdir / f"evaluate_n{n}.csv", ["x", "value", "error_radius"], rows)
+            rows = [[x, ov.value, ov.error_radius] for x, ov in zip(study.x_grid, se.values)]
+            write_csv(outdir / f"evaluate_n{n}.csv", ["x", "value", "error_radius"], rows)
             summary_rows.append(
                 {"n": n, "delta": se.delta, "argmax_x": se.argmax_x, "error_radius": se.error_radius}
             )
-        _write_json(outdir / "evaluate.json", {
-            "config": asdict(cfg), "seed": cfg.seed, "version": __version__,
-            "sup_errors": summary_rows,
-        })
+        write_json(outdir / "evaluate.json", {**_echo(cfg), "sup_errors": summary_rows})
         click.echo(f"evaluate: wrote {len(cfg.n_grid)} tables to {outdir}")
 
     _guard(body)
@@ -156,26 +133,18 @@ def modulus(config_path, overrides, out, seed):
 
     def body():
         study = Study(_resolve_config(config_path, overrides, seed))
-        cfg, f, w = study.cfg, study.f, study.w
-        # the whole interval, not just the deltas a bound at min(n) reads
-        delta_max = (f.interval.b - f.interval.a) if f.interval.finite else 8.0
-        profile = build_modulus_profile(cfg, f, w, delta_max=delta_max)
+        f, profile = study.f, study.interval_profile
         outdir = _outdir(out)
-        rows = [
-            [_fmt(d), _fmt(v), _fmt(profile.enclosure_slack)]
-            for d, v in zip(profile.deltas, profile.values)
-        ]
-        _write_csv(outdir / "modulus.csv", ["delta", "omega", "slack"], rows)
+        rows = [[d, v, profile.enclosure_slack] for d, v in zip(profile.deltas, profile.values)]
+        write_csv(outdir / "modulus.csv", ["delta", "omega", "slack"], rows)
         payload = {
-            "config": asdict(cfg), "seed": cfg.seed, "version": __version__,
-            "metadata": {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in profile.metadata.items()},
+            **_echo(study.cfg), "metadata": profile.metadata,
             "enclosure_slack": profile.enclosure_slack,
         }
         if f.holder is not None:
-            h = holder_seminorm(f, w, f.holder.alpha, profile)
+            h = holder_seminorm(f, study.w, f.holder.alpha, profile)
             payload["holder"] = {"alpha": h.alpha, "seminorm": h.seminorm}
-        _write_json(outdir / "modulus.json", payload)
+        write_json(outdir / "modulus.json", payload)
         click.echo(f"modulus: wrote profile ({profile.deltas.size} deltas) to {outdir}")
 
     _guard(body)
@@ -189,25 +158,18 @@ def tail(config_path, overrides, out, seed):
     def body():
         study = Study(_resolve_config(config_path, overrides, seed))
         cfg, curve, us = study.cfg, study.curve, study.z_grid
-        vals = study.q_on_z.values
         if curve.half_widths is not None:
             hw = np.interp(us, curve.u_grid, curve.half_widths)
-            hw_col = [_fmt(v) for v in hw]
         else:
-            hw_col = ["" for _ in us]
+            hw = [None] * us.size
         outdir = _outdir(out)
-        _write_csv(
-            outdir / "tail.csv",
-            ["u", "value", "half_width"],
-            [[_fmt(u), _fmt(v), h] for u, v, h in zip(us, vals, hw_col)],
-        )
-        header = {
-            "config": asdict(cfg), "seed": cfg.seed, "version": __version__,
-            "method": curve.kind, "z_max": study.z_max,
+        write_csv(outdir / "tail.csv", ["u", "value", "half_width"],
+                  zip(us, study.q_on_z.values, hw))
+        write_json(outdir / "tail.json", {
+            **_echo(cfg), "method": curve.kind, "z_max": study.z_max,
             "lambda_cap": curve.params.get("lambda_cap"),
             "n_max": cfg.tail_n_max, "rng": "pcg64",
-        }
-        _write_json(outdir / "tail.json", header)
+        })
         click.echo(f"tail: wrote {curve.kind} curve ({us.size} points) to {outdir}")
 
     _guard(body)
@@ -220,33 +182,20 @@ def bound(config_path, overrides, out, seed):
 
     def body():
         study = Study(_resolve_config(config_path, overrides, seed))
-        cfg = study.cfg
         rows = []
-        payload_rows = []
-        for n in cfg.n_grid:
-            rep = study.stieltjes(n)
-            se = study.sup_error(n)
-            closed = study.closed_form(n)
-            ratio = se.delta / rep.enclosure[1] if rep.enclosure[1] > 0 else None
-            rows.append([
-                str(n), _fmt(rep.enclosure[0]), _fmt(rep.enclosure[1]),
-                _fmt(closed), _fmt(se.delta), _fmt(ratio),
-            ])
-            payload_rows.append({
-                "n": n, "lower_bracket": rep.enclosure[0], "upper_bracket": rep.enclosure[1],
-                "upper_stieltjes": rep.upper_stieltjes, "closed_form": closed,
-                "empirical": se.delta, "error_radius": se.error_radius, "ratio": ratio,
+        for n in study.cfg.n_grid:
+            row = study.row(n)
+            rows.append({
+                "n": n, "lower_bracket": row.lower_bracket, "upper_bracket": row.upper_bracket,
+                "upper_stieltjes": row.upper_stieltjes, "closed_form": study.closed_form(n),
+                "empirical": row.empirical_delta, "error_radius": row.error_radius,
+                "ratio": row.empirical_delta / row.upper_bracket if row.upper_bracket > 0 else None,
             })
         outdir = _outdir(out)
-        _write_csv(
-            outdir / "bound.csv",
-            ["n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio"],
-            rows,
-        )
+        write_csv(outdir / "bound.csv", BOUND_COLUMNS, [[r[c] for c in BOUND_COLUMNS] for r in rows])
         holder = study.holder
-        _write_json(outdir / "bound.json", {
-            "config": asdict(cfg), "seed": cfg.seed, "version": __version__,
-            "rows": payload_rows,
+        write_json(outdir / "bound.json", {
+            **_echo(study.cfg), "rows": rows,
             "holder": None if holder is None else {"alpha": holder.alpha, "seminorm": holder.seminorm},
         })
         click.echo(f"bound: wrote {len(rows)} rows to {outdir}")

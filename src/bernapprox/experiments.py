@@ -19,7 +19,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -31,9 +31,9 @@ from .errors import InsufficientDataError, ParameterError, ReportIOError
 from .families import RNG_NAME, Family, bernoulli_family, poisson_family
 from .functions import HolderSpec, TargetFunction, builtin_catalog, trial_function
 from .grids import GridSpec
-from .modulus import ModulusProfile, WeightSpec, holder_seminorm, modulus_profile
+from .modulus import ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile
 from .operators import SupError, sup_error
-from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
+from .bounds import BoundReport, hdt_bound, lower_bound_row, poisson_curve, stieltjes_bound
 from .tails import (
     PowerTailSpec,
     TailCurve,
@@ -115,6 +115,10 @@ class ExperimentConfig:
         for key, value in (("tail.z_cap", self.tail_z_cap), ("tail.lambda_cap", self.tail_lambda_cap)):
             if not (0.0 < value < math.inf):
                 raise ParameterError(f"{key} must be positive and finite, got {value}")
+        if self.tail_lambda_size < 3:
+            raise ParameterError(f"tail.lambda_size must be at least 3, got {self.tail_lambda_size}")
+        if self.delta_grid_size < 2:
+            raise ParameterError(f"grids.delta_size must be at least 2, got {self.delta_grid_size}")
         if self.mode not in ("exact", "monte-carlo"):
             raise ParameterError(f"unknown mode {self.mode!r}")
         if (self.trial_x0 is None) != (self.trial_alpha is None):
@@ -184,13 +188,8 @@ def build_family(cfg: ExperimentConfig) -> Family:
 
 
 def build_weight(cfg: ExperimentConfig, fam: Family) -> WeightSpec:
-    if cfg.weight_kind == "family-sigma":
-        return WeightSpec(kind="family-sigma", family=fam)
-    if cfg.weight_kind == "unit":
-        return WeightSpec(kind="unit")
-    return WeightSpec(
-        kind="jacobi", c=cfg.weight_c, alpha_exp=cfg.weight_alpha_exp, beta_exp=cfg.weight_beta_exp
-    )
+    return WeightSpec(kind=cfg.weight_kind, family=fam, c=cfg.weight_c,
+                      alpha_exp=cfg.weight_alpha_exp, beta_exp=cfg.weight_beta_exp)
 
 
 def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
@@ -218,14 +217,12 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
 
 
 def build_modulus_profile(
-    cfg: ExperimentConfig, f: TargetFunction, w: WeightSpec, delta_max: float
+    cfg: ExperimentConfig, f: TargetFunction, w: WeightSpec, delta_max: Optional[float] = None
 ) -> ModulusProfile:
-    if f.interval.finite:
-        window = (f.interval.a, f.interval.b)
-    else:
-        window = (f.interval.a, cfg.modulus_window)
+    """Profile on the config's grids, deltas up to delta_max (the whole interval by default)."""
+    window = (f.interval.a, f.interval.b if f.interval.finite else cfg.modulus_window)
     xs = GridSpec("uniform", cfg.x_grid_size).points(*window)
-    deltas = np.concatenate([[0.0], np.geomspace(1e-4, max(delta_max, 1e-3), cfg.delta_grid_size - 1)])
+    deltas = default_delta_grid(f.interval, cfg.delta_grid_size, delta_max)
     return modulus_profile(f, w, deltas, xs, cfg.h_grid_size, metadata={"window": window})
 
 
@@ -234,9 +231,10 @@ class Study:
 
     Of the chain Delta_n[f] <= integral omega(z/sqrt(n)) |dQ(z)| only the
     operator sweep and the z/sqrt(n) rescaling depend on n.  Every other
-    stage (tail curve, z_max, z grid, Q on the z grid, modulus profile,
-    Holder seminorm and constant) is a cached attribute, so each is computed
-    at most once and only if the caller reads it.
+    stage (tail curve, z_max, z grid, Q on the z grid, modulus profiles,
+    Holder seminorm and constant, trial cusp) is a cached attribute, so each
+    is computed at most once and only if the caller reads it.  The per-n
+    methods compute afresh on every call; each subcommand reads each n once.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -291,6 +289,11 @@ class Study:
         return build_modulus_profile(self.cfg, self.f, self.w, delta_max=delta_max)
 
     @cached_property
+    def interval_profile(self) -> ModulusProfile:
+        """Modulus profile over the whole interval, as ``modulus`` reports it."""
+        return build_modulus_profile(self.cfg, self.f, self.w)
+
+    @cached_property
     def holder(self) -> Optional[HolderSpec]:
         if self.f.holder is None:
             return None
@@ -300,6 +303,14 @@ class Study:
     def hdt_constant(self) -> float:
         """alpha * integral z^{alpha-1} Q(z) dz, the n-free factor of the closed form."""
         return hdt_bound(self.holder, self.curve, 1, z_max=self.z_max).constant
+
+    @cached_property
+    def trial(self) -> Optional[TargetFunction]:
+        """The trial cusp behind ``lower_ratio``; None unless trial.x0/alpha are set."""
+        cfg = self.cfg
+        if cfg.trial_alpha is None:
+            return None
+        return trial_function(cfg.trial_x0, cfg.trial_alpha, self.fam.interval)
 
     def sup_error(self, n: int) -> SupError:
         cfg = self.cfg
@@ -318,47 +329,38 @@ class Study:
             return None
         return h.seminorm * n ** (-h.alpha / 2.0) * self.hdt_constant
 
+    def row(self, n: int) -> ConvergenceRow:
+        """Sup error and Stieltjes bracket at n, without the trial ratio.
+
+        The trial sums run only where ``lower_ratio(n)`` is read.
+        """
+        se, rep = self.sup_error(n), self.stieltjes(n)
+        return ConvergenceRow(
+            n=n, empirical_delta=se.delta, argmax_x=se.argmax_x, error_radius=se.error_radius,
+            lower_bracket=rep.enclosure[0], upper_stieltjes=rep.upper_stieltjes,
+            upper_bracket=rep.enclosure[1],
+        )
+
+    def lower_ratio(self, n: int) -> Optional[float]:
+        """Trial ratio Delta_n[g] n^{alpha/2} / H; None without a trial cusp."""
+        g = self.trial
+        if g is None:
+            return None
+        return lower_bound_row(g, self.fam, g.holder, n, self.x_grid, self.cfg.szasz_tail_tol).ratio
+
 
 def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
-    """Compute per-n sup errors, Stieltjes brackets and optional trial ratios."""
+    """Per-n rows of one study with their trial ratios, and the rate fit."""
     study = Study(cfg)
     # n-free stages first, so that each row's wall time is its own work
-    _ = study.q_on_z, study.profile
-
-    trial = None
-    if cfg.trial_alpha is not None:
-        trial = trial_function(cfg.trial_x0, cfg.trial_alpha, study.fam.interval)
-
-    rows = []
-    times = []
+    _ = study.q_on_z, study.profile, study.trial
+    rows, times = [], []
     for n in cfg.n_grid:
         t0 = time.perf_counter()
-        se = study.sup_error(n)
-        rep = study.stieltjes(n)
-        ratio = None
-        if trial is not None:
-            tse = sup_error(trial, study.fam, n, study.x_grid, mode="exact", tail_tol=cfg.szasz_tail_tol)
-            ratio = tse.delta * n ** (cfg.trial_alpha / 2.0) / trial.holder.seminorm
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                empirical_delta=se.delta,
-                argmax_x=se.argmax_x,
-                error_radius=se.error_radius,
-                lower_bracket=rep.enclosure[0],
-                upper_stieltjes=rep.upper_stieltjes,
-                upper_bracket=rep.enclosure[1],
-                lower_ratio=ratio,
-            )
-        )
+        rows.append(replace(study.row(n), lower_ratio=study.lower_ratio(n)))
         times.append(time.perf_counter() - t0)
 
-    table = ConvergenceTable(
-        rows=tuple(rows),
-        config=asdict(cfg),
-        seed=cfg.seed,
-        wall_times=tuple(times),
-    )
+    table = ConvergenceTable(rows=tuple(rows), config=asdict(cfg), seed=cfg.seed, wall_times=tuple(times))
     try:
         fit = rate_fit(table)
     except InsufficientDataError:
@@ -416,19 +418,11 @@ def validity_check(table: ConvergenceTable) -> ValiditySummary:
 # Serialization: bit-stable CSV / JSON
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "n",
-    "empirical_delta",
-    "argmax_x",
-    "error_radius",
-    "lower_bracket",
-    "upper_stieltjes",
-    "upper_bracket",
-    "lower_ratio",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 
 
 def _fmt(value) -> str:
+    """One CSV cell: empty for None, integers as digits, floats to 17 digits."""
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -436,77 +430,48 @@ def _fmt(value) -> str:
     return FLOAT_FMT % float(value)
 
 
-def _table_payload(table: ConvergenceTable) -> dict:
-    payload = {
-        "config": _jsonable(table.config),
-        "seed": table.seed,
-        "rng": table.rng,
-        "version": table.version,
-        "fit": None if table.fit is None else asdict(table.fit),
-        "rows": [asdict(r) for r in table.rows],
-    }
-    return payload
+def _write_text(path, data: str) -> None:
+    try:
+        Path(path).write_text(data, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ReportIOError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def write_csv(path, header, rows) -> None:
+    """Bit-stable CSV (UTF-8, LF): a header line, then each row's cells through ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    _write_text(path, buf.getvalue())
+
+
+def write_json(path, payload: dict) -> None:
+    """Bit-stable JSON (UTF-8, LF, sorted keys, two-space indent)."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_report(table: ConvergenceTable, fmt: str, destination) -> None:
-    """Emit a bit-stable CSV or JSON file (UTF-8, LF, sorted JSON keys)."""
-    path = Path(destination)
+    """Emit a run's table as bit-stable CSV or JSON."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in table.rows:
-            writer.writerow(
-                [
-                    str(r.n),
-                    _fmt(r.empirical_delta),
-                    _fmt(r.argmax_x),
-                    _fmt(r.error_radius),
-                    _fmt(r.lower_bracket),
-                    _fmt(r.upper_stieltjes),
-                    _fmt(r.upper_bracket),
-                    _fmt(r.lower_ratio),
-                ]
-            )
-        data = buf.getvalue()
+        write_csv(destination, CSV_COLUMNS, [astuple(r) for r in table.rows])
     elif fmt == "json":
-        data = json.dumps(_table_payload(table), sort_keys=True, indent=2) + "\n"
+        write_json(destination, {
+            "config": table.config,
+            "seed": table.seed,
+            "rng": table.rng,
+            "version": table.version,
+            "fit": None if table.fit is None else asdict(table.fit),
+            "rows": [asdict(r) for r in table.rows],
+        })
     else:
         raise ParameterError(f"unknown report format {fmt!r}")
-    try:
-        path.write_text(data, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ReportIOError(f"cannot write report to {path}: {exc}") from exc
 
 
 def read_report(path) -> ConvergenceTable:
     """Parse a JSON report back into an equal ConvergenceTable."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = tuple(
-        ConvergenceRow(
-            n=r["n"],
-            empirical_delta=r["empirical_delta"],
-            argmax_x=r["argmax_x"],
-            error_radius=r["error_radius"],
-            lower_bracket=r["lower_bracket"],
-            upper_stieltjes=r["upper_stieltjes"],
-            upper_bracket=r["upper_bracket"],
-            lower_ratio=r["lower_ratio"],
-        )
-        for r in payload["rows"]
-    )
+    rows = tuple(ConvergenceRow(**r) for r in payload["rows"])
     fit = payload["fit"]
     cfg = dict(payload["config"])
     if isinstance(cfg.get("n_grid"), list):
@@ -523,10 +488,4 @@ def read_report(path) -> ConvergenceTable:
 
 def write_timings(table: ConvergenceTable, destination) -> None:
     """Non-canonical per-row wall times for the performance suite."""
-    path = Path(destination)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "wall_time_s"])
-    for r, t in zip(table.rows, table.wall_times):
-        writer.writerow([str(r.n), _fmt(t)])
-    path.write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+    write_csv(destination, ["n", "wall_time_s"], [(r.n, t) for r, t in zip(table.rows, table.wall_times)])

@@ -221,9 +221,11 @@ def holder_seminorm(
 
 
 def default_delta_grid(interval, size: int = 33, delta_max: Optional[float] = None) -> np.ndarray:
-    """{0} followed by log-spaced deltas; upper end b-a for finite intervals."""
+    """{0} followed by size - 1 log-spaced deltas from 1e-4 to delta_max.
+
+    delta_max defaults to the whole interval: b - a when finite, 8 when
+    unbounded.  It is raised to 1e-3 if smaller, so the grid spans a decade.
+    """
     if delta_max is None:
         delta_max = (interval.b - interval.a) if interval.finite else 8.0
-    if size < 9:
-        raise ParameterError("delta grid needs at least 9 points")
-    return np.concatenate([[0.0], np.geomspace(1e-4, delta_max, size - 1)])
+    return np.concatenate([[0.0], np.geomspace(1e-4, max(delta_max, 1e-3), size - 1)])

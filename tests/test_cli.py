@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 from click.testing import CliRunner
 
-from bernapprox import config as cfgmod
+from bernapprox import bounds, config as cfgmod
 from bernapprox import experiments
 from bernapprox.cli import main
 from bernapprox.experiments import ExperimentConfig
@@ -79,6 +79,26 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert "error kind=usage" in res.output
         assert key in res.output
+
+    def test_unknown_weight_kind_exit_two(self, runner, tmp_path):
+        res = runner.invoke(main, ["modulus", "--set", "weight.kind=foo", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "'foo'" in res.output
+
+    @pytest.mark.parametrize("value", ["0", "1", "2"])
+    def test_tiny_lambda_grid_exit_two(self, runner, tmp_path, value):
+        res = runner.invoke(main, ["tail", "--set", f"tail.lambda_size={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "tail.lambda_size" in res.output
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_tiny_delta_grid_exit_two(self, runner, tmp_path, value):
+        res = runner.invoke(main, ["run", "--set", f"grids.delta_size={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "grids.delta_size" in res.output
 
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -283,3 +303,54 @@ def test_monte_carlo_evaluate_table_matches_summary(runner, tmp_path):
     assert max(errors) == summary["delta"]
     assert float(rows[int(np.argmax(errors))]["x"]) == summary["argmax_x"]
     assert max(float(r["error_radius"]) for r in rows) == summary["error_radius"]
+
+
+TRIAL = ["--set", "trial.x0=0.5", "--set", "trial.alpha=0.5"]
+
+
+@pytest.fixture
+def sup_error_calls(monkeypatch):
+    """(function name, n) of every sup_error call the pipeline makes."""
+    calls = []
+    for mod in (experiments, bounds):
+        def counted(f, fam, n, *args, _inner=mod.sup_error, **kwargs):
+            calls.append((f.name, n))
+            return _inner(f, fam, n, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "sup_error", counted)
+    return calls
+
+
+class TestRowsOnce:
+    def test_run_sums_f_and_the_trial_once_per_n(self, runner, tmp_path, sup_error_calls):
+        res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + TRIAL)
+        assert res.exit_code == 0, res.output
+        trial = "trial(x0=0.5,alpha=0.5)"
+        assert sorted(sup_error_calls) == [("square", 16), ("square", 64), (trial, 16), (trial, 64)]
+
+    @pytest.mark.parametrize("cmd", ["bound", "evaluate"])
+    def test_bound_and_evaluate_sum_f_once_per_n(self, runner, tmp_path, sup_error_calls, cmd):
+        res = runner.invoke(main, [cmd, "--out", str(tmp_path)] + FAST + TRIAL)
+        assert res.exit_code == 0, res.output
+        assert sup_error_calls == [("square", 16), ("square", 64)]
+
+    def test_bound_and_run_share_their_rows_bit_for_bit(self, runner, tmp_path):
+        cusp = FAST + TRIAL + ["--set", "function.name=power-cusp", "--set", "function.alpha=0.5"]
+        for cmd in ("run", "bound"):
+            res = runner.invoke(main, [cmd, "--out", str(tmp_path)] + cusp)
+            assert res.exit_code == 0, res.output
+        run_rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        bound_rows = json.loads((tmp_path / "bound.json").read_text())["rows"]
+        shared = ("n", "lower_bracket", "upper_bracket", "upper_stieltjes", "error_radius")
+        assert [{k: r[k] for k in shared} for r in bound_rows] == \
+            [{k: r[k] for k in shared} for r in run_rows]
+        assert [r["empirical"] for r in bound_rows] == [r["empirical_delta"] for r in run_rows]
+        assert all(r["lower_ratio"] > 0 for r in run_rows)
+
+    def test_trial_left_of_the_x_domain_still_runs(self, runner, tmp_path):
+        # inside the interval (0, 1) but outside the x-domain [0.05, 0.95]
+        res = runner.invoke(main, ["run", "--out", str(tmp_path), "--set", "family.eps=0.05",
+                                   "--set", "trial.x0=0.02", "--set", "trial.alpha=0.5"] + FAST)
+        assert res.exit_code == 0, res.output
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert all(r["lower_ratio"] > 0 for r in rows)
