@@ -27,6 +27,7 @@ from .operators import sup_error
 from .tails import TailCurve, PowerTailSpec, poisson_conjugate, tail_z_max
 
 DIVERGENCE_FRACTION = 0.01
+QUAD_PIECES = 8  # equal sub-ranges of the hdt_bound quadrature
 
 
 @dataclass(frozen=True)
@@ -206,18 +207,25 @@ def hdt_bound(
         raise ParameterError("z_max too small for the first-cell split")
     cap = float(q.at(0.0))
     head = cap * first_cell**alpha / alpha
-    breakpoints = _cap_kink(q, first_cell, z_max)
-    # 1e-6 relative suffices here and stays above the evaluation jitter of
-    # numerically conjugated curves
-    body, _ = quad(
-        lambda z: z ** (alpha - 1.0) * float(q.at(z)),
-        first_cell,
-        z_max,
-        points=breakpoints,
-        limit=400,
-        epsrel=1e-6,
-        epsabs=1e-12,
-    )
+    kinks = _cap_kink(q, first_cell, z_max) or []
+    # 1e-6 relative suffices here.  Equal sub-ranges keep each quad call on
+    # few of the conjugate curve's line-envelope kinks, where a single call
+    # over [first_cell, z_max] reports roundoff.  The integrand is positive,
+    # so the running sum bounds the total from below, and asking each piece
+    # for 1e-6 / QUAD_PIECES of it keeps the whole within 1e-6 relative.
+    edges = np.linspace(first_cell, z_max, QUAD_PIECES + 1)
+    body = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        piece, _ = quad(
+            lambda z: z ** (alpha - 1.0) * float(q.at(z)),
+            a,
+            b,
+            points=[k for k in kinks if a < k < b] or None,
+            limit=400,
+            epsrel=1e-6,
+            epsabs=max(1e-12, 1e-6 * (head + body) / QUAD_PIECES),
+        )
+        body += piece
     remainder = _tail_remainder(q, alpha, z_max)
     integral = head + body + remainder
     diverging = not math.isfinite(remainder) or remainder > DIVERGENCE_FRACTION * (head + body)

@@ -31,7 +31,9 @@ from .errors import InsufficientDataError, ParameterError, ReportIOError
 from .families import RNG_NAME, Family, bernoulli_family, poisson_family
 from .functions import HolderSpec, TargetFunction, builtin_catalog, trial_function
 from .grids import GridSpec
-from .modulus import ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile
+from .modulus import (
+    WEIGHT_KINDS, ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile,
+)
 from .operators import SupError, sup_error
 from .bounds import BoundReport, hdt_bound, lower_bound_row, poisson_curve, stieltjes_bound
 from .tails import (
@@ -89,7 +91,8 @@ class ExperimentConfig:
     tail_n_max: int = _key("tail.n_max", 4096, "n scan cap for the envelope sup over n")
     tail_lambda_cap: float = _key(
         "tail.lambda_cap", 50.0, "conjugation lambda cap (auto-doubles up to 5 times)")
-    tail_lambda_size: int = _key("tail.lambda_size", 1001, "conjugation lambda grid size")
+    tail_lambda_size: int = _key(
+        "tail.lambda_size", 1001, "conjugation lambda grid size: the number of supporting lines")
     tail_floor: float = _key("tail.floor", 1e-12, "tail value treated as zero beyond z-max")
     tail_z_cap: float = _key("tail.z_cap", 64.0, "hard cap on z-max")
     tail_trials: int = _key("tail.trials", 100_000, "trials per n for the empirical tail")
@@ -123,6 +126,13 @@ class ExperimentConfig:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if (self.trial_x0 is None) != (self.trial_alpha is None):
             raise ParameterError("trial.x0 and trial.alpha must be set together")
+        if self.trial_x0 is not None and self.family_kind == "poisson":
+            # the Szasz window's certified radius needs sup|g|, unbounded on [0, inf)
+            raise ParameterError("trial.x0/trial.alpha need family.kind=bernoulli: "
+                                 "the trial cusp has no bounded sup on [0, inf)")
+        if self.weight_kind not in WEIGHT_KINDS:
+            raise ParameterError(f"unknown weight kind {self.weight_kind!r} for weight.kind; "
+                                 f"expected one of {', '.join(WEIGHT_KINDS)}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ from .functions import HolderSpec, TargetFunction, eval_clamped
 from .grids import resolve_grid, symmetric_grid
 
 
+WEIGHT_KINDS = ("family-sigma", "jacobi", "unit")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Pointwise step weight sigma(x): family sigma, Jacobi, or constant 1."""
@@ -40,7 +43,7 @@ class WeightSpec:
     beta_exp: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("family-sigma", "jacobi", "unit"):
+        if self.kind not in WEIGHT_KINDS:
             raise ParameterError(f"unknown weight kind {self.kind!r}")
         if self.kind == "family-sigma" and self.family is None:
             raise ParameterError("family-sigma weight needs a family")

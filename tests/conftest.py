@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.functions import HolderSpec, TargetFunction
+from bernapprox.tails import DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS
 
 
 @pytest.fixture
@@ -26,3 +30,50 @@ def scale_function(f: TargetFunction, c: float) -> TargetFunction:
         sup_abs=None if f.sup_abs is None else abs(c) * f.sup_abs,
         holder=None if f.holder is None else HolderSpec(f.holder.alpha, abs(c) * f.holder.seminorm),
     )
+
+
+def fenchel_conjugate(
+    g,
+    u: float,
+    lambda_grid=None,
+    lambda_cap: float = DEFAULT_LAMBDA_CAP,
+    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
+) -> float:
+    """Refined oracle for sup over lambda >= 0 of (lambda u - g(lambda)), convex g, g(0) = 0.
+
+    The maximum on a uniform grid on [0, cap], refined by bounded
+    golden-section search between the maximizer's neighbours.  With the
+    default grid the cap doubles (up to MAX_CAP_DOUBLINGS times) while the
+    maximizer lands on the boundary; an explicit grid only warns.
+    """
+    from scipy.optimize import minimize_scalar
+
+    g0 = float(g(0.0))
+    if abs(g0) > 1e-9:
+        raise ParameterError(f"g(0) must be 0, got {g0}")
+    if u < 0:
+        raise ParameterError(f"u must be nonnegative, got {u}")
+    if lambda_grid is None:
+        for attempt in range(MAX_CAP_DOUBLINGS + 1):
+            grid = np.linspace(0.0, lambda_cap, grid_size)
+            gv = np.asarray(g(grid), dtype=float)
+            if int(np.argmax(grid * u - gv)) < grid_size - 1 or attempt == MAX_CAP_DOUBLINGS:
+                break
+            lambda_cap *= 2.0
+    else:
+        grid = np.asarray(lambda_grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 3 or grid[0] != 0.0:
+            raise ParameterError("lambda grid must be 1-d, start at 0, size >= 3")
+        gv = np.asarray(g(grid), dtype=float)
+    h = grid * u - gv
+    i = int(np.argmax(h))
+    if i == grid.size - 1:
+        warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={u:g}",
+                      BoundaryWarning)
+    res = minimize_scalar(
+        lambda lam: -(lam * u - float(g(lam))),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return max(0.0, float(h[i]), float(-res.fun))

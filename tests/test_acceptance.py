@@ -10,19 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import fenchel_conjugate
+
 from bernapprox.bounds import hdt_bound_exp, lower_bound_constant, lower_bound_ratio
 from bernapprox.cli import main as cli_main
 from bernapprox.experiments import ExperimentConfig, run_convergence, validity_check
 from bernapprox.families import bernoulli_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.operators import bernstein_exact, szasz_exact
-from bernapprox.tails import (
-    POISSON_PHI,
-    PowerTailSpec,
-    empirical_atf,
-    fenchel_conjugate,
-    poisson_conjugate,
-)
+from bernapprox.tails import POISSON_PHI, PowerTailSpec, empirical_atf, poisson_conjugate
 
 X_MATRIX = np.linspace(0.0, 1.0, 101)
 N_MATRIX = (1, 2, 10, 100, 1000)

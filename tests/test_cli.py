@@ -86,6 +86,22 @@ class TestUsageErrors:
         assert "error kind=usage" in res.output
         assert "'foo'" in res.output
 
+    @pytest.mark.parametrize("cmd", ["evaluate", "modulus", "tail", "bound", "run"])
+    def test_unknown_weight_kind_exit_two_in_every_subcommand(self, runner, tmp_path, cmd):
+        res = runner.invoke(main, [cmd, "--set", "weight.kind=foo", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "weight.kind" in res.output
+
+    def test_trial_cusp_on_poisson_exit_two(self, runner, tmp_path):
+        res = runner.invoke(main, [
+            "run", "--set", "family.kind=poisson", "--set", "function.name=exp-decay",
+            "--set", "trial.x0=2", "--set", "trial.alpha=1", "--out", str(tmp_path),
+        ])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "trial.x0" in res.output
+
     @pytest.mark.parametrize("value", ["0", "1", "2"])
     def test_tiny_lambda_grid_exit_two(self, runner, tmp_path, value):
         res = runner.invoke(main, ["tail", "--set", f"tail.lambda_size={value}", "--out", str(tmp_path)])
@@ -277,7 +293,8 @@ class TestStudyStagesOnce:
         res = runner.invoke(main, ["bound", "--out", str(tmp_path)] + FAST
                             + ["--set", "run.n_grid=16,64,256"])
         assert res.exit_code == 0, res.output
-        assert len(calls) == 1
+        # one integral, split into QUAD_PIECES quad calls, for all three n
+        assert len(calls) == bounds.QUAD_PIECES
         (curve,) = counting_curve
         assert [s for s in curve.sizes if s > 1] == [65]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4

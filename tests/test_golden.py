@@ -31,12 +31,12 @@ CONFIGS = {
 GOLDEN = {
     "bern-cusp": {
         "run": {
-            "report.json": "aee9c663fae7c215c8c86e1516e83ecb652db95c7580d1e12d227a76647ef438",
-            "table.csv": "4c8590290f035948b2ab6200ef5332c6b96253ed4e4a4646c13cca163f85f6f4",
+            "report.json": "22d5573225606c0dc6e893947d430bb0096ac6ae7b36cfda1ba79ac69a901caa",
+            "table.csv": "a74e5c4b4b65c20736373b41fbcccc2c67a5c463f9d39b5d827e13bbf7b97075",
         },
         "bound": {
-            "bound.csv": "8a0c69528a04b07f6cb177ebb59784d7ca9112fbe2b1f22a865bc28c0c7e01dc",
-            "bound.json": "a33d01d6bee72ebecf0738049a977efbf91f20c707903f72cf8248d3b5910fc3",
+            "bound.csv": "7e1417cb281a0d3a5ca4c2dbdfe4eadbbb2fa2b5b2a150d3df0246d59d85adc1",
+            "bound.json": "199fe29aae1c223734b6868b0121d0cd4b63f07a8edaa3a5b02922a75a852e77",
         },
         "evaluate": {
             "evaluate.json": "c314d1f2974869403af4669d26abac212ac66ce4a9139ff9b352e3731ae596f0",
@@ -48,8 +48,8 @@ GOLDEN = {
             "modulus.json": "5ccaf4279fa26e31ffd5d543f1278fd3900de63905b50a526f6432d539151a1e",
         },
         "tail": {
-            "tail.csv": "4271c398f114bb1a8e27ea4165d6421b1c09b27f1a4614ed01facb9508929f5f",
-            "tail.json": "12353bf38e73cd3758c578600c5c8c550de5741684b3f002202426b05e2ef293",
+            "tail.csv": "e3d064e40ac45577f05adb88843c71fca64aaf0e740d20056a22e9b0c1254ca5",
+            "tail.json": "eaae4ed0c666e6728a3d3274055102f5921fe9595ccb653941ad3b7da6d3e5e7",
         },
     },
     "poisson-exp": {

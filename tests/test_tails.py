@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -8,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fenchel_conjugate
+
 from bernapprox import tails
 from bernapprox.errors import BoundaryWarning, ParameterError
-from bernapprox.experiments import ExperimentConfig, Study, build_family, build_tail_curve
+from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.tails import (
     POISSON_PHI,
@@ -20,7 +27,6 @@ from bernapprox.tails import (
     conjugate_curve,
     empirical_atf,
     family_nu,
-    fenchel_conjugate,
     gaussian_curve,
     make_nu,
     phi_sup,
@@ -227,11 +233,15 @@ class TestAtfUpperBound:
         assert pois_curve.at(0.0) == 1.0
 
     def test_subgaussian_value(self):
-        curve = conjugate_curve(SUBGAUSS, 8.0)
-        assert curve.at(3.0) == pytest.approx(2.0 * math.exp(-4.5), rel=1e-9)
+        exact = 2.0 * math.exp(-4.5)
+        assert 2.0 * math.exp(-fenchel_conjugate(SUBGAUSS, 3.0)) == pytest.approx(exact, rel=1e-9)
+        assert exact <= conjugate_curve(SUBGAUSS, 8.0).at(3.0) <= 1.02 * exact
 
     def test_poisson_value(self, pois_curve):
-        assert pois_curve.at(math.e - 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-8)
+        exact = 2.0 * math.exp(-1.0)
+        oracle = 2.0 * math.exp(-fenchel_conjugate(POISSON_PHI, math.e - 1.0))
+        assert oracle == pytest.approx(exact, rel=1e-8)
+        assert exact <= pois_curve.at(math.e - 1.0) <= 1.02 * exact
 
     def test_curve_nonincreasing_and_capped(self, pois_curve):
         curve = pois_curve
@@ -354,7 +364,9 @@ class TestConjugatePairType:
 
 
 def frozen_grid(curve: TailCurve) -> np.ndarray:
-    return np.linspace(0.0, curve.params["lambda_cap"], curve.params["lambda_grid_size"])
+    """The curve's lambdas: 0, then geometric from LAMBDA_MIN to the frozen cap."""
+    size = curve.params["lambda_grid_size"]
+    return np.concatenate([[0.0], np.geomspace(tails.LAMBDA_MIN, curve.params["lambda_cap"], size - 1)])
 
 
 @pytest.fixture(scope="module")
@@ -363,45 +375,42 @@ def bern_nu():
     return family_nu(fam, np.linspace(*fam.x_domain, 33), n_max=1024)
 
 
-@pytest.fixture
-def refinements(monkeypatch):
-    """Count the golden-section refinements, the unit of conjugation work."""
-    calls = []
-    inner = tails._golden_refine
-
-    def counting(g, u, lo, hi):
-        calls.append(u)
-        return inner(g, u, lo, hi)
-
-    monkeypatch.setattr(tails, "_golden_refine", counting)
-    return calls
-
-
 class TestConjugateCurve:
     @pytest.mark.parametrize("which", ["subgauss", "poisson", "bernoulli"])
-    def test_matches_fenchel_conjugate_bit_for_bit(self, which, bern_nu):
+    def test_dominates_fenchel_conjugate(self, which, bern_nu):
+        # the lines under-estimate nu*, so Q sits on or above the refined
+        # oracle, and at the default grid size at most 2% above it
         nu = {"subgauss": SUBGAUSS, "poisson": POISSON_PHI, "bernoulli": bern_nu}[which]
-        curve = conjugate_curve(nu, 16.0, grid_size=301)
-        grid = frozen_grid(curve)
+        curve = conjugate_curve(nu, 16.0)
+        cap = curve.params["lambda_cap"]
 
         @given(st.floats(min_value=0.0, max_value=16.0))
         @settings(max_examples=40, deadline=None)
         def check(u):
-            oracle = min(1.0, 2.0 * math.exp(-fenchel_conjugate(nu, u, lambda_grid=grid)))
-            assert curve.at(u) == oracle
+            oracle = min(1.0, 2.0 * math.exp(-fenchel_conjugate(nu, u, lambda_cap=cap)))
+            q = curve.at(u)
+            assert q >= oracle
+            if q > 1e-12:
+                assert q <= 1.02 * oracle
 
         check()
 
     def test_dominates_the_poisson_conjugate(self, pois_curve):
-        # nu* is only ever under-estimated, so Q lies on or above 2 exp(-h(u))
-        # up to the rounding of the two exponents: at some u the refined
-        # lambda u - nu(lambda) rounds above h(u), by at most 2 eps (1 + h) seen
-        eps = np.finfo(float).eps
+        # nu* is only ever under-estimated, and the exponent is rounded down
+        # before exp, so Q lies on or above 2 exp(-h(u)) bit for bit
         for u in np.linspace(0.0, 20.0, 201):
-            h = poisson_conjugate(float(u))
-            exact = 2.0 * math.exp(-h)
+            exact = 2.0 * math.exp(-poisson_conjugate(float(u)))
             if exact < 1.0:
-                assert pois_curve.at(float(u)) >= exact * (1.0 - 4.0 * eps * (1.0 + h))
+                assert pois_curve.at(float(u)) >= exact
+
+    def test_dominates_at_every_tangency_point(self, pois_curve):
+        # at u = e^lambda_j - 1 the line lambda_j u - nu(lambda_j) touches h(u)
+        # exactly, so only the downward rounding keeps Q above the closed form
+        us = np.expm1(frozen_grid(pois_curve))
+        us = us[us <= 20.0]
+        assert us.size > 500
+        for u in us:
+            assert pois_curve.at(float(u)) >= min(1.0, 2.0 * math.exp(-poisson_conjugate(float(u))))
 
     def test_params_record_the_frozen_grid(self):
         # maximizer of lambda u - lambda^2/2 is lambda = u: 120 needs 50 -> 100 -> 200
@@ -412,16 +421,64 @@ class TestConjugateCurve:
         with pytest.raises(ParameterError):
             conjugate_curve(SUBGAUSS, 4.0).at(-1.0)
 
-    def test_building_the_curve_refines_nothing(self, refinements):
-        cfg = ExperimentConfig()
-        build_tail_curve(cfg, build_family(cfg))
-        assert refinements == []
+    def test_boundary_warning_per_u_beyond_the_last_line(self):
+        curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=101)
+        with pytest.warns(BoundaryWarning) as record:
+            curve.at(np.array([3.0, 3000.0, 4000.0]))
+        assert len(record) == 2
 
-    def test_study_refines_once_per_point_read(self, refinements):
-        # the z grid plus tail_z_max's bisection: at(0), at(cap), then one
-        # point per halving of [0, 64] down to 1e-6
-        study = Study(ExperimentConfig())
-        _ = study.q_on_z
-        bisection = 2 + math.ceil(math.log2(study.cfg.tail_z_cap / 1e-6))
-        assert bisection == 28
-        assert len(refinements) == study.cfg.z_grid_size + bisection == 285
+    def test_reading_the_curve_calls_nu_zero_times(self, bern_nu):
+        calls = []
+
+        def counting(lam):
+            calls.append(np.size(lam))
+            return bern_nu(lam)
+
+        curve = conjugate_curve(counting, 16.0)
+        assert len(calls) == 1  # one nu call on the frozen grid
+        calls.clear()
+        curve.at(2.0)
+        curve.at(np.linspace(0.0, 16.0, 257))
+        tail_z_max(curve)
+        assert calls == []
+
+    def test_scalar_and_array_reads_agree_bit_for_bit(self):
+        # Study tabulates Q with one array read; single reads must see the same bits
+        study = Study(ExperimentConfig(
+            function_name="power-cusp", function_alpha=0.5, family_eps=0.05,
+            x_grid_size=65, z_grid_size=65, tail_lambda_size=301,
+        ))
+        singles = np.array([study.curve.at(float(z)) for z in study.z_grid])
+        assert np.array_equal(study.q_on_z.values, singles)
+        us = np.random.default_rng(7).uniform(0.0, study.cfg.tail_z_cap, 12_000)  # several row blocks
+        block = np.asarray(study.curve.at(us))
+        assert np.array_equal(block[::97], [study.curve.at(float(u)) for u in us[::97]])
+
+    def test_read_memory_is_blocked(self, bern_nu):
+        # unblocked, 20000 u against 1001 lines would hold a 160 MB matrix
+        curve = conjugate_curve(bern_nu, 16.0)
+        us = np.linspace(0.0, 16.0, 20_000)
+        tracemalloc.start()
+        try:
+            curve.at(us)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tails.READ_BLOCK_BYTES + 4 * 2**20
+
+    def test_smoke_run_never_imports_scipy_optimize(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from bernapprox.cli import main\n"
+            "try:\n"
+            "    main(['run', '--set', 'grids.x_size=33', '--set', 'grids.z_size=33',\n"
+            "          '--set', 'tail.lambda_size=101', '--set', 'run.n_grid=16,64',\n"
+            "          '--set', 'function.name=power-cusp', '--set', 'function.alpha=0.5',\n"
+            f"          '--out', {str(tmp_path)!r}])\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tails.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert res.stdout.strip().splitlines()[-1] == "False"
