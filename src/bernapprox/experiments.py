@@ -118,6 +118,9 @@ class ExperimentConfig:
         for key, value in (("tail.z_cap", self.tail_z_cap), ("tail.lambda_cap", self.tail_lambda_cap)):
             if not (0.0 < value < math.inf):
                 raise ParameterError(f"{key} must be positive and finite, got {value}")
+        if not (0.0 < self.tail_floor < 1.0):
+            # Q <= 1, so a floor of 1 or more cuts the curve at z = 0
+            raise ParameterError(f"tail.floor must be in (0, 1), got {self.tail_floor}")
         if self.tail_lambda_size < 3:
             raise ParameterError(f"tail.lambda_size must be at least 3, got {self.tail_lambda_size}")
         if self.delta_grid_size < 2:

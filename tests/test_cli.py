@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,14 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert "error kind=usage" in res.output
         assert "tail.lambda_size" in res.output
+
+    @pytest.mark.parametrize("cmd", ["run", "bound", "tail"])
+    @pytest.mark.parametrize("value", ["0", "-1", "1", "2", "nan"])
+    def test_tail_floor_outside_the_unit_interval_exit_two(self, runner, tmp_path, cmd, value):
+        res = runner.invoke(main, [cmd, "--set", f"tail.floor={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "tail.floor" in res.output
 
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_tiny_delta_grid_exit_two(self, runner, tmp_path, value):
@@ -293,11 +305,29 @@ class TestStudyStagesOnce:
         res = runner.invoke(main, ["bound", "--out", str(tmp_path)] + FAST
                             + ["--set", "run.n_grid=16,64,256"])
         assert res.exit_code == 0, res.output
-        # one integral, split into QUAD_PIECES quad calls, for all three n
-        assert len(calls) == bounds.QUAD_PIECES
+        # one cell sum on its own grid for all three n, and no quadrature
+        assert calls == []
         (curve,) = counting_curve
-        assert [s for s in curve.sizes if s > 1] == [65]
+        assert [s for s in curve.sizes if s > 1] == [65, bounds.HDT_Z_SIZE]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
+
+    def test_bound_never_imports_scipy_integrate(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from bernapprox.cli import main\n"
+            "try:\n"
+            "    main(['bound', '--set', 'grids.x_size=33', '--set', 'grids.z_size=33',\n"
+            "          '--set', 'tail.lambda_size=101', '--set', 'run.n_grid=16,64',\n"
+            "          '--set', 'function.name=power-cusp', '--set', 'function.alpha=0.5',\n"
+            f"          '--out', {str(tmp_path)!r}])\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert res.stdout.strip().splitlines()[-1] == "False"
+        assert (tmp_path / "bound.csv").exists()
 
     @pytest.mark.parametrize("cmd", ["evaluate", "modulus"])
     def test_curve_free_subcommands_never_build_the_curve(self, runner, tmp_path,

@@ -35,8 +35,8 @@ GOLDEN = {
             "table.csv": "a74e5c4b4b65c20736373b41fbcccc2c67a5c463f9d39b5d827e13bbf7b97075",
         },
         "bound": {
-            "bound.csv": "7e1417cb281a0d3a5ca4c2dbdfe4eadbbb2fa2b5b2a150d3df0246d59d85adc1",
-            "bound.json": "199fe29aae1c223734b6868b0121d0cd4b63f07a8edaa3a5b02922a75a852e77",
+            "bound.csv": "8a718ac32ed4cd988cd493aa0dab475ba86bc1263bdae7d8ada2165bc22930e9",
+            "bound.json": "0286488f062192efd343a9b918eede29d525096531698dd6cd5f1cae2b0afee6",
         },
         "evaluate": {
             "evaluate.json": "c314d1f2974869403af4669d26abac212ac66ce4a9139ff9b352e3731ae596f0",
@@ -58,8 +58,8 @@ GOLDEN = {
             "table.csv": "f62a2394c7c41ea1ea8bc831d0c11e29ff277e8c0f6b29b343327470850eb394",
         },
         "bound": {
-            "bound.csv": "fd4c69d4bca87867831b0c89fa6f9d5d3d3c0f50ac02e27ef010a7fed1e0ddbe",
-            "bound.json": "aef7fea1c9869ab7604a61f98b18330db3feefe084de51d1d533e8c02fc4e920",
+            "bound.csv": "275758e1b4692ac7f5cdcee0725b8cd5c4ec930b7af3b4d88b0c49d1d4235c9e",
+            "bound.json": "9083c081ecb1e6a0a54d2edb721c987b54de468b5e6dabe71f27b469919aa2fd",
         },
         "evaluate": {
             "evaluate.json": "280896a970a866a0982cc8abc4778534831aa72ecbfc972c1cb2810f28ce01ca",

@@ -1,5 +1,6 @@
 """Guards on what lives outside the package: the benchmark's traced units
-and the README's library sketch must keep working against the source."""
+and the README's library sketch must keep working against the source, and
+the traced `bound` unit must keep writing the CLI's bytes."""
 
 import ast
 import importlib
@@ -8,6 +9,12 @@ import re
 from pathlib import Path
 
 import pytest
+
+from test_golden import CONFIGS
+
+from bernapprox import config as cfgmod
+from bernapprox.bounds import hdt_bound
+from bernapprox.experiments import Study
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +64,13 @@ def readme_sketch() -> str:
 @pytest.mark.filterwarnings("error")
 def test_readme_library_sketch_runs():
     exec(compile(readme_sketch(), "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_benchmark_closed_form_matches_the_cli_bit_for_bit(config):
+    # perfbench's traced `bound` unit writes hdt_bound(holder, curve, n).value
+    # with its default z_max; the CLI writes Study.closed_form(n)
+    study = Study(cfgmod.resolve(overrides=cfgmod.parse_overrides(CONFIGS[config][1::2])))
+    assert study.holder is not None
+    for n in study.cfg.n_grid:
+        assert hdt_bound(study.holder, study.curve, n).value == study.closed_form(n)
