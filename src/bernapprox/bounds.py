@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma, gammaincc
 
 from .errors import DivergenceWarning, InsufficientDataError, ParameterError
 from .families import Family
@@ -149,19 +148,21 @@ class HdtBoundResult:
 def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
     """Certified remainder of integral_{z_max}^inf z^{alpha-1} Q(z) dz.
 
-    Power-tail curves get the exact incomplete-gamma tail.  Otherwise a
-    convex-exponent geometric bound is used: any backward difference of
-    -ln Q under-estimates the forward decay rate, so Q(z) <=
-    Q(z_max) e^{-r (z - z_max)} beyond the cut.
+    Power-tail curves get the exact incomplete-gamma tail, the only scipy
+    call on the CLI path.  Otherwise a convex-exponent geometric bound is
+    used: any backward difference of -ln Q under-estimates the forward decay
+    rate, so Q(z) <= Q(z_max) e^{-r (z - z_max)} beyond the cut.
     """
     qz = float(q.at(z_max))
     if qz <= 0.0:
         return 0.0
     if q.kind == "power-tail":
+        from scipy.special import gammaincc
+
         p_exp = q.params["q"]
         K = q.params["K"]
         s = alpha / p_exp
-        return (1.0 / p_exp) * K ** (-s) * gamma(s) * float(gammaincc(s, K * z_max**p_exp))
+        return (1.0 / p_exp) * K ** (-s) * math.gamma(s) * float(gammaincc(s, K * z_max**p_exp))
     h = max(1e-3 * z_max, 1e-6)
     q_before = float(q.at(z_max - h))
     if q_before <= qz or qz <= 0:
@@ -241,8 +242,8 @@ def hdt_bound_exp(h: HolderSpec, spec: PowerTailSpec, n: int) -> HdtExpBound:
     body, _ = quad(lambda z: z ** (alpha - 1.0) * math.exp(-K * z**q_exp), 1.0, np.inf, limit=200)
     direct = scale * alpha * (head + body)
 
-    closed = scale * (alpha / q_exp) * K ** (-alpha / q_exp) * gamma(alpha / q_exp)
-    printed = scale * alpha * K ** (-alpha / q_exp) * gamma(alpha / q_exp)
+    closed = scale * (alpha / q_exp) * K ** (-alpha / q_exp) * math.gamma(alpha / q_exp)
+    printed = scale * alpha * K ** (-alpha / q_exp) * math.gamma(alpha / q_exp)
     return HdtExpBound(
         direct=direct,
         printed_formula=printed,
@@ -261,7 +262,7 @@ def lower_bound_constant(alpha: float) -> float:
     """G(alpha) = 2^{alpha/2} pi^{-1/2} Gamma((alpha+1)/2) = E|N(0,1)|^alpha."""
     if not (0.0 < alpha <= 1.0):
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    return 2.0 ** (alpha / 2.0) / math.sqrt(math.pi) * gamma((alpha + 1.0) / 2.0)
+    return 2.0 ** (alpha / 2.0) / math.sqrt(math.pi) * math.gamma((alpha + 1.0) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 For parameter x the single draw xi(x) has mean x and variance sigma(x)^2
 with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 [0,inf)).  The scaled sum n*S_n = sum_i xi_i is Binomial(n, x) respectively
-Poisson(n*x); all pmf work runs through log-gamma to stay overflow-safe.
+Poisson(n*x).  Its pmf comes from one kernel, ``scaled_sum_pmf``: the mode
+term from Loader's saddle-point form, every other term by a ratio
+recurrence out of the mode, so nothing can overflow and no log-gamma sum
+amplifies rounding with n.
 
 Random generation uses numpy's PCG64 Generator; the algorithm name is
 recorded in every report.  Poisson draws use inversion of a cdf table for
@@ -17,13 +20,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import OverflowComputationError, ParameterError
 from .functions import HALF_LINE, UNIT_INTERVAL, Interval
 
 RNG_NAME = "pcg64"
 POISSON_INVERSION_MAX_MEAN = 30.0
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling-series coefficients B_2j / (2j (2j - 1)) for j = 1..5
+_S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
 
 
 @dataclass(frozen=True)
@@ -135,31 +140,88 @@ def szasz_window(mu: float, tail_tol: float) -> tuple[int, int]:
     return lo, hi
 
 
-def family_pmf(fam: Family, x: float, n: int, k) -> Union[float, np.ndarray]:
-    """P(n*S_n = k) through log-gamma; out-of-support k gives exact 0."""
-    x = fam.check_x(x)
-    _check_n(n)
-    karr = np.asarray(k)
-    kf = karr.astype(float)
-    if fam.kind == "bernoulli":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = (
-                gammaln(n + 1.0)
-                - gammaln(kf + 1.0)
-                - gammaln(n - kf + 1.0)
-                + kf * math.log(x)
-                + (n - kf) * math.log1p(-x)
-            )
-        valid = (karr >= 0) & (karr <= n) & (kf == np.floor(kf))
+def scaled_sum_pmf(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
+    """P(n*S_n = k) for k = lo..hi: Binomial(n, x), 0 < x < 1, or Poisson(n*x).
+
+    The kernel anchors at the mode m, floor((n+1)x) for Binomial and
+    floor(nx) for Poisson, clipped into [lo, hi], whose pmf comes from
+    Loader's saddle-point form ("Fast and Accurate Computation of Binomial
+    Probabilities", 2000).  Both sides follow by cumulative products of the
+    pmf ratios, (n-k+1)/k * x/(1-x) or nx/k going up and their inverses going
+    down.  Every ratio away from the mode is at most 1, so no term can
+    overflow, far terms underflow to 0, and rounding grows with the distance
+    from the mode, not with n.
+    """
+    k = np.arange(lo, hi + 1, dtype=float)
+    mu = n * x
+    m = min(max(math.floor((n + 1) * x if kind == "bernoulli" else mu), lo), hi)
+    i = m - lo
+    up, down = k[i + 1:], k[:i]
+    ratios = np.empty(k.size)
+    if kind == "bernoulli":
+        ratios[i + 1:] = (n - up + 1.0) / up * (x / (1.0 - x))
+        ratios[:i] = (down + 1.0) / (n - down) * ((1.0 - x) / x)
     else:
-        mu = n * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = kf * math.log(mu) - mu - gammaln(kf + 1.0)
-        valid = (karr >= 0) & (kf == np.floor(kf))
-    out = np.where(valid, np.exp(np.where(valid, logp, -np.inf)), 0.0)
-    if np.isscalar(k):
-        return float(out)
-    return out
+        ratios[i + 1:] = mu / up
+        ratios[:i] = (down + 1.0) / mu
+    ratios[i] = _mode_pmf(kind, n, x, m)
+    w = np.empty(k.size)
+    w[i:] = np.cumprod(ratios[i:])
+    w[: i + 1] = np.cumprod(ratios[i::-1])[::-1]
+    return w
+
+
+def _mode_pmf(kind: str, n: int, x: float, m: int) -> float:
+    """The pmf at k = m in Loader's form, exp(-stirlerr and bd0 terms) / sqrt(2 pi v).
+
+    v is m(n-m)/n or m, at least 1/2 and at most n, so the direct form can
+    neither overflow nor underflow; m = 0 and m = n are single powers.
+    """
+    if kind == "bernoulli":
+        if m == 0:
+            return math.exp(n * math.log1p(-x))
+        if m == n:
+            return x**n
+        lc = (_stirlerr(n) - _stirlerr(m) - _stirlerr(n - m)
+              - _bd0(m, n * x) - _bd0(n - m, n * (1.0 - x)))
+        return math.exp(lc) / math.sqrt(2.0 * math.pi * m * (n - m) / n)
+    mu = n * x
+    if m == 0:
+        return math.exp(-mu)
+    return math.exp(-_stirlerr(m) - _bd0(m, mu)) / math.sqrt(2.0 * math.pi * m)
+
+
+def _stirlerr(k: int) -> float:
+    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k): lgamma up to 15, the Stirling series above."""
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
+    kk = float(k) * k
+    if k > 500:
+        return (_S0 - _S1 / kk) / k
+    if k > 80:
+        return (_S0 - (_S1 - _S2 / kk) / kk) / k
+    if k > 35:
+        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(k: float, np_: float) -> float:
+    """k ln(k/np) + np - k, by a series in (k-np)/(k+np) when k is near np."""
+    d = k - np_
+    if abs(d) >= 0.1 * (k + np_):
+        return k * math.log(k / np_) + np_ - k
+    v = d / (k + np_)
+    s = d * v
+    ej = 2.0 * k * v
+    v *= v
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if s1 == s:
+            return s1
+        s = s1
+        j += 2
 
 
 def sample_scaled_sum(fam: Family, x: float, n: int, rng: np.random.Generator, size=None):

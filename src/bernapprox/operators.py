@@ -2,10 +2,11 @@
 
 Exact evaluators exist for both families: Bernstein polynomials (Binomial
 weights, summed over all of [0, n]) and windowed Szasz sums (Poisson(nx)
-weights summed over a two-sided Chernoff window).  The Szasz window drops at
-most tail_tol / 2 of Poisson mass on each side, so its error radius
-tail_tol * sup|f| certifies the truncation; it does not cover the rounding
-of the log-gamma weights.  A seeded Monte Carlo path covers the generic
+weights summed over a two-sided Chernoff window).  Both take their weights
+from families.scaled_sum_pmf, a ratio recurrence out of the mode.  The Szasz
+window drops at most tail_tol / 2 of Poisson mass on each side, so its error
+radius tail_tol * sup|f| certifies the truncation; the rounding of the
+weights is not in the radius.  A seeded Monte Carlo path covers the generic
 definition.
 """
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InsufficientDataError, ParameterError
 from .families import (
@@ -24,6 +24,7 @@ from .families import (
     normalized_sum_samples,
     resolve_rng,
     sample_scaled_sum,
+    scaled_sum_pmf,
     spawn_rngs,
     szasz_truncation_point,
     szasz_window,
@@ -75,8 +76,9 @@ class SupError:
 def bernstein_exact(f: TargetFunction, n: int, x: float) -> OperatorValue:
     """Bernstein polynomial sum_m C(n,m) f(m/n) x^m (1-x)^(n-m).
 
-    Binomial weights go through log-gamma, so n up to 2^20 is safe.  The
-    result is affine in f and reproduces affine functions exactly.
+    The Binomial weights come from the mode-anchored ratio recurrence, so
+    n up to 2^20 is safe.  The result is affine in f and reproduces affine
+    functions exactly.
     """
     _check_n(n, MAX_BERNSTEIN_N)
     if not (0.0 <= x <= 1.0):
@@ -85,16 +87,8 @@ def bernstein_exact(f: TargetFunction, n: int, x: float) -> OperatorValue:
         return OperatorValue(eval_clamped(f, 0.0), 0.0, "exact-sum")
     if x == 1.0:
         return OperatorValue(eval_clamped(f, 1.0), 0.0, "exact-sum")
-    m = np.arange(n + 1)
-    fvals = eval_clamped(f, m / n)
-    logw = (
-        gammaln(n + 1.0)
-        - gammaln(m + 1.0)
-        - gammaln(n - m + 1.0)
-        + m * math.log(x)
-        + (n - m) * math.log1p(-x)
-    )
-    w = np.exp(logw)
+    w = scaled_sum_pmf("bernoulli", n, x, 0, n)
+    fvals = eval_clamped(f, np.arange(n + 1) / n)
     return OperatorValue(float(np.sum(w * fvals)), 0.0, "exact-sum")
 
 
@@ -105,7 +99,7 @@ def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) ->
     Chernoff bounds certify at most tail_tol / 2 of Poisson mass below lo and
     above hi each, so the dropped terms are bounded by the error radius
     tail_tol * sup|f|.  Requires f.sup_abs for that.  The radius covers the
-    truncation, not the rounding of the log-gamma weights.
+    truncation, not the rounding of the mode-anchored weights.
     """
     _check_n(n, MAX_BERNSTEIN_N)
     if x < 0:
@@ -120,10 +114,8 @@ def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) ->
     if mu == 0.0:  # S_n is a.s. zero; the single-term sum is exact
         return OperatorValue(eval_clamped(f, 0.0), 0.0, "exact-sum")
     lo, hi = szasz_window(mu, tail_tol)
-    k = np.arange(lo, hi + 1)
-    logw = k * math.log(mu) - mu - gammaln(k + 1.0)
-    w = np.exp(logw)
-    fvals = eval_clamped(f, k / n)
+    w = scaled_sum_pmf("poisson", n, x, lo, hi)
+    fvals = eval_clamped(f, np.arange(lo, hi + 1) / n)
     value = float(np.sum(w * fvals))
     return OperatorValue(value, tail_tol * f.sup_abs, "truncated-sum")
 

@@ -1,9 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
+from bernapprox.families import Family, _check_n
 from bernapprox.functions import HolderSpec, TargetFunction
 from bernapprox.tails import DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS
 
@@ -19,6 +22,37 @@ def simpson(fn, a: float, b: float, panels: int = 20000) -> float:
     ys = np.array([fn(float(x)) for x in xs])
     h = (b - a) / (2 * panels)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+def family_pmf(fam: Family, x: float, n: int, k):
+    """Log-gamma oracle for P(n*S_n = k); out-of-support k gives exact 0.
+
+    Each term carries a relative rounding error of about (n ln n) eps, so it
+    is only an oracle for small n.
+    """
+    x = fam.check_x(x)
+    _check_n(n)
+    karr = np.asarray(k)
+    kf = karr.astype(float)
+    if fam.kind == "bernoulli":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = (
+                gammaln(n + 1.0)
+                - gammaln(kf + 1.0)
+                - gammaln(n - kf + 1.0)
+                + kf * math.log(x)
+                + (n - kf) * math.log1p(-x)
+            )
+        valid = (karr >= 0) & (karr <= n) & (kf == np.floor(kf))
+    else:
+        mu = n * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = kf * math.log(mu) - mu - gammaln(kf + 1.0)
+        valid = (karr >= 0) & (kf == np.floor(kf))
+    out = np.where(valid, np.exp(np.where(valid, logp, -np.inf)), 0.0)
+    if np.isscalar(k):
+        return float(out)
+    return out
 
 
 def scale_function(f: TargetFunction, c: float) -> TargetFunction:

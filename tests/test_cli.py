@@ -337,6 +337,32 @@ class TestStudyStagesOnce:
         assert counting_curve == []
 
 
+def test_cli_calls_never_import_scipy(tmp_path):
+    # run on a Bernoulli cusp, run on Poisson/exp-decay and bound, in one
+    # interpreter; scipy is only for power tails and the exponential-tail check
+    small = ["--set", "grids.x_size=33", "--set", "grids.z_size=33",
+             "--set", "tail.lambda_size=101", "--set", "run.n_grid=16,64"]
+    cusp = ["--set", "function.name=power-cusp", "--set", "function.alpha=0.5"]
+    poisson = ["--set", "family.kind=poisson", "--set", "function.name=exp-decay"]
+    calls = [["run"] + small + cusp, ["run"] + small + poisson, ["bound"] + small + cusp]
+    calls = [c + ["--out", str(tmp_path / str(i))] for i, c in enumerate(calls)]
+    code = (
+        "import sys\n"
+        "from bernapprox.cli import main\n"
+        f"for args in {calls!r}:\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as e:\n"
+        "        assert e.code == 0, e.code\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert res.stdout.strip().splitlines()[-1] == "[]"
+    assert all((tmp_path / d / f).exists()
+               for d, f in [("0", "report.json"), ("1", "report.json"), ("2", "bound.json")])
+
+
 def test_monte_carlo_evaluate_table_matches_summary(runner, tmp_path):
     res = runner.invoke(main, ["evaluate", "--out", str(tmp_path), "--seed", "7",
                                "--set", "run.mode=monte-carlo", "--set", "run.n_grid=16",

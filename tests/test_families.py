@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -12,17 +13,19 @@ from bernapprox.families import (
     Family,
     _check_n,
     bernoulli_family,
-    family_pmf,
     family_sigma,
     normalized_sum_samples,
     poisson_family,
     resolve_rng,
     sample_scaled_sum,
+    scaled_sum_pmf,
     _poisson_inversion,
     spawn_rngs,
     szasz_truncation_point,
+    szasz_window,
     zeta_log_mgf,
 )
+from conftest import family_pmf
 
 POISSON_TAIL_MASS = 1e-16
 
@@ -172,6 +175,68 @@ class TestPmf:
         fam = poisson_family()
         p = family_pmf(fam, 3.0, 4, k)
         assert 0.0 <= p <= 1.0
+
+
+def exact_binomial(n: int, x: float, ks) -> np.ndarray:
+    """C(n,k) x^k (1-x)^(n-k) in integer arithmetic, rounded once to float.
+
+    A float x is a / 2^e exactly, so each term is an integer over 2^(e n);
+    its top 64 bits give the float to well within one ulp.
+    """
+    a, d = Fraction(x).numerator, Fraction(x).denominator
+    shift = (d.bit_length() - 1) * n
+    out = []
+    for k in ks:
+        k = int(k)
+        num = math.comb(n, k) * a**k * (d - a) ** (n - k)
+        e = max(num.bit_length() - 64, 0)
+        out.append(math.ldexp(float(num >> e), e - shift))
+    return np.array(out)
+
+
+class TestScaledSumPmf:
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 0.5, 0.999])
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_binomial_weights_match_exact_rationals(self, n, x):
+        # a few ulp at the mode, growing by at most 4 eps per ratio away from it
+        w = scaled_sum_pmf("bernoulli", n, x, 0, n)
+        m = math.floor((n + 1) * x)
+        ks = np.array(sorted(set(range(0, n + 1, max(1, n // 64)))
+                             | set(range(max(m - 4, 0), min(m + 5, n + 1)))))
+        exact = exact_binomial(n, x, ks)
+        normal = exact >= 1e-290
+        eps = np.finfo(float).eps
+        tol = (16.0 + 4.0 * np.abs(ks - n * x)) * eps * exact
+        assert np.all(np.abs(w[ks] - exact)[normal] <= tol[normal])
+        assert np.all(w[ks][~normal] <= 1e-280)
+
+    @given(n=st.integers(1, 2**16), log_x=st.floats(math.log(1e-6), math.log(0.5)),
+           mirror=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_weights_are_a_distribution(self, n, log_x, mirror):
+        x = -math.expm1(log_x) if mirror else math.exp(log_x)
+        w = scaled_sum_pmf("bernoulli", n, x, 0, n)
+        assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
+        assert abs(float(np.sum(w)) - 1.0) <= 1e-13
+
+    @given(log_mu=st.floats(math.log(1e-3), math.log(1e8)),
+           tol=st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=60, deadline=None)
+    def test_poisson_window_weights_are_a_distribution(self, log_mu, tol):
+        # the window drops at most tol of Poisson mass
+        mu = math.exp(log_mu)
+        lo, hi = szasz_window(mu, tol)
+        w = scaled_sum_pmf("poisson", 1, mu, lo, hi)
+        assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
+        assert -tol - 1e-13 <= float(np.sum(w)) - 1.0 <= 1e-13
+
+    @pytest.mark.parametrize("kind,x,n", [("bernoulli", 0.3, 50), ("bernoulli", 0.02, 9),
+                                          ("poisson", 1.5, 8), ("poisson", 0.01, 3)])
+    def test_matches_the_log_gamma_oracle_at_small_n(self, kind, x, n):
+        fam = bernoulli_family(0.01) if kind == "bernoulli" else poisson_family(0.01, 64.0)
+        ks = family_support(fam, x, n)
+        w = scaled_sum_pmf(kind, n, x, 0, int(ks[-1]))
+        assert w == pytest.approx(family_pmf(fam, x, n, ks), rel=1e-12, abs=1e-300)
 
 
 class TestMomentIdentities:

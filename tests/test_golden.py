@@ -31,17 +31,17 @@ CONFIGS = {
 GOLDEN = {
     "bern-cusp": {
         "run": {
-            "report.json": "22d5573225606c0dc6e893947d430bb0096ac6ae7b36cfda1ba79ac69a901caa",
-            "table.csv": "a74e5c4b4b65c20736373b41fbcccc2c67a5c463f9d39b5d827e13bbf7b97075",
+            "report.json": "3f5328b95137570928458c9ab6149c38ba5db12702ae66e632f70098d345c35c",
+            "table.csv": "b1c212cdc16a8c660f756c28d1236d37d2ca337e896c849a0783ff95a3d4b84f",
         },
         "bound": {
-            "bound.csv": "8a718ac32ed4cd988cd493aa0dab475ba86bc1263bdae7d8ada2165bc22930e9",
-            "bound.json": "0286488f062192efd343a9b918eede29d525096531698dd6cd5f1cae2b0afee6",
+            "bound.csv": "f45af55fa8b63e67f8a2a66695c7cc3640f91be1e734a1ca0b8b6201c95d54e3",
+            "bound.json": "c32ee372d0d89675f15b755e2406a046f276101388a6a69406acd22a767fc865",
         },
         "evaluate": {
-            "evaluate.json": "c314d1f2974869403af4669d26abac212ac66ce4a9139ff9b352e3731ae596f0",
-            "evaluate_n16.csv": "2bf82333bcf332f4cbeb9162390a39b3475b2d3e965e92557e63ade6281545d0",
-            "evaluate_n64.csv": "8ae959d75778f9c0a8c5df04884c26360896197f0665024c5821013f27510371",
+            "evaluate.json": "f707219c1dad8e8f836b044381ea6073d64db6d6a06d5408b05a4b42263b81d0",
+            "evaluate_n16.csv": "8388c3e15d353af14520ae36cbbd744e81aad5ba497846fa435cd85733949f08",
+            "evaluate_n64.csv": "06f49250b75373d5f89a61afef345dfce15aa27c8fe1f37aa2b243af11765ebc",
         },
         "modulus": {
             "modulus.csv": "54727fb0529a34c780a96d47fdb11944aeeeef47f5fd85d5aaa65b2438c59aa0",
@@ -54,17 +54,17 @@ GOLDEN = {
     },
     "poisson-exp": {
         "run": {
-            "report.json": "a85d96e6d6f83073d28196d7284e15871404220abb765d6efae278c853a23f99",
-            "table.csv": "f62a2394c7c41ea1ea8bc831d0c11e29ff277e8c0f6b29b343327470850eb394",
+            "report.json": "0484e5818171232508c62ba85775f0fa4b6f5bdaf704e74df2079ec133a16cee",
+            "table.csv": "75b13acdf43209b0dad98805953c0838e7f7234b1c8645821513fc47882d3f55",
         },
         "bound": {
-            "bound.csv": "275758e1b4692ac7f5cdcee0725b8cd5c4ec930b7af3b4d88b0c49d1d4235c9e",
-            "bound.json": "9083c081ecb1e6a0a54d2edb721c987b54de468b5e6dabe71f27b469919aa2fd",
+            "bound.csv": "a8b17ae7b0b5d1bc913d3b1c820bae8f3a81247da27731ab1fc8e0ae906bcfd9",
+            "bound.json": "3f8239e81c5234dba1967517e119485ce0722b4ad1d3cd67c85553c7992bf091",
         },
         "evaluate": {
-            "evaluate.json": "280896a970a866a0982cc8abc4778534831aa72ecbfc972c1cb2810f28ce01ca",
-            "evaluate_n16.csv": "c29c1f086d510237118f22ceb57b5d06341bfefc895b21ddc4ac30f8c3779cd1",
-            "evaluate_n64.csv": "faa0e4fa687c9f72e4e6ee105a3aa2af5853be9a0f64a62d0508248e9176a03f",
+            "evaluate.json": "16490a9aa2aa46c7ecf8843a57c28045f1cbb2aef39b934b7e679145ce0c0abe",
+            "evaluate_n16.csv": "e53019ec889c25322e664513ff23fbfc3c606f3e66c35ac5220a0a6ebde7a755",
+            "evaluate_n64.csv": "e2ff2fb2c8cd8483eda2cfa963257448f5476a65e7dc7a2a915563996b810914",
         },
         "modulus": {
             "modulus.csv": "d08b0383e54bf05ca8b5803ee61821c792cc1fe4c6a7ff4ac92802026dd17fbe",

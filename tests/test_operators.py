@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 from scipy.stats import poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
@@ -195,33 +194,43 @@ class TestSzaszWindow:
         step=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
+    @example(n=3276, log_x=0.0, tol=1e-12, step=False)  # log-gamma weights: 1.34e-12 off
     def test_windowed_sum_within_radius_of_full_sum(self, n, log_x, tol, step):
+        # closed-form oracles that share no code with either weight method
         x = math.exp(log_x)
         mu = n * x
         if step:  # all weight on the lower half, where the lower cut drops terms
             f = TargetFunction(HALF_LINE, lambda t: (np.asarray(t, dtype=float) <= x) * 1.0,
                                name="step", sup_abs=1.0)
-        else:
+            last = math.floor(mu)  # the last k with k / n <= x, as the step sees it
+            while (last + 1) / n <= x:
+                last += 1
+            while last >= 0 and last / n > x:
+                last -= 1
+            full = float(poisson.cdf(last, mu))
+        else:  # the Szasz-MGF identity E exp(-N/n) = exp(mu expm1(-1/n))
             f = builtin_catalog("exp-decay")
+            full = math.exp(mu * math.expm1(-1.0 / n))
         v = szasz_exact(f, n, x, tol)
-        if mu <= 500.0:
-            full = brute_szasz(f, n, x, terms=int(mu + 40.0 * math.sqrt(mu) + 60.0))
-        else:  # the brute recurrence starts from exp(-mu), which nears underflow
-            k = np.arange(szasz_truncation_point(mu, tol / 2.0) + 1)
-            w = np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
-            full = float(np.sum(w * eval_clamped(f, k / n)))
         assert abs(v.value - full) <= v.error_radius
         assert v.error_radius == tol * f.sup_abs
 
     def test_sup_error_at_large_n(self):
-        # the Szasz-MGF identity E exp(-N/n) = exp(n x expm1(-1/n)); log-gamma
-        # rounding of the weights reaches 3.4e-7 relative in delta at this n
+        # the Szasz-MGF identity E exp(-N/n) = exp(n x expm1(-1/n)); the weights'
+        # rounding, about 1.4e-14, is 5.1e-9 of delta at this n
         n = 65536
         grid = np.linspace(1.0, 64.0, 33)
         se = sup_error(builtin_catalog("exp-decay"), poisson_family(), n, grid)
         expected = np.max(np.abs(np.exp(n * grid * np.expm1(-1.0 / n)) - np.exp(-grid)))
-        assert se.delta == pytest.approx(expected, rel=1e-6)
+        assert se.delta == pytest.approx(expected, rel=2 * 5.1e-9, abs=0.0)
         assert se.error_radius == 1e-12
+
+    @pytest.mark.parametrize("n", [2**18, 2**20])
+    def test_mgf_identity_within_radius_at_huge_n(self, n):
+        f = builtin_catalog("exp-decay")
+        for x in np.linspace(1.0, 64.0, 9):
+            v = szasz_exact(f, n, float(x))
+            assert abs(v.value - math.exp(n * x * math.expm1(-1.0 / n))) <= v.error_radius
 
 
 class TestGenericMc:
@@ -286,6 +295,15 @@ class TestSupError:
         se = sup_error(f, fam, 25, np.linspace(0.001, 0.999, 257))
         assert se.delta <= 1e-12
         assert se.error_radius == 0.0
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_square_matches_the_variance_identity(self, n):
+        # B_n[x^2] = x^2 + x(1-x)/n; the sup sits at x = 1/2, where both sides
+        # are dyadic, so the only error left is rounding near B_n = 1/4
+        grid = np.linspace(0.001, 0.999, 257)
+        se = sup_error(builtin_catalog("square"), bernoulli_family(), n, grid)
+        expected = float(np.max(grid * (1.0 - grid))) / n
+        assert abs(se.delta - expected) <= 4 * math.ulp(0.25)
 
     def test_square_closed_form_max(self):
         f = builtin_catalog("square")
