@@ -34,7 +34,7 @@ from .grids import GridSpec
 from .modulus import (
     WEIGHT_KINDS, ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile,
 )
-from .operators import SupError, sup_error
+from .operators import MAX_BERNSTEIN_N, SupError, sup_error
 from .bounds import BoundReport, hdt_bound, lower_bound_row, poisson_curve, stieltjes_bound
 from .tails import (
     PowerTailSpec,
@@ -111,6 +111,11 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.n_grid, self.n_grid[1:])
         ) or min(self.n_grid) < 1:
             raise ParameterError("n grid must be a strictly increasing positive sequence")
+        if max(self.n_grid) > MAX_BERNSTEIN_N:
+            raise ParameterError(f"run.n_grid values must be at most {MAX_BERNSTEIN_N}, "
+                                 f"got {max(self.n_grid)}")
+        if not (0.0 < self.szasz_tail_tol <= 1e-6):
+            raise ParameterError(f"run.szasz_tail_tol must be in (0, 1e-6], got {self.szasz_tail_tol}")
         if self.tail_source not in ("exact-conjugate", "power-tail", "empirical"):
             raise ParameterError(f"unknown tail source {self.tail_source!r}")
         if self.tail_source == "power-tail" and (self.tail_p is None or self.tail_k is None):

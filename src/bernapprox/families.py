@@ -6,7 +6,8 @@ with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 Poisson(n*x).  Its pmf comes from one kernel, ``scaled_sum_pmf``: the mode
 term from Loader's saddle-point form, every other term by a ratio
 recurrence out of the mode, so nothing can overflow and no log-gamma sum
-amplifies rounding with n.
+amplifies rounding with n.  ``szasz_window`` cuts a Poisson sum to a certified
+window by one vector scan of the Chernoff exponent per side, no bisection.
 
 Random generation uses numpy's PCG64 Generator; the algorithm name is
 recorded in every report.  Poisson draws use inversion of a cdf table for
@@ -87,56 +88,32 @@ def sigma_weight(kind: str, x) -> np.ndarray:
     raise ParameterError(f"unknown family kind {kind!r}")
 
 
-def szasz_truncation_point(mu: float, tail_tol: float) -> int:
-    """Smallest K with the Chernoff bound P(Poisson(mu) > K) <= tail_tol.
-
-    The exponent is mu * h((K - mu)/mu) with h the exact Poisson conjugate
-    from the tail calculus, so the dropped mass is certified.
-    """
-    from .tails import poisson_conjugate  # tails imports this module
-
-    if mu <= 0:
-        return 0
-    target = math.log(1.0 / tail_tol)
-
-    def exponent(k: float) -> float:
-        return mu * poisson_conjugate((k - mu) / mu)
-
-    lo = int(math.ceil(mu))
-    hi = max(lo + 1, int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0)))
-    while exponent(hi) < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exponent(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def szasz_window(mu: float, tail_tol: float) -> tuple[int, int]:
     """Integer window [lo, hi] outside which Poisson(mu) has mass <= tail_tol.
 
-    Each side drops at most tail_tol / 2.  hi is szasz_truncation_point.  lo
-    is 1 + the largest j <= mu whose lower Chernoff exponent mu * h((mu-j)/mu)
-    reaches ln(2 / tail_tol), or 0 if there is none.  That certifies
-    P(N < lo) because P(N <= mu - t) <= exp(-mu h(-t/mu)) and h(-s) >= h(s)
-    on [0, 1], so the conjugate h is only queried at nonnegative arguments.
+    Each side drops at most tail_tol / 2, by Chernoff bounds with the exact
+    Poisson conjugate h: hi is the smallest K >= mu whose upper exponent
+    mu * h((K-mu)/mu) reaches ln(2 / tail_tol), lo is 1 + the largest j <= mu
+    whose lower exponent mu * h((mu-j)/mu) reaches it, or 0 if none does.
+    lo is certified because P(N <= mu - t) <= exp(-mu h(-t/mu)) and
+    h(-s) >= h(s) on [0, 1], so h is only queried at nonnegative arguments.
     """
     from .tails import poisson_conjugate  # tails imports this module
 
-    side_tol = tail_tol / 2.0
-    hi = szasz_truncation_point(mu, side_tol)
     if mu <= 0:
-        return 0, hi
-    target = math.log(1.0 / side_tol)
-    # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the
-    # target in [mu - t - target, mu - t] with t = sqrt(2 mu target)
+        return 0, 0
+    target = math.log(2.0 / tail_tol)
+    # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the target
+    # in [mu - t - target, mu - t] and the first K in [mu + t, mu + t1], so one
+    # vector call scans each side; the K scan ends one past mu + t1 against rounding
     t = math.sqrt(2.0 * mu * target)
+    t1 = target / 3.0 + math.sqrt(target * target / 9.0 + t * t)
     j = np.arange(max(0, math.floor(mu - t - target)), max(0, math.floor(mu - t)) + 1)
+    k = np.arange(max(math.ceil(mu), math.floor(mu + t)), math.ceil(mu + t1) + 2)
     misses = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) < target)
+    hits = np.flatnonzero(mu * poisson_conjugate((k - mu) / mu) >= target)
     lo = int(j[misses[0]]) if misses.size else int(j[-1]) + 1
+    hi = int(k[hits[0]]) if hits.size else int(k[-1]) + 1
     return lo, hi
 
 

@@ -1,10 +1,12 @@
 """Approximation operators A_n[f](x) = E f(S_n) and the sup error over a grid.
 
-Exact evaluators exist for both families: Bernstein polynomials (Binomial
-weights, summed over all of [0, n]) and windowed Szasz sums (Poisson(nx)
-weights summed over a two-sided Chernoff window).  Both take their weights
-from families.scaled_sum_pmf, a ratio recurrence out of the mode.  The Szasz
-window drops at most tail_tol / 2 of Poisson mass on each side, so its error
+Both families share one exact-sum kernel: per x it takes the window of
+n*S_n, all of [0, n] for Binomial weights (Bernstein polynomials) and the
+two-sided Chernoff window families.szasz_window for Poisson(nx) weights
+(Szasz sums), and sums families.scaled_sum_pmf, a ratio recurrence out of
+the mode, against f(k/n).  f is evaluated on k/n again only when the
+window changes, so a Bernstein grid evaluates it once.  The Szasz window
+drops at most tail_tol / 2 of Poisson mass on each side, so its error
 radius tail_tol * sup|f| certifies the truncation; the rounding of the
 weights is not in the radius.  A seeded Monte Carlo path covers the generic
 definition.
@@ -21,29 +23,16 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError
 from .families import (
     Family,
-    normalized_sum_samples,
     resolve_rng,
     sample_scaled_sum,
     scaled_sum_pmf,
     spawn_rngs,
-    szasz_truncation_point,
     szasz_window,
 )
 from .functions import TargetFunction, eval_clamped
 from .grids import resolve_grid
 
 MAX_BERNSTEIN_N = 2**20
-
-__all__ = [
-    "OperatorValue",
-    "SupError",
-    "bernstein_exact",
-    "szasz_exact",
-    "generic_mc",
-    "operator_value",
-    "sup_error",
-    "normalized_sum_samples",
-]
 
 
 @dataclass(frozen=True)
@@ -80,16 +69,7 @@ def bernstein_exact(f: TargetFunction, n: int, x: float) -> OperatorValue:
     n up to 2^20 is safe.  The result is affine in f and reproduces affine
     functions exactly.
     """
-    _check_n(n, MAX_BERNSTEIN_N)
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"Bernstein evaluation needs x in [0, 1], got {x}")
-    if x == 0.0:
-        return OperatorValue(eval_clamped(f, 0.0), 0.0, "exact-sum")
-    if x == 1.0:
-        return OperatorValue(eval_clamped(f, 1.0), 0.0, "exact-sum")
-    w = scaled_sum_pmf("bernoulli", n, x, 0, n)
-    fvals = eval_clamped(f, np.arange(n + 1) / n)
-    return OperatorValue(float(np.sum(w * fvals)), 0.0, "exact-sum")
+    return _exact_sums(f, "bernoulli", n, [x])[0]
 
 
 def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) -> OperatorValue:
@@ -101,23 +81,48 @@ def szasz_exact(f: TargetFunction, n: int, x: float, tail_tol: float = 1e-12) ->
     tail_tol * sup|f|.  Requires f.sup_abs for that.  The radius covers the
     truncation, not the rounding of the mode-anchored weights.
     """
-    _check_n(n, MAX_BERNSTEIN_N)
-    if x < 0:
-        raise ParameterError(f"Szasz evaluation needs x >= 0, got {x}")
-    if not (0.0 < tail_tol <= 1e-6):
-        raise ParameterError(f"tail_tol must be in (0, 1e-6], got {tail_tol}")
-    if f.sup_abs is None:
-        raise InsufficientDataError(
-            f"{f.name}: sup_abs metadata is required to certify the Szasz truncation"
-        )
-    mu = n * x
-    if mu == 0.0:  # S_n is a.s. zero; the single-term sum is exact
-        return OperatorValue(eval_clamped(f, 0.0), 0.0, "exact-sum")
-    lo, hi = szasz_window(mu, tail_tol)
-    w = scaled_sum_pmf("poisson", n, x, lo, hi)
-    fvals = eval_clamped(f, np.arange(lo, hi + 1) / n)
-    value = float(np.sum(w * fvals))
-    return OperatorValue(value, tail_tol * f.sup_abs, "truncated-sum")
+    return _exact_sums(f, "poisson", n, [x], tail_tol)[0]
+
+
+def _exact_sums(f: TargetFunction, kind: str, n: int, xs,
+                tail_tol: float = 1e-12) -> tuple[OperatorValue, ...]:
+    """A_n[f](x) = sum_k P(n*S_n = k) f(k/n) at every x of xs, for either family.
+
+    n, x, tail_tol and f.sup_abs are checked once.  Per x the sum runs over
+    the window of n*S_n, [0, n] or szasz_window(nx, tail_tol), or over the
+    single point nx where S_n = x almost surely (x = 0, or x = 1 for Binomial).
+    """
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_BERNSTEIN_N):
+        raise ParameterError(f"n must be an integer in [1, {MAX_BERNSTEIN_N}], got {n!r}")
+    xs = [float(x) for x in xs]
+    if kind == "bernoulli":
+        bad = [x for x in xs if not 0.0 <= x <= 1.0]
+        if bad:
+            raise ParameterError(f"Bernstein evaluation needs x in [0, 1], got {bad[0]}")
+        method, radius = "exact-sum", 0.0
+    else:
+        bad = [x for x in xs if x < 0]
+        if bad:
+            raise ParameterError(f"Szasz evaluation needs x >= 0, got {bad[0]}")
+        if not (0.0 < tail_tol <= 1e-6):
+            raise ParameterError(f"tail_tol must be in (0, 1e-6], got {tail_tol}")
+        if f.sup_abs is None:
+            raise InsufficientDataError(
+                f"{f.name}: sup_abs metadata is required to certify the Szasz truncation")
+        method, radius = "truncated-sum", tail_tol * f.sup_abs
+    out = []
+    window = fvals = None
+    for x in xs:
+        if x == 0.0 or (x == 1.0 and kind == "bernoulli"):
+            lo = hi = round(n * x)
+            w, r, how = 1.0, 0.0, "exact-sum"
+        else:
+            lo, hi = (0, n) if kind == "bernoulli" else szasz_window(n * x, tail_tol)
+            w, r, how = scaled_sum_pmf(kind, n, x, lo, hi), radius, method
+        if (lo, hi) != window:
+            window, fvals = (lo, hi), eval_clamped(f, np.arange(lo, hi + 1) / n)
+        out.append(OperatorValue(float(np.sum(w * fvals)), r, how))
+    return tuple(out)
 
 
 def generic_mc(
@@ -138,27 +143,6 @@ def generic_mc(
     mean = float(np.mean(vals))
     std = float(np.std(vals, ddof=1))
     return OperatorValue(mean, 3.0 * std / math.sqrt(trials), "monte-carlo")
-
-
-def operator_value(
-    f: TargetFunction,
-    fam: Family,
-    n: int,
-    x: float,
-    mode: str = "exact",
-    tail_tol: float = 1e-12,
-    trials: int = 10_000,
-    seed=None,
-    rng=None,
-) -> OperatorValue:
-    """Dispatch to the family's exact evaluator or the Monte Carlo path."""
-    if mode == "exact":
-        if fam.kind == "bernoulli":
-            return bernstein_exact(f, n, x)
-        return szasz_exact(f, n, x, tail_tol)
-    if mode == "monte-carlo":
-        return generic_mc(f, fam, n, x, trials, seed=seed, rng=rng)
-    raise ParameterError(f"unknown mode {mode!r}; use 'exact' or 'monte-carlo'")
 
 
 def sup_error(
@@ -186,29 +170,18 @@ def sup_error(
         raise ParameterError(
             f"x-grid [{grid[0]}, {grid[-1]}] exceeds the x-domain [{lo}, {hi}]"
         )
-    rngs = [None] * grid.size
-    if mode == "monte-carlo":
+    if mode == "exact":
+        values = _exact_sums(f, fam.kind, n, grid, tail_tol)
+    elif mode == "monte-carlo":
         if seed is None:
             raise ParameterError("monte-carlo sup error needs a seed")
-        rngs = spawn_rngs(seed, grid.size)
-    values = []
-    best = -1.0
-    best_x = grid[0]
-    worst_radius = 0.0
-    for xi, rng in zip(grid, rngs):
-        ov = operator_value(f, fam, n, float(xi), mode=mode, tail_tol=tail_tol, trials=trials, rng=rng)
-        values.append(ov)
-        d = abs(ov.value - eval_clamped(f, float(xi)))
-        worst_radius = max(worst_radius, ov.error_radius)
-        if d > best:
-            best = d
-            best_x = float(xi)
+        values = tuple(generic_mc(f, fam, n, float(xi), trials, rng=rng)
+                       for xi, rng in zip(grid, spawn_rngs(seed, grid.size)))
+    else:
+        raise ParameterError(f"unknown mode {mode!r}; use 'exact' or 'monte-carlo'")
+    d = np.abs(np.array([ov.value for ov in values]) - eval_clamped(f, grid))
+    i = int(np.argmax(d))  # the first maximum, in grid order
     return SupError(
-        n=n, delta=best, argmax_x=best_x, x_grid_size=int(grid.size),
-        error_radius=worst_radius, values=tuple(values),
+        n=n, delta=float(d[i]), argmax_x=float(grid[i]), x_grid_size=int(grid.size),
+        error_radius=max(ov.error_radius for ov in values), values=values,
     )
-
-
-def _check_n(n: int, n_max: int):
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= n_max):
-        raise ParameterError(f"n must be an integer in [1, {n_max}], got {n!r}")

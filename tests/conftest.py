@@ -8,7 +8,9 @@ from scipy.special import gammaln
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import Family, _check_n
 from bernapprox.functions import HolderSpec, TargetFunction
-from bernapprox.tails import DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS
+from bernapprox.tails import (
+    DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, poisson_conjugate,
+)
 
 
 @pytest.fixture
@@ -53,6 +55,33 @@ def family_pmf(fam: Family, x: float, n: int, k):
     if np.isscalar(k):
         return float(out)
     return out
+
+
+def szasz_truncation_point(mu: float, tail_tol: float) -> int:
+    """Bisection oracle: the smallest K with the Chernoff bound P(Poisson(mu) > K) <= tail_tol.
+
+    The exponent is mu * h((K - mu)/mu) with h the exact Poisson conjugate,
+    so the dropped mass is certified.  ``szasz_window`` finds the same cut
+    by a bracketed vector scan.
+    """
+    if mu <= 0:
+        return 0
+    target = math.log(1.0 / tail_tol)
+
+    def exponent(k: float) -> float:
+        return mu * poisson_conjugate((k - mu) / mu)
+
+    lo = int(math.ceil(mu))
+    hi = max(lo + 1, int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0)))
+    while exponent(hi) < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exponent(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def scale_function(f: TargetFunction, c: float) -> TargetFunction:

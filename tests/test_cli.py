@@ -121,6 +121,19 @@ class TestUsageErrors:
         assert "error kind=usage" in res.output
         assert "tail.floor" in res.output
 
+    @pytest.mark.parametrize("cmd", ["run", "bound", "evaluate", "modulus", "tail"])
+    @pytest.mark.parametrize("key,value", [
+        ("run.n_grid", "2000000"), ("run.n_grid", "16,1048577"),
+        ("run.szasz_tail_tol", "1e-3"), ("run.szasz_tail_tol", "0"),
+        ("run.szasz_tail_tol", "-1e-9"), ("run.szasz_tail_tol", "nan"),
+    ])
+    def test_operator_keys_out_of_range_exit_two(self, runner, tmp_path, cmd, key, value):
+        # ExperimentConfig rejects them, so every subcommand does, whatever it reads
+        res = runner.invoke(main, [cmd, "--set", f"{key}={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert key in res.output
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_tiny_delta_grid_exit_two(self, runner, tmp_path, value):
         res = runner.invoke(main, ["run", "--set", f"grids.delta_size={value}", "--out", str(tmp_path)])

@@ -21,11 +21,10 @@ from bernapprox.families import (
     scaled_sum_pmf,
     _poisson_inversion,
     spawn_rngs,
-    szasz_truncation_point,
     szasz_window,
     zeta_log_mgf,
 )
-from conftest import family_pmf
+from conftest import family_pmf, szasz_truncation_point
 
 POISSON_TAIL_MASS = 1e-16
 

@@ -1,5 +1,5 @@
 """Golden bytes: SHA-256 digests of every canonical file the five subcommands
-write, on two small configs.
+write, on three small configs.
 
 A change that moves a byte of a report must update the digest here on
 purpose.  `timings.csv` holds wall times and is not canonical.
@@ -26,9 +26,39 @@ CONFIGS = {
         "--set", "grids.x_size=33", "--set", "grids.delta_size=17",
         "--set", "grids.z_size=33", "--set", "run.n_grid=16,64",
     ],
+    # Bernoulli square on the seeded Monte Carlo path
+    "bern-mc": [
+        "--set", "run.mode=monte-carlo", "--set", "run.mc_trials=1000",
+        "--set", "grids.x_size=33", "--set", "grids.delta_size=17",
+        "--set", "grids.z_size=33", "--set", "tail.lambda_size=301",
+        "--set", "run.n_grid=16,64",
+    ],
 }
 
 GOLDEN = {
+    "bern-mc": {
+        "run": {
+            "report.json": "ff1bc44e52515d23a86973664860ca687824aea54474064a364cc29c26180196",
+            "table.csv": "a4be35909c87bc28fef0d48b4b39d4e46618b2d7133e36a8e88d62a56463bbbf",
+        },
+        "bound": {
+            "bound.csv": "8e147f62a6e39194275880d2ce7b8c187ec983d108781bcabe5fe11a4b804e24",
+            "bound.json": "1ab841643b992a69e5956cb2a2b3237f7cb5c8caebae946cf798af556200418e",
+        },
+        "evaluate": {
+            "evaluate.json": "282139b9fe84bbf477ab7b41c9e4aa7f9e98f57fae79e44ebd21084ae82138c2",
+            "evaluate_n16.csv": "3cb5e402ccff87a1725f2891b048dba622d9e41aa503f292226225a872faceda",
+            "evaluate_n64.csv": "5e9d38c7c19be22dc0dc65cf3a81e3a4fcb182dcb4295623393cd4bfa2932250",
+        },
+        "modulus": {
+            "modulus.csv": "3ac28989ce5dd0a00935dade02969d3beb7d2eb644c49607bea6475471555e78",
+            "modulus.json": "93a779badddcd5f66c7175da4590e39022cf332cce9813e5c324a08ae422a195",
+        },
+        "tail": {
+            "tail.csv": "9599110b616e1b55a5185ccbb82fe7dfecc3351cd9419cbfb5aaca5a54baab2c",
+            "tail.json": "c2677934b39828a47b459fb97c125c2d5524f623bf8d27effcec1a0b1a2ebf80",
+        },
+    },
     "bern-cusp": {
         "run": {
             "report.json": "3f5328b95137570928458c9ab6149c38ba5db12702ae66e632f70098d345c35c",

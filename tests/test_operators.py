@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
-from bernapprox.families import bernoulli_family, poisson_family, szasz_window
+from bernapprox.families import bernoulli_family, poisson_family, spawn_rngs, szasz_window
 from bernapprox.functions import (
     HALF_LINE,
     TargetFunction,
@@ -21,9 +21,9 @@ from bernapprox.operators import (
     generic_mc,
     sup_error,
     szasz_exact,
-    szasz_truncation_point,
 )
 from bernapprox.tails import poisson_conjugate
+from conftest import szasz_truncation_point
 
 
 def brute_bernstein(f, n, x):
@@ -186,6 +186,34 @@ class TestSzaszWindow:
             reach = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) >= target)
             lo = int(reach[-1]) + 1 if reach.size else 0
             assert szasz_window(mu, tol) == (lo, szasz_truncation_point(mu, tol / 2.0))
+
+    @given(log_mu=st.floats(math.log(1e-4), math.log(1e8)),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_bisection_oracle(self, log_mu, tol):
+        # lo: 1 + the largest j <= mu whose lower exponent reaches ln(2/tol); by
+        # h(s) >= s^2 / (2 + 2s/3) every j at least 12 sqrt(mu) + 60 below mu reaches it
+        mu = math.exp(log_mu)
+        target = math.log(2.0 / tol)
+        j = np.arange(max(0, math.floor(mu - 12.0 * math.sqrt(mu) - 60.0)), math.floor(mu) + 1)
+        reach = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) >= target)
+        lo = int(j[reach[-1]]) + 1 if reach.size else 0
+        assert szasz_window(mu, tol) == (lo, szasz_truncation_point(mu, tol / 2.0))
+
+    def test_one_vector_conjugate_call_per_side(self, monkeypatch):
+        import bernapprox.tails as tails
+
+        calls = []
+
+        def counted(u, _inner=tails.poisson_conjugate):
+            calls.append(u)
+            return _inner(u)
+
+        monkeypatch.setattr(tails, "poisson_conjugate", counted)
+        for mu in (0.37, 12.0, 5e3, 7.5e7):
+            calls.clear()
+            szasz_window(mu, 1e-12)
+            assert len(calls) == 2  # one vector call per side, no bisection
 
     @given(
         n=st.integers(1, 4096),
@@ -366,13 +394,37 @@ class TestSupError:
         with pytest.raises(ParameterError, match="seed"):
             sup_error(f, bernoulli_family(), 10, grid, mode="monte-carlo", trials=200)
 
-    def test_keeps_the_operator_values_it_maximizes(self):
+    @pytest.mark.parametrize("path", ["bernoulli", "poisson", "monte-carlo"])
+    def test_keeps_the_operator_values_it_maximizes(self, path):
+        fam = poisson_family() if path == "poisson" else bernoulli_family()
+        f = builtin_catalog("exp-decay" if path == "poisson" else "square")
+        grid = np.linspace(*fam.x_domain, 33)
+        if path == "monte-carlo":
+            se = sup_error(f, fam, 10, grid, mode="monte-carlo", trials=200, seed=7)
+            expected = [generic_mc(f, fam, 10, float(x), 200, rng=child)
+                        for x, child in zip(grid, spawn_rngs(7, grid.size))]
+        elif path == "poisson":  # the Szasz window changes from x to x
+            se = sup_error(f, fam, 10, grid)
+            expected = [szasz_exact(f, 10, float(x)) for x in grid]
+        else:
+            se = sup_error(f, fam, 10, grid)
+            expected = [bernstein_exact(f, 10, float(x)) for x in grid]
+        assert se.values == tuple(expected)
+        d = [abs(ov.value - eval_clamped(f, float(x))) for ov, x in zip(se.values, grid)]
+        assert se.delta == max(d) and se.argmax_x == float(grid[d.index(max(d))])
+        assert se.error_radius == max(ov.error_radius for ov in expected)
+
+    def test_unknown_mode_rejected(self):
         f = builtin_catalog("square")
         grid = np.linspace(0.05, 0.95, 33)
-        se = sup_error(f, bernoulli_family(), 10, grid)
-        assert [ov.value for ov in se.values] == [
-            bernstein_exact(f, 10, float(x)).value for x in grid
-        ]
+        with pytest.raises(ParameterError, match="bogus"):
+            sup_error(f, bernoulli_family(), 10, grid, mode="bogus")
+
+    def test_ties_go_to_the_first_grid_point(self):
+        # every |A_n f - f| is 0 for a constant, so the first maximum wins
+        grid = np.linspace(0.05, 0.95, 33)
+        se = sup_error(builtin_catalog("constant", c=0.0), bernoulli_family(), 10, grid)
+        assert se.delta == 0.0 and se.argmax_x == grid[0]
 
 
 def test_operator_value_invariants():
