@@ -34,8 +34,8 @@ from .grids import GridSpec
 from .modulus import (
     WEIGHT_KINDS, ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile,
 )
-from .operators import MAX_BERNSTEIN_N, SupError, sup_error
-from .bounds import BoundReport, hdt_bound, lower_bound_row, poisson_curve, stieltjes_bound
+from .operators import MAX_BERNSTEIN_N, SupError, sup_errors
+from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
 from .tails import (
     PowerTailSpec,
     TailCurve,
@@ -332,10 +332,10 @@ class Study:
 
     def sup_error(self, n: int) -> SupError:
         cfg = self.cfg
-        return sup_error(
-            self.f, self.fam, n, self.x_grid,
+        return sup_errors(
+            (self.f,), self.fam, n, self.x_grid,
             mode=cfg.mode, tail_tol=cfg.szasz_tail_tol, trials=cfg.mc_trials, seed=cfg.seed,
-        )
+        )[0]
 
     def stieltjes(self, n: int) -> BoundReport:
         return stieltjes_bound(self.profile, self.q_on_z, n, z_grid=self.z_grid, f_sup=self.f.sup_abs)
@@ -347,24 +347,28 @@ class Study:
             return None
         return h.seminorm * n ** (-h.alpha / 2.0) * self.hdt_constant
 
-    def row(self, n: int) -> ConvergenceRow:
-        """Sup error and Stieltjes bracket at n, without the trial ratio.
+    def row(self, n: int, trial: bool = False) -> ConvergenceRow:
+        """Sup error and Stieltjes bracket at n, and with ``trial`` the trial ratio.
 
-        The trial sums run only where ``lower_ratio(n)`` is read.
+        The ratio is Delta_n[g] n^{alpha/2} / H for the trial cusp g, None
+        without one.  In exact mode f and g share one sweep, so each x builds
+        one weight array; in Monte Carlo mode g still takes the exact path.
         """
-        se, rep = self.sup_error(n), self.stieltjes(n)
+        cfg, g = self.cfg, self.trial if trial else None
+        if g is not None and cfg.mode == "exact":
+            se, tse = sup_errors((self.f, g), self.fam, n, self.x_grid, tail_tol=cfg.szasz_tail_tol)
+        else:
+            se = self.sup_error(n)
+            if g is not None:
+                (tse,) = sup_errors((g,), self.fam, n, self.x_grid, tail_tol=cfg.szasz_tail_tol)
+        rep = self.stieltjes(n)
         return ConvergenceRow(
             n=n, empirical_delta=se.delta, argmax_x=se.argmax_x, error_radius=se.error_radius,
             lower_bracket=rep.enclosure[0], upper_stieltjes=rep.upper_stieltjes,
             upper_bracket=rep.enclosure[1],
+            lower_ratio=None if g is None
+            else tse.delta * n ** (g.holder.alpha / 2.0) / g.holder.seminorm,
         )
-
-    def lower_ratio(self, n: int) -> Optional[float]:
-        """Trial ratio Delta_n[g] n^{alpha/2} / H; None without a trial cusp."""
-        g = self.trial
-        if g is None:
-            return None
-        return lower_bound_row(g, self.fam, g.holder, n, self.x_grid, self.cfg.szasz_tail_tol).ratio
 
 
 def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
@@ -375,7 +379,7 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
     rows, times = [], []
     for n in cfg.n_grid:
         t0 = time.perf_counter()
-        rows.append(replace(study.row(n), lower_ratio=study.lower_ratio(n)))
+        rows.append(study.row(n, trial=True))
         times.append(time.perf_counter() - t0)
 
     table = ConvergenceTable(rows=tuple(rows), config=asdict(cfg), seed=cfg.seed, wall_times=tuple(times))

@@ -3,11 +3,12 @@
 For parameter x the single draw xi(x) has mean x and variance sigma(x)^2
 with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 [0,inf)).  The scaled sum n*S_n = sum_i xi_i is Binomial(n, x) respectively
-Poisson(n*x).  Its pmf comes from one kernel, ``scaled_sum_pmf``: the mode
+Poisson(n*x).  Its pmf comes from one kernel, ``pmf_kernel``: the mode
 term from Loader's saddle-point form, every other term by a ratio
 recurrence out of the mode, so nothing can overflow and no log-gamma sum
-amplifies rounding with n.  ``szasz_window`` cuts a Poisson sum to a certified
-window by one vector scan of the Chernoff exponent per side, no bisection.
+amplifies rounding with n.  ``szasz_window`` cuts Poisson sums to certified
+windows by one padded vector scan of the Chernoff exponent per side for a
+whole array of means, no bisection.
 
 Random generation uses numpy's PCG64 Generator; the algorithm name is
 recorded in every report.  Poisson draws use inversion of a cdf table for
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -88,37 +89,51 @@ def sigma_weight(kind: str, x) -> np.ndarray:
     raise ParameterError(f"unknown family kind {kind!r}")
 
 
-def szasz_window(mu: float, tail_tol: float) -> tuple[int, int]:
+def szasz_window(mu, tail_tol: float):
     """Integer window [lo, hi] outside which Poisson(mu) has mass <= tail_tol.
 
     Each side drops at most tail_tol / 2, by Chernoff bounds with the exact
     Poisson conjugate h: hi is the smallest K >= mu whose upper exponent
     mu * h((K-mu)/mu) reaches ln(2 / tail_tol), lo is 1 + the largest j <= mu
-    whose lower exponent mu * h((mu-j)/mu) reaches it, or 0 if none does.
-    lo is certified because P(N <= mu - t) <= exp(-mu h(-t/mu)) and
-    h(-s) >= h(s) on [0, 1], so h is only queried at nonnegative arguments.
+    whose lower exponent mu * h((mu-j)/mu) reaches it, or 0 if none does;
+    mu <= 0 gives (0, 0).  lo is certified because
+    P(N <= mu - t) <= exp(-mu h(-t/mu)) and h(-s) >= h(s) on [0, 1], so h is
+    only queried at nonnegative arguments.  A scalar mu gives (lo, hi); an
+    array of mu gives arrays lo and hi, from one conjugate call per side.
     """
     from .tails import poisson_conjugate  # tails imports this module
 
-    if mu <= 0:
-        return 0, 0
+    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    pos = mus > 0
+    m = np.where(pos, mus, 1.0)[:, None]
     target = math.log(2.0 / tail_tol)
     # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the target
     # in [mu - t - target, mu - t] and the first K in [mu + t, mu + t1], so one
-    # vector call scans each side; the K scan ends one past mu + t1 against rounding
-    t = math.sqrt(2.0 * mu * target)
-    t1 = target / 3.0 + math.sqrt(target * target / 9.0 + t * t)
-    j = np.arange(max(0, math.floor(mu - t - target)), max(0, math.floor(mu - t)) + 1)
-    k = np.arange(max(math.ceil(mu), math.floor(mu + t)), math.ceil(mu + t1) + 2)
-    misses = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) < target)
-    hits = np.flatnonzero(mu * poisson_conjugate((k - mu) / mu) >= target)
-    lo = int(j[misses[0]]) if misses.size else int(j[-1]) + 1
-    hi = int(k[hits[0]]) if hits.size else int(k[-1]) + 1
+    # padded scan covers each side; the K scan ends one past mu + t1 against rounding
+    t = np.sqrt(2.0 * m * target)
+    t1 = target / 3.0 + np.sqrt(target * target / 9.0 + t * t)
+    j_end = np.maximum(0, np.floor(m - t))
+    j = _scan(np.maximum(0, np.floor(m - t - target)), j_end)
+    k_end = np.ceil(m + t1) + 1
+    k = _scan(np.maximum(np.ceil(m), np.floor(m + t)), k_end)
+    misses = m * poisson_conjugate((m - j) / m) < target
+    hits = m * poisson_conjugate((k - m) / m) >= target
+    lo = np.where(misses.any(axis=1), j[:, 0] + np.argmax(misses, axis=1), j_end[:, 0] + 1)
+    hi = np.where(hits.any(axis=1), k[:, 0] + np.argmax(hits, axis=1), k_end[:, 0] + 1)
+    lo, hi = np.where(pos, lo, 0).astype(np.int64), np.where(pos, hi, 0).astype(np.int64)
+    if np.ndim(mu) == 0:
+        return int(lo[0]), int(hi[0])
     return lo, hi
 
 
-def scaled_sum_pmf(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
-    """P(n*S_n = k) for k = lo..hi: Binomial(n, x), 0 < x < 1, or Poisson(n*x).
+def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Rows start..end of consecutive integers (as floats), padded with end."""
+    return np.minimum(start + np.arange(int(np.max(end - start)) + 1), end)
+
+
+def pmf_kernel(kind: str, n: int) -> Callable[[float, int, int], np.ndarray]:
+    """weights(x, lo, hi) = P(n*S_n = k) for k = lo..hi: Binomial(n, x), 0 < x < 1,
+    or Poisson(n*x).
 
     The kernel anchors at the mode m, floor((n+1)x) for Binomial and
     floor(nx) for Poisson, clipped into [lo, hi], whose pmf comes from
@@ -127,25 +142,34 @@ def scaled_sum_pmf(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
     pmf ratios, (n-k+1)/k * x/(1-x) or nx/k going up and their inverses going
     down.  Every ratio away from the mode is at most 1, so no term can
     overflow, far terms underflow to 0, and rounding grows with the distance
-    from the mode, not with n.
+    from the mode, not with n.  The x-free Binomial factors (n-k+1)/k and
+    (k+1)/(n-k) are built once here, and each x scales them by one scalar.
     """
-    k = np.arange(lo, hi + 1, dtype=float)
-    mu = n * x
-    m = min(max(math.floor((n + 1) * x if kind == "bernoulli" else mu), lo), hi)
-    i = m - lo
-    up, down = k[i + 1:], k[:i]
-    ratios = np.empty(k.size)
     if kind == "bernoulli":
-        ratios[i + 1:] = (n - up + 1.0) / up * (x / (1.0 - x))
-        ratios[:i] = (down + 1.0) / (n - down) * ((1.0 - x) / x)
-    else:
-        ratios[i + 1:] = mu / up
-        ratios[:i] = (down + 1.0) / mu
-    ratios[i] = _mode_pmf(kind, n, x, m)
-    w = np.empty(k.size)
-    w[i:] = np.cumprod(ratios[i:])
-    w[: i + 1] = np.cumprod(ratios[i::-1])[::-1]
-    return w
+        k = np.arange(1, n + 1, dtype=float)
+        up_base = (n - k + 1.0) / k  # ratio into k, k = 1..n
+        k = np.arange(0, n, dtype=float)
+        down_base = (k + 1.0) / (n - k)  # ratio into k from k + 1, k = 0..n-1
+
+    def weights(x: float, lo: int, hi: int) -> np.ndarray:
+        mu = n * x
+        m = min(max(math.floor((n + 1) * x if kind == "bernoulli" else mu), lo), hi)
+        i = m - lo
+        ratios = np.empty(hi - lo + 1)
+        if kind == "bernoulli":
+            ratios[i + 1:] = up_base[m:hi] * (x / (1.0 - x))
+            ratios[:i] = down_base[lo:m] * ((1.0 - x) / x)
+        else:
+            k = np.arange(lo, hi + 1, dtype=float)
+            ratios[i + 1:] = mu / k[i + 1:]
+            ratios[:i] = (k[:i] + 1.0) / mu
+        ratios[i] = _mode_pmf(kind, n, x, m)
+        w = np.empty(ratios.size)
+        w[i:] = np.cumprod(ratios[i:])
+        w[: i + 1] = np.cumprod(ratios[i::-1])[::-1]
+        return w
+
+    return weights
 
 
 def _mode_pmf(kind: str, n: int, x: float, m: int) -> float:

@@ -173,7 +173,8 @@ def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
     """
     if n_max < 2**10:
         raise ParameterError(f"n_max must be at least 2^10, got {n_max}")
-    ns = np.arange(1, n_max + 1, dtype=float)
+    # n descending, so that each lambda's row of arguments lambda/sqrt(n) ascends
+    ns = np.arange(n_max, 0, -1, dtype=float)
     inv_sqrt = 1.0 / np.sqrt(ns)
     h = 1e-4
     curvature = 2.0 * float(phi(h)) / (h * h)
@@ -183,8 +184,8 @@ def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
         best = np.empty(lam_arr.shape)
         for start in range(0, lam_arr.size, NU_LAMBDA_BLOCK):
             block = lam_arr[start:start + NU_LAMBDA_BLOCK]
-            vals = ns[:, None] * np.asarray(phi(np.abs(block)[None, :] * inv_sqrt[:, None]), dtype=float)
-            best[start:start + NU_LAMBDA_BLOCK] = np.max(vals, axis=0)
+            vals = ns[None, :] * np.asarray(phi(np.abs(block)[:, None] * inv_sqrt[None, :]), dtype=float)
+            best[start:start + NU_LAMBDA_BLOCK] = np.max(vals, axis=1)
         best = np.maximum(best, 0.5 * lam_arr * lam_arr * curvature)
         if np.isscalar(lam):
             return float(best[0])

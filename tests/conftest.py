@@ -84,6 +84,29 @@ def szasz_truncation_point(mu: float, tail_tol: float) -> int:
     return lo
 
 
+def szasz_window_oracle(mu: float, tail_tol: float) -> tuple[int, int]:
+    """Scalar oracle for ``szasz_window``: one bracketed scan per side for one mu.
+
+    hi is the smallest K >= mu whose upper exponent mu * h((K-mu)/mu) reaches
+    ln(2 / tail_tol), lo is 1 + the largest j <= mu whose lower exponent
+    mu * h((mu-j)/mu) reaches it, or 0 if none does.
+    """
+    if mu <= 0:
+        return 0, 0
+    target = math.log(2.0 / tail_tol)
+    # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the target
+    # in [mu - t - target, mu - t] and the first K in [mu + t, mu + t1]
+    t = math.sqrt(2.0 * mu * target)
+    t1 = target / 3.0 + math.sqrt(target * target / 9.0 + t * t)
+    j = np.arange(max(0, math.floor(mu - t - target)), max(0, math.floor(mu - t)) + 1)
+    k = np.arange(max(math.ceil(mu), math.floor(mu + t)), math.ceil(mu + t1) + 2)
+    misses = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) < target)
+    hits = np.flatnonzero(mu * poisson_conjugate((k - mu) / mu) >= target)
+    lo = int(j[misses[0]]) if misses.size else int(j[-1]) + 1
+    hi = int(k[hits[0]]) if hits.size else int(k[-1]) + 1
+    return lo, hi
+
+
 def scale_function(f: TargetFunction, c: float) -> TargetFunction:
     """c * f with metadata scaled accordingly."""
     return TargetFunction(

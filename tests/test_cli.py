@@ -10,7 +10,7 @@ import pytest
 import scipy.integrate
 from click.testing import CliRunner
 
-from bernapprox import bounds, config as cfgmod
+from bernapprox import bounds, config as cfgmod, operators
 from bernapprox import experiments
 from bernapprox.cli import main
 from bernapprox.experiments import ExperimentConfig
@@ -396,14 +396,14 @@ TRIAL = ["--set", "trial.x0=0.5", "--set", "trial.alpha=0.5"]
 
 @pytest.fixture
 def sup_error_calls(monkeypatch):
-    """(function name, n) of every sup_error call the pipeline makes."""
+    """(function name, n) for each function of every sup_errors call the pipeline makes."""
     calls = []
-    for mod in (experiments, bounds):
-        def counted(f, fam, n, *args, _inner=mod.sup_error, **kwargs):
-            calls.append((f.name, n))
-            return _inner(f, fam, n, *args, **kwargs)
+    for mod in (experiments, operators):
+        def counted(fs, fam, n, *args, _inner=mod.sup_errors, **kwargs):
+            calls.extend((f.name, n) for f in fs)
+            return _inner(fs, fam, n, *args, **kwargs)
 
-        monkeypatch.setattr(mod, "sup_error", counted)
+        monkeypatch.setattr(mod, "sup_errors", counted)
     return calls
 
 
@@ -413,6 +413,24 @@ class TestRowsOnce:
         assert res.exit_code == 0, res.output
         trial = "trial(x0=0.5,alpha=0.5)"
         assert sorted(sup_error_calls) == [("square", 16), ("square", 64), (trial, 16), (trial, 64)]
+
+    def test_run_with_a_trial_builds_one_weight_array_per_n_and_x(self, runner, tmp_path, monkeypatch):
+        # f and the trial cusp share each x's weights
+        built = []
+
+        def counting_kernel(kind, n, _inner=operators.pmf_kernel):
+            weights = _inner(kind, n)
+
+            def counted(x, lo, hi):
+                built.append((n, x))
+                return weights(x, lo, hi)
+
+            return counted
+
+        monkeypatch.setattr(operators, "pmf_kernel", counting_kernel)
+        res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + TRIAL)
+        assert res.exit_code == 0, res.output
+        assert len(built) == len(set(built)) == 2 * 65
 
     @pytest.mark.parametrize("cmd", ["bound", "evaluate"])
     def test_bound_and_evaluate_sum_f_once_per_n(self, runner, tmp_path, sup_error_calls, cmd):

@@ -18,7 +18,7 @@ from bernapprox.families import (
     poisson_family,
     resolve_rng,
     sample_scaled_sum,
-    scaled_sum_pmf,
+    pmf_kernel,
     _poisson_inversion,
     spawn_rngs,
     szasz_window,
@@ -198,7 +198,7 @@ class TestScaledSumPmf:
     @pytest.mark.parametrize("n", [16, 4096])
     def test_binomial_weights_match_exact_rationals(self, n, x):
         # a few ulp at the mode, growing by at most 4 eps per ratio away from it
-        w = scaled_sum_pmf("bernoulli", n, x, 0, n)
+        w = pmf_kernel("bernoulli", n)(x, 0, n)
         m = math.floor((n + 1) * x)
         ks = np.array(sorted(set(range(0, n + 1, max(1, n // 64)))
                              | set(range(max(m - 4, 0), min(m + 5, n + 1)))))
@@ -214,7 +214,7 @@ class TestScaledSumPmf:
     @settings(max_examples=60, deadline=None)
     def test_binomial_weights_are_a_distribution(self, n, log_x, mirror):
         x = -math.expm1(log_x) if mirror else math.exp(log_x)
-        w = scaled_sum_pmf("bernoulli", n, x, 0, n)
+        w = pmf_kernel("bernoulli", n)(x, 0, n)
         assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
         assert abs(float(np.sum(w)) - 1.0) <= 1e-13
 
@@ -225,7 +225,7 @@ class TestScaledSumPmf:
         # the window drops at most tol of Poisson mass
         mu = math.exp(log_mu)
         lo, hi = szasz_window(mu, tol)
-        w = scaled_sum_pmf("poisson", 1, mu, lo, hi)
+        w = pmf_kernel("poisson", 1)(mu, lo, hi)
         assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
         assert -tol - 1e-13 <= float(np.sum(w)) - 1.0 <= 1e-13
 
@@ -234,7 +234,7 @@ class TestScaledSumPmf:
     def test_matches_the_log_gamma_oracle_at_small_n(self, kind, x, n):
         fam = bernoulli_family(0.01) if kind == "bernoulli" else poisson_family(0.01, 64.0)
         ks = family_support(fam, x, n)
-        w = scaled_sum_pmf(kind, n, x, 0, int(ks[-1]))
+        w = pmf_kernel(kind, n)(x, 0, int(ks[-1]))
         assert w == pytest.approx(family_pmf(fam, x, n, ks), rel=1e-12, abs=1e-300)
 
 

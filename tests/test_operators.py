@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
-from bernapprox.families import bernoulli_family, poisson_family, spawn_rngs, szasz_window
+from bernapprox.families import Family, bernoulli_family, poisson_family, spawn_rngs, szasz_window
 from bernapprox.functions import (
     HALF_LINE,
+    UNIT_INTERVAL,
     TargetFunction,
     builtin_catalog,
     eval_clamped,
@@ -20,10 +21,11 @@ from bernapprox.operators import (
     bernstein_exact,
     generic_mc,
     sup_error,
+    sup_errors,
     szasz_exact,
 )
 from bernapprox.tails import poisson_conjugate
-from conftest import szasz_truncation_point
+from conftest import scale_function, szasz_truncation_point, szasz_window_oracle
 
 
 def brute_bernstein(f, n, x):
@@ -210,10 +212,30 @@ class TestSzaszWindow:
             return _inner(u)
 
         monkeypatch.setattr(tails, "poisson_conjugate", counted)
-        for mu in (0.37, 12.0, 5e3, 7.5e7):
+        mus = (0.37, 12.0, 5e3, 7.5e7)
+        for mu in mus:
             calls.clear()
             szasz_window(mu, 1e-12)
             assert len(calls) == 2  # one vector call per side, no bisection
+        calls.clear()
+        szasz_window(np.array(mus), 1e-12)
+        assert len(calls) == 2  # and per array of mu, not per mu
+
+    @given(log_mus=st.lists(st.floats(math.log(1e-4), math.log(1e8)), min_size=1, max_size=40),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]))
+    @settings(max_examples=200, deadline=None)
+    @example(log_mus=[math.log(0.3), math.log(0.999), 0.0, math.log(5e7)], tol=1e-15)
+    def test_vector_windows_match_the_scalar_oracle(self, log_mus, tol):
+        # mu < 1 has the single lower scan point j = 0
+        mus = np.exp(log_mus)
+        lo, hi = szasz_window(mus, tol)
+        assert lo.dtype == hi.dtype == np.int64
+        assert list(zip(lo.tolist(), hi.tolist())) == [szasz_window_oracle(float(mu), tol) for mu in mus]
+
+    def test_nonpositive_means_get_the_empty_window(self):
+        lo, hi = szasz_window(np.array([0.0, 3.0, -1.0]), 1e-12)
+        assert (lo[0], hi[0]) == (lo[2], hi[2]) == (0, 0)
+        assert (lo[1], hi[1]) == szasz_window(3.0, 1e-12) == szasz_window_oracle(3.0, 1e-12)
 
     @given(
         n=st.integers(1, 4096),
@@ -425,6 +447,62 @@ class TestSupError:
         grid = np.linspace(0.05, 0.95, 33)
         se = sup_error(builtin_catalog("constant", c=0.0), bernoulli_family(), 10, grid)
         assert se.delta == 0.0 and se.argmax_x == grid[0]
+
+
+class TestSharedSweep:
+    BERNOULLI = Family("bernoulli", UNIT_INTERVAL, (0.0, 1.0))
+    POISSON = Family("poisson", HALF_LINE, (0.0, 64.0))
+
+    @pytest.mark.parametrize("n", [1, 16, 1000, 2**13 + 5])
+    def test_bernstein_pair_equals_separate_sweeps(self, n):
+        # a grid with x = 0 and x = 1, and the trial cusp beside f
+        grid = np.linspace(0.0, 1.0, 41)
+        fs = (builtin_catalog("power-cusp", x0=0.3, alpha=0.5),
+              trial_function(0.5, 0.5, UNIT_INTERVAL), builtin_catalog("square"))
+        self.assert_shared_equals_separate(fs, self.BERNOULLI, n, grid)
+
+    @pytest.mark.parametrize("n", [1, 16, 256, 4096, 65536])
+    def test_szasz_pair_equals_separate_sweeps(self, n):
+        # from x = 0 over lattice blocks of many windows down to one window per block
+        grid = np.linspace(0.0, 64.0, 33)
+        fs = (builtin_catalog("exp-decay"), scale_function(builtin_catalog("sine", freq=3.0), 2.5))
+        self.assert_shared_equals_separate(fs, self.POISSON, n, grid)
+
+    @staticmethod
+    def assert_shared_equals_separate(fs, fam, n, grid):
+        shared = sup_errors(fs, fam, n, grid)
+        for f, se in zip(fs, shared):
+            alone = sup_error(f, fam, n, grid)
+            assert (se, se.values) == (alone, alone.values)
+            # each x alone, a lattice block of its own window
+            one = bernstein_exact if fam.kind == "bernoulli" else szasz_exact
+            assert se.values == tuple(one(f, n, float(x)) for x in grid)
+        if fam.kind == "poisson":
+            assert [se.error_radius for se in shared] == [1e-12 * f.sup_abs for f in fs]
+
+    def test_monte_carlo_pair_equals_separate_sweeps(self):
+        grid = np.linspace(0.05, 0.95, 33)
+        fs = (builtin_catalog("square"), trial_function(0.5, 0.5, UNIT_INTERVAL))
+        kw = dict(mode="monte-carlo", trials=200, seed=3)
+        shared = sup_errors(fs, bernoulli_family(0.05), 16, grid, **kw)
+        for f, se in zip(fs, shared):
+            alone = sup_error(f, bernoulli_family(0.05), 16, grid, **kw)
+            assert (se, se.values) == (alone, alone.values)
+
+    def test_lattice_blocks_stay_bounded(self):
+        # at n = 65536 most Szasz windows are wider than a block, so a block is
+        # one window of at most about 1.1e5 points (the sweep peaks near 1.7 MiB),
+        # not the whole lattice [0, max hi] of 4.3e6 points, 34 MB per array of it
+        import tracemalloc
+
+        f = builtin_catalog("exp-decay")
+        tracemalloc.start()
+        try:
+            sup_error(f, poisson_family(), 65536, np.linspace(1.0, 64.0, 257))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 def test_operator_value_invariants():
