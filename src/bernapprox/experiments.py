@@ -30,13 +30,18 @@ from . import __version__
 from .errors import InsufficientDataError, ParameterError, ReportIOError
 from .families import RNG_NAME, Family, bernoulli_family, poisson_family
 from .functions import HolderSpec, TargetFunction, builtin_catalog, trial_function
-from .grids import GridSpec
+from .grids import GRID_KINDS, GridSpec
 from .modulus import (
     WEIGHT_KINDS, ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile,
 )
 from .operators import MAX_BERNSTEIN_N, SupError, sup_errors
 from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
 from .tails import (
+    DEFAULT_LAMBDA_CAP,
+    DEFAULT_LAMBDA_GRID_SIZE,
+    DEFAULT_N_MAX,
+    TAIL_FLOOR,
+    Z_CAP,
     PowerTailSpec,
     TailCurve,
     conjugate_curve,
@@ -88,13 +93,14 @@ class ExperimentConfig:
         "tail.source", "exact-conjugate", "tail curve: exact-conjugate, power-tail, empirical")
     tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p")
     tail_k: Optional[float] = _key("tail.k", None, "power-tail constant K (required; no default exists)")
-    tail_n_max: int = _key("tail.n_max", 4096, "n scan cap for the envelope sup over n")
+    tail_n_max: int = _key("tail.n_max", DEFAULT_N_MAX, "n scan cap for the envelope sup over n")
     tail_lambda_cap: float = _key(
-        "tail.lambda_cap", 50.0, "conjugation lambda cap (auto-doubles up to 5 times)")
+        "tail.lambda_cap", DEFAULT_LAMBDA_CAP, "conjugation lambda cap (auto-doubles up to 5 times)")
     tail_lambda_size: int = _key(
-        "tail.lambda_size", 1001, "conjugation lambda grid size: the number of supporting lines")
-    tail_floor: float = _key("tail.floor", 1e-12, "tail value treated as zero beyond z-max")
-    tail_z_cap: float = _key("tail.z_cap", 64.0, "hard cap on z-max")
+        "tail.lambda_size", DEFAULT_LAMBDA_GRID_SIZE,
+        "conjugation lambda grid size: the number of supporting lines")
+    tail_floor: float = _key("tail.floor", TAIL_FLOOR, "tail value treated as zero beyond z-max")
+    tail_z_cap: float = _key("tail.z_cap", Z_CAP, "hard cap on z-max")
     tail_trials: int = _key("tail.trials", 100_000, "trials per n for the empirical tail")
     tail_x: Optional[float] = _key(
         "tail.x", None, "parameter x for the empirical tail (default: family midpoint rule)")
@@ -141,6 +147,9 @@ class ExperimentConfig:
         if self.weight_kind not in WEIGHT_KINDS:
             raise ParameterError(f"unknown weight kind {self.weight_kind!r} for weight.kind; "
                                  f"expected one of {', '.join(WEIGHT_KINDS)}")
+        if self.x_grid_kind not in GRID_KINDS:
+            raise ParameterError(f"unknown grid kind {self.x_grid_kind!r} for grids.x_kind; "
+                                 f"expected one of {', '.join(GRID_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -488,24 +497,6 @@ def write_report(table: ConvergenceTable, fmt: str, destination) -> None:
         })
     else:
         raise ParameterError(f"unknown report format {fmt!r}")
-
-
-def read_report(path) -> ConvergenceTable:
-    """Parse a JSON report back into an equal ConvergenceTable."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = tuple(ConvergenceRow(**r) for r in payload["rows"])
-    fit = payload["fit"]
-    cfg = dict(payload["config"])
-    if isinstance(cfg.get("n_grid"), list):
-        cfg["n_grid"] = tuple(cfg["n_grid"])
-    return ConvergenceTable(
-        rows=rows,
-        config=cfg,
-        seed=payload["seed"],
-        rng=payload["rng"],
-        version=payload["version"],
-        fit=None if fit is None else RateFit(**fit),
-    )
 
 
 def write_timings(table: ConvergenceTable, destination) -> None:

@@ -8,16 +8,18 @@ import numpy as np
 
 from .errors import ParameterError
 
+GRID_KINDS = ("uniform", "chebyshev")
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Declarative 1-d grid: resolved to points only once endpoints are known."""
 
-    kind: str = "uniform"  # uniform | chebyshev | log
+    kind: str = "uniform"  # one of GRID_KINDS
     size: int = 257
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "chebyshev", "log"):
+        if self.kind not in GRID_KINDS:
             raise ParameterError(f"unknown grid kind {self.kind!r}")
         if self.size < 2:
             raise ParameterError("grid size must be at least 2")
@@ -27,14 +29,10 @@ class GridSpec:
             raise ParameterError(f"bad grid endpoints [{lo}, {hi}]")
         if self.kind == "uniform":
             return np.linspace(lo, hi, self.size)
-        if self.kind == "chebyshev":
-            # Chebyshev points of the second kind, endpoints included.
-            k = np.arange(self.size)
-            nodes = np.cos(np.pi * k / (self.size - 1))[::-1]
-            return lo + (hi - lo) * (nodes + 1.0) / 2.0
-        if lo <= 0:
-            raise ParameterError("log grid needs a positive lower endpoint")
-        return np.geomspace(lo, hi, self.size)
+        # Chebyshev points of the second kind, endpoints included.
+        k = np.arange(self.size)
+        nodes = np.cos(np.pi * k / (self.size - 1))[::-1]
+        return lo + (hi - lo) * (nodes + 1.0) / 2.0
 
 
 def resolve_grid(grid, lo: float, hi: float) -> np.ndarray:

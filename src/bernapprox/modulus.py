@@ -124,20 +124,6 @@ class ModulusProfile:
         return out
 
 
-def dt_modulus_at(
-    f: TargetFunction,
-    w: WeightSpec,
-    delta: float,
-    x_grid,
-    h_grid_size: int = 65,
-) -> float:
-    """Double-grid maximum of |f(x + h sigma(x)) - f(x)|, |h| <= delta."""
-    if delta < 0:
-        raise ParameterError("delta must be nonnegative")
-    xs = _resolve_x_grid(f, x_grid)
-    return _raw_modulus(f, w, delta, xs, h_grid_size)
-
-
 def _resolve_x_grid(f, x_grid):
     from .grids import GridSpec
 

@@ -101,6 +101,9 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs,
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_BERNSTEIN_N):
         raise ParameterError(f"n must be an integer in [1, {MAX_BERNSTEIN_N}], got {n!r}")
     xs = np.asarray(xs, dtype=float)
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise ParameterError(f"operator evaluation needs a finite x, got {bad[0]}")
     if kind == "bernoulli":
         bad = xs[~((0.0 <= xs) & (xs <= 1.0))]
         if bad.size:

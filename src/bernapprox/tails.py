@@ -313,12 +313,6 @@ def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
     return TailCurve(kind="power-tail", fn=fn, params={"p": spec.p, "q": spec.q, "K": spec.K})
 
 
-def gaussian_curve() -> TailCurve:
-    """Subgaussian reference curve min(1, 2 exp(-u^2/2))."""
-    fn = lambda u: 2.0 * np.exp(-0.5 * np.asarray(u, dtype=float) ** 2)  # noqa: E731
-    return TailCurve(kind="subgaussian", fn=fn)
-
-
 # ---------------------------------------------------------------------------
 # Empirical ATF
 # ---------------------------------------------------------------------------

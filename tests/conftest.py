@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import Family, _check_n
 from bernapprox.functions import HolderSpec, TargetFunction
 from bernapprox.tails import (
-    DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, poisson_conjugate,
+    DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve,
+    poisson_conjugate,
 )
 
 
@@ -163,3 +165,51 @@ def fenchel_conjugate(
         options={"xatol": 1e-12},
     )
     return max(0.0, float(h[i]), float(-res.fun))
+
+
+def gaussian_curve() -> TailCurve:
+    """Subgaussian reference curve min(1, 2 exp(-u^2/2))."""
+    fn = lambda u: 2.0 * np.exp(-0.5 * np.asarray(u, dtype=float) ** 2)  # noqa: E731
+    return TailCurve(kind="subgaussian", fn=fn)
+
+
+@dataclass(frozen=True)
+class HdtExpBound:
+    """Both readings of the exponential-tail closed form.
+
+    ``direct`` integrates alpha H n^{-alpha/2} z^{alpha-1} exp(-K z^q)
+    numerically (analytically H n^{-alpha/2} (alpha/q) K^{-alpha/q}
+    Gamma(alpha/q)); ``printed_formula`` is the published variant without
+    the 1/q factor.  ``ratio`` exposes the discrepancy (equal to q when the
+    numerical integral is exact).
+    """
+
+    direct: float
+    printed_formula: float
+    closed_form: float
+    ratio: float
+
+
+def hdt_bound_exp(h: HolderSpec, spec: PowerTailSpec, n: int) -> HdtExpBound:
+    """quad oracle for the Holder closed form against the curve exp(-K z^q)."""
+    from scipy.integrate import quad
+
+    alpha, H = h.alpha, h.seminorm
+    q_exp, K = spec.q, spec.K
+    scale = H * n ** (-alpha / 2.0)
+
+    # integral z^{alpha-1} exp(-K z^q) dz over (0, inf); substitute z = t^(1/alpha)
+    # on (0,1) to absorb the origin singularity.
+    head, _ = quad(lambda t: math.exp(-K * t ** (q_exp / alpha)), 0.0, 1.0, limit=200)
+    head /= alpha
+    body, _ = quad(lambda z: z ** (alpha - 1.0) * math.exp(-K * z**q_exp), 1.0, np.inf, limit=200)
+    direct = scale * alpha * (head + body)
+
+    closed = scale * (alpha / q_exp) * K ** (-alpha / q_exp) * math.gamma(alpha / q_exp)
+    printed = scale * alpha * K ** (-alpha / q_exp) * math.gamma(alpha / q_exp)
+    return HdtExpBound(
+        direct=direct,
+        printed_formula=printed,
+        closed_form=closed,
+        ratio=printed / direct if direct > 0 else math.inf,
+    )

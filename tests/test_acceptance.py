@@ -10,15 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import fenchel_conjugate
+from conftest import fenchel_conjugate, hdt_bound_exp
 
-from bernapprox.bounds import hdt_bound_exp, lower_bound_constant, lower_bound_ratio
+from bernapprox.bounds import hdt_bound, lower_bound_constant
 from bernapprox.cli import main as cli_main
-from bernapprox.experiments import ExperimentConfig, run_convergence, validity_check
+from bernapprox.experiments import ExperimentConfig, Study, run_convergence, validity_check
 from bernapprox.families import bernoulli_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
-from bernapprox.operators import bernstein_exact, szasz_exact
-from bernapprox.tails import POISSON_PHI, PowerTailSpec, empirical_atf, poisson_conjugate
+from bernapprox.operators import bernstein_exact, sup_error, szasz_exact
+from bernapprox.tails import (
+    POISSON_PHI, PowerTailSpec, empirical_atf, poisson_conjugate, power_tail_curve,
+)
 
 X_MATRIX = np.linspace(0.0, 1.0, 101)
 N_MATRIX = (1, 2, 10, 100, 1000)
@@ -137,11 +139,12 @@ def test_criterion_7_lower_bound_constant_and_trajectory():
 
     g = trial_function(0.5, 1.0)
     fam = bernoulli_family()
-    table = lower_bound_ratio(g, fam, g.holder, [4096], 0.5, 0.5)
-    ratio = table.rows[0].ratio
+    study = Study(ExperimentConfig(trial_x0=0.5, trial_alpha=1.0, n_grid=(4096,)))
+    ratio = study.row(4096, trial=True).lower_ratio
     target = 0.5 * g1
     ok_traj = 0.98 * target <= ratio <= 1.02 * target
-    ok_oracle = abs(table.rows[0].delta - exact_binomial_mad(4096)) <= 1e-12
+    delta = sup_error(g, fam, 4096, np.linspace(*fam.x_domain, 257)).delta
+    ok_oracle = abs(delta - exact_binomial_mad(4096)) <= 1e-12
 
     ok = ok_value and ok_mc and ok_traj and ok_oracle
     _report(7, ok, f"G(1)={g1:.6f} (mc {mc:.6f}), sqrt(n) Delta_4096 = {ratio:.6f} "
@@ -168,13 +171,16 @@ def test_criterion_9_formula_discrepancy_ledger():
     res = hdt_bound_exp(HolderSpec(1.0, 1.0), PowerTailSpec(p=2.0, K=0.5), 1)
     direct_expected = math.sqrt(math.pi / 2.0)
     printed_expected = math.sqrt(2.0 * math.pi)
+    # the certified upper sum the CLI reports, against the same curve
+    certified = hdt_bound(HolderSpec(1.0, 1.0), power_tail_curve(PowerTailSpec(2.0, 0.5)), 1).value
     ok = (
         abs(res.direct - direct_expected) <= 1e-6 * direct_expected
         and abs(res.printed_formula - printed_expected) <= 1e-6 * printed_expected
         and abs(res.ratio - 2.0) <= 1e-6
+        and res.direct <= certified <= 1.01 * res.direct
     )
     _report(9, ok, f"direct {res.direct:.6f} vs printed {res.printed_formula:.6f}, "
-                   f"flagged ratio q = {res.ratio:.6f}")
+                   f"flagged ratio q = {res.ratio:.6f}, certified upper sum {certified:.6f}")
 
 
 def test_criterion_10_demo_determinism(tmp_path):

@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simpson
+from conftest import gaussian_curve, hdt_bound_exp, simpson
 
 from bernapprox.bounds import (
     HDT_Z_SIZE,
     BoundReport,
     hdt_bound,
-    hdt_bound_exp,
     lower_bound_constant,
-    lower_bound_ratio,
     poisson_curve,
     stieltjes_bound,
 )
 from bernapprox.errors import DivergenceWarning, InsufficientDataError, ParameterError
+from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.modulus import ModulusProfile, WeightSpec, modulus_profile
-from bernapprox.tails import PowerTailSpec, TailCurve, gaussian_curve, power_tail_curve
+from bernapprox.operators import sup_error
+from bernapprox.tails import PowerTailSpec, TailCurve, power_tail_curve, tail_z_max
 
 
 def linear_profile(delta_max: float, size: int = 2001) -> ModulusProfile:
@@ -64,13 +64,15 @@ class TestStieltjesBound:
     def test_monotone_in_n(self):
         q = gaussian_curve()
         prof = linear_profile(16.0)
-        vals = [stieltjes_bound(prof, q, n, f_sup=8.0).enclosure[1] for n in (4, 16, 64, 256)]
+        zs = np.linspace(0.0, tail_z_max(q), 257)
+        vals = [stieltjes_bound(prof, q, n, zs, f_sup=8.0).enclosure[1] for n in (4, 16, 64, 256)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_profile_too_short_without_sup(self):
         prof = linear_profile(0.5)
+        q = gaussian_curve()
         with pytest.raises(InsufficientDataError):
-            stieltjes_bound(prof, gaussian_curve(), 1)
+            stieltjes_bound(prof, q, 1, np.linspace(0.0, tail_z_max(q), 257))
 
     def test_bad_z_grid(self):
         prof = linear_profile(8.0)
@@ -80,10 +82,6 @@ class TestStieltjesBound:
     def test_bound_report_invariants(self):
         with pytest.raises(ParameterError):
             BoundReport(n=1, upper_stieltjes=2.0, enclosure=(0.0, 1.0))
-        with pytest.raises(ParameterError):
-            BoundReport(n=1, upper_stieltjes=0.5, enclosure=(0.0, 1.0), empirical_delta=1.5)
-        rep = BoundReport(n=1, upper_stieltjes=0.5, enclosure=(0.0, 1.0), empirical_delta=0.9)
-        assert rep.empirical_delta == 0.9
 
 
 class TestHdtBound:
@@ -194,7 +192,8 @@ class TestPoissonBound:
             f, WeightSpec(kind="unit"), np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24)]),
             np.linspace(0.0, 64.0, 129),
         )
-        rep = stieltjes_bound(prof, poisson_curve(), 16, f_sup=2.0)
+        q = poisson_curve()
+        rep = stieltjes_bound(prof, q, 16, np.linspace(0.0, tail_z_max(q), 257), f_sup=2.0)
         # only the certified tail cap 2 sup|f| Q(z_max) ~ 4e-12 remains
         assert rep.enclosure[0] == 0.0
         assert rep.enclosure[1] <= 2.0 * 2.0 * 1.5e-12
@@ -242,43 +241,26 @@ def exact_binomial_mad(n: int) -> float:
     return float(Fraction(total, 2 * n) / Fraction(2) ** n)
 
 
-class TestLowerBoundRatio:
-    def test_constant_trial_gives_zero(self):
-        f = builtin_catalog("constant", c=1.0)
-        fam = bernoulli_family()
-        table = lower_bound_ratio(f, fam, HolderSpec(1.0, 1.0), [16, 64], 0.5, 0.5)
-        assert all(r.ratio <= 1e-10 for r in table.rows)
+@pytest.fixture(scope="class")
+def linear_trial_rows():
+    """Run rows at n = 1024, 4096 with the trial cusp |x - 1/2| on the default family."""
+    ns = (1024, 4096)
+    study = Study(ExperimentConfig(trial_x0=0.5, trial_alpha=1.0, n_grid=ns))
+    return [study.row(n, trial=True) for n in ns]
 
-    def test_linear_trial_approaches_half_g1(self):
+
+class TestLowerBoundRatio:
+    def test_linear_trial_approaches_half_g1(self, linear_trial_rows):
         g = trial_function(0.5, 1.0)
         fam = bernoulli_family()
-        table = lower_bound_ratio(g, fam, g.holder, [1024, 4096], 0.5, 0.5)
         target = 0.5 * lower_bound_constant(1.0)
-        r4096 = table.rows[-1].ratio
+        r4096 = linear_trial_rows[-1].lower_ratio
         assert abs(r4096 - target) <= 0.02 * target
         # exact integer oracle for the n = 4096 sup error at the cusp
-        assert table.rows[-1].delta == pytest.approx(exact_binomial_mad(4096), rel=1e-10)
+        delta = sup_error(g, fam, 4096, np.linspace(*fam.x_domain, 257)).delta
+        assert delta == pytest.approx(exact_binomial_mad(4096), rel=1e-10)
+        assert r4096 == delta * 4096 ** 0.5 / g.holder.seminorm
 
-    def test_ratios_stabilize(self):
-        g = trial_function(0.5, 1.0)
-        fam = bernoulli_family()
-        table = lower_bound_ratio(g, fam, g.holder, [1024, 4096], 0.5, 0.5)
-        r1024, r4096 = table.rows[0].ratio, table.rows[1].ratio
+    def test_ratios_stabilize(self, linear_trial_rows):
+        r1024, r4096 = (r.lower_ratio for r in linear_trial_rows)
         assert abs(r4096 - r1024) < 0.05 * r4096
-
-    def test_reference_normalizations_reported(self):
-        g = trial_function(0.5, 1.0)
-        fam = bernoulli_family()
-        table = lower_bound_ratio(g, fam, g.holder, [64], 0.5, 0.5)
-        assert table.g_alpha == pytest.approx(lower_bound_constant(1.0))
-        assert table.g_alpha_scaled == pytest.approx(0.5 * lower_bound_constant(1.0))
-
-    def test_validation(self):
-        g = trial_function(0.5, 1.0)
-        fam = bernoulli_family()
-        with pytest.raises(ParameterError):
-            lower_bound_ratio(g, fam, g.holder, [16], 0.5, -1.0)
-        with pytest.raises(ParameterError):
-            lower_bound_ratio(g, fam, HolderSpec(1.0, 0.0), [16], 0.5, 0.5)
-        with pytest.raises(ParameterError):
-            lower_bound_ratio(g, fam, g.holder, [16], 2.0, 0.5)

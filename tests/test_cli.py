@@ -134,6 +134,17 @@ class TestUsageErrors:
         assert "error kind=usage" in res.output
         assert key in res.output
 
+    @pytest.mark.parametrize("cmd", [
+        ["modulus"], ["tail", "--set", "family.kind=poisson", "--set", "function.name=exp-decay"],
+    ], ids=["modulus", "poisson-tail"])
+    @pytest.mark.parametrize("value", ["bogus", "log"])
+    def test_unknown_x_grid_kind_exit_two(self, runner, tmp_path, cmd, value):
+        # neither subcommand reads the x grid; the config rejects the kind
+        res = runner.invoke(main, [*cmd, "--set", f"grids.x_kind={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "grids.x_kind" in res.output
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_tiny_delta_grid_exit_two(self, runner, tmp_path, value):
         res = runner.invoke(main, ["run", "--set", f"grids.delta_size={value}", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
-"""Guards on what lives outside the package: the benchmark's traced units
-and the README's library sketch must keep working against the source, and
-the traced `bound` unit must keep writing the CLI's bytes."""
+"""Guards on the package's shape and on what lives outside it: every public
+name has a caller, the benchmark's traced units and the README's library
+sketch keep working against the source, and the traced `bound` unit keeps
+writing the CLI's bytes."""
 
 import ast
 import importlib
@@ -17,6 +18,14 @@ from bernapprox.bounds import hdt_bound
 from bernapprox.experiments import Study
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bernapprox"
+
+# Public names kept with no caller in the program, each for its reason.
+UNCALLED_ALLOWED = {
+    "bernstein_exact",  # B_n[f](x) at one x: the paper's Bernstein operator as a library call
+    "szasz_exact",  # the Szasz operator at one x, the paper's Poisson example
+    "lower_bound_constant",  # G(alpha), the paper's lower-bound constant; reports carry only the ratio
+}
 
 
 def bernapprox_imports(path: Path) -> list[tuple[str, str]]:
@@ -74,3 +83,57 @@ def test_benchmark_closed_form_matches_the_cli_bit_for_bit(config):
     assert study.holder is not None
     for n in study.cfg.n_grid:
         assert hdt_bound(study.holder, study.curve, n).value == study.closed_form(n)
+
+
+def names_read(node) -> set[str]:
+    """Every name a statement reads: bare names, attributes and imported names."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def registered_command(node) -> bool:
+    """A click subcommand: its group calls it, by the @<group>.command() decorator."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+               for d in node.decorator_list)
+
+
+def uncalled_public_names() -> set[str]:
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    callers = [*modules, ast.parse((ROOT / "perfbench" / "unit.py").read_text(encoding="utf-8")),
+               ast.parse(readme_sketch())]
+    reads = [(stmt, names_read(stmt)) for tree in callers for stmt in tree.body]
+    return {
+        node.name for tree in modules for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not registered_command(node)
+        and not any(node.name in seen for stmt, seen in reads if stmt is not node)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a function that only tests call is a test oracle: it belongs in tests/
+    assert uncalled_public_names() == UNCALLED_ALLOWED
+
+
+def test_no_numerical_integration_in_the_package():
+    assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
+
+
+def test_bounds_imports_neither_operators_nor_families():
+    # bounds combines a modulus profile with a tail curve; the operator sweep is the study's
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").removeprefix("bernapprox."))
+            if node.module in (None, "bernapprox"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("bernapprox.") for alias in node.names)
+    assert imported & {"operators", "families"} == set()

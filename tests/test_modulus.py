@@ -12,13 +12,17 @@ from bernapprox.modulus import (
     ModulusProfile,
     WeightSpec,
     default_delta_grid,
-    dt_modulus_at,
     holder_seminorm,
     modulus_profile,
 )
 
 XS = np.linspace(0.0, 1.0, 257)
 UNIT = WeightSpec(kind="unit")
+
+
+def modulus_at(f, w, delta, x_grid, h_grid_size=65):
+    """The profile's double-grid maximum at the one delta > 0."""
+    return modulus_profile(f, w, [0.0, delta], x_grid, h_grid_size).values[1]
 
 
 def brute_modulus(f, w, delta, nx=401, nh=81):
@@ -64,35 +68,35 @@ class TestWeightSpec:
 class TestDtModulusAt:
     def test_constant_is_zero(self):
         f = builtin_catalog("constant", c=9.0)
-        assert dt_modulus_at(f, UNIT, 0.7, XS) == 0.0
+        assert modulus_at(f, UNIT, 0.7, XS) == 0.0
 
     def test_identity_attains_delta(self):
         f = builtin_catalog("identity")
-        val = dt_modulus_at(f, UNIT, 0.1, XS)
+        val = modulus_at(f, UNIT, 0.1, XS)
         assert val == pytest.approx(0.1, abs=1e-12)
         assert val == pytest.approx(brute_modulus(f, UNIT, 0.1), abs=1e-12)
 
     def test_sqrt_cusp_value(self):
         f = trial_function(0.5, 0.5)
-        val = dt_modulus_at(f, UNIT, 0.01, XS)
+        val = modulus_at(f, UNIT, 0.01, XS)
         assert val == pytest.approx(0.1, abs=5e-3)
         assert val == pytest.approx(brute_modulus(f, UNIT, 0.01), abs=5e-3)
 
     def test_zero_delta_exact_zero(self):
         f = builtin_catalog("sine")
-        assert dt_modulus_at(f, UNIT, 0.0, XS) == 0.0
+        assert modulus_profile(f, UNIT, [0.0, 0.1], XS).values[0] == 0.0
 
     def test_even_h_grid_rejected(self):
         f = builtin_catalog("sine")
         with pytest.raises(ParameterError):
-            dt_modulus_at(f, UNIT, 0.1, XS, h_grid_size=64)
+            modulus_at(f, UNIT, 0.1, XS, h_grid_size=64)
 
     def test_grid_spec_needs_window_on_unbounded_interval(self):
         from bernapprox.grids import GridSpec
 
         f = builtin_catalog("exp-decay")
         with pytest.raises(ParameterError):
-            dt_modulus_at(f, UNIT, 0.1, GridSpec("uniform", 65))
+            modulus_at(f, UNIT, 0.1, GridSpec("uniform", 65))
 
 
 class TestProfile:
@@ -123,8 +127,8 @@ class TestProfile:
         prof = modulus_profile(f, UNIT, deltas, XS)
         slack = prof.enclosure_slack
         for d in deltas[1:8]:
-            w1 = dt_modulus_at(f, UNIT, float(d), XS)
-            w2 = dt_modulus_at(f, UNIT, float(2 * d), XS)
+            w1 = modulus_at(f, UNIT, float(d), XS)
+            w2 = modulus_at(f, UNIT, float(2 * d), XS)
             assert w2 <= 2 * w1 + 2 * slack + 1e-12
 
     def test_metadata_records_window(self):
@@ -195,7 +199,7 @@ def test_family_sigma_weight_for_bernstein_case():
     fam = bernoulli_family()
     w = WeightSpec(kind="family-sigma", family=fam)
     g = trial_function(0.5, 1.0)
-    val = dt_modulus_at(g, w, 0.2, XS)
+    val = modulus_at(g, w, 0.2, XS)
     # the largest move from the cusp uses sigma(1/2) = 1/2
     assert val == pytest.approx(brute_modulus(g, w, 0.2), abs=1e-3)
     assert val <= 0.2 * 0.5 + 1e-12

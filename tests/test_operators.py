@@ -512,3 +512,18 @@ def test_operator_value_invariants():
         OperatorValue(1.0, -0.1, "monte-carlo")
     with pytest.raises(ParameterError):
         OperatorValue(1.0, 0.0, "magic")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_nonfinite_x_is_a_parameter_error(x):
+    # one finite check serves both families, before any window is built
+    with pytest.raises(ParameterError, match="finite"):
+        bernstein_exact(builtin_catalog("square"), 4, x)
+    with pytest.raises(ParameterError, match="finite"):
+        szasz_exact(builtin_catalog("exp-decay"), 4, x)
+    for fam, f in ((bernoulli_family(), builtin_catalog("square")),
+                   (poisson_family(), builtin_catalog("exp-decay"))):
+        grid = np.linspace(*fam.x_domain, 65)
+        grid[32] = x
+        with pytest.raises(ParameterError):
+            sup_errors((f,), fam, 4, grid)

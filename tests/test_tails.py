@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fenchel_conjugate
+from conftest import fenchel_conjugate, gaussian_curve
 
 from bernapprox import tails
 from bernapprox.errors import BoundaryWarning, ParameterError
@@ -27,7 +27,6 @@ from bernapprox.tails import (
     conjugate_curve,
     empirical_atf,
     family_nu,
-    gaussian_curve,
     make_nu,
     phi_sup,
     poisson_conjugate,
