@@ -76,11 +76,6 @@ def stieltjes_bound(
     d_lo = zs[:-1] / root_n
     d_hi = zs[1:] / root_n
 
-    if d_hi[-1] > profile.delta_max and f_sup is None:
-        raise InsufficientDataError(
-            f"profile covers deltas up to {profile.delta_max:g} but the bound needs "
-            f"{d_hi[-1]:g}; supply sup|f| or extend the profile"
-        )
     lower = float(np.sum(profile.value_lower(d_lo) * masses))
     upper_core = float(np.sum(profile.value_upper(d_hi, f_sup) * masses))
 
@@ -149,7 +144,7 @@ def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
         return (1.0 / p_exp) * K ** (-s) * math.gamma(s) * float(gammaincc(s, K * z_max**p_exp))
     h = max(1e-3 * z_max, 1e-6)
     q_before = float(q.at(z_max - h))
-    if q_before <= qz or qz <= 0:
+    if q_before <= qz:
         return math.inf
     r = (math.log(q_before) - math.log(qz)) / h
     if r <= 0:

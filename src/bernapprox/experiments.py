@@ -132,10 +132,14 @@ class ExperimentConfig:
         if not (0.0 < self.tail_floor < 1.0):
             # Q <= 1, so a floor of 1 or more cuts the curve at z = 0
             raise ParameterError(f"tail.floor must be in (0, 1), got {self.tail_floor}")
-        if self.tail_lambda_size < 3:
-            raise ParameterError(f"tail.lambda_size must be at least 3, got {self.tail_lambda_size}")
-        if self.delta_grid_size < 2:
-            raise ParameterError(f"grids.delta_size must be at least 2, got {self.delta_grid_size}")
+        for key, value, least in (
+            ("tail.lambda_size", self.tail_lambda_size, 3), ("tail.n_max", self.tail_n_max, 2**10),
+            ("grids.delta_size", self.delta_grid_size, 2), ("grids.z_size", self.z_grid_size, 2),
+        ):
+            if value < least:
+                raise ParameterError(f"{key} must be at least {least}, got {value}")
+        if self.h_grid_size < 3 or self.h_grid_size % 2 == 0:
+            raise ParameterError(f"grids.h_size must be odd and at least 3, got {self.h_grid_size}")
         if self.mode not in ("exact", "monte-carlo"):
             raise ParameterError(f"unknown mode {self.mode!r}")
         if (self.trial_x0 is None) != (self.trial_alpha is None):
@@ -236,8 +240,7 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
         return empirical_atf(fam, x, u_grid, list(cfg.n_grid), cfg.tail_trials, seed=cfg.seed)
     if fam.kind == "poisson":
         return poisson_curve()
-    xg = GridSpec(cfg.x_grid_kind, cfg.x_grid_size).points(*fam.x_domain)
-    nu = family_nu(fam, xg, n_max=cfg.tail_n_max, lambda_cap=cfg.tail_lambda_cap)
+    nu = family_nu(fam, n_max=cfg.tail_n_max, lambda_cap=cfg.tail_lambda_cap)
     # the frozen lambda grid is wide enough that u = z_cap / 4 peaks inside it
     return conjugate_curve(nu, cfg.tail_z_cap / 4.0, lambda_cap=cfg.tail_lambda_cap,
                            grid_size=cfg.tail_lambda_size)

@@ -175,8 +175,7 @@ def modulus_profile(
     for i, d in enumerate(deltas):
         fine[i] = _raw_modulus(f, w, float(d), xs, h_grid_size)
         coarse[i] = _raw_modulus(f, w, float(d), xs_coarse, h_coarse)
-    slack = float(np.max(fine - coarse)) if deltas.size else 0.0
-    slack = max(slack, 0.0)
+    slack = max(float(np.max(fine - coarse)), 0.0)
 
     values = np.maximum.accumulate(fine)
     adjustment = float(np.max(values - fine))

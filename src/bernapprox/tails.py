@@ -1,7 +1,8 @@
 """Tail-function calculus: log-MGF envelopes, conjugates, and tail curves.
 
-The chain is: phi(lambda) = max over sign and parameter of the normalized
-log-MGF; nu(lambda) = sup_n n phi(lambda/sqrt(n)); nu*(u) the Young-Fenchel
+The chain is: phi(lambda) = max over sign and parameter x of the normalized
+log-MGF, attained at the two ends of the x-domain (so no x grid; proof in
+phi_sup); nu(lambda) = sup_n n phi(lambda/sqrt(n)); nu*(u) the Young-Fenchel
 conjugate; and the uniform-in-n tail bound Q(u) <= min(1, 2 exp(-nu*(u))).
 
 Conjugation is a discrete Legendre transform over supporting lines.  nu is
@@ -32,14 +33,15 @@ import numpy as np
 
 from .errors import BoundaryWarning, ParameterError
 from .families import Family, normalized_sum_samples, spawn_rngs, zeta_log_mgf
-from .grids import resolve_grid
 
 DEFAULT_LAMBDA_CAP = 50.0
 DEFAULT_LAMBDA_GRID_SIZE = 1001
 MAX_CAP_DOUBLINGS = 5
 LAMBDA_MIN = 1e-3  # smallest positive lambda of the conjugation grid
 READ_BLOCK_BYTES = 8 * 2**20  # lines held at once by one curve read
-NU_LAMBDA_BLOCK = 64  # lambdas per block of the n-scan in make_nu
+# one n-scan temporary of make_nu: it stays in cache and malloc reuses it,
+# where 512 KiB ones are mapped and page-faulted anew for every block
+NU_BLOCK_BYTES = 2**17
 DEFAULT_N_MAX = 4096
 TAIL_FLOOR = 1e-12
 Z_CAP = 64.0
@@ -86,10 +88,8 @@ class TailCurve:
             out = np.minimum(1.0, np.asarray(self.fn(arr), dtype=float))
         else:
             idx = np.searchsorted(self.u_grid, arr, side="right") - 1
-            below = idx < 0
             idx = np.clip(idx, 0, self.u_grid.size - 1)
             out = np.minimum(1.0, self.values[idx])
-            out = np.where(below, np.minimum(1.0, self.values[0]), out)
         if np.isscalar(u):
             return float(out)
         return out
@@ -115,19 +115,24 @@ def tail_z_max(curve: TailCurve, floor: float = TAIL_FLOOR, cap: float = Z_CAP) 
 # Log-MGF envelope
 # ---------------------------------------------------------------------------
 
-def phi_sup(fam: Family, lam, x_grid):
-    """max over sign and grid parameter of ln E exp(+- lam zeta(x)).
+def phi_sup(fam: Family, lam):
+    """max over sign and x in the x-domain [lo, hi] of ln E exp(+- lam zeta(x)).
 
-    Even in lambda by construction and 0 at lambda = 0.  Vectorized over lam.
+    Endpoint lemma: for lam > 0, phi_x(lam) = ln E exp(lam zeta(x)) is
+    nonincreasing and phi_x(-lam) nondecreasing in x, for both families, so
+    the sup is max(phi_lo(|lam|), phi_hi(-|lam|)) exactly; for Bernoulli the
+    two agree by phi_x(-lam) = phi_{1-x}(lam).
+    - Bernoulli: with r = sqrt((1-x)/x), (1 + r^2) M = r^2 e^{-lam/r} + e^{lam r};
+      dM/dr >= 0 reduces to e^{2s} <= (1+s)/(1-s) for s = lam (r + 1/r)/2 < 1,
+      which is s <= artanh(s), and is immediate for s >= 1.
+    - Poisson: phi_x(+-lam) = lam^2 g(+-lam/sqrt(x)), g(y) = (e^y - 1 - y)/y^2 increasing.
+    Both signs are taken at both ends, so phi is even in lam; 0 at lam = 0.
     """
-    lo, hi = fam.x_domain
-    xs = resolve_grid(x_grid, lo, hi)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    best = np.full(lam_arr.shape, -np.inf)
-    for x in xs:
+    best = np.zeros(lam_arr.shape)  # lambda = 0 contributes exactly 0
+    for x in fam.x_domain:
         for sign in (1.0, -1.0):
-            best = np.maximum(best, zeta_log_mgf(fam, float(x), sign * lam_arr))
-    best = np.maximum(best, 0.0)  # lambda = 0 contributes exactly 0
+            best = np.maximum(best, zeta_log_mgf(fam, x, sign * lam_arr))
     if np.isscalar(lam):
         return float(best[0])
     return best
@@ -140,20 +145,18 @@ class TabulatedPhi:
     beyond the table fall back to the exact supremum.
     """
 
-    def __init__(self, fam: Family, x_grid, t_max: float = DEFAULT_LAMBDA_CAP, size: int = 4001):
+    def __init__(self, fam: Family, t_max: float = DEFAULT_LAMBDA_CAP, size: int = 4001):
         self.fam = fam
-        lo, hi = fam.x_domain
-        self.x_grid = resolve_grid(x_grid, lo, hi)
         self.t_max = float(t_max)
         self.t_grid = np.concatenate([[0.0], np.geomspace(1e-6, self.t_max, size - 1)])
-        self.values = phi_sup(fam, self.t_grid, self.x_grid)
+        self.values = phi_sup(fam, self.t_grid)
 
     def __call__(self, t):
         arr = np.abs(np.asarray(t, dtype=float))
-        out = np.interp(arr, self.t_grid, self.values)
+        out = np.asarray(np.interp(arr, self.t_grid, self.values))
         beyond = arr > self.t_max
         if np.any(beyond):
-            out = np.where(beyond, phi_sup(self.fam, arr, self.x_grid), out)
+            out[beyond] = phi_sup(self.fam, arr[beyond])
         if np.isscalar(t):
             return float(out)
         return out
@@ -178,14 +181,15 @@ def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
     inv_sqrt = 1.0 / np.sqrt(ns)
     h = 1e-4
     curvature = 2.0 * float(phi(h)) / (h * h)
+    rows = max(1, NU_BLOCK_BYTES // (8 * n_max))
 
     def nu(lam):
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
         best = np.empty(lam_arr.shape)
-        for start in range(0, lam_arr.size, NU_LAMBDA_BLOCK):
-            block = lam_arr[start:start + NU_LAMBDA_BLOCK]
+        for start in range(0, lam_arr.size, rows):
+            block = lam_arr[start:start + rows]
             vals = ns[None, :] * np.asarray(phi(np.abs(block)[:, None] * inv_sqrt[None, :]), dtype=float)
-            best[start:start + NU_LAMBDA_BLOCK] = np.max(vals, axis=1)
+            best[start:start + rows] = np.max(vals, axis=1)
         best = np.maximum(best, 0.5 * lam_arr * lam_arr * curvature)
         if np.isscalar(lam):
             return float(best[0])
@@ -197,9 +201,7 @@ def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
 POISSON_PHI = lambda z: np.expm1(np.asarray(z, dtype=float)) - np.asarray(z, dtype=float)  # noqa: E731
 
 
-def family_nu(
-    fam: Family, x_grid, n_max: int = DEFAULT_N_MAX, lambda_cap: float = DEFAULT_LAMBDA_CAP
-) -> Callable:
+def family_nu(fam: Family, n_max: int = DEFAULT_N_MAX, lambda_cap: float = DEFAULT_LAMBDA_CAP) -> Callable:
     """The family's nu: exact for Poisson, from a tabulated phi for Bernoulli.
 
     The phi table reaches the largest cap the conjugation may double to.
@@ -207,7 +209,7 @@ def family_nu(
     if fam.kind == "poisson":
         # n phi_P(lam/sqrt(n)) decreases in n, so nu = phi_P exactly.
         return lambda lam: POISSON_PHI(np.abs(np.asarray(lam, dtype=float)))
-    return make_nu(TabulatedPhi(fam, x_grid, t_max=lambda_cap * 2**MAX_CAP_DOUBLINGS), n_max)
+    return make_nu(TabulatedPhi(fam, t_max=lambda_cap * 2**MAX_CAP_DOUBLINGS), n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,19 @@ class TestUsageErrors:
         assert "error kind=usage" in res.output
         assert "tail.lambda_size" in res.output
 
+    @pytest.mark.parametrize("cmd", [
+        ["evaluate"], ["tail"], ["run", "--set", "family.kind=poisson", "--set", "function.name=exp-decay"],
+    ], ids=["evaluate", "tail", "poisson-run"])
+    @pytest.mark.parametrize("key,value", [
+        ("tail.n_max", "5"), ("tail.n_max", "1023"), ("grids.z_size", "1"), ("grids.z_size", "0"),
+        ("grids.h_size", "4"), ("grids.h_size", "1"),
+    ])
+    def test_grid_and_tail_sizes_checked_with_the_config(self, runner, tmp_path, cmd, key, value):
+        res = runner.invoke(main, [*cmd, "--set", f"{key}={value}", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert key in res.output
+
     @pytest.mark.parametrize("cmd", ["run", "bound", "tail"])
     @pytest.mark.parametrize("value", ["0", "-1", "1", "2", "nan"])
     def test_tail_floor_outside_the_unit_interval_exit_two(self, runner, tmp_path, cmd, value):

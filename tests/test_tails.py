@@ -18,7 +18,7 @@ from conftest import fenchel_conjugate, gaussian_curve
 from bernapprox import tails
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
-from bernapprox.families import bernoulli_family, poisson_family
+from bernapprox.families import bernoulli_family, poisson_family, zeta_log_mgf
 from bernapprox.tails import (
     POISSON_PHI,
     PowerTailSpec,
@@ -71,35 +71,115 @@ def nu_envelope(phi: Callable, lam: float, n_max: int = 4096) -> NuValue:
     return NuValue(value=scan_best, maximizer_n=i + 1, limit_value=limit)
 
 
+def rounding_bound(fam, x, lam):
+    """8 ulp of the magnitudes the log-MGF at x adds up, for +-lam: a bound
+    on the rounding of zeta_log_mgf's logaddexp (Bernoulli) or expm1
+    (Poisson) form.  Vectorized over x."""
+    x = np.asarray(x, dtype=float)
+    lam = abs(lam)
+    if fam.kind == "bernoulli":
+        mag = lam / np.sqrt(x * (1.0 - x)) + np.abs(np.log(x)) + np.abs(np.log1p(-x))
+    else:
+        rt = np.sqrt(x)
+        mag = lam * rt + x * np.expm1(lam / rt)
+    return 8.0 * np.finfo(float).eps * (1.0 + mag)
+
+
+def dense_log_mgf(fam, xs, lam):
+    """ln E exp(lam zeta(x)) on an x array, in zeta_log_mgf's form."""
+    if fam.kind == "bernoulli":
+        sig = np.sqrt(xs * (1.0 - xs))
+        return np.logaddexp(-lam * xs / sig + np.log1p(-xs), lam * (1.0 - xs) / sig + np.log(xs))
+    rt = np.sqrt(xs)
+    return -lam * rt + xs * np.expm1(lam / rt)
+
+
+TABLE_CAP = tails.DEFAULT_LAMBDA_CAP * 2**tails.MAX_CAP_DOUBLINGS
+
+
 class TestPhiSup:
     def test_zero_at_zero(self):
         fam = bernoulli_family()
-        assert phi_sup(fam, 0.0, np.linspace(0.05, 0.95, 19)) == 0.0
+        assert phi_sup(fam, 0.0) == 0.0
 
     def test_poisson_attained_at_one(self):
-        fam = poisson_family()
-        xs = np.linspace(1.0, 64.0, 127)
-        assert phi_sup(fam, 1.0, xs) == pytest.approx(math.e - 2.0, abs=1e-12)
+        fam = poisson_family(1.0, 64.0)
+        assert zeta_log_mgf(fam, 1.0, 1.0) == pytest.approx(math.e - 2.0, abs=1e-12)
+        assert phi_sup(fam, 1.0) == pytest.approx(math.e - 2.0, abs=1e-12)
 
     def test_bernoulli_symmetric_point(self):
         fam = bernoulli_family()
-        assert phi_sup(fam, 1.0, np.array([0.5])) == pytest.approx(
-            math.log(math.cosh(1.0)), abs=1e-12
-        )
+        assert zeta_log_mgf(fam, 0.5, 1.0) == pytest.approx(math.log(math.cosh(1.0)), abs=1e-12)
 
     def test_even_in_lambda(self):
-        fam = bernoulli_family()
-        xs = np.linspace(0.1, 0.9, 17)
+        fam = bernoulli_family(0.1)
         for lam in (0.3, 1.2, 4.0):
-            assert phi_sup(fam, lam, xs) == phi_sup(fam, -lam, xs)
+            assert phi_sup(fam, lam) == phi_sup(fam, -lam)
 
     def test_tabulated_phi_dominates_exact(self):
         # linear interpolation of a convex function lies above it
         fam = bernoulli_family(0.05)
-        xs = np.linspace(0.05, 0.95, 33)
-        tab = TabulatedPhi(fam, xs, t_max=20.0, size=801)
+        tab = TabulatedPhi(fam, t_max=20.0, size=801)
         for t in np.linspace(0.01, 19.9, 57):
-            assert tab(float(t)) >= phi_sup(fam, float(t), xs) - 1e-12
+            assert tab(float(t)) >= phi_sup(fam, float(t)) - 1e-12
+
+    @pytest.mark.parametrize("fam", [
+        bernoulli_family(), bernoulli_family(0.05), bernoulli_family(0.3),
+        poisson_family(), poisson_family(0.25, 4.0),
+    ], ids=["bern-1e-3", "bern-0.05", "bern-0.3", "pois-1-64", "pois-0.25-4"])
+    def test_no_interior_x_beats_the_endpoints(self, fam):
+        # the endpoint lemma: for lam > 0, phi_x(lam) is nonincreasing and
+        # phi_x(-lam) nondecreasing in x, so no x of a dense grid beats
+        # phi_sup by more than the rounding of the two evaluations
+        lo, hi = fam.x_domain
+        xs = np.linspace(lo, hi, 4097)
+        cap = TABLE_CAP if fam.kind == "bernoulli" else 700.0 * math.sqrt(lo)  # expm1 overflow
+
+        @given(st.floats(min_value=-6.0, max_value=math.log10(cap)), st.sampled_from([1.0, -1.0]))
+        @settings(max_examples=60, deadline=None)
+        def check(log_lam, sign):
+            lam = 10.0**log_lam
+            ends = max(rounding_bound(fam, lo, lam), rounding_bound(fam, hi, lam))
+            excess = dense_log_mgf(fam, xs, sign * lam) - phi_sup(fam, lam)
+            assert np.all(excess <= rounding_bound(fam, xs, lam) + ends)
+
+        check()
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.05])
+    def test_table_reaches_the_exact_endpoint_phi(self, eps):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        fam = bernoulli_family(eps)
+        tab = TabulatedPhi(fam, t_max=TABLE_CAP)
+
+        def exact(x, lam):
+            x = mpmath.mpf(x)
+            sig = mpmath.sqrt(x * (1 - x))
+            return mpmath.log((1 - x) * mpmath.exp(-lam * x / sig) + x * mpmath.exp(lam * (1 - x) / sig))
+
+        for t in (2e-6, 1e-4, 3e-3, 0.2, 1.0, 7.3, 50.0, 640.0):
+            lo, hi = fam.x_domain
+            ref = max(exact(lo, t), exact(hi, -t))
+            slack = max(rounding_bound(fam, lo, t), rounding_bound(fam, hi, t))
+            assert tab(t) >= float(ref) - slack
+
+    def test_fallback_evaluates_only_beyond_the_table(self, monkeypatch):
+        fam = bernoulli_family(0.05)
+        tab = TabulatedPhi(fam, t_max=20.0, size=801)
+        ts = np.array([0.5, 25.0, -3.0, 19.9, -40.0, 21.0])
+        beyond = np.abs(ts) > 20.0
+        sizes = []
+
+        def counting(f, lam):
+            sizes.append(np.size(lam))
+            return phi_sup(f, lam)
+
+        monkeypatch.setattr(tails, "phi_sup", counting)
+        out = tab(ts)
+        assert sizes == [int(beyond.sum())]
+        assert np.array_equal(out[beyond], phi_sup(fam, ts[beyond]))
+        assert np.array_equal(out[~beyond], tab(ts[~beyond]))
+        assert tab(25.0) == phi_sup(fam, 25.0)
 
 
 class TestNuEnvelope:
@@ -224,7 +304,7 @@ class TestPoissonConjugate:
 
 @pytest.fixture(scope="module")
 def pois_curve():
-    return conjugate_curve(family_nu(poisson_family(), np.linspace(1.0, 64.0, 33)), 20.0)
+    return conjugate_curve(family_nu(poisson_family()), 20.0)
 
 
 class TestAtfUpperBound:
@@ -343,12 +423,10 @@ class TestEmpiricalAtf:
     def test_conjugate_bound_dominates_empirical(self, kind):
         if kind == "bernoulli":
             fam, x = bernoulli_family(), 0.5
-            xs = np.linspace(*fam.x_domain, 65)
         else:
             fam, x = poisson_family(), 1.0
-            xs = np.linspace(1.0, 64.0, 65)
         us = np.arange(0.0, 4.01, 0.5)
-        curve = conjugate_curve(family_nu(fam, xs), 8.0)
+        curve = conjugate_curve(family_nu(fam), 8.0)
         emp = empirical_atf(fam, x, us, [1, 4, 16, 64], 50_000, seed=11)
         for u, v, hw in zip(emp.u_grid, emp.values, emp.half_widths):
             assert v <= curve.at(float(u)) + 3.0 * hw
@@ -370,8 +448,55 @@ def frozen_grid(curve: TailCurve) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def bern_nu():
-    fam = bernoulli_family(0.05)
-    return family_nu(fam, np.linspace(*fam.x_domain, 33), n_max=1024)
+    return family_nu(bernoulli_family(0.05), n_max=1024)
+
+
+class TestNuScan:
+    """nu from the endpoint phi table: the n-scan's blocking never moves a bit."""
+
+    @pytest.fixture(scope="class")
+    def lambdas(self):
+        return np.concatenate([[0.0], np.geomspace(tails.LAMBDA_MIN, TABLE_CAP, 1000)])
+
+    def test_blocking_is_bit_identical(self, monkeypatch, lambdas):
+        phi = TabulatedPhi(bernoulli_family(0.05), t_max=TABLE_CAP)
+        default = make_nu(phi)(lambdas)
+        for budget in (1, 2**40):  # one lambda per block, all lambdas at once
+            monkeypatch.setattr(tails, "NU_BLOCK_BYTES", budget)
+            assert np.array_equal(make_nu(phi)(lambdas), default)
+
+    def test_nu_memory_is_blocked(self, lambdas):
+        # unblocked, 1001 lambdas against n_max = 4096 would hold 32 MB per temporary
+        fam = bernoulli_family(0.05)
+        tracemalloc.start()
+        try:
+            family_nu(fam)(lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * tails.NU_BLOCK_BYTES
+
+    def test_building_the_curve_evaluates_the_log_mgf_four_times(self, monkeypatch):
+        calls = []
+
+        def counting(fam, x, lam):
+            calls.append(x)
+            return zeta_log_mgf(fam, x, lam)
+
+        monkeypatch.setattr(tails, "zeta_log_mgf", counting)
+        Study(ExperimentConfig()).curve
+        assert len(calls) <= 4
+
+    def test_q_does_not_depend_on_the_x_grid(self):
+        def q(**grid):
+            study = Study(ExperimentConfig(family_eps=0.05, **grid))
+            return study.z_max, study.q_on_z.values
+
+        ref_z, ref_q = q()
+        for size, kind in ((33, "uniform"), (257, "chebyshev"), (33, "chebyshev")):
+            z, vals = q(x_grid_size=size, x_grid_kind=kind)
+            assert z == ref_z
+            assert np.array_equal(vals, ref_q)
 
 
 class TestConjugateCurve:
