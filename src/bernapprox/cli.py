@@ -1,9 +1,10 @@
 """Command-line entry point: evaluate / modulus / tail / bound / run.
 
-Exit codes: 0 success (and bound validity holds), 1 validity violation,
-2 usage error, 3 runtime error.  Every failure prints a single
-machine-parsable line to stderr of the form
-``error kind=<usage|runtime> msg="..."``.
+Exit codes: 0 success (and bound validity holds), 1 validity violation
+(``run`` and ``bound``), 2 usage error, 3 runtime error.  Every failure
+prints machine-parsable lines to stderr of the form
+``error kind=<usage|runtime|validation> msg="..."``, one per violating row
+for a validity violation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import numpy as np
 from . import __version__, config as cfgmod
 from .errors import BernApproxError, ParameterError
 from .experiments import (
+    ConvergenceTable,
     ExperimentConfig,
     Study,
+    ValiditySummary,
     run_convergence,
     validity_check,
     write_csv,
@@ -64,6 +67,18 @@ def _guard(fn, *args, **kwargs):
     except Exception as exc:  # anything unexpected is a runtime failure
         click.echo(f'error kind=runtime msg="{type(exc).__name__}: {exc}"', err=True)
         sys.exit(3)
+
+
+def _exit_on_violations(summary: ValiditySummary) -> None:
+    """One ``error kind=validation`` line per violating row, then exit 1."""
+    for v in summary.violations:
+        click.echo(
+            f'error kind=validation msg="n={v["n"]} empirical {v["empirical_delta"]:.6g} '
+            f'exceeds bracket {v["upper_bracket"]:.6g}"',
+            err=True,
+        )
+    if not summary.passed:
+        sys.exit(1)
 
 
 class SuggestingGroup(click.Group):
@@ -142,7 +157,7 @@ def modulus(config_path, overrides, out, seed):
             "enclosure_slack": profile.enclosure_slack,
         }
         if f.holder is not None:
-            h = holder_seminorm(f, study.w, f.holder.alpha, profile)
+            h = holder_seminorm(f, study.fam.sigma, f.holder.alpha, profile)
             payload["holder"] = {"alpha": h.alpha, "seminorm": h.seminorm}
         write_json(outdir / "modulus.json", payload)
         click.echo(f"modulus: wrote profile ({profile.deltas.size} deltas) to {outdir}")
@@ -182,9 +197,10 @@ def bound(config_path, overrides, out, seed):
 
     def body():
         study = Study(_resolve_config(config_path, overrides, seed))
-        rows = []
+        rows, checked = [], []
         for n in study.cfg.n_grid:
             row = study.row(n)
+            checked.append(row)
             rows.append({
                 "n": n, "lower_bracket": row.lower_bracket, "upper_bracket": row.upper_bracket,
                 "upper_stieltjes": row.upper_stieltjes, "closed_form": study.closed_form(n),
@@ -198,7 +214,10 @@ def bound(config_path, overrides, out, seed):
             **_echo(study.cfg), "rows": rows,
             "holder": None if holder is None else {"alpha": holder.alpha, "seminorm": holder.seminorm},
         })
-        click.echo(f"bound: wrote {len(rows)} rows to {outdir}")
+        summary = validity_check(ConvergenceTable(rows=tuple(checked), config={}, seed=study.cfg.seed))
+        click.echo(f"bound: wrote {len(rows)} rows, validity {'pass' if summary.passed else 'FAIL'} "
+                   f"-> {outdir}")
+        _exit_on_violations(summary)
 
     _guard(body)
 
@@ -221,14 +240,7 @@ def run(config_path, overrides, out, seed):
             f"run: {len(table.rows)} rows, fitted slope {slope}, "
             f"validity {'pass' if summary.passed else 'FAIL'} -> {outdir}"
         )
-        if not summary.passed:
-            for v in summary.violations:
-                click.echo(
-                    f'error kind=validation msg="n={v["n"]} empirical {v["empirical_delta"]:.6g} '
-                    f'exceeds bracket {v["upper_bracket"]:.6g}"',
-                    err=True,
-                )
-            sys.exit(1)
+        _exit_on_violations(summary)
 
     _guard(body)
 

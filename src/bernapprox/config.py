@@ -48,11 +48,18 @@ def _unknown_key(key: str):
     raise ConfigError(f"unknown config key {key!r}{extra}")
 
 
+def _int(raw) -> int:
+    """int(raw), refusing booleans and non-integral numbers rather than truncating them."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError("not an integer")
+    return int(raw)
+
+
 def _coerce(key: str, raw) -> object:
     fld = SCHEMA[key]
     try:
         if fld.kind == "int":
-            return int(raw)
+            return _int(raw)
         if fld.kind == "float":
             return float(raw)
         if fld.kind == "str":
@@ -63,8 +70,8 @@ def _coerce(key: str, raw) -> object:
             return float(raw)
         if fld.kind == "int-list":
             if isinstance(raw, (list, tuple)):
-                return tuple(int(v) for v in raw)
-            return tuple(int(tok) for tok in str(raw).replace(",", " ").split())
+                return tuple(_int(v) for v in raw)
+            return tuple(_int(tok) for tok in str(raw).replace(",", " ").split())
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     raise ConfigError(f"unhandled field kind {fld.kind!r} for {key!r}")

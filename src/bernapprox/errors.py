@@ -36,10 +36,6 @@ class OverflowComputationError(BernApproxError):
         self.x = x
 
 
-class WeightDomainError(BernApproxError):
-    """The modulus weight is undefined or non-finite at a grid point."""
-
-
 class InsufficientDataError(BernApproxError):
     """Required metadata (sup bound, profile coverage, usable rows) is missing."""
 

@@ -22,18 +22,16 @@ import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
 from .errors import InsufficientDataError, ParameterError, ReportIOError
 from .families import RNG_NAME, Family, bernoulli_family, poisson_family
-from .functions import HolderSpec, TargetFunction, builtin_catalog, trial_function
+from .functions import CATALOG_NAMES, HolderSpec, TargetFunction, builtin_catalog, trial_function
 from .grids import GRID_KINDS, GridSpec
-from .modulus import (
-    WEIGHT_KINDS, ModulusProfile, WeightSpec, default_delta_grid, holder_seminorm, modulus_profile,
-)
+from .modulus import ModulusProfile, default_delta_grid, holder_seminorm, modulus_profile
 from .operators import MAX_BERNSTEIN_N, SupError, sup_errors
 from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
 from .tails import (
@@ -67,10 +65,8 @@ class ExperimentConfig:
     schema, its defaults and the --help listing are derived from them.
     """
 
-    function_name: str = _key(
-        "function.name", "square",
-        "catalog function: power-cusp, constant, identity, square, exp-decay, sine")
-    function_x0: float = _key("function.x0", 0.5, "cusp location for power-cusp")
+    function_name: str = _key("function.name", "square", f"catalog function: {', '.join(CATALOG_NAMES)}")
+    function_x0: float = _key("function.x0", 0.5, "cusp location for power-cusp, in (0, 1)")
     function_alpha: float = _key("function.alpha", 1.0, "cusp exponent for power-cusp, in (0, 1]")
     function_c: float = _key("function.c", 1.0, "value of the constant function")
     function_freq: float = _key("function.freq", 1.0, "frequency of the sine function")
@@ -78,10 +74,6 @@ class ExperimentConfig:
     family_eps: float = _key("family.eps", 1e-3, "bernoulli x-domain trim: x in [eps, 1-eps]")
     family_x_min: float = _key("family.x_min", 1.0, "poisson x-domain lower endpoint")
     family_x_max: float = _key("family.x_max", 64.0, "poisson x-domain upper endpoint")
-    weight_kind: str = _key("weight.kind", "family-sigma", "modulus weight: family-sigma, jacobi, unit")
-    weight_c: float = _key("weight.c", 1.0, "jacobi weight constant")
-    weight_alpha_exp: float = _key("weight.alpha_exp", 0.5, "jacobi exponent at 0")
-    weight_beta_exp: float = _key("weight.beta_exp", 0.5, "jacobi exponent at 1")
     x_grid_kind: str = _key("grids.x_kind", "uniform", "x grid type: uniform or chebyshev")
     x_grid_size: int = _key("grids.x_size", 257, "x grid size for the sup over x")
     h_grid_size: int = _key("grids.h_size", 65, "modulus h grid size (odd; includes 0 and +-delta)")
@@ -104,8 +96,9 @@ class ExperimentConfig:
     tail_trials: int = _key("tail.trials", 100_000, "trials per n for the empirical tail")
     tail_x: Optional[float] = _key(
         "tail.x", None, "parameter x for the empirical tail (default: family midpoint rule)")
-    trial_x0: Optional[float] = _key("trial.x0", None, "trial cusp location (enables the lower-ratio column)")
-    trial_alpha: Optional[float] = _key("trial.alpha", None, "trial cusp exponent")
+    trial_x0: Optional[float] = _key(
+        "trial.x0", None, "trial cusp location, in (0, 1) (enables the lower-ratio column)")
+    trial_alpha: Optional[float] = _key("trial.alpha", None, "trial cusp exponent, in (0, 1]")
     n_grid: tuple[int, ...] = _key("run.n_grid", (16, 64, 256, 1024, 4096), "strictly increasing n values")
     seed: int = _key("run.seed", 20240809, "root seed (pcg64; children via seedsequence-spawn)")
     mode: str = _key("run.mode", "exact", "operator path: exact or monte-carlo")
@@ -148,9 +141,17 @@ class ExperimentConfig:
             # the Szasz window's certified radius needs sup|g|, unbounded on [0, inf)
             raise ParameterError("trial.x0/trial.alpha need family.kind=bernoulli: "
                                  "the trial cusp has no bounded sup on [0, inf)")
-        if self.weight_kind not in WEIGHT_KINDS:
-            raise ParameterError(f"unknown weight kind {self.weight_kind!r} for weight.kind; "
-                                 f"expected one of {', '.join(WEIGHT_KINDS)}")
+        if self.function_name not in CATALOG_NAMES:
+            raise ParameterError(f"unknown catalog function {self.function_name!r} for function.name; "
+                                 f"expected one of {', '.join(CATALOG_NAMES)}")
+        cusps = [("trial", self.trial_x0, self.trial_alpha)]
+        if self.function_name == "power-cusp":
+            cusps.append(("function", self.function_x0, self.function_alpha))
+        for sec, x0, alpha in cusps:
+            if alpha is not None and not (0.0 < alpha <= 1.0):
+                raise ParameterError(f"{sec}.alpha must be in (0, 1], got {alpha}")
+            if x0 is not None and not (0.0 < x0 < 1.0):
+                raise ParameterError(f"{sec}.x0 must be in (0, 1), got {x0}")
         if self.x_grid_kind not in GRID_KINDS:
             raise ParameterError(f"unknown grid kind {self.x_grid_kind!r} for grids.x_kind; "
                                  f"expected one of {', '.join(GRID_KINDS)}")
@@ -218,9 +219,9 @@ def build_family(cfg: ExperimentConfig) -> Family:
     raise ParameterError(f"unknown family kind {cfg.family_kind!r}")
 
 
-def build_weight(cfg: ExperimentConfig, fam: Family) -> WeightSpec:
-    return WeightSpec(kind=cfg.weight_kind, family=fam, c=cfg.weight_c,
-                      alpha_exp=cfg.weight_alpha_exp, beta_exp=cfg.weight_beta_exp)
+def build_weight(cfg: ExperimentConfig, fam: Family) -> Callable[[np.ndarray], np.ndarray]:
+    """The modulus step weight: the family's own sigma, the only one that gives a bound."""
+    return fam.sigma
 
 
 def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
@@ -247,13 +248,14 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
 
 
 def build_modulus_profile(
-    cfg: ExperimentConfig, f: TargetFunction, w: WeightSpec, delta_max: Optional[float] = None
+    cfg: ExperimentConfig, f: TargetFunction, sigma: Callable[[np.ndarray], np.ndarray],
+    delta_max: Optional[float] = None,
 ) -> ModulusProfile:
     """Profile on the config's grids, deltas up to delta_max (the whole interval by default)."""
     window = (f.interval.a, f.interval.b if f.interval.finite else cfg.modulus_window)
     xs = GridSpec("uniform", cfg.x_grid_size).points(*window)
     deltas = default_delta_grid(f.interval, cfg.delta_grid_size, delta_max)
-    return modulus_profile(f, w, deltas, xs, cfg.h_grid_size, metadata={"window": window})
+    return modulus_profile(f, sigma, deltas, xs, cfg.h_grid_size, metadata={"window": window})
 
 
 class Study:
@@ -277,10 +279,6 @@ class Study:
     @cached_property
     def fam(self) -> Family:
         return build_family(self.cfg)
-
-    @cached_property
-    def w(self) -> WeightSpec:
-        return build_weight(self.cfg, self.fam)
 
     @cached_property
     def x_grid(self) -> np.ndarray:
@@ -316,18 +314,18 @@ class Study:
     def profile(self) -> ModulusProfile:
         """Modulus profile out to the largest delta a row needs, z_max/sqrt(min n)."""
         delta_max = self.z_max / math.sqrt(min(self.cfg.n_grid))
-        return build_modulus_profile(self.cfg, self.f, self.w, delta_max=delta_max)
+        return build_modulus_profile(self.cfg, self.f, self.fam.sigma, delta_max=delta_max)
 
     @cached_property
     def interval_profile(self) -> ModulusProfile:
         """Modulus profile over the whole interval, as ``modulus`` reports it."""
-        return build_modulus_profile(self.cfg, self.f, self.w)
+        return build_modulus_profile(self.cfg, self.f, self.fam.sigma)
 
     @cached_property
     def holder(self) -> Optional[HolderSpec]:
         if self.f.holder is None:
             return None
-        return holder_seminorm(self.f, self.w, self.f.holder.alpha, self.profile)
+        return holder_seminorm(self.f, self.fam.sigma, self.f.holder.alpha, self.profile)
 
     @cached_property
     def hdt_constant(self) -> float:

@@ -48,6 +48,13 @@ class Family:
         if not lo < hi:
             raise ParameterError(f"empty x-domain [{lo}, {hi}]")
 
+    def sigma(self, x) -> np.ndarray:
+        """sigma over an array of x, without x-domain gating: the modulus step weight."""
+        arr = np.asarray(x, dtype=float)
+        if self.kind == "bernoulli":
+            return np.sqrt(np.clip(arr * (1.0 - arr), 0.0, None))
+        return np.sqrt(np.clip(arr, 0.0, None))
+
     def check_x(self, x: float) -> float:
         lo, hi = self.x_domain
         if not (lo <= x <= hi):
@@ -77,16 +84,6 @@ def family_sigma(fam: Family, x: float) -> float:
     if fam.kind == "bernoulli":
         return math.sqrt(x * (1.0 - x))
     return math.sqrt(x)
-
-
-def sigma_weight(kind: str, x) -> np.ndarray:
-    """sigma(x) evaluated without x-domain gating, for modulus weights."""
-    arr = np.asarray(x, dtype=float)
-    if kind == "bernoulli":
-        return np.sqrt(np.clip(arr * (1.0 - arr), 0.0, None))
-    if kind == "poisson":
-        return np.sqrt(np.clip(arr, 0.0, None))
-    raise ParameterError(f"unknown family kind {kind!r}")
 
 
 def szasz_window(mu, tail_tol: float):

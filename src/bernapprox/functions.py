@@ -136,10 +136,13 @@ def _require(params: dict, allowed: dict) -> dict:
     return out
 
 
+CATALOG_NAMES = ("power-cusp", "constant", "identity", "square", "exp-decay", "sine")
+
+
 def builtin_catalog(name: str, **params) -> TargetFunction:
     """Construct a named catalog function; parameters are validated eagerly.
 
-    Names: power-cusp, constant, identity, square, exp-decay, sine.
+    Names: those of ``CATALOG_NAMES``.
     """
     if name == "power-cusp":
         p = _require(params, {"x0": 0.5, "alpha": 1.0})
@@ -195,8 +198,5 @@ def builtin_catalog(name: str, **params) -> TargetFunction:
             sup_abs=1.0,
             holder=HolderSpec(1.0, 2.0 * math.pi * k),
         )
-    raise CatalogError(
-        f"unknown catalog function {name!r}; valid names: "
-        "power-cusp, constant, identity, square, exp-decay, sine"
-    )
+    raise CatalogError(f"unknown catalog function {name!r}; valid names: {', '.join(CATALOG_NAMES)}")
 

@@ -1,9 +1,12 @@
 """Weighted (Ditzian-Totik style) modulus of continuity on a double grid.
 
 omega_sigma[f](delta) = sup over |h| <= delta and x in I of
-|f(x + h sigma(x)) - f(x)|, with f clamped at finite endpoints.  The sup is
-approximated on an (x, h) grid; the h-grid always contains 0 and both
-endpoints +-delta, where monotone weights usually attain the sup.
+|f(x + h sigma(x)) - f(x)|, with f clamped at finite endpoints.  The step
+weight sigma is the family's own (``Family.sigma``): the central inequality
+rests on S_n - x = sigma(x) zeta_n / sqrt(n), so no other weight gives a
+bound.  The sup is approximated on an (x, h) grid; the h-grid always
+contains 0 and both endpoints +-delta, where monotone weights usually
+attain the sup.
 
 For an unbounded interval the x-sup is truncated to a window recorded in
 the profile metadata; whether the window captures the sup is the caller's
@@ -14,59 +17,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    GridResolutionWarning,
-    InsufficientDataError,
-    ParameterError,
-    WeightDomainError,
-)
-from .families import Family, sigma_weight
+from .errors import GridResolutionWarning, InsufficientDataError, ParameterError
 from .functions import HolderSpec, TargetFunction, eval_clamped
 from .grids import resolve_grid, symmetric_grid
-
-
-WEIGHT_KINDS = ("family-sigma", "jacobi", "unit")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Pointwise step weight sigma(x): family sigma, Jacobi, or constant 1."""
-
-    kind: str  # "family-sigma" | "jacobi" | "unit"
-    family: Optional[Family] = None
-    c: float = 1.0
-    alpha_exp: float = 0.5
-    beta_exp: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ParameterError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "family-sigma" and self.family is None:
-            raise ParameterError("family-sigma weight needs a family")
-        if self.kind == "jacobi":
-            if self.c <= 0:
-                raise ParameterError("jacobi weight constant must be positive")
-            if self.alpha_exp < 0 or self.beta_exp < 0:
-                raise ParameterError("jacobi exponents must be nonnegative")
-
-    def values(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if self.kind == "unit":
-            out = np.ones_like(arr)
-        elif self.kind == "family-sigma":
-            out = sigma_weight(self.family.kind, arr)
-        else:
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise WeightDomainError("jacobi weight is defined on [0, 1] only")
-            out = self.c * arr**self.alpha_exp * (1.0 - arr) ** self.beta_exp
-        if not np.all(np.isfinite(out)):
-            bad = arr.ravel()[~np.isfinite(out).ravel()][0]
-            raise WeightDomainError(f"weight {self.kind} non-finite at x={bad}")
-        return out
 
 
 @dataclass(frozen=True)
@@ -136,20 +93,18 @@ def _resolve_x_grid(f, x_grid):
     return resolve_grid(x_grid, f.interval.a, f.interval.a + 1.0)
 
 
-def _raw_modulus(f, w, delta, xs, h_grid_size) -> float:
+def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> float:
+    """max |f(x + h sigma(x)) - f(x)| over xs and an h grid on [-delta, delta]."""
     if delta == 0.0:
         return 0.0
     hs = symmetric_grid(delta, h_grid_size)
-    sig = w.values(xs)
-    base = np.asarray(eval_clamped(f, xs), dtype=float)
-    shifted_args = xs[None, :] + hs[:, None] * sig[None, :]
-    shifted = np.asarray(eval_clamped(f, shifted_args), dtype=float)
+    shifted = np.asarray(eval_clamped(f, xs[None, :] + hs[:, None] * sig[None, :]), dtype=float)
     return float(np.max(np.abs(shifted - base[None, :])))
 
 
 def modulus_profile(
     f: TargetFunction,
-    w: WeightSpec,
+    sigma: Callable[[np.ndarray], np.ndarray],
     delta_grid,
     x_grid,
     h_grid_size: int = 65,
@@ -157,7 +112,8 @@ def modulus_profile(
 ) -> ModulusProfile:
     """Tabulate the modulus over an increasing delta grid starting at 0.
 
-    The slack is estimated by comparing against the nested half-resolution
+    sigma(xs) and f(xs) are read once; the coarse pass takes every other
+    point of both.  The slack is estimated by comparing against the nested half-resolution
     grid (every other x point, half the h points); the running-maximum fix
     for discretization-induced dips is reported when it exceeds the slack.
     """
@@ -165,7 +121,8 @@ def modulus_profile(
     if deltas.ndim != 1 or deltas.size < 2 or deltas[0] != 0.0 or np.any(np.diff(deltas) <= 0):
         raise ParameterError("delta grid must start at 0 and increase strictly")
     xs = _resolve_x_grid(f, x_grid)
-    xs_coarse = xs[::2]
+    sig = np.asarray(sigma(xs), dtype=float)
+    base = np.asarray(eval_clamped(f, xs), dtype=float)
     h_coarse = h_grid_size // 2 + 1
     if h_coarse % 2 == 0:
         h_coarse += 1
@@ -173,8 +130,8 @@ def modulus_profile(
     fine = np.empty(deltas.size)
     coarse = np.empty(deltas.size)
     for i, d in enumerate(deltas):
-        fine[i] = _raw_modulus(f, w, float(d), xs, h_grid_size)
-        coarse[i] = _raw_modulus(f, w, float(d), xs_coarse, h_coarse)
+        fine[i] = _raw_modulus(f, xs, base, sig, float(d), h_grid_size)
+        coarse[i] = _raw_modulus(f, xs[::2], base[::2], sig[::2], float(d), h_coarse)
     slack = max(float(np.max(fine - coarse)), 0.0)
 
     values = np.maximum.accumulate(fine)
@@ -186,7 +143,7 @@ def modulus_profile(
             GridResolutionWarning,
         )
     meta = {"x_window": (float(xs[0]), float(xs[-1])), "h_grid_size": int(h_grid_size),
-            "x_grid_size": int(xs.size), "weight": w.kind}
+            "x_grid_size": int(xs.size)}
     if metadata:
         meta.update(metadata)
     return ModulusProfile(deltas=deltas, values=values, enclosure_slack=slack, metadata=meta)
@@ -194,7 +151,7 @@ def modulus_profile(
 
 def holder_seminorm(
     f: TargetFunction,
-    w: WeightSpec,
+    sigma: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     profile: ModulusProfile,
 ) -> HolderSpec:

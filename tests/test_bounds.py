@@ -20,7 +20,7 @@ from bernapprox.errors import DivergenceWarning, InsufficientDataError, Paramete
 from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
-from bernapprox.modulus import ModulusProfile, WeightSpec, modulus_profile
+from bernapprox.modulus import ModulusProfile, modulus_profile
 from bernapprox.operators import sup_error
 from bernapprox.tails import PowerTailSpec, TailCurve, power_tail_curve, tail_z_max
 
@@ -189,7 +189,7 @@ class TestPoissonBound:
     def test_constant_function_contributes_zero(self):
         f = builtin_catalog("constant", c=2.0)
         prof = modulus_profile(
-            f, WeightSpec(kind="unit"), np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24)]),
+            f, np.ones_like, np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24)]),
             np.linspace(0.0, 64.0, 129),
         )
         q = poisson_curve()

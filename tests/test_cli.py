@@ -51,6 +51,11 @@ class TestHelp:
         # the dataclass defaults
         assert cfgmod.resolve() == ExperimentConfig()
 
+    def test_help_has_no_weight_section(self, runner):
+        # the modulus steps by the family's sigma; no weight key is left to set
+        res = runner.invoke(main, ["--help"])
+        assert "weight." not in res.output
+
     def test_subcommand_help(self, runner):
         for cmd in ("evaluate", "modulus", "tail", "bound", "run"):
             res = runner.invoke(main, [cmd, "--help"])
@@ -88,14 +93,42 @@ class TestUsageErrors:
         res = runner.invoke(main, ["modulus", "--set", "weight.kind=foo", "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "error kind=usage" in res.output
-        assert "'foo'" in res.output
+        assert "unknown config key 'weight.kind'" in res.output
 
     @pytest.mark.parametrize("cmd", ["evaluate", "modulus", "tail", "bound", "run"])
     def test_unknown_weight_kind_exit_two_in_every_subcommand(self, runner, tmp_path, cmd):
         res = runner.invoke(main, [cmd, "--set", "weight.kind=foo", "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "error kind=usage" in res.output
-        assert "weight.kind" in res.output
+        assert "unknown config key 'weight.kind'" in res.output
+
+    @pytest.mark.parametrize("cmd", ["evaluate", "modulus", "tail", "bound", "run"])
+    @pytest.mark.parametrize("sets,key", [
+        (["function.name=bogus"], "function.name"),
+        (["function.name=power-cusp", "function.alpha=5"], "function.alpha"),
+        (["function.name=power-cusp", "function.alpha=0"], "function.alpha"),
+        (["function.name=power-cusp", "function.x0=1"], "function.x0"),
+        (["trial.x0=0.5", "trial.alpha=5"], "trial.alpha"),
+        (["trial.x0=2", "trial.alpha=0.5"], "trial.x0"),
+    ], ids=["name", "alpha-5", "alpha-0", "x0", "trial-alpha", "trial-x0"])
+    def test_function_and_trial_keys_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
+        # ExperimentConfig rejects them, so every subcommand does, whatever it reads
+        args = [a for kv in sets for a in ("--set", kv)]
+        res = runner.invoke(main, [cmd, *args, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert key in res.output
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grids", "x_size", 33.9), ("run", "n_grid", [16.7, 64]), ("run", "seed", True),
+    ])
+    def test_json_int_keys_refuse_truncation(self, runner, tmp_path, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        res = runner.invoke(main, ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert f"{section}.{key}" in res.output
 
     def test_trial_cusp_on_poisson_exit_two(self, runner, tmp_path):
         res = runner.invoke(main, [
@@ -189,10 +222,11 @@ class TestRun:
         assert (out / "report.json").exists()
         assert (out / "timings.csv").exists()
 
-    def test_validation_violation_exit_one(self, runner, tmp_path):
+    @pytest.mark.parametrize("cmd", ["run", "bound"])
+    def test_validation_violation_exit_one(self, runner, tmp_path, cmd):
         # a claimed power tail with huge K makes the bound impossibly thin
         res = runner.invoke(main, [
-            "run", "--out", str(tmp_path / "o"),
+            cmd, "--out", str(tmp_path / "o"),
             "--set", "tail.source=power-tail", "--set", "tail.p=2", "--set", "tail.k=500",
         ] + FAST)
         assert res.exit_code == 1

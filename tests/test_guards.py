@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from test_golden import CONFIGS
 
 from bernapprox import config as cfgmod
 from bernapprox.bounds import hdt_bound
-from bernapprox.experiments import Study
+from bernapprox.experiments import ExperimentConfig, Study
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bernapprox"
@@ -120,6 +121,31 @@ def uncalled_public_names() -> set[str]:
 def test_every_public_name_has_a_caller():
     # a function that only tests call is a test oracle: it belongs in tests/
     assert uncalled_public_names() == UNCALLED_ALLOWED
+
+
+def unread_config_fields(src: Path = SRC) -> set[str]:
+    """ExperimentConfig fields that no code in the package reads, outside the
+    class that declares and checks them and config.py, which maps keys to them."""
+    unread = {f.name for f in fields(ExperimentConfig)}
+    for path in src.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(stmt, ast.ClassDef) and stmt.name == "ExperimentConfig"):
+                unread -= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+    return unread
+
+
+def test_every_config_field_has_a_reader():
+    # a key that only its own check reads is a dead knob: it changes no number
+    assert unread_config_fields() == set()
+
+
+def test_config_reader_guard_catches_a_dead_field(tmp_path):
+    for path in SRC.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        (tmp_path / path.name).write_text(text.replace("cfg.h_grid_size", "65"), encoding="utf-8")
+    assert unread_config_fields(tmp_path) == {"h_grid_size"}
 
 
 def test_no_numerical_integration_in_the_package():

@@ -5,64 +5,44 @@ from hypothesis import strategies as st
 
 from conftest import scale_function
 
-from bernapprox.errors import InsufficientDataError, ParameterError, WeightDomainError
+from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.families import bernoulli_family, family_sigma, poisson_family
 from bernapprox.functions import builtin_catalog, trial_function
 from bernapprox.modulus import (
     ModulusProfile,
-    WeightSpec,
     default_delta_grid,
     holder_seminorm,
     modulus_profile,
 )
 
 XS = np.linspace(0.0, 1.0, 257)
-UNIT = WeightSpec(kind="unit")
+UNIT = np.ones_like  # the unit step weight sigma(x) = 1
 
 
-def modulus_at(f, w, delta, x_grid, h_grid_size=65):
+def modulus_at(f, sigma, delta, x_grid, h_grid_size=65):
     """The profile's double-grid maximum at the one delta > 0."""
-    return modulus_profile(f, w, [0.0, delta], x_grid, h_grid_size).values[1]
+    return modulus_profile(f, sigma, [0.0, delta], x_grid, h_grid_size).values[1]
 
 
-def brute_modulus(f, w, delta, nx=401, nh=81):
+def brute_modulus(f, sigma, delta, nx=401, nh=81):
     """Independent double-loop oracle over a denser raw grid."""
     lo = f.interval.a
     hi = f.interval.b if f.interval.finite else 64.0
     best = 0.0
     for x in np.linspace(lo, hi, nx):
-        s = float(w.values(np.array([x]))[0])
+        s = float(sigma(np.array([x]))[0])
         fx = f(float(x))
         for h in np.linspace(-delta, delta, nh):
             best = max(best, abs(f(float(x + h * s)) - fx))
     return best
 
 
-class TestWeightSpec:
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            WeightSpec(kind="hermite")
-
-    def test_family_sigma_requires_family(self):
-        with pytest.raises(ParameterError):
-            WeightSpec(kind="family-sigma")
-
-    def test_jacobi_negative_exponent_rejected(self):
-        with pytest.raises(ParameterError):
-            WeightSpec(kind="jacobi", alpha_exp=-0.5)
-
-    def test_jacobi_outside_unit_interval(self):
-        w = WeightSpec(kind="jacobi", c=1.0, alpha_exp=0.5, beta_exp=0.5)
-        with pytest.raises(WeightDomainError):
-            w.values(np.array([1.5]))
-
+class TestFamilySigma:
     def test_family_sigma_matches_family(self):
-        fam = bernoulli_family()
-        w = WeightSpec(kind="family-sigma", family=fam)
-        xs = np.linspace(0.05, 0.95, 19)
-        np.testing.assert_allclose(
-            w.values(xs), [family_sigma(fam, float(x)) for x in xs], atol=1e-15
-        )
+        # the vector step weight and the scalar, domain-checked sigma agree bit for bit
+        for fam in (bernoulli_family(), poisson_family()):
+            xs = np.linspace(*fam.x_domain, 19)
+            assert fam.sigma(xs).tolist() == [family_sigma(fam, float(x)) for x in xs]
 
 
 class TestDtModulusAt:
@@ -134,8 +114,7 @@ class TestProfile:
     def test_metadata_records_window(self):
         f = builtin_catalog("exp-decay")
         xs = np.linspace(0.0, 64.0, 129)
-        prof = modulus_profile(f, WeightSpec(kind="family-sigma", family=poisson_family()),
-                               np.array([0.0, 0.5, 1.0]), xs)
+        prof = modulus_profile(f, poisson_family().sigma, np.array([0.0, 0.5, 1.0]), xs)
         assert prof.metadata["x_window"] == (0.0, 64.0)
 
     def test_type_invariants(self):
@@ -196,8 +175,7 @@ class TestHolderSeminorm:
 
 def test_family_sigma_weight_for_bernstein_case():
     # DT modulus of |x-1/2| with the Bernoulli sigma weight: steps h*sigma(x)
-    fam = bernoulli_family()
-    w = WeightSpec(kind="family-sigma", family=fam)
+    w = bernoulli_family().sigma
     g = trial_function(0.5, 1.0)
     val = modulus_at(g, w, 0.2, XS)
     # the largest move from the cusp uses sigma(1/2) = 1/2
@@ -212,7 +190,7 @@ def test_monotonicity_fix_beyond_slack_warns(monkeypatch):
     f = builtin_catalog("sine")
     calls = {"i": 0}
 
-    def fake_raw(f_, w_, delta, xs, h_size):
+    def fake_raw(f_, xs, base, sig, delta, h_size):
         calls["i"] += 1
         # fine and coarse passes agree (slack 0) but values dip at delta 2
         series = {0.0: 0.0, 1.0: 0.5, 2.0: 0.3}
