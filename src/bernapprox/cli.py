@@ -179,7 +179,7 @@ def tail(config_path, overrides, out, seed):
             hw = [None] * us.size
         outdir = _outdir(out)
         write_csv(outdir / "tail.csv", ["u", "value", "half_width"],
-                  zip(us, study.q_on_z.values, hw))
+                  zip(us, curve.at(us), hw))
         write_json(outdir / "tail.json", {
             **_echo(cfg), "method": curve.kind, "z_max": study.z_max,
             "lambda_cap": curve.params.get("lambda_cap"),

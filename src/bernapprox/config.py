@@ -55,19 +55,26 @@ def _int(raw) -> int:
     return int(raw)
 
 
+def _float(raw) -> float:
+    """float(raw), refusing booleans rather than reading them as 0 and 1."""
+    if isinstance(raw, bool):
+        raise ValueError("not a number")
+    return float(raw)
+
+
 def _coerce(key: str, raw) -> object:
     fld = SCHEMA[key]
     try:
         if fld.kind == "int":
             return _int(raw)
         if fld.kind == "float":
-            return float(raw)
+            return _float(raw)
         if fld.kind == "str":
             return str(raw)
         if fld.kind == "opt-float":
             if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("", "none")):
                 return None
-            return float(raw)
+            return _float(raw)
         if fld.kind == "int-list":
             if isinstance(raw, (list, tuple)):
                 return tuple(_int(v) for v in raw)

@@ -152,6 +152,17 @@ class ExperimentConfig:
                 raise ParameterError(f"{sec}.alpha must be in (0, 1], got {alpha}")
             if x0 is not None and not (0.0 < x0 < 1.0):
                 raise ParameterError(f"{sec}.x0 must be in (0, 1), got {x0}")
+        if self.function_name == "constant" and not math.isfinite(self.function_c):
+            raise ParameterError(f"function.c must be finite, got {self.function_c}")
+        if self.function_name == "sine" and not (0.0 < self.function_freq < math.inf):
+            raise ParameterError(f"function.freq must be positive and finite, got {self.function_freq}")
+        if self.family_kind not in ("bernoulli", "poisson"):
+            raise ParameterError(f"unknown family kind {self.family_kind!r} for family.kind")
+        if self.family_kind == "bernoulli" and not (0.0 < self.family_eps < 0.5):
+            raise ParameterError(f"family.eps must be in (0, 0.5), got {self.family_eps}")
+        if self.family_kind == "poisson" and not (0.0 < self.family_x_min < self.family_x_max):
+            raise ParameterError(f"need 0 < family.x_min < family.x_max, got {self.family_x_min}, "
+                                 f"{self.family_x_max}")
         if self.x_grid_kind not in GRID_KINDS:
             raise ParameterError(f"unknown grid kind {self.x_grid_kind!r} for grids.x_kind; "
                                  f"expected one of {', '.join(GRID_KINDS)}")
@@ -214,9 +225,7 @@ def build_function(cfg: ExperimentConfig) -> TargetFunction:
 def build_family(cfg: ExperimentConfig) -> Family:
     if cfg.family_kind == "bernoulli":
         return bernoulli_family(cfg.family_eps)
-    if cfg.family_kind == "poisson":
-        return poisson_family(cfg.family_x_min, cfg.family_x_max)
-    raise ParameterError(f"unknown family kind {cfg.family_kind!r}")
+    return poisson_family(cfg.family_x_min, cfg.family_x_max)
 
 
 def build_weight(cfg: ExperimentConfig, fam: Family) -> Callable[[np.ndarray], np.ndarray]:
@@ -263,7 +272,7 @@ class Study:
 
     Of the chain Delta_n[f] <= integral omega(z/sqrt(n)) |dQ(z)| only the
     operator sweep and the z/sqrt(n) rescaling depend on n.  Every other
-    stage (tail curve, z_max, z grid, Q on the z grid, modulus profiles,
+    stage (tail curve, z_max, z grid, modulus profiles,
     Holder seminorm and constant, trial cusp) is a cached attribute, so each
     is computed at most once and only if the caller reads it.  The per-n
     methods compute afresh on every call; each subcommand reads each n once.
@@ -295,20 +304,6 @@ class Study:
     @cached_property
     def z_grid(self) -> np.ndarray:
         return np.linspace(0.0, max(self.z_max, 1e-6), self.cfg.z_grid_size)
-
-    @cached_property
-    def q_on_z(self) -> TailCurve:
-        """Q tabulated on exactly the z grid.
-
-        Read at its own nodes a tabulated curve returns the stored values, so
-        the Stieltjes sums of every n see the curve's values bit for bit
-        without evaluating it again.
-        """
-        c = self.curve
-        return TailCurve(
-            kind=c.kind, u_grid=self.z_grid, values=np.asarray(c.at(self.z_grid), dtype=float),
-            params=c.params,
-        )
 
     @cached_property
     def profile(self) -> ModulusProfile:
@@ -348,7 +343,7 @@ class Study:
         )[0]
 
     def stieltjes(self, n: int) -> BoundReport:
-        return stieltjes_bound(self.profile, self.q_on_z, n, z_grid=self.z_grid, f_sup=self.f.sup_abs)
+        return stieltjes_bound(self.profile, self.curve, n, z_grid=self.z_grid, f_sup=self.f.sup_abs)
 
     def closed_form(self, n: int) -> Optional[float]:
         """Holder closed form H n^{-alpha/2} * constant; None without Holder data."""
@@ -385,7 +380,7 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
     """Per-n rows of one study with their trial ratios, and the rate fit."""
     study = Study(cfg)
     # n-free stages first, so that each row's wall time is its own work
-    _ = study.q_on_z, study.profile, study.trial
+    _ = study.z_grid, study.profile, study.trial
     rows, times = [], []
     for n in cfg.n_grid:
         t0 = time.perf_counter()

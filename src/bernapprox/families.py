@@ -78,14 +78,6 @@ def poisson_family(x_min: float = 1.0, x_max: float = 64.0) -> Family:
     return Family("poisson", HALF_LINE, (x_min, x_max))
 
 
-def family_sigma(fam: Family, x: float) -> float:
-    """Standard deviation of a single draw: sqrt(x(1-x)) or sqrt(x)."""
-    x = fam.check_x(x)
-    if fam.kind == "bernoulli":
-        return math.sqrt(x * (1.0 - x))
-    return math.sqrt(x)
-
-
 def szasz_window(mu, tail_tol: float):
     """Integer window [lo, hi] outside which Poisson(mu) has mass <= tail_tol.
 
@@ -247,7 +239,7 @@ def normalized_sum_samples(
         raise ParameterError("trials must be positive")
     gen = resolve_rng(seed, rng)
     sums = sample_scaled_sum(fam, x, n, gen, size=trials).astype(float)
-    sig = family_sigma(fam, x)
+    sig = float(fam.sigma(fam.check_x(x)))
     return (sums - n * x) / (sig * math.sqrt(n))
 
 
@@ -260,7 +252,7 @@ def zeta_log_mgf(fam: Family, x: float, lam) -> Union[float, np.ndarray]:
     """
     x = fam.check_x(x)
     lam_arr = np.asarray(lam, dtype=float)
-    sig = family_sigma(fam, x)
+    sig = float(fam.sigma(x))
     with np.errstate(over="ignore"):
         if fam.kind == "bernoulli":
             a = -lam_arr * x / sig + math.log1p(-x)

@@ -23,16 +23,12 @@ class Interval:
 
     a: float
     b: float
-    closed_left: bool = True
-    closed_right: bool = True
 
     def __post_init__(self):
         if not math.isfinite(self.a):
             raise ParameterError("lower endpoint must be finite")
         if not self.a < self.b:
             raise ParameterError(f"need a < b, got [{self.a}, {self.b}]")
-        if math.isinf(self.b) and self.closed_right:
-            raise ParameterError("an infinite upper endpoint cannot be closed")
 
     @property
     def finite(self) -> bool:
@@ -40,7 +36,7 @@ class Interval:
 
 
 UNIT_INTERVAL = Interval(0.0, 1.0)
-HALF_LINE = Interval(0.0, math.inf, closed_right=False)
+HALF_LINE = Interval(0.0, math.inf)
 
 
 @dataclass(frozen=True)

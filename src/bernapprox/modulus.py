@@ -94,12 +94,15 @@ def _resolve_x_grid(f, x_grid):
 
 
 def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> float:
-    """max |f(x + h sigma(x)) - f(x)| over xs and an h grid on [-delta, delta]."""
+    """max |f(x + h sigma(x)) - f(x)| over xs and an h grid on [-delta, delta], in
+    h-row blocks of at most 64 KiB per temporary: from about 110 KiB up, malloc
+    returns their pages at every free and faults them in again for every delta."""
     if delta == 0.0:
         return 0.0
-    hs = symmetric_grid(delta, h_grid_size)
-    shifted = np.asarray(eval_clamped(f, xs[None, :] + hs[:, None] * sig[None, :]), dtype=float)
-    return float(np.max(np.abs(shifted - base[None, :])))
+    hs = symmetric_grid(delta, h_grid_size)[:, None]
+    rows = max(1, 2**13 // xs.size)
+    return max(float(np.max(np.abs(eval_clamped(f, xs + hs[i:i + rows] * sig) - base)))
+               for i in range(0, hs.size, rows))
 
 
 def modulus_profile(

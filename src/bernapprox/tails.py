@@ -10,11 +10,11 @@ evaluated once, on lambda = 0 plus ``tail.lambda_size - 1`` geometric points
 up to a cap that doubles while the maximizer sits on its end; each point
 lambda_j gives the line lambda_j u - nu(lambda_j), and nu*(u) is bounded
 below by the largest line at u, rounded down by a few ulp.  Nothing is
-refined: a read of the curve is one blocked maximum over the lines and calls
-nu zero times.  Against the exact conjugate the curve dominates everywhere
-and, at the default grid sizes, is at most about 2% looser where
-Q > 1e-12.  The point beyond which Q is negligible comes only from
-``tail_z_max``.
+refined: a read of the curve is one binary search over the lines'
+breakpoints and calls nu zero times.  Against the exact conjugate the
+curve dominates everywhere and, at the default grid sizes, is at most
+about 2% looser where Q > 1e-12.  The point beyond which Q is negligible
+comes only from ``tail_z_max``.
 
 Numerical conjugation only ever evaluates feasible lambdas, so it can only
 under-estimate nu*; the resulting curve therefore still dominates the true
@@ -38,7 +38,6 @@ DEFAULT_LAMBDA_CAP = 50.0
 DEFAULT_LAMBDA_GRID_SIZE = 1001
 MAX_CAP_DOUBLINGS = 5
 LAMBDA_MIN = 1e-3  # smallest positive lambda of the conjugation grid
-READ_BLOCK_BYTES = 8 * 2**20  # lines held at once by one curve read
 # one n-scan temporary of make_nu: it stays in cache and malloc reuses it,
 # where 512 KiB ones are mapped and page-faulted anew for every block
 NU_BLOCK_BYTES = 2**17
@@ -255,32 +254,29 @@ def conjugate_curve(
     maximizer for ``u_hint`` lies inside.  Each lambda_j gives the affine
     minorant lambda_j u - nu(lambda_j) of nu*; their maximum, less 4 ulp of
     its two terms for the rounding, is a lower bound on nu* at every u.
-    Reads go READ_BLOCK_BYTES of lines at a time, and a u whose maximum
-    falls on the last line warns.
+    A read finds the maximum by binary search over the lines' breakpoints
+    (Lucet's linear-time Legendre transform, Numer. Algorithms 16, 1997) and
+    keeps the line a scan over all of them keeps; a u whose maximum falls on
+    the last line warns.
     """
     grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
-    rows = max(1, READ_BLOCK_BYTES // (8 * grid.size))
+    # nu is convex, so line j + 1 overtakes line j at their secant slope and these breakpoints
+    # increase; the found line or a neighbour (rounding, ties) is the first maximum of a scan
+    slopes = np.diff(gv) / np.diff(grid)
     eps = np.finfo(float).eps
 
     def fn(u):
         flat = np.ravel(np.asarray(u, dtype=float))
-        if np.any(flat < 0):
+        if (flat < 0).any():
             raise ParameterError(f"u must be nonnegative, got {flat[flat < 0][0]}")
-        out = np.empty(flat.size)
-        buf = np.empty((min(rows, flat.size), grid.size))
-        for start in range(0, flat.size, rows):
-            ub = flat[start:start + rows]
-            lines = np.multiply.outer(ub, grid, out=buf[:ub.size])
-            lines -= gv
-            j = np.argmax(lines, axis=1)
-            best = lines[np.arange(ub.size), j] - 4.0 * eps * (np.abs(ub * grid[j]) + np.abs(gv[j]))
-            for v in ub[j == grid.size - 1]:
-                warnings.warn(
-                    f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={v:g}",
-                    BoundaryWarning,
-                )
-            out[start:start + rows] = 2.0 * np.exp(-np.maximum(best, 0.0))
-        return out.reshape(np.shape(u))
+        cand = np.minimum(np.maximum(np.searchsorted(slopes, flat)[:, None] + [-1, 0, 1], 0), grid.size - 1)
+        lines = flat[:, None] * grid[cand] - gv[cand]
+        j = cand[np.arange(flat.size), np.argmax(lines, axis=1)]
+        best = lines.max(axis=1) - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
+        for v in flat[j == grid.size - 1]:
+            warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={v:g}",
+                          BoundaryWarning)
+        return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
 
     return TailCurve(
         kind="conjugate", fn=fn,

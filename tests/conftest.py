@@ -11,7 +11,7 @@ from bernapprox.families import Family, _check_n
 from bernapprox.functions import HolderSpec, TargetFunction
 from bernapprox.tails import (
     DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve,
-    poisson_conjugate,
+    _lambda_grid, poisson_conjugate,
 )
 
 
@@ -165,6 +165,34 @@ def fenchel_conjugate(
         options={"xatol": 1e-12},
     )
     return max(0.0, float(h[i]), float(-res.fun))
+
+
+def brute_force_conjugate_curve(
+    nu,
+    u_hint: float,
+    lambda_cap: float = DEFAULT_LAMBDA_CAP,
+    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
+) -> TailCurve:
+    """Oracle for ``conjugate_curve``: the same frozen lines, every one scored
+    at every u and the first maximum kept, then the same 4-ulp rounding,
+    boundary warning and 2 exp(-max(best, 0))."""
+    grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
+    eps = np.finfo(float).eps
+
+    def fn(u):
+        flat = np.ravel(np.asarray(u, dtype=float))
+        if np.any(flat < 0):
+            raise ParameterError(f"u must be nonnegative, got {flat[flat < 0][0]}")
+        lines = flat[:, None] * grid - gv
+        j = np.argmax(lines, axis=1)
+        best = lines[np.arange(flat.size), j] - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
+        for v in flat[j == grid.size - 1]:
+            warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={v:g}",
+                          BoundaryWarning)
+        return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
+
+    return TailCurve(kind="conjugate", fn=fn,
+                     params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)})
 
 
 def gaussian_curve() -> TailCurve:

@@ -130,6 +130,40 @@ class TestUsageErrors:
         assert "error kind=usage" in res.output
         assert f"{section}.{key}" in res.output
 
+    @pytest.mark.parametrize("cfg,key", [
+        ({"function": {"name": "constant", "c": True}}, "function.c"),
+        ({"family": {"eps": False}}, "family.eps"),
+        ({"tail": {"x": True}}, "tail.x"),
+    ], ids=["float", "float-false", "opt-float"])
+    def test_json_float_keys_refuse_booleans(self, runner, tmp_path, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["evaluate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert key in res.output
+
+    @pytest.mark.parametrize("cmd", ["evaluate", "modulus", "tail", "bound", "run"])
+    @pytest.mark.parametrize("sets,key", [
+        (["function.name=sine", "function.freq=-1"], "function.freq"),
+        (["function.name=sine", "function.freq=inf"], "function.freq"),
+        (["function.name=constant", "function.c=inf"], "function.c"),
+        (["function.name=constant", "function.c=nan"], "function.c"),
+        (["family.kind=foo"], "family.kind"),
+        (["family.eps=0.7"], "family.eps"),
+        (["family.eps=0"], "family.eps"),
+        (["family.kind=poisson", "function.name=exp-decay", "family.x_min=0"], "family.x_min"),
+        (["family.kind=poisson", "function.name=exp-decay", "family.x_max=0.5"], "family.x_max"),
+    ], ids=["freq-neg", "freq-inf", "c-inf", "c-nan", "kind", "eps-big", "eps-0", "x_min-0",
+            "x_max-low"])
+    def test_function_and_family_values_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
+        # ExperimentConfig rejects them, so every subcommand does, whatever it reads
+        args = [a for kv in sets for a in ("--set", kv)]
+        res = runner.invoke(main, [cmd, *args, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert key in res.output
+
     def test_trial_cusp_on_poisson_exit_two(self, runner, tmp_path):
         res = runner.invoke(main, [
             "run", "--set", "family.kind=poisson", "--set", "function.name=exp-decay",
@@ -356,13 +390,13 @@ def counting_curve(monkeypatch):
 
 class TestStudyStagesOnce:
     @pytest.mark.parametrize("n_grid", ["16,64", "16,32,64,128,256"])
-    def test_run_evaluates_q_on_the_z_grid_once(self, runner, tmp_path, counting_curve, n_grid):
+    def test_run_builds_the_curve_once(self, runner, tmp_path, counting_curve, n_grid):
         res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST
                             + ["--set", f"run.n_grid={n_grid}"])
         assert res.exit_code == 0, res.output
         (curve,) = counting_curve
-        # z_max bisects with scalar queries; the z grid (65 points) is read once
-        assert [s for s in curve.sizes if s > 1] == [65]
+        # z_max bisects with scalar queries; each row's Stieltjes sum reads the z grid (65 points)
+        assert [s for s in curve.sizes if s > 1] == [65] * len(n_grid.split(","))
 
     def test_bound_integrates_hdt_once(self, runner, tmp_path, counting_curve, monkeypatch):
         calls = []
@@ -379,7 +413,8 @@ class TestStudyStagesOnce:
         # one cell sum on its own grid for all three n, and no quadrature
         assert calls == []
         (curve,) = counting_curve
-        assert [s for s in curve.sizes if s > 1] == [65, bounds.HDT_Z_SIZE]
+        # each row's Stieltjes sum reads the z grid
+        assert sorted(s for s in curve.sizes if s > 1) == [65, 65, 65, bounds.HDT_Z_SIZE]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
 
     def test_bound_never_imports_scipy_integrate(self, tmp_path):

@@ -13,7 +13,6 @@ from bernapprox.families import (
     Family,
     _check_n,
     bernoulli_family,
-    family_sigma,
     normalized_sum_samples,
     poisson_family,
     resolve_rng,
@@ -58,7 +57,7 @@ class NormalizedVariate:
         """(mean, variance) by truncated exact summation over the support of xi."""
         ks = family_support(self.family, self.x, 1, tail_mass).astype(float)
         p = family_pmf(self.family, self.x, 1, ks)
-        sig = family_sigma(self.family, self.x)
+        sig = float(self.family.sigma(self.x))
         z = (ks - self.x) / sig
         mean = float(np.sum(p * z))
         var = float(np.sum(p * z * z)) - mean * mean
@@ -109,24 +108,25 @@ def pois():
 
 class TestSigma:
     def test_bernoulli_half(self, bern):
-        assert family_sigma(bern, 0.5) == 0.5
+        assert bern.sigma(0.5) == 0.5
 
     def test_poisson_four(self, pois):
-        assert family_sigma(pois, 4.0) == 2.0
+        assert pois.sigma(4.0) == 2.0
 
     def test_bernoulli_skewed(self, bern):
-        assert family_sigma(bern, 0.09) == pytest.approx(math.sqrt(0.09 * 0.91), abs=1e-15)
+        assert bern.sigma(0.09) == pytest.approx(math.sqrt(0.09 * 0.91), abs=1e-15)
 
     def test_domain_enforced(self, bern, pois):
+        # sigma must stay positive, so the x-domain excludes its zeros
         with pytest.raises(ParameterError):
-            family_sigma(bern, 0.0)
+            bern.check_x(0.0)
         with pytest.raises(ParameterError):
-            family_sigma(pois, 0.5)
+            pois.check_x(0.5)
 
     def test_bounded_family_sigma_capped_by_half_range(self, bern):
         # values confined to [0, 1] force sigma <= (b - a)/2
         xs = np.linspace(*bern.x_domain, 101)
-        assert max(family_sigma(bern, float(x)) for x in xs) <= 0.5
+        assert np.max(bern.sigma(xs)) <= 0.5
 
 
 class TestPmf:
@@ -249,7 +249,7 @@ class TestMomentIdentities:
             mean = float(np.sum(p * ks))
             var = float(np.sum(p * (ks - mean) ** 2))  # centered, no cancellation
             assert mean == pytest.approx(x, abs=1e-10)
-            assert var == pytest.approx(family_sigma(fam, float(x)) ** 2, abs=1e-10)
+            assert var == pytest.approx(float(fam.sigma(x)) ** 2, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
     def test_normalized_variate_standardized(self, kind):

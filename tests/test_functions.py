@@ -23,10 +23,6 @@ class TestInterval:
         with pytest.raises(ParameterError):
             Interval(1.0, 0.0)
 
-    def test_infinite_upper_must_be_open(self):
-        with pytest.raises(ParameterError):
-            Interval(0.0, math.inf, closed_right=True)
-
     def test_half_line_not_finite(self):
         assert not HALF_LINE.finite
 

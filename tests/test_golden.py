@@ -1,5 +1,5 @@
 """Golden bytes: SHA-256 digests of every canonical file the five subcommands
-write, on three small configs.
+write, on four small configs.
 
 A change that moves a byte of a report must update the digest here on
 purpose.  `timings.csv` holds wall times and is not canonical.
@@ -10,17 +10,24 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
+from bernapprox import config as cfgmod
 from bernapprox.cli import main
+from bernapprox.errors import BoundaryWarning
+from bernapprox.experiments import Study
+
+# Bernoulli cusp with a trial column
+BERN_CUSP = [
+    "--set", "grids.x_size=65", "--set", "grids.delta_size=17",
+    "--set", "grids.z_size=65", "--set", "tail.lambda_size=301",
+    "--set", "run.n_grid=16,64",
+    "--set", "function.name=power-cusp", "--set", "function.alpha=0.5",
+    "--set", "family.eps=0.05", "--set", "trial.x0=0.5", "--set", "trial.alpha=0.5",
+]
 
 CONFIGS = {
-    # Bernoulli cusp with a trial column
-    "bern-cusp": [
-        "--set", "grids.x_size=65", "--set", "grids.delta_size=17",
-        "--set", "grids.z_size=65", "--set", "tail.lambda_size=301",
-        "--set", "run.n_grid=16,64",
-        "--set", "function.name=power-cusp", "--set", "function.alpha=0.5",
-        "--set", "family.eps=0.05", "--set", "trial.x0=0.5", "--set", "trial.alpha=0.5",
-    ],
+    "bern-cusp": BERN_CUSP,
+    # the same lines with a cap that doubles to 6, so some reads fall past the last line
+    "bern-cusp-cap": BERN_CUSP + ["--set", "tail.lambda_cap=3"],
     "poisson-exp": [
         "--set", "family.kind=poisson", "--set", "function.name=exp-decay",
         "--set", "grids.x_size=33", "--set", "grids.delta_size=17",
@@ -82,6 +89,29 @@ GOLDEN = {
             "tail.json": "3bcd1e7b6abdc5ca805bba422a1f82a6619be824c7e65c418d1464f39fcda47c",
         },
     },
+    "bern-cusp-cap": {
+        "run": {
+            "report.json": "80d0968c77adc86567838dcea79b0a37ead4d6fe489669e74a50978c6b16b062",
+            "table.csv": "9e7ca09af6f4187252ebcaf247d34da931c36108fa82534272409cfa77694fcd",
+        },
+        "bound": {
+            "bound.csv": "5a14b9d594089ba0ab20bad627a59e6a3b1e804e8fd6f2fb8a7c78689ae189a9",
+            "bound.json": "cca1d85de52664f21d49843a74b11fe8ae3887c9e77bd3990d4856c6d7a102db",
+        },
+        "evaluate": {
+            "evaluate.json": "90daa65699567dbf2601ddb7255e5501e7bdcfc14fc72142c9f7b61ee3006fe7",
+            "evaluate_n16.csv": "8388c3e15d353af14520ae36cbbd744e81aad5ba497846fa435cd85733949f08",
+            "evaluate_n64.csv": "06f49250b75373d5f89a61afef345dfce15aa27c8fe1f37aa2b243af11765ebc",
+        },
+        "modulus": {
+            "modulus.csv": "54727fb0529a34c780a96d47fdb11944aeeeef47f5fd85d5aaa65b2438c59aa0",
+            "modulus.json": "1938751a7855e4e30838e315616007a95f32b4e47cc41ef65cc4364e9db4e4c2",
+        },
+        "tail": {
+            "tail.csv": "70d6a5b211c4a1fc58c9595e1f14ab3fb209d9f8c4dc9bce10b5434f10e63dfe",
+            "tail.json": "cb54f2ec10ffff65397682b22bebda13e35fea405862240426eaa13fceb865f0",
+        },
+    },
     "poisson-exp": {
         "run": {
             "report.json": "080c77700e71f0cedbad9514007edb9740b7a95f888333a70f12d075a78812e4",
@@ -121,3 +151,11 @@ def test_canonical_bytes(tmp_path, config, cmd):
     res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path)] + CONFIGS[config])
     assert res.exit_code == 0, res.output
     assert digests(tmp_path) == GOLDEN[config][cmd]
+
+
+def test_the_cap_config_reads_past_the_last_line():
+    study = Study(cfgmod.resolve(overrides=cfgmod.parse_overrides(CONFIGS["bern-cusp-cap"][1::2])))
+    with pytest.warns(BoundaryWarning) as record:
+        study.z_max
+    assert study.curve.params["lambda_cap"] == 6.0
+    assert [str(w.message).rsplit("u=", 1)[1] for w in record] == ["64", "32"]

@@ -148,6 +148,40 @@ def test_config_reader_guard_catches_a_dead_field(tmp_path):
     assert unread_config_fields(tmp_path) == {"h_grid_size"}
 
 
+def unread_constants(src: Path = SRC) -> set[str]:
+    """Public upper-case module constants of the package that no code loads: in
+    the package, the benchmark's traced unit or the README sketch.  Readers are
+    found in the syntax tree, so a constant named only in a docstring is unread."""
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")]
+    constants = {
+        target.id for tree in modules for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_")
+    }
+    callers = [*modules, ast.parse((ROOT / "perfbench" / "unit.py").read_text(encoding="utf-8")),
+               ast.parse(readme_sketch())]
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in callers for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return constants - loaded
+
+
+def test_every_public_constant_has_a_reader():
+    # a constant nothing reads is a dead knob: it changes no number
+    assert unread_constants() == set()
+
+
+def test_constant_guard_catches_a_dead_constant(tmp_path):
+    for path in SRC.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        (tmp_path / path.name).write_text(text.replace("max(1, NU_BLOCK_BYTES //", "max(1, 2**17 //"),
+                                          encoding="utf-8")
+    assert "NU_BLOCK_BYTES" in (tmp_path / "tails.py").read_text(encoding="utf-8")
+    assert unread_constants(tmp_path) == {"NU_BLOCK_BYTES"}
+
+
 def test_no_numerical_integration_in_the_package():
     assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
 

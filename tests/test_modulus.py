@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,11 @@ from hypothesis import strategies as st
 from conftest import scale_function
 
 from bernapprox.errors import InsufficientDataError, ParameterError
-from bernapprox.families import bernoulli_family, family_sigma, poisson_family
+from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.functions import builtin_catalog, trial_function
 from bernapprox.modulus import (
     ModulusProfile,
+    _raw_modulus,
     default_delta_grid,
     holder_seminorm,
     modulus_profile,
@@ -39,10 +43,12 @@ def brute_modulus(f, sigma, delta, nx=401, nh=81):
 
 class TestFamilySigma:
     def test_family_sigma_matches_family(self):
-        # the vector step weight and the scalar, domain-checked sigma agree bit for bit
-        for fam in (bernoulli_family(), poisson_family()):
-            xs = np.linspace(*fam.x_domain, 19)
-            assert fam.sigma(xs).tolist() == [family_sigma(fam, float(x)) for x in xs]
+        # the step weight is the IEEE square root of the single draw's variance, bit for bit
+        bern, pois = bernoulli_family(), poisson_family()
+        xs = np.linspace(*bern.x_domain, 19)
+        assert bern.sigma(xs).tolist() == [math.sqrt(x * (1.0 - x)) for x in xs.tolist()]
+        xs = np.linspace(*pois.x_domain, 19)
+        assert pois.sigma(xs).tolist() == [math.sqrt(x) for x in xs.tolist()]
 
 
 class TestDtModulusAt:
@@ -132,6 +138,33 @@ class TestProfile:
         assert prof.value_upper(2.0, f_sup=1.0) == 2.0
         with pytest.raises(InsufficientDataError):
             prof.value_upper(2.0)
+
+
+class TestRawModulusBlocks:
+    """At 257 x points the h rows go in blocks; neither a bit nor the memory bound may move."""
+
+    def test_blocks_match_one_pass_bit_for_bit(self):
+        f = trial_function(0.5, 0.5)
+        sig = bernoulli_family().sigma(XS)
+        base = f(XS)
+        for delta in (1e-4, 0.03, 0.5, 1.0):
+            hs = np.linspace(-delta, delta, 65)
+            one_pass = float(np.max(np.abs(f(XS[None, :] + hs[:, None] * sig[None, :]) - base[None, :])))
+            assert _raw_modulus(f, XS, base, sig, delta, 65) == one_pass
+
+    def test_temporaries_stay_in_64_kib_blocks(self):
+        # a few live temporaries of at most 64 KiB each; one pass over 65 x 257
+        # points holds four of 134 KB (536 KB)
+        f = trial_function(0.5, 0.5)
+        sig = bernoulli_family().sigma(XS)
+        base = f(XS)
+        tracemalloc.start()
+        try:
+            _raw_modulus(f, XS, base, sig, 0.3, 65)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**16
 
 
 class TestHolderSeminorm:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fenchel_conjugate, gaussian_curve
+from conftest import brute_force_conjugate_curve, fenchel_conjugate, gaussian_curve
 
-from bernapprox import tails
+from bernapprox import experiments, tails
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family, poisson_family, zeta_log_mgf
@@ -490,7 +490,7 @@ class TestNuScan:
     def test_q_does_not_depend_on_the_x_grid(self):
         def q(**grid):
             study = Study(ExperimentConfig(family_eps=0.05, **grid))
-            return study.z_max, study.q_on_z.values
+            return study.z_max, study.curve.at(study.z_grid)
 
         ref_z, ref_q = q()
         for size, kind in ((33, "uniform"), (257, "chebyshev"), (33, "chebyshev")):
@@ -566,20 +566,33 @@ class TestConjugateCurve:
         tail_z_max(curve)
         assert calls == []
 
-    def test_scalar_and_array_reads_agree_bit_for_bit(self):
-        # Study tabulates Q with one array read; single reads must see the same bits
+    def test_scalar_and_array_reads_agree_bit_for_bit(self, monkeypatch):
+        # every row's Stieltjes sum reads Q on the z grid with one array read;
+        # each value must be the bits of a single read at that node
         study = Study(ExperimentConfig(
             function_name="power-cusp", function_alpha=0.5, family_eps=0.05,
             x_grid_size=65, z_grid_size=65, tail_lambda_size=301,
         ))
+        reads = []
+        stieltjes = experiments.stieltjes_bound
+
+        def recorded(profile, q, n, z_grid, f_sup=None):
+            reads.append((q, z_grid))
+            return stieltjes(profile, q, n, z_grid, f_sup)
+
+        monkeypatch.setattr(experiments, "stieltjes_bound", recorded)
+        for n in study.cfg.n_grid:
+            study.stieltjes(n)
+        assert len(reads) == len(study.cfg.n_grid)
+        assert all(q is study.curve and z is study.z_grid for q, z in reads)
         singles = np.array([study.curve.at(float(z)) for z in study.z_grid])
-        assert np.array_equal(study.q_on_z.values, singles)
-        us = np.random.default_rng(7).uniform(0.0, study.cfg.tail_z_cap, 12_000)  # several row blocks
+        assert np.array_equal(study.curve.at(study.z_grid), singles)
+        us = np.random.default_rng(7).uniform(0.0, study.cfg.tail_z_cap, 12_000)
         block = np.asarray(study.curve.at(us))
         assert np.array_equal(block[::97], [study.curve.at(float(u)) for u in us[::97]])
 
-    def test_read_memory_is_blocked(self, bern_nu):
-        # unblocked, 20000 u against 1001 lines would hold a 160 MB matrix
+    def test_read_memory_is_linear_in_u(self, bern_nu):
+        # every line at every u would be a 160 MB matrix for 20000 u against 1001 lines
         curve = conjugate_curve(bern_nu, 16.0)
         us = np.linspace(0.0, 16.0, 20_000)
         tracemalloc.start()
@@ -588,7 +601,7 @@ class TestConjugateCurve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < tails.READ_BLOCK_BYTES + 4 * 2**20
+        assert peak < 4 * 2**20
 
     def test_smoke_run_never_imports_scipy_optimize(self, tmp_path):
         code = (
@@ -606,3 +619,62 @@ class TestConjugateCurve:
         env = dict(os.environ, PYTHONPATH=str(Path(tails.__file__).parents[1]))
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert res.stdout.strip().splitlines()[-1] == "False"
+
+
+READ_NUS = ["subgauss", "poisson", "bernoulli-0.001", "bernoulli-0.05", "bernoulli-0.3"]
+
+
+@pytest.fixture(scope="module")
+def read_nus():
+    nus = {"subgauss": SUBGAUSS, "poisson": family_nu(poisson_family())}
+    for eps in (0.001, 0.05, 0.3):
+        nus[f"bernoulli-{eps}"] = family_nu(bernoulli_family(eps))
+    return nus
+
+
+def frozen_lines(nu, size):
+    """The lines conjugate_curve freezes for the CLI's u_hint, and their breakpoints."""
+    grid, gv = tails._lambda_grid(nu, tails.Z_CAP / 4.0, tails.DEFAULT_LAMBDA_CAP, size)
+    return grid, gv, np.diff(gv) / np.diff(grid)
+
+
+class TestBreakpointSearch:
+    """A read searches the breakpoints of the frozen lines; it must pick the
+    line a scan over all of them picks, bit for bit, warnings included."""
+
+    @pytest.mark.parametrize("size", [101, 301, 1001])
+    @pytest.mark.parametrize("which", READ_NUS)
+    def test_breakpoints_are_nondecreasing(self, read_nus, which, size):
+        # nu is convex, so the secant slopes between consecutive lambdas increase
+        _, _, breaks = frozen_lines(read_nus[which], size)
+        assert np.all(np.diff(breaks) >= 0.0)
+
+    @pytest.mark.parametrize("size", [101, 301, 1001])
+    @pytest.mark.parametrize("which", READ_NUS)
+    def test_search_read_equals_the_brute_force_oracle(self, read_nus, which, size):
+        nu = read_nus[which]
+        curve = conjugate_curve(nu, tails.Z_CAP / 4.0, grid_size=size)
+        oracle = brute_force_conjugate_curve(nu, tails.Z_CAP / 4.0, grid_size=size)
+        u_max = 2.0 * tails.Z_CAP
+
+        def same(us):
+            with warnings.catch_warnings(record=True) as got_warned:
+                warnings.simplefilter("always")
+                got = curve.fn(us)
+            with warnings.catch_warnings(record=True) as ref_warned:
+                warnings.simplefilter("always")
+                ref = oracle.fn(us)
+            assert got.tobytes() == ref.tobytes()
+            assert [(w.category, str(w.message)) for w in got_warned] == \
+                [(w.category, str(w.message)) for w in ref_warned]
+
+        _, _, breaks = frozen_lines(nu, size)
+        edges = np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)])
+        same(np.concatenate([[0.0, u_max], edges[(edges >= 0.0) & (edges <= u_max)]]))
+
+        @given(st.lists(st.floats(min_value=0.0, max_value=u_max), min_size=1, max_size=64))
+        @settings(max_examples=30, deadline=None)
+        def check(us):
+            same(np.array(us))
+
+        check()
