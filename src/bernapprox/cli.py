@@ -15,7 +15,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, config as cfgmod
 from .errors import BernApproxError, ParameterError
@@ -174,7 +173,7 @@ def tail(config_path, overrides, out, seed):
         study = Study(_resolve_config(config_path, overrides, seed))
         cfg, curve, us = study.cfg, study.curve, study.z_grid
         if curve.half_widths is not None:
-            hw = np.interp(us, curve.u_grid, curve.half_widths)
+            hw = curve.step(curve.half_widths, us)
         else:
             hw = [None] * us.size
         outdir = _outdir(out)

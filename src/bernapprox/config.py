@@ -5,7 +5,8 @@ to key prefixes, and JSON (either flat dotted keys or nested sections; a
 full run report is also accepted, in which case its echoed ``config``
 object is used).  Unknown keys are rejected so a typo in a tolerance name
 can never silently corrupt a run.  The schema is derived from the fields of
-``ExperimentConfig``, which carry each key's default and help text.
+``ExperimentConfig``, which carry each key's default, help text and accepted
+values.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class Field:
     kind: str  # int | float | str | int-list | opt-float
     default: object
     help: str
+    accepts: str  # what the config requires of the value
 
 
 # field annotation (a string under postponed evaluation) -> value kind
@@ -35,7 +37,7 @@ _KINDS = {
 }
 
 SCHEMA: dict[str, Field] = {
-    f.metadata["key"]: Field(_KINDS[f.type], f.default, f.metadata["help"])
+    f.metadata["key"]: Field(_KINDS[f.type], f.default, f.metadata["help"], f.metadata["accepts"][0])
     for f in fields(ExperimentConfig)
 }
 _KEY_TO_ATTR = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
@@ -168,7 +170,7 @@ def demo_config_path(name: str = "bernstein") -> Path:
 
 
 def schema_sections() -> list[str]:
-    """Per-section blocks of 'key = default' lines, for --help embedding."""
+    """Per-section blocks of 'key = default' lines with help and accepted values, for --help."""
     blocks: dict[str, list[str]] = {}
     for key, fld in SCHEMA.items():
         sec = key.split(".", 1)[0]
@@ -177,5 +179,5 @@ def schema_sections() -> list[str]:
         else:
             default = str(fld.default)
         blocks.setdefault(sec, []).append(f"  {key} = {default}")
-        blocks[sec].append(f"      {fld.help}")
+        blocks[sec].append(f"      {fld.help}; must be {fld.accepts}")
     return ["\n".join(lines) for lines in blocks.values()]

@@ -52,120 +52,117 @@ from .tails import (
 FLOAT_FMT = "%.17g"
 
 
-def _key(key: str, default, help: str):
-    """A config field with its dotted schema key and its --help line."""
-    return field(default=default, metadata={"key": key, "help": help})
+def _key(key: str, default, help: str, accepts: tuple[str, Callable[[object], bool]]):
+    """A config field with its dotted schema key, its --help line and the values it
+    accepts: a (description, predicate) pair that the config checks when built."""
+    return field(default=default, metadata={"key": key, "help": help, "accepts": accepts})
+
+
+def _one_of(*names: str):
+    return f"one of {', '.join(names)}", lambda v: v in names
+
+
+def _at_least(least: int):
+    return f"at least {least}", lambda v: v >= least
+
+
+def _unset_or(accepts):
+    must, ok = accepts
+    return f"unset or {must}", lambda v: v is None or ok(v)
+
+
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+_INSIDE_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_EXPONENT = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, immutable description of one convergence study.
 
-    Each field carries its dotted config key and help text; the config
-    schema, its defaults and the --help listing are derived from them.
+    Each field carries its dotted config key, help text and accepted values;
+    the config schema, its defaults, its checks and the --help listing are
+    derived from them.  Only rules that tie keys together are written out.
     """
 
-    function_name: str = _key("function.name", "square", f"catalog function: {', '.join(CATALOG_NAMES)}")
-    function_x0: float = _key("function.x0", 0.5, "cusp location for power-cusp, in (0, 1)")
-    function_alpha: float = _key("function.alpha", 1.0, "cusp exponent for power-cusp, in (0, 1]")
-    function_c: float = _key("function.c", 1.0, "value of the constant function")
-    function_freq: float = _key("function.freq", 1.0, "frequency of the sine function")
-    family_kind: str = _key("family.kind", "bernoulli", "family: bernoulli or poisson")
-    family_eps: float = _key("family.eps", 1e-3, "bernoulli x-domain trim: x in [eps, 1-eps]")
-    family_x_min: float = _key("family.x_min", 1.0, "poisson x-domain lower endpoint")
-    family_x_max: float = _key("family.x_max", 64.0, "poisson x-domain upper endpoint")
-    x_grid_kind: str = _key("grids.x_kind", "uniform", "x grid type: uniform or chebyshev")
-    x_grid_size: int = _key("grids.x_size", 257, "x grid size for the sup over x")
-    h_grid_size: int = _key("grids.h_size", 65, "modulus h grid size (odd; includes 0 and +-delta)")
-    delta_grid_size: int = _key("grids.delta_size", 49, "modulus delta grid size")
-    z_grid_size: int = _key("grids.z_size", 257, "z grid size for the Stieltjes enclosure")
-    modulus_window: float = _key(
-        "grids.modulus_window", 64.0, "x window cap for moduli on unbounded intervals")
+    function_name: str = _key("function.name", "square", "catalog function", _one_of(*CATALOG_NAMES))
+    function_x0: float = _key("function.x0", 0.5, "cusp location for power-cusp", _INSIDE_UNIT)
+    function_alpha: float = _key("function.alpha", 1.0, "cusp exponent for power-cusp", _EXPONENT)
+    function_c: float = _key("function.c", 1.0, "value of the constant function", _FINITE)
+    function_freq: float = _key("function.freq", 1.0, "frequency of the sine function", _POSITIVE)
+    family_kind: str = _key("family.kind", "bernoulli", "operator family", _one_of("bernoulli", "poisson"))
+    family_eps: float = _key("family.eps", 1e-3, "bernoulli x-domain trim: x in [eps, 1-eps]",
+                             ("in (0, 0.5)", lambda v: 0.0 < v < 0.5))
+    family_x_min: float = _key("family.x_min", 1.0, "poisson x-domain lower endpoint", _POSITIVE)
+    family_x_max: float = _key(
+        "family.x_max", 64.0, "poisson x-domain and modulus x window upper endpoint, above family.x_min",
+        _POSITIVE)
+    x_grid_kind: str = _key("grids.x_kind", "uniform", "x grid type", _one_of(*GRID_KINDS))
+    # sup_errors needs 33 x points and holder_seminorm 8 nonzero deltas
+    x_grid_size: int = _key("grids.x_size", 257, "x grid size for the sup over x and the modulus", _at_least(33))
+    h_grid_size: int = _key(
+        "grids.h_size", 65, "modulus h grid size (includes 0 and +-delta)",
+        ("odd and at least 3", lambda v: v >= 3 and v % 2 == 1))
+    delta_grid_size: int = _key("grids.delta_size", 49, "modulus delta grid size", _at_least(9))
+    z_grid_size: int = _key("grids.z_size", 257, "z grid size for the Stieltjes enclosure", _at_least(2))
     tail_source: str = _key(
-        "tail.source", "exact-conjugate", "tail curve: exact-conjugate, power-tail, empirical")
-    tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p")
-    tail_k: Optional[float] = _key("tail.k", None, "power-tail constant K (required; no default exists)")
-    tail_n_max: int = _key("tail.n_max", DEFAULT_N_MAX, "n scan cap for the envelope sup over n")
+        "tail.source", "exact-conjugate", "tail curve", _one_of("exact-conjugate", "power-tail", "empirical"))
+    tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p", _unset_or(_POSITIVE))
+    tail_k: Optional[float] = _key(
+        "tail.k", None, "power-tail constant K (required; no default exists)", _unset_or(_POSITIVE))
+    tail_n_max: int = _key("tail.n_max", DEFAULT_N_MAX, "n scan cap for the envelope sup over n", _at_least(2**10))
     tail_lambda_cap: float = _key(
-        "tail.lambda_cap", DEFAULT_LAMBDA_CAP, "conjugation lambda cap (auto-doubles up to 5 times)")
+        "tail.lambda_cap", DEFAULT_LAMBDA_CAP, "conjugation lambda cap (auto-doubles up to 5 times)", _POSITIVE)
     tail_lambda_size: int = _key(
         "tail.lambda_size", DEFAULT_LAMBDA_GRID_SIZE,
-        "conjugation lambda grid size: the number of supporting lines")
-    tail_floor: float = _key("tail.floor", TAIL_FLOOR, "tail value treated as zero beyond z-max")
-    tail_z_cap: float = _key("tail.z_cap", Z_CAP, "hard cap on z-max")
-    tail_trials: int = _key("tail.trials", 100_000, "trials per n for the empirical tail")
+        "conjugation lambda grid size: the number of supporting lines", _at_least(3))
+    # Q <= 1, so a floor of 1 or more cuts the curve at z = 0
+    tail_floor: float = _key("tail.floor", TAIL_FLOOR, "tail value treated as zero beyond z-max", _INSIDE_UNIT)
+    tail_z_cap: float = _key("tail.z_cap", Z_CAP, "hard cap on z-max", _POSITIVE)
+    tail_trials: int = _key("tail.trials", 100_000, "trials per n for the empirical tail", _at_least(10_000))
     tail_x: Optional[float] = _key(
-        "tail.x", None, "parameter x for the empirical tail (default: family midpoint rule)")
+        "tail.x", None, "parameter x for the empirical tail, in the family's x-domain "
+        "(default: family midpoint rule)", _unset_or(_FINITE))
     trial_x0: Optional[float] = _key(
-        "trial.x0", None, "trial cusp location, in (0, 1) (enables the lower-ratio column)")
-    trial_alpha: Optional[float] = _key("trial.alpha", None, "trial cusp exponent, in (0, 1]")
-    n_grid: tuple[int, ...] = _key("run.n_grid", (16, 64, 256, 1024, 4096), "strictly increasing n values")
-    seed: int = _key("run.seed", 20240809, "root seed (pcg64; children via seedsequence-spawn)")
-    mode: str = _key("run.mode", "exact", "operator path: exact or monte-carlo")
-    szasz_tail_tol: float = _key("run.szasz_tail_tol", 1e-12, "certified Szasz truncation tolerance")
-    mc_trials: int = _key("run.mc_trials", 10_000, "trials per grid point in monte-carlo mode")
+        "trial.x0", None, "trial cusp location (enables the lower-ratio column; bernoulli only)",
+        _unset_or(_INSIDE_UNIT))
+    trial_alpha: Optional[float] = _key(
+        "trial.alpha", None, "trial cusp exponent, set with trial.x0", _unset_or(_EXPONENT))
+    n_grid: tuple[int, ...] = _key(
+        "run.n_grid", (16, 64, 256, 1024, 4096), "n values",
+        (f"a strictly increasing list of integers in [1, {MAX_BERNSTEIN_N}]",
+         lambda ns: len(ns) > 0 and 1 <= ns[0] and ns[-1] <= MAX_BERNSTEIN_N
+         and all(a < b for a, b in zip(ns, ns[1:]))))
+    seed: int = _key("run.seed", 20240809, "root seed (pcg64; children via seedsequence-spawn)", _at_least(0))
+    mode: str = _key("run.mode", "exact", "operator path", _one_of("exact", "monte-carlo"))
+    szasz_tail_tol: float = _key(
+        "run.szasz_tail_tol", 1e-12, "certified Szasz truncation tolerance",
+        ("in (0, 1e-6]", lambda v: 0.0 < v <= 1e-6))
+    mc_trials: int = _key("run.mc_trials", 10_000, "trials per grid point in monte-carlo mode", _at_least(100))
 
     def __post_init__(self):
-        if len(self.n_grid) == 0 or any(
-            b <= a for a, b in zip(self.n_grid, self.n_grid[1:])
-        ) or min(self.n_grid) < 1:
-            raise ParameterError("n grid must be a strictly increasing positive sequence")
-        if max(self.n_grid) > MAX_BERNSTEIN_N:
-            raise ParameterError(f"run.n_grid values must be at most {MAX_BERNSTEIN_N}, "
-                                 f"got {max(self.n_grid)}")
-        if not (0.0 < self.szasz_tail_tol <= 1e-6):
-            raise ParameterError(f"run.szasz_tail_tol must be in (0, 1e-6], got {self.szasz_tail_tol}")
-        if self.tail_source not in ("exact-conjugate", "power-tail", "empirical"):
-            raise ParameterError(f"unknown tail source {self.tail_source!r}")
+        for f in fields(self):
+            must, ok = f.metadata["accepts"]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ParameterError(f"{f.metadata['key']} must be {must}, got {value!r}")
+        if not self.family_x_min < self.family_x_max:
+            raise ParameterError(f"family.x_min must be below family.x_max, got {self.family_x_min!r}, "
+                                 f"{self.family_x_max!r}")
         if self.tail_source == "power-tail" and (self.tail_p is None or self.tail_k is None):
-            raise ParameterError("power-tail source needs both tail.p and tail.k (no default K exists)")
-        for key, value in (("tail.z_cap", self.tail_z_cap), ("tail.lambda_cap", self.tail_lambda_cap)):
-            if not (0.0 < value < math.inf):
-                raise ParameterError(f"{key} must be positive and finite, got {value}")
-        if not (0.0 < self.tail_floor < 1.0):
-            # Q <= 1, so a floor of 1 or more cuts the curve at z = 0
-            raise ParameterError(f"tail.floor must be in (0, 1), got {self.tail_floor}")
-        for key, value, least in (
-            ("tail.lambda_size", self.tail_lambda_size, 3), ("tail.n_max", self.tail_n_max, 2**10),
-            ("grids.delta_size", self.delta_grid_size, 2), ("grids.z_size", self.z_grid_size, 2),
-        ):
-            if value < least:
-                raise ParameterError(f"{key} must be at least {least}, got {value}")
-        if self.h_grid_size < 3 or self.h_grid_size % 2 == 0:
-            raise ParameterError(f"grids.h_size must be odd and at least 3, got {self.h_grid_size}")
-        if self.mode not in ("exact", "monte-carlo"):
-            raise ParameterError(f"unknown mode {self.mode!r}")
+            raise ParameterError("tail.source=power-tail needs both tail.p and tail.k (no default K exists)")
         if (self.trial_x0 is None) != (self.trial_alpha is None):
             raise ParameterError("trial.x0 and trial.alpha must be set together")
-        if self.trial_x0 is not None and self.family_kind == "poisson":
+        if self.trial_x0 is not None and self.family_kind != "bernoulli":
             # the Szasz window's certified radius needs sup|g|, unbounded on [0, inf)
             raise ParameterError("trial.x0/trial.alpha need family.kind=bernoulli: "
                                  "the trial cusp has no bounded sup on [0, inf)")
-        if self.function_name not in CATALOG_NAMES:
-            raise ParameterError(f"unknown catalog function {self.function_name!r} for function.name; "
-                                 f"expected one of {', '.join(CATALOG_NAMES)}")
-        cusps = [("trial", self.trial_x0, self.trial_alpha)]
-        if self.function_name == "power-cusp":
-            cusps.append(("function", self.function_x0, self.function_alpha))
-        for sec, x0, alpha in cusps:
-            if alpha is not None and not (0.0 < alpha <= 1.0):
-                raise ParameterError(f"{sec}.alpha must be in (0, 1], got {alpha}")
-            if x0 is not None and not (0.0 < x0 < 1.0):
-                raise ParameterError(f"{sec}.x0 must be in (0, 1), got {x0}")
-        if self.function_name == "constant" and not math.isfinite(self.function_c):
-            raise ParameterError(f"function.c must be finite, got {self.function_c}")
-        if self.function_name == "sine" and not (0.0 < self.function_freq < math.inf):
-            raise ParameterError(f"function.freq must be positive and finite, got {self.function_freq}")
-        if self.family_kind not in ("bernoulli", "poisson"):
-            raise ParameterError(f"unknown family kind {self.family_kind!r} for family.kind")
-        if self.family_kind == "bernoulli" and not (0.0 < self.family_eps < 0.5):
-            raise ParameterError(f"family.eps must be in (0, 0.5), got {self.family_eps}")
-        if self.family_kind == "poisson" and not (0.0 < self.family_x_min < self.family_x_max):
-            raise ParameterError(f"need 0 < family.x_min < family.x_max, got {self.family_x_min}, "
-                                 f"{self.family_x_max}")
-        if self.x_grid_kind not in GRID_KINDS:
-            raise ParameterError(f"unknown grid kind {self.x_grid_kind!r} for grids.x_kind; "
-                                 f"expected one of {', '.join(GRID_KINDS)}")
+        if self.tail_x is not None:
+            lo, hi = build_family(self).x_domain
+            if not lo <= self.tail_x <= hi:
+                raise ParameterError(f"tail.x must lie in the {self.family_kind} x-domain [{lo}, {hi}], "
+                                     f"got {self.tail_x!r}")
 
 
 @dataclass(frozen=True)
@@ -260,8 +257,10 @@ def build_modulus_profile(
     cfg: ExperimentConfig, f: TargetFunction, sigma: Callable[[np.ndarray], np.ndarray],
     delta_max: Optional[float] = None,
 ) -> ModulusProfile:
-    """Profile on the config's grids, deltas up to delta_max (the whole interval by default)."""
-    window = (f.interval.a, f.interval.b if f.interval.finite else cfg.modulus_window)
+    """Profile on the config's grids, deltas up to delta_max (the whole interval by default),
+    x over the family's interval cut at its x-domain's end: the x the bound is applied at."""
+    fam = build_family(cfg)
+    window = (fam.interval.a, fam.interval.b if fam.interval.finite else fam.x_domain[1])
     xs = GridSpec("uniform", cfg.x_grid_size).points(*window)
     deltas = default_delta_grid(f.interval, cfg.delta_grid_size, delta_max)
     return modulus_profile(f, sigma, deltas, xs, cfg.h_grid_size, metadata={"window": window})

@@ -289,6 +289,8 @@ def resolve_rng(seed, rng=None):
 
 def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
     """Independent child generators via SeedSequence.spawn (the splitting rule)."""
+    if seed is None:  # SeedSequence(None) would draw OS entropy
+        raise ParameterError("a seed is required; no path draws OS entropy")
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 

@@ -35,10 +35,8 @@ class GridSpec:
         return lo + (hi - lo) * (nodes + 1.0) / 2.0
 
 
-def resolve_grid(grid, lo: float, hi: float) -> np.ndarray:
-    """Accept either a GridSpec or explicit points; return a sorted array."""
-    if isinstance(grid, GridSpec):
-        return grid.points(lo, hi)
+def resolve_grid(grid) -> np.ndarray:
+    """Explicit points as a float array, checked nonempty, 1-d and strictly increasing."""
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ParameterError("grid must be a nonempty 1-d array of points")

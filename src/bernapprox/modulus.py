@@ -8,9 +8,9 @@ bound.  The sup is approximated on an (x, h) grid; the h-grid always
 contains 0 and both endpoints +-delta, where monotone weights usually
 attain the sup.
 
-For an unbounded interval the x-sup is truncated to a window recorded in
-the profile metadata; whether the window captures the sup is the caller's
-responsibility (bounded f with known decay keeps the window error small).
+The x-sup runs over explicit x points.  The bound holds only at the x they
+cover, so a study passes points over the family's interval, cut at the
+x-domain's upper end when unbounded (``experiments.build_modulus_profile``).
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ class ModulusProfile:
         return out
 
 
-def _resolve_x_grid(f, x_grid):
-    from .grids import GridSpec
-
-    if isinstance(x_grid, GridSpec):
-        if not f.interval.finite:
-            raise ParameterError(
-                "an unbounded interval needs explicit grid points; pick a window"
-            )
-        return x_grid.points(f.interval.a, f.interval.b)
-    return resolve_grid(x_grid, f.interval.a, f.interval.a + 1.0)
-
-
 def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> float:
     """max |f(x + h sigma(x)) - f(x)| over xs and an h grid on [-delta, delta], in
     h-row blocks of at most 64 KiB per temporary: from about 110 KiB up, malloc
@@ -113,7 +101,8 @@ def modulus_profile(
     h_grid_size: int = 65,
     metadata: Optional[dict] = None,
 ) -> ModulusProfile:
-    """Tabulate the modulus over an increasing delta grid starting at 0.
+    """Tabulate the modulus over an increasing delta grid starting at 0, the
+    x-sup over the explicit increasing points ``x_grid``.
 
     sigma(xs) and f(xs) are read once; the coarse pass takes every other
     point of both.  The slack is estimated by comparing against the nested half-resolution
@@ -123,7 +112,7 @@ def modulus_profile(
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size < 2 or deltas[0] != 0.0 or np.any(np.diff(deltas) <= 0):
         raise ParameterError("delta grid must start at 0 and increase strictly")
-    xs = _resolve_x_grid(f, x_grid)
+    xs = resolve_grid(x_grid)
     sig = np.asarray(sigma(xs), dtype=float)
     base = np.asarray(eval_clamped(f, xs), dtype=float)
     h_coarse = h_grid_size // 2 + 1

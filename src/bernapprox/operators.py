@@ -186,7 +186,7 @@ def sup_errors(
     radius seen on the grid; for the exact Bernstein path it is zero.
     """
     lo, hi = fam.x_domain
-    grid = resolve_grid(x_grid, lo, hi)
+    grid = resolve_grid(x_grid)
     if grid.size < 33:
         raise ParameterError(f"x-grid must have at least 33 points, got {grid.size}")
     if grid[0] < lo or grid[-1] > hi:
@@ -196,8 +196,6 @@ def sup_errors(
     if mode == "exact":
         sweeps = _exact_sums(fs, fam.kind, n, grid, tail_tol)
     elif mode == "monte-carlo":
-        if seed is None:
-            raise ParameterError("monte-carlo sup error needs a seed")
         sweeps = [tuple(generic_mc(f, fam, n, float(xi), trials, rng=rng)
                         for xi, rng in zip(grid, spawn_rngs(seed, grid.size))) for f in fs]
     else:

@@ -81,14 +81,18 @@ class TailCurve:
             if u[0] <= 0 and v[0] > 1.0 + 1e-15:
                 raise ParameterError("tail curve value at 0 must be <= 1")
 
+    def step(self, table: np.ndarray, u) -> np.ndarray:
+        """A tabulated curve's ``values`` or ``half_widths`` at u, by the
+        right-continuous step rule: the entry of the largest grid u <= u."""
+        idx = np.searchsorted(self.u_grid, u, side="right") - 1
+        return table[np.clip(idx, 0, self.u_grid.size - 1)]
+
     def at(self, u):
         arr = np.asarray(u, dtype=float)
         if self.fn is not None:
             out = np.minimum(1.0, np.asarray(self.fn(arr), dtype=float))
         else:
-            idx = np.searchsorted(self.u_grid, arr, side="right") - 1
-            idx = np.clip(idx, 0, self.u_grid.size - 1)
-            out = np.minimum(1.0, self.values[idx])
+            out = np.minimum(1.0, self.step(self.values, arr))
         if np.isscalar(u):
             return float(out)
         return out
@@ -267,8 +271,9 @@ def conjugate_curve(
 
     def fn(u):
         flat = np.ravel(np.asarray(u, dtype=float))
-        if (flat < 0).any():
-            raise ParameterError(f"u must be nonnegative, got {flat[flat < 0][0]}")
+        bad = ~((flat >= 0) & (flat < np.inf))  # NaN fails both
+        if bad.any():
+            raise ParameterError(f"u must be nonnegative and finite, got {flat[bad][0]}")
         cand = np.minimum(np.maximum(np.searchsorted(slopes, flat)[:, None] + [-1, 0, 1], 0), grid.size - 1)
         lines = flat[:, None] * grid[cand] - gv[cand]
         j = cand[np.arange(flat.size), np.argmax(lines, axis=1)]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestHelp:
             else:
                 shown = str(fld.default)
             assert f"{key} = {shown}" in res.output, key
+
+    def test_every_key_shows_its_accepted_values(self, runner):
+        lines = runner.invoke(main, ["--help"]).output.splitlines()
+        for f in fields(ExperimentConfig):
+            key, (must, _) = f.metadata["key"], f.metadata["accepts"]
+            i = next(i for i, line in enumerate(lines) if line.strip().startswith(f"{key} = "))
+            assert lines[i + 1].rstrip().endswith(f"; must be {must}"), key
 
     def test_documented_defaults_match_runtime(self, runner):
         # the resolved no-config run must equal both the schema defaults and
@@ -110,7 +118,22 @@ class TestUsageErrors:
         (["function.name=power-cusp", "function.x0=1"], "function.x0"),
         (["trial.x0=0.5", "trial.alpha=5"], "trial.alpha"),
         (["trial.x0=2", "trial.alpha=0.5"], "trial.x0"),
-    ], ids=["name", "alpha-5", "alpha-0", "x0", "trial-alpha", "trial-x0"])
+        # a key's range does not depend on the function, family or source chosen
+        (["function.freq=-1"], "function.freq"),
+        (["family.kind=poisson", "function.name=exp-decay", "family.x_max=inf"], "family.x_max"),
+        (["family.x_min=nan"], "family.x_min"),
+        (["grids.x_size=32"], "grids.x_size"),
+        (["grids.delta_size=8"], "grids.delta_size"),
+        (["tail.p=-1"], "tail.p"),
+        (["tail.k=0"], "tail.k"),
+        (["tail.trials=9999"], "tail.trials"),
+        (["run.mc_trials=99"], "run.mc_trials"),
+        (["run.seed=-1"], "run.seed"),
+        (["run.mode=monte-carlo", "run.seed=-1"], "run.seed"),
+        (["tail.source=empirical", "tail.x=7"], "tail.x"),
+    ], ids=["name", "alpha-5", "alpha-0", "x0", "trial-alpha", "trial-x0", "square-freq", "x_max-inf",
+            "x_min-nan", "x_size", "delta_size", "p", "k", "trials", "mc_trials", "seed", "mc-seed",
+            "tail-x"])
     def test_function_and_trial_keys_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
         # ExperimentConfig rejects them, so every subcommand does, whatever it reads
         args = [a for kv in sets for a in ("--set", kv)]
@@ -343,6 +366,19 @@ class TestOtherSubcommands:
         assert res.exit_code == 0, res.output
         rows = (out / "tail.csv").read_text().splitlines()[1:]
         assert any(r.rsplit(",", 1)[1] != "" for r in rows)
+
+    def test_empirical_half_width_is_read_like_the_value(self, runner, tmp_path):
+        # both columns take the curve's step rule, so each half-width is the
+        # binomial standard error of the value beside it
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["tail", "--out", str(out), "--set", "tail.source=empirical",
+                                   "--set", "tail.trials=10000", "--set", "run.n_grid=4,16"])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader((out / "tail.csv").read_text().splitlines()))
+        assert len(rows) == 257
+        for r in rows:
+            v = float(r["value"])
+            assert float(r["half_width"]) == np.sqrt(v * (1.0 - v) / 10_000), r
 
     def test_bound_table_columns(self, runner, tmp_path):
         out = tmp_path / "o"

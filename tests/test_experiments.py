@@ -8,6 +8,7 @@ from bernapprox.experiments import (
     ConvergenceRow,
     ConvergenceTable,
     ExperimentConfig,
+    Study,
     rate_fit,
     run_convergence,
     validity_check,
@@ -42,6 +43,16 @@ class TestExperimentConfig:
     def test_trial_fields_together(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(trial_x0=0.5)
+
+
+@pytest.mark.parametrize("x_max", [8.0, 200.0])  # not the default 64
+def test_poisson_modulus_window_follows_the_x_domain(x_max):
+    # the bound is applied at every x of [x_min, x_max], so the modulus x-sup covers it
+    study = Study(ExperimentConfig(family_kind="poisson", function_name="exp-decay", family_x_max=x_max,
+                                   x_grid_size=33, delta_grid_size=9, n_grid=(16, 64)))
+    for profile in (study.profile, study.interval_profile):
+        assert profile.metadata["window"] == (0.0, x_max)
+        assert profile.metadata["x_window"] == (0.0, x_max)
 
 
 class TestRunConvergence:

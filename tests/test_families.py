@@ -327,6 +327,10 @@ class TestSampling:
         r1, r2 = spawn_rngs(7, 2)
         assert r1.random() != r2.random()
 
+    def test_spawning_needs_a_seed(self):
+        with pytest.raises(ParameterError, match="seed"):
+            spawn_rngs(None, 2)
+
 
 class TestZetaLogMgf:
     @pytest.mark.parametrize("kind,x", [("bernoulli", 0.5), ("bernoulli", 0.02), ("poisson", 4.0)])

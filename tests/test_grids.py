@@ -27,12 +27,12 @@ class TestGridSpec:
 
 
 def test_resolve_grid_passthrough_and_checks():
-    pts = resolve_grid(np.array([0.1, 0.2, 0.9]), 0.0, 1.0)
+    pts = resolve_grid(np.array([0.1, 0.2, 0.9]))
     assert pts.tolist() == [0.1, 0.2, 0.9]
     with pytest.raises(ParameterError):
-        resolve_grid(np.array([0.2, 0.1]), 0.0, 1.0)
+        resolve_grid(np.array([0.2, 0.1]))
     with pytest.raises(ParameterError):
-        resolve_grid(np.array([]), 0.0, 1.0)
+        resolve_grid(np.array([]))
 
 
 def test_symmetric_grid_contains_zero_and_ends():

@@ -7,7 +7,7 @@ import ast
 import importlib
 import importlib.util
 import re
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import pytest
@@ -146,6 +146,31 @@ def test_config_reader_guard_catches_a_dead_field(tmp_path):
         text = path.read_text(encoding="utf-8")
         (tmp_path / path.name).write_text(text.replace("cfg.h_grid_size", "65"), encoding="utf-8")
     assert unread_config_fields(tmp_path) == {"h_grid_size"}
+
+
+def undeclared_fields(cls=ExperimentConfig) -> set[str]:
+    """Config fields that do not declare the values they accept as a
+    (description, predicate) pair."""
+    undeclared = set()
+    for f in fields(cls):
+        accepts = f.metadata.get("accepts")
+        if not (isinstance(accepts, tuple) and len(accepts) == 2
+                and isinstance(accepts[0], str) and callable(accepts[1])):
+            undeclared.add(f.name)
+    return undeclared
+
+
+def test_every_config_field_declares_its_accepted_values():
+    # the config's per-key checks and its --help listing both read these declarations
+    assert undeclared_fields() == set()
+
+
+def test_accepts_guard_catches_an_undeclared_field():
+    @dataclass(frozen=True)
+    class Extended(ExperimentConfig):
+        extra: int = field(default=0, metadata={"key": "run.extra", "help": "a key that checks nothing"})
+
+    assert undeclared_fields(Extended) == {"extra"}
 
 
 def unread_constants(src: Path = SRC) -> set[str]:

@@ -77,11 +77,12 @@ class TestDtModulusAt:
         with pytest.raises(ParameterError):
             modulus_at(f, UNIT, 0.1, XS, h_grid_size=64)
 
-    def test_grid_spec_needs_window_on_unbounded_interval(self):
+    def test_grid_spec_is_refused(self):
+        # the x-sup runs over explicit points; the caller picks the window
         from bernapprox.grids import GridSpec
 
         f = builtin_catalog("exp-decay")
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             modulus_at(f, UNIT, 0.1, GridSpec("uniform", 65))
 
 

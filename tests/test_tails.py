@@ -411,6 +411,11 @@ class TestEmpiricalAtf:
         with pytest.raises(ParameterError):
             empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [1], 100, seed=1)
 
+    def test_needs_a_seed(self):
+        # SeedSequence(None) would draw OS entropy
+        with pytest.raises(ParameterError, match="seed"):
+            empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [1], 10_000, seed=None)
+
     def test_clt_floor_at_large_n(self):
         # the tail cannot drop below half the Gaussian tail for moderate u
         curve = empirical_atf(bernoulli_family(), 0.5, np.array([0.5, 1.0, 1.5, 2.0]),
@@ -544,6 +549,14 @@ class TestConjugateCurve:
     def test_negative_u_rejected(self):
         with pytest.raises(ParameterError):
             conjugate_curve(SUBGAUSS, 4.0).at(-1.0)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_u_rejected(self, u):
+        curve = conjugate_curve(SUBGAUSS, 4.0)
+        with pytest.raises(ParameterError, match="nonnegative and finite"):
+            curve.at(u)
+        with pytest.raises(ParameterError, match="nonnegative and finite"):
+            curve.at(np.array([0.5, u, 2.0]))
 
     def test_boundary_warning_per_u_beyond_the_last_line(self):
         curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=101)
