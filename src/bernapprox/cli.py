@@ -19,11 +19,9 @@ import click
 from . import __version__, config as cfgmod
 from .errors import BernApproxError, ParameterError
 from .experiments import (
-    ConvergenceTable,
     ExperimentConfig,
     Study,
     ValiditySummary,
-    run_convergence,
     validity_check,
     write_csv,
     write_json,
@@ -31,6 +29,7 @@ from .experiments import (
     write_timings,
 )
 from .modulus import holder_seminorm
+from .tails import empirical_half_width
 
 BOUND_COLUMNS = ("n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio")
 
@@ -172,10 +171,7 @@ def tail(config_path, overrides, out, seed):
     def body():
         study = Study(_resolve_config(config_path, overrides, seed))
         cfg, curve, us = study.cfg, study.curve, study.z_grid
-        if curve.half_widths is not None:
-            hw = curve.step(curve.half_widths, us)
-        else:
-            hw = [None] * us.size
+        hw = empirical_half_width(curve, us) if curve.kind == "empirical" else [None] * us.size
         outdir = _outdir(out)
         write_csv(outdir / "tail.csv", ["u", "value", "half_width"],
                   zip(us, curve.at(us), hw))
@@ -196,16 +192,13 @@ def bound(config_path, overrides, out, seed):
 
     def body():
         study = Study(_resolve_config(config_path, overrides, seed))
-        rows, checked = [], []
-        for n in study.cfg.n_grid:
-            row = study.row(n)
-            checked.append(row)
-            rows.append({
-                "n": n, "lower_bracket": row.lower_bracket, "upper_bracket": row.upper_bracket,
-                "upper_stieltjes": row.upper_stieltjes, "closed_form": study.closed_form(n),
-                "empirical": row.empirical_delta, "error_radius": row.error_radius,
-                "ratio": row.empirical_delta / row.upper_bracket if row.upper_bracket > 0 else None,
-            })
+        table = study.table(trial=False)
+        rows = [{
+            "n": r.n, "lower_bracket": r.lower_bracket, "upper_bracket": r.upper_bracket,
+            "upper_stieltjes": r.upper_stieltjes, "closed_form": study.closed_form(r.n),
+            "empirical": r.empirical_delta, "error_radius": r.error_radius,
+            "ratio": r.empirical_delta / r.upper_bracket if r.upper_bracket > 0 else None,
+        } for r in table.rows]
         outdir = _outdir(out)
         write_csv(outdir / "bound.csv", BOUND_COLUMNS, [[r[c] for c in BOUND_COLUMNS] for r in rows])
         holder = study.holder
@@ -213,7 +206,7 @@ def bound(config_path, overrides, out, seed):
             **_echo(study.cfg), "rows": rows,
             "holder": None if holder is None else {"alpha": holder.alpha, "seminorm": holder.seminorm},
         })
-        summary = validity_check(ConvergenceTable(rows=tuple(checked), config={}, seed=study.cfg.seed))
+        summary = validity_check(table)
         click.echo(f"bound: wrote {len(rows)} rows, validity {'pass' if summary.passed else 'FAIL'} "
                    f"-> {outdir}")
         _exit_on_violations(summary)
@@ -227,8 +220,7 @@ def run(config_path, overrides, out, seed):
     """Full convergence study; exit 0 iff the bound validity check passes."""
 
     def body():
-        cfg = _resolve_config(config_path, overrides, seed)
-        table = run_convergence(cfg)
+        table = Study(_resolve_config(config_path, overrides, seed)).table(trial=True)
         outdir = _outdir(out)
         write_report(table, "csv", outdir / "table.csv")
         write_report(table, "json", outdir / "report.json")

@@ -2,8 +2,8 @@
 bound comparison, log-log rate fitting, and deterministic report emission.
 
 A ``Study`` holds one resolved config and builds each n-free stage of the
-bound once, on first use; ``run_convergence`` and every CLI subcommand read
-their stages from it.
+bound once, on first use; every CLI subcommand reads its stages from it,
+and ``run`` and ``bound`` read their rows from ``Study.table``.
 
 Per-n rows are independent of each other and are assembled in n order; all
 randomness flows from the single root seed through SeedSequence children,
@@ -32,7 +32,7 @@ from .families import RNG_NAME, Family, bernoulli_family, poisson_family
 from .functions import CATALOG_NAMES, HolderSpec, TargetFunction, builtin_catalog, trial_function
 from .grids import GRID_KINDS, GridSpec
 from .modulus import ModulusProfile, default_delta_grid, holder_seminorm, modulus_profile
-from .operators import MAX_BERNSTEIN_N, SupError, sup_errors
+from .operators import MAX_BERNSTEIN_N, SupError, sup_error, sup_errors
 from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
 from .tails import (
     DEFAULT_LAMBDA_CAP,
@@ -158,11 +158,15 @@ class ExperimentConfig:
             # the Szasz window's certified radius needs sup|g|, unbounded on [0, inf)
             raise ParameterError("trial.x0/trial.alpha need family.kind=bernoulli: "
                                  "the trial cusp has no bounded sup on [0, inf)")
-        if self.tail_x is not None:
-            lo, hi = build_family(self).x_domain
-            if not lo <= self.tail_x <= hi:
-                raise ParameterError(f"tail.x must lie in the {self.family_kind} x-domain [{lo}, {hi}], "
-                                     f"got {self.tail_x!r}")
+        lo, hi = build_family(self).x_domain
+        iv = build_function(self).interval
+        if not (iv.a <= lo and hi <= iv.b):
+            # the report would be about f clamped to its interval, not about f
+            raise ParameterError(f"function.name={self.function_name} lives on [{iv.a}, {iv.b}], which does not "
+                                 f"hold the family.kind={self.family_kind} x-domain [{lo}, {hi}]")
+        if self.tail_x is not None and not lo <= self.tail_x <= hi:
+            raise ParameterError(f"tail.x must lie in the {self.family_kind} x-domain [{lo}, {hi}], "
+                                 f"got {self.tail_x!r}")
 
 
 @dataclass(frozen=True)
@@ -243,8 +247,8 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
         x = cfg.tail_x
         if x is None:
             x = 0.5 if fam.kind == "bernoulli" else fam.x_domain[0]
-        u_grid = np.linspace(0.0, 16.0, 129)
-        return empirical_atf(fam, x, u_grid, list(cfg.n_grid), cfg.tail_trials, seed=cfg.seed)
+        us = np.linspace(0.0, 16.0, 129)
+        return empirical_atf(fam, x, us, list(cfg.n_grid), cfg.tail_trials, seed=cfg.seed)
     if fam.kind == "poisson":
         return poisson_curve()
     nu = family_nu(fam, n_max=cfg.tail_n_max, lambda_cap=cfg.tail_lambda_cap)
@@ -336,10 +340,8 @@ class Study:
 
     def sup_error(self, n: int) -> SupError:
         cfg = self.cfg
-        return sup_errors(
-            (self.f,), self.fam, n, self.x_grid,
-            mode=cfg.mode, tail_tol=cfg.szasz_tail_tol, trials=cfg.mc_trials, seed=cfg.seed,
-        )[0]
+        return sup_error(self.f, self.fam, n, self.x_grid, mode=cfg.mode, tail_tol=cfg.szasz_tail_tol,
+                         trials=cfg.mc_trials, seed=cfg.seed)
 
     def stieltjes(self, n: int) -> BoundReport:
         return stieltjes_bound(self.profile, self.curve, n, z_grid=self.z_grid, f_sup=self.f.sup_abs)
@@ -351,7 +353,7 @@ class Study:
             return None
         return h.seminorm * n ** (-h.alpha / 2.0) * self.hdt_constant
 
-    def row(self, n: int, trial: bool = False) -> ConvergenceRow:
+    def row(self, n: int, trial: bool) -> ConvergenceRow:
         """Sup error and Stieltjes bracket at n, and with ``trial`` the trial ratio.
 
         The ratio is Delta_n[g] n^{alpha/2} / H for the trial cusp g, None
@@ -374,24 +376,21 @@ class Study:
             else tse.delta * n ** (g.holder.alpha / 2.0) / g.holder.seminorm,
         )
 
-
-def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
-    """Per-n rows of one study with their trial ratios, and the rate fit."""
-    study = Study(cfg)
-    # n-free stages first, so that each row's wall time is its own work
-    _ = study.z_grid, study.profile, study.trial
-    rows, times = [], []
-    for n in cfg.n_grid:
-        t0 = time.perf_counter()
-        rows.append(study.row(n, trial=True))
-        times.append(time.perf_counter() - t0)
-
-    table = ConvergenceTable(rows=tuple(rows), config=asdict(cfg), seed=cfg.seed, wall_times=tuple(times))
-    try:
-        fit = rate_fit(table)
-    except InsufficientDataError:
-        fit = None
-    return replace(table, fit=fit)
+    def table(self, trial: bool) -> ConvergenceTable:
+        """``row(n, trial)`` for every n of the grid, with its wall time, and the rate fit."""
+        # n-free stages first, so that each row's wall time is its own work
+        _ = self.z_grid, self.profile, self.trial
+        rows, times = [], []
+        for n in self.cfg.n_grid:
+            t0 = time.perf_counter()
+            rows.append(self.row(n, trial))
+            times.append(time.perf_counter() - t0)
+        table = ConvergenceTable(rows=tuple(rows), config=asdict(self.cfg), seed=self.cfg.seed,
+                                 wall_times=tuple(times))
+        try:
+            return replace(table, fit=rate_fit(table))
+        except InsufficientDataError:
+            return table
 
 
 def rate_fit(table: ConvergenceTable) -> RateFit:

@@ -10,16 +10,16 @@ amplifies rounding with n.  ``szasz_window`` cuts Poisson sums to certified
 windows by one padded vector scan of the Chernoff exponent per side for a
 whole array of means, no bisection.
 
-Random generation uses numpy's PCG64 Generator; the algorithm name is
-recorded in every report.  Poisson draws use inversion of a cdf table for
-mean <= 30 and numpy's transformed-rejection sampler above.
+Random generation uses numpy's PCG64 Generator, always one the caller
+passes in; the algorithm name is recorded in every report.  Poisson draws
+come from ``Generator.poisson`` at every mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import OverflowComputationError, ParameterError
 from .functions import HALF_LINE, UNIT_INTERVAL, Interval
 
 RNG_NAME = "pcg64"
-POISSON_INVERSION_MAX_MEAN = 30.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling-series coefficients B_2j / (2j (2j - 1)) for j = 1..5
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
@@ -220,25 +219,14 @@ def sample_scaled_sum(fam: Family, x: float, n: int, rng: np.random.Generator, s
     _check_n(n)
     if fam.kind == "bernoulli":
         return rng.binomial(n, x, size=size)
-    mu = n * x
-    if mu <= POISSON_INVERSION_MAX_MEAN:
-        return _poisson_inversion(mu, rng, size)
-    return rng.poisson(mu, size=size)
+    return rng.poisson(n * x, size=size)
 
 
-def normalized_sum_samples(
-    fam: Family,
-    x: float,
-    n: int,
-    trials: int,
-    seed=None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Draws of zeta_n = sqrt(n) * (S_n - x) / sigma(x)."""
+def normalized_sum_samples(fam: Family, x: float, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Draws of zeta_n = sqrt(n) * (S_n - x) / sigma(x) from the given generator."""
     if trials < 1:
         raise ParameterError("trials must be positive")
-    gen = resolve_rng(seed, rng)
-    sums = sample_scaled_sum(fam, x, n, gen, size=trials).astype(float)
+    sums = sample_scaled_sum(fam, x, n, rng, size=trials).astype(float)
     sig = float(fam.sigma(fam.check_x(x)))
     return (sums - n * x) / (sig * math.sqrt(n))
 
@@ -279,14 +267,6 @@ def _check_n(n: int):
         raise ParameterError(f"n must be a positive integer, got {n!r}")
 
 
-def resolve_rng(seed, rng=None):
-    if rng is not None:
-        return rng
-    if seed is None:
-        raise ParameterError("provide either a seed or a caller-owned Generator")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
     """Independent child generators via SeedSequence.spawn (the splitting rule)."""
     if seed is None:  # SeedSequence(None) would draw OS entropy
@@ -294,23 +274,3 @@ def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
-
-def _poisson_inversion(mu: float, rng: np.random.Generator, size):
-    """Exact inversion of a cdf table; used for small means.
-
-    The table follows p_k = p_{k-1} mu / k up to the first k where p
-    underflows to 0.  A draw is the first k with cdf_k >= u, capped at that
-    last k, which is where a uniform beyond the saturated cdf lands.
-    """
-    u = rng.random(size=size)
-    p = math.exp(-mu)
-    cdf = [p]
-    k = 0
-    while p != 0.0:
-        k += 1
-        p *= mu / k
-        cdf.append(cdf[-1] + p)
-    out = np.minimum(np.searchsorted(cdf, u, side="left"), k).astype(np.int64)
-    if size is None:
-        return int(out)
-    return out

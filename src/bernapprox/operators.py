@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import InsufficientDataError, ParameterError
 from .families import (
     Family,
     pmf_kernel,
-    resolve_rng,
     sample_scaled_sum,
     spawn_rngs,
     szasz_window,
@@ -153,14 +152,12 @@ def generic_mc(
     n: int,
     x: float,
     trials: int,
-    seed=None,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> OperatorValue:
-    """Monte Carlo estimate of E f(S_n) with a 3-sigma error radius."""
+    """Monte Carlo estimate of E f(S_n) from the given generator, with a 3-sigma error radius."""
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
-    gen = resolve_rng(seed, rng)
-    sums = sample_scaled_sum(fam, x, n, gen, size=trials).astype(float)
+    sums = sample_scaled_sum(fam, x, n, rng, size=trials).astype(float)
     vals = np.asarray(eval_clamped(f, sums / n), dtype=float)
     mean = float(np.mean(vals))
     std = float(np.std(vals, ddof=1))
@@ -196,7 +193,7 @@ def sup_errors(
     if mode == "exact":
         sweeps = _exact_sums(fs, fam.kind, n, grid, tail_tol)
     elif mode == "monte-carlo":
-        sweeps = [tuple(generic_mc(f, fam, n, float(xi), trials, rng=rng)
+        sweeps = [tuple(generic_mc(f, fam, n, float(xi), trials, rng)
                         for xi, rng in zip(grid, spawn_rngs(seed, grid.size))) for f in fs]
     else:
         raise ParameterError(f"unknown mode {mode!r}; use 'exact' or 'monte-carlo'")

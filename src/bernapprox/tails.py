@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,9 +38,11 @@ DEFAULT_LAMBDA_CAP = 50.0
 DEFAULT_LAMBDA_GRID_SIZE = 1001
 MAX_CAP_DOUBLINGS = 5
 LAMBDA_MIN = 1e-3  # smallest positive lambda of the conjugation grid
-# one n-scan temporary of make_nu: it stays in cache and malloc reuses it,
-# where 512 KiB ones are mapped and page-faulted anew for every block
-NU_BLOCK_BYTES = 2**17
+# one n-scan temporary of make_nu.  A block holds about three at once, which
+# fit in the 128 KiB that glibc malloc keeps free above the heap, so no block
+# grows or trims the heap; at 2^17 each block page-faulted anew or not,
+# depending on the heap's state before the scan
+NU_BLOCK_BYTES = 2**16
 DEFAULT_N_MAX = 4096
 TAIL_FLOOR = 1e-12
 Z_CAP = 64.0
@@ -52,47 +54,18 @@ Z_CAP = 64.0
 
 @dataclass(frozen=True)
 class TailCurve:
-    """Nonincreasing curve u -> Q(u) with Q(0) <= 1.
+    """Nonincreasing curve u -> Q(u) with Q(0) <= 1, read through ``fn``.
 
-    Either closed-form (``fn``, already capped at 1) or tabulated on
-    ``u_grid``; tabulated curves are step functions, right continuous, and
-    extend with their last value.
+    ``at`` caps ``fn`` at 1.  Each builder owns its curve's form: a closed
+    form, the supporting lines of a conjugate, or an empirical step rule.
     """
 
     kind: str
-    fn: Optional[Callable] = None
-    u_grid: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    half_widths: Optional[np.ndarray] = None
+    fn: Callable
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if (self.fn is None) == (self.values is None):
-            raise ParameterError("exactly one of fn / (u_grid, values) must be given")
-        if self.values is not None:
-            u = np.asarray(self.u_grid, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if u.shape != v.shape or u.ndim != 1 or u.size < 1:
-                raise ParameterError("tabulated curve needs matching 1-d arrays")
-            if np.any(np.diff(u) <= 0):
-                raise ParameterError("u grid must increase strictly")
-            if np.any(np.diff(v) > 1e-15):
-                raise ParameterError("tail curve must be nonincreasing")
-            if u[0] <= 0 and v[0] > 1.0 + 1e-15:
-                raise ParameterError("tail curve value at 0 must be <= 1")
-
-    def step(self, table: np.ndarray, u) -> np.ndarray:
-        """A tabulated curve's ``values`` or ``half_widths`` at u, by the
-        right-continuous step rule: the entry of the largest grid u <= u."""
-        idx = np.searchsorted(self.u_grid, u, side="right") - 1
-        return table[np.clip(idx, 0, self.u_grid.size - 1)]
-
     def at(self, u):
-        arr = np.asarray(u, dtype=float)
-        if self.fn is not None:
-            out = np.minimum(1.0, np.asarray(self.fn(arr), dtype=float))
-        else:
-            out = np.minimum(1.0, self.step(self.values, arr))
+        out = np.minimum(1.0, np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float))
         if np.isscalar(u):
             return float(out)
         return out
@@ -323,7 +296,7 @@ def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
 def empirical_atf(
     fam: Family,
     x: float,
-    u_grid,
+    us,
     n_set: Sequence[int],
     trials: int,
     seed,
@@ -332,30 +305,33 @@ def empirical_atf(
     tail definition; each n gets its own child generator split from the
     root seed via SeedSequence.spawn.
 
-    Half-widths are one binomial standard error of the maximizing frequency.
+    The frequencies on the grid ``us`` are made nonincreasing and capped at 1,
+    and the curve reads them by the right-continuous step rule: at u it is
+    the value of the largest grid point <= u, the first value below the
+    grid and the last one past it.  ``empirical_half_width`` gives one
+    binomial standard error of that value.
     """
     ns = sorted(set(int(n) for n in n_set))
     if not ns:
         raise ParameterError("n_set must be nonempty")
     if trials < 10_000:
         raise ParameterError(f"trials must be >= 10^4, got {trials}")
-    us = np.asarray(u_grid, dtype=float)
+    us = np.asarray(us, dtype=float)
     if us.ndim != 1 or us.size < 1 or np.any(np.diff(us) <= 0) or np.any(us < 0):
         raise ParameterError("u grid must be 1-d, nonnegative, strictly increasing")
     rngs = spawn_rngs(seed, len(ns))
     freqs = np.zeros((len(ns), us.size))
     for row, (n, rng) in enumerate(zip(ns, rngs)):
-        z = np.abs(normalized_sum_samples(fam, x, n, trials, rng=rng))
+        z = np.abs(normalized_sum_samples(fam, x, n, trials, rng))
         freqs[row] = np.mean(z[None, :] > us[:, None], axis=1)
-    best_rows = np.argmax(freqs, axis=0)
-    vals = freqs[best_rows, np.arange(us.size)]
-    vals = np.minimum(1.0, np.maximum.accumulate(vals[::-1])[::-1])  # enforce nonincreasing
-    halfw = np.sqrt(vals * (1.0 - vals) / trials)
+    vals = np.minimum(1.0, np.maximum.accumulate(freqs.max(axis=0)[::-1])[::-1])  # enforce nonincreasing
+
+    def fn(u):
+        return vals[np.clip(np.searchsorted(us, u, side="right") - 1, 0, us.size - 1)]
+
     return TailCurve(
         kind="empirical",
-        u_grid=us,
-        values=vals,
-        half_widths=halfw,
+        fn=fn,
         params={
             "x": x,
             "n_set": ns,
@@ -365,3 +341,9 @@ def empirical_atf(
             "splitting": "seedsequence-spawn",
         },
     )
+
+
+def empirical_half_width(curve: TailCurve, u) -> np.ndarray:
+    """One binomial standard error sqrt(Q (1 - Q) / trials) of an empirical curve at u."""
+    q = curve.at(u)
+    return np.sqrt(q * (1.0 - q) / curve.params["trials"])

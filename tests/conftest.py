@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
-from bernapprox.families import Family, _check_n
+from bernapprox.families import Family, _check_n, normalized_sum_samples, spawn_rngs
 from bernapprox.functions import HolderSpec, TargetFunction
 from bernapprox.tails import (
     DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve,
@@ -193,6 +193,33 @@ def brute_force_conjugate_curve(
 
     return TailCurve(kind="conjugate", fn=fn,
                      params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)})
+
+
+def empirical_table(fam: Family, x: float, u_grid, n_set, trials: int, seed):
+    """Oracle for ``empirical_atf``'s table on u_grid: per n, from its spawned
+    child generator, the frequency of |zeta_n| > u; the max over n, made
+    nonincreasing from the right and capped at 1; and one binomial standard
+    error of each value.  Returns (values, half_widths)."""
+    us = [float(u) for u in u_grid]
+    ns = sorted(set(int(n) for n in n_set))
+    vals = [0.0] * len(us)
+    for n, rng in zip(ns, spawn_rngs(seed, len(ns))):
+        z = np.abs(normalized_sum_samples(fam, x, n, trials, rng))
+        vals = [max(v, float(np.mean(z > u))) for v, u in zip(vals, us)]
+    for i in range(len(us) - 2, -1, -1):
+        vals[i] = max(vals[i], vals[i + 1])
+    vals = np.minimum(1.0, vals)
+    return vals, np.sqrt(vals * (1.0 - vals) / trials)
+
+
+def step_read(u_grid, table, u: float) -> float:
+    """The right-continuous step rule: the entry of the largest grid point <= u,
+    the first entry below the grid."""
+    i = 0
+    for k, g in enumerate(u_grid):
+        if g <= u:
+            i = k
+    return float(table[i])
 
 
 def gaussian_curve() -> TailCurve:

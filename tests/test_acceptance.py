@@ -14,12 +14,12 @@ from conftest import fenchel_conjugate, hdt_bound_exp
 
 from bernapprox.bounds import hdt_bound, lower_bound_constant
 from bernapprox.cli import main as cli_main
-from bernapprox.experiments import ExperimentConfig, Study, run_convergence, validity_check
+from bernapprox.experiments import ExperimentConfig, Study, validity_check
 from bernapprox.families import bernoulli_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.operators import bernstein_exact, sup_error, szasz_exact
 from bernapprox.tails import (
-    POISSON_PHI, PowerTailSpec, empirical_atf, poisson_conjugate, power_tail_curve,
+    POISSON_PHI, PowerTailSpec, empirical_atf, empirical_half_width, poisson_conjugate, power_tail_curve,
 )
 
 X_MATRIX = np.linspace(0.0, 1.0, 101)
@@ -88,12 +88,12 @@ def test_criterion_5_bound_validity():
             function_name="power-cusp", function_x0=0.5, function_alpha=alpha,
             family_kind="bernoulli", family_eps=0.05, n_grid=n_grid,
         )
-        summary = validity_check(run_convergence(cfg))
+        summary = validity_check(Study(cfg).table(trial=True))
         violations.extend(summary.violations)
     cfg = ExperimentConfig(
         function_name="exp-decay", family_kind="poisson", n_grid=n_grid,
     )
-    summary = validity_check(run_convergence(cfg))
+    summary = validity_check(Study(cfg).table(trial=True))
     violations.extend(summary.violations)
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 300.0
@@ -111,7 +111,7 @@ def test_criterion_6_rate_windows():
             n_grid=tuple(2**k for k in range(4, 13)),
             tail_source="power-tail", tail_p=2.0, tail_k=0.5,
         )
-        slopes[alpha] = run_convergence(cfg).fit.slope
+        slopes[alpha] = Study(cfg).table(trial=True).fit.slope
     elapsed = time.perf_counter() - t0
     ok = all(-a / 2 - 0.1 <= s <= -a / 2 + 0.1 for a, s in slopes.items()) and elapsed < 300.0
     _report(6, ok, f"log-log slopes {slopes[0.5]:.3f} (target -0.25), "
@@ -158,7 +158,7 @@ def test_criterion_8_atf_dominance():
         bernoulli_family(), 0.5, us, [1, 2, 4, 8, 16, 32, 64], 100_000, seed=20240809
     )
     worst_excess = -math.inf
-    for u, v, hw in zip(curve.u_grid, curve.values, curve.half_widths):
+    for u, v, hw in zip(us, curve.at(us), empirical_half_width(curve, us)):
         bound = min(1.0, 2.0 * math.exp(-u * u / 2.0)) + 3.0 * hw
         worst_excess = max(worst_excess, v - bound)
     elapsed = time.perf_counter() - t0

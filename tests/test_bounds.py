@@ -54,7 +54,7 @@ class TestStieltjesBound:
     def test_point_mass_step_curve(self):
         # Q drops 1 -> 0 at z0: the integral is exactly omega(z0/sqrt(n))
         z0 = 2.0
-        q = TailCurve(kind="step", u_grid=np.array([0.0, z0]), values=np.array([1.0, 0.0]))
+        q = TailCurve(kind="step", fn=lambda u: np.where(u < z0, 1.0, 0.0))
         prof = linear_profile(4.0)
         n = 4
         rep = stieltjes_bound(prof, q, n, z_grid=np.array([0.0, z0, 3.0]), f_sup=2.0)

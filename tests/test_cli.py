@@ -177,8 +177,11 @@ class TestUsageErrors:
         (["family.eps=0"], "family.eps"),
         (["family.kind=poisson", "function.name=exp-decay", "family.x_min=0"], "family.x_min"),
         (["family.kind=poisson", "function.name=exp-decay", "family.x_max=0.5"], "family.x_max"),
+        # square lives on [0, 1], the Poisson x-domain is [1, 64]: the report would be about min(x, 1)^2
+        (["family.kind=poisson"], "function.name=square lives on [0.0, 1.0], which does not hold the "
+                                  "family.kind=poisson x-domain"),
     ], ids=["freq-neg", "freq-inf", "c-inf", "c-nan", "kind", "eps-big", "eps-0", "x_min-0",
-            "x_max-low"])
+            "x_max-low", "square-on-poisson"])
     def test_function_and_family_values_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
         # ExperimentConfig rejects them, so every subcommand does, whatever it reads
         args = [a for kv in sets for a in ("--set", kv)]
@@ -347,8 +350,8 @@ class TestOtherSubcommands:
 
     def test_tail_curve_csv_and_header(self, runner, tmp_path):
         out = tmp_path / "o"
-        res = runner.invoke(main, ["tail", "--out", str(out),
-                                   "--set", "family.kind=poisson", "--set", "grids.z_size=65"])
+        res = runner.invoke(main, ["tail", "--out", str(out), "--set", "family.kind=poisson",
+                                   "--set", "function.name=exp-decay", "--set", "grids.z_size=65"])
         assert res.exit_code == 0, res.output
         lines = (out / "tail.csv").read_text().splitlines()
         assert lines[0] == "u,value,half_width"

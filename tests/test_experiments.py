@@ -10,7 +10,6 @@ from bernapprox.experiments import (
     ExperimentConfig,
     Study,
     rate_fit,
-    run_convergence,
     validity_check,
     write_report,
     write_timings,
@@ -44,6 +43,15 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(trial_x0=0.5)
 
+    @pytest.mark.parametrize("name", ["square", "sine", "power-cusp", "constant", "identity"])
+    def test_function_interval_holds_the_x_domain(self, name):
+        with pytest.raises(ParameterError, match=f"function.name={name} .*family.kind=poisson"):
+            ExperimentConfig(function_name=name, family_kind="poisson")
+        # a Poisson x-domain inside [0, 1] is held, and exp-decay holds every x-domain
+        ExperimentConfig(function_name=name, family_kind="poisson", family_x_min=0.25, family_x_max=0.75)
+        for kind in ("bernoulli", "poisson"):
+            ExperimentConfig(function_name="exp-decay", family_kind=kind)
+
 
 @pytest.mark.parametrize("x_max", [8.0, 200.0])  # not the default 64
 def test_poisson_modulus_window_follows_the_x_domain(x_max):
@@ -61,7 +69,7 @@ class TestRunConvergence:
             function_name="constant", n_grid=(16, 64), x_grid_size=65,
             delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
         )
-        table = run_convergence(cfg)
+        table = Study(cfg).table(trial=True)
         assert all(r.empirical_delta <= 1e-12 for r in table.rows)
         assert all(r.upper_bracket >= 0.0 for r in table.rows)
 
@@ -70,7 +78,7 @@ class TestRunConvergence:
             function_name="square", n_grid=(10, 40), x_grid_size=65,
             delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
         )
-        table = run_convergence(cfg)
+        table = Study(cfg).table(trial=True)
         assert table.rows[0].empirical_delta == pytest.approx(0.025, abs=1e-12)
         assert table.rows[1].empirical_delta == pytest.approx(0.00625, abs=1e-12)
         assert table.rows[0].argmax_x == pytest.approx(0.5, abs=1e-12)
@@ -82,7 +90,7 @@ class TestRunConvergence:
             n_grid=(16, 64, 256), x_grid_size=65,
             delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
         )
-        table = run_convergence(cfg)
+        table = Study(cfg).table(trial=True)
         deltas = [r.empirical_delta for r in table.rows]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
         assert all(r.lower_ratio is not None for r in table.rows)
@@ -92,7 +100,7 @@ class TestRunConvergence:
             function_name="square", n_grid=(16, 64, 256), x_grid_size=65,
             delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
         )
-        summary = validity_check(run_convergence(cfg))
+        summary = validity_check(Study(cfg).table(trial=True))
         assert summary.passed and not summary.violations
 
 
@@ -108,7 +116,7 @@ class TestRateFit:
             function_name="square", n_grid=(8, 16, 32, 64, 128), x_grid_size=65,
             delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
         )
-        table = run_convergence(cfg)
+        table = Study(cfg).table(trial=True)
         # Lipschitz guarantees only -1/2; the observed rate is the faster -1
         assert table.fit.slope == pytest.approx(-1.0, abs=1e-10)
 
@@ -127,7 +135,7 @@ class TestRateFit:
                 n_grid=tuple(2**k for k in range(4, 13)), x_grid_size=129,
                 delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
             )
-            table = run_convergence(cfg)
+            table = Study(cfg).table(trial=True)
             assert -alpha / 2 - 0.1 <= table.fit.slope <= -alpha / 2 + 0.1
 
 
@@ -209,8 +217,8 @@ def test_full_run_determinism():
         function_name="square", n_grid=(16, 64), x_grid_size=65,
         delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
     )
-    t1 = run_convergence(cfg)
-    t2 = run_convergence(cfg)
+    t1 = Study(cfg).table(trial=True)
+    t2 = Study(cfg).table(trial=True)
     assert t1 == t2
 
 
@@ -220,7 +228,7 @@ def test_monte_carlo_mode_run():
         delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
         mode="monte-carlo", mc_trials=2000,
     )
-    table = run_convergence(cfg)
+    table = Study(cfg).table(trial=True)
     assert all(r.error_radius > 0 for r in table.rows)
     assert validity_check(table).passed
 
@@ -231,7 +239,7 @@ def test_empirical_tail_source_run():
         delta_grid_size=17, z_grid_size=65,
         tail_source="empirical", tail_trials=20_000,
     )
-    table = run_convergence(cfg)
+    table = Study(cfg).table(trial=True)
     assert len(table.rows) == 2
     assert all(r.upper_bracket > 0 for r in table.rows)
 

@@ -1,7 +1,6 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -15,14 +14,14 @@ from bernapprox.families import (
     bernoulli_family,
     normalized_sum_samples,
     poisson_family,
-    resolve_rng,
     sample_scaled_sum,
     pmf_kernel,
-    _poisson_inversion,
     spawn_rngs,
     szasz_window,
     zeta_log_mgf,
 )
+from bernapprox.functions import builtin_catalog
+from bernapprox.operators import generic_mc
 from conftest import family_pmf, szasz_truncation_point
 
 POISSON_TAIL_MASS = 1e-16
@@ -37,10 +36,9 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
     return np.arange(szasz_truncation_point(n * x, tail_mass) + 1)
 
 
-def family_sample(fam: Family, x: float, n: int, seed=None, rng: Optional[np.random.Generator] = None):
-    """One realization of S_n = (n*S_n)/n; deterministic given the seed."""
-    gen = resolve_rng(seed, rng)
-    return float(sample_scaled_sum(fam, x, n, gen)) / n
+def family_sample(fam: Family, x: float, n: int, rng: np.random.Generator):
+    """One realization of S_n = (n*S_n)/n; deterministic given the generator's seed."""
+    return float(sample_scaled_sum(fam, x, n, rng)) / n
 
 
 @dataclass(frozen=True)
@@ -62,38 +60,6 @@ class NormalizedVariate:
         mean = float(np.sum(p * z))
         var = float(np.sum(p * z * z)) - mean * mean
         return mean, var
-
-
-def loop_poisson_inversion(mu, rng, size):
-    """Oracle: inversion by sequential search, one Python loop per draw."""
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
-    u = rng.random(size=shape)
-    flat = np.atleast_1d(u).ravel()
-    out = np.empty(flat.shape, dtype=np.int64)
-    for i, ui in enumerate(flat):
-        k = 0
-        p = math.exp(-mu)
-        cdf = p
-        while ui > cdf:
-            k += 1
-            p *= mu / k
-            cdf += p
-            if p == 0.0:  # cdf saturated; ui was in the far tail
-                break
-        out[i] = k
-    if size is None:
-        return int(out[0])
-    return out.reshape(shape)
-
-
-class _FixedUniforms:
-    """Stands in for a Generator whose next uniforms are given."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, size=None):
-        return self.u.reshape(size).copy()
 
 
 @pytest.fixture
@@ -262,66 +228,56 @@ class TestMomentIdentities:
 
 class TestSampling:
     def test_bernoulli_support(self, bern):
-        v = family_sample(bern, 0.3, 1, seed=1)
+        v = family_sample(bern, 0.3, 1, np.random.default_rng(1))
         assert v in (0.0, 1.0)
 
     def test_deterministic_given_seed(self, pois):
-        a = family_sample(pois, 2.0, 5, seed=42)
-        b = family_sample(pois, 2.0, 5, seed=42)
+        a = family_sample(pois, 2.0, 5, np.random.default_rng(42))
+        b = family_sample(pois, 2.0, 5, np.random.default_rng(42))
         assert a == b
 
     def test_requires_seed_or_rng(self, bern):
-        with pytest.raises(ParameterError):
-            family_sample(bern, 0.5, 1)
+        # randomness is passed one way only, as a caller-owned Generator: no seed= alternative
+        f = builtin_catalog("square")
+        with pytest.raises(TypeError):
+            normalized_sum_samples(bern, 0.5, 1, 10)
+        with pytest.raises(TypeError):
+            normalized_sum_samples(bern, 0.5, 1, 10, seed=1)
+        with pytest.raises(TypeError):
+            generic_mc(f, bern, 1, 0.5, 100)
+        with pytest.raises(TypeError):
+            generic_mc(f, bern, 1, 0.5, 100, seed=1)
 
     def test_lln_bernoulli(self, bern, rng):
-        means = [family_sample(bern, 0.5, 100_000, rng=rng) for _ in range(1000)]
+        means = [family_sample(bern, 0.5, 100_000, rng) for _ in range(1000)]
         se = 0.5 / math.sqrt(100_000)
         assert abs(np.mean(means) - 0.5) <= 4 * se / math.sqrt(1000)
 
-    def test_poisson_monte_carlo_mean(self, pois, rng):
-        draws = sample_scaled_sum(pois, 2.0, 1, rng, size=100_000)
-        assert abs(np.mean(draws) - 2.0) <= 4 * math.sqrt(2.0 / 100_000)
+    def test_poisson_monte_carlo_mean(self, rng):
+        # numpy multiplies uniforms below mean 10 and uses PTRS above it
+        for mean in (0.5, 2.0, 16.0, 30.0):
+            draws = sample_scaled_sum(poisson_family(x_min=0.5), mean, 1, rng, size=100_000)
+            assert abs(np.mean(draws) - mean) <= 4 * math.sqrt(mean / 100_000), mean
 
     def test_poisson_large_mean_path(self, pois, rng):
-        # mean 160 exceeds the inversion cutoff; check the moments still match
         draws = sample_scaled_sum(pois, 32.0, 5, rng, size=50_000)
         assert abs(np.mean(draws) - 160.0) <= 4 * math.sqrt(160.0 / 50_000)
 
-    def test_pmf_matches_monte_carlo(self, bern, rng):
-        n, x, trials = 6, 0.4, 100_000
-        draws = sample_scaled_sum(bern, x, n, rng, size=trials)
-        for k in range(n + 1):
-            freq = float(np.mean(draws == k))
-            p = family_pmf(bern, x, n, k)
-            se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
-            assert abs(freq - p) <= 5 * se
+    def test_pmf_matches_monte_carlo(self, bern, pois, rng):
+        # Binomial(6, 0.4) on its whole support, Poisson(2) up to k = 12
+        trials = 100_000
+        for fam, x, n, ks in ((bern, 0.4, 6, range(7)), (pois, 1.0, 2, range(13))):
+            draws = sample_scaled_sum(fam, x, n, rng, size=trials)
+            for k in ks:
+                freq = float(np.mean(draws == k))
+                p = family_pmf(fam, x, n, k)
+                se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
+                assert abs(freq - p) <= 5 * se, (fam.kind, k)
 
     def test_normalized_sums_are_standardized(self, bern, rng):
-        z = normalized_sum_samples(bern, 0.3, 50, 200_000, rng=rng)
+        z = normalized_sum_samples(bern, 0.3, 50, 200_000, rng)
         assert abs(np.mean(z)) <= 4 / math.sqrt(200_000) * 1.5
         assert np.var(z) == pytest.approx(1.0, abs=0.02)
-
-    @pytest.mark.parametrize("mu", [0.5, 5.0, 29.9])
-    @pytest.mark.parametrize("seed", [0, 1, 12345])
-    def test_poisson_inversion_matches_sequential_search(self, mu, seed):
-        for size in (None, 1, 1000, (20, 3)):
-            got = _poisson_inversion(mu, np.random.default_rng(seed), size)
-            want = loop_poisson_inversion(mu, np.random.default_rng(seed), size)
-            if size is None:
-                assert type(got) is int and got == want
-            else:
-                assert got.dtype == np.int64 and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("mu", [0.5, 5.0, 29.9])
-    def test_poisson_inversion_caps_uniforms_beyond_the_saturated_cdf(self, mu):
-        # the cdf saturates at 1 or one ulp above, so only u past it reaches
-        # the last table index, where p has underflowed to 0
-        u = [0.0, 0.5, 1.0 - 2.0**-40, np.nextafter(1.0, 0.0), 1.0, 1.0 + 2.0**-52, 1.5, 2.0]
-        got = _poisson_inversion(mu, _FixedUniforms(u), len(u))
-        want = loop_poisson_inversion(mu, _FixedUniforms(u), len(u))
-        assert np.array_equal(got, want)
-        assert got[-1] == got[-2] > got[3]
 
     def test_spawned_streams_differ(self):
         r1, r2 = spawn_rngs(7, 2)

@@ -287,7 +287,7 @@ class TestGenericMc:
     def test_constant_zero_radius(self):
         f = builtin_catalog("constant", c=2.0)
         fam = bernoulli_family()
-        v = generic_mc(f, fam, 5, 0.5, 500, seed=3)
+        v = generic_mc(f, fam, 5, 0.5, 500, np.random.default_rng(3))
         assert v.value == 2.0
         assert v.error_radius == 0.0
         assert v.method == "monte-carlo"
@@ -295,26 +295,26 @@ class TestGenericMc:
     def test_matches_bernstein_exact(self):
         f = builtin_catalog("square")
         fam = bernoulli_family()
-        v = generic_mc(f, fam, 5, 0.5, 1_000_000, seed=11)
+        v = generic_mc(f, fam, 5, 0.5, 1_000_000, np.random.default_rng(11))
         assert abs(v.value - 0.30) <= v.error_radius
 
     def test_matches_szasz_exact(self):
         f = builtin_catalog("exp-decay")
         fam = poisson_family()
-        v = generic_mc(f, fam, 4, 1.0, 1_000_000, seed=12)
+        v = generic_mc(f, fam, 4, 1.0, 1_000_000, np.random.default_rng(12))
         assert abs(v.value - math.exp(4 * (math.exp(-0.25) - 1))) <= v.error_radius
 
     def test_deterministic_given_seed(self):
         f = builtin_catalog("square")
         fam = bernoulli_family()
-        a = generic_mc(f, fam, 3, 0.4, 1000, seed=9).value
-        b = generic_mc(f, fam, 3, 0.4, 1000, seed=9).value
+        a = generic_mc(f, fam, 3, 0.4, 1000, np.random.default_rng(9)).value
+        b = generic_mc(f, fam, 3, 0.4, 1000, np.random.default_rng(9)).value
         assert a == b
 
     def test_minimum_trials(self):
         f = builtin_catalog("square")
         with pytest.raises(ParameterError):
-            generic_mc(f, bernoulli_family(), 3, 0.4, 50, seed=1)
+            generic_mc(f, bernoulli_family(), 3, 0.4, 50, np.random.default_rng(1))
 
     def test_agreement_rate_over_random_configs(self, rng):
         # exact value inside the 3-sigma radius in at least 99% of 500 draws
@@ -332,7 +332,7 @@ class TestGenericMc:
                 f = builtin_catalog("exp-decay")
                 x = float(rng.uniform(1.0, 16.0))
                 exact = szasz_exact(f, 8, x, 1e-12).value
-            v = generic_mc(f, fam, 8, x, 2000, seed=1000 + i)
+            v = generic_mc(f, fam, 8, x, 2000, np.random.default_rng(1000 + i))
             if abs(v.value - exact) <= v.error_radius + 1e-12:
                 hits += 1
         assert hits >= 0.99 * total

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_conjugate_curve, fenchel_conjugate, gaussian_curve
+from conftest import (
+    brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, step_read,
+)
 
 from bernapprox import experiments, tails
 from bernapprox.errors import BoundaryWarning, ParameterError
@@ -26,6 +28,7 @@ from bernapprox.tails import (
     TabulatedPhi,
     conjugate_curve,
     empirical_atf,
+    empirical_half_width,
     family_nu,
     make_nu,
     phi_sup,
@@ -358,22 +361,6 @@ class TestPowerTail:
 
 
 class TestTailCurveType:
-    def test_exactly_one_representation(self):
-        with pytest.raises(ParameterError):
-            TailCurve(kind="bad")
-
-    def test_tabulated_must_be_nonincreasing(self):
-        with pytest.raises(ParameterError):
-            TailCurve(kind="t", u_grid=np.array([0.0, 1.0]), values=np.array([0.5, 0.9]))
-
-    def test_step_semantics(self):
-        curve = TailCurve(kind="t", u_grid=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([1.0, 0.5, 0.0]))
-        assert curve.at(0.0) == 1.0
-        assert curve.at(0.999) == 1.0
-        assert curve.at(1.0) == 0.5
-        assert curve.at(5.0) == 0.0
-
     def test_tail_z_max_bisection(self):
         curve = gaussian_curve()
         z = tail_z_max(curve)
@@ -381,12 +368,12 @@ class TestTailCurveType:
         assert curve.at(z - 1e-3) >= 1e-12
 
 
+BERN_US = np.arange(0.0, 4.01, 0.5)
+
+
 @pytest.fixture(scope="module")
 def bern_curve():
-    return empirical_atf(
-        bernoulli_family(), 0.5, np.arange(0.0, 4.01, 0.5), [1, 2, 4, 8, 16, 32, 64],
-        100_000, seed=20240809,
-    )
+    return empirical_atf(bernoulli_family(), 0.5, BERN_US, [1, 2, 4, 8, 16, 32, 64], 100_000, seed=20240809)
 
 
 class TestEmpiricalAtf:
@@ -396,16 +383,16 @@ class TestEmpiricalAtf:
 
     def test_two_point_distribution_at_half(self):
         curve = empirical_atf(bernoulli_family(), 0.5, np.array([0.5]), [1], 10_000, seed=3)
-        assert curve.values[0] == 1.0
+        assert curve.at(0.5) == 1.0
 
     def test_hoeffding_dominance(self, bern_curve):
-        for u, v, hw in zip(bern_curve.u_grid, bern_curve.values, bern_curve.half_widths):
+        for u, v, hw in zip(BERN_US, bern_curve.at(BERN_US), empirical_half_width(bern_curve, BERN_US)):
             assert v <= min(1.0, 2.0 * math.exp(-u * u / 2.0)) + 3.0 * hw
 
     def test_deterministic_given_seed(self):
         a = empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [4], 10_000, seed=5)
         b = empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [4], 10_000, seed=5)
-        assert a.values[0] == b.values[0]
+        assert a.at(1.0) == b.at(1.0)
 
     def test_trials_minimum(self):
         with pytest.raises(ParameterError):
@@ -418,9 +405,9 @@ class TestEmpiricalAtf:
 
     def test_clt_floor_at_large_n(self):
         # the tail cannot drop below half the Gaussian tail for moderate u
-        curve = empirical_atf(bernoulli_family(), 0.5, np.array([0.5, 1.0, 1.5, 2.0]),
-                              [4096], 100_000, seed=99)
-        for u, v, hw in zip(curve.u_grid, curve.values, curve.half_widths):
+        us = np.array([0.5, 1.0, 1.5, 2.0])
+        curve = empirical_atf(bernoulli_family(), 0.5, us, [4096], 100_000, seed=99)
+        for u, v, hw in zip(us, curve.at(us), empirical_half_width(curve, us)):
             gauss = math.erfc(u / math.sqrt(2.0))
             assert v >= 0.5 * gauss - 3.0 * hw
 
@@ -433,8 +420,28 @@ class TestEmpiricalAtf:
         us = np.arange(0.0, 4.01, 0.5)
         curve = conjugate_curve(family_nu(fam), 8.0)
         emp = empirical_atf(fam, x, us, [1, 4, 16, 64], 50_000, seed=11)
-        for u, v, hw in zip(emp.u_grid, emp.values, emp.half_widths):
+        for u, v, hw in zip(us, emp.at(us), empirical_half_width(emp, us)):
             assert v <= curve.at(float(u)) + 3.0 * hw
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        grid=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12, unique=True),
+        n_set=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        poisson=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_read_matches_the_table_oracle(self, grid, n_set, poisson, seed):
+        fam, x = (poisson_family(), 1.5) if poisson else (bernoulli_family(), 0.3)
+        us = np.sort(np.asarray(grid))
+        curve = empirical_atf(fam, x, us, n_set, 10_000, seed)
+        table, half_widths = empirical_table(fam, x, us, n_set, 10_000, seed)
+        # the grid points, the points between them, and points below and past the grid
+        probes = np.concatenate([us, (us[:-1] + us[1:]) / 2.0, [us[0] / 2.0, us[-1] + 0.5, us[-1] + 100.0]])
+        want = [step_read(us, table, u) for u in probes]
+        want_hw = [step_read(us, half_widths, u) for u in probes]
+        assert curve.at(probes).tolist() == want
+        assert [curve.at(float(u)) for u in probes] == want
+        assert empirical_half_width(curve, probes).tolist() == want_hw
 
 
 class TestConjugatePairType:
