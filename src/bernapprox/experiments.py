@@ -111,7 +111,9 @@ class ExperimentConfig:
     tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p", _unset_or(_POSITIVE))
     tail_k: Optional[float] = _key(
         "tail.k", None, "power-tail constant K (required; no default exists)", _unset_or(_POSITIVE))
-    tail_n_max: int = _key("tail.n_max", DEFAULT_N_MAX, "n scan cap for the envelope sup over n", _at_least(2**10))
+    tail_n_max: int = _key(
+        "tail.n_max", DEFAULT_N_MAX, "n scanned exactly; every larger n is covered by a certified bound",
+        _at_least(2**8))
     tail_lambda_cap: float = _key(
         "tail.lambda_cap", DEFAULT_LAMBDA_CAP, "conjugation lambda cap (auto-doubles up to 5 times)", _POSITIVE)
     tail_lambda_size: int = _key(

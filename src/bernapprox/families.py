@@ -231,6 +231,15 @@ def normalized_sum_samples(fam: Family, x: float, n: int, trials: int, rng: np.r
     return (sums - n * x) / (sig * math.sqrt(n))
 
 
+def zeta_bound(fam: Family) -> float:
+    """The largest |zeta(x)| over the x-domain.  A Bernoulli draw's values are
+    (1-x)/sigma and -x/sigma, whose larger magnitude max(x, 1-x)/sigma(x)
+    grows toward both ends of (0, 1); a Poisson draw has no bound."""
+    if fam.kind != "bernoulli":
+        raise ParameterError(f"zeta is unbounded for the {fam.kind} family")
+    return max(max(x, 1.0 - x) / float(fam.sigma(x)) for x in fam.x_domain)
+
+
 def zeta_log_mgf(fam: Family, x: float, lam) -> Union[float, np.ndarray]:
     """ln E exp(lam * zeta(x)) for the centered normalized single draw.
 

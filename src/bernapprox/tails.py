@@ -4,6 +4,8 @@ The chain is: phi(lambda) = max over sign and parameter x of the normalized
 log-MGF, attained at the two ends of the x-domain (so no x grid; proof in
 phi_sup); nu(lambda) = sup_n n phi(lambda/sqrt(n)); nu*(u) the Young-Fenchel
 conjugate; and the uniform-in-n tail bound Q(u) <= min(1, 2 exp(-nu*(u))).
+The sup over n is an exact scan of n <= ``tail.n_max`` and, for every
+larger n, a bound from phi's chords and Bennett's inequality (``make_nu``).
 
 Conjugation is a discrete Legendre transform over supporting lines.  nu is
 evaluated once, on lambda = 0 plus ``tail.lambda_size - 1`` geometric points
@@ -25,6 +27,7 @@ again errs on the dominating side.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -32,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundaryWarning, ParameterError
-from .families import Family, normalized_sum_samples, spawn_rngs, zeta_log_mgf
+from .families import Family, normalized_sum_samples, spawn_rngs, zeta_bound, zeta_log_mgf
 
 DEFAULT_LAMBDA_CAP = 50.0
 DEFAULT_LAMBDA_GRID_SIZE = 1001
@@ -43,7 +46,9 @@ LAMBDA_MIN = 1e-3  # smallest positive lambda of the conjugation grid
 # grows or trims the heap; at 2^17 each block page-faulted anew or not,
 # depending on the heap's state before the scan
 NU_BLOCK_BYTES = 2**16
-DEFAULT_N_MAX = 4096
+DEFAULT_N_MAX = 256
+# 8 ulp up: more than the rounding of a chord's sup of phi/t^2 (about 5 ulp) and of lam^2 times it
+ROUND_UP = 1.0 + 8.0 * np.finfo(float).eps
 TAIL_FLOOR = 1e-12
 Z_CAP = 64.0
 
@@ -142,31 +147,82 @@ class TabulatedPhi:
 # nu(lambda) = sup_n n phi(lambda / sqrt(n))
 # ---------------------------------------------------------------------------
 
-def make_nu(phi: Callable, n_max: int = DEFAULT_N_MAX) -> Callable:
-    """Vectorized nu(lambda): a scan over n in 1..n_max, or the Gaussian
-    limit lam^2 phi''(0)/2 where that is larger.
+def _bennett_ratio(y: float) -> float:
+    """(e^y - 1 - y) / y^2 for y > 0, rounded up: a series of positive terms
+    below 1, where the closed form cancels, and the closed form above."""
+    if y < 1.0:
+        val = math.fsum(y**k / math.factorial(k + 2) for k in range(24))  # tail < y^24 / 25!
+    else:
+        val = (math.expm1(y) - y) / (y * y)
+    return val * ROUND_UP
 
-    The scan plus the analytic limit brackets the supremum for convex phi
-    with quadratic behavior at the origin: scaled arguments beyond the scan
-    sit between the last scanned point and the limit.
+
+def make_nu(phi: TabulatedPhi, n_max: int = DEFAULT_N_MAX) -> Callable:
+    """Vectorized nu(lambda) = sup over every n >= 1 of n phi(lambda/sqrt(n)):
+    an exact scan of the table over n = 1..n_max, and the bound G below for
+    every larger n.
+
+    G(lam) = lam^2 R(lam/sqrt(n_max)), with R(s) = sup_{0<t<=s} phi_up(t)/t^2.
+    - G is the sup over real n >= n_max of n phi_up(lam/sqrt(n)): put
+      t = lam/sqrt(n), so n phi_up(t) = lam^2 phi_up(t)/t^2 and t runs over
+      (0, lam/sqrt(n_max)].
+    - phi_up >= phi, so G >= n phi(lam/sqrt(n)) for every n >= n_max.
+    - phi_up is c0 t^2 on the Bennett cell [0, t_1], t_1 the table's first
+      positive node, then the chords of the table's nodes, the first chord
+      starting at c0 t_1^2.  On the cell, every zeta(x) of the x-domain has
+      mean 0, variance 1 and |zeta| <= M, so Bennett (JASA 57, 1962) gives
+      phi(t) <= (e^{tM} - 1 - tM)/M^2 = t^2 g(tM) <= t^2 g(t_1 M) = c0 t^2,
+      g(y) = (e^y - 1 - y)/y^2 being increasing.  Past t_1 a chord of convex
+      phi lies above phi, the first one too since it starts above phi(t_1).
+    - phi_up is convex: c0 t^2 is, the chords' slopes increase with phi's,
+      and the first chord's slope, about t_1 ((1 + rho)/2 + M t_1/2) for the
+      node ratio rho = t_2/t_1 (1.0053 in family_nu's table), exceeds the
+      cell's end slope 2 c0 t_1, about t_1 (1 + M t_1/3).  Each
+      n phi_up(lam/sqrt(n)) is then convex in lam, and so are G, a sup of
+      them, and nu = max(scan, G), which the breakpoint read of
+      ``conjugate_curve`` needs.  All of this holds up to the rounding of the
+      table's values, which near t_1 is 1e-4 relative and can tilt a chord.
+    - On a chord a + b t, a <= 0 < b, the ratio (a + b t)/t^2 rises until
+      t = -2a/b and falls after it.  So each full chord's sup is read at that
+      point clipped to the chord, once; a running max of them gives R at the
+      nodes, and a lambda adds only its own partial chord.  The sups and c0
+      are rounded up by ROUND_UP.  G includes the n -> infinity limit
+      lam^2/2 <= c0 lam^2.
     """
-    if n_max < 2**10:
-        raise ParameterError(f"n_max must be at least 2^10, got {n_max}")
+    if n_max < 2**8:
+        raise ParameterError(f"n_max must be at least 2^8, got {n_max}")
     # n descending, so that each lambda's row of arguments lambda/sqrt(n) ascends
     ns = np.arange(n_max, 0, -1, dtype=float)
     inv_sqrt = 1.0 / np.sqrt(ns)
-    h = 1e-4
-    curvature = 2.0 * float(phi(h)) / (h * h)
     rows = max(1, NU_BLOCK_BYTES // (8 * n_max))
 
+    t, v = phi.t_grid[1:], phi.values[1:].copy()
+    c0 = _bennett_ratio(t[0] * zeta_bound(phi.fam))
+    v[0] = c0 * t[0] * t[0]
+    slope = np.diff(v) / np.diff(t)
+
+    def ratio(k, s):
+        """sup of chord k's phi_up(t)/t^2 over t in [t_k, s], rounded up."""
+        peak = np.clip(2.0 * (t[k] - v[k] / slope[k]), t[k], s)
+        return (v[k] + slope[k] * (peak - t[k])) / (peak * peak) * ROUND_UP
+
+    at_nodes = np.maximum.accumulate(np.concatenate([[c0], ratio(np.arange(slope.size), t[1:])]))
+
+    def beyond_scan(lam):
+        s = np.maximum(lam / math.sqrt(n_max) * ROUND_UP, t[0])  # s rounded up: R is nondecreasing
+        if np.any(s > t[-1]):
+            raise ParameterError(f"lambda {lam.max():g} reaches past the phi table at n = {n_max}")
+        k = np.maximum(np.searchsorted(t, s) - 1, 0)
+        return lam * lam * np.maximum(at_nodes[k], ratio(k, s))
+
     def nu(lam):
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+        lam_arr = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
         best = np.empty(lam_arr.shape)
         for start in range(0, lam_arr.size, rows):
             block = lam_arr[start:start + rows]
-            vals = ns[None, :] * np.asarray(phi(np.abs(block)[:, None] * inv_sqrt[None, :]), dtype=float)
+            vals = ns[None, :] * np.asarray(phi(block[:, None] * inv_sqrt[None, :]), dtype=float)
             best[start:start + rows] = np.max(vals, axis=1)
-        best = np.maximum(best, 0.5 * lam_arr * lam_arr * curvature)
+        best = np.maximum(best, beyond_scan(lam_arr))
         if np.isscalar(lam):
             return float(best[0])
         return best
@@ -307,9 +363,10 @@ def empirical_atf(
 
     The frequencies on the grid ``us`` are made nonincreasing and capped at 1,
     and the curve reads them by the right-continuous step rule: at u it is
-    the value of the largest grid point <= u, the first value below the
-    grid and the last one past it.  ``empirical_half_width`` gives one
-    binomial standard error of that value.
+    the value of the largest grid point <= u, and the last one past the
+    grid.  Below the grid it is 1, the only value that dominates every tail
+    there.  ``empirical_half_width`` gives one binomial standard error of
+    that value.
     """
     ns = sorted(set(int(n) for n in n_set))
     if not ns:
@@ -325,9 +382,10 @@ def empirical_atf(
         z = np.abs(normalized_sum_samples(fam, x, n, trials, rng))
         freqs[row] = np.mean(z[None, :] > us[:, None], axis=1)
     vals = np.minimum(1.0, np.maximum.accumulate(freqs.max(axis=0)[::-1])[::-1])  # enforce nonincreasing
+    steps = np.concatenate([[1.0], vals])  # steps[i] holds from us[i - 1] on
 
     def fn(u):
-        return vals[np.clip(np.searchsorted(us, u, side="right") - 1, 0, us.size - 1)]
+        return steps[np.searchsorted(us, u, side="right")]
 
     return TailCurve(
         kind="empirical",

@@ -212,14 +212,14 @@ def empirical_table(fam: Family, x: float, u_grid, n_set, trials: int, seed):
     return vals, np.sqrt(vals * (1.0 - vals) / trials)
 
 
-def step_read(u_grid, table, u: float) -> float:
+def step_read(u_grid, table, u: float, below: float) -> float:
     """The right-continuous step rule: the entry of the largest grid point <= u,
-    the first entry below the grid."""
-    i = 0
+    ``below`` below the grid."""
+    out = below
     for k, g in enumerate(u_grid):
         if g <= u:
-            i = k
-    return float(table[i])
+            out = table[k]
+    return float(out)
 
 
 def gaussian_curve() -> TailCurve:

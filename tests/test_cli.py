@@ -210,7 +210,7 @@ class TestUsageErrors:
         ["evaluate"], ["tail"], ["run", "--set", "family.kind=poisson", "--set", "function.name=exp-decay"],
     ], ids=["evaluate", "tail", "poisson-run"])
     @pytest.mark.parametrize("key,value", [
-        ("tail.n_max", "5"), ("tail.n_max", "1023"), ("grids.z_size", "1"), ("grids.z_size", "0"),
+        ("tail.n_max", "5"), ("tail.n_max", "255"), ("grids.z_size", "1"), ("grids.z_size", "0"),
         ("grids.h_size", "4"), ("grids.h_size", "1"),
     ])
     def test_grid_and_tail_sizes_checked_with_the_config(self, runner, tmp_path, cmd, key, value):

@@ -45,94 +45,94 @@ CONFIGS = {
 GOLDEN = {
     "bern-mc": {
         "run": {
-            "report.json": "8d2bcb8d9bdba82c93291a3192af7919824dd912935a7ab9ae12a20e5d6317bd",
+            "report.json": "ff5458db58f8ccc986a6d1589f7147e86e51a109579097a69137b33d2a1a923e",
             "table.csv": "a4be35909c87bc28fef0d48b4b39d4e46618b2d7133e36a8e88d62a56463bbbf",
         },
         "bound": {
             "bound.csv": "8e147f62a6e39194275880d2ce7b8c187ec983d108781bcabe5fe11a4b804e24",
-            "bound.json": "057f7da052a7780eff148f8c5ea87afb41f8d39d64e540882c8406dd99d1efae",
+            "bound.json": "b0d02cfdb069ffa86a906e424ed6fdbccc533c0c3ca1ed94abd03b3b4fed8623",
         },
         "evaluate": {
-            "evaluate.json": "ce0dcb5d5d3c7dff33bbfb819e0e4e43a855d31272c19241a1eeb4b3068cdf04",
+            "evaluate.json": "2f02f5b615f486a5d3683175c8b951497e882c704a6e0a58baee016782c693f9",
             "evaluate_n16.csv": "3cb5e402ccff87a1725f2891b048dba622d9e41aa503f292226225a872faceda",
             "evaluate_n64.csv": "5e9d38c7c19be22dc0dc65cf3a81e3a4fcb182dcb4295623393cd4bfa2932250",
         },
         "modulus": {
             "modulus.csv": "3ac28989ce5dd0a00935dade02969d3beb7d2eb644c49607bea6475471555e78",
-            "modulus.json": "cf9e4bd118bdb4759b7cca668dc731a2f745df14f48ef1460ca0d0056f2a8b26",
+            "modulus.json": "0c1158374f8127d902204a4ad7403c920c600376331d72336f5e1a2688a181b8",
         },
         "tail": {
             "tail.csv": "9599110b616e1b55a5185ccbb82fe7dfecc3351cd9419cbfb5aaca5a54baab2c",
-            "tail.json": "6fcea1a419c1df48640fa9a0112c9d6f8f07142b3ac0c3812fee626a853db906",
+            "tail.json": "78cd31f920e7a44b8e7814d1a9c7d93dfd043eb72dac34cfe18314aeeec8a04d",
         },
     },
     "bern-cusp": {
         "run": {
-            "report.json": "c53c7e2957ac934c5bcf04770ccf4247bb783c56d77f11e1b3b5a3aef1be1f52",
+            "report.json": "f6bcefe5da45ab1e4a1711668d4ca98021001467c8e2ae5f9b987315fccda487",
             "table.csv": "b1c212cdc16a8c660f756c28d1236d37d2ca337e896c849a0783ff95a3d4b84f",
         },
         "bound": {
             "bound.csv": "f45af55fa8b63e67f8a2a66695c7cc3640f91be1e734a1ca0b8b6201c95d54e3",
-            "bound.json": "03bed32bec8cfb4ca8ee5820933a5fbac60d8b9dc7eba0e7e02eb19607474850",
+            "bound.json": "a88bf56275e42f31c582d6102d073d0d38e99061ec386a0e206428df7d3cc2f6",
         },
         "evaluate": {
-            "evaluate.json": "91b05fa5e017ba51ead2e46ed5573673f06480e2d4caa2d2287e8270807a8705",
+            "evaluate.json": "8c5c25569774b03d4c91fb1a6c71ccf5f901bf393224ba609cbddb37a7404a56",
             "evaluate_n16.csv": "8388c3e15d353af14520ae36cbbd744e81aad5ba497846fa435cd85733949f08",
             "evaluate_n64.csv": "06f49250b75373d5f89a61afef345dfce15aa27c8fe1f37aa2b243af11765ebc",
         },
         "modulus": {
             "modulus.csv": "54727fb0529a34c780a96d47fdb11944aeeeef47f5fd85d5aaa65b2438c59aa0",
-            "modulus.json": "43c093422e102bb1fa7cb7b7f84028a80911bfa46d0b758dbe18fff773001c40",
+            "modulus.json": "29da57a749eb78a17b4f96e78a1b2dadeddf918aee29b2a1e3de464706b8aa16",
         },
         "tail": {
             "tail.csv": "e3d064e40ac45577f05adb88843c71fca64aaf0e740d20056a22e9b0c1254ca5",
-            "tail.json": "d8401ee6034c19a786b66e10d6c846ca870ca13fb96813089d2e7bc8b1684ceb",
+            "tail.json": "d8c52c7986801b46d9e08b41d8591643c7f8c826e97e3e6438288910d6d53cb0",
         },
     },
     "bern-cusp-cap": {
         "run": {
-            "report.json": "7188507c0fbc7e770250e0ec71f963f436024e044917bf145a35206f8ffab218",
+            "report.json": "25f98b6fe65b128438d729d777950ec6da888c184725e003994a325ca5614f06",
             "table.csv": "9e7ca09af6f4187252ebcaf247d34da931c36108fa82534272409cfa77694fcd",
         },
         "bound": {
             "bound.csv": "5a14b9d594089ba0ab20bad627a59e6a3b1e804e8fd6f2fb8a7c78689ae189a9",
-            "bound.json": "13fd8a7146951be2c270dac96d34a04fd3d30990f8d0c5e39915f2d365e8cc9b",
+            "bound.json": "616692031399714a96198d1009805e21aee626d993417171fb418b4cb85bc8c6",
         },
         "evaluate": {
-            "evaluate.json": "4b7e61ebcd9c2e212db4a69395261ad4e773b165b2f02fd213b73ea29cf55ea2",
+            "evaluate.json": "2f78b051a41ea67a89004cd553607cf7d57547f14174170fb3c5b17e7151009e",
             "evaluate_n16.csv": "8388c3e15d353af14520ae36cbbd744e81aad5ba497846fa435cd85733949f08",
             "evaluate_n64.csv": "06f49250b75373d5f89a61afef345dfce15aa27c8fe1f37aa2b243af11765ebc",
         },
         "modulus": {
             "modulus.csv": "54727fb0529a34c780a96d47fdb11944aeeeef47f5fd85d5aaa65b2438c59aa0",
-            "modulus.json": "87e3be02d3aa2c85dfe25e74107d63be877c2d7c672b891364149d4419aa9584",
+            "modulus.json": "b07e15ea753d512c48a219865b0228001a08bc403137cad7f6190cd4f9acbee0",
         },
         "tail": {
             "tail.csv": "70d6a5b211c4a1fc58c9595e1f14ab3fb209d9f8c4dc9bce10b5434f10e63dfe",
-            "tail.json": "2e4e939c05dad000ec020b92c4cfc80af516802cfd7ff591ba045c66c890e9af",
+            "tail.json": "9660db5dc81fbc0f6401f796f2834550ae93a6209afeee923a8cbbf92cc98d34",
         },
     },
     "poisson-exp": {
         "run": {
-            "report.json": "b3308d0838ba4ddbc64c6425358480259788fc105404b84660c1c570893d6418",
+            "report.json": "58bb77c815f823870a78ed78043653dab88d34393ade2e611692f9d7eb089edb",
             "table.csv": "75b13acdf43209b0dad98805953c0838e7f7234b1c8645821513fc47882d3f55",
         },
         "bound": {
             "bound.csv": "a8b17ae7b0b5d1bc913d3b1c820bae8f3a81247da27731ab1fc8e0ae906bcfd9",
-            "bound.json": "6616ac6c2db867fec174bf136ac10d12c909d57f4928a607aecd99c94e6f31ab",
+            "bound.json": "5ea32cce97bd1236af3cdcc1a270f236c98b8fcacd25d0bc3ce78f3cb50329df",
         },
         "evaluate": {
-            "evaluate.json": "915246c5c5e872e25dc1ee0f7090ce53deccfdab7600bd75bc4b6dfd4159e9da",
+            "evaluate.json": "6d433ad0cdb43c6625244529e52bd7f73ba804a64f10f7ae755dff872c342741",
             "evaluate_n16.csv": "e53019ec889c25322e664513ff23fbfc3c606f3e66c35ac5220a0a6ebde7a755",
             "evaluate_n64.csv": "e2ff2fb2c8cd8483eda2cfa963257448f5476a65e7dc7a2a915563996b810914",
         },
         "modulus": {
             "modulus.csv": "d08b0383e54bf05ca8b5803ee61821c792cc1fe4c6a7ff4ac92802026dd17fbe",
-            "modulus.json": "4c39529020970633f3b0411de37d8750f6efcb5e77b529db54e3b71dbf178373",
+            "modulus.json": "374026c1dbd8603643f2b294edd56c6c9b5fd2ef6ff7ab1eb292272c098a76a4",
         },
         "tail": {
             "tail.csv": "67d53ee5f782bdecbe7d483716d6478ecfc84e4caa72c841461f49ff4d0ff964",
-            "tail.json": "6d1c501d106fd9e35c18f7c176b61b59db987c75f7fd7ad2ffe562a5236254fa",
+            "tail.json": "01d8cc70750773426b58b937fcfb596051a08b137f5ceeb4fbdbf94457aa56d7",
         },
     },
 }

@@ -218,9 +218,14 @@ class TestNuEnvelope:
             nu_envelope(SUBGAUSS, 1.0, n_max=100)
 
     def test_make_nu_matches_envelope(self):
-        nu = make_nu(POISSON_PHI)
-        for lam in (0.2, 1.0, 2.5):
-            assert nu(lam) == pytest.approx(nu_envelope(POISSON_PHI, lam).value, rel=1e-9)
+        # where the sup sits at n <= 256 the scan is the oracle's; past that nu only adds
+        tab = TabulatedPhi(bernoulli_family(0.05), t_max=TABLE_CAP)
+        nu = make_nu(tab)
+        for lam in (0.2, 1.0, 2.5, 10.0):
+            env = nu_envelope(tab, lam)
+            assert env.maximizer_n <= tails.DEFAULT_N_MAX
+            assert nu(lam) == pytest.approx(env.value, rel=1e-9)
+        assert nu(40.0) >= nu_envelope(tab, 40.0).value
 
 
 class TestFenchelConjugate:
@@ -381,6 +386,14 @@ class TestEmpiricalAtf:
         # at x = 1/2 the n = 1 summand is +-1, so P(|zeta| > 0) = 1 exactly
         assert bern_curve.at(0.0) == 1.0
 
+    def test_reads_one_below_the_grid(self):
+        # P(|zeta_4| > 0) = 0.625 at x = 1/2; the first grid value, P(|zeta_4| > 1), would be 0.125
+        curve = empirical_atf(bernoulli_family(), 0.5, [1.0, 2.0], [4], 10_000, seed=5)
+        assert curve.at(0.0) == 1.0
+        assert curve.at(np.array([0.0, 0.999, 1.0])).tolist() == [1.0, 1.0, curve.at(1.0)]
+        assert curve.at(1.0) < 0.2
+        assert empirical_half_width(curve, 0.5) == 0.0
+
     def test_two_point_distribution_at_half(self):
         curve = empirical_atf(bernoulli_family(), 0.5, np.array([0.5]), [1], 10_000, seed=3)
         assert curve.at(0.5) == 1.0
@@ -437,8 +450,8 @@ class TestEmpiricalAtf:
         table, half_widths = empirical_table(fam, x, us, n_set, 10_000, seed)
         # the grid points, the points between them, and points below and past the grid
         probes = np.concatenate([us, (us[:-1] + us[1:]) / 2.0, [us[0] / 2.0, us[-1] + 0.5, us[-1] + 100.0]])
-        want = [step_read(us, table, u) for u in probes]
-        want_hw = [step_read(us, half_widths, u) for u in probes]
+        want = [step_read(us, table, u, below=1.0) for u in probes]
+        want_hw = [step_read(us, half_widths, u, below=0.0) for u in probes]
         assert curve.at(probes).tolist() == want
         assert [curve.at(float(u)) for u in probes] == want
         assert empirical_half_width(curve, probes).tolist() == want_hw
@@ -478,7 +491,7 @@ class TestNuScan:
             assert np.array_equal(make_nu(phi)(lambdas), default)
 
     def test_nu_memory_is_blocked(self, lambdas):
-        # unblocked, 1001 lambdas against n_max = 4096 would hold 32 MB per temporary
+        # unblocked, 1001 lambdas against n_max = 256 would hold 2 MB per temporary
         fam = bernoulli_family(0.05)
         tracemalloc.start()
         try:
@@ -499,6 +512,18 @@ class TestNuScan:
         Study(ExperimentConfig()).curve
         assert len(calls) <= 4
 
+    def test_building_the_curve_scans_the_table_at_most_lambda_size_times_n_max(self, monkeypatch):
+        points = []
+        call = TabulatedPhi.__call__
+
+        def counting(tab, t):
+            points.append(np.size(t))
+            return call(tab, t)
+
+        monkeypatch.setattr(TabulatedPhi, "__call__", counting)
+        Study(ExperimentConfig()).curve
+        assert 0 < sum(points) <= 1001 * 256  # the default tail.lambda_size x tail.n_max
+
     def test_q_does_not_depend_on_the_x_grid(self):
         def q(**grid):
             study = Study(ExperimentConfig(family_eps=0.05, **grid))
@@ -509,6 +534,48 @@ class TestNuScan:
             z, vals = q(x_grid_size=size, x_grid_kind=kind)
             assert z == ref_z
             assert np.array_equal(vals, ref_q)
+
+
+def nu_over_all_n(fam, lam: float, n_top: int = 2**22, t_min: float = 1e-3) -> float:
+    """Oracle: max of n phi_sup(lam/sqrt(n)) over n = 1..n_top with lam/sqrt(n) >= t_min,
+    in blocks of n.  Below t_min phi_sup's logaddexp rounding exceeds 1e-9 relative."""
+    best, n_hi = 0.0, min(n_top, int((lam / t_min) ** 2))
+    for start in range(1, n_hi + 1, 2**18):
+        ns = np.arange(start, min(start + 2**18, n_hi + 1), dtype=float)
+        best = max(best, float(np.max(ns * phi_sup(fam, lam / np.sqrt(ns)))))
+    return best
+
+
+class TestNuEveryN:
+    """nu is a sup over every n, not only over the scanned n <= tail.n_max."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(eps=st.floats(min_value=1e-9, max_value=0.5, exclude_max=True), j=st.integers(1, 1000))
+    def test_nu_dominates_the_sup_over_n_up_to_2_to_the_22(self, eps, j):
+        fam = bernoulli_family(eps)
+        lam = float(np.geomspace(tails.LAMBDA_MIN, TABLE_CAP, 1000)[j - 1])
+        assert family_nu(fam)(lam) >= nu_over_all_n(fam, lam)
+
+    def test_nu_at_50_reaches_the_sup_past_the_scan(self):
+        # the old 4096-term scan gave 72,848; the sup over n <= 2^22 sits at n = 13,115
+        fam = bernoulli_family()
+        assert nu_over_all_n(fam, 50.0) >= 90_400.0
+        assert family_nu(fam)(50.0) >= nu_over_all_n(fam, 50.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(eps=st.floats(min_value=1e-9, max_value=0.5, exclude_max=True), doublings=st.integers(0, 5))
+    def test_breakpoints_are_nondecreasing_up_to_the_largest_cap(self, eps, doublings):
+        grid = np.concatenate([[0.0], np.geomspace(tails.LAMBDA_MIN, tails.DEFAULT_LAMBDA_CAP * 2**doublings, 1000)])
+        breaks = np.diff(family_nu(bernoulli_family(eps))(grid)) / np.diff(grid)
+        assert np.all(np.diff(breaks) >= 0.0)
+
+    def test_the_bound_past_the_scan_needs_the_table(self):
+        with pytest.raises(ParameterError, match="past the phi table"):
+            make_nu(TabulatedPhi(bernoulli_family(0.05), t_max=20.0, size=801))(20.0 * 17)
+
+    def test_n_max_floor(self):
+        with pytest.raises(ParameterError, match="2\\^8"):
+            make_nu(TabulatedPhi(bernoulli_family(0.05), t_max=20.0, size=801), n_max=255)
 
 
 class TestConjugateCurve:
