@@ -14,34 +14,15 @@ from __future__ import annotations
 import configparser
 import difflib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import Field, fields
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
 from .experiments import ExperimentConfig
 
-
-@dataclass(frozen=True)
-class Field:
-    kind: str  # int | float | str | int-list | opt-float
-    default: object
-    help: str
-    accepts: str  # what the config requires of the value
-
-
-# field annotation (a string under postponed evaluation) -> value kind
-_KINDS = {
-    "int": "int", "float": "float", "str": "str",
-    "Optional[float]": "opt-float", "tuple[int, ...]": "int-list",
-}
-
-SCHEMA: dict[str, Field] = {
-    f.metadata["key"]: Field(_KINDS[f.type], f.default, f.metadata["help"], f.metadata["accepts"][0])
-    for f in fields(ExperimentConfig)
-}
-_KEY_TO_ATTR = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
-_ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
+SCHEMA: dict[str, Field] = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+_ATTR_TO_KEY = {f.name: key for key, f in SCHEMA.items()}
 
 
 def _unknown_key(key: str):
@@ -64,26 +45,31 @@ def _float(raw) -> float:
     return float(raw)
 
 
+def _opt_float(raw) -> Optional[float]:
+    """None for None, an empty string or 'none'; else ``_float(raw)``."""
+    if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("", "none")):
+        return None
+    return _float(raw)
+
+
+def _int_list(raw) -> tuple[int, ...]:
+    """A list, or a string of integers split at commas and spaces, as a tuple of ints."""
+    items = raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
+    return tuple(_int(v) for v in items)
+
+
+# field annotation (a string under postponed evaluation) -> parser of a raw value
+_PARSERS = {
+    "int": _int, "float": _float, "str": str,
+    "Optional[float]": _opt_float, "tuple[int, ...]": _int_list,
+}
+
+
 def _coerce(key: str, raw) -> object:
-    fld = SCHEMA[key]
     try:
-        if fld.kind == "int":
-            return _int(raw)
-        if fld.kind == "float":
-            return _float(raw)
-        if fld.kind == "str":
-            return str(raw)
-        if fld.kind == "opt-float":
-            if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("", "none")):
-                return None
-            return _float(raw)
-        if fld.kind == "int-list":
-            if isinstance(raw, (list, tuple)):
-                return tuple(_int(v) for v in raw)
-            return tuple(_int(tok) for tok in str(raw).replace(",", " ").split())
+        return _PARSERS[SCHEMA[key].type](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    raise ConfigError(f"unhandled field kind {fld.kind!r} for {key!r}")
 
 
 def _merge(base: dict, updates: dict) -> dict:
@@ -157,7 +143,7 @@ def resolve(
         flat = _merge(flat, overrides)
     if seed is not None:
         flat["run.seed"] = int(seed)
-    kwargs = {_KEY_TO_ATTR[k]: v for k, v in flat.items()}
+    kwargs = {SCHEMA[k].name: v for k, v in flat.items()}
     return ExperimentConfig(**kwargs)
 
 
@@ -174,10 +160,7 @@ def schema_sections() -> list[str]:
     blocks: dict[str, list[str]] = {}
     for key, fld in SCHEMA.items():
         sec = key.split(".", 1)[0]
-        if fld.kind == "int-list":
-            default = ",".join(str(v) for v in fld.default)
-        else:
-            default = str(fld.default)
+        default = ",".join(map(str, fld.default)) if isinstance(fld.default, tuple) else str(fld.default)
         blocks.setdefault(sec, []).append(f"  {key} = {default}")
-        blocks[sec].append(f"      {fld.help}; must be {fld.accepts}")
+        blocks[sec].append(f"      {fld.metadata['help']}; must be {fld.metadata['accepts'][0]}")
     return ["\n".join(lines) for lines in blocks.values()]

@@ -93,7 +93,7 @@ class ExperimentConfig:
     function_freq: float = _key("function.freq", 1.0, "frequency of the sine function", _POSITIVE)
     family_kind: str = _key("family.kind", "bernoulli", "operator family", _one_of("bernoulli", "poisson"))
     family_eps: float = _key("family.eps", 1e-3, "bernoulli x-domain trim: x in [eps, 1-eps]",
-                             ("in (0, 0.5)", lambda v: 0.0 < v < 0.5))
+                             ("in (0, 0.5) with 1 - eps < 1", lambda v: 0.0 < v < 0.5 and 1.0 - v < 1.0))
     family_x_min: float = _key("family.x_min", 1.0, "poisson x-domain lower endpoint", _POSITIVE)
     family_x_max: float = _key(
         "family.x_max", 64.0, "poisson x-domain and modulus x window upper endpoint, above family.x_min",
@@ -103,7 +103,7 @@ class ExperimentConfig:
     x_grid_size: int = _key("grids.x_size", 257, "x grid size for the sup over x and the modulus", _at_least(33))
     h_grid_size: int = _key(
         "grids.h_size", 65, "modulus h grid size (includes 0 and +-delta)",
-        ("odd and at least 3", lambda v: v >= 3 and v % 2 == 1))
+        ("at least 5 and 1 more than a multiple of 4", lambda v: v >= 5 and v % 4 == 1))
     delta_grid_size: int = _key("grids.delta_size", 49, "modulus delta grid size", _at_least(9))
     z_grid_size: int = _key("grids.z_size", 257, "z grid size for the Stieltjes enclosure", _at_least(2))
     tail_source: str = _key(

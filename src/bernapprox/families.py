@@ -65,8 +65,8 @@ class Family:
 
 def bernoulli_family(eps: float = 1e-3) -> Family:
     """Classical Bernstein family; endpoints trimmed by eps so sigma > 0."""
-    if not (0 < eps < 0.5):
-        raise ParameterError("eps must be in (0, 0.5)")
+    if not (0 < eps < 0.5 and 1.0 - eps < 1.0):
+        raise ParameterError("eps must be in (0, 0.5) with 1 - eps < 1")
     return Family("bernoulli", UNIT_INTERVAL, (eps, 1.0 - eps))
 
 

@@ -46,9 +46,11 @@ def resolve_grid(grid) -> np.ndarray:
 
 
 def symmetric_grid(delta: float, size: int) -> np.ndarray:
-    """Grid on [-delta, delta] containing both endpoints and 0 (size must be odd)."""
-    if size < 3 or size % 2 == 0:
-        raise ParameterError("symmetric grid size must be odd and >= 3")
+    """Grid on [-delta, delta] containing both endpoints and 0, whose every other point is
+    again such a grid, of size // 2 + 1 points: size must be at least 5 and 1 more than a
+    multiple of 4."""
+    if size < 5 or size % 4 != 1:
+        raise ParameterError(f"h grid size must be at least 5 and 1 more than a multiple of 4, got {size}")
     if delta < 0:
         raise ParameterError("delta must be nonnegative")
     return np.linspace(-delta, delta, size)

@@ -6,7 +6,8 @@ weight sigma is the family's own (``Family.sigma``): the central inequality
 rests on S_n - x = sigma(x) zeta_n / sqrt(n), so no other weight gives a
 bound.  The sup is approximated on an (x, h) grid; the h-grid always
 contains 0 and both endpoints +-delta, where monotone weights usually
-attain the sup.
+attain the sup.  The grid slack is read off every other x and h point of
+the same pass.
 
 The x-sup runs over explicit x points.  The bound holds only at the x they
 cover, so a study passes points over the family's interval, cut at the
@@ -81,16 +82,21 @@ class ModulusProfile:
         return out
 
 
-def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> float:
-    """max |f(x + h sigma(x)) - f(x)| over xs and an h grid on [-delta, delta], in
-    h-row blocks of at most 64 KiB per temporary: from about 110 KiB up, malloc
+def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> tuple[float, float]:
+    """(fine, coarse): max |f(x + h sigma(x)) - f(x)| over xs and an h grid on
+    [-delta, delta], and over its every other x and h point.  The h rows go in
+    blocks of at most 64 KiB per temporary: from about 110 KiB up, malloc
     returns their pages at every free and faults them in again for every delta."""
     if delta == 0.0:
-        return 0.0
+        return 0.0, 0.0
     hs = symmetric_grid(delta, h_grid_size)[:, None]
     rows = max(1, 2**13 // xs.size)
-    return max(float(np.max(np.abs(eval_clamped(f, xs + hs[i:i + rows] * sig) - base)))
-               for i in range(0, hs.size, rows))
+    fine = coarse = 0.0
+    for i in range(0, hs.size, rows):
+        d = np.abs(eval_clamped(f, xs + hs[i:i + rows] * sig) - base)
+        fine = max(fine, float(np.max(d)))
+        coarse = max(coarse, float(np.max(d[i % 2::2, ::2], initial=0.0)))
+    return fine, coarse
 
 
 def modulus_profile(
@@ -104,10 +110,12 @@ def modulus_profile(
     """Tabulate the modulus over an increasing delta grid starting at 0, the
     x-sup over the explicit increasing points ``x_grid``.
 
-    sigma(xs) and f(xs) are read once; the coarse pass takes every other
-    point of both.  The slack is estimated by comparing against the nested half-resolution
-    grid (every other x point, half the h points); the running-maximum fix
-    for discretization-induced dips is reported when it exceeds the slack.
+    sigma(xs) and f(xs) are read once, and f once at each (x, h) point.  The
+    slack is the largest gap to the nested half grid, the fine grid's every
+    other x and h point: ``h_grid_size`` is at least 5 and 1 more than a
+    multiple of 4, so those h points hold 0 and +-delta too.  The
+    running-maximum fix for discretization-induced dips is reported when it
+    exceeds the slack.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size < 2 or deltas[0] != 0.0 or np.any(np.diff(deltas) <= 0):
@@ -115,15 +123,7 @@ def modulus_profile(
     xs = resolve_grid(x_grid)
     sig = np.asarray(sigma(xs), dtype=float)
     base = np.asarray(eval_clamped(f, xs), dtype=float)
-    h_coarse = h_grid_size // 2 + 1
-    if h_coarse % 2 == 0:
-        h_coarse += 1
-
-    fine = np.empty(deltas.size)
-    coarse = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        fine[i] = _raw_modulus(f, xs, base, sig, float(d), h_grid_size)
-        coarse[i] = _raw_modulus(f, xs[::2], base[::2], sig[::2], float(d), h_coarse)
+    fine, coarse = np.array([_raw_modulus(f, xs, base, sig, float(d), h_grid_size) for d in deltas]).T
     slack = max(float(np.max(fine - coarse)), 0.0)
 
     values = np.maximum.accumulate(fine)

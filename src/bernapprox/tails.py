@@ -77,7 +77,8 @@ class TailCurve:
 
 
 def tail_z_max(curve: TailCurve, floor: float = TAIL_FLOOR, cap: float = Z_CAP) -> float:
-    """Smallest grid z with Q(z) < floor, capped; bisected to ~1e-6."""
+    """Where Q drops below floor: bisects [0, cap] to a bracket of width <= 1e-6 and
+    returns its end with Q(z) < floor; 0 if Q(0) < floor, cap if Q(cap) >= floor."""
     if curve.at(0.0) < floor:
         return 0.0
     if curve.at(cap) >= floor:

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import Family, _check_n, normalized_sum_samples, spawn_rngs
-from bernapprox.functions import HolderSpec, TargetFunction
+from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
 from bernapprox.tails import (
     DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve,
     _lambda_grid, poisson_conjugate,
@@ -107,6 +107,26 @@ def szasz_window_oracle(mu: float, tail_tol: float) -> tuple[int, int]:
     lo = int(j[misses[0]]) if misses.size else int(j[-1]) + 1
     hi = int(k[hits[0]]) if hits.size else int(k[-1]) + 1
     return lo, hi
+
+
+def two_pass_modulus(f: TargetFunction, sigma, delta_grid, xs, h_size: int):
+    """Oracle for ``modulus_profile``'s single pass, as it was computed in two:
+    per delta, the max of |f(x + h sigma(x)) - f(x)| over xs and h_size h
+    points, then a second pass over xs[::2] and h_size // 2 + 1 h points.
+    Each pass is one array.  Returns (fine, coarse, slack, values)."""
+    xs = np.asarray(xs, dtype=float)
+    sig, base = np.asarray(sigma(xs), dtype=float), eval_clamped(f, xs)
+
+    def raw(x, s, b, delta, size):
+        if delta == 0.0:
+            return 0.0
+        hs = np.linspace(-delta, delta, size)[:, None]
+        return float(np.max(np.abs(eval_clamped(f, x + hs * s) - b)))
+
+    deltas = [float(d) for d in delta_grid]
+    fine = np.array([raw(xs, sig, base, d, h_size) for d in deltas])
+    coarse = np.array([raw(xs[::2], sig[::2], base[::2], d, h_size // 2 + 1) for d in deltas])
+    return fine, coarse, max(float(np.max(fine - coarse)), 0.0), np.maximum.accumulate(fine)
 
 
 def scale_function(f: TargetFunction, c: float) -> TargetFunction:

@@ -41,11 +41,15 @@ class TestHelp:
         res = runner.invoke(main, ["--help"])
         for key, fld in cfgmod.SCHEMA.items():
             assert key in res.output, key
-            if fld.kind == "int-list":
+            if isinstance(fld.default, tuple):
                 shown = ",".join(str(v) for v in fld.default)
             else:
                 shown = str(fld.default)
             assert f"{key} = {shown}" in res.output, key
+
+    def test_every_field_annotation_has_a_parser(self):
+        # a field of a new type would otherwise fail only when its key is set
+        assert {fld.type for fld in cfgmod.SCHEMA.values()} <= set(cfgmod._PARSERS)
 
     def test_every_key_shows_its_accepted_values(self, runner):
         lines = runner.invoke(main, ["--help"]).output.splitlines()
@@ -175,12 +179,14 @@ class TestUsageErrors:
         (["family.kind=foo"], "family.kind"),
         (["family.eps=0.7"], "family.eps"),
         (["family.eps=0"], "family.eps"),
+        # 1 - 1e-300 rounds to 1, so the x-domain would reach x = 1
+        (["family.eps=1e-300"], "family.eps"),
         (["family.kind=poisson", "function.name=exp-decay", "family.x_min=0"], "family.x_min"),
         (["family.kind=poisson", "function.name=exp-decay", "family.x_max=0.5"], "family.x_max"),
         # square lives on [0, 1], the Poisson x-domain is [1, 64]: the report would be about min(x, 1)^2
         (["family.kind=poisson"], "function.name=square lives on [0.0, 1.0], which does not hold the "
                                   "family.kind=poisson x-domain"),
-    ], ids=["freq-neg", "freq-inf", "c-inf", "c-nan", "kind", "eps-big", "eps-0", "x_min-0",
+    ], ids=["freq-neg", "freq-inf", "c-inf", "c-nan", "kind", "eps-big", "eps-0", "eps-tiny", "x_min-0",
             "x_max-low", "square-on-poisson"])
     def test_function_and_family_values_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
         # ExperimentConfig rejects them, so every subcommand does, whatever it reads
@@ -211,7 +217,7 @@ class TestUsageErrors:
     ], ids=["evaluate", "tail", "poisson-run"])
     @pytest.mark.parametrize("key,value", [
         ("tail.n_max", "5"), ("tail.n_max", "255"), ("grids.z_size", "1"), ("grids.z_size", "0"),
-        ("grids.h_size", "4"), ("grids.h_size", "1"),
+        ("grids.h_size", "4"), ("grids.h_size", "1"), ("grids.h_size", "7"),
     ])
     def test_grid_and_tail_sizes_checked_with_the_config(self, runner, tmp_path, cmd, key, value):
         res = runner.invoke(main, [*cmd, "--set", f"{key}={value}", "--out", str(tmp_path)])

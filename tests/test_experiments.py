@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bernapprox.errors import InsufficientDataError, ParameterError
@@ -249,3 +250,19 @@ def test_write_report_io_error(tmp_path):
 
     with pytest.raises(ReportIOError, match="missing"):
         write_report(make_table([]), "csv", tmp_path / "missing" / "t.csv")
+
+
+def test_profile_evaluates_f_once_per_grid_point():
+    # f(x) once, then f once per (x, h) point of each nonzero delta: the slack
+    # is read off these points, with no second pass over a half grid
+    cfg = ExperimentConfig()
+    study = Study(cfg)
+    evaluator, count = study.f.evaluator, [0]
+
+    def counting(x):
+        count[0] += np.size(x)
+        return evaluator(x)
+
+    study.f = replace(study.f, evaluator=counting)
+    _ = study.profile
+    assert count[0] <= cfg.x_grid_size * (1 + (cfg.delta_grid_size - 1) * cfg.h_grid_size) == 802_097

@@ -89,6 +89,12 @@ class TestSigma:
         with pytest.raises(ParameterError):
             pois.check_x(0.5)
 
+    def test_trim_too_small_to_move_the_upper_end_rejected(self):
+        # 1 - 1e-300 rounds to 1, which would put sigma's zero at the x-domain's upper end
+        with pytest.raises(ParameterError, match="1 - eps < 1"):
+            bernoulli_family(1e-300)
+        assert bernoulli_family(1e-16).x_domain[1] < 1.0
+
     def test_bounded_family_sigma_capped_by_half_range(self, bern):
         # values confined to [0, 1] force sigma <= (b - a)/2
         xs = np.linspace(*bern.x_domain, 101)

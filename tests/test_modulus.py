@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scale_function
+from conftest import scale_function, two_pass_modulus
 
 from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.families import bernoulli_family, poisson_family
-from bernapprox.functions import builtin_catalog, trial_function
+from bernapprox.functions import CATALOG_NAMES, builtin_catalog, trial_function
 from bernapprox.modulus import (
     ModulusProfile,
     _raw_modulus,
@@ -76,6 +76,13 @@ class TestDtModulusAt:
         f = builtin_catalog("sine")
         with pytest.raises(ParameterError):
             modulus_at(f, UNIT, 0.1, XS, h_grid_size=64)
+
+    @pytest.mark.parametrize("size", [3, 7, 11])
+    def test_h_grid_off_a_nested_half_grid_rejected(self, size):
+        # at 4k + 3 points 0 has an odd index, so every other h point skips it: no nested half grid
+        f = builtin_catalog("sine")
+        with pytest.raises(ParameterError, match="1 more than a multiple of 4"):
+            modulus_profile(f, UNIT, [0.0, 0.1], XS, h_grid_size=size)
 
     def test_grid_spec_is_refused(self):
         # the x-sup runs over explicit points; the caller picks the window
@@ -150,8 +157,8 @@ class TestRawModulusBlocks:
         base = f(XS)
         for delta in (1e-4, 0.03, 0.5, 1.0):
             hs = np.linspace(-delta, delta, 65)
-            one_pass = float(np.max(np.abs(f(XS[None, :] + hs[:, None] * sig[None, :]) - base[None, :])))
-            assert _raw_modulus(f, XS, base, sig, delta, 65) == one_pass
+            d = np.abs(f(XS[None, :] + hs[:, None] * sig[None, :]) - base[None, :])
+            assert _raw_modulus(f, XS, base, sig, delta, 65) == (float(np.max(d)), float(np.max(d[::2, ::2])))
 
     def test_temporaries_stay_in_64_kib_blocks(self):
         # a few live temporaries of at most 64 KiB each; one pass over 65 x 257
@@ -166,6 +173,25 @@ class TestRawModulusBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**16
+
+
+class TestOnePassSlack:
+    """The slack comes from the fine pass's own even points, bit for bit what a second pass gave."""
+
+    @given(name=st.sampled_from(CATALOG_NAMES), family=st.sampled_from(["bernoulli", "poisson"]),
+           h_size=st.sampled_from([5, 9, 65]), x_size=st.sampled_from([2, 33, 64, 257, 1000, 4097]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_two_pass_oracle(self, name, family, h_size, x_size):
+        fam = bernoulli_family() if family == "bernoulli" else poisson_family()
+        f = builtin_catalog(name)
+        xs = np.linspace(0.0, 1.0 if family == "bernoulli" else 64.0, x_size)
+        deltas = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 5)])
+        fine, coarse, slack, values = two_pass_modulus(f, fam.sigma, deltas, xs, h_size)
+        sig, base = fam.sigma(xs), f(xs)
+        assert [_raw_modulus(f, xs, base, sig, float(d), h_size) for d in deltas] == list(zip(fine, coarse))
+        prof = modulus_profile(f, fam.sigma, deltas, xs, h_size)
+        assert prof.enclosure_slack == slack
+        assert prof.values.tolist() == values.tolist()
 
 
 class TestHolderSeminorm:
@@ -226,9 +252,9 @@ def test_monotonicity_fix_beyond_slack_warns(monkeypatch):
 
     def fake_raw(f_, xs, base, sig, delta, h_size):
         calls["i"] += 1
-        # fine and coarse passes agree (slack 0) but values dip at delta 2
-        series = {0.0: 0.0, 1.0: 0.5, 2.0: 0.3}
-        return series[float(delta)]
+        # fine and coarse maxima agree (slack 0) but values dip at delta 2
+        value = {0.0: 0.0, 1.0: 0.5, 2.0: 0.3}[float(delta)]
+        return value, value
 
     monkeypatch.setattr(mod, "_raw_modulus", fake_raw)
     with pytest.warns(mod.GridResolutionWarning):
