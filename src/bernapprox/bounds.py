@@ -117,11 +117,7 @@ class HdtBoundResult:
 
     value: float
     constant: float
-    tail_remainder: float
     diverging: bool
-
-    def __float__(self):
-        return self.value
 
 
 def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
@@ -149,7 +145,7 @@ def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
     r = (math.log(q_before) - math.log(qz)) / h
     if r <= 0:
         return math.inf
-    return z_max ** (alpha - 1.0) * qz / r if alpha <= 1.0 else math.inf
+    return z_max ** (alpha - 1.0) * qz / r
 
 
 def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None) -> HdtBoundResult:
@@ -167,7 +163,7 @@ def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None
         raise ParameterError("n must be positive")
     alpha = h.alpha
     if h.seminorm == 0.0:
-        return HdtBoundResult(0.0, 0.0, 0.0, False)
+        return HdtBoundResult(0.0, 0.0, False)
     if z_max is None:
         z_max = tail_z_max(q)
     if not z_max > 0.0:
@@ -185,7 +181,7 @@ def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None
         )
     constant = cells + alpha * remainder
     value = h.seminorm * n ** (-alpha / 2.0) * constant
-    return HdtBoundResult(value, constant, remainder, diverging)
+    return HdtBoundResult(value, constant, diverging)
 
 
 def poisson_curve() -> TailCurve:

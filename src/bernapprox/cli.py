@@ -57,8 +57,6 @@ def _guard():
     except BernApproxError as exc:
         click.echo(f'error kind=runtime msg="{exc}"', err=True)
         sys.exit(3)
-    except click.ClickException:
-        raise
     except Exception as exc:  # anything unexpected is a runtime failure
         click.echo(f'error kind=runtime msg="{type(exc).__name__}: {exc}"', err=True)
         sys.exit(3)
@@ -150,14 +148,11 @@ def modulus(study: Study, outdir: Path):
     f, profile = study.f, study.interval_profile
     rows = [[d, v, profile.enclosure_slack] for d, v in zip(profile.deltas, profile.values)]
     write_csv(outdir / "modulus.csv", ["delta", "omega", "slack"], rows)
-    payload = {
-        **_echo(study.cfg), "metadata": profile.metadata,
-        "enclosure_slack": profile.enclosure_slack,
-    }
-    if f.holder is not None:
-        h = holder_seminorm(f, study.fam.sigma, f.holder.alpha, profile)
-        payload["holder"] = {"alpha": h.alpha, "seminorm": h.seminorm}
-    write_json(outdir / "modulus.json", payload)
+    h = holder_seminorm(f, study.fam.sigma, f.holder.alpha, profile)
+    write_json(outdir / "modulus.json", {
+        **_echo(study.cfg), "metadata": profile.metadata, "enclosure_slack": profile.enclosure_slack,
+        "holder": {"alpha": h.alpha, "seminorm": h.seminorm},
+    })
     click.echo(f"modulus: wrote profile ({profile.deltas.size} deltas) to {outdir}")
 
 
@@ -188,10 +183,9 @@ def bound(study: Study, outdir: Path):
         "ratio": r.empirical_delta / r.upper_bracket if r.upper_bracket > 0 else None,
     } for r in table.rows]
     write_csv(outdir / "bound.csv", BOUND_COLUMNS, [[r[c] for c in BOUND_COLUMNS] for r in rows])
-    holder = study.holder
+    h = study.holder
     write_json(outdir / "bound.json", {
-        **_echo(study.cfg), "rows": rows,
-        "holder": None if holder is None else {"alpha": holder.alpha, "seminorm": holder.seminorm},
+        **_echo(study.cfg), "rows": rows, "holder": {"alpha": h.alpha, "seminorm": h.seminorm},
     })
     summary = validity_check(table)
     click.echo(f"bound: wrote {len(rows)} rows, validity {'pass' if summary.passed else 'FAIL'} "

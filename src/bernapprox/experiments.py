@@ -210,7 +210,6 @@ class ConvergenceTable:
 class ValiditySummary:
     passed: bool
     violations: tuple[dict, ...]
-    checked_rows: int
     warning: Optional[str] = None
 
 
@@ -322,9 +321,8 @@ class Study:
         return build_modulus_profile(self.cfg, self.f, self.fam.sigma)
 
     @cached_property
-    def holder(self) -> Optional[HolderSpec]:
-        if self.f.holder is None:
-            return None
+    def holder(self) -> HolderSpec:
+        """H = sup omega(delta)/delta^alpha on ``profile``, at the catalog function's own alpha."""
         return holder_seminorm(self.f, self.fam.sigma, self.f.holder.alpha, self.profile)
 
     @cached_property
@@ -348,11 +346,9 @@ class Study:
     def stieltjes(self, n: int) -> BoundReport:
         return stieltjes_bound(self.profile, self.curve, n, z_grid=self.z_grid, f_sup=self.f.sup_abs)
 
-    def closed_form(self, n: int) -> Optional[float]:
-        """Holder closed form H n^{-alpha/2} * constant; None without Holder data."""
+    def closed_form(self, n: int) -> float:
+        """Holder closed form H n^{-alpha/2} * constant."""
         h = self.holder
-        if h is None:
-            return None
         return h.seminorm * n ** (-h.alpha / 2.0) * self.hdt_constant
 
     def row(self, n: int, trial: bool) -> ConvergenceRow:
@@ -420,9 +416,7 @@ def validity_check(table: ConvergenceTable) -> ValiditySummary:
     Violations are returned as data with their row context, never raised.
     """
     if not table.rows:
-        return ValiditySummary(
-            passed=True, violations=(), checked_rows=0, warning="empty table: vacuous pass"
-        )
+        return ValiditySummary(passed=True, violations=(), warning="empty table: vacuous pass")
     violations = []
     for r in table.rows:
         allowance = r.upper_bracket + r.error_radius
@@ -436,9 +430,7 @@ def validity_check(table: ConvergenceTable) -> ValiditySummary:
                     "excess": r.empirical_delta - allowance,
                 }
             )
-    return ValiditySummary(
-        passed=not violations, violations=tuple(violations), checked_rows=len(table.rows)
-    )
+    return ValiditySummary(passed=not violations, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +465,19 @@ def write_csv(path, header, rows) -> None:
     _write_text(path, buf.getvalue())
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float in it replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(path, payload: dict) -> None:
-    """Bit-stable JSON (UTF-8, LF, sorted keys, two-space indent)."""
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Bit-stable JSON (UTF-8, LF, sorted keys, two-space indent); a non-finite float,
+    which JSON cannot hold, is written as null."""
+    _write_text(path, json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_report(table: ConvergenceTable, fmt: str, destination) -> None:

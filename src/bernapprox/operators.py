@@ -60,7 +60,6 @@ class SupError:
     n: int
     delta: float
     argmax_x: float
-    x_grid_size: int
     error_radius: float
     values: tuple[OperatorValue, ...] = field(default=(), repr=False, compare=False)
 
@@ -202,7 +201,7 @@ def sup_errors(
         d = np.abs(np.array([ov.value for ov in values]) - eval_clamped(f, grid))
         i = int(np.argmax(d))  # the first maximum, in grid order
         out.append(SupError(
-            n=n, delta=float(d[i]), argmax_x=float(grid[i]), x_grid_size=int(grid.size),
+            n=n, delta=float(d[i]), argmax_x=float(grid[i]),
             error_radius=max(ov.error_radius for ov in values), values=values,
         ))
     return tuple(out)

@@ -74,10 +74,24 @@ class TestStieltjesBound:
         with pytest.raises(InsufficientDataError):
             stieltjes_bound(prof, q, 1, np.linspace(0.0, tail_z_max(q), 257))
 
+    def test_tail_mass_past_the_grid_without_sup(self):
+        # the profile covers every delta, but Q(z_max) > 0 needs 2 sup|f| to cap the rest
+        with pytest.raises(InsufficientDataError, match="sup"):
+            stieltjes_bound(linear_profile(8.0), gaussian_curve(), 1, np.linspace(0.0, 5.0, 65))
+
     def test_bad_z_grid(self):
         prof = linear_profile(8.0)
         with pytest.raises(ParameterError):
             stieltjes_bound(prof, gaussian_curve(), 1, z_grid=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bound", [
+        lambda n: stieltjes_bound(linear_profile(8.0), gaussian_curve(), n, np.linspace(0.0, 5.0, 65), 1.0),
+        lambda n: hdt_bound(HolderSpec(1.0, 1.0), gaussian_curve(), n),
+    ], ids=["stieltjes", "hdt"])
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_n_rejected(self, bound, n):
+        with pytest.raises(ParameterError, match="n must be positive"):
+            bound(n)
 
     def test_bound_report_invariants(self):
         with pytest.raises(ParameterError):
@@ -133,11 +147,24 @@ class TestHdtBound:
         rep = stieltjes_bound(prof, q, n, z_grid=np.linspace(0.0, 12.0, 4001), f_sup=10.0)
         assert rep.enclosure[0] - 1e-6 <= hdt.value <= rep.enclosure[1] + 1e-6
 
+    def test_curve_at_zero_by_z_max_has_no_remainder(self):
+        # Q drops 1 -> 0 at z = 1: the cells on [0, 2] sum to exactly 1 and nothing is left past 2
+        step = TailCurve(kind="step", fn=lambda u: np.where(u < 1.0, 1.0, 0.0))
+        res = hdt_bound(HolderSpec(1.0, 1.0), step, 1, z_max=2.0)
+        assert (res.value, res.constant, res.diverging) == (1.0, 1.0, False)
+
     def test_divergence_flag_for_flat_tail(self):
         flat = TailCurve(kind="flat", fn=lambda z: 0.5 * np.ones_like(np.asarray(z, dtype=float)))
         with pytest.warns(DivergenceWarning):
             res = hdt_bound(HolderSpec(1.0, 1.0), flat, 1, z_max=10.0)
         assert res.diverging
+
+    def test_divergence_flag_for_equal_logs(self):
+        # Q(z_max - h) > Q(z_max), but the two are adjacent floats with the same log: no decay rate
+        fn = lambda z: np.where(z < 1.0, 1.0, np.where(z < 10.0, np.nextafter(1e-300, 1.0), 1e-300))  # noqa: E731
+        with pytest.warns(DivergenceWarning):
+            res = hdt_bound(HolderSpec(1.0, 1.0), TailCurve(kind="steps", fn=fn), 1, z_max=10.0)
+        assert res.diverging and res.value == math.inf
 
 
 class TestHdtBoundExp:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields
@@ -197,13 +198,15 @@ class TestUsageErrors:
         assert key in res.output
 
     def test_trial_cusp_on_poisson_exit_two(self, runner, tmp_path):
-        res = runner.invoke(main, [
-            "run", "--set", "family.kind=poisson", "--set", "function.name=exp-decay",
-            "--set", "trial.x0=2", "--set", "trial.alpha=1", "--out", str(tmp_path),
-        ])
-        assert res.exit_code == 2
-        assert "error kind=usage" in res.output
-        assert "trial.x0" in res.output
+        # trial.x0 = 0.5 passes its own check, so the cross-key rule is what rejects it
+        for cmd in ("evaluate", "modulus", "tail", "bound", "run"):
+            res = runner.invoke(main, [
+                cmd, "--set", "family.kind=poisson", "--set", "function.name=exp-decay",
+                "--set", "trial.x0=0.5", "--set", "trial.alpha=1", "--out", str(tmp_path),
+            ])
+            assert res.exit_code == 2, cmd
+            assert "error kind=usage" in res.output
+            assert "need family.kind=bernoulli" in res.output
 
     @pytest.mark.parametrize("value", ["0", "1", "2"])
     def test_tiny_lambda_grid_exit_two(self, runner, tmp_path, value):
@@ -270,6 +273,33 @@ class TestUsageErrors:
         res = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("name,text,msg", [
+        ("bad.json", '{"run": ', "invalid JSON"),
+        ("list.json", "[16, 64]", "top-level JSON value must be an object"),
+        ("bad.cfg", "seed = 5\n", "invalid config"),
+    ], ids=["json-syntax", "json-list", "ini-no-section"])
+    def test_malformed_config_file_exit_two(self, runner, tmp_path, name, text, msg):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        res = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert msg in res.output
+
+    def test_unknown_demo_exit_two(self, runner, tmp_path):
+        res = runner.invoke(main, ["run", "--config", "demo:nope", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "no bundled demo config named 'nope'" in res.output
+
+
+def test_flat_and_nested_json_configs_agree(tmp_path):
+    flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
+    flat.write_text(json.dumps({"grids.x_size": 65, "run.n_grid": [16, 64]}))
+    nested.write_text(json.dumps({"grids": {"x_size": 65}, "run": {"n_grid": [16, 64]}}))
+    cfg = cfgmod.resolve(str(flat))
+    assert cfg == cfgmod.resolve(str(nested))
+    assert (cfg.x_grid_size, cfg.n_grid) == (65, (16, 64))
+
 
 class TestRuntimeErrors:
     def test_missing_config_file_exit_three(self, runner, tmp_path):
@@ -277,6 +307,21 @@ class TestRuntimeErrors:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 3
         assert "error kind=runtime" in res.output
+
+    def test_unwritable_report_exit_three(self, runner, tmp_path):
+        # a package error raised at run time, not a usage error: the report path is a directory
+        (tmp_path / "table.csv").mkdir()
+        res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST)
+        assert res.exit_code == 3
+        assert f'error kind=runtime msg="cannot write report to {tmp_path / "table.csv"}' in res.output
+
+
+def test_python_dash_m_entry_point(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bernapprox", "--version"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
+        runpy.run_module("bernapprox.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "bernapprox, version" in capsys.readouterr().out
 
 
 class TestRun:
@@ -396,6 +441,24 @@ class TestOtherSubcommands:
         lines = (out / "bound.csv").read_text().splitlines()
         assert lines[0] == "n,lower_bracket,upper_bracket,closed_form,empirical,ratio"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("eps", ["1e-16", "1e-13"])
+    def test_infinite_closed_form_is_null_in_json_and_inf_in_csv(self, runner, tmp_path, eps):
+        # at these trims Q stays above the floor up to tail.z_cap, so no decay rate bounds the rest
+        res = runner.invoke(main, ["bound", "--set", f"family.eps={eps}", "--out", str(tmp_path)] + FAST)
+        assert res.exit_code == 0, res.output
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads((tmp_path / "bound.json").read_text(), parse_constant=refuse)["rows"]
+        assert [r["closed_form"] for r in rows] == [None, None]
+        with open(tmp_path / "bound.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [r["closed_form"] for r in table] == ["inf", "inf"]
+        for line, row in zip(table, rows):
+            assert line == {**{c: "%.17g" % row[c] for c in line if c not in ("n", "closed_form")},
+                            "n": str(row["n"]), "closed_form": "inf"}
 
     def test_outputs_use_lf_line_endings(self, runner, tmp_path):
         out = tmp_path / "o"

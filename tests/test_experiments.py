@@ -227,11 +227,14 @@ def test_monte_carlo_mode_run():
     cfg = ExperimentConfig(
         function_name="square", n_grid=(16, 64), x_grid_size=65,
         delta_grid_size=17, z_grid_size=65, tail_lambda_size=301,
-        mode="monte-carlo", mc_trials=2000,
+        mode="monte-carlo", mc_trials=2000, trial_x0=0.5, trial_alpha=0.5,
     )
     table = Study(cfg).table(trial=True)
     assert all(r.error_radius > 0 for r in table.rows)
     assert validity_check(table).passed
+    # the trial cusp takes the exact path in either mode
+    exact = Study(replace(cfg, mode="exact")).table(trial=True)
+    assert [r.lower_ratio for r in table.rows] == [r.lower_ratio for r in exact.rows]
 
 
 def test_empirical_tail_source_run():

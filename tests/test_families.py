@@ -18,9 +18,10 @@ from bernapprox.families import (
     pmf_kernel,
     spawn_rngs,
     szasz_window,
+    zeta_bound,
     zeta_log_mgf,
 )
-from bernapprox.functions import builtin_catalog
+from bernapprox.functions import UNIT_INTERVAL, builtin_catalog
 from bernapprox.operators import generic_mc
 from conftest import family_pmf, szasz_truncation_point
 
@@ -88,6 +89,16 @@ class TestSigma:
             bern.check_x(0.0)
         with pytest.raises(ParameterError):
             pois.check_x(0.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Family("binomial", UNIT_INTERVAL, (0.1, 0.9)),
+        lambda: Family("bernoulli", UNIT_INTERVAL, (0.5, 0.5)),
+        lambda: poisson_family(2.0, 1.0),
+        lambda: poisson_family(0.0, 1.0),
+    ], ids=["unknown-kind", "empty-x-domain", "poisson-reversed", "poisson-zero-x-min"])
+    def test_bad_descriptors_rejected(self, build):
+        with pytest.raises(ParameterError):
+            build()
 
     def test_trim_too_small_to_move_the_upper_end_rejected(self):
         # 1 - 1e-300 rounds to 1, which would put sigma's zero at the x-domain's upper end
@@ -285,6 +296,11 @@ class TestSampling:
         assert abs(np.mean(z)) <= 4 / math.sqrt(200_000) * 1.5
         assert np.var(z) == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("n,trials", [(0, 10), (2.0, 10), (4, 0)])
+    def test_bad_n_or_trials_rejected(self, bern, rng, n, trials):
+        with pytest.raises(ParameterError):
+            normalized_sum_samples(bern, 0.5, n, trials, rng)
+
     def test_spawned_streams_differ(self):
         r1, r2 = spawn_rngs(7, 2)
         assert r1.random() != r2.random()
@@ -295,6 +311,10 @@ class TestSampling:
 
 
 class TestZetaLogMgf:
+    def test_poisson_zeta_has_no_bound(self, pois):
+        with pytest.raises(ParameterError, match="unbounded"):
+            zeta_bound(pois)
+
     @pytest.mark.parametrize("kind,x", [("bernoulli", 0.5), ("bernoulli", 0.02), ("poisson", 4.0)])
     def test_zero_at_zero(self, kind, x):
         fam = bernoulli_family(0.01) if kind == "bernoulli" else poisson_family()

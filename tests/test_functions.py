@@ -9,7 +9,9 @@ from conftest import scale_function
 
 from bernapprox.errors import CatalogError, DomainEvaluationError, ParameterError
 from bernapprox.functions import (
+    CATALOG_NAMES,
     HALF_LINE,
+    HolderSpec,
     Interval,
     TargetFunction,
     builtin_catalog,
@@ -22,6 +24,10 @@ class TestInterval:
     def test_rejects_reversed_endpoints(self):
         with pytest.raises(ParameterError):
             Interval(1.0, 0.0)
+
+    def test_rejects_infinite_left_endpoint(self):
+        with pytest.raises(ParameterError, match="finite"):
+            Interval(-math.inf, 1.0)
 
     def test_half_line_not_finite(self):
         assert not HALF_LINE.finite
@@ -101,6 +107,17 @@ class TestTrialFunction:
         with pytest.raises(ParameterError):
             trial_function(0.5, 1.5)
 
+    def test_half_line_cusp_has_no_sup_bound(self):
+        g = trial_function(2.0, 0.5, HALF_LINE)
+        assert g.sup_abs is None
+        assert g(6.0) == 2.0
+
+
+@pytest.mark.parametrize("alpha,seminorm", [(0.0, 1.0), (1.5, 1.0), (0.5, -1.0)])
+def test_holder_spec_rejects_bad_values(alpha, seminorm):
+    with pytest.raises(ParameterError):
+        HolderSpec(alpha, seminorm)
+
 
 class TestCatalog:
     def test_constant_everywhere(self):
@@ -124,6 +141,16 @@ class TestCatalog:
             builtin_catalog("square", c=2.0)
         with pytest.raises(ParameterError):
             builtin_catalog("constant", c=math.nan)
+        for freq in (0.0, math.inf):
+            with pytest.raises(ParameterError, match="freq"):
+                builtin_catalog("sine", freq=freq)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_every_catalog_function_carries_holder_and_sup_data(self, name):
+        # Study's Holder seminorm and closed form read both without a None branch
+        f = builtin_catalog(name)
+        assert isinstance(f.holder, HolderSpec)
+        assert f.sup_abs is not None and math.isfinite(f.sup_abs)
 
     @pytest.mark.parametrize(
         "name,params",

@@ -138,6 +138,14 @@ class TestProfile:
             ModulusProfile(np.array([0.1, 1.0]), np.array([0.0, 1.0]), 0.0)
         with pytest.raises(ParameterError):
             ModulusProfile(np.array([0.0, 1.0]), np.array([0.0, 1.0]), -1.0)
+        for deltas, values in (([0.0, 1.0], [0.0, 1.0, 2.0]), ([0.0], [0.0])):
+            with pytest.raises(ParameterError, match="matching 1-d"):
+                ModulusProfile(np.array(deltas), np.array(values), 0.0)
+
+    @pytest.mark.parametrize("deltas", [[0.0], [0.1, 0.2], [0.0, 0.2, 0.1]])
+    def test_bad_delta_grid_rejected(self, deltas):
+        with pytest.raises(ParameterError, match="delta grid"):
+            modulus_profile(builtin_catalog("sine"), UNIT, deltas, XS)
 
     def test_lookup_brackets_value(self):
         prof = ModulusProfile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.3, 0.4]), 0.0)
@@ -225,6 +233,13 @@ class TestHolderSeminorm:
         h_f = holder_seminorm(f, UNIT, 1.0, prof_f).seminorm
         h_cf = holder_seminorm(scale_function(f, c), UNIT, 1.0, prof_cf).seminorm
         assert h_cf == pytest.approx(abs(c) * h_f, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        f = builtin_catalog("identity")
+        prof = modulus_profile(f, UNIT, self.grid(f.interval), XS)
+        with pytest.raises(ParameterError, match="alpha"):
+            holder_seminorm(f, UNIT, alpha, prof)
 
     def test_needs_eight_nonzero_deltas(self):
         f = builtin_catalog("identity")

@@ -146,6 +146,10 @@ class TestSzasz:
         with pytest.raises(ParameterError):
             szasz_exact(f, 2, 1.0, 1e-3)
 
+    def test_negative_x_rejected(self):
+        with pytest.raises(ParameterError, match="x >= 0"):
+            szasz_exact(builtin_catalog("exp-decay"), 2, -0.5)
+
     def test_truncation_point_certifies_tail(self):
         # the dropped Poisson mass beyond the cut is below the tolerance
         mu, tol = 12.0, 1e-10

@@ -347,6 +347,11 @@ class TestPowerTail:
         with pytest.raises(ParameterError):
             PowerTailSpec(p=2.0, K=0.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_p_required_positive(self, p):
+        with pytest.raises(ParameterError, match="p must be positive"):
+            PowerTailSpec(p=p, K=1.0)
+
     def test_value_at_zero(self):
         assert power_tail_curve(PowerTailSpec(p=2.0, K=0.5)).at(0.0) == 1.0
 
@@ -371,6 +376,12 @@ class TestTailCurveType:
         z = tail_z_max(curve)
         assert curve.at(z) < 1e-12
         assert curve.at(z - 1e-3) >= 1e-12
+
+    @pytest.mark.parametrize("level,z_max", [(1e-13, 0.0), (1e-11, tails.Z_CAP)])
+    def test_tail_z_max_ends(self, level, z_max):
+        # below the floor from z = 0 on, or above it up to the cap
+        curve = TailCurve(kind="flat", fn=lambda u: np.full_like(u, level))
+        assert tail_z_max(curve) == z_max
 
 
 BERN_US = np.arange(0.0, 4.01, 0.5)
@@ -410,6 +421,13 @@ class TestEmpiricalAtf:
     def test_trials_minimum(self):
         with pytest.raises(ParameterError):
             empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [1], 100, seed=1)
+
+    @pytest.mark.parametrize("us,n_set", [
+        ([1.0], []), ([], [1]), ([2.0, 1.0], [1]), ([-1.0, 1.0], [1]), ([[1.0, 2.0]], [1]),
+    ], ids=["no-n", "empty-u", "decreasing-u", "negative-u", "2d-u"])
+    def test_bad_n_set_or_u_grid_rejected(self, us, n_set):
+        with pytest.raises(ParameterError):
+            empirical_atf(bernoulli_family(), 0.5, np.array(us), n_set, 10_000, seed=1)
 
     def test_needs_a_seed(self):
         # SeedSequence(None) would draw OS entropy
@@ -568,6 +586,12 @@ class TestNuEveryN:
         grid = np.concatenate([[0.0], np.geomspace(tails.LAMBDA_MIN, tails.DEFAULT_LAMBDA_CAP * 2**doublings, 1000)])
         breaks = np.diff(family_nu(bernoulli_family(eps))(grid)) / np.diff(grid)
         assert np.all(np.diff(breaks) >= 0.0)
+
+    @pytest.mark.parametrize("y", [0.25, 0.999, 1.0, 2.5, 30.0])
+    def test_bennett_ratio_rounds_up_on_both_forms(self, y):
+        # below y = 1 a series, from 1 on the closed form; y >= 1 needs a trim eps below about 1e-12
+        series = math.fsum(y**k / math.factorial(k + 2) for k in range(150))
+        assert series <= tails._bennett_ratio(y) <= series * (1.0 + 1e-14)
 
     def test_the_bound_past_the_scan_needs_the_table(self):
         with pytest.raises(ParameterError, match="past the phi table"):
@@ -765,3 +789,40 @@ class TestBreakpointSearch:
             same(np.array(us))
 
         check()
+
+    @pytest.mark.parametrize("which", ["bernoulli-0.001", "bernoulli-0.05"])
+    def test_inverted_breakpoints_only_raise_the_curve(self, read_nus, which):
+        # at 20001 lines the phi table's rounding inverts thousands of secant slopes, so the search
+        # may miss the line a full scan keeps; every line still lies below nu*, so a miss may only
+        # raise Q.  Each read of one call, ascending or descending, is at or above the full scan.
+        nu = read_nus[which]
+        grid, gv, breaks = frozen_lines(nu, 20001)
+        assert np.count_nonzero(np.diff(breaks) < 0.0) > 1000
+        u_max = 2.0 * tails.Z_CAP
+        edges = np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)])
+        us = np.sort(np.concatenate([np.linspace(0.0, u_max, 1001), edges[(edges >= 0.0) & (edges <= u_max)]]))
+        ref = full_scan_read(grid, gv, us)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryWarning)
+            oracle = brute_force_conjugate_curve(nu, tails.Z_CAP / 4.0, grid_size=20001)
+            assert np.array_equal(ref[::64], oracle.at(us[::64]))
+            curve = conjugate_curve(nu, tails.Z_CAP / 4.0, grid_size=20001)
+            assert np.all(curve.at(us) >= ref)
+            assert np.all(curve.at(us[::-1]) >= ref[::-1])
+
+
+def full_scan_read(grid, gv, us, block: int = 256) -> np.ndarray:
+    """Q at the ascending us as ``brute_force_conjugate_curve`` reads it, first maximum over
+    every line, 4-ulp rounding and all.  fl(u lambda_j - g_j) is nondecreasing in u, so over a
+    block of us from ua to ub a line can be a maximizer only if its value at ub reaches the best
+    value at ua; the others are skipped, which keeps the same first maximum."""
+    eps = np.finfo(float).eps
+    out = np.empty(us.size)
+    for s in range(0, us.size, block):
+        b = us[s:s + block]
+        keep = np.flatnonzero(b[-1] * grid - gv >= np.max(b[0] * grid - gv))
+        lines = b[:, None] * grid[keep] - gv[keep]
+        j = keep[np.argmax(lines, axis=1)]
+        best = lines.max(axis=1) - 4.0 * eps * (np.abs(b * grid[j]) + np.abs(gv[j]))
+        out[s:s + block] = np.minimum(1.0, 2.0 * np.exp(-np.maximum(best, 0.0)))
+    return out
