@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DivergenceWarning, InsufficientDataError, ParameterError
 from .functions import HolderSpec
 from .modulus import ModulusProfile
-from .tails import TailCurve, poisson_conjugate, tail_z_max
+from .tails import TailCurve, tail_z_max
 
 DIVERGENCE_FRACTION = 0.01
 HDT_Z_SIZE = 2049  # uniform nodes of the hdt_bound cell sum on [0, z_max]
@@ -182,12 +182,6 @@ def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None
     constant = cells + alpha * remainder
     value = h.seminorm * n ** (-alpha / 2.0) * constant
     return HdtBoundResult(value, constant, diverging)
-
-
-def poisson_curve() -> TailCurve:
-    """min(1, 2 exp(-(1+z)ln(1+z)+z)), the exact-conjugate Poisson tail."""
-    fn = lambda z: 2.0 * np.exp(-poisson_conjugate(np.abs(np.asarray(z, dtype=float))))  # noqa: E731
-    return TailCurve(kind="poisson-conjugate", fn=fn)
 
 
 def lower_bound_constant(alpha: float) -> float:

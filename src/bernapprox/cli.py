@@ -35,6 +35,7 @@ from .experiments import (
     write_report,
     write_timings,
 )
+from .families import RNG_NAME
 from .modulus import holder_seminorm
 from .tails import empirical_half_width
 
@@ -132,8 +133,8 @@ def evaluate(study: Study, outdir: Path):
     summary_rows = []
     for n in cfg.n_grid:
         se = study.sup_error(n)
-        rows = [[x, ov.value, ov.error_radius] for x, ov in zip(study.x_grid, se.values)]
-        write_csv(outdir / f"evaluate_n{n}.csv", ["x", "value", "error_radius"], rows)
+        write_csv(outdir / f"evaluate_n{n}.csv", ["x", "value", "error_radius"],
+                  zip(study.x_grid, se.values, se.radii))
         summary_rows.append(
             {"n": n, "delta": se.delta, "argmax_x": se.argmax_x, "error_radius": se.error_radius}
         )
@@ -166,7 +167,7 @@ def tail(study: Study, outdir: Path):
     write_json(outdir / "tail.json", {
         **_echo(cfg), "method": curve.kind, "z_max": study.z_max,
         "lambda_cap": curve.params.get("lambda_cap"),
-        "n_max": cfg.tail_n_max, "rng": "pcg64",
+        "n_max": cfg.tail_n_max, "rng": RNG_NAME,
     })
     click.echo(f"tail: wrote {curve.kind} curve ({us.size} points) to {outdir}")
 

@@ -33,7 +33,7 @@ from .functions import CATALOG_NAMES, HolderSpec, TargetFunction, builtin_catalo
 from .grids import GRID_KINDS, GridSpec
 from .modulus import ModulusProfile, default_delta_grid, holder_seminorm, modulus_profile
 from .operators import MAX_BERNSTEIN_N, SupError, sup_error, sup_errors
-from .bounds import BoundReport, hdt_bound, poisson_curve, stieltjes_bound
+from .bounds import BoundReport, hdt_bound, stieltjes_bound
 from .tails import (
     DEFAULT_LAMBDA_CAP,
     DEFAULT_LAMBDA_GRID_SIZE,
@@ -45,6 +45,7 @@ from .tails import (
     conjugate_curve,
     empirical_atf,
     family_nu,
+    poisson_curve,
     power_tail_curve,
     tail_z_max,
 )

@@ -34,7 +34,9 @@ _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 118
 
 @dataclass(frozen=True)
 class Family:
-    """Immutable family descriptor; x_domain keeps sigma(x) strictly positive."""
+    """Immutable family descriptor whose x_domain keeps sigma(x) strictly positive:
+    0 < lo < hi < 1 for Bernoulli and 0 < lo < hi for Poisson.  So no x of the
+    domain makes n*S_n a point mass."""
 
     kind: str  # "bernoulli" | "poisson"
     interval: Interval
@@ -44,8 +46,10 @@ class Family:
         if self.kind not in ("bernoulli", "poisson"):
             raise ParameterError(f"unknown family kind {self.kind!r}")
         lo, hi = self.x_domain
-        if not lo < hi:
-            raise ParameterError(f"empty x-domain [{lo}, {hi}]")
+        if not (0.0 < lo < hi and (hi < 1.0 or self.kind == "poisson")):
+            rule = "0 < lo < hi < 1" if self.kind == "bernoulli" else "0 < lo < hi"
+            raise ParameterError(f"{self.kind} x-domain [{lo}, {hi}] must have {rule}, "
+                                 "so that sigma stays positive")
 
     def sigma(self, x) -> np.ndarray:
         """sigma over an array of x, without x-domain gating: the modulus step weight."""
@@ -65,16 +69,23 @@ class Family:
 
 def bernoulli_family(eps: float = 1e-3) -> Family:
     """Classical Bernstein family; endpoints trimmed by eps so sigma > 0."""
-    if not (0 < eps < 0.5 and 1.0 - eps < 1.0):
-        raise ParameterError("eps must be in (0, 0.5) with 1 - eps < 1")
     return Family("bernoulli", UNIT_INTERVAL, (eps, 1.0 - eps))
 
 
 def poisson_family(x_min: float = 1.0, x_max: float = 64.0) -> Family:
     """Szasz family; the default lower endpoint 1 matches the tail analysis."""
-    if not (0 < x_min < x_max):
-        raise ParameterError("need 0 < x_min < x_max")
     return Family("poisson", HALF_LINE, (x_min, x_max))
+
+
+def poisson_conjugate(u) -> float:
+    """Conjugate of e^z - 1 - z: (1+u) ln(1+u) - u, the Poisson tail exponent."""
+    arr = np.asarray(u, dtype=float)
+    if np.any(arr < 0):
+        raise ParameterError("u must be nonnegative")
+    out = (1.0 + arr) * np.log1p(arr) - arr
+    if np.isscalar(u):
+        return float(out)
+    return out
 
 
 def szasz_window(mu, tail_tol: float):
@@ -89,8 +100,6 @@ def szasz_window(mu, tail_tol: float):
     only queried at nonnegative arguments.  A scalar mu gives (lo, hi); an
     array of mu gives arrays lo and hi, from one conjugate call per side.
     """
-    from .tails import poisson_conjugate  # tails imports this module
-
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
     pos = mus > 0
     m = np.where(pos, mus, 1.0)[:, None]
@@ -120,8 +129,8 @@ def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
 
 
 def pmf_kernel(kind: str, n: int) -> Callable[[float, int, int], np.ndarray]:
-    """weights(x, lo, hi) = P(n*S_n = k) for k = lo..hi: Binomial(n, x), 0 < x < 1,
-    or Poisson(n*x).
+    """weights(x, lo, hi) = P(n*S_n = k) for k = lo..hi: Binomial(n, x) or Poisson(n*x),
+    at an x of a family's x-domain, so 0 < x (and x < 1 for Binomial).
 
     The kernel anchors at the mode m, floor((n+1)x) for Binomial and
     floor(nx) for Poisson, clipped into [lo, hi], whose pmf comes from

@@ -36,12 +36,12 @@ class GridSpec:
 
 
 def resolve_grid(grid) -> np.ndarray:
-    """Explicit points as a float array, checked nonempty, 1-d and strictly increasing."""
+    """Explicit points as a float array, checked nonempty, 1-d, finite and strictly increasing."""
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ParameterError("grid must be a nonempty 1-d array of points")
-    if np.any(np.diff(pts) <= 0):
-        raise ParameterError("grid points must be strictly increasing")
+    if not (np.all(np.isfinite(pts)) and np.all(np.diff(pts) > 0)):
+        raise ParameterError("grid points must be finite and strictly increasing")
     return pts
 
 

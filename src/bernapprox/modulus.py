@@ -118,8 +118,9 @@ def modulus_profile(
     exceeds the slack.
     """
     deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.ndim != 1 or deltas.size < 2 or deltas[0] != 0.0 or np.any(np.diff(deltas) <= 0):
-        raise ParameterError("delta grid must start at 0 and increase strictly")
+    if not (deltas.ndim == 1 and deltas.size >= 2 and deltas[0] == 0.0
+            and np.all(np.isfinite(deltas)) and np.all(np.diff(deltas) > 0)):
+        raise ParameterError("delta grid must be finite, start at 0 and increase strictly")
     xs = resolve_grid(x_grid)
     sig = np.asarray(sigma(xs), dtype=float)
     base = np.asarray(eval_clamped(f, xs), dtype=float)

@@ -35,7 +35,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundaryWarning, ParameterError
-from .families import Family, normalized_sum_samples, spawn_rngs, zeta_bound, zeta_log_mgf
+from .families import (
+    RNG_NAME, Family, normalized_sum_samples, poisson_conjugate, spawn_rngs, zeta_bound, zeta_log_mgf,
+)
 
 DEFAULT_LAMBDA_CAP = 50.0
 DEFAULT_LAMBDA_GRID_SIZE = 1001
@@ -261,17 +263,6 @@ def _lambda_grid(g: Callable, u: float, cap: float, size: int) -> tuple[np.ndarr
         cap *= 2.0
 
 
-def poisson_conjugate(u) -> float:
-    """Conjugate of e^z - 1 - z: (1+u) ln(1+u) - u, the Poisson tail exponent."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("u must be nonnegative")
-    out = (1.0 + arr) * np.log1p(arr) - arr
-    if np.isscalar(u):
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Upper-bound curves
 # ---------------------------------------------------------------------------
@@ -295,8 +286,10 @@ def conjugate_curve(
     """
     grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
     # nu is convex, so line j + 1 overtakes line j at their secant slope and these breakpoints
-    # increase; the found line or a neighbour (rounding, ties) is the first maximum of a scan
-    slopes = np.diff(gv) / np.diff(grid)
+    # increase; the found line or a neighbour (rounding, ties) is the first maximum of a scan.
+    # Rounding can invert a few; their running max keeps the search sorted, so a read
+    # depends on u alone, and any line it keeps is still a lower bound on nu*
+    slopes = np.maximum.accumulate(np.diff(gv) / np.diff(grid))
     eps = np.finfo(float).eps
 
     def fn(u):
@@ -317,6 +310,12 @@ def conjugate_curve(
         kind="conjugate", fn=fn,
         params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)},
     )
+
+
+def poisson_curve() -> TailCurve:
+    """min(1, 2 exp(-(1+z)ln(1+z)+z)), the exact-conjugate Poisson tail."""
+    fn = lambda z: 2.0 * np.exp(-poisson_conjugate(np.abs(np.asarray(z, dtype=float))))  # noqa: E731
+    return TailCurve(kind="poisson-conjugate", fn=fn)
 
 
 @dataclass(frozen=True)
@@ -396,7 +395,7 @@ def empirical_atf(
             "n_set": ns,
             "trials": trials,
             "seed": seed,
-            "rng": "pcg64",
+            "rng": RNG_NAME,
             "splitting": "seedsequence-spawn",
         },
     )

@@ -7,11 +7,10 @@ import pytest
 from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
-from bernapprox.families import Family, _check_n, normalized_sum_samples, spawn_rngs
+from bernapprox.families import Family, _check_n, normalized_sum_samples, poisson_conjugate, spawn_rngs
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
 from bernapprox.tails import (
-    DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve,
-    _lambda_grid, poisson_conjugate,
+    DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve, _lambda_grid,
 )
 
 

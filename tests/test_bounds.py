@@ -13,7 +13,6 @@ from bernapprox.bounds import (
     BoundReport,
     hdt_bound,
     lower_bound_constant,
-    poisson_curve,
     stieltjes_bound,
 )
 from bernapprox.errors import DivergenceWarning, InsufficientDataError, ParameterError
@@ -22,7 +21,7 @@ from bernapprox.families import bernoulli_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.modulus import ModulusProfile, modulus_profile
 from bernapprox.operators import sup_error
-from bernapprox.tails import PowerTailSpec, TailCurve, power_tail_curve, tail_z_max
+from bernapprox.tails import PowerTailSpec, TailCurve, poisson_curve, power_tail_curve, tail_z_max
 
 
 def linear_profile(delta_max: float, size: int = 2001) -> ModulusProfile:

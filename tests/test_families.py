@@ -21,7 +21,7 @@ from bernapprox.families import (
     zeta_bound,
     zeta_log_mgf,
 )
-from bernapprox.functions import UNIT_INTERVAL, builtin_catalog
+from bernapprox.functions import HALF_LINE, UNIT_INTERVAL, builtin_catalog
 from bernapprox.operators import generic_mc
 from conftest import family_pmf, szasz_truncation_point
 
@@ -95,14 +95,21 @@ class TestSigma:
         lambda: Family("bernoulli", UNIT_INTERVAL, (0.5, 0.5)),
         lambda: poisson_family(2.0, 1.0),
         lambda: poisson_family(0.0, 1.0),
-    ], ids=["unknown-kind", "empty-x-domain", "poisson-reversed", "poisson-zero-x-min"])
+        # an x-domain that reaches a zero of sigma, where n*S_n is a point mass
+        lambda: Family("bernoulli", UNIT_INTERVAL, (0.0, 0.5)),
+        lambda: Family("bernoulli", UNIT_INTERVAL, (0.5, 1.0)),
+        lambda: Family("bernoulli", UNIT_INTERVAL, (math.nan, 0.5)),
+        lambda: Family("poisson", HALF_LINE, (0.0, 64.0)),
+        lambda: Family("poisson", HALF_LINE, (-1.0, 64.0)),
+    ], ids=["unknown-kind", "empty-x-domain", "poisson-reversed", "poisson-zero-x-min", "bernoulli-at-0",
+            "bernoulli-at-1", "bernoulli-nan", "poisson-at-0", "poisson-below-0"])
     def test_bad_descriptors_rejected(self, build):
         with pytest.raises(ParameterError):
             build()
 
     def test_trim_too_small_to_move_the_upper_end_rejected(self):
         # 1 - 1e-300 rounds to 1, which would put sigma's zero at the x-domain's upper end
-        with pytest.raises(ParameterError, match="1 - eps < 1"):
+        with pytest.raises(ParameterError, match="0 < lo < hi < 1"):
             bernoulli_family(1e-300)
         assert bernoulli_family(1e-16).x_domain[1] < 1.0
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ def test_resolve_grid_passthrough_and_checks():
         resolve_grid(np.array([0.2, 0.1]))
     with pytest.raises(ParameterError):
         resolve_grid(np.array([]))
+
+
+@pytest.mark.parametrize("grid", [
+    [0.1, math.nan, 0.5], [0.1, 0.5, math.inf], [-math.inf, 0.1, 0.5], [math.nan],
+], ids=["nan-inside", "inf-at-end", "minus-inf-first", "lone-nan"])
+def test_resolve_grid_rejects_nonfinite_points(grid):
+    # NaN compares false both ways, so a difference check alone lets it through
+    with pytest.raises(ParameterError, match="finite"):
+        resolve_grid(grid)
 
 
 def test_symmetric_grid_contains_zero_and_ends():

@@ -23,8 +23,6 @@ SRC = ROOT / "src" / "bernapprox"
 
 # Public names kept with no caller in the program, each for its reason.
 UNCALLED_ALLOWED = {
-    "bernstein_exact",  # B_n[f](x) at one x: the paper's Bernstein operator as a library call
-    "szasz_exact",  # the Szasz operator at one x, the paper's Poisson example
     "lower_bound_constant",  # G(alpha), the paper's lower-bound constant; reports carry only the ratio
 }
 

@@ -142,7 +142,7 @@ class TestProfile:
             with pytest.raises(ParameterError, match="matching 1-d"):
                 ModulusProfile(np.array(deltas), np.array(values), 0.0)
 
-    @pytest.mark.parametrize("deltas", [[0.0], [0.1, 0.2], [0.0, 0.2, 0.1]])
+    @pytest.mark.parametrize("deltas", [[0.0], [0.1, 0.2], [0.0, 0.2, 0.1], [0.0, math.nan, 0.2], [0.0, math.inf]])
     def test_bad_delta_grid_rejected(self, deltas):
         with pytest.raises(ParameterError, match="delta grid"):
             modulus_profile(builtin_catalog("sine"), UNIT, deltas, XS)

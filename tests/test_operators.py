@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
-from bernapprox.families import Family, bernoulli_family, poisson_family, spawn_rngs, szasz_window
+from bernapprox.families import (
+    bernoulli_family, poisson_conjugate, poisson_family, spawn_rngs, szasz_window,
+)
 from bernapprox.functions import (
     HALF_LINE,
     UNIT_INTERVAL,
@@ -16,16 +18,14 @@ from bernapprox.functions import (
     eval_clamped,
     trial_function,
 )
-from bernapprox.operators import (
-    OperatorValue,
-    bernstein_exact,
-    generic_mc,
-    sup_error,
-    sup_errors,
-    szasz_exact,
-)
-from bernapprox.tails import poisson_conjugate
+from bernapprox.modulus import modulus_profile
+from bernapprox.operators import _exact_sums, generic_mc, sup_error, sup_errors
 from conftest import scale_function, szasz_truncation_point, szasz_window_oracle
+
+BERN = bernoulli_family(0.01)
+BERN_GRID = np.linspace(*BERN.x_domain, 33)  # holds x = 1/2
+POIS = poisson_family(0.5, 4.0)
+POIS_GRID = np.linspace(*POIS.x_domain, 36)  # steps of 0.1
 
 
 def brute_bernstein(f, n, x):
@@ -47,39 +47,48 @@ def brute_szasz(f, n, x, terms=400):
     return total
 
 
+def one_x_at_a_time(f, fam, n, grid):
+    """(value, radius) at each x of the grid from _exact_sums on that x alone, a lattice
+    block of its own window."""
+    sums = [_exact_sums((f,), fam.kind, n, grid[i:i + 1]) for i in range(grid.size)]
+    return [(float(v[0, 0]), r[0]) for v, r in sums]
+
+
+def values(f, fam, n, grid, **kw):
+    """A_n[f] on the grid, as sup_error returns it."""
+    return sup_error(f, fam, n, grid, **kw).values
+
+
 class TestBernstein:
     def test_reproduces_identity(self):
         f = builtin_catalog("identity")
-        v = bernstein_exact(f, 10, 0.3)
-        assert v.value == pytest.approx(0.3, abs=1e-13)
-        assert v.value == pytest.approx(brute_bernstein(f, 10, 0.3), abs=1e-13)
-        assert v.error_radius == 0.0 and v.method == "exact-sum"
+        se = sup_error(f, BERN, 10, BERN_GRID)
+        np.testing.assert_allclose(se.values, BERN_GRID, rtol=0, atol=1e-13)
+        brute = [brute_bernstein(f, 10, float(x)) for x in BERN_GRID]
+        np.testing.assert_allclose(se.values, brute, rtol=0, atol=1e-13)
+        assert se.radii.tolist() == [0.0] * BERN_GRID.size
 
     def test_square_closed_form(self):
+        # B_5[x^2](x) = x^2 + x(1-x)/5, 0.30 at x = 1/2
         f = builtin_catalog("square")
-        v = bernstein_exact(f, 5, 0.5)
-        assert v.value == pytest.approx(0.30, abs=1e-13)
-        assert v.value == pytest.approx(brute_bernstein(f, 5, 0.5), abs=1e-13)
+        got = values(f, BERN, 5, BERN_GRID)
+        np.testing.assert_allclose(got, BERN_GRID**2 + BERN_GRID * (1 - BERN_GRID) / 5, rtol=0, atol=1e-13)
+        assert got[16] == pytest.approx(0.30, abs=1e-13)
+        brute = [brute_bernstein(f, 5, float(x)) for x in BERN_GRID]
+        np.testing.assert_allclose(got, brute, rtol=0, atol=1e-13)
 
     def test_constant_normalization(self):
         f = builtin_catalog("constant", c=1.0)
         for n in (1, 7, 300):
-            for x in (0.1, 0.5, 0.93):
-                assert bernstein_exact(f, n, x).value == pytest.approx(1.0, abs=1e-12)
-
-    def test_endpoints_exact(self):
-        f = builtin_catalog("square")
-        assert bernstein_exact(f, 9, 0.0).value == 0.0
-        assert bernstein_exact(f, 9, 1.0).value == 1.0
+            np.testing.assert_allclose(values(f, BERN, n, BERN_GRID), 1.0, rtol=0, atol=1e-12)
 
     def test_matches_brute_force_on_random_inputs(self, rng):
         f = builtin_catalog("sine", freq=1.5)
-        for _ in range(20):
+        for _ in range(5):
             n = int(rng.integers(1, 40))
-            x = float(rng.uniform(0.01, 0.99))
-            assert bernstein_exact(f, n, x).value == pytest.approx(
-                brute_bernstein(f, n, x), abs=1e-12
-            )
+            grid = np.sort(rng.uniform(0.01, 0.99, 33))
+            brute = [brute_bernstein(f, n, float(x)) for x in grid]
+            np.testing.assert_allclose(values(f, BERN, n, grid), brute, rtol=0, atol=1e-12)
 
     def test_linearity(self, rng):
         f = builtin_catalog("square")
@@ -91,64 +100,64 @@ class TestBernstein:
                 lambda x, _a=a, _b=b: _a * f.evaluator(x) + _b * g.evaluator(x),
                 name="combo",
             )
-            x = float(rng.uniform(0, 1))
-            lhs = bernstein_exact(combo, 8, x).value
-            rhs = a * bernstein_exact(f, 8, x).value + b * bernstein_exact(g, 8, x).value
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            grid = np.sort(rng.uniform(0.01, 0.99, 33))
+            lhs = values(combo, BERN, 8, grid)
+            rhs = a * values(f, BERN, 8, grid) + b * values(g, BERN, 8, grid)
+            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_positivity(self, rng):
         g = trial_function(0.3, 0.5)
         for _ in range(25):
             n = int(rng.integers(1, 100))
-            x = float(rng.uniform(0, 1))
-            assert bernstein_exact(g, n, x).value >= -1e-14
+            assert np.all(values(g, BERN, n, np.sort(rng.uniform(0.01, 0.99, 33))) >= -1e-14)
 
     def test_n_validation(self):
         f = builtin_catalog("identity")
         with pytest.raises(ParameterError):
-            bernstein_exact(f, 0, 0.5)
+            sup_error(f, BERN, 0, BERN_GRID)
         with pytest.raises(ParameterError):
-            bernstein_exact(f, 2**20 + 1, 0.5)
+            sup_error(f, BERN, 2**20 + 1, BERN_GRID)
         with pytest.raises(ParameterError):
-            bernstein_exact(f, 5, 1.2)
+            sup_error(f, BERN, 5, np.linspace(0.5, 1.2, 33))
 
 
 class TestSzasz:
     def test_constant_normalization(self):
         f = builtin_catalog("constant", c=1.0)
-        v = szasz_exact(f, 7, 2.0, 1e-12)
-        assert v.value == pytest.approx(1.0, abs=1e-12)
-        assert v.error_radius <= 1e-12
-        assert v.method == "truncated-sum"
+        se = sup_error(f, POIS, 7, POIS_GRID)
+        np.testing.assert_allclose(se.values, 1.0, rtol=0, atol=1e-12)
+        assert np.all(se.radii <= 1e-12)
 
     def test_exp_decay_mgf_identity(self):
         # E e^{-S_n} = exp(n x (e^{-1/n} - 1))
         f = builtin_catalog("exp-decay")
-        v = szasz_exact(f, 4, 1.0, 1e-12)
-        assert v.value == pytest.approx(math.exp(4 * (math.exp(-0.25) - 1)), abs=1e-8)
-        assert v.value == pytest.approx(brute_szasz(f, 4, 1.0), abs=1e-10)
+        got = values(f, POIS, 4, POIS_GRID)
+        np.testing.assert_allclose(got, np.exp(4 * POIS_GRID * (math.exp(-0.25) - 1)), rtol=0, atol=1e-8)
+        brute = [brute_szasz(f, 4, float(x)) for x in POIS_GRID]
+        np.testing.assert_allclose(got, brute, rtol=0, atol=1e-10)
 
     def test_identity_mean_with_declared_bound(self):
-        # Poisson(3) mean; the declared sup bound certifies the truncation
+        # Poisson(x) mean; the declared sup bound certifies the truncation
         f = TargetFunction(HALF_LINE, lambda t: np.asarray(t, dtype=float) + 0.0,
                            name="line", sup_abs=50.0)
-        v = szasz_exact(f, 1, 3.0, 1e-9)
-        assert v.value == pytest.approx(3.0, abs=1e-7)
-        assert v.error_radius == pytest.approx(1e-9 * 50.0)
+        se = sup_error(f, POIS, 1, POIS_GRID, tail_tol=1e-9)
+        np.testing.assert_allclose(se.values, POIS_GRID, rtol=0, atol=1e-7)
+        assert se.radii.tolist() == [1e-9 * 50.0] * POIS_GRID.size
 
     def test_requires_sup_abs(self):
         f = TargetFunction(HALF_LINE, lambda t: np.asarray(t, dtype=float) + 0.0, name="line")
         with pytest.raises(InsufficientDataError):
-            szasz_exact(f, 2, 1.0, 1e-10)
+            sup_error(f, POIS, 2, POIS_GRID, tail_tol=1e-10)
 
     def test_tail_tol_range_enforced(self):
         f = builtin_catalog("exp-decay")
         with pytest.raises(ParameterError):
-            szasz_exact(f, 2, 1.0, 1e-3)
+            sup_error(f, POIS, 2, POIS_GRID, tail_tol=1e-3)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(ParameterError, match="x >= 0"):
-            szasz_exact(builtin_catalog("exp-decay"), 2, -0.5)
+        # no family's x-domain holds x <= 0, so the grid check refuses it
+        with pytest.raises(ParameterError, match="x-domain"):
+            sup_error(builtin_catalog("exp-decay"), POIS, 2, np.linspace(-0.5, 4.0, 33))
 
     def test_truncation_point_certifies_tail(self):
         # the dropped Poisson mass beyond the cut is below the tolerance
@@ -160,11 +169,6 @@ class TestSzasz:
             mass += w
             w *= mu / (k + 1)
         assert 1.0 - mass <= tol
-
-    def test_x_zero_degenerate(self):
-        f = builtin_catalog("exp-decay")
-        v = szasz_exact(f, 3, 0.0, 1e-9)
-        assert v.value == 1.0 and v.error_radius == 0.0
 
 
 class TestSzaszWindow:
@@ -207,15 +211,15 @@ class TestSzaszWindow:
         assert szasz_window(mu, tol) == (lo, szasz_truncation_point(mu, tol / 2.0))
 
     def test_one_vector_conjugate_call_per_side(self, monkeypatch):
-        import bernapprox.tails as tails
+        import bernapprox.families as families
 
         calls = []
 
-        def counted(u, _inner=tails.poisson_conjugate):
+        def counted(u, _inner=families.poisson_conjugate):
             calls.append(u)
             return _inner(u)
 
-        monkeypatch.setattr(tails, "poisson_conjugate", counted)
+        monkeypatch.setattr(families, "poisson_conjugate", counted)
         mus = (0.37, 12.0, 5e3, 7.5e7)
         for mu in mus:
             calls.clear()
@@ -250,24 +254,24 @@ class TestSzaszWindow:
     @settings(max_examples=60, deadline=None)
     @example(n=3276, log_x=0.0, tol=1e-12, step=False)  # log-gamma weights: 1.34e-12 off
     def test_windowed_sum_within_radius_of_full_sum(self, n, log_x, tol, step):
-        # closed-form oracles that share no code with either weight method
+        # closed-form oracles that share no code with either weight method, on a grid from x to 2x
         x = math.exp(log_x)
-        mu = n * x
+        grid = x * np.linspace(1.0, 2.0, 33)
         if step:  # all weight on the lower half, where the lower cut drops terms
             f = TargetFunction(HALF_LINE, lambda t: (np.asarray(t, dtype=float) <= x) * 1.0,
                                name="step", sup_abs=1.0)
-            last = math.floor(mu)  # the last k with k / n <= x, as the step sees it
+            last = math.floor(n * x)  # the last k with k / n <= x, as the step sees it
             while (last + 1) / n <= x:
                 last += 1
             while last >= 0 and last / n > x:
                 last -= 1
-            full = float(poisson.cdf(last, mu))
+            full = poisson.cdf(last, n * grid)
         else:  # the Szasz-MGF identity E exp(-N/n) = exp(mu expm1(-1/n))
             f = builtin_catalog("exp-decay")
-            full = math.exp(mu * math.expm1(-1.0 / n))
-        v = szasz_exact(f, n, x, tol)
-        assert abs(v.value - full) <= v.error_radius
-        assert v.error_radius == tol * f.sup_abs
+            full = np.exp(n * grid * math.expm1(-1.0 / n))
+        se = sup_error(f, poisson_family(x, 2.0 * x), n, grid, tail_tol=tol)
+        assert np.all(np.abs(se.values - full) <= se.radii)
+        assert se.radii.tolist() == [tol * f.sup_abs] * grid.size
 
     def test_sup_error_at_large_n(self):
         # the Szasz-MGF identity E exp(-N/n) = exp(n x expm1(-1/n)); the weights'
@@ -281,38 +285,34 @@ class TestSzaszWindow:
 
     @pytest.mark.parametrize("n", [2**18, 2**20])
     def test_mgf_identity_within_radius_at_huge_n(self, n):
-        f = builtin_catalog("exp-decay")
-        for x in np.linspace(1.0, 64.0, 9):
-            v = szasz_exact(f, n, float(x))
-            assert abs(v.value - math.exp(n * x * math.expm1(-1.0 / n))) <= v.error_radius
+        grid = np.linspace(1.0, 64.0, 33)
+        se = sup_error(builtin_catalog("exp-decay"), poisson_family(), n, grid)
+        assert np.all(np.abs(se.values - np.exp(n * grid * math.expm1(-1.0 / n))) <= se.radii)
 
 
 class TestGenericMc:
     def test_constant_zero_radius(self):
         f = builtin_catalog("constant", c=2.0)
         fam = bernoulli_family()
-        v = generic_mc(f, fam, 5, 0.5, 500, np.random.default_rng(3))
-        assert v.value == 2.0
-        assert v.error_radius == 0.0
-        assert v.method == "monte-carlo"
+        assert generic_mc(f, fam, 5, 0.5, 500, np.random.default_rng(3)) == (2.0, 0.0)
 
     def test_matches_bernstein_exact(self):
         f = builtin_catalog("square")
         fam = bernoulli_family()
-        v = generic_mc(f, fam, 5, 0.5, 1_000_000, np.random.default_rng(11))
-        assert abs(v.value - 0.30) <= v.error_radius
+        mean, radius = generic_mc(f, fam, 5, 0.5, 1_000_000, np.random.default_rng(11))
+        assert abs(mean - 0.30) <= radius
 
     def test_matches_szasz_exact(self):
         f = builtin_catalog("exp-decay")
         fam = poisson_family()
-        v = generic_mc(f, fam, 4, 1.0, 1_000_000, np.random.default_rng(12))
-        assert abs(v.value - math.exp(4 * (math.exp(-0.25) - 1))) <= v.error_radius
+        mean, radius = generic_mc(f, fam, 4, 1.0, 1_000_000, np.random.default_rng(12))
+        assert abs(mean - math.exp(4 * (math.exp(-0.25) - 1))) <= radius
 
     def test_deterministic_given_seed(self):
         f = builtin_catalog("square")
         fam = bernoulli_family()
-        a = generic_mc(f, fam, 3, 0.4, 1000, np.random.default_rng(9)).value
-        b = generic_mc(f, fam, 3, 0.4, 1000, np.random.default_rng(9)).value
+        a = generic_mc(f, fam, 3, 0.4, 1000, np.random.default_rng(9))
+        b = generic_mc(f, fam, 3, 0.4, 1000, np.random.default_rng(9))
         assert a == b
 
     def test_minimum_trials(self):
@@ -321,7 +321,7 @@ class TestGenericMc:
             generic_mc(f, bernoulli_family(), 3, 0.4, 50, np.random.default_rng(1))
 
     def test_agreement_rate_over_random_configs(self, rng):
-        # exact value inside the 3-sigma radius in at least 99% of 500 draws
+        # the brute-force value inside the 3-sigma radius in at least 99% of 500 draws
         fams = [bernoulli_family(), poisson_family()]
         names = ["square", "sine", "exp-decay", "power-cusp"]
         hits = 0
@@ -331,13 +331,13 @@ class TestGenericMc:
             if fam.kind == "bernoulli":
                 f = builtin_catalog(names[int(rng.integers(0, 2))])
                 x = float(rng.uniform(0.05, 0.95))
-                exact = bernstein_exact(f, 8, x).value
+                exact = brute_bernstein(f, 8, x)
             else:
                 f = builtin_catalog("exp-decay")
                 x = float(rng.uniform(1.0, 16.0))
-                exact = szasz_exact(f, 8, x, 1e-12).value
-            v = generic_mc(f, fam, 8, x, 2000, np.random.default_rng(1000 + i))
-            if abs(v.value - exact) <= v.error_radius + 1e-12:
+                exact = brute_szasz(f, 8, x)
+            mean, radius = generic_mc(f, fam, 8, x, 2000, np.random.default_rng(1000 + i))
+            if abs(mean - exact) <= radius + 1e-12:
                 hits += 1
         assert hits >= 0.99 * total
 
@@ -429,16 +429,26 @@ class TestSupError:
             se = sup_error(f, fam, 10, grid, mode="monte-carlo", trials=200, seed=7)
             expected = [generic_mc(f, fam, 10, float(x), 200, rng=child)
                         for x, child in zip(grid, spawn_rngs(7, grid.size))]
-        elif path == "poisson":  # the Szasz window changes from x to x
+        else:  # the Szasz window changes from x to x
             se = sup_error(f, fam, 10, grid)
-            expected = [szasz_exact(f, 10, float(x)) for x in grid]
-        else:
-            se = sup_error(f, fam, 10, grid)
-            expected = [bernstein_exact(f, 10, float(x)) for x in grid]
-        assert se.values == tuple(expected)
-        d = [abs(ov.value - eval_clamped(f, float(x))) for ov, x in zip(se.values, grid)]
+            expected = one_x_at_a_time(f, fam, 10, grid)
+        assert se.values.shape == se.radii.shape == grid.shape
+        assert list(zip(se.values.tolist(), se.radii.tolist())) == expected
+        d = [abs(v - eval_clamped(f, float(x))) for (v, _), x in zip(expected, grid)]
         assert se.delta == max(d) and se.argmax_x == float(grid[d.index(max(d))])
-        assert se.error_radius == max(ov.error_radius for ov in expected)
+        assert se.error_radius == se.radii.max() == max(r for _, r in expected)
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_monte_carlo_radii_are_three_standard_errors(self, kind):
+        fam = bernoulli_family() if kind == "bernoulli" else POIS
+        f = builtin_catalog("square" if kind == "bernoulli" else "exp-decay")
+        grid, n, trials = np.linspace(*fam.x_domain, 33), 10, 200
+        se = sup_error(f, fam, n, grid, mode="monte-carlo", trials=trials, seed=7)
+        for x, child, v, r in zip(grid, spawn_rngs(7, grid.size), se.values, se.radii):
+            draws = child.binomial(n, x, trials) if kind == "bernoulli" else child.poisson(n * x, trials)
+            vals = eval_clamped(f, draws / n)
+            assert v == np.mean(vals)
+            assert r == 3.0 * np.std(vals, ddof=1) / math.sqrt(trials)
 
     def test_unknown_mode_rejected(self):
         f = builtin_catalog("square")
@@ -454,21 +464,21 @@ class TestSupError:
 
 
 class TestSharedSweep:
-    BERNOULLI = Family("bernoulli", UNIT_INTERVAL, (0.0, 1.0))
-    POISSON = Family("poisson", HALF_LINE, (0.0, 64.0))
+    BERNOULLI = bernoulli_family(1e-3)
+    POISSON = poisson_family(1e-3, 64.0)
 
     @pytest.mark.parametrize("n", [1, 16, 1000, 2**13 + 5])
     def test_bernstein_pair_equals_separate_sweeps(self, n):
-        # a grid with x = 0 and x = 1, and the trial cusp beside f
-        grid = np.linspace(0.0, 1.0, 41)
+        # a grid from end to end of the x-domain, and the trial cusp beside f
+        grid = np.linspace(*self.BERNOULLI.x_domain, 41)
         fs = (builtin_catalog("power-cusp", x0=0.3, alpha=0.5),
               trial_function(0.5, 0.5, UNIT_INTERVAL), builtin_catalog("square"))
         self.assert_shared_equals_separate(fs, self.BERNOULLI, n, grid)
 
     @pytest.mark.parametrize("n", [1, 16, 256, 4096, 65536])
     def test_szasz_pair_equals_separate_sweeps(self, n):
-        # from x = 0 over lattice blocks of many windows down to one window per block
-        grid = np.linspace(0.0, 64.0, 33)
+        # from mu = n / 1000 over lattice blocks of many windows down to one window per block
+        grid = np.linspace(*self.POISSON.x_domain, 33)
         fs = (builtin_catalog("exp-decay"), scale_function(builtin_catalog("sine", freq=3.0), 2.5))
         self.assert_shared_equals_separate(fs, self.POISSON, n, grid)
 
@@ -477,10 +487,9 @@ class TestSharedSweep:
         shared = sup_errors(fs, fam, n, grid)
         for f, se in zip(fs, shared):
             alone = sup_error(f, fam, n, grid)
-            assert (se, se.values) == (alone, alone.values)
-            # each x alone, a lattice block of its own window
-            one = bernstein_exact if fam.kind == "bernoulli" else szasz_exact
-            assert se.values == tuple(one(f, n, float(x)) for x in grid)
+            assert se == alone
+            assert (se.values.tolist(), se.radii.tolist()) == (alone.values.tolist(), alone.radii.tolist())
+            assert list(zip(se.values.tolist(), se.radii.tolist())) == one_x_at_a_time(f, fam, n, grid)
         if fam.kind == "poisson":
             assert [se.error_radius for se in shared] == [1e-12 * f.sup_abs for f in fs]
 
@@ -491,7 +500,8 @@ class TestSharedSweep:
         shared = sup_errors(fs, bernoulli_family(0.05), 16, grid, **kw)
         for f, se in zip(fs, shared):
             alone = sup_error(f, bernoulli_family(0.05), 16, grid, **kw)
-            assert (se, se.values) == (alone, alone.values)
+            assert se == alone
+            assert (se.values.tolist(), se.radii.tolist()) == (alone.values.tolist(), alone.radii.tolist())
 
     def test_lattice_blocks_stay_bounded(self):
         # at n = 65536 most Szasz windows are wider than a block, so a block is
@@ -509,25 +519,16 @@ class TestSharedSweep:
         assert peak <= 4 * 2**20
 
 
-def test_operator_value_invariants():
-    with pytest.raises(ParameterError):
-        OperatorValue(1.0, 0.1, "exact-sum")
-    with pytest.raises(ParameterError):
-        OperatorValue(1.0, -0.1, "monte-carlo")
-    with pytest.raises(ParameterError):
-        OperatorValue(1.0, 0.0, "magic")
-
-
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_nonfinite_x_is_a_parameter_error(x):
-    # one finite check serves both families, before any window is built
-    with pytest.raises(ParameterError, match="finite"):
-        bernstein_exact(builtin_catalog("square"), 4, x)
-    with pytest.raises(ParameterError, match="finite"):
-        szasz_exact(builtin_catalog("exp-decay"), 4, x)
+    # resolve_grid is the one finite check, for both families, both modes and the modulus
     for fam, f in ((bernoulli_family(), builtin_catalog("square")),
                    (poisson_family(), builtin_catalog("exp-decay"))):
-        grid = np.linspace(*fam.x_domain, 65)
-        grid[32] = x
-        with pytest.raises(ParameterError):
-            sup_errors((f,), fam, 4, grid)
+        inside, at_end = np.linspace(*fam.x_domain, 65), np.linspace(*fam.x_domain, 65)
+        inside[32], at_end[-1] = x, x
+        for grid in (inside, at_end, np.array([x])):
+            for kw in ({}, dict(mode="monte-carlo", trials=100, seed=1)):
+                with pytest.raises(ParameterError, match="finite"):
+                    sup_errors((f,), fam, 4, grid, **kw)
+            with pytest.raises(ParameterError, match="finite"):
+                modulus_profile(f, fam.sigma, [0.0, 0.1], grid)

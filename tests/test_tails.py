@@ -20,7 +20,7 @@ from conftest import (
 from bernapprox import experiments, tails
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
-from bernapprox.families import bernoulli_family, poisson_family, zeta_log_mgf
+from bernapprox.families import bernoulli_family, poisson_conjugate, poisson_family, zeta_log_mgf
 from bernapprox.tails import (
     POISSON_PHI,
     PowerTailSpec,
@@ -32,7 +32,6 @@ from bernapprox.tails import (
     family_nu,
     make_nu,
     phi_sup,
-    poisson_conjugate,
     power_tail_curve,
     tail_z_max,
 )
@@ -793,8 +792,9 @@ class TestBreakpointSearch:
     @pytest.mark.parametrize("which", ["bernoulli-0.001", "bernoulli-0.05"])
     def test_inverted_breakpoints_only_raise_the_curve(self, read_nus, which):
         # at 20001 lines the phi table's rounding inverts thousands of secant slopes, so the search
-        # may miss the line a full scan keeps; every line still lies below nu*, so a miss may only
-        # raise Q.  Each read of one call, ascending or descending, is at or above the full scan.
+        # over their running max may miss the line a full scan keeps; every line still lies below
+        # nu*, so a miss may only raise Q.  Each read of one call, ascending or descending, is at
+        # or above the full scan, and equals the same u read alone.
         nu = read_nus[which]
         grid, gv, breaks = frozen_lines(nu, 20001)
         assert np.count_nonzero(np.diff(breaks) < 0.0) > 1000
@@ -809,6 +809,9 @@ class TestBreakpointSearch:
             curve = conjugate_curve(nu, tails.Z_CAP / 4.0, grid_size=20001)
             assert np.all(curve.at(us) >= ref)
             assert np.all(curve.at(us[::-1]) >= ref[::-1])
+            # a read depends on u alone, not on the other u of the same call
+            some = us[::7]
+            assert curve.at(some).tobytes() == np.array([curve.at(float(u)) for u in some]).tobytes()
 
 
 def full_scan_read(grid, gv, us, block: int = 256) -> np.ndarray:
