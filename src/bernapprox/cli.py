@@ -4,7 +4,8 @@ Exit codes: 0 success (and bound validity holds), 1 validity violation
 (``run`` and ``bound``), 2 usage error, 3 runtime error.  Every failure
 prints machine-parsable lines to stderr of the form
 ``error kind=<usage|runtime|validation> msg="..."``, one per violating row
-for a validity violation.
+for a validity violation; each warning a run shows is a line
+``warning kind=<Category> msg="..."`` there too, exit code unchanged.
 
 Each subcommand is a function of (study, outdir) under ``_study_command``,
 which adds the shared options, resolves the config into one ``Study`` and
@@ -18,6 +19,7 @@ import contextlib
 import difflib
 import functools
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,7 +38,6 @@ from .experiments import (
     write_timings,
 )
 from .families import RNG_NAME
-from .modulus import holder_seminorm
 from .tails import empirical_half_width
 
 BOUND_COLUMNS = ("n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio")
@@ -49,18 +50,22 @@ def _echo(cfg: ExperimentConfig) -> dict:
 
 @contextlib.contextmanager
 def _guard():
-    """Turn a failure into its ``error kind=...`` line and exit code: usage 2, runtime 3."""
-    try:
-        yield
-    except ParameterError as exc:
-        click.echo(f'error kind=usage msg="{exc}"', err=True)
-        sys.exit(2)
-    except BernApproxError as exc:
-        click.echo(f'error kind=runtime msg="{exc}"', err=True)
-        sys.exit(3)
-    except Exception as exc:  # anything unexpected is a runtime failure
-        click.echo(f'error kind=runtime msg="{type(exc).__name__}: {exc}"', err=True)
-        sys.exit(3)
+    """Print each warning as a ``warning kind=...`` line as it is shown, and turn a
+    failure into its ``error kind=...`` line and exit code: usage 2, runtime 3."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: click.echo(
+            f'warning kind={category.__name__} msg="{message}"', err=True)
+        try:
+            yield
+        except ParameterError as exc:
+            click.echo(f'error kind=usage msg="{exc}"', err=True)
+            sys.exit(2)
+        except BernApproxError as exc:
+            click.echo(f'error kind=runtime msg="{exc}"', err=True)
+            sys.exit(3)
+        except Exception as exc:  # anything unexpected is a runtime failure
+            click.echo(f'error kind=runtime msg="{type(exc).__name__}: {exc}"', err=True)
+            sys.exit(3)
 
 
 def _study_command(body):
@@ -145,11 +150,10 @@ def evaluate(study: Study, outdir: Path):
 @main.command()
 @_study_command
 def modulus(study: Study, outdir: Path):
-    """Weighted modulus profile: CSV columns delta, omega, slack."""
-    f, profile = study.f, study.interval_profile
+    """Weighted modulus profile that run and bound integrate: CSV columns delta, omega, slack."""
+    profile, h = study.profile, study.holder
     rows = [[d, v, profile.enclosure_slack] for d, v in zip(profile.deltas, profile.values)]
     write_csv(outdir / "modulus.csv", ["delta", "omega", "slack"], rows)
-    h = holder_seminorm(f, study.fam.sigma, f.holder.alpha, profile)
     write_json(outdir / "modulus.json", {
         **_echo(study.cfg), "metadata": profile.metadata, "enclosure_slack": profile.enclosure_slack,
         "holder": {"alpha": h.alpha, "seminorm": h.seminorm},

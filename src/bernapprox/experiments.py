@@ -239,9 +239,10 @@ def build_weight(cfg: ExperimentConfig, fam: Family) -> Callable[[np.ndarray], n
 def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
     """Tail curve per configured source.
 
-    The default exact-conjugate source takes the closed Poisson conjugate
-    for the Poisson family and the envelope conjugate built from the exact
-    log-MGF on the restricted x-domain for Bernoulli.
+    The default exact-conjugate source takes the closed Poisson conjugate at
+    the x-domain's lower end, the worst x, for the Poisson family and the
+    envelope conjugate built from the exact log-MGF on the restricted
+    x-domain for Bernoulli.
     """
     if cfg.tail_source == "power-tail":
         return power_tail_curve(PowerTailSpec(p=cfg.tail_p, K=cfg.tail_k))
@@ -252,7 +253,7 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
         us = np.linspace(0.0, 16.0, 129)
         return empirical_atf(fam, x, us, list(cfg.n_grid), cfg.tail_trials, seed=cfg.seed)
     if fam.kind == "poisson":
-        return poisson_curve()
+        return poisson_curve(fam.x_domain[0])
     nu = family_nu(fam, n_max=cfg.tail_n_max, lambda_cap=cfg.tail_lambda_cap)
     # the frozen lambda grid is wide enough that u = z_cap / 4 peaks inside it
     return conjugate_curve(nu, cfg.tail_z_cap / 4.0, lambda_cap=cfg.tail_lambda_cap,
@@ -260,16 +261,15 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
 
 
 def build_modulus_profile(
-    cfg: ExperimentConfig, f: TargetFunction, sigma: Callable[[np.ndarray], np.ndarray],
-    delta_max: Optional[float] = None,
+    cfg: ExperimentConfig, f: TargetFunction, sigma: Callable[[np.ndarray], np.ndarray], *, delta_max: float,
 ) -> ModulusProfile:
-    """Profile on the config's grids, deltas up to delta_max (the whole interval by default),
-    x over the family's interval cut at its x-domain's end: the x the bound is applied at."""
+    """Profile on the config's grids, deltas up to delta_max, x over the family's
+    interval cut at its x-domain's end: the x the bound is applied at."""
     fam = build_family(cfg)
     window = (fam.interval.a, fam.interval.b if fam.interval.finite else fam.x_domain[1])
     xs = GridSpec("uniform", cfg.x_grid_size).points(*window)
-    deltas = default_delta_grid(f.interval, cfg.delta_grid_size, delta_max)
-    return modulus_profile(f, sigma, deltas, xs, cfg.h_grid_size, metadata={"window": window})
+    deltas = default_delta_grid(cfg.delta_grid_size, delta_max)
+    return modulus_profile(f, sigma, deltas, xs, cfg.h_grid_size)
 
 
 class Study:
@@ -277,7 +277,7 @@ class Study:
 
     Of the chain Delta_n[f] <= integral omega(z/sqrt(n)) |dQ(z)| only the
     operator sweep and the z/sqrt(n) rescaling depend on n.  Every other
-    stage (tail curve, z_max, z grid, modulus profiles,
+    stage (tail curve, z_max, z grid, modulus profile,
     Holder seminorm and constant, trial cusp) is a cached attribute, so each
     is computed at most once and only if the caller reads it.  The per-n
     methods compute afresh on every call; each subcommand reads each n once.
@@ -315,11 +315,6 @@ class Study:
         """Modulus profile out to the largest delta a row needs, z_max/sqrt(min n)."""
         delta_max = self.z_max / math.sqrt(min(self.cfg.n_grid))
         return build_modulus_profile(self.cfg, self.f, self.fam.sigma, delta_max=delta_max)
-
-    @cached_property
-    def interval_profile(self) -> ModulusProfile:
-        """Modulus profile over the whole interval, as ``modulus`` reports it."""
-        return build_modulus_profile(self.cfg, self.f, self.fam.sigma)
 
     @cached_property
     def holder(self) -> HolderSpec:

@@ -73,7 +73,7 @@ def bernoulli_family(eps: float = 1e-3) -> Family:
 
 
 def poisson_family(x_min: float = 1.0, x_max: float = 64.0) -> Family:
-    """Szasz family; the default lower endpoint 1 matches the tail analysis."""
+    """Szasz family on the x-domain [x_min, x_max]; its tail curve is taken at x_min."""
     return Family("poisson", HALF_LINE, (x_min, x_max))
 
 

@@ -105,7 +105,6 @@ def modulus_profile(
     delta_grid,
     x_grid,
     h_grid_size: int = 65,
-    metadata: Optional[dict] = None,
 ) -> ModulusProfile:
     """Tabulate the modulus over an increasing delta grid starting at 0, the
     x-sup over the explicit increasing points ``x_grid``.
@@ -137,8 +136,6 @@ def modulus_profile(
         )
     meta = {"x_window": (float(xs[0]), float(xs[-1])), "h_grid_size": int(h_grid_size),
             "x_grid_size": int(xs.size)}
-    if metadata:
-        meta.update(metadata)
     return ModulusProfile(deltas=deltas, values=values, enclosure_slack=slack, metadata=meta)
 
 
@@ -158,12 +155,7 @@ def holder_seminorm(
     return HolderSpec(alpha, float(np.max(ratios)))
 
 
-def default_delta_grid(interval, size: int = 33, delta_max: Optional[float] = None) -> np.ndarray:
-    """{0} followed by size - 1 log-spaced deltas from 1e-4 to delta_max.
-
-    delta_max defaults to the whole interval: b - a when finite, 8 when
-    unbounded.  It is raised to 1e-3 if smaller, so the grid spans a decade.
-    """
-    if delta_max is None:
-        delta_max = (interval.b - interval.a) if interval.finite else 8.0
+def default_delta_grid(size: int, delta_max: float) -> np.ndarray:
+    """{0} followed by size - 1 log-spaced deltas from 1e-4 to delta_max,
+    raised to 1e-3 if smaller so the grid spans a decade."""
     return np.concatenate([[0.0], np.geomspace(1e-4, max(delta_max, 1e-3), size - 1)])

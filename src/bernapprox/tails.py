@@ -233,17 +233,12 @@ def make_nu(phi: TabulatedPhi, n_max: int = DEFAULT_N_MAX) -> Callable:
     return nu
 
 
-POISSON_PHI = lambda z: np.expm1(np.asarray(z, dtype=float)) - np.asarray(z, dtype=float)  # noqa: E731
-
-
 def family_nu(fam: Family, n_max: int = DEFAULT_N_MAX, lambda_cap: float = DEFAULT_LAMBDA_CAP) -> Callable:
-    """The family's nu: exact for Poisson, from a tabulated phi for Bernoulli.
-
-    The phi table reaches the largest cap the conjugation may double to.
-    """
+    """The Bernoulli family's nu, from a tabulated phi whose table reaches the
+    largest cap the conjugation may double to.  The Poisson nu has a closed
+    conjugate, so its curve is ``poisson_curve``."""
     if fam.kind == "poisson":
-        # n phi_P(lam/sqrt(n)) decreases in n, so nu = phi_P exactly.
-        return lambda lam: POISSON_PHI(np.abs(np.asarray(lam, dtype=float)))
+        raise ParameterError("the Poisson family's tail curve is the closed form poisson_curve(x_min)")
     return make_nu(TabulatedPhi(fam, t_max=lambda_cap * 2**MAX_CAP_DOUBLINGS), n_max)
 
 
@@ -312,9 +307,18 @@ def conjugate_curve(
     )
 
 
-def poisson_curve() -> TailCurve:
-    """min(1, 2 exp(-(1+z)ln(1+z)+z)), the exact-conjugate Poisson tail."""
-    fn = lambda z: 2.0 * np.exp(-poisson_conjugate(np.abs(np.asarray(z, dtype=float))))  # noqa: E731
+def poisson_curve(m: float) -> TailCurve:
+    """min(1, 2 exp(-m h(u/sqrt(m)))), h(s) = (1+s) ln(1+s) - s: the exact-conjugate
+    Poisson tail for the x-domain's lower end m.
+
+    n phi_x(lam/sqrt(n)) = nx g(lam/sqrt(nx)) with g(y) = e^y - 1 - y, and
+    c g(lam/sqrt(c)) = lam^2 g(y)/y^2 at y = lam/sqrt(c) decreases in c, so the
+    sup over n >= 1 and x >= m is at nx = m; the lower tail's e^{-y} - 1 + y
+    is at most g(y).  So nu(lam) = m g(|lam|/sqrt(m)), whose conjugate is
+    m h(u/sqrt(m)).  At m = 1 the curve is 2 exp(-h(u)), bit for bit.
+    """
+    root = math.sqrt(m)
+    fn = lambda u: 2.0 * np.exp(-m * poisson_conjugate(np.abs(np.asarray(u, dtype=float)) / root))  # noqa: E731
     return TailCurve(kind="poisson-conjugate", fn=fn)
 
 

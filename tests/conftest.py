@@ -14,6 +14,16 @@ from bernapprox.tails import (
 )
 
 
+# e^z - 1 - z: the Poisson log-MGF at x = 1 and its nu, whose conjugate is
+# families.poisson_conjugate; the oracle for poisson_curve(1)
+POISSON_PHI = lambda z: np.expm1(np.asarray(z, dtype=float)) - np.asarray(z, dtype=float)  # noqa: E731
+
+
+def poisson_nu(lam):
+    """nu of the Poisson family at x_min = 1, even in lambda."""
+    return POISSON_PHI(np.abs(np.asarray(lam, dtype=float)))
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(987654321))

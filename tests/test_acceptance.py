@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import fenchel_conjugate, hdt_bound_exp
+from conftest import POISSON_PHI, fenchel_conjugate, hdt_bound_exp
 
 from bernapprox.bounds import hdt_bound, lower_bound_constant
 from bernapprox.cli import main as cli_main
@@ -18,7 +18,7 @@ from bernapprox.experiments import ExperimentConfig, Study, validity_check
 from bernapprox.families import bernoulli_family, poisson_conjugate, poisson_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.operators import sup_error
-from bernapprox.tails import POISSON_PHI, PowerTailSpec, empirical_atf, empirical_half_width, power_tail_curve
+from bernapprox.tails import PowerTailSpec, empirical_atf, empirical_half_width, power_tail_curve
 
 # x = 0.01 .. 0.99 in steps of 0.01: the x-domain ends short of 0 and 1, where sigma vanishes
 MATRIX_FAMILY = bernoulli_family(0.01)

@@ -202,7 +202,7 @@ class TestPoissonBound:
 
     def test_pinned_constant(self):
         # the certified upper sum sits at or above the true integral
-        res = hdt_bound(HolderSpec(1.0, 1.0), poisson_curve(), 1)
+        res = hdt_bound(HolderSpec(1.0, 1.0), poisson_curve(1.0), 1)
         assert self.PINNED_C_P <= res.constant <= 1.005 * self.PINNED_C_P
 
     def test_constant_against_simpson_oracle(self):
@@ -218,7 +218,7 @@ class TestPoissonBound:
             f, np.ones_like, np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24)]),
             np.linspace(0.0, 64.0, 129),
         )
-        q = poisson_curve()
+        q = poisson_curve(1.0)
         rep = stieltjes_bound(prof, q, 16, np.linspace(0.0, tail_z_max(q), 257), f_sup=2.0)
         # only the certified tail cap 2 sup|f| Q(z_max) ~ 4e-12 remains
         assert rep.enclosure[0] == 0.0
@@ -226,8 +226,8 @@ class TestPoissonBound:
 
     def test_closed_form_scaling_and_metadata(self):
         h = HolderSpec(1.0, 1.0)
-        r16 = hdt_bound(h, poisson_curve(), 16)
-        r64 = hdt_bound(h, poisson_curve(), 64)
+        r16 = hdt_bound(h, poisson_curve(1.0), 16)
+        r64 = hdt_bound(h, poisson_curve(1.0), 64)
         assert self.PINNED_C_P / 4.0 <= r16.value <= 1.005 * self.PINNED_C_P / 4.0
         assert r64.value == pytest.approx(r16.value / 2.0, rel=1e-9)
         assert self.PINNED_C_P <= r16.constant <= 1.005 * self.PINNED_C_P

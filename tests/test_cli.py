@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 from bernapprox import bounds, config as cfgmod, operators
 from bernapprox import experiments
 from bernapprox.cli import main
+from bernapprox.errors import GridResolutionWarning
 from bernapprox.experiments import ExperimentConfig
 from bernapprox.functions import builtin_catalog, eval_clamped
 
@@ -543,12 +545,31 @@ class TestStudyStagesOnce:
         assert res.stdout.strip().splitlines()[-1] == "False"
         assert (tmp_path / "bound.csv").exists()
 
-    @pytest.mark.parametrize("cmd", ["evaluate", "modulus"])
+    @pytest.mark.parametrize("cmd", ["evaluate"])
     def test_curve_free_subcommands_never_build_the_curve(self, runner, tmp_path,
                                                           counting_curve, cmd):
         res = runner.invoke(main, [cmd, "--out", str(tmp_path)] + FAST)
         assert res.exit_code == 0, res.output
         assert counting_curve == []
+
+    def test_modulus_builds_the_curve_and_the_profile_once(self, runner, tmp_path, counting_curve,
+                                                           monkeypatch):
+        # the profile runs out to z_max / sqrt(min n), so it needs the curve's z_max
+        profiles = []
+        build = experiments.build_modulus_profile
+
+        def counted(*args, **kwargs):
+            profiles.append(build(*args, **kwargs))
+            return profiles[-1]
+
+        monkeypatch.setattr(experiments, "build_modulus_profile", counted)
+        res = runner.invoke(main, ["modulus", "--out", str(tmp_path)] + FAST)
+        assert res.exit_code == 0, res.output
+        (curve,) = counting_curve
+        # z_max bisects with scalar reads; nothing tabulates the curve
+        assert set(curve.sizes) == {1}
+        (profile,) = profiles
+        assert len((tmp_path / "modulus.csv").read_text().splitlines()) == profile.deltas.size + 1
 
 
 def test_cli_calls_never_import_scipy(tmp_path):
@@ -659,3 +680,15 @@ class TestRowsOnce:
         assert res.exit_code == 0, res.output
         rows = json.loads((tmp_path / "report.json").read_text())["rows"]
         assert all(r["lower_ratio"] > 0 for r in rows)
+
+
+def test_a_warning_is_printed_before_a_runtime_failure(runner, tmp_path, monkeypatch):
+    def warn_then_fail(self, trial):
+        warnings.warn("refine the x/h grids", GridResolutionWarning)
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(experiments.Study, "table", warn_then_fail)
+    res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST)
+    assert res.exit_code == 3
+    assert res.stderr.splitlines() == ['warning kind=GridResolutionWarning msg="refine the x/h grids"',
+                                       'error kind=runtime msg="RuntimeError: stage failed"']

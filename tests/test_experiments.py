@@ -59,9 +59,7 @@ def test_poisson_modulus_window_follows_the_x_domain(x_max):
     # the bound is applied at every x of [x_min, x_max], so the modulus x-sup covers it
     study = Study(ExperimentConfig(family_kind="poisson", function_name="exp-decay", family_x_max=x_max,
                                    x_grid_size=33, delta_grid_size=9, n_grid=(16, 64)))
-    for profile in (study.profile, study.interval_profile):
-        assert profile.metadata["window"] == (0.0, x_max)
-        assert profile.metadata["x_window"] == (0.0, x_max)
+    assert study.profile.metadata["x_window"] == (0.0, x_max)
 
 
 class TestRunConvergence:

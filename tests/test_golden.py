@@ -5,7 +5,9 @@ A change that moves a byte of a report must update the digest here on
 purpose.  `timings.csv` holds wall times and is not canonical.
 """
 
+import csv
 import hashlib
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -58,8 +60,8 @@ GOLDEN = {
             "evaluate_n64.csv": "5e9d38c7c19be22dc0dc65cf3a81e3a4fcb182dcb4295623393cd4bfa2932250",
         },
         "modulus": {
-            "modulus.csv": "3ac28989ce5dd0a00935dade02969d3beb7d2eb644c49607bea6475471555e78",
-            "modulus.json": "0c1158374f8127d902204a4ad7403c920c600376331d72336f5e1a2688a181b8",
+            "modulus.csv": "6d0440af0369a309df04aa5aa60840cccce481987d1aa86a9e9fc96fff4ef2ec",
+            "modulus.json": "a279e83f145e5eeebe0c9d0838307c202aedcf98c3f4a5d6d8f0fe76076ab4d5",
         },
         "tail": {
             "tail.csv": "9599110b616e1b55a5185ccbb82fe7dfecc3351cd9419cbfb5aaca5a54baab2c",
@@ -81,8 +83,8 @@ GOLDEN = {
             "evaluate_n64.csv": "06f49250b75373d5f89a61afef345dfce15aa27c8fe1f37aa2b243af11765ebc",
         },
         "modulus": {
-            "modulus.csv": "54727fb0529a34c780a96d47fdb11944aeeeef47f5fd85d5aaa65b2438c59aa0",
-            "modulus.json": "29da57a749eb78a17b4f96e78a1b2dadeddf918aee29b2a1e3de464706b8aa16",
+            "modulus.csv": "cc3158734925023807a1528017fd52912cc90461d00fc8146743de0d0c031b6e",
+            "modulus.json": "de7c016a854852da4049fce21bb92822186b47b60fdb9443708513a9c7f68e1f",
         },
         "tail": {
             "tail.csv": "e3d064e40ac45577f05adb88843c71fca64aaf0e740d20056a22e9b0c1254ca5",
@@ -104,8 +106,8 @@ GOLDEN = {
             "evaluate_n64.csv": "06f49250b75373d5f89a61afef345dfce15aa27c8fe1f37aa2b243af11765ebc",
         },
         "modulus": {
-            "modulus.csv": "54727fb0529a34c780a96d47fdb11944aeeeef47f5fd85d5aaa65b2438c59aa0",
-            "modulus.json": "b07e15ea753d512c48a219865b0228001a08bc403137cad7f6190cd4f9acbee0",
+            "modulus.csv": "c5f72d798a3dd050f7a3eb0f30c3a056be901b594e03cfb398a320999c07be82",
+            "modulus.json": "ef5733c0461552f487bc9714f5ef6d18268443b9756d797ec794bb88e887ef41",
         },
         "tail": {
             "tail.csv": "70d6a5b211c4a1fc58c9595e1f14ab3fb209d9f8c4dc9bce10b5434f10e63dfe",
@@ -127,8 +129,8 @@ GOLDEN = {
             "evaluate_n64.csv": "e2ff2fb2c8cd8483eda2cfa963257448f5476a65e7dc7a2a915563996b810914",
         },
         "modulus": {
-            "modulus.csv": "d08b0383e54bf05ca8b5803ee61821c792cc1fe4c6a7ff4ac92802026dd17fbe",
-            "modulus.json": "374026c1dbd8603643f2b294edd56c6c9b5fd2ef6ff7ab1eb292272c098a76a4",
+            "modulus.csv": "0de8a9fe2592d7dc5980edd65270a4c064d60e3c3e79115e783cf324750ab77e",
+            "modulus.json": "d0a0c575cf45d8a9cf3aade37f82d77cd4a08b6f2e768ba70d924aec44116ac1",
         },
         "tail": {
             "tail.csv": "67d53ee5f782bdecbe7d483716d6478ecfc84e4caa72c841461f49ff4d0ff964",
@@ -145,6 +147,10 @@ def digests(out) -> dict:
     }
 
 
+def study_of(config: str) -> Study:
+    return Study(cfgmod.resolve(overrides=cfgmod.parse_overrides(CONFIGS[config][1::2])))
+
+
 @pytest.mark.parametrize("cmd", ["run", "bound", "evaluate", "modulus", "tail"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_canonical_bytes(tmp_path, config, cmd):
@@ -154,8 +160,34 @@ def test_canonical_bytes(tmp_path, config, cmd):
 
 
 def test_the_cap_config_reads_past_the_last_line():
-    study = Study(cfgmod.resolve(overrides=cfgmod.parse_overrides(CONFIGS["bern-cusp-cap"][1::2])))
+    study = study_of("bern-cusp-cap")
     with pytest.warns(BoundaryWarning) as record:
         study.z_max
     assert study.curve.params["lambda_cap"] == 6.0
     assert [str(w.message).rsplit("u=", 1)[1] for w in record] == ["64", "32"]
+
+
+@pytest.mark.filterwarnings("ignore::bernapprox.errors.BoundaryWarning")  # bern-cusp-cap's reads past the last line
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_modulus_reports_the_profile_and_seminorm_that_bound_integrates(tmp_path, config):
+    for cmd in ("modulus", "bound"):
+        res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path / cmd)] + CONFIGS[config])
+        assert res.exit_code == 0, res.output
+    holder = {cmd: json.loads((tmp_path / cmd / f"{cmd}.json").read_text())["holder"]
+              for cmd in ("modulus", "bound")}
+    assert holder["modulus"] == holder["bound"]
+    with open(tmp_path / "modulus" / "modulus.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    profile = study_of(config).profile
+    assert [float(r["delta"]) for r in rows] == profile.deltas.tolist()
+    assert [float(r["omega"]) for r in rows] == profile.values.tolist()
+
+
+@pytest.mark.parametrize("cmd", ["tail", "run"])
+def test_warnings_reach_stderr_as_kind_lines(cmd, tmp_path):
+    res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path)] + CONFIGS["bern-cusp-cap"])
+    assert res.exit_code == 0, res.output
+    lines = res.stderr.splitlines()
+    assert lines == [f'warning kind=BoundaryWarning msg="conjugate maximizer at the lambda grid boundary 6 '
+                     f'for u={u}"' for u in (64, 32)]
+    assert not any("/" in line or ".py:" in line for line in lines)

@@ -209,14 +209,36 @@ def test_no_numerical_integration_in_the_package():
     assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
 
 
-def test_bounds_imports_neither_operators_nor_families():
-    # bounds combines a modulus profile with a tail curve; the operator sweep is the study's
+def imported_modules(source: str) -> set[str]:
+    """The package modules a source imports, by short name, with the names it
+    imports from the package itself (``from . import config``)."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").removeprefix("bernapprox."))
             if node.module in (None, "bernapprox"):
                 imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.removeprefix("bernapprox.") for alias in node.names)
-    assert imported & {"operators", "families"} == set()
+    return imported
+
+
+def test_bounds_imports_neither_operators_nor_families():
+    # bounds combines a modulus profile with a tail curve; the operator sweep is the study's
+    assert imported_modules((SRC / "bounds.py").read_text(encoding="utf-8")) & {"operators", "families"} == set()
+
+
+# the layers whose numbers reach a report only through a Study stage
+BELOW_THE_STUDY = {"modulus", "bounds", "operators"}
+
+
+def test_cli_reads_every_number_from_the_study():
+    assert imported_modules((SRC / "cli.py").read_text(encoding="utf-8")) & BELOW_THE_STUDY == set()
+
+
+def test_cli_import_guard_catches_an_added_import():
+    text = (SRC / "cli.py").read_text(encoding="utf-8")
+    anchor = "from .tails import empirical_half_width\n"
+    assert anchor in text
+    added = text.replace(anchor, anchor + "from .modulus import holder_seminorm\n")
+    assert imported_modules(added) & BELOW_THE_STUDY == {"modulus"}

@@ -106,12 +106,12 @@ class TestProfile:
 
     def test_values_capped_by_twice_sup(self):
         f = builtin_catalog("sine", freq=2.0)
-        prof = modulus_profile(f, UNIT, default_delta_grid(f.interval), XS)
+        prof = modulus_profile(f, UNIT, default_delta_grid(33, 1.0), XS)
         assert np.all(prof.values <= 2.0 * f.sup_abs + 1e-12)
 
     def test_monotone_and_zero_at_origin(self):
         f = trial_function(0.3, 0.5)
-        prof = modulus_profile(f, UNIT, default_delta_grid(f.interval), XS)
+        prof = modulus_profile(f, UNIT, default_delta_grid(33, 1.0), XS)
         assert prof.values[0] == 0.0
         assert np.all(np.diff(prof.values) >= 0.0)
 
@@ -204,7 +204,7 @@ class TestOnePassSlack:
 
 class TestHolderSeminorm:
     def grid(self, interval):
-        return default_delta_grid(interval, 33)
+        return default_delta_grid(33, interval.b - interval.a)
 
     def test_constant_annihilated(self):
         f = builtin_catalog("constant", c=5.0)

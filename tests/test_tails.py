@@ -10,11 +10,13 @@ from typing import Callable, Optional
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, step_read,
+    POISSON_PHI, brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, poisson_nu,
+    step_read,
 )
 
 from bernapprox import experiments, tails
@@ -22,7 +24,6 @@ from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family, poisson_conjugate, poisson_family, zeta_log_mgf
 from bernapprox.tails import (
-    POISSON_PHI,
     PowerTailSpec,
     TailCurve,
     TabulatedPhi,
@@ -32,6 +33,7 @@ from bernapprox.tails import (
     family_nu,
     make_nu,
     phi_sup,
+    poisson_curve,
     power_tail_curve,
     tail_z_max,
 )
@@ -264,16 +266,14 @@ class TestFenchelConjugate:
 
     def test_biconjugation_recovers_nu(self):
         # Fenchel-Moraux: conjugating the exact conjugate returns nu
-        nu = lambda lam: POISSON_PHI(np.abs(np.asarray(lam, dtype=float)))  # noqa: E731
-
         def nu_star(u):
             arr = np.atleast_1d(np.asarray(u, dtype=float))
-            out = np.array([fenchel_conjugate(nu, float(v)) for v in arr])
+            out = np.array([fenchel_conjugate(poisson_nu, float(v)) for v in arr])
             return float(out[0]) if np.isscalar(u) else out
 
         for lam in (0.1, 0.5, 1.0, 2.0, 3.0):
             nn = fenchel_conjugate(nu_star, float(lam), lambda_cap=40.0, grid_size=201)
-            assert nn == pytest.approx(float(nu(lam)), rel=1e-6)
+            assert nn == pytest.approx(float(poisson_nu(lam)), rel=1e-6)
 
 
 class TestPoissonConjugate:
@@ -311,7 +311,7 @@ class TestPoissonConjugate:
 
 @pytest.fixture(scope="module")
 def pois_curve():
-    return conjugate_curve(family_nu(poisson_family()), 20.0)
+    return conjugate_curve(poisson_nu, 20.0)
 
 
 class TestAtfUpperBound:
@@ -335,6 +335,39 @@ class TestAtfUpperBound:
         vals = np.array([curve.at(float(u)) for u in us])
         assert np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+def exact_poisson_tail(x: float, n: int, u: float) -> float:
+    """P(|zeta_n(x)| > u) with n S_n ~ Poisson(nx) and zeta_n = (n S_n - nx)/sqrt(nx)."""
+    mu = n * x
+    above, below = mu + u * math.sqrt(mu), mu - u * math.sqrt(mu)
+    return float(scipy.stats.poisson.sf(math.floor(above), mu) + scipy.stats.poisson.cdf(math.ceil(below) - 1, mu))
+
+
+class TestPoissonCurve:
+    @given(st.floats(min_value=0.01, max_value=8.0), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=1, max_value=256), st.floats(min_value=0.0, max_value=40.0))
+    @settings(max_examples=200, deadline=None)
+    def test_dominates_the_exact_tail_on_the_x_domain(self, x_min, t, n, u):
+        # the worst x is the x-domain's lower end; below x = 1 the tails are heavier
+        x_max = 4.0 * x_min
+        curve = Study(ExperimentConfig(family_kind="poisson", function_name="exp-decay",
+                                       family_x_min=x_min, family_x_max=x_max)).curve
+        x = x_min + t * (x_max - x_min)
+        assert exact_poisson_tail(x, n, u) <= curve.at(u) * (1.0 + 1e-12)
+
+    def test_the_x_min_one_curve_is_the_closed_conjugate(self):
+        us = np.linspace(0.0, 40.0, 161)
+        assert np.array_equal(poisson_curve(1.0).at(us), np.minimum(1.0, 2.0 * np.exp(-poisson_conjugate(us))))
+
+    def test_a_smaller_x_min_raises_the_curve(self):
+        us = np.linspace(4.0, 20.0, 33)  # where every curve is below its cap 1
+        assert np.all(poisson_curve(0.1).at(us) > poisson_curve(1.0).at(us))
+        assert np.all(poisson_curve(4.0).at(us) < poisson_curve(1.0).at(us))
+
+    def test_family_nu_names_the_closed_form(self):
+        with pytest.raises(ParameterError, match="poisson_curve"):
+            family_nu(poisson_family(0.5, 8.0))
 
 
 class TestPowerTail:
@@ -444,11 +477,11 @@ class TestEmpiricalAtf:
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
     def test_conjugate_bound_dominates_empirical(self, kind):
         if kind == "bernoulli":
-            fam, x = bernoulli_family(), 0.5
+            fam, x, nu = bernoulli_family(), 0.5, family_nu(bernoulli_family())
         else:
-            fam, x = poisson_family(), 1.0
+            fam, x, nu = poisson_family(), 1.0, poisson_nu
         us = np.arange(0.0, 4.01, 0.5)
-        curve = conjugate_curve(family_nu(fam), 8.0)
+        curve = conjugate_curve(nu, 8.0)
         emp = empirical_atf(fam, x, us, [1, 4, 16, 64], 50_000, seed=11)
         for u, v, hw in zip(us, emp.at(us), empirical_half_width(emp, us)):
             assert v <= curve.at(float(u)) + 3.0 * hw
@@ -736,7 +769,7 @@ READ_NUS = ["subgauss", "poisson", "bernoulli-0.001", "bernoulli-0.05", "bernoul
 
 @pytest.fixture(scope="module")
 def read_nus():
-    nus = {"subgauss": SUBGAUSS, "poisson": family_nu(poisson_family())}
+    nus = {"subgauss": SUBGAUSS, "poisson": poisson_nu}
     for eps in (0.001, 0.05, 0.3):
         nus[f"bernoulli-{eps}"] = family_nu(bernoulli_family(eps))
     return nus
