@@ -3,10 +3,10 @@
 For parameter x the single draw xi(x) has mean x and variance sigma(x)^2
 with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 [0,inf)).  The scaled sum n*S_n = sum_i xi_i is Binomial(n, x) respectively
-Poisson(n*x).  Its pmf comes from one kernel, ``pmf_kernel``: the mode
-term from Loader's saddle-point form, every other term by a ratio
-recurrence out of the mode, so nothing can overflow and no log-gamma sum
-amplifies rounding with n.  ``szasz_window`` cuts Poisson sums to certified
+Poisson(n*x).  Its pmf comes from one kernel, ``pmf_kernel``, for a chunk
+of x at a time: the mode terms from Loader's saddle-point form, every other
+term by a ratio recurrence out of the mode, so nothing can overflow and no
+log-gamma sum amplifies rounding with n.  ``szasz_window`` cuts Poisson sums to certified
 windows by one padded vector scan of the Chernoff exponent per side for a
 whole array of means, no bisection.
 
@@ -30,6 +30,8 @@ RNG_NAME = "pcg64"
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling-series coefficients B_2j / (2j (2j - 1)) for j = 1..5
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
+# -ln of a pmf below the smallest subnormal, 2^-1074, by a factor e^15
+_ZERO_EXPONENT = 760.0
 
 
 @dataclass(frozen=True)
@@ -128,98 +130,185 @@ def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return np.minimum(start + np.arange(int(np.max(end - start)) + 1), end)
 
 
-def pmf_kernel(kind: str, n: int) -> Callable[[float, int, int], np.ndarray]:
-    """weights(x, lo, hi) = P(n*S_n = k) for k = lo..hi: Binomial(n, x) or Poisson(n*x),
-    at an x of a family's x-domain, so 0 < x (and x < 1 for Binomial).
+def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> Callable[..., np.ndarray]:
+    """weights(s, e, a, b, frame, scratch) = P(n*S_n = k) for the rows x = xs[s:e]
+    and the columns k = a..b, Binomial(n, x) or Poisson(n*x), as an
+    (e - s, b - a + 1) view of ``frame``.  frame and scratch are 1-d buffers of
+    at least that many floats, and the call overwrites both.
 
-    The kernel anchors at the mode m, floor((n+1)x) for Binomial and
-    floor(nx) for Poisson, clipped into [lo, hi], whose pmf comes from
-    Loader's saddle-point form ("Fast and Accurate Computation of Binomial
-    Probabilities", 2000).  Both sides follow by cumulative products of the
-    pmf ratios, (n-k+1)/k * x/(1-x) or nx/k going up and their inverses going
-    down.  Every ratio away from the mode is at most 1, so no term can
-    overflow, far terms underflow to 0, and rounding grows with the distance
-    from the mode, not with n.  The x-free Binomial factors (n-k+1)/k and
-    (k+1)/(n-k) are built once here, and each x scales them by one scalar.
+    Each x lies in a family's x-domain, so 0 < x (and x < 1 for Binomial), and
+    [lo, hi] is its window of n*S_n.  Row i anchors at its mode m_i,
+    floor((n+1)x) for Binomial and floor(nx) for Poisson, clipped into the
+    window, whose pmf comes from Loader's saddle-point form ("Fast and Accurate
+    Computation of Binomial Probabilities", 2000), for every x in one vector
+    call.  Both sides follow by cumulative products of the pmf ratios,
+    (n-k+1)/k * x/(1-x) or nx/k going up and their inverses going down.  Every
+    ratio away from the mode is at most 1, so no term can overflow, far terms
+    underflow to 0, and rounding grows with the distance from the mode, not
+    with n.  The x-free Binomial factors (n-k+1)/k and (k+1)/(n-k) are built
+    once here, and each row scales them by one scalar.
+
+    Column j of the frame holds k = a + j in every row, so one slice of f
+    values serves all of its rows.  2-D ufuncs fill the frame with the
+    ratios, each row's mode takes its pmf, and one cumulative product per
+    side multiplies the frame out from the modes.  Between the rows' smallest
+    and largest mode, the up pass reads 1.0 left of each row's mode, and a
+    band in scratch, multiplied down from the largest mode, reads 1.0 right
+    of it and is then copied in.  A product with 1.0 is exact, so every
+    weight is the product a row of its own gives, in the same order, bit for
+    bit.  A Binomial side whose products are all exactly 0 at the reach of
+    Bernstein's inequality is filled with 0.0 from there on.
     """
     if kind == "bernoulli":
-        k = np.arange(1, n + 1, dtype=float)
-        up_base = (n - k + 1.0) / k  # ratio into k, k = 1..n
-        k = np.arange(0, n, dtype=float)
-        down_base = (k + 1.0) / (n - k)  # ratio into k from k + 1, k = 0..n-1
+        modes = np.floor((n + 1) * xs)
+        up, down = np.arange(n + 1, dtype=float), np.ones(n + 1)  # up holds k until it holds ratios
+        rest = (n + 1.0) - up  # n - k + 1, exactly
+        np.divide(up[1:], rest[1:], out=down[:n])  # ratio into k from k + 1, k = 0..n-1
+        np.divide(rest[1:], up[1:], out=up[1:])  # ratio into k, k = 1..n
+        up[0] = 1.0  # up[0] and down[n] are no ratio: a mode's pmf or 1.0 replaces them
+        up_x, down_x = xs / (1.0 - xs), (1.0 - xs) / xs
+        # Bernstein's inequality puts the pmf below exp(-_ZERO_EXPONENT) this far from nx
+        reach = np.ceil(_ZERO_EXPONENT / 3.0 + np.sqrt(_ZERO_EXPONENT**2 / 9.0
+                                                      + 2.0 * _ZERO_EXPONENT * n * xs * (1.0 - xs))) + 1
+    else:
+        mu = n * xs
+        modes = np.floor(mu)
+        reach = np.full(xs.size, np.inf)  # a Szasz window ends before its weights reach 0
+    modes = np.minimum(np.maximum(modes, lo), hi).astype(np.int64)
+    mode_pmfs = _mode_pmfs(kind, n, xs, modes)
+    rows_mode, rows_reach = modes.tolist(), reach.tolist()
 
-    def weights(x: float, lo: int, hi: int) -> np.ndarray:
-        mu = n * x
-        m = min(max(math.floor((n + 1) * x if kind == "bernoulli" else mu), lo), hi)
-        i = m - lo
-        ratios = np.empty(hi - lo + 1)
+    def weights(s: int, e: int, a: int, b: int, frame: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        m, p = modes[s:e], mode_pmfs[s:e]
+        m0, m1 = min(rows_mode[s:e]), max(rows_mode[s:e])
+        o0, o1 = m0 - a, m1 - a  # the modes' columns
+        w = frame[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
+        d = None if o1 == o0 else scratch[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
         if kind == "bernoulli":
-            ratios[i + 1:] = up_base[m:hi] * (x / (1.0 - x))
-            ratios[:i] = down_base[lo:m] * ((1.0 - x) / x)
+            np.multiply(up[m0:b + 1], up_x[s:e, None], out=w[:, o0:])
+            np.multiply(down[a:m0], down_x[s:e, None], out=w[:, :o0])
+            if d is not None:
+                np.multiply(down[m0:m1 + 1], down_x[s:e, None], out=d)
         else:
-            k = np.arange(lo, hi + 1, dtype=float)
-            ratios[i + 1:] = mu / k[i + 1:]
-            ratios[:i] = (k[:i] + 1.0) / mu
-        ratios[i] = _mode_pmf(kind, n, x, m)
-        w = np.empty(ratios.size)
-        w[i:] = np.cumprod(ratios[i:])
-        w[: i + 1] = np.cumprod(ratios[i::-1])[::-1]
+            ks = np.arange(a, b + 2, dtype=float)  # ks[j + 1] is exactly ks[j] + 1.0
+            u = o0 + (m0 == 0)  # k = 0 is at or left of every mode: no ratio into it
+            np.divide(mu[s:e, None], ks[u:-1], out=w[:, u:])
+            np.divide(ks[1:o0 + 1], mu[s:e, None], out=w[:, :o0])
+            if d is not None:
+                np.divide(ks[o0 + 1:o1 + 2], mu[s:e, None], out=d)
+        if d is None:  # one mode: both passes start at it
+            w[:, o0] = p
+            r = max(rows_reach[s:e])
+            _cumprod_to_zero(w[:, o0:], r)
+            _cumprod_to_zero(w[:, o0::-1], r)
+            return w
+        k = np.arange(m0, m1 + 1)
+        left = k < m[:, None]
+        np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
+        np.copyto(d, 1.0, where=k > m[:, None])
+        rows, cols = np.arange(e - s), m - m0
+        w[rows, o0 + cols] = p
+        d[rows, cols] = p
+        np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+        np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
+        if o0:  # carry the band's last product into the rows' common down side
+            w[:, o0 - 1] *= d[:, 0]
+            np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
+        np.copyto(w[:, o0:o1 + 1], d, where=left)
         return w
 
     return weights
 
 
-def _mode_pmf(kind: str, n: int, x: float, m: int) -> float:
-    """The pmf at k = m in Loader's form, exp(-stirlerr and bd0 terms) / sqrt(2 pi v).
+def _cumprod_to_zero(v: np.ndarray, reach: float) -> None:
+    """np.cumprod along the rows of v, in place.  Where every row's product is
+    exactly 0 at column ``reach``, the products stay 0 from there on, so the
+    rest is filled with 0.0, not multiplied out: the same floats either way."""
+    if reach + 1 < v.shape[1]:
+        head = v[:, :int(reach) + 1]
+        np.multiply.accumulate(head, axis=1, out=head)
+        if not head[:, -1].any():
+            v[:, head.shape[1]:] = 0.0
+            return
+        v[:, head.shape[1]] *= head[:, -1]
+        v = v[:, head.shape[1]:]
+    np.multiply.accumulate(v, axis=1, out=v)
 
-    v is m(n-m)/n or m, at least 1/2 and at most n, so the direct form can
-    neither overflow nor underflow; m = 0 and m = n are single powers.
+
+def _mode_pmfs(kind: str, n: int, xs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The pmf at k = m_i for each x_i, in Loader's form exp(-stirlerr and bd0
+    terms) / sqrt(2 pi v).
+
+    The arithmetic runs in numpy and each exp, log1p and lgamma in ``math``,
+    element by element, so every value is the float the scalar form gives: a
+    vector exp or log may differ from libm's in the last place.  v is
+    m(n-m)/n or m, at least 1/2 and at most n, so the direct form can neither
+    overflow nor underflow; m = 0 and m = n are single powers.
     """
+    out = np.empty(xs.size)
+    k = m.astype(float)
     if kind == "bernoulli":
-        if m == 0:
-            return math.exp(n * math.log1p(-x))
-        if m == n:
-            return x**n
-        lc = (_stirlerr(n) - _stirlerr(m) - _stirlerr(n - m)
-              - _bd0(m, n * x) - _bd0(n - m, n * (1.0 - x)))
-        return math.exp(lc) / math.sqrt(2.0 * math.pi * m * (n - m) / n)
-    mu = n * x
-    if m == 0:
-        return math.exp(-mu)
-    return math.exp(-_stirlerr(m) - _bd0(m, mu)) / math.sqrt(2.0 * math.pi * m)
+        zero, full = m == 0, m == n
+        out[zero] = _each(math.exp, n * _each(math.log1p, -xs[zero]))
+        out[full] = [x**n for x in xs[full].tolist()]
+        mid = ~(zero | full)
+        k, x = k[mid], xs[mid]
+        lc = (_stirlerrs(np.array([float(n)]))[0] - _stirlerrs(k) - _stirlerrs(n - k)
+              - _bd0s(k, n * x) - _bd0s(n - k, n * (1.0 - x)))
+        out[mid] = _each(math.exp, lc) / np.sqrt(2.0 * math.pi * k * (n - k) / n)
+        return out
+    mu = n * xs
+    zero = m == 0
+    out[zero] = _each(math.exp, -mu[zero])
+    k, mu = k[~zero], mu[~zero]
+    out[~zero] = _each(math.exp, -_stirlerrs(k) - _bd0s(k, mu)) / np.sqrt(2.0 * math.pi * k)
+    return out
 
 
-def _stirlerr(k: int) -> float:
-    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k): lgamma up to 15, the Stirling series above."""
-    if k <= 15:
-        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
-    kk = float(k) * k
-    if k > 500:
-        return (_S0 - _S1 / kk) / k
-    if k > 80:
-        return (_S0 - (_S1 - _S2 / kk) / kk) / k
-    if k > 35:
-        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+def _each(fn: Callable[[float], float], v: np.ndarray) -> np.ndarray:
+    """fn of ``math`` at each element of v."""
+    return np.array([fn(t) for t in v.tolist()], dtype=float)
 
 
-def _bd0(k: float, np_: float) -> float:
-    """k ln(k/np) + np - k, by a series in (k-np)/(k+np) when k is near np."""
+def _stirlerrs(k: np.ndarray) -> np.ndarray:
+    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k) at integer k >= 1: lgamma up to 15, the
+    Stirling series above."""
+    kk = k * k
+    out = np.select(
+        [k > 500, k > 80, k > 35],
+        [(_S0 - _S1 / kk) / k,
+         (_S0 - (_S1 - _S2 / kk) / kk) / k,
+         (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k],
+        (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k)
+    small = k <= 15
+    s = k[small]
+    out[small] = _each(math.lgamma, s + 1.0) - (s + 0.5) * _each(math.log, s) + s - _LN_SQRT_2PI
+    return out
+
+
+def _bd0s(k: np.ndarray, np_: np.ndarray) -> np.ndarray:
+    """k ln(k/np) + np - k, by a series in (k-np)/(k+np) where k is near np."""
     d = k - np_
-    if abs(d) >= 0.1 * (k + np_):
-        return k * math.log(k / np_) + np_ - k
-    v = d / (k + np_)
+    far = np.abs(d) >= 0.1 * (k + np_)
+    out = np.empty(k.size)
+    kf, nf = k[far], np_[far]
+    out[far] = kf * _each(math.log, kf / nf) + nf - kf
+    near = ~far
+    k, d = k[near], d[near]
+    v = d / (k + np_[near])
     s = d * v
     ej = 2.0 * k * v
-    v *= v
-    j = 3
-    while True:
-        ej *= v
-        s1 = s + ej / j
-        if s1 == s:
-            return s1
-        s = s1
-        j += 2
+    v = v * v
+    live, j = np.arange(k.size), 3
+    while live.size:  # each term until it no longer moves the sum
+        ej[live] *= v[live]
+        s1 = s[live] + ej[live] / j
+        moved = s1 != s[live]
+        s[live] = s1
+        live, j = live[moved], j + 2
+    out[near] = s
+    return out
 
 
 def sample_scaled_sum(fam: Family, x: float, n: int, rng: np.random.Generator, size=None):

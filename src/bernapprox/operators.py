@@ -5,12 +5,14 @@ an array, with an error radius at each x.  Both families share one
 exact-sum kernel.  Per n it builds the windows of n*S_n for the whole grid
 at once, all of [0, n] for Binomial weights (Bernstein polynomials) and
 the two-sided Chernoff windows families.szasz_window for Poisson(nx)
-weights (Szasz sums), and the x-free parts of the pmf ratios.  f is
-evaluated on k/n over lattice blocks of consecutive windows, at most
-LATTICE_BLOCK points or one wider window each (all of [0, n] for
-Bernstein), and each x slices its window out of its block.  Per x one
-weight array, families.pmf_kernel's ratio recurrence out of the mode,
-serves every function of the sweep.  The Szasz window drops at most
+weights (Szasz sums).  f is evaluated on k/n over lattice blocks of
+consecutive windows, at most LATTICE_BLOCK points or one wider window each
+(all of [0, n] for Bernstein).  Inside a block, consecutive x form chunks
+whose frame of rows by [min lo, max hi] holds at most CHUNK weights, or
+one wider row.  families.pmf_kernel fills a chunk's frame with one batched
+pass, with no Python per x; each function of the sweep multiplies it once,
+and each row is summed over exactly its own window, so every value is the
+float a sweep of one x at a time gives.  The Szasz window drops at most
 tail_tol / 2 of Poisson mass on each side, so its error radius
 tail_tol * sup|f| certifies the truncation; the rounding of the weights is
 not in the radius.  A seeded Monte Carlo path covers the generic
@@ -38,6 +40,8 @@ from .grids import resolve_grid
 
 MAX_BERNSTEIN_N = 2**20
 LATTICE_BLOCK = 2**13  # k points of a lattice block of Szasz windows
+CHUNK = 2**13  # weights in a chunk's frame, unless its one window is wider
+BUFSIZE = 512  # floats of numpy's buffer per operand of a ufunc call in the sweep
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,17 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
     are checked once.  Per x the sum runs over the window of n*S_n, [0, n] or
     szasz_window(nx, tail_tol).  Consecutive windows share one lattice block
     of f values while it spans at most LATTICE_BLOCK points, or while the
-    window fits inside it.  The radius is 0 for Bernstein sums and
+    window fits inside it.  Inside a block, consecutive x share one chunk of
+    pmf weights while its frame of rows by [min lo, max hi] holds at most
+    CHUNK floats, or is one row.  Each f multiplies a chunk once, and each row
+    is summed over exactly its own window, so a value is the same float as
+    from a chunk of its own.  The radius is 0 for Bernstein sums and
     tail_tol * sup|f| for Szasz sums.
     """
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_BERNSTEIN_N):
         raise ParameterError(f"n must be an integer in [1, {MAX_BERNSTEIN_N}], got {n!r}")
     if kind == "bernoulli":
-        lo, hi, radii = [0] * xs.size, [n] * xs.size, [0.0] * len(fs)
+        lo, hi, radii = np.zeros(xs.size, np.int64), np.full(xs.size, n, np.int64), [0.0] * len(fs)
     else:
         if not (0.0 < tail_tol <= 1e-6):
             raise ParameterError(f"tail_tol must be in (0, 1e-6], got {tail_tol}")
@@ -78,25 +86,54 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
                 raise InsufficientDataError(
                     f"{f.name}: sup_abs metadata is required to certify the Szasz truncation")
         lo, hi = szasz_window(n * xs, tail_tol)
-        lo, hi, radii = lo.tolist(), hi.tolist(), [tail_tol * f.sup_abs for f in fs]
-    weights = pmf_kernel(kind, n)
-    xs = xs.tolist()
-    starts = []
-    for i in range(len(xs)):
-        if starts and (a <= lo[i] and hi[i] <= b or max(b, hi[i]) - min(a, lo[i]) < LATTICE_BLOCK):
-            a, b = min(a, lo[i]), max(b, hi[i])
+        radii = [tail_tol * f.sup_abs for f in fs]
+    lo, hi = lo.tolist(), hi.tolist()
+    blocks = []  # per lattice block, the first x of each of its chunks
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        if blocks and (a <= l and h <= b or max(b, h) - min(a, l) < LATTICE_BLOCK):
+            a, b = min(a, l), max(b, h)
+            if (i + 1 - blocks[-1][-1]) * (max(cb, h) - min(ca, l) + 1) <= CHUNK:
+                ca, cb = min(ca, l), max(cb, h)
+                continue
+            blocks[-1].append(i)
         else:
-            starts.append(i)
-            a, b = lo[i], hi[i]
+            blocks.append([i])
+            a, b = l, h
+        ca, cb = l, h
+    weights = None
     out = np.empty((len(fs), len(xs)))
-    for s, e in zip(starts, starts[1:] + [len(xs)]):
-        a, b = min(lo[s:e]), max(hi[s:e])
-        blocks = [eval_clamped(f, np.arange(a, b + 1) / n) for f in fs]
-        for i in range(s, e):
-            w = weights(xs[i], lo[i], hi[i])
-            for row, fvals in zip(out, blocks):
-                row[i] = np.sum(w * fvals[lo[i] - a:hi[i] - a + 1])
+    with np.errstate():  # restores the buffer size on exit
+        # a broadcasting ufunc call on a chunk buffers its operands; numpy's
+        # default buffer of 8192 floats per operand would outweigh the chunk
+        np.setbufsize(BUFSIZE)
+        for starts, end in zip(blocks, [c[0] for c in blocks[1:]] + [len(xs)]):
+            a, b = min(lo[starts[0]:end]), max(hi[starts[0]:end])
+            fvals = _on_lattice(fs, n, a, b)
+            if weights is None:  # built after the first evaluation, whose peak it would add to
+                weights = pmf_kernel(kind, n, xs, np.array(lo), np.array(hi))
+            chunks = [(s, e, min(lo[s:e]), max(hi[s:e])) for s, e in zip(starts, starts[1:] + [end])]
+            size = max((e - s) * (cb - ca + 1) for s, e, ca, cb in chunks)
+            frame, prod = np.empty(size), np.empty(size)
+            for s, e, ca, cb in chunks:
+                w = weights(s, e, ca, cb, frame, prod)
+                p = prod[:w.size].reshape(w.shape)
+                whole = min(hi[s:e]) == cb and max(lo[s:e]) == ca  # every window is the frame
+                for row, fv in zip(out, fvals):
+                    np.multiply(w, fv[ca - a:cb - a + 1], out=p)
+                    if whole:
+                        np.add.reduce(p, axis=1, out=row[s:e])
+                    else:
+                        for i in range(s, e):
+                            row[i] = np.add.reduce(p[i - s, lo[i] - ca:hi[i] - ca + 1])
+            del fvals, frame, prod, w, p  # before the next block is evaluated
     return out, radii
+
+
+def _on_lattice(fs: Sequence[TargetFunction], n: int, a: int, b: int) -> list[np.ndarray]:
+    """f(k/n) for k = a..b, for each f of fs."""
+    k = np.arange(a, b + 1, dtype=float)
+    k /= n
+    return [eval_clamped(f, k) for f in fs]
 
 
 def generic_mc(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ DEFAULT_N_MAX = 256
 ROUND_UP = 1.0 + 8.0 * np.finfo(float).eps
 TAIL_FLOOR = 1e-12
 Z_CAP = 64.0
+Z_MAX_LEVELS = 5  # bisection steps per array read of tail_z_max
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +66,14 @@ class TailCurve:
 
     ``at`` caps ``fn`` at 1.  Each builder owns its curve's form: a closed
     form, the supporting lines of a conjugate, or an empirical step rule.
+    A curve whose fn warns also has ``quiet``, the same reads without the
+    warnings, which ``quiet_at`` reads.
     """
 
     kind: str
     fn: Callable
     params: dict = field(default_factory=dict)
+    quiet: Optional[Callable] = None
 
     def at(self, u):
         out = np.minimum(1.0, np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float))
@@ -77,22 +81,50 @@ class TailCurve:
             return float(out)
         return out
 
+    def quiet_at(self, u: np.ndarray) -> np.ndarray:
+        """``at`` an array of u, without the warnings of fn."""
+        return np.minimum(1.0, np.asarray((self.quiet or self.fn)(np.asarray(u, dtype=float)), dtype=float))
+
 
 def tail_z_max(curve: TailCurve, floor: float = TAIL_FLOOR, cap: float = Z_CAP) -> float:
     """Where Q drops below floor: bisects [0, cap] to a bracket of width <= 1e-6 and
-    returns its end with Q(z) < floor; 0 if Q(0) < floor, cap if Q(cap) >= floor."""
-    if curve.at(0.0) < floor:
-        return 0.0
-    if curve.at(cap) >= floor:
-        return cap
-    lo, hi = 0.0, cap
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if curve.at(mid) < floor:
-            hi = mid
-        else:
-            lo = mid
+    returns its end with Q(z) < floor; 0 if Q(0) < floor, cap if Q(cap) >= floor.
+
+    The bisection runs in rounds.  A round reads Q, quietly, at all the
+    midpoints its next Z_MAX_LEVELS steps can take, in one array read, and
+    then takes those steps with the comparisons of one scalar read per step.
+    An array read gives each point the bits of a scalar read, so this is the
+    scalar bisection's float, even where rounding makes Q not monotone.  One
+    last read at the points the scalar bisection reads, in its order, gives
+    the curve's warnings as it would.
+    """
+    q0, qcap = curve.quiet_at(np.array([0.0, cap])).tolist()
+    lo, hi, steps = 0.0, cap, [0.0, cap]
+    if q0 < floor:
+        hi, steps = 0.0, [0.0]
+    elif qcap < floor:
+        while hi - lo > 1e-6:
+            tree = _midpoint_tree(lo, hi, Z_MAX_LEVELS)
+            below = (curve.quiet_at(np.array(tree)) < floor).tolist()
+            i = 0
+            while i < len(tree) and hi - lo > 1e-6:
+                steps.append(tree[i])
+                lo, hi, i = (lo, tree[i], 2 * i + 1) if below[i] else (tree[i], hi, 2 * i + 2)
+    if curve.quiet is not None:
+        curve.at(np.array(steps))
     return hi
+
+
+def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
+    """The midpoints that the next ``levels`` steps of a bisection of [lo, hi]
+    can take, in heap order: the lower and upper halves of point i hold the
+    points 2i + 1 and 2i + 2."""
+    tree, spans = [], [(lo, hi)]
+    for _ in range(levels):
+        mids = [0.5 * (a + b) for a, b in spans]
+        tree += mids
+        spans = [half for (a, b), m in zip(spans, mids) for half in ((a, m), (m, b))]
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +319,7 @@ def conjugate_curve(
     slopes = np.maximum.accumulate(np.diff(gv) / np.diff(grid))
     eps = np.finfo(float).eps
 
-    def fn(u):
+    def fn(u, warn: bool = True):
         flat = np.ravel(np.asarray(u, dtype=float))
         bad = ~((flat >= 0) & (flat < np.inf))  # NaN fails both
         if bad.any():
@@ -296,7 +328,7 @@ def conjugate_curve(
         lines = flat[:, None] * grid[cand] - gv[cand]
         j = cand[np.arange(flat.size), np.argmax(lines, axis=1)]
         best = lines.max(axis=1) - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
-        for v in flat[j == grid.size - 1]:
+        for v in flat[j == grid.size - 1] if warn else ():
             warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={v:g}",
                           BoundaryWarning)
         return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
@@ -304,6 +336,7 @@ def conjugate_curve(
     return TailCurve(
         kind="conjugate", fn=fn,
         params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)},
+        quiet=lambda u: fn(u, warn=False),
     )
 
 

@@ -7,8 +7,12 @@ import pytest
 from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
-from bernapprox.families import Family, _check_n, normalized_sum_samples, poisson_conjugate, spawn_rngs
+from bernapprox.families import (
+    _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, Family, _check_n, normalized_sum_samples, poisson_conjugate,
+    spawn_rngs, szasz_window,
+)
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
+from bernapprox.operators import LATTICE_BLOCK
 from bernapprox.tails import (
     DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve, _lambda_grid,
 )
@@ -66,6 +70,114 @@ def family_pmf(fam: Family, x: float, n: int, k):
     if np.isscalar(k):
         return float(out)
     return out
+
+
+def per_x_pmf_kernel(kind: str, n: int):
+    """Oracle for ``families.pmf_kernel``, one x at a time: weights(x, lo, hi) =
+    P(n*S_n = k) for k = lo..hi, from the ratio recurrence out of the mode
+    min(max(floor((n+1)x) or floor(nx), lo), hi), whose pmf is ``mode_pmf``."""
+    if kind == "bernoulli":
+        k = np.arange(1, n + 1, dtype=float)
+        up_base = (n - k + 1.0) / k  # ratio into k, k = 1..n
+        k = np.arange(0, n, dtype=float)
+        down_base = (k + 1.0) / (n - k)  # ratio into k from k + 1, k = 0..n-1
+
+    def weights(x: float, lo: int, hi: int) -> np.ndarray:
+        mu = n * x
+        m = min(max(math.floor((n + 1) * x if kind == "bernoulli" else mu), lo), hi)
+        i = m - lo
+        ratios = np.empty(hi - lo + 1)
+        if kind == "bernoulli":
+            ratios[i + 1:] = up_base[m:hi] * (x / (1.0 - x))
+            ratios[:i] = down_base[lo:m] * ((1.0 - x) / x)
+        else:
+            k = np.arange(lo, hi + 1, dtype=float)
+            ratios[i + 1:] = mu / k[i + 1:]
+            ratios[:i] = (k[:i] + 1.0) / mu
+        ratios[i] = mode_pmf(kind, n, x, m)
+        w = np.empty(ratios.size)
+        w[i:] = np.cumprod(ratios[i:])
+        w[: i + 1] = np.cumprod(ratios[i::-1])[::-1]
+        return w
+
+    return weights
+
+
+def per_x_exact_sums(fs, kind: str, n: int, xs: np.ndarray, tail_tol: float = 1e-12) -> np.ndarray:
+    """Oracle for ``operators._exact_sums``'s values: per x, one ``per_x_pmf_kernel``
+    weight array times its window of f values on the same lattice blocks,
+    summed by np.sum."""
+    if kind == "bernoulli":
+        lo, hi = [0] * xs.size, [n] * xs.size
+    else:
+        lo, hi = (v.tolist() for v in szasz_window(n * xs, tail_tol))
+    weights = per_x_pmf_kernel(kind, n)
+    starts = []
+    for i in range(xs.size):
+        if starts and (a <= lo[i] and hi[i] <= b or max(b, hi[i]) - min(a, lo[i]) < LATTICE_BLOCK):
+            a, b = min(a, lo[i]), max(b, hi[i])
+        else:
+            starts.append(i)
+            a, b = lo[i], hi[i]
+    out = np.empty((len(fs), xs.size))
+    for s, e in zip(starts, starts[1:] + [xs.size]):
+        a, b = min(lo[s:e]), max(hi[s:e])
+        blocks = [eval_clamped(f, np.arange(a, b + 1) / n) for f in fs]
+        for i in range(s, e):
+            w = weights(float(xs[i]), lo[i], hi[i])
+            for row, fvals in zip(out, blocks):
+                row[i] = np.sum(w * fvals[lo[i] - a:hi[i] - a + 1])
+    return out
+
+
+def mode_pmf(kind: str, n: int, x: float, m: int) -> float:
+    """Scalar oracle for ``families._mode_pmfs``: the pmf at k = m in Loader's form,
+    exp(-stirlerr and bd0 terms) / sqrt(2 pi v); m = 0 and m = n are single powers."""
+    if kind == "bernoulli":
+        if m == 0:
+            return math.exp(n * math.log1p(-x))
+        if m == n:
+            return x**n
+        lc = (stirlerr(n) - stirlerr(m) - stirlerr(n - m)
+              - bd0(m, n * x) - bd0(n - m, n * (1.0 - x)))
+        return math.exp(lc) / math.sqrt(2.0 * math.pi * m * (n - m) / n)
+    mu = n * x
+    if m == 0:
+        return math.exp(-mu)
+    return math.exp(-stirlerr(m) - bd0(m, mu)) / math.sqrt(2.0 * math.pi * m)
+
+
+def stirlerr(k: int) -> float:
+    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k): lgamma up to 15, the Stirling series above."""
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
+    kk = float(k) * k
+    if k > 500:
+        return (_S0 - _S1 / kk) / k
+    if k > 80:
+        return (_S0 - (_S1 - _S2 / kk) / kk) / k
+    if k > 35:
+        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+
+
+def bd0(k: float, np_: float) -> float:
+    """k ln(k/np) + np - k, by a series in (k-np)/(k+np) when k is near np."""
+    d = k - np_
+    if abs(d) >= 0.1 * (k + np_):
+        return k * math.log(k / np_) + np_ - k
+    v = d / (k + np_)
+    s = d * v
+    ej = 2.0 * k * v
+    v *= v
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if s1 == s:
+            return s1
+        s = s1
+        j += 2
 
 
 def szasz_truncation_point(mu: float, tail_tol: float) -> int:
@@ -136,6 +248,23 @@ def two_pass_modulus(f: TargetFunction, sigma, delta_grid, xs, h_size: int):
     fine = np.array([raw(xs, sig, base, d, h_size) for d in deltas])
     coarse = np.array([raw(xs[::2], sig[::2], base[::2], d, h_size // 2 + 1) for d in deltas])
     return fine, coarse, max(float(np.max(fine - coarse)), 0.0), np.maximum.accumulate(fine)
+
+
+def scalar_z_max(curve: TailCurve, floor: float, cap: float) -> float:
+    """Oracle for ``tails.tail_z_max``: the bisection of [0, cap] with one scalar
+    read of the curve per step."""
+    if curve.at(0.0) < floor:
+        return 0.0
+    if curve.at(cap) >= floor:
+        return cap
+    lo, hi = 0.0, cap
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if curve.at(mid) < floor:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def scale_function(f: TargetFunction, c: float) -> TargetFunction:

@@ -485,6 +485,12 @@ class CountingCurve:
         return getattr(self._curve, name)
 
 
+# tail_z_max's rounds read the curve quietly, past the proxy; it reads through
+# ``at`` once, at the 28 points of its 26 steps on [0, 64] and both ends, for the
+# curve's warnings
+Z_MAX_POINTS = 28
+
+
 @pytest.fixture
 def counting_curve(monkeypatch):
     proxies = []
@@ -505,8 +511,8 @@ class TestStudyStagesOnce:
                             + ["--set", f"run.n_grid={n_grid}"])
         assert res.exit_code == 0, res.output
         (curve,) = counting_curve
-        # z_max bisects with scalar queries; each row's Stieltjes sum reads the z grid (65 points)
-        assert [s for s in curve.sizes if s > 1] == [65] * len(n_grid.split(","))
+        # then each row's Stieltjes sum reads the z grid (65 points)
+        assert [s for s in curve.sizes if s > 1] == [Z_MAX_POINTS] + [65] * len(n_grid.split(","))
 
     def test_bound_integrates_hdt_once(self, runner, tmp_path, counting_curve, monkeypatch):
         calls = []
@@ -523,8 +529,8 @@ class TestStudyStagesOnce:
         # one cell sum on its own grid for all three n, and no quadrature
         assert calls == []
         (curve,) = counting_curve
-        # each row's Stieltjes sum reads the z grid
-        assert sorted(s for s in curve.sizes if s > 1) == [65, 65, 65, bounds.HDT_Z_SIZE]
+        # after z_max, each row's Stieltjes sum reads the z grid
+        assert sorted(s for s in curve.sizes if s > 1) == [Z_MAX_POINTS, 65, 65, 65, bounds.HDT_Z_SIZE]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
 
     def test_bound_never_imports_scipy_integrate(self, tmp_path):
@@ -566,8 +572,8 @@ class TestStudyStagesOnce:
         res = runner.invoke(main, ["modulus", "--out", str(tmp_path)] + FAST)
         assert res.exit_code == 0, res.output
         (curve,) = counting_curve
-        # z_max bisects with scalar reads; nothing tabulates the curve
-        assert set(curve.sizes) == {1}
+        # z_max bisects; nothing tabulates the curve
+        assert curve.sizes == [Z_MAX_POINTS]
         (profile,) = profiles
         assert len((tmp_path / "modulus.csv").read_text().splitlines()) == profile.deltas.size + 1
 
@@ -636,23 +642,33 @@ class TestRowsOnce:
         trial = "trial(x0=0.5,alpha=0.5)"
         assert sorted(sup_error_calls) == [("square", 16), ("square", 64), (trial, 16), (trial, 64)]
 
-    def test_run_with_a_trial_builds_one_weight_array_per_n_and_x(self, runner, tmp_path, monkeypatch):
-        # f and the trial cusp share each x's weights
-        built = []
+    def test_run_with_a_trial_builds_the_weights_of_a_run_without_it(self, runner, tmp_path, monkeypatch):
+        # f and the trial cusp share each chunk's weights: per n, the chunks of x
+        # whose weights are built are the same with and without the trial, and
+        # they cover every x once
+        inner = operators.pmf_kernel
 
-        def counting_kernel(kind, n, _inner=operators.pmf_kernel):
-            weights = _inner(kind, n)
+        def weight_builds(args):
+            built = []
 
-            def counted(x, lo, hi):
-                built.append((n, x))
-                return weights(x, lo, hi)
+            def counting_kernel(kind, n, *grid):
+                weights = inner(kind, n, *grid)
 
-            return counted
+                def counted(s, e, *frame):
+                    built.append((n, s, e))
+                    return weights(s, e, *frame)
 
-        monkeypatch.setattr(operators, "pmf_kernel", counting_kernel)
-        res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + TRIAL)
-        assert res.exit_code == 0, res.output
-        assert len(built) == len(set(built)) == 2 * 65
+                return counted
+
+            monkeypatch.setattr(operators, "pmf_kernel", counting_kernel)
+            res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + args)
+            assert res.exit_code == 0, res.output
+            return built
+
+        alone, shared = weight_builds([]), weight_builds(TRIAL)
+        assert shared == alone
+        for n in (16, 64):
+            assert sorted(x for m, s, e in shared if m == n for x in range(s, e)) == list(range(65))
 
     @pytest.mark.parametrize("cmd", ["bound", "evaluate"])
     def test_bound_and_evaluate_sum_f_once_per_n(self, runner, tmp_path, sup_error_calls, cmd):

@@ -15,6 +15,7 @@ from bernapprox.families import (
     normalized_sum_samples,
     poisson_family,
     sample_scaled_sum,
+    _mode_pmfs,
     pmf_kernel,
     spawn_rngs,
     szasz_window,
@@ -23,7 +24,7 @@ from bernapprox.families import (
 )
 from bernapprox.functions import HALF_LINE, UNIT_INTERVAL, builtin_catalog
 from bernapprox.operators import generic_mc
-from conftest import family_pmf, szasz_truncation_point
+from conftest import family_pmf, mode_pmf, szasz_truncation_point
 
 POISSON_TAIL_MASS = 1e-16
 
@@ -35,6 +36,12 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
     if fam.kind == "bernoulli":
         return np.arange(n + 1)
     return np.arange(szasz_truncation_point(n * x, tail_mass) + 1)
+
+
+def row_weights(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
+    """P(n*S_n = k) for k = lo..hi from pmf_kernel, as a chunk of the one row x."""
+    frame, scratch = np.empty(hi - lo + 1), np.empty(hi - lo + 1)
+    return pmf_kernel(kind, n, np.array([x]), np.array([lo]), np.array([hi]))(0, 1, lo, hi, frame, scratch)[0]
 
 
 def family_sample(fam: Family, x: float, n: int, rng: np.random.Generator):
@@ -188,7 +195,7 @@ class TestScaledSumPmf:
     @pytest.mark.parametrize("n", [16, 4096])
     def test_binomial_weights_match_exact_rationals(self, n, x):
         # a few ulp at the mode, growing by at most 4 eps per ratio away from it
-        w = pmf_kernel("bernoulli", n)(x, 0, n)
+        w = row_weights("bernoulli", n, x, 0, n)
         m = math.floor((n + 1) * x)
         ks = np.array(sorted(set(range(0, n + 1, max(1, n // 64)))
                              | set(range(max(m - 4, 0), min(m + 5, n + 1)))))
@@ -204,7 +211,7 @@ class TestScaledSumPmf:
     @settings(max_examples=60, deadline=None)
     def test_binomial_weights_are_a_distribution(self, n, log_x, mirror):
         x = -math.expm1(log_x) if mirror else math.exp(log_x)
-        w = pmf_kernel("bernoulli", n)(x, 0, n)
+        w = row_weights("bernoulli", n, x, 0, n)
         assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
         assert abs(float(np.sum(w)) - 1.0) <= 1e-13
 
@@ -215,7 +222,7 @@ class TestScaledSumPmf:
         # the window drops at most tol of Poisson mass
         mu = math.exp(log_mu)
         lo, hi = szasz_window(mu, tol)
-        w = pmf_kernel("poisson", 1)(mu, lo, hi)
+        w = row_weights("poisson", 1, mu, lo, hi)
         assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
         assert -tol - 1e-13 <= float(np.sum(w)) - 1.0 <= 1e-13
 
@@ -224,8 +231,50 @@ class TestScaledSumPmf:
     def test_matches_the_log_gamma_oracle_at_small_n(self, kind, x, n):
         fam = bernoulli_family(0.01) if kind == "bernoulli" else poisson_family(0.01, 64.0)
         ks = family_support(fam, x, n)
-        w = pmf_kernel(kind, n)(x, 0, int(ks[-1]))
+        w = row_weights(kind, n, x, 0, int(ks[-1]))
         assert w == pytest.approx(family_pmf(fam, x, n, ks), rel=1e-12, abs=1e-300)
+
+
+class TestModePmfs:
+    NS = (1, 2, 3, 7, 15, 16, 17, 30, 35, 36, 37, 70, 80, 81, 82, 150, 500, 501, 502, 1000, 4096, 65536, 2**20)
+    XS = (1e-6, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 0.95, 0.999, 1.0 - 1e-6)
+
+    @staticmethod
+    def cases(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x, m) pairs: each x at its mode and the modes of Poisson means from 0 to
+        n, and m = 0, 1, 15, 16, 36, 81, 501 and n and their mirrors, so that both
+        families meet every Stirling branch on m and n - m and both bd0 branches."""
+        xs, ms = [], []
+        for x in TestModePmfs.XS + tuple(np.linspace(0.0, 1.0, 41)[1:-1]):
+            mode = math.floor((n + 1) * x) if kind == "bernoulli" else math.floor(n * x)
+            for m in {mode, mode - 1, mode + 1, 0, 1, 15, 16, 36, 81, 501, n, n - 1, n - 15, n - 501}:
+                if 0 <= m <= n:
+                    xs.append(x if kind == "bernoulli" else x * 4.0)
+                    ms.append(m)
+        return np.array(xs), np.array(ms)
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_vector_form_equals_the_scalar_form_bit_for_bit(self, kind):
+        total = 0
+        for n in self.NS:
+            xs, ms = self.cases(kind, n)
+            got = _mode_pmfs(kind, n, xs, ms).tolist()
+            assert got == [mode_pmf(kind, n, float(x), int(m)) for x, m in zip(xs, ms)]
+            total += len(got)
+        assert total > 5000
+
+    def test_the_cases_meet_every_branch(self):
+        # stirlerr: lgamma up to 15, then the series cut at 35, 80 and 500; bd0: the
+        # series where |k - np| < 0.1 (k + np), the closed form elsewhere
+        stirling, bd0 = set(), set()
+        for n in self.NS:
+            xs, ms = self.cases("bernoulli", n)
+            for x, m in zip(xs.tolist(), ms.tolist()):
+                for k in (m, n - m):
+                    stirling.add(sum(k > c for c in (15, 35, 80, 500)))
+                for k, mean in ((m, n * x), (n - m, n * (1.0 - x))):
+                    bd0.add(abs(k - mean) >= 0.1 * (k + mean))
+        assert stirling == {0, 1, 2, 3, 4} and bd0 == {False, True}
 
 
 class TestMomentIdentities:

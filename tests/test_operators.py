@@ -8,7 +8,7 @@ from scipy.stats import poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.families import (
-    bernoulli_family, poisson_conjugate, poisson_family, spawn_rngs, szasz_window,
+    bernoulli_family, pmf_kernel, poisson_conjugate, poisson_family, spawn_rngs, szasz_window,
 )
 from bernapprox.functions import (
     HALF_LINE,
@@ -19,8 +19,8 @@ from bernapprox.functions import (
     trial_function,
 )
 from bernapprox.modulus import modulus_profile
-from bernapprox.operators import _exact_sums, generic_mc, sup_error, sup_errors
-from conftest import scale_function, szasz_truncation_point, szasz_window_oracle
+from bernapprox.operators import CHUNK, LATTICE_BLOCK, _exact_sums, generic_mc, sup_error, sup_errors
+from conftest import per_x_exact_sums, per_x_pmf_kernel, scale_function, szasz_truncation_point, szasz_window_oracle
 
 BERN = bernoulli_family(0.01)
 BERN_GRID = np.linspace(*BERN.x_domain, 33)  # holds x = 1/2
@@ -505,18 +505,112 @@ class TestSharedSweep:
 
     def test_lattice_blocks_stay_bounded(self):
         # at n = 65536 most Szasz windows are wider than a block, so a block is
-        # one window of at most about 1.1e5 points (the sweep peaks near 1.7 MiB),
+        # one window of at most about 3.1e4 points (the sweep peaks near 1.3 MiB),
         # not the whole lattice [0, max hi] of 4.3e6 points, 34 MB per array of it
-        import tracemalloc
+        assert sweep_peak(builtin_catalog("exp-decay"), poisson_family(), 65536) <= 4 * 2**20
 
-        f = builtin_catalog("exp-decay")
-        tracemalloc.start()
-        try:
-            sup_error(f, poisson_family(), 65536, np.linspace(1.0, 64.0, 257))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
+    def test_bernstein_sweep_stays_bounded(self):
+        # every row is [0, 65536], one chunk each: the sweep keeps the two ratio bases,
+        # the block of f values, one frame and one product of n + 1 floats, 512 KiB
+        # each, and peaks near 2.6 MiB; the per-x sweep it replaced peaked at 3.52 MiB
+        assert sweep_peak(builtin_catalog("square"), bernoulli_family(), 65536) <= 3.5 * 2**20
+
+
+def sweep_peak(f, fam, n: int) -> int:
+    """tracemalloc's peak, in bytes, over sup_error of f at n on 257 x."""
+    import tracemalloc
+
+    grid = np.linspace(*fam.x_domain, 257)
+    tracemalloc.start()
+    try:
+        sup_error(f, fam, n, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+BATCH_FUNCTIONS = {
+    "bernoulli": [builtin_catalog("square"), builtin_catalog("sine", freq=3.0),
+                  builtin_catalog("power-cusp", x0=0.3, alpha=0.5), trial_function(0.5, 0.5, UNIT_INTERVAL)],
+    "poisson": [builtin_catalog("exp-decay"), scale_function(builtin_catalog("sine", freq=3.0), 2.5),
+                builtin_catalog("constant", c=-1.5)],
+}
+
+
+class TestBatchedSweep:
+    """_exact_sums' chunks of rows against the per-x oracle, bit for bit."""
+
+    @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**14),
+           ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), size=st.integers(1, 300),
+           spread=st.booleans(), which=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           tol=st.sampled_from([1e-6, 1e-12]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    @example(kind="poisson", n=2**14, ends=(0.15, 0.6), size=40, spread=False, which=[0], tol=1e-12, seed=0)
+    @example(kind="bernoulli", n=CHUNK // 2 - 1, ends=(0.0, 1.0), size=9, spread=False, which=[3, 0],
+             tol=1e-12, seed=0)
+    @example(kind="bernoulli", n=CHUNK // 2, ends=(0.0, 1.0), size=9, spread=False, which=[2], tol=1e-12,
+             seed=0)
+    @example(kind="bernoulli", n=1, ends=(0.0, 1.0), size=300, spread=True, which=[0, 1, 2], tol=1e-12,
+             seed=1)
+    def test_chunks_equal_the_per_x_sums(self, kind, n, ends, size, spread, which, tol, seed):
+        # a Bernoulli grid in [1e-3, 1 - 1e-3] and a Poisson grid in [1e-3, 64], spread at
+        # random or evenly between two ends; the first example's Szasz windows are
+        # about LATTICE_BLOCK wide, and the next two put 2 and 1 rows in a chunk
+        xs = batch_grid(kind, ends, size, spread, seed)
+        fs = [BATCH_FUNCTIONS[kind][i % len(BATCH_FUNCTIONS[kind])] for i in which]
+        values, _ = _exact_sums(fs, kind, n, xs, tol)
+        assert values.tolist() == per_x_exact_sums(fs, kind, n, xs, tol).tolist()
+
+    @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**14),
+           ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), size=st.integers(1, 60),
+           spread=st.booleans(), rows=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, rows=1, seed=0)
+    def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, rows, seed):
+        # every weight of a row's window, in chunks of up to ``rows`` x, including
+        # the zeros a Binomial side is filled with past its first 0.0
+        xs = batch_grid(kind, ends, size, spread, seed)
+        lo, hi = (np.zeros(xs.size, np.int64), np.full(xs.size, n, np.int64)) if kind == "bernoulli" \
+            else szasz_window(n * xs, 1e-12)
+        weights, oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
+        for s in range(0, xs.size, rows):
+            e = min(s + rows, xs.size)
+            a, b = int(lo[s:e].min()), int(hi[s:e].max())
+            frame = np.empty((e - s) * (b - a + 1))
+            w = weights(s, e, a, b, frame, np.empty(frame.size))
+            for i in range(s, e):
+                got = w[i - s, lo[i] - a:hi[i] - a + 1]
+                assert got.tolist() == oracle(float(xs[i]), int(lo[i]), int(hi[i])).tolist()
+
+    @pytest.mark.parametrize("exponent", [1.0, 1e6])
+    def test_any_reach_of_the_zero_stop_gives_the_same_floats(self, monkeypatch, exponent):
+        # a reach short of a side's first 0.0 multiplies on past it, and one
+        # beyond every row multiplies each side out in full
+        import bernapprox.families as families
+
+        monkeypatch.setattr(families, "_ZERO_EXPONENT", exponent)
+        xs = np.linspace(1e-3, 1.0 - 1e-3, 65)
+        fs = BATCH_FUNCTIONS["bernoulli"][:2]
+        for n in (4096, 16384):
+            assert _exact_sums(fs, "bernoulli", n, xs)[0].tolist() == per_x_exact_sums(fs, "bernoulli", n, xs).tolist()
+
+    def test_the_examples_reach_the_block_and_the_budget(self):
+        # the Szasz windows of the first example straddle LATTICE_BLOCK, and the
+        # Binomial rows of the next fill a chunk exactly
+        lo, hi = szasz_window(2**14 * batch_grid("poisson", (0.15, 0.6), 40, False, 0), 1e-12)
+        widths = hi - lo + 1
+        assert widths.min() < LATTICE_BLOCK < widths.max()
+        assert 2 * (CHUNK // 2 - 1 + 1) == CHUNK
+
+
+def batch_grid(kind: str, ends, size: int, spread: bool, seed: int) -> np.ndarray:
+    """Up to size x between two ends, as fractions of [1e-3, 1 - 1e-3] (Bernoulli)
+    or [1e-3, 64] (Poisson): uniform at random with ``spread``, else evenly."""
+    lo, hi = (1e-3, 1.0 - 1e-3) if kind == "bernoulli" else (1e-3, 64.0)
+    a, b = sorted(lo + (hi - lo) * e for e in ends)
+    rng = np.random.default_rng(seed)
+    return np.unique(rng.uniform(a, b, size) if spread else np.linspace(a, b, size))
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     POISSON_PHI, brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, poisson_nu,
-    step_read,
+    scalar_z_max, step_read,
 )
 
+from bernapprox import config as cfgmod
 from bernapprox import experiments, tails
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
@@ -414,6 +415,67 @@ class TestTailCurveType:
         # below the floor from z = 0 on, or above it up to the cap
         curve = TailCurve(kind="flat", fn=lambda u: np.full_like(u, level))
         assert tail_z_max(curve) == z_max
+
+
+def workload_overrides() -> dict[str, list[str]]:
+    """The benchmark's workloads, as --set overrides by name."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return {name: list(w.overrides) for name, w in module.WORKLOADS.items()}
+
+
+@pytest.fixture(scope="module")
+def study_curves():
+    """(tail curve, tail.floor, tail.z_cap) of every golden config and workload, by name."""
+    from test_golden import CONFIGS
+
+    configs = {**{name: args[1::2] for name, args in CONFIGS.items()}, **workload_overrides()}
+    studies = {name: Study(cfgmod.resolve(overrides=cfgmod.parse_overrides(sets)))
+               for name, sets in configs.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        return {name: (s.curve, s.cfg.tail_floor, s.cfg.tail_z_cap) for name, s in studies.items()}
+
+
+class TestZMaxRounds:
+    @given(data=st.data(), log_floor=st.floats(-16.0, -0.05), z_cap=st.floats(0.5, 200.0))
+    @settings(max_examples=120, deadline=None)
+    def test_rounds_give_the_scalar_bisection_bit_for_bit(self, study_curves, data, log_floor, z_cap):
+        # the same float and the same warnings, in the same order, on every golden
+        # config and workload, at its own floor and cap and at random ones
+        curve, own_floor, own_cap = study_curves[data.draw(st.sampled_from(sorted(study_curves)))]
+        for floor, cap in ((own_floor, own_cap), (10.0**log_floor, z_cap)):
+            with warnings.catch_warnings(record=True) as scalar_warns:
+                warnings.simplefilter("always")
+                scalar = scalar_z_max(curve, floor, cap)
+            with warnings.catch_warnings(record=True) as round_warns:
+                warnings.simplefilter("always")
+                rounds = tail_z_max(curve, floor, cap)
+            assert type(rounds) is type(scalar) and rounds == scalar
+            assert [str(w.message) for w in round_warns] == [str(w.message) for w in scalar_warns]
+
+    def test_the_cap_config_warns_in_the_bisection(self, study_curves):
+        # the warnings above are not vacuous: on bern-cusp-cap the bisection reads
+        # past the last line, and the rounds' other reads are quiet
+        with warnings.catch_warnings(record=True) as warns:
+            warnings.simplefilter("always")
+            tail_z_max(*study_curves["bern-cusp-cap"])
+        assert [str(w.message) for w in warns] == [
+            "conjugate maximizer at the lambda grid boundary 6 for u=64",
+            "conjugate maximizer at the lambda grid boundary 6 for u=32",
+        ]
+
+    def test_one_array_read_per_round(self):
+        reads = []
+        curve = gaussian_curve()
+        counted = TailCurve(kind="counted", fn=lambda u: reads.append(np.size(u)) or curve.fn(u))
+        assert tail_z_max(counted) == scalar_z_max(curve, tails.TAIL_FLOOR, tails.Z_CAP)
+        # the two ends, then 26 steps to a bracket of 64 / 2^26 < 1e-6, 5 per round
+        assert reads == [2] + [2**tails.Z_MAX_LEVELS - 1] * 6
 
 
 BERN_US = np.arange(0.0, 4.01, 0.5)
