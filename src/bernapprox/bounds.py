@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,12 +34,10 @@ HDT_Z_SIZE = 2049  # uniform nodes of the hdt_bound cell sum on [0, z_max]
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-n record pairing the enclosed Stieltjes bound with companions."""
+    """The Stieltjes bound at one n and the enclosure that brackets it."""
 
-    n: int
     upper_stieltjes: float
     enclosure: tuple[float, float]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lo, hi = self.enclosure
@@ -92,32 +90,18 @@ def stieltjes_bound(
     nominal = upper_core + tail_term
     total_mass = float(qv[0] - qv[-1])
     upper = nominal + profile.enclosure_slack * total_mass
-    return BoundReport(
-        n=n,
-        upper_stieltjes=nominal,
-        enclosure=(lower, upper),
-        metadata={
-            "z_max": float(zs[-1]),
-            "z_grid_size": int(zs.size),
-            "tail_term": tail_term,
-            "profile_slack": profile.enclosure_slack,
-            "curve": q.kind,
-        },
-    )
+    return BoundReport(upper_stieltjes=nominal, enclosure=(lower, upper))
 
 
 @dataclass(frozen=True)
 class HdtBoundResult:
-    """alpha H n^{-alpha/2} integral z^{alpha-1} Q(z) dz, with diagnostics.
+    """alpha H n^{-alpha/2} integral z^{alpha-1} Q(z) dz, with its n-free prefactor.
 
-    ``constant`` is the certified upper sum for alpha times the integral,
-    the n-free prefactor of the rate; ``diverging`` flags a tail remainder
-    above 1% of the partial integral.
+    ``constant`` is the certified upper sum for alpha times the integral.
     """
 
     value: float
     constant: float
-    diverging: bool
 
 
 def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
@@ -128,7 +112,9 @@ def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
     used: any backward difference of -ln Q under-estimates the forward decay
     rate, so Q(z) <= Q(z_max) e^{-r (z - z_max)} beyond the cut.
     """
-    qz = float(q.at(z_max))
+    h = max(1e-3 * z_max, 1e-6)
+    # below z_max = h (a power tail with a huge K) the secant spans less than h, which only lowers r
+    q_before, qz = q.at(np.array([max(z_max - h, 0.0), z_max])).tolist()
     if qz <= 0.0:
         return 0.0
     if q.kind == "power-tail":
@@ -138,8 +124,6 @@ def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
         K = q.params["K"]
         s = alpha / p_exp
         return (1.0 / p_exp) * K ** (-s) * math.gamma(s) * float(gammaincc(s, K * z_max**p_exp))
-    h = max(1e-3 * z_max, 1e-6)
-    q_before = float(q.at(z_max - h))
     if q_before <= qz:
         return math.inf
     r = (math.log(q_before) - math.log(qz)) / h
@@ -163,7 +147,7 @@ def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None
         raise ParameterError("n must be positive")
     alpha = h.alpha
     if h.seminorm == 0.0:
-        return HdtBoundResult(0.0, 0.0, False)
+        return HdtBoundResult(0.0, 0.0)
     if z_max is None:
         z_max = tail_z_max(q)
     if not z_max > 0.0:
@@ -172,8 +156,7 @@ def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None
     qv = np.asarray(q.at(zs), dtype=float)
     cells = float(np.sum(qv[:-1] * np.diff(zs**alpha)))
     remainder = _tail_remainder(q, alpha, z_max)
-    diverging = not math.isfinite(remainder) or alpha * remainder > DIVERGENCE_FRACTION * cells
-    if diverging:
+    if not math.isfinite(remainder) or alpha * remainder > DIVERGENCE_FRACTION * cells:
         warnings.warn(
             f"tail remainder {remainder:g} exceeds {DIVERGENCE_FRACTION:.0%} of the "
             f"partial integral {cells / alpha:g}",
@@ -181,7 +164,7 @@ def hdt_bound(h: HolderSpec, q: TailCurve, n: int, z_max: Optional[float] = None
         )
     constant = cells + alpha * remainder
     value = h.seminorm * n ** (-alpha / 2.0) * constant
-    return HdtBoundResult(value, constant, diverging)
+    return HdtBoundResult(value, constant)
 
 
 def lower_bound_constant(alpha: float) -> float:

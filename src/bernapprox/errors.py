@@ -24,18 +24,6 @@ class DomainEvaluationError(BernApproxError):
         self.x = x
 
 
-class OverflowComputationError(BernApproxError):
-    """A log-MGF or envelope evaluation left the finite range.
-
-    Carries ``lam`` and ``x`` so callers can restrict their domain.
-    """
-
-    def __init__(self, message: str, lam=None, x=None):
-        super().__init__(message)
-        self.lam = lam
-        self.x = x
-
-
 class InsufficientDataError(BernApproxError):
     """Required metadata (sup bound, profile coverage, usable rows) is missing."""
 

@@ -10,6 +10,12 @@ log-gamma sum amplifies rounding with n.  ``szasz_window`` cuts Poisson sums to 
 windows by one padded vector scan of the Chernoff exponent per side for a
 whole array of means, no bisection.
 
+For the tail calculus this module gives the Bernoulli log-MGF
+``zeta_log_mgf`` and jump bound ``zeta_bound``, and the Poisson conjugate
+``poisson_conjugate`` of the closed-form Poisson curve; each takes an array
+of lambda or u.  The Poisson log-MGF is not tabulated anywhere, so it is
+not here.
+
 Random generation uses numpy's PCG64 Generator, always one the caller
 passes in; the algorithm name is recorded in every report.  Poisson draws
 come from ``Generator.poisson`` at every mean.
@@ -19,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .errors import OverflowComputationError, ParameterError
+from .errors import ParameterError
 from .functions import HALF_LINE, UNIT_INTERVAL, Interval
 
 RNG_NAME = "pcg64"
@@ -79,19 +85,17 @@ def poisson_family(x_min: float = 1.0, x_max: float = 64.0) -> Family:
     return Family("poisson", HALF_LINE, (x_min, x_max))
 
 
-def poisson_conjugate(u) -> float:
+def poisson_conjugate(u: np.ndarray) -> np.ndarray:
     """Conjugate of e^z - 1 - z: (1+u) ln(1+u) - u, the Poisson tail exponent."""
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0):
         raise ParameterError("u must be nonnegative")
-    out = (1.0 + arr) * np.log1p(arr) - arr
-    if np.isscalar(u):
-        return float(out)
-    return out
+    return (1.0 + arr) * np.log1p(arr) - arr
 
 
-def szasz_window(mu, tail_tol: float):
-    """Integer window [lo, hi] outside which Poisson(mu) has mass <= tail_tol.
+def szasz_window(mu: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer windows [lo, hi] outside which Poisson(mu) has mass <= tail_tol,
+    for a 1-d array of mu.
 
     Each side drops at most tail_tol / 2, by Chernoff bounds with the exact
     Poisson conjugate h: hi is the smallest K >= mu whose upper exponent
@@ -99,10 +103,10 @@ def szasz_window(mu, tail_tol: float):
     whose lower exponent mu * h((mu-j)/mu) reaches it, or 0 if none does;
     mu <= 0 gives (0, 0).  lo is certified because
     P(N <= mu - t) <= exp(-mu h(-t/mu)) and h(-s) >= h(s) on [0, 1], so h is
-    only queried at nonnegative arguments.  A scalar mu gives (lo, hi); an
-    array of mu gives arrays lo and hi, from one conjugate call per side.
+    only queried at nonnegative arguments.  Each side takes one conjugate
+    call for all of mu.
     """
-    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    mus = np.asarray(mu, dtype=float)
     pos = mus > 0
     m = np.where(pos, mus, 1.0)[:, None]
     target = math.log(2.0 / tail_tol)
@@ -119,10 +123,7 @@ def szasz_window(mu, tail_tol: float):
     hits = m * poisson_conjugate((k - m) / m) >= target
     lo = np.where(misses.any(axis=1), j[:, 0] + np.argmax(misses, axis=1), j_end[:, 0] + 1)
     hi = np.where(hits.any(axis=1), k[:, 0] + np.argmax(hits, axis=1), k_end[:, 0] + 1)
-    lo, hi = np.where(pos, lo, 0).astype(np.int64), np.where(pos, hi, 0).astype(np.int64)
-    if np.ndim(mu) == 0:
-        return int(lo[0]), int(hi[0])
-    return lo, hi
+    return np.where(pos, lo, 0).astype(np.int64), np.where(pos, hi, 0).astype(np.int64)
 
 
 def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -338,35 +339,20 @@ def zeta_bound(fam: Family) -> float:
     return max(max(x, 1.0 - x) / float(fam.sigma(x)) for x in fam.x_domain)
 
 
-def zeta_log_mgf(fam: Family, x: float, lam) -> Union[float, np.ndarray]:
-    """ln E exp(lam * zeta(x)) for the centered normalized single draw.
-
-    Bernoulli: ln[(1-x) e^{-lam x/sigma} + x e^{lam (1-x)/sigma}], evaluated
-    with max-subtraction in log space since the normalized jump (1-x)/sigma
-    grows near the endpoints.  Poisson: -lam sqrt(x) + x (e^{lam/sqrt(x)} - 1).
+def zeta_log_mgf(fam: Family, x: float, lam: np.ndarray) -> np.ndarray:
+    """ln E exp(lam * zeta(x)) for the centered normalized Bernoulli draw:
+    ln[(1-x) e^{-lam x/sigma} + x e^{lam (1-x)/sigma}], by logaddexp of the
+    two finite exponents, since the normalized jump (1-x)/sigma grows near
+    the endpoints.  The Poisson family's tail curve is a closed form, so it
+    has no log-MGF here.
     """
+    if fam.kind != "bernoulli":
+        raise ParameterError(f"the {fam.kind} log-MGF is not tabulated; its tail curve is poisson_curve")
     x = fam.check_x(x)
     lam_arr = np.asarray(lam, dtype=float)
     sig = float(fam.sigma(x))
-    with np.errstate(over="ignore"):
-        if fam.kind == "bernoulli":
-            a = -lam_arr * x / sig + math.log1p(-x)
-            b = lam_arr * (1.0 - x) / sig + math.log(x)
-            out = np.logaddexp(a, b)
-        else:
-            rt = math.sqrt(x)
-            out = -lam_arr * rt + x * np.expm1(lam_arr / rt)
-        out = np.where(lam_arr == 0.0, 0.0, out)  # MGF(0) = 1 exactly
-    if not np.all(np.isfinite(out)):
-        bad_lam = lam_arr if np.isscalar(lam) else np.atleast_1d(lam_arr)[~np.isfinite(np.atleast_1d(out))][0]
-        raise OverflowComputationError(
-            f"zeta log-MGF overflow for {fam.kind} at x={x}, lam={bad_lam}",
-            lam=float(bad_lam),
-            x=x,
-        )
-    if np.isscalar(lam):
-        return float(out)
-    return out
+    out = np.logaddexp(-lam_arr * x / sig + math.log1p(-x), lam_arr * (1.0 - x) / sig + math.log(x))
+    return np.where(lam_arr == 0.0, 0.0, out)  # MGF(0) = 1 exactly
 
 
 def _check_n(n: int):

@@ -79,10 +79,10 @@ def eval_clamped(f: TargetFunction, x):
     offending point when the evaluator returns a non-finite value.
     """
     arr = np.asarray(x, dtype=float)
-    lo = f.interval.a
-    clamped = np.maximum(arr, lo)
+    # one copy, clamped in place; np.clip would keep a -0.0 that np.maximum turns into 0.0
+    clamped = np.maximum(arr, f.interval.a, out=np.empty_like(arr))
     if f.interval.finite:
-        clamped = np.minimum(clamped, f.interval.b)
+        np.minimum(clamped, f.interval.b, out=clamped)
     with np.errstate(all="ignore"):
         vals = np.asarray(f.evaluator(clamped), dtype=float)
     bad = ~np.isfinite(vals)

@@ -49,7 +49,6 @@ class SupError:
     """Grid approximation of Delta_n = sup_x |A_n[f](x) - f(x)|, with A_n[f] and
     its error radius at each grid x in ``values`` and ``radii``."""
 
-    n: int
     delta: float
     argmax_x: float
     error_radius: float  # max(radii)
@@ -192,7 +191,7 @@ def sup_errors(
     for f, v, r in zip(fs, values, radii):
         d = np.abs(v - eval_clamped(f, grid))
         i = int(np.argmax(d))  # the first maximum, in grid order
-        out.append(SupError(n=n, delta=float(d[i]), argmax_x=float(grid[i]),
+        out.append(SupError(delta=float(d[i]), argmax_x=float(grid[i]),
                             error_radius=float(r.max()), values=v, radii=r))
     return tuple(out)
 

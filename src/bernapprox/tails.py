@@ -1,11 +1,14 @@
 """Tail-function calculus: log-MGF envelopes, conjugates, and tail curves.
 
-The chain is: phi(lambda) = max over sign and parameter x of the normalized
-log-MGF, attained at the two ends of the x-domain (so no x grid; proof in
-phi_sup); nu(lambda) = sup_n n phi(lambda/sqrt(n)); nu*(u) the Young-Fenchel
+The Bernoulli chain is: phi(lambda) = max over sign and parameter x of the
+normalized log-MGF, attained at the two ends of the x-domain (so no x grid;
+proof in phi_sup) and tabulated up to the largest lambda the conjugation can
+reach; nu(lambda) = sup_n n phi(lambda/sqrt(n)); nu*(u) the Young-Fenchel
 conjugate; and the uniform-in-n tail bound Q(u) <= min(1, 2 exp(-nu*(u))).
 The sup over n is an exact scan of n <= ``tail.n_max`` and, for every
 larger n, a bound from phi's chords and Bennett's inequality (``make_nu``).
+The Poisson conjugate is a closed form (``poisson_curve``).  Every function
+of the chain, and every curve read ``TailCurve.at``, takes an array.
 
 Conjugation is a discrete Legendre transform over supporting lines.  nu is
 evaluated once, on lambda = 0 plus ``tail.lambda_size - 1`` geometric points
@@ -13,10 +16,11 @@ up to a cap that doubles while the maximizer sits on its end; each point
 lambda_j gives the line lambda_j u - nu(lambda_j), and nu*(u) is bounded
 below by the largest line at u, rounded down by a few ulp.  Nothing is
 refined: a read of the curve is one binary search over the lines'
-breakpoints and calls nu zero times.  Against the exact conjugate the
-curve dominates everywhere and, at the default grid sizes, is at most
-about 2% looser where Q > 1e-12.  The point beyond which Q is negligible
-comes only from ``tail_z_max``.
+breakpoints and calls nu zero times.  A read with a u past the last
+breakpoint warns once, with one message per curve.  Against the exact
+conjugate the curve dominates everywhere and, at the default grid sizes,
+is at most about 2% looser where Q > 1e-12.  The point beyond which Q is
+negligible comes only from ``tail_z_max``.
 
 Numerical conjugation only ever evaluates feasible lambdas, so it can only
 under-estimate nu*; the resulting curve therefore still dominates the true
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,54 +68,41 @@ Z_MAX_LEVELS = 5  # bisection steps per array read of tail_z_max
 class TailCurve:
     """Nonincreasing curve u -> Q(u) with Q(0) <= 1, read through ``fn``.
 
-    ``at`` caps ``fn`` at 1.  Each builder owns its curve's form: a closed
-    form, the supporting lines of a conjugate, or an empirical step rule.
-    A curve whose fn warns also has ``quiet``, the same reads without the
-    warnings, which ``quiet_at`` reads.
+    ``at`` caps ``fn`` at 1 over an array of u.  Each builder owns its
+    curve's form: a closed form, the supporting lines of a conjugate, or an
+    empirical step rule.
     """
 
     kind: str
     fn: Callable
     params: dict = field(default_factory=dict)
-    quiet: Optional[Callable] = None
 
-    def at(self, u):
-        out = np.minimum(1.0, np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float))
-        if np.isscalar(u):
-            return float(out)
-        return out
-
-    def quiet_at(self, u: np.ndarray) -> np.ndarray:
-        """``at`` an array of u, without the warnings of fn."""
-        return np.minimum(1.0, np.asarray((self.quiet or self.fn)(np.asarray(u, dtype=float)), dtype=float))
+    def at(self, u) -> np.ndarray:
+        return np.minimum(1.0, np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float))
 
 
 def tail_z_max(curve: TailCurve, floor: float = TAIL_FLOOR, cap: float = Z_CAP) -> float:
     """Where Q drops below floor: bisects [0, cap] to a bracket of width <= 1e-6 and
     returns its end with Q(z) < floor; 0 if Q(0) < floor, cap if Q(cap) >= floor.
 
-    The bisection runs in rounds.  A round reads Q, quietly, at all the
-    midpoints its next Z_MAX_LEVELS steps can take, in one array read, and
-    then takes those steps with the comparisons of one scalar read per step.
-    An array read gives each point the bits of a scalar read, so this is the
-    scalar bisection's float, even where rounding makes Q not monotone.  One
-    last read at the points the scalar bisection reads, in its order, gives
-    the curve's warnings as it would.
+    The bisection runs in rounds.  A round reads Q at all the midpoints its
+    next Z_MAX_LEVELS steps can take, in one array read, and then takes those
+    steps with the comparisons of one scalar read per step.  An array read
+    gives each point the bits of a scalar read, so this is the scalar
+    bisection's float, even where rounding makes Q not monotone.
     """
-    q0, qcap = curve.quiet_at(np.array([0.0, cap])).tolist()
-    lo, hi, steps = 0.0, cap, [0.0, cap]
+    q0, qcap = curve.at(np.array([0.0, cap])).tolist()
     if q0 < floor:
-        hi, steps = 0.0, [0.0]
-    elif qcap < floor:
-        while hi - lo > 1e-6:
-            tree = _midpoint_tree(lo, hi, Z_MAX_LEVELS)
-            below = (curve.quiet_at(np.array(tree)) < floor).tolist()
-            i = 0
-            while i < len(tree) and hi - lo > 1e-6:
-                steps.append(tree[i])
-                lo, hi, i = (lo, tree[i], 2 * i + 1) if below[i] else (tree[i], hi, 2 * i + 2)
-    if curve.quiet is not None:
-        curve.at(np.array(steps))
+        return 0.0
+    if qcap >= floor:
+        return cap
+    lo, hi = 0.0, cap
+    while hi - lo > 1e-6:
+        tree = _midpoint_tree(lo, hi, Z_MAX_LEVELS)
+        below = (curve.at(np.array(tree)) < floor).tolist()
+        i = 0
+        while i < len(tree) and hi - lo > 1e-6:
+            lo, hi, i = (lo, tree[i], 2 * i + 1) if below[i] else (tree[i], hi, 2 * i + 2)
     return hi
 
 
@@ -131,34 +122,32 @@ def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
 # Log-MGF envelope
 # ---------------------------------------------------------------------------
 
-def phi_sup(fam: Family, lam):
-    """max over sign and x in the x-domain [lo, hi] of ln E exp(+- lam zeta(x)).
+def phi_sup(fam: Family, lam: np.ndarray) -> np.ndarray:
+    """max over sign and x in the Bernoulli x-domain [lo, hi] of ln E exp(+- lam zeta(x)).
 
     Endpoint lemma: for lam > 0, phi_x(lam) = ln E exp(lam zeta(x)) is
-    nonincreasing and phi_x(-lam) nondecreasing in x, for both families, so
-    the sup is max(phi_lo(|lam|), phi_hi(-|lam|)) exactly; for Bernoulli the
-    two agree by phi_x(-lam) = phi_{1-x}(lam).
-    - Bernoulli: with r = sqrt((1-x)/x), (1 + r^2) M = r^2 e^{-lam/r} + e^{lam r};
-      dM/dr >= 0 reduces to e^{2s} <= (1+s)/(1-s) for s = lam (r + 1/r)/2 < 1,
-      which is s <= artanh(s), and is immediate for s >= 1.
-    - Poisson: phi_x(+-lam) = lam^2 g(+-lam/sqrt(x)), g(y) = (e^y - 1 - y)/y^2 increasing.
-    Both signs are taken at both ends, so phi is even in lam; 0 at lam = 0.
+    nonincreasing and phi_x(-lam) nondecreasing in x, so the sup is
+    max(phi_lo(|lam|), phi_hi(-|lam|)) exactly; the two agree by
+    phi_x(-lam) = phi_{1-x}(lam).  With r = sqrt((1-x)/x),
+    (1 + r^2) M = r^2 e^{-lam/r} + e^{lam r}; dM/dr >= 0 reduces to
+    e^{2s} <= (1+s)/(1-s) for s = lam (r + 1/r)/2 < 1, which is s <= artanh(s),
+    and is immediate for s >= 1.  Both signs are taken at both ends, so phi
+    is even in lam; 0 at lam = 0.
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam_arr = np.asarray(lam, dtype=float)
     best = np.zeros(lam_arr.shape)  # lambda = 0 contributes exactly 0
     for x in fam.x_domain:
         for sign in (1.0, -1.0):
             best = np.maximum(best, zeta_log_mgf(fam, x, sign * lam_arr))
-    if np.isscalar(lam):
-        return float(best[0])
     return best
 
 
 class TabulatedPhi:
-    """Dense tabulation of phi_sup with linear interpolation.
+    """Dense tabulation of phi_sup on [0, t_max] with linear interpolation.
 
-    phi is convex, so the interpolant dominates it pointwise; evaluations
-    beyond the table fall back to the exact supremum.
+    phi is convex, so the interpolant dominates it pointwise.  A |t| beyond
+    the table is refused: family_nu's table reaches the largest lambda the
+    conjugation can ask for.
     """
 
     def __init__(self, fam: Family, t_max: float = DEFAULT_LAMBDA_CAP, size: int = 4001):
@@ -167,15 +156,11 @@ class TabulatedPhi:
         self.t_grid = np.concatenate([[0.0], np.geomspace(1e-6, self.t_max, size - 1)])
         self.values = phi_sup(fam, self.t_grid)
 
-    def __call__(self, t):
+    def __call__(self, t: np.ndarray) -> np.ndarray:
         arr = np.abs(np.asarray(t, dtype=float))
-        out = np.asarray(np.interp(arr, self.t_grid, self.values))
-        beyond = arr > self.t_max
-        if np.any(beyond):
-            out[beyond] = phi_sup(self.fam, arr[beyond])
-        if np.isscalar(t):
-            return float(out)
-        return out
+        if np.any(arr > self.t_max):
+            raise ParameterError(f"|t| {arr.max():g} reaches past the phi table's end {self.t_max:g}")
+        return np.interp(arr, self.t_grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +178,9 @@ def _bennett_ratio(y: float) -> float:
 
 
 def make_nu(phi: TabulatedPhi, n_max: int = DEFAULT_N_MAX) -> Callable:
-    """Vectorized nu(lambda) = sup over every n >= 1 of n phi(lambda/sqrt(n)):
-    an exact scan of the table over n = 1..n_max, and the bound G below for
-    every larger n.
+    """nu(lambda) = sup over every n >= 1 of n phi(lambda/sqrt(n)), over a 1-d
+    array of lambda: an exact scan of the table over n = 1..n_max, and the
+    bound G below for every larger n.
 
     G(lam) = lam^2 R(lam/sqrt(n_max)), with R(s) = sup_{0<t<=s} phi_up(t)/t^2.
     - G is the sup over real n >= n_max of n phi_up(lam/sqrt(n)): put
@@ -244,23 +229,19 @@ def make_nu(phi: TabulatedPhi, n_max: int = DEFAULT_N_MAX) -> Callable:
     at_nodes = np.maximum.accumulate(np.concatenate([[c0], ratio(np.arange(slope.size), t[1:])]))
 
     def beyond_scan(lam):
-        s = np.maximum(lam / math.sqrt(n_max) * ROUND_UP, t[0])  # s rounded up: R is nondecreasing
-        if np.any(s > t[-1]):
-            raise ParameterError(f"lambda {lam.max():g} reaches past the phi table at n = {n_max}")
+        # s rounded up, as R is nondecreasing; the scan's n = 1 read has refused a lambda past the table
+        s = np.maximum(lam / math.sqrt(n_max) * ROUND_UP, t[0])
         k = np.maximum(np.searchsorted(t, s) - 1, 0)
         return lam * lam * np.maximum(at_nodes[k], ratio(k, s))
 
-    def nu(lam):
-        lam_arr = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
+    def nu(lam: np.ndarray) -> np.ndarray:
+        lam_arr = np.abs(np.asarray(lam, dtype=float))
         best = np.empty(lam_arr.shape)
         for start in range(0, lam_arr.size, rows):
             block = lam_arr[start:start + rows]
-            vals = ns[None, :] * np.asarray(phi(block[:, None] * inv_sqrt[None, :]), dtype=float)
+            vals = ns[None, :] * phi(block[:, None] * inv_sqrt[None, :])
             best[start:start + rows] = np.max(vals, axis=1)
-        best = np.maximum(best, beyond_scan(lam_arr))
-        if np.isscalar(lam):
-            return float(best[0])
-        return best
+        return np.maximum(best, beyond_scan(lam_arr))
 
     return nu
 
@@ -308,8 +289,9 @@ def conjugate_curve(
     its two terms for the rounding, is a lower bound on nu* at every u.
     A read finds the maximum by binary search over the lines' breakpoints
     (Lucet's linear-time Legendre transform, Numer. Algorithms 16, 1997) and
-    keeps the line a scan over all of them keeps; a u whose maximum falls on
-    the last line warns.
+    keeps the line a scan over all of them keeps.  A read with a u whose
+    maximum falls on the last line warns once, naming the cap and the last
+    breakpoint, so every such read of one curve gives the same message.
     """
     grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
     # nu is convex, so line j + 1 overtakes line j at their secant slope and these breakpoints
@@ -319,7 +301,7 @@ def conjugate_curve(
     slopes = np.maximum.accumulate(np.diff(gv) / np.diff(grid))
     eps = np.finfo(float).eps
 
-    def fn(u, warn: bool = True):
+    def fn(u):
         flat = np.ravel(np.asarray(u, dtype=float))
         bad = ~((flat >= 0) & (flat < np.inf))  # NaN fails both
         if bad.any():
@@ -328,15 +310,14 @@ def conjugate_curve(
         lines = flat[:, None] * grid[cand] - gv[cand]
         j = cand[np.arange(flat.size), np.argmax(lines, axis=1)]
         best = lines.max(axis=1) - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
-        for v in flat[j == grid.size - 1] if warn else ():
-            warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={v:g}",
-                          BoundaryWarning)
+        if (j == grid.size - 1).any():
+            warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} "
+                          f"for u past the last breakpoint {slopes[-1]:g}", BoundaryWarning)
         return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
 
     return TailCurve(
         kind="conjugate", fn=fn,
         params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)},
-        quiet=lambda u: fn(u, warn=False),
     )
 
 

@@ -23,6 +23,15 @@ from bernapprox.tails import (
 POISSON_PHI = lambda z: np.expm1(np.asarray(z, dtype=float)) - np.asarray(z, dtype=float)  # noqa: E731
 
 
+def poisson_log_mgf(x, lam) -> np.ndarray:
+    """Oracle for the Poisson log-MGF ln E exp(lam zeta(x)) = -lam sqrt(x) + x (e^{lam/sqrt(x)} - 1),
+    0 at lam = 0 exactly; vectorized over x and lam.  The package tabulates only the
+    Bernoulli one: the Poisson tail curve is the closed form ``poisson_curve``."""
+    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
+    rt = np.sqrt(x)
+    return np.where(lam == 0.0, 0.0, -lam * rt + x * np.expm1(lam / rt))
+
+
 def poisson_nu(lam):
     """nu of the Poisson family at x_min = 1, even in lambda."""
     return POISSON_PHI(np.abs(np.asarray(lam, dtype=float)))
@@ -294,7 +303,8 @@ def fenchel_conjugate(
     """
     from scipy.optimize import minimize_scalar
 
-    g0 = float(g(0.0))
+    g1 = lambda lam: float(np.asarray(g(np.array([lam])))[0])  # noqa: E731  g takes arrays
+    g0 = g1(0.0)
     if abs(g0) > 1e-9:
         raise ParameterError(f"g(0) must be 0, got {g0}")
     if u < 0:
@@ -317,7 +327,7 @@ def fenchel_conjugate(
         warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={u:g}",
                       BoundaryWarning)
     res = minimize_scalar(
-        lambda lam: -(lam * u - float(g(lam))),
+        lambda lam: -(lam * u - g1(lam)),
         bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
         method="bounded",
         options={"xatol": 1e-12},
@@ -333,9 +343,11 @@ def brute_force_conjugate_curve(
 ) -> TailCurve:
     """Oracle for ``conjugate_curve``: the same frozen lines, every one scored
     at every u and the first maximum kept, then the same 4-ulp rounding,
-    boundary warning and 2 exp(-max(best, 0))."""
+    boundary warning (once per read, naming the last breakpoint) and
+    2 exp(-max(best, 0))."""
     grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
     eps = np.finfo(float).eps
+    last_break = float(np.max(np.diff(gv) / np.diff(grid)))
 
     def fn(u):
         flat = np.ravel(np.asarray(u, dtype=float))
@@ -344,9 +356,9 @@ def brute_force_conjugate_curve(
         lines = flat[:, None] * grid - gv
         j = np.argmax(lines, axis=1)
         best = lines[np.arange(flat.size), j] - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
-        for v in flat[j == grid.size - 1]:
-            warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} for u={v:g}",
-                          BoundaryWarning)
+        if np.any(j == grid.size - 1):
+            warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} "
+                          f"for u past the last breakpoint {last_break:g}", BoundaryWarning)
         return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
 
     return TailCurve(kind="conjugate", fn=fn,

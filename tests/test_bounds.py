@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestStieltjesBound:
 
     def test_bound_report_invariants(self):
         with pytest.raises(ParameterError):
-            BoundReport(n=1, upper_stieltjes=2.0, enclosure=(0.0, 1.0))
+            BoundReport(upper_stieltjes=2.0, enclosure=(0.0, 1.0))
 
 
 class TestHdtBound:
@@ -106,9 +107,10 @@ class TestHdtBound:
         # integral z^0 e^{-z} dz = 1; for alpha = 1 the left sum overshoots by
         # at most one cell width
         q = TailCurve(kind="exp", fn=lambda z: np.exp(-np.asarray(z, dtype=float)))
-        res = hdt_bound(HolderSpec(1.0, 1.0), q, 1, z_max=40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            res = hdt_bound(HolderSpec(1.0, 1.0), q, 1, z_max=40.0)
         assert 1.0 <= res.value <= 1.0 + 40.0 / (HDT_Z_SIZE - 1)
-        assert not res.diverging
 
     @given(
         alpha=st.floats(min_value=0.25, max_value=1.0),
@@ -149,21 +151,32 @@ class TestHdtBound:
     def test_curve_at_zero_by_z_max_has_no_remainder(self):
         # Q drops 1 -> 0 at z = 1: the cells on [0, 2] sum to exactly 1 and nothing is left past 2
         step = TailCurve(kind="step", fn=lambda u: np.where(u < 1.0, 1.0, 0.0))
-        res = hdt_bound(HolderSpec(1.0, 1.0), step, 1, z_max=2.0)
-        assert (res.value, res.constant, res.diverging) == (1.0, 1.0, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            res = hdt_bound(HolderSpec(1.0, 1.0), step, 1, z_max=2.0)
+        assert (res.value, res.constant) == (1.0, 1.0)
+
+    def test_remainder_never_reads_below_zero(self):
+        # z_max below h = 1e-6: the read before z_max is clipped at 0, so a power tail with
+        # q = 1.5 never sees a negative u (numpy would warn on its fractional power)
+        curve = power_tail_curve(PowerTailSpec(p=1.5, K=1e20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = hdt_bound(HolderSpec(1.0, 1.0), curve, 1, z_max=5e-7)
+        assert math.isfinite(res.value)
 
     def test_divergence_flag_for_flat_tail(self):
         flat = TailCurve(kind="flat", fn=lambda z: 0.5 * np.ones_like(np.asarray(z, dtype=float)))
         with pytest.warns(DivergenceWarning):
             res = hdt_bound(HolderSpec(1.0, 1.0), flat, 1, z_max=10.0)
-        assert res.diverging
+        assert res.value == math.inf  # no decay past z_max: the remainder is unbounded
 
     def test_divergence_flag_for_equal_logs(self):
         # Q(z_max - h) > Q(z_max), but the two are adjacent floats with the same log: no decay rate
         fn = lambda z: np.where(z < 1.0, 1.0, np.where(z < 10.0, np.nextafter(1e-300, 1.0), 1e-300))  # noqa: E731
         with pytest.warns(DivergenceWarning):
             res = hdt_bound(HolderSpec(1.0, 1.0), TailCurve(kind="steps", fn=fn), 1, z_max=10.0)
-        assert res.diverging and res.value == math.inf
+        assert res.value == math.inf
 
 
 class TestHdtBoundExp:

@@ -485,10 +485,9 @@ class CountingCurve:
         return getattr(self._curve, name)
 
 
-# tail_z_max's rounds read the curve quietly, past the proxy; it reads through
-# ``at`` once, at the 28 points of its 26 steps on [0, 64] and both ends, for the
-# curve's warnings
-Z_MAX_POINTS = 28
+# tail_z_max reads both ends of [0, 64], then one round of 2^5 - 1 midpoints per 5
+# of its 26 bisection steps
+Z_MAX_READS = [2] + [2**5 - 1] * 6
 
 
 @pytest.fixture
@@ -512,7 +511,7 @@ class TestStudyStagesOnce:
         assert res.exit_code == 0, res.output
         (curve,) = counting_curve
         # then each row's Stieltjes sum reads the z grid (65 points)
-        assert [s for s in curve.sizes if s > 1] == [Z_MAX_POINTS] + [65] * len(n_grid.split(","))
+        assert curve.sizes == Z_MAX_READS + [65] * len(n_grid.split(","))
 
     def test_bound_integrates_hdt_once(self, runner, tmp_path, counting_curve, monkeypatch):
         calls = []
@@ -529,8 +528,10 @@ class TestStudyStagesOnce:
         # one cell sum on its own grid for all three n, and no quadrature
         assert calls == []
         (curve,) = counting_curve
-        # after z_max, each row's Stieltjes sum reads the z grid
-        assert sorted(s for s in curve.sizes if s > 1) == [Z_MAX_POINTS, 65, 65, 65, bounds.HDT_Z_SIZE]
+        # after z_max, each row's Stieltjes sum reads the z grid, and the one cell sum reads its
+        # grid and then the tail remainder's two points at z_max - h and z_max
+        assert curve.sizes[:len(Z_MAX_READS)] == Z_MAX_READS
+        assert sorted(curve.sizes[len(Z_MAX_READS):]) == [2, 65, 65, 65, bounds.HDT_Z_SIZE]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
 
     def test_bound_never_imports_scipy_integrate(self, tmp_path):
@@ -573,7 +574,7 @@ class TestStudyStagesOnce:
         assert res.exit_code == 0, res.output
         (curve,) = counting_curve
         # z_max bisects; nothing tabulates the curve
-        assert curve.sizes == [Z_MAX_POINTS]
+        assert curve.sizes == Z_MAX_READS
         (profile,) = profiles
         assert len((tmp_path / "modulus.csv").read_text().splitlines()) == profile.deltas.size + 1
 

@@ -159,12 +159,17 @@ def test_canonical_bytes(tmp_path, config, cmd):
     assert digests(tmp_path) == GOLDEN[config][cmd]
 
 
+# the one message of bern-cusp-cap's curve: it names the cap and the last breakpoint, not a u
+CAP_WARNING = "conjugate maximizer at the lambda grid boundary 6 for u past the last breakpoint 19.0441"
+
+
 def test_the_cap_config_reads_past_the_last_line():
+    # z_max's read of both ends and its first round's read reach past u = 19.04; each warns once
     study = study_of("bern-cusp-cap")
     with pytest.warns(BoundaryWarning) as record:
         study.z_max
     assert study.curve.params["lambda_cap"] == 6.0
-    assert [str(w.message).rsplit("u=", 1)[1] for w in record] == ["64", "32"]
+    assert [str(w.message) for w in record] == [CAP_WARNING] * 2
 
 
 @pytest.mark.filterwarnings("ignore::bernapprox.errors.BoundaryWarning")  # bern-cusp-cap's reads past the last line
@@ -185,9 +190,19 @@ def test_modulus_reports_the_profile_and_seminorm_that_bound_integrates(tmp_path
 
 @pytest.mark.parametrize("cmd", ["tail", "run"])
 def test_warnings_reach_stderr_as_kind_lines(cmd, tmp_path):
+    # every read past the last line gives the curve's one message, which Python's default filter shows once
     res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path)] + CONFIGS["bern-cusp-cap"])
     assert res.exit_code == 0, res.output
     lines = res.stderr.splitlines()
-    assert lines == [f'warning kind=BoundaryWarning msg="conjugate maximizer at the lambda grid boundary 6 '
-                     f'for u={u}"' for u in (64, 32)]
+    assert lines == [f'warning kind=BoundaryWarning msg="{CAP_WARNING}"']
     assert not any("/" in line or ".py:" in line for line in lines)
+
+
+@pytest.mark.parametrize("cmd", ["run", "bound", "tail"])
+def test_one_boundary_warning_line_per_curve_at_a_floor_of_1e_300(cmd, tmp_path):
+    # at this floor z_max is the cap 64, so the z grid, the cell sum and the remainder all
+    # read past the last line: one read per u would print hundreds of lines
+    res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path)] + CONFIGS["bern-cusp-cap"]
+                             + ["--set", "tail.floor=1e-300"])
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines() == [f'warning kind=BoundaryWarning msg="{CAP_WARNING}"']

@@ -205,6 +205,39 @@ def test_constant_guard_catches_a_dead_constant(tmp_path):
     assert unread_constants(tmp_path) == {"NU_BLOCK_BYTES"}
 
 
+def unused_error_classes(src: Path = SRC) -> set[str]:
+    """Classes of errors.py that no other module of the package raises, warns or
+    catches: named in a raise, as the category of a warn call, or in an except."""
+    declared = {node.name for node in ast.parse((src / "errors.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= names_read(node.exc)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                used |= set().union(*map(names_read, node.args[1:] + [kw.value for kw in node.keywords]))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= names_read(node.type)
+    return declared - used
+
+
+def test_every_error_class_is_raised_warned_or_caught():
+    # a class that only tests raise is a dead branch of the hierarchy
+    assert unused_error_classes() == set()
+
+
+def test_error_guard_catches_a_dead_class(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "errors.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\nclass OverflowComputationError(BernApproxError):\n"
+                 '    """A log-MGF evaluation left the finite range."""\n')
+    assert unused_error_classes(tmp_path) == {"OverflowComputationError"}
+
+
 def test_no_numerical_integration_in_the_package():
     assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
 

@@ -11,12 +11,12 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    POISSON_PHI, brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, poisson_nu,
-    scalar_z_max, step_read,
+    POISSON_PHI, brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, poisson_log_mgf,
+    poisson_nu, scalar_z_max, step_read,
 )
 
 from bernapprox import config as cfgmod
@@ -91,12 +91,19 @@ def rounding_bound(fam, x, lam):
 
 
 def dense_log_mgf(fam, xs, lam):
-    """ln E exp(lam zeta(x)) on an x array, in zeta_log_mgf's form."""
+    """ln E exp(lam zeta(x)) on an x array, in zeta_log_mgf's form or the Poisson oracle's."""
     if fam.kind == "bernoulli":
         sig = np.sqrt(xs * (1.0 - xs))
         return np.logaddexp(-lam * xs / sig + np.log1p(-xs), lam * (1.0 - xs) / sig + np.log(xs))
-    rt = np.sqrt(xs)
-    return -lam * rt + xs * np.expm1(lam / rt)
+    return poisson_log_mgf(xs, lam)
+
+
+def endpoint_phi(fam, lam: float) -> float:
+    """phi_sup at one lambda; for Poisson, the same max over sign and both ends of the
+    x-domain, of the log-MGF oracle (the package tabulates only the Bernoulli one)."""
+    if fam.kind == "bernoulli":
+        return float(phi_sup(fam, np.array([lam]))[0])
+    return max(0.0, *(float(poisson_log_mgf(x, s * lam)) for x in fam.x_domain for s in (1.0, -1.0)))
 
 
 TABLE_CAP = tails.DEFAULT_LAMBDA_CAP * 2**tails.MAX_CAP_DOUBLINGS
@@ -105,28 +112,28 @@ TABLE_CAP = tails.DEFAULT_LAMBDA_CAP * 2**tails.MAX_CAP_DOUBLINGS
 class TestPhiSup:
     def test_zero_at_zero(self):
         fam = bernoulli_family()
-        assert phi_sup(fam, 0.0) == 0.0
+        assert phi_sup(fam, np.array([0.0])).tolist() == [0.0]
 
     def test_poisson_attained_at_one(self):
         fam = poisson_family(1.0, 64.0)
-        assert zeta_log_mgf(fam, 1.0, 1.0) == pytest.approx(math.e - 2.0, abs=1e-12)
-        assert phi_sup(fam, 1.0) == pytest.approx(math.e - 2.0, abs=1e-12)
+        assert poisson_log_mgf(1.0, 1.0) == pytest.approx(math.e - 2.0, abs=1e-12)
+        assert endpoint_phi(fam, 1.0) == pytest.approx(math.e - 2.0, abs=1e-12)
 
     def test_bernoulli_symmetric_point(self):
         fam = bernoulli_family()
-        assert zeta_log_mgf(fam, 0.5, 1.0) == pytest.approx(math.log(math.cosh(1.0)), abs=1e-12)
+        assert zeta_log_mgf(fam, 0.5, np.array([1.0]))[0] == pytest.approx(math.log(math.cosh(1.0)), abs=1e-12)
 
     def test_even_in_lambda(self):
         fam = bernoulli_family(0.1)
-        for lam in (0.3, 1.2, 4.0):
-            assert phi_sup(fam, lam) == phi_sup(fam, -lam)
+        lams = np.array([0.3, 1.2, 4.0])
+        assert np.array_equal(phi_sup(fam, lams), phi_sup(fam, -lams))
 
     def test_tabulated_phi_dominates_exact(self):
         # linear interpolation of a convex function lies above it
         fam = bernoulli_family(0.05)
         tab = TabulatedPhi(fam, t_max=20.0, size=801)
-        for t in np.linspace(0.01, 19.9, 57):
-            assert tab(float(t)) >= phi_sup(fam, float(t)) - 1e-12
+        ts = np.linspace(0.01, 19.9, 57)
+        assert np.all(tab(ts) >= phi_sup(fam, ts) - 1e-12)
 
     @pytest.mark.parametrize("fam", [
         bernoulli_family(), bernoulli_family(0.05), bernoulli_family(0.3),
@@ -145,7 +152,7 @@ class TestPhiSup:
         def check(log_lam, sign):
             lam = 10.0**log_lam
             ends = max(rounding_bound(fam, lo, lam), rounding_bound(fam, hi, lam))
-            excess = dense_log_mgf(fam, xs, sign * lam) - phi_sup(fam, lam)
+            excess = dense_log_mgf(fam, xs, sign * lam) - endpoint_phi(fam, lam)
             assert np.all(excess <= rounding_bound(fam, xs, lam) + ends)
 
         check()
@@ -166,25 +173,15 @@ class TestPhiSup:
             lo, hi = fam.x_domain
             ref = max(exact(lo, t), exact(hi, -t))
             slack = max(rounding_bound(fam, lo, t), rounding_bound(fam, hi, t))
-            assert tab(t) >= float(ref) - slack
+            assert tab(np.array([t]))[0] >= float(ref) - slack
 
-    def test_fallback_evaluates_only_beyond_the_table(self, monkeypatch):
-        fam = bernoulli_family(0.05)
-        tab = TabulatedPhi(fam, t_max=20.0, size=801)
-        ts = np.array([0.5, 25.0, -3.0, 19.9, -40.0, 21.0])
-        beyond = np.abs(ts) > 20.0
-        sizes = []
-
-        def counting(f, lam):
-            sizes.append(np.size(lam))
-            return phi_sup(f, lam)
-
-        monkeypatch.setattr(tails, "phi_sup", counting)
-        out = tab(ts)
-        assert sizes == [int(beyond.sum())]
-        assert np.array_equal(out[beyond], phi_sup(fam, ts[beyond]))
-        assert np.array_equal(out[~beyond], tab(ts[~beyond]))
-        assert tab(25.0) == phi_sup(fam, 25.0)
+    def test_a_t_beyond_the_table_is_refused(self):
+        # the interpolant ends at t_max; nu never reads past it (see TestLambdaGridStaysInTheTable)
+        tab = TabulatedPhi(bernoulli_family(0.05), t_max=20.0, size=801)
+        for ts in ([0.5, 25.0, -3.0], [-20.5], [np.nextafter(20.0, np.inf)]):
+            with pytest.raises(ParameterError, match="past the phi table"):
+                tab(np.array(ts))
+        assert tab(np.array([-20.0, 20.0])).tolist() == [tab.values[-1]] * 2
 
 
 class TestNuEnvelope:
@@ -222,12 +219,13 @@ class TestNuEnvelope:
     def test_make_nu_matches_envelope(self):
         # where the sup sits at n <= 256 the scan is the oracle's; past that nu only adds
         tab = TabulatedPhi(bernoulli_family(0.05), t_max=TABLE_CAP)
-        nu = make_nu(tab)
-        for lam in (0.2, 1.0, 2.5, 10.0):
+        lams = [0.2, 1.0, 2.5, 10.0, 40.0]
+        vals = make_nu(tab)(np.array(lams))
+        for lam, val in zip(lams[:-1], vals):
             env = nu_envelope(tab, lam)
             assert env.maximizer_n <= tails.DEFAULT_N_MAX
-            assert nu(lam) == pytest.approx(env.value, rel=1e-9)
-        assert nu(40.0) >= nu_envelope(tab, 40.0).value
+            assert val == pytest.approx(env.value, rel=1e-9)
+        assert vals[-1] >= nu_envelope(tab, 40.0).value
 
 
 class TestFenchelConjugate:
@@ -445,8 +443,9 @@ class TestZMaxRounds:
     @given(data=st.data(), log_floor=st.floats(-16.0, -0.05), z_cap=st.floats(0.5, 200.0))
     @settings(max_examples=120, deadline=None)
     def test_rounds_give_the_scalar_bisection_bit_for_bit(self, study_curves, data, log_floor, z_cap):
-        # the same float and the same warnings, in the same order, on every golden
-        # config and workload, at its own floor and cap and at random ones
+        # the same float and the same distinct warnings on every golden config and workload,
+        # at its own floor and cap and at random ones.  Both read the cap first, and a curve's
+        # warning names no u, so the rounds warn if and only if the scalar bisection does
         curve, own_floor, own_cap = study_curves[data.draw(st.sampled_from(sorted(study_curves)))]
         for floor, cap in ((own_floor, own_cap), (10.0**log_floor, z_cap)):
             with warnings.catch_warnings(record=True) as scalar_warns:
@@ -456,18 +455,17 @@ class TestZMaxRounds:
                 warnings.simplefilter("always")
                 rounds = tail_z_max(curve, floor, cap)
             assert type(rounds) is type(scalar) and rounds == scalar
-            assert [str(w.message) for w in round_warns] == [str(w.message) for w in scalar_warns]
+            assert {str(w.message) for w in round_warns} == {str(w.message) for w in scalar_warns}
 
     def test_the_cap_config_warns_in_the_bisection(self, study_curves):
-        # the warnings above are not vacuous: on bern-cusp-cap the bisection reads
-        # past the last line, and the rounds' other reads are quiet
+        # the warnings above are not vacuous: on bern-cusp-cap the read of both ends and the
+        # first round's read, whose midpoints reach 32 and up, fall past the last line at u = 19.04;
+        # the later rounds stay below it.  Each such read warns once, with the curve's one message
         with warnings.catch_warnings(record=True) as warns:
             warnings.simplefilter("always")
             tail_z_max(*study_curves["bern-cusp-cap"])
         assert [str(w.message) for w in warns] == [
-            "conjugate maximizer at the lambda grid boundary 6 for u=64",
-            "conjugate maximizer at the lambda grid boundary 6 for u=32",
-        ]
+            "conjugate maximizer at the lambda grid boundary 6 for u past the last breakpoint 19.0441"] * 2
 
     def test_one_array_read_per_round(self):
         reads = []
@@ -666,13 +664,13 @@ class TestNuEveryN:
     def test_nu_dominates_the_sup_over_n_up_to_2_to_the_22(self, eps, j):
         fam = bernoulli_family(eps)
         lam = float(np.geomspace(tails.LAMBDA_MIN, TABLE_CAP, 1000)[j - 1])
-        assert family_nu(fam)(lam) >= nu_over_all_n(fam, lam)
+        assert family_nu(fam)(np.array([lam]))[0] >= nu_over_all_n(fam, lam)
 
     def test_nu_at_50_reaches_the_sup_past_the_scan(self):
         # the old 4096-term scan gave 72,848; the sup over n <= 2^22 sits at n = 13,115
         fam = bernoulli_family()
         assert nu_over_all_n(fam, 50.0) >= 90_400.0
-        assert family_nu(fam)(50.0) >= nu_over_all_n(fam, 50.0)
+        assert family_nu(fam)(np.array([50.0]))[0] >= nu_over_all_n(fam, 50.0)
 
     @settings(max_examples=25, deadline=None)
     @given(eps=st.floats(min_value=1e-9, max_value=0.5, exclude_max=True), doublings=st.integers(0, 5))
@@ -688,12 +686,39 @@ class TestNuEveryN:
         assert series <= tails._bennett_ratio(y) <= series * (1.0 + 1e-14)
 
     def test_the_bound_past_the_scan_needs_the_table(self):
+        # the scan reads phi at lambda itself (n = 1) and refuses a lambda past the table,
+        # so the bound past the scan, at lambda / sqrt(n_max), stays inside it
         with pytest.raises(ParameterError, match="past the phi table"):
-            make_nu(TabulatedPhi(bernoulli_family(0.05), t_max=20.0, size=801))(20.0 * 17)
+            make_nu(TabulatedPhi(bernoulli_family(0.05), t_max=20.0, size=801))(np.array([20.5]))
 
     def test_n_max_floor(self):
         with pytest.raises(ParameterError, match="2\\^8"):
             make_nu(TabulatedPhi(bernoulli_family(0.05), t_max=20.0, size=801), n_max=255)
+
+
+class TestLambdaGridStaysInTheTable:
+    """family_nu's table ends at lambda_cap * 2^MAX_CAP_DOUBLINGS, the largest cap the
+    conjugation may double to, and np.geomspace returns that stop exactly."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(eps=st.floats(min_value=1e-9, max_value=0.5, exclude_max=True), log_cap=st.floats(-2.0, 3.0),
+           size=st.integers(3, 1001), log_z_cap=st.floats(-1.0, 4.0))
+    @example(eps=0.05, log_cap=-2.0, size=3, log_z_cap=4.0)  # all 5 doublings: nu reads t_max itself
+    def test_the_largest_lambda_nu_reads_is_within_the_table(self, eps, log_cap, size, log_z_cap):
+        cfg = ExperimentConfig(family_eps=eps, tail_lambda_cap=10.0**log_cap, tail_lambda_size=size,
+                               tail_z_cap=10.0**log_z_cap)
+        largest = []
+        build = experiments.family_nu
+
+        def recorded(*args, **kwargs):
+            nu = build(*args, **kwargs)
+            return lambda lam: largest.append(float(np.max(lam))) or nu(lam)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "family_nu", recorded)
+            Study(cfg).curve
+        assert 1 <= len(largest) <= tails.MAX_CAP_DOUBLINGS + 1
+        assert max(largest) <= cfg.tail_lambda_cap * 2**tails.MAX_CAP_DOUBLINGS
 
 
 class TestConjugateCurve:
@@ -750,11 +775,19 @@ class TestConjugateCurve:
         with pytest.raises(ParameterError, match="nonnegative and finite"):
             curve.at(np.array([0.5, u, 2.0]))
 
-    def test_boundary_warning_per_u_beyond_the_last_line(self):
+    def test_one_boundary_warning_per_read_past_the_last_line(self):
+        # the message names the cap and the last breakpoint, not the u, so it is
+        # the same for every read of one curve, and Python's default filter shows it once
         curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=101)
+        last_break = np.max(np.diff(SUBGAUSS(frozen_grid(curve))) / np.diff(frozen_grid(curve)))
+        message = f"conjugate maximizer at the lambda grid boundary 50 for u past the last breakpoint {last_break:g}"
         with pytest.warns(BoundaryWarning) as record:
             curve.at(np.array([3.0, 3000.0, 4000.0]))
-        assert len(record) == 2
+            curve.at(np.array([5000.0]))
+        assert [str(w.message) for w in record] == [message] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryWarning)
+            curve.at(np.array([0.0, 3.0, 0.99 * last_break]))
 
     def test_reading_the_curve_calls_nu_zero_times(self, bern_nu):
         calls = []
