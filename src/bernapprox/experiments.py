@@ -140,7 +140,7 @@ class ExperimentConfig:
     seed: int = _key("run.seed", 20240809, "root seed (pcg64; children via seedsequence-spawn)", _at_least(0))
     mode: str = _key("run.mode", "exact", "operator path", _one_of("exact", "monte-carlo"))
     szasz_tail_tol: float = _key(
-        "run.szasz_tail_tol", 1e-12, "certified Szasz truncation tolerance",
+        "run.szasz_tail_tol", 1e-12, "certified truncation tolerance of the Bernstein and Szasz windows",
         ("in (0, 1e-6]", lambda v: 0.0 < v <= 1e-6))
     mc_trials: int = _key("run.mc_trials", 10_000, "trials per grid point in monte-carlo mode", _at_least(100))
 
@@ -158,7 +158,7 @@ class ExperimentConfig:
         if (self.trial_x0 is None) != (self.trial_alpha is None):
             raise ParameterError("trial.x0 and trial.alpha must be set together")
         if self.trial_x0 is not None and self.family_kind != "bernoulli":
-            # the Szasz window's certified radius needs sup|g|, unbounded on [0, inf)
+            # a window's certified radius tail_tol * sup|g| needs sup|g|, unbounded on [0, inf)
             raise ParameterError("trial.x0/trial.alpha need family.kind=bernoulli: "
                                  "the trial cusp has no bounded sup on [0, inf)")
         lo, hi = build_family(self).x_domain

@@ -6,9 +6,11 @@ with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 Poisson(n*x).  Its pmf comes from one kernel, ``pmf_kernel``, for a chunk
 of x at a time: the mode terms from Loader's saddle-point form, every other
 term by a ratio recurrence out of the mode, so nothing can overflow and no
-log-gamma sum amplifies rounding with n.  ``szasz_window`` cuts Poisson sums to certified
-windows by one padded vector scan of the Chernoff exponent per side for a
-whole array of means, no bisection.
+log-gamma sum amplifies rounding with n.  Both sums are cut to certified
+windows, each side dropping at most tail_tol / 2 of the mass:
+``bernstein_window`` by Bernstein's inequality in closed form for a whole
+array of x, ``szasz_window`` by one padded vector scan of the Poisson
+Chernoff exponent per side for a whole array of means, no bisection.
 
 For the tail calculus this module gives the Bernoulli log-MGF
 ``zeta_log_mgf`` and jump bound ``zeta_bound``, and the Poisson conjugate
@@ -36,8 +38,6 @@ RNG_NAME = "pcg64"
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling-series coefficients B_2j / (2j (2j - 1)) for j = 1..5
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
-# -ln of a pmf below the smallest subnormal, 2^-1074, by a factor e^15
-_ZERO_EXPONENT = 760.0
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,39 @@ def szasz_window(mu: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarra
     return np.where(pos, lo, 0).astype(np.int64), np.where(pos, hi, 0).astype(np.int64)
 
 
+def bernstein_window(n: int, xs: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer windows [lo, hi] outside which Binomial(n, x) has mass <= tail_tol,
+    for a 1-d array of x in (0, 1).
+
+    Each side drops at most tail_tol / 2 by Bernstein's inequality
+    P(K - nx >= t) <= exp(-t^2 / (2 n x(1-x) + 2t/3)), and the same for
+    nx - K (Boucheron, Lugosi and Massart, Concentration Inequalities, 2013,
+    2.8): its exponent reaches T = ln(2 / tail_tol) at
+    t = T/3 + sqrt(T^2/9 + 2 T n x(1-x)).  The window is
+    [floor(nx - t), ceil(nx + t)], rounded outward by one lattice point
+    against the rounding of t and clipped to [0, n].
+    """
+    target = math.log(2.0 / tail_tol)
+    mu = n * xs
+    t = target / 3.0 + np.sqrt(target * target / 9.0 + 2.0 * target * mu * (1.0 - xs))
+    lo = np.maximum(np.floor(mu - t) - 1.0, 0.0)
+    hi = np.minimum(np.ceil(mu + t) + 1.0, n)
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
 def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Rows start..end of consecutive integers (as floats), padded with end."""
     return np.minimum(start + np.arange(int(np.max(end - start)) + 1), end)
 
 
 def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray) -> Callable[..., np.ndarray]:
-    """weights(s, e, a, b, frame, scratch) = P(n*S_n = k) for the rows x = xs[s:e]
-    and the columns k = a..b, Binomial(n, x) or Poisson(n*x), as an
-    (e - s, b - a + 1) view of ``frame``.  frame and scratch are 1-d buffers of
-    at least that many floats, and the call overwrites both.
+               hi: np.ndarray) -> Callable[[int, int], Callable[..., np.ndarray]]:
+    """block(a, b) -> weights for the lattice block k = a..b, where
+    weights(s, e, ca, cb, frame, scratch) = P(n*S_n = k) for the rows
+    x = xs[s:e] and the columns k = ca..cb inside the block, Binomial(n, x)
+    or Poisson(n*x), as an (e - s, cb - ca + 1) view of ``frame``.  frame and
+    scratch are 1-d buffers of at least that many floats, and the call
+    overwrites both.
 
     Each x lies in a family's x-domain, so 0 < x (and x < 1 for Binomial), and
     [lo, hi] is its window of n*S_n.  Row i anchors at its mode m_i,
@@ -148,9 +170,10 @@ def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray,
     ratio away from the mode is at most 1, so no term can overflow, far terms
     underflow to 0, and rounding grows with the distance from the mode, not
     with n.  The x-free Binomial factors (n-k+1)/k and (k+1)/(n-k) are built
-    once here, and each row scales them by one scalar.
+    once per lattice block, over its k only, and each row scales them by one
+    scalar; so no array spans [0, n].
 
-    Column j of the frame holds k = a + j in every row, so one slice of f
+    Column j of the frame holds k = ca + j in every row, so one slice of f
     values serves all of its rows.  2-D ufuncs fill the frame with the
     ratios, each row's mode takes its pmf, and one cumulative product per
     side multiplies the frame out from the modes.  Between the rows' smallest
@@ -158,83 +181,70 @@ def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray,
     band in scratch, multiplied down from the largest mode, reads 1.0 right
     of it and is then copied in.  A product with 1.0 is exact, so every
     weight is the product a row of its own gives, in the same order, bit for
-    bit.  A Binomial side whose products are all exactly 0 at the reach of
-    Bernstein's inequality is filled with 0.0 from there on.
+    bit.
     """
     if kind == "bernoulli":
         modes = np.floor((n + 1) * xs)
-        up, down = np.arange(n + 1, dtype=float), np.ones(n + 1)  # up holds k until it holds ratios
-        rest = (n + 1.0) - up  # n - k + 1, exactly
-        np.divide(up[1:], rest[1:], out=down[:n])  # ratio into k from k + 1, k = 0..n-1
-        np.divide(rest[1:], up[1:], out=up[1:])  # ratio into k, k = 1..n
-        up[0] = 1.0  # up[0] and down[n] are no ratio: a mode's pmf or 1.0 replaces them
         up_x, down_x = xs / (1.0 - xs), (1.0 - xs) / xs
-        # Bernstein's inequality puts the pmf below exp(-_ZERO_EXPONENT) this far from nx
-        reach = np.ceil(_ZERO_EXPONENT / 3.0 + np.sqrt(_ZERO_EXPONENT**2 / 9.0
-                                                      + 2.0 * _ZERO_EXPONENT * n * xs * (1.0 - xs))) + 1
     else:
         mu = n * xs
         modes = np.floor(mu)
-        reach = np.full(xs.size, np.inf)  # a Szasz window ends before its weights reach 0
     modes = np.minimum(np.maximum(modes, lo), hi).astype(np.int64)
     mode_pmfs = _mode_pmfs(kind, n, xs, modes)
-    rows_mode, rows_reach = modes.tolist(), reach.tolist()
+    rows_mode = modes.tolist()
 
-    def weights(s: int, e: int, a: int, b: int, frame: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        m, p = modes[s:e], mode_pmfs[s:e]
-        m0, m1 = min(rows_mode[s:e]), max(rows_mode[s:e])
-        o0, o1 = m0 - a, m1 - a  # the modes' columns
-        w = frame[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
-        d = None if o1 == o0 else scratch[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
+    def block(a: int, b: int) -> Callable[..., np.ndarray]:
+        ks = np.arange(a, b + 2, dtype=float)  # ks[j] = a + j, exactly
         if kind == "bernoulli":
-            np.multiply(up[m0:b + 1], up_x[s:e, None], out=w[:, o0:])
-            np.multiply(down[a:m0], down_x[s:e, None], out=w[:, :o0])
-            if d is not None:
-                np.multiply(down[m0:m1 + 1], down_x[s:e, None], out=d)
-        else:
-            ks = np.arange(a, b + 2, dtype=float)  # ks[j + 1] is exactly ks[j] + 1.0
-            u = o0 + (m0 == 0)  # k = 0 is at or left of every mode: no ratio into it
-            np.divide(mu[s:e, None], ks[u:-1], out=w[:, u:])
-            np.divide(ks[1:o0 + 1], mu[s:e, None], out=w[:, :o0])
-            if d is not None:
-                np.divide(ks[o0 + 1:o1 + 2], mu[s:e, None], out=d)
-        if d is None:  # one mode: both passes start at it
-            w[:, o0] = p
-            r = max(rows_reach[s:e])
-            _cumprod_to_zero(w[:, o0:], r)
-            _cumprod_to_zero(w[:, o0::-1], r)
+            # up[j] and down[j] are the ratios into k = a + j from k - 1 and from k + 1;
+            # k = 0 has no up ratio and k = n no down ratio: a mode's pmf or 1.0 replaces them
+            rest = (n + 1.0) - ks  # n - k + 1, exactly
+            up, down = np.ones(b - a + 1), np.ones(b - a + 1)
+            first, count = int(a == 0), b - a + int(b < n)  # the first up ratio, the number of down ratios
+            np.divide(rest[first:-1], ks[first:-1], out=up[first:])
+            np.divide(ks[1:count + 1], rest[1:count + 1], out=down[:count])
+
+        def weights(s: int, e: int, ca: int, cb: int, frame: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+            m, p = modes[s:e], mode_pmfs[s:e]
+            m0, m1 = min(rows_mode[s:e]), max(rows_mode[s:e])
+            o0, o1 = m0 - ca, m1 - ca  # the modes' columns
+            w = frame[:(e - s) * (cb - ca + 1)].reshape(e - s, cb - ca + 1)
+            d = None if o1 == o0 else scratch[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
+            if kind == "bernoulli":
+                np.multiply(up[m0 - a:cb - a + 1], up_x[s:e, None], out=w[:, o0:])
+                np.multiply(down[ca - a:m0 - a], down_x[s:e, None], out=w[:, :o0])
+                if d is not None:
+                    np.multiply(down[m0 - a:m1 - a + 1], down_x[s:e, None], out=d)
+            else:
+                kc = ks[ca - a:cb - a + 2]  # k = ca..cb + 1
+                u = o0 + (m0 == 0)  # k = 0 is at or left of every mode: no ratio into it
+                np.divide(mu[s:e, None], kc[u:-1], out=w[:, u:])
+                np.divide(kc[1:o0 + 1], mu[s:e, None], out=w[:, :o0])
+                if d is not None:
+                    np.divide(kc[o0 + 1:o1 + 2], mu[s:e, None], out=d)
+            if d is None:  # one mode: both passes start at it
+                w[:, o0] = p
+                np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+                np.multiply.accumulate(w[:, o0::-1], axis=1, out=w[:, o0::-1])
+                return w
+            k = np.arange(m0, m1 + 1)
+            left = k < m[:, None]
+            np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
+            np.copyto(d, 1.0, where=k > m[:, None])
+            rows, cols = np.arange(e - s), m - m0
+            w[rows, o0 + cols] = p
+            d[rows, cols] = p
+            np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+            np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
+            if o0:  # carry the band's last product into the rows' common down side
+                w[:, o0 - 1] *= d[:, 0]
+                np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
+            np.copyto(w[:, o0:o1 + 1], d, where=left)
             return w
-        k = np.arange(m0, m1 + 1)
-        left = k < m[:, None]
-        np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
-        np.copyto(d, 1.0, where=k > m[:, None])
-        rows, cols = np.arange(e - s), m - m0
-        w[rows, o0 + cols] = p
-        d[rows, cols] = p
-        np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
-        np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
-        if o0:  # carry the band's last product into the rows' common down side
-            w[:, o0 - 1] *= d[:, 0]
-            np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
-        np.copyto(w[:, o0:o1 + 1], d, where=left)
-        return w
 
-    return weights
+        return weights
 
-
-def _cumprod_to_zero(v: np.ndarray, reach: float) -> None:
-    """np.cumprod along the rows of v, in place.  Where every row's product is
-    exactly 0 at column ``reach``, the products stay 0 from there on, so the
-    rest is filled with 0.0, not multiplied out: the same floats either way."""
-    if reach + 1 < v.shape[1]:
-        head = v[:, :int(reach) + 1]
-        np.multiply.accumulate(head, axis=1, out=head)
-        if not head[:, -1].any():
-            v[:, head.shape[1]:] = 0.0
-            return
-        v[:, head.shape[1]] *= head[:, -1]
-        v = v[:, head.shape[1]:]
-    np.multiply.accumulate(v, axis=1, out=v)
+    return block
 
 
 def _mode_pmfs(kind: str, n: int, xs: np.ndarray, m: np.ndarray) -> np.ndarray:

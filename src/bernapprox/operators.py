@@ -2,21 +2,22 @@
 
 ``sup_errors`` is the one entry: it returns A_n[f] on the whole x grid as
 an array, with an error radius at each x.  Both families share one
-exact-sum kernel.  Per n it builds the windows of n*S_n for the whole grid
-at once, all of [0, n] for Binomial weights (Bernstein polynomials) and
-the two-sided Chernoff windows families.szasz_window for Poisson(nx)
+exact-sum kernel and one path through it.  Per n it builds the windows of
+n*S_n for the whole grid at once: families.bernstein_window, from
+Bernstein's inequality, for Binomial weights (Bernstein polynomials) and
+families.szasz_window, from the Poisson Chernoff bound, for Poisson(nx)
 weights (Szasz sums).  f is evaluated on k/n over lattice blocks of
-consecutive windows, at most LATTICE_BLOCK points or one wider window each
-(all of [0, n] for Bernstein).  Inside a block, consecutive x form chunks
-whose frame of rows by [min lo, max hi] holds at most CHUNK weights, or
-one wider row.  families.pmf_kernel fills a chunk's frame with one batched
-pass, with no Python per x; each function of the sweep multiplies it once,
-and each row is summed over exactly its own window, so every value is the
-float a sweep of one x at a time gives.  The Szasz window drops at most
-tail_tol / 2 of Poisson mass on each side, so its error radius
-tail_tol * sup|f| certifies the truncation; the rounding of the weights is
-not in the radius.  A seeded Monte Carlo path covers the generic
-definition, with a 3-sigma radius at each x.
+consecutive windows, at most LATTICE_BLOCK points or one wider window each.
+Inside a block, consecutive x form chunks whose frame of rows by
+[min lo, max hi] holds at most CHUNK weights, or one wider row.
+families.pmf_kernel fills a chunk's frame with one batched pass, with no
+Python per x; each function of the sweep multiplies it once, and each row
+is summed over exactly its own window, so every value is the float a sweep
+of one x at a time gives.  Each window drops at most tail_tol / 2 of the
+mass on each side, so the error radius tail_tol * sup|f| certifies the
+truncation; the rounding of the weights is not in the radius.  A seeded
+Monte Carlo path covers the generic definition, with a 3-sigma radius at
+each x.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError
 from .families import (
     Family,
+    bernstein_window,
     pmf_kernel,
     sample_scaled_sum,
     spawn_rngs,
@@ -38,8 +40,8 @@ from .families import (
 from .functions import TargetFunction, eval_clamped
 from .grids import resolve_grid
 
-MAX_BERNSTEIN_N = 2**20
-LATTICE_BLOCK = 2**13  # k points of a lattice block of Szasz windows
+MAX_BERNSTEIN_N = 2**22
+LATTICE_BLOCK = 2**13  # k points of a lattice block of windows
 CHUNK = 2**13  # weights in a chunk's frame, unless its one window is wider
 BUFSIZE = 512  # floats of numpy's buffer per operand of a ufunc call in the sweep
 
@@ -63,29 +65,26 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
 
     xs is a finite grid inside a family's x-domain, so 0 < x (and x < 1 for
     Binomial) and n*S_n is never a point mass.  n, tail_tol and each sup_abs
-    are checked once.  Per x the sum runs over the window of n*S_n, [0, n] or
-    szasz_window(nx, tail_tol).  Consecutive windows share one lattice block
-    of f values while it spans at most LATTICE_BLOCK points, or while the
-    window fits inside it.  Inside a block, consecutive x share one chunk of
-    pmf weights while its frame of rows by [min lo, max hi] holds at most
-    CHUNK floats, or is one row.  Each f multiplies a chunk once, and each row
-    is summed over exactly its own window, so a value is the same float as
-    from a chunk of its own.  The radius is 0 for Bernstein sums and
-    tail_tol * sup|f| for Szasz sums.
+    are checked once.  Per x the sum runs over the window of n*S_n,
+    bernstein_window(n, x, tail_tol) or szasz_window(nx, tail_tol).
+    Consecutive windows share one lattice block of f values while it spans
+    at most LATTICE_BLOCK points, or while the window fits inside it.  Inside
+    a block, consecutive x share one chunk of pmf weights while its frame of
+    rows by [min lo, max hi] holds at most CHUNK floats, or is one row.  Each
+    f multiplies a chunk once, and each row is summed over exactly its own
+    window, so a value is the same float as from a chunk of its own.  Each
+    window drops at most tail_tol of the mass, so the radius is
+    tail_tol * sup|f| for both families.
     """
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_BERNSTEIN_N):
         raise ParameterError(f"n must be an integer in [1, {MAX_BERNSTEIN_N}], got {n!r}")
-    if kind == "bernoulli":
-        lo, hi, radii = np.zeros(xs.size, np.int64), np.full(xs.size, n, np.int64), [0.0] * len(fs)
-    else:
-        if not (0.0 < tail_tol <= 1e-6):
-            raise ParameterError(f"tail_tol must be in (0, 1e-6], got {tail_tol}")
-        for f in fs:
-            if f.sup_abs is None:
-                raise InsufficientDataError(
-                    f"{f.name}: sup_abs metadata is required to certify the Szasz truncation")
-        lo, hi = szasz_window(n * xs, tail_tol)
-        radii = [tail_tol * f.sup_abs for f in fs]
+    if not (0.0 < tail_tol <= 1e-6):
+        raise ParameterError(f"tail_tol must be in (0, 1e-6], got {tail_tol}")
+    for f in fs:
+        if f.sup_abs is None:
+            raise InsufficientDataError(f"{f.name}: sup_abs metadata is required to certify the window")
+    lo, hi = bernstein_window(n, xs, tail_tol) if kind == "bernoulli" else szasz_window(n * xs, tail_tol)
+    kernel = pmf_kernel(kind, n, xs, lo, hi)
     lo, hi = lo.tolist(), hi.tolist()
     blocks = []  # per lattice block, the first x of each of its chunks
     for i, (l, h) in enumerate(zip(lo, hi)):
@@ -99,7 +98,6 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
             blocks.append([i])
             a, b = l, h
         ca, cb = l, h
-    weights = None
     out = np.empty((len(fs), len(xs)))
     with np.errstate():  # restores the buffer size on exit
         # a broadcasting ufunc call on a chunk buffers its operands; numpy's
@@ -108,31 +106,29 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
         for starts, end in zip(blocks, [c[0] for c in blocks[1:]] + [len(xs)]):
             a, b = min(lo[starts[0]:end]), max(hi[starts[0]:end])
             fvals = _on_lattice(fs, n, a, b)
-            if weights is None:  # built after the first evaluation, whose peak it would add to
-                weights = pmf_kernel(kind, n, xs, np.array(lo), np.array(hi))
+            weights = kernel(a, b)
             chunks = [(s, e, min(lo[s:e]), max(hi[s:e])) for s, e in zip(starts, starts[1:] + [end])]
             size = max((e - s) * (cb - ca + 1) for s, e, ca, cb in chunks)
-            frame, prod = np.empty(size), np.empty(size)
+            frame, prod = np.empty(size), np.empty(len(fs) * size)
             for s, e, ca, cb in chunks:
                 w = weights(s, e, ca, cb, frame, prod)
-                p = prod[:w.size].reshape(w.shape)
-                whole = min(hi[s:e]) == cb and max(lo[s:e]) == ca  # every window is the frame
-                for row, fv in zip(out, fvals):
-                    np.multiply(w, fv[ca - a:cb - a + 1], out=p)
-                    if whole:
-                        np.add.reduce(p, axis=1, out=row[s:e])
-                    else:
-                        for i in range(s, e):
-                            row[i] = np.add.reduce(p[i - s, lo[i] - ca:hi[i] - ca + 1])
-            del fvals, frame, prod, w, p  # before the next block is evaluated
-    return out, radii
+                p = prod[:len(fs) * w.size].reshape(len(fs), *w.shape)
+                np.multiply(w, fvals[:, None, ca - a:cb - a + 1], out=p)
+                cuts = [i for i in range(s + 1, e) if lo[i] != lo[i - 1] or hi[i] != hi[i - 1]]
+                for i, j in zip([s] + cuts, cuts + [e]):  # consecutive rows with one window
+                    np.add.reduce(p[:, i - s:j - s, lo[i] - ca:hi[i] - ca + 1], axis=2, out=out[:, i:j])
+            del fvals, weights, frame, prod, w, p  # before the next block is evaluated
+    return out, [tail_tol * f.sup_abs for f in fs]
 
 
-def _on_lattice(fs: Sequence[TargetFunction], n: int, a: int, b: int) -> list[np.ndarray]:
-    """f(k/n) for k = a..b, for each f of fs."""
+def _on_lattice(fs: Sequence[TargetFunction], n: int, a: int, b: int) -> np.ndarray:
+    """f(k/n) for k = a..b, one row for each f of fs."""
     k = np.arange(a, b + 1, dtype=float)
     k /= n
-    return [eval_clamped(f, k) for f in fs]
+    out = np.empty((len(fs), k.size))
+    for row, f in zip(out, fs):
+        row[:] = eval_clamped(f, k)
+    return out
 
 
 def generic_mc(
@@ -164,11 +160,11 @@ def sup_errors(
     """A_n[f] on the grid, and the grid maximum of |A_n[f](x) - f(x)| over the family's
     x-domain, per f of fs.
 
-    The exact path builds one weight array per x for all of fs; each x's
-    radius is its f's one radius.  In Monte Carlo mode each grid point draws
-    from its own child generator spawned from ``seed``, afresh for each f,
-    and has its own 3-sigma radius.  The error radius is the largest radius
-    on the grid; for the exact Bernstein path it is zero.
+    The exact path builds the weights of each x's window once for all of
+    fs; each x's radius is its f's one radius, tail_tol * sup|f| for either
+    family.  In Monte Carlo mode each grid point draws from its own child
+    generator spawned from ``seed``, afresh for each f, and has its own
+    3-sigma radius.  The error radius is the largest radius on the grid.
     """
     lo, hi = fam.x_domain
     grid = resolve_grid(x_grid)

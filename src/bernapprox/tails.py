@@ -17,9 +17,9 @@ lambda_j gives the line lambda_j u - nu(lambda_j), and nu*(u) is bounded
 below by the largest line at u, rounded down by a few ulp.  Nothing is
 refined: a read of the curve is one binary search over the lines'
 breakpoints and calls nu zero times.  A read with a u past the last
-breakpoint warns once, with one message per curve.  Against the exact
-conjugate the curve dominates everywhere and, at the default grid sizes,
-is at most about 2% looser where Q > 1e-12.  The point beyond which Q is
+breakpoint and a Q above 0.0 warns once, with one message per curve.
+Against the exact conjugate the curve dominates everywhere and, at the
+default grid sizes, is at most about 2% looser where Q > 1e-12.  The point beyond which Q is
 negligible comes only from ``tail_z_max``.
 
 Numerical conjugation only ever evaluates feasible lambdas, so it can only
@@ -290,8 +290,10 @@ def conjugate_curve(
     A read finds the maximum by binary search over the lines' breakpoints
     (Lucet's linear-time Legendre transform, Numer. Algorithms 16, 1997) and
     keeps the line a scan over all of them keeps.  A read with a u whose
-    maximum falls on the last line warns once, naming the cap and the last
-    breakpoint, so every such read of one curve gives the same message.
+    maximum falls on the last line and whose Q is above 0.0 warns once,
+    naming the cap and the last breakpoint, so every such read of one curve
+    gives the same message; a Q that is 0.0 there reads no differently from
+    a larger cap's.
     """
     grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
     # nu is convex, so line j + 1 overtakes line j at their secant slope and these breakpoints
@@ -310,10 +312,11 @@ def conjugate_curve(
         lines = flat[:, None] * grid[cand] - gv[cand]
         j = cand[np.arange(flat.size), np.argmax(lines, axis=1)]
         best = lines.max(axis=1) - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
-        if (j == grid.size - 1).any():
+        q = 2.0 * np.exp(-np.maximum(best, 0.0))
+        if ((j == grid.size - 1) & (q > 0.0)).any():
             warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} "
                           f"for u past the last breakpoint {slopes[-1]:g}", BoundaryWarning)
-        return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
+        return q.reshape(np.shape(u))
 
     return TailCurve(
         kind="conjugate", fn=fn,

@@ -8,8 +8,8 @@ from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import (
-    _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, Family, _check_n, normalized_sum_samples, poisson_conjugate,
-    spawn_rngs, szasz_window,
+    _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, Family, _check_n, bernstein_window, normalized_sum_samples,
+    poisson_conjugate, spawn_rngs, szasz_window,
 )
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
 from bernapprox.operators import LATTICE_BLOCK
@@ -112,12 +112,14 @@ def per_x_pmf_kernel(kind: str, n: int):
     return weights
 
 
-def per_x_exact_sums(fs, kind: str, n: int, xs: np.ndarray, tail_tol: float = 1e-12) -> np.ndarray:
+def per_x_exact_sums(fs, kind: str, n: int, xs: np.ndarray, tail_tol: float = 1e-12,
+                     full: bool = False) -> np.ndarray:
     """Oracle for ``operators._exact_sums``'s values: per x, one ``per_x_pmf_kernel``
     weight array times its window of f values on the same lattice blocks,
-    summed by np.sum."""
+    summed by np.sum.  With ``full``, every Binomial row sums all of [0, n]."""
     if kind == "bernoulli":
-        lo, hi = [0] * xs.size, [n] * xs.size
+        lo, hi = ([0] * xs.size, [n] * xs.size) if full else \
+            (v.tolist() for v in bernstein_window(n, xs, tail_tol))
     else:
         lo, hi = (v.tolist() for v in szasz_window(n * xs, tail_tol))
     weights = per_x_pmf_kernel(kind, n)
@@ -343,8 +345,8 @@ def brute_force_conjugate_curve(
 ) -> TailCurve:
     """Oracle for ``conjugate_curve``: the same frozen lines, every one scored
     at every u and the first maximum kept, then the same 4-ulp rounding,
-    boundary warning (once per read, naming the last breakpoint) and
-    2 exp(-max(best, 0))."""
+    2 exp(-max(best, 0)) and boundary warning (once per read with a u on the
+    last line and a Q above 0.0, naming the last breakpoint)."""
     grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
     eps = np.finfo(float).eps
     last_break = float(np.max(np.diff(gv) / np.diff(grid)))
@@ -356,10 +358,11 @@ def brute_force_conjugate_curve(
         lines = flat[:, None] * grid - gv
         j = np.argmax(lines, axis=1)
         best = lines[np.arange(flat.size), j] - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))
-        if np.any(j == grid.size - 1):
+        q = 2.0 * np.exp(-np.maximum(best, 0.0))
+        if np.any((j == grid.size - 1) & (q > 0.0)):
             warnings.warn(f"conjugate maximizer at the lambda grid boundary {grid[-1]:g} "
                           f"for u past the last breakpoint {last_break:g}", BoundaryWarning)
-        return (2.0 * np.exp(-np.maximum(best, 0.0))).reshape(np.shape(u))
+        return q.reshape(np.shape(u))
 
     return TailCurve(kind="conjugate", fn=fn,
                      params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)})

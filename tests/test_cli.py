@@ -240,7 +240,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("cmd", ["run", "bound", "evaluate", "modulus", "tail"])
     @pytest.mark.parametrize("key,value", [
-        ("run.n_grid", "2000000"), ("run.n_grid", "16,1048577"),
+        ("run.n_grid", "8000000"), ("run.n_grid", "16,4194305"),
         ("run.szasz_tail_tol", "1e-3"), ("run.szasz_tail_tol", "0"),
         ("run.szasz_tail_tol", "-1e-9"), ("run.szasz_tail_tol", "nan"),
     ])
@@ -653,13 +653,18 @@ class TestRowsOnce:
             built = []
 
             def counting_kernel(kind, n, *grid):
-                weights = inner(kind, n, *grid)
+                block = inner(kind, n, *grid)
 
-                def counted(s, e, *frame):
-                    built.append((n, s, e))
-                    return weights(s, e, *frame)
+                def counted_block(a, b):
+                    weights = block(a, b)
 
-                return counted
+                    def counted(s, e, *frame):
+                        built.append((n, s, e))
+                        return weights(s, e, *frame)
+
+                    return counted
+
+                return counted_block
 
             monkeypatch.setattr(operators, "pmf_kernel", counting_kernel)
             res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + args)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bernapprox.bounds import lower_bound_constant
 from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.experiments import (
     ConvergenceRow,
@@ -15,6 +16,7 @@ from bernapprox.experiments import (
     write_report,
     write_timings,
 )
+from bernapprox.operators import MAX_BERNSTEIN_N
 
 
 def make_table(rows, fit=None):
@@ -93,6 +95,16 @@ class TestRunConvergence:
         deltas = [r.empirical_delta for r in table.rows]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
         assert all(r.lower_ratio is not None for r in table.rows)
+
+    def test_cusp_trial_ratio_at_the_largest_n(self):
+        # Delta_n[g] n^{1/4} for g = |x - 1/2|^{1/2} tends to G(1/2) sigma(1/2)^{1/2};
+        # measured 3.9e-6 below it at n = 2^22
+        cfg = ExperimentConfig(
+            function_name="power-cusp", function_alpha=0.5, family_eps=0.05,
+            trial_x0=0.5, trial_alpha=0.5, n_grid=(MAX_BERNSTEIN_N,),
+        )
+        ratio = Study(cfg).row(MAX_BERNSTEIN_N, trial=True).lower_ratio
+        assert ratio == pytest.approx(lower_bound_constant(0.5) * 0.5**0.5, abs=1e-4)
 
     def test_validity_on_real_run(self):
         cfg = ExperimentConfig(

@@ -41,7 +41,8 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
 def row_weights(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
     """P(n*S_n = k) for k = lo..hi from pmf_kernel, as a chunk of the one row x."""
     frame, scratch = np.empty(hi - lo + 1), np.empty(hi - lo + 1)
-    return pmf_kernel(kind, n, np.array([x]), np.array([lo]), np.array([hi]))(0, 1, lo, hi, frame, scratch)[0]
+    block = pmf_kernel(kind, n, np.array([x]), np.array([lo]), np.array([hi]))(lo, hi)
+    return block(0, 1, lo, hi, frame, scratch)[0]
 
 
 def family_sample(fam: Family, x: float, n: int, rng: np.random.Generator):

@@ -17,6 +17,7 @@ from test_golden import CONFIGS
 from bernapprox import config as cfgmod
 from bernapprox.bounds import hdt_bound
 from bernapprox.experiments import ExperimentConfig, Study
+from bernapprox.operators import MAX_BERNSTEIN_N
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bernapprox"
@@ -236,6 +237,34 @@ def test_error_guard_catches_a_dead_class(tmp_path):
         fh.write("\n\nclass OverflowComputationError(BernApproxError):\n"
                  '    """A log-MGF evaluation left the finite range."""\n')
     assert unused_error_classes(tmp_path) == {"OverflowComputationError"}
+
+
+def stated_n_bounds(readme: str) -> dict[str, int]:
+    """The largest n each place states: the README's `n in [1, 2^k]` and every
+    `n ... up to 2^k`, and the accepts text of run.n_grid."""
+    readme = " ".join(readme.split())  # a statement may wrap
+    stated = {}
+    for m in re.finditer(r"\bn in \[1, 2\^(\d+)\]|\bn (?:from 2\^\d+ )?up to 2\^(\d+)", readme):
+        stated[f"README: {m.group(0)}"] = 2 ** int(m.group(1) or m.group(2))
+    accepts = next(f.metadata["accepts"][0] for f in fields(ExperimentConfig) if f.name == "n_grid")
+    stated[f"run.n_grid: {accepts}"] = int(re.search(r"\[1, (\d+)\]", accepts).group(1))
+    return stated
+
+
+def test_stated_n_bounds_agree_with_the_operators():
+    # README, the config's accepts text and MAX_BERNSTEIN_N name one largest n
+    stated = stated_n_bounds((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert any(k.startswith("README: n in [1,") for k in stated)
+    assert {k: v for k, v in stated.items() if v != MAX_BERNSTEIN_N} == {}
+    n_grid = next(f for f in fields(ExperimentConfig) if f.name == "n_grid")
+    ok = n_grid.metadata["accepts"][1]
+    assert ok((16, MAX_BERNSTEIN_N)) and not ok((16, MAX_BERNSTEIN_N + 1))
+
+
+def test_n_bound_guard_catches_a_stale_readme():
+    k = MAX_BERNSTEIN_N.bit_length() - 1
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").replace(f"[1, 2^{k}]", f"[1, 2^{k - 2}]")
+    assert set(stated_n_bounds(readme).values()) == {2 ** (k - 2), MAX_BERNSTEIN_N}
 
 
 def test_no_numerical_integration_in_the_package():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.families import (
-    bernoulli_family, pmf_kernel, poisson_conjugate, poisson_family, spawn_rngs, szasz_window,
+    bernoulli_family, bernstein_window, pmf_kernel, poisson_conjugate, poisson_family, spawn_rngs, szasz_window,
 )
 from bernapprox.functions import (
     HALF_LINE,
@@ -19,7 +19,9 @@ from bernapprox.functions import (
     trial_function,
 )
 from bernapprox.modulus import modulus_profile
-from bernapprox.operators import CHUNK, LATTICE_BLOCK, _exact_sums, generic_mc, sup_error, sup_errors
+from bernapprox.operators import (
+    CHUNK, LATTICE_BLOCK, MAX_BERNSTEIN_N, _exact_sums, generic_mc, sup_error, sup_errors,
+)
 from conftest import per_x_exact_sums, per_x_pmf_kernel, scale_function, szasz_truncation_point, szasz_window_oracle
 
 BERN = bernoulli_family(0.01)
@@ -66,7 +68,7 @@ class TestBernstein:
         np.testing.assert_allclose(se.values, BERN_GRID, rtol=0, atol=1e-13)
         brute = [brute_bernstein(f, 10, float(x)) for x in BERN_GRID]
         np.testing.assert_allclose(se.values, brute, rtol=0, atol=1e-13)
-        assert se.radii.tolist() == [0.0] * BERN_GRID.size
+        assert se.radii.tolist() == [1e-12 * f.sup_abs] * BERN_GRID.size
 
     def test_square_closed_form(self):
         # B_5[x^2](x) = x^2 + x(1-x)/5, 0.30 at x = 1/2
@@ -99,6 +101,7 @@ class TestBernstein:
                 f.interval,
                 lambda x, _a=a, _b=b: _a * f.evaluator(x) + _b * g.evaluator(x),
                 name="combo",
+                sup_abs=abs(a) * f.sup_abs + abs(b) * g.sup_abs,
             )
             grid = np.sort(rng.uniform(0.01, 0.99, 33))
             lhs = values(combo, BERN, 8, grid)
@@ -116,7 +119,7 @@ class TestBernstein:
         with pytest.raises(ParameterError):
             sup_error(f, BERN, 0, BERN_GRID)
         with pytest.raises(ParameterError):
-            sup_error(f, BERN, 2**20 + 1, BERN_GRID)
+            sup_error(f, BERN, MAX_BERNSTEIN_N + 1, BERN_GRID)
         with pytest.raises(ParameterError):
             sup_error(f, BERN, 5, np.linspace(0.5, 1.2, 33))
 
@@ -169,6 +172,41 @@ class TestSzasz:
             mass += w
             w *= mu / (k + 1)
         assert 1.0 - mass <= tol
+
+
+class TestBernsteinWindow:
+    @given(n=st.integers(1, 2**14), x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           tol=st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=300, deadline=None)
+    @example(n=2**14, x=0.5, tol=1e-12)
+    @example(n=1, x=5e-324, tol=1e-6)
+    def test_each_side_drops_at_most_half_the_tolerance(self, n, x, tol):
+        lo, hi = (int(v[0]) for v in bernstein_window(n, np.array([x]), tol))
+        assert 0 <= lo <= n * x <= hi <= n
+        assert binom.cdf(lo - 1, n, x) <= tol / 2
+        assert binom.sf(hi, n, x) <= tol / 2
+
+    def test_windows_are_a_tenth_of_the_row_at_4096(self):
+        # the default grid at n = 4096 sums about 400 of the 4097 points per x
+        xs = np.linspace(1e-3, 1.0 - 1e-3, 257)
+        lo, hi = bernstein_window(4096, xs, 1e-12)
+        assert 350 <= np.mean(hi - lo + 1) <= 450
+
+    @given(n=st.integers(1, 2**14), ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           size=st.integers(1, 60), spread=st.booleans(),
+           which=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+           tol=st.sampled_from([1e-6, 1e-12]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    @example(n=2**14, ends=(0.0, 1.0), size=60, spread=False, which=[0, 2], tol=1e-12, seed=0)
+    def test_windowed_sums_within_radius_of_full_rows(self, n, ends, size, spread, which, tol, seed):
+        # the full-row oracle sums every Binomial row over all of [0, n]
+        xs = batch_grid("bernoulli", ends, size, spread, seed)
+        fs = [BATCH_FUNCTIONS["bernoulli"][i] for i in which]
+        values, radii = _exact_sums(fs, "bernoulli", n, xs, tol)
+        full = per_x_exact_sums(fs, "bernoulli", n, xs, tol, full=True)
+        assert radii == [tol * f.sup_abs for f in fs]
+        for v, r, fv in zip(values, radii, full):
+            assert np.all(np.abs(v - fv) <= r + 1e-13)
 
 
 def window(mu: float, tol: float) -> tuple[int, int]:
@@ -352,16 +390,18 @@ class TestSupError:
         fam = bernoulli_family()
         se = sup_error(f, fam, 25, np.linspace(0.001, 0.999, 257))
         assert se.delta <= 1e-12
-        assert se.error_radius == 0.0
+        assert se.error_radius == 1e-12 * f.sup_abs
 
-    @pytest.mark.parametrize("n", [4096, 65536])
+    @pytest.mark.parametrize("n", [4096, 65536, 2**22])
     def test_square_matches_the_variance_identity(self, n):
         # B_n[x^2] = x^2 + x(1-x)/n; the sup sits at x = 1/2, where both sides
-        # are dyadic, so the only error left is rounding near B_n = 1/4
+        # are dyadic, so what is left is the window's dropped mass, inside the
+        # radius, and rounding near B_n = 1/4 (measured 6.7e-16 at n = 4096,
+        # 6.6e-15 at 65536 and 1.2e-14 at 2^22)
         grid = np.linspace(0.001, 0.999, 257)
         se = sup_error(builtin_catalog("square"), bernoulli_family(), n, grid)
         expected = float(np.max(grid * (1.0 - grid))) / n
-        assert abs(se.delta - expected) <= 4 * math.ulp(0.25)
+        assert abs(se.delta - expected) <= se.error_radius + 4 * math.ulp(0.25)
 
     def test_square_closed_form_max(self):
         f = builtin_catalog("square")
@@ -433,7 +473,7 @@ class TestSupError:
             se = sup_error(f, fam, 10, grid, mode="monte-carlo", trials=200, seed=7)
             expected = [generic_mc(f, fam, 10, float(x), 200, rng=child)
                         for x, child in zip(grid, spawn_rngs(7, grid.size))]
-        else:  # the Szasz window changes from x to x
+        else:  # the window changes from x to x
             se = sup_error(f, fam, 10, grid)
             expected = one_x_at_a_time(f, fam, 10, grid)
         assert se.values.shape == se.radii.shape == grid.shape
@@ -494,8 +534,7 @@ class TestSharedSweep:
             assert se == alone
             assert (se.values.tolist(), se.radii.tolist()) == (alone.values.tolist(), alone.radii.tolist())
             assert list(zip(se.values.tolist(), se.radii.tolist())) == one_x_at_a_time(f, fam, n, grid)
-        if fam.kind == "poisson":
-            assert [se.error_radius for se in shared] == [1e-12 * f.sup_abs for f in fs]
+        assert [se.error_radius for se in shared] == [1e-12 * f.sup_abs for f in fs]
 
     def test_monte_carlo_pair_equals_separate_sweeps(self):
         grid = np.linspace(0.05, 0.95, 33)
@@ -514,10 +553,14 @@ class TestSharedSweep:
         assert sweep_peak(builtin_catalog("exp-decay"), poisson_family(), 65536) <= 4 * 2**20
 
     def test_bernstein_sweep_stays_bounded(self):
-        # every row is [0, 65536], one chunk each: the sweep keeps the two ratio bases,
-        # the block of f values, one frame and one product of n + 1 floats, 512 KiB
-        # each, and peaks near 2.6 MiB; the per-x sweep it replaced peaked at 3.52 MiB
+        # every window is at most about 2000 of the 65537 points; the sweep peaks near
+        # 0.44 MiB, where full rows of [0, n] peaked at 2.6 MiB
         assert sweep_peak(builtin_catalog("square"), bernoulli_family(), 65536) <= 3.5 * 2**20
+
+    def test_bernstein_sweep_stays_bounded_at_the_largest_n(self):
+        # at n = 2^22 no array spans [0, n], 32 MiB each: the ratio bases are built per
+        # lattice block, here one window of at most about 15,500 points; peaks near 0.8 MiB
+        assert sweep_peak(builtin_catalog("square"), bernoulli_family(), MAX_BERNSTEIN_N) <= 4 * 2**20
 
 
 def sweep_peak(f, fam, n: int) -> int:
@@ -551,9 +594,9 @@ class TestBatchedSweep:
            tol=st.sampled_from([1e-6, 1e-12]), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     @example(kind="poisson", n=2**14, ends=(0.15, 0.6), size=40, spread=False, which=[0], tol=1e-12, seed=0)
-    @example(kind="bernoulli", n=CHUNK // 2 - 1, ends=(0.0, 1.0), size=9, spread=False, which=[3, 0],
+    @example(kind="bernoulli", n=CHUNK // 2 - 1, ends=(0.0, 1.0), size=2, spread=False, which=[3, 0],
              tol=1e-12, seed=0)
-    @example(kind="bernoulli", n=CHUNK // 2, ends=(0.0, 1.0), size=9, spread=False, which=[2], tol=1e-12,
+    @example(kind="bernoulli", n=CHUNK // 2, ends=(0.0, 1.0), size=2, spread=False, which=[2], tol=1e-12,
              seed=0)
     @example(kind="bernoulli", n=1, ends=(0.0, 1.0), size=300, spread=True, which=[0, 1, 2], tol=1e-12,
              seed=1)
@@ -572,40 +615,55 @@ class TestBatchedSweep:
     @settings(max_examples=60, deadline=None)
     @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, rows=1, seed=0)
     def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, rows, seed):
-        # every weight of a row's window, in chunks of up to ``rows`` x, including
-        # the zeros a Binomial side is filled with past its first 0.0
+        # every weight of a row's window, in chunks of up to ``rows`` x, each
+        # chunk the one chunk of its lattice block
         xs = batch_grid(kind, ends, size, spread, seed)
-        lo, hi = (np.zeros(xs.size, np.int64), np.full(xs.size, n, np.int64)) if kind == "bernoulli" \
-            else szasz_window(n * xs, 1e-12)
-        weights, oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
+        lo, hi = bernstein_window(n, xs, 1e-12) if kind == "bernoulli" else szasz_window(n * xs, 1e-12)
+        kernel, oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
         for s in range(0, xs.size, rows):
             e = min(s + rows, xs.size)
             a, b = int(lo[s:e].min()), int(hi[s:e].max())
             frame = np.empty((e - s) * (b - a + 1))
-            w = weights(s, e, a, b, frame, np.empty(frame.size))
+            w = kernel(a, b)(s, e, a, b, frame, np.empty(frame.size))
             for i in range(s, e):
                 got = w[i - s, lo[i] - a:hi[i] - a + 1]
                 assert got.tolist() == oracle(float(xs[i]), int(lo[i]), int(hi[i])).tolist()
 
-    @pytest.mark.parametrize("exponent", [1.0, 1e6])
-    def test_any_reach_of_the_zero_stop_gives_the_same_floats(self, monkeypatch, exponent):
-        # a reach short of a side's first 0.0 multiplies on past it, and one
-        # beyond every row multiplies each side out in full
-        import bernapprox.families as families
-
-        monkeypatch.setattr(families, "_ZERO_EXPONENT", exponent)
-        xs = np.linspace(1e-3, 1.0 - 1e-3, 65)
-        fs = BATCH_FUNCTIONS["bernoulli"][:2]
-        for n in (4096, 16384):
-            assert _exact_sums(fs, "bernoulli", n, xs)[0].tolist() == per_x_exact_sums(fs, "bernoulli", n, xs).tolist()
-
-    def test_the_examples_reach_the_block_and_the_budget(self):
-        # the Szasz windows of the first example straddle LATTICE_BLOCK, and the
-        # Binomial rows of the next fill a chunk exactly
+    def test_the_examples_reach_the_block_and_the_budget(self, monkeypatch):
+        # the Szasz windows of the first example straddle LATTICE_BLOCK; the two
+        # Binomial windows of the next, at both ends of [0, n], fill a chunk
+        # exactly, and one more point splits them into two chunks
         lo, hi = szasz_window(2**14 * batch_grid("poisson", (0.15, 0.6), 40, False, 0), 1e-12)
         widths = hi - lo + 1
         assert widths.min() < LATTICE_BLOCK < widths.max()
-        assert 2 * (CHUNK // 2 - 1 + 1) == CHUNK
+        xs = batch_grid("bernoulli", (0.0, 1.0), 2, False, 0)
+        assert chunk_frames(monkeypatch, CHUNK // 2 - 1, xs) == [(0, 2, 0, CHUNK // 2 - 1)]
+        assert [(s, e) for s, e, _, _ in chunk_frames(monkeypatch, CHUNK // 2, xs)] == [(0, 1), (1, 2)]
+
+
+def chunk_frames(monkeypatch, n: int, xs: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(s, e, ca, cb) of every chunk of a Bernstein sweep at n, as its weights are built."""
+    import bernapprox.operators as operators
+
+    built, inner = [], operators.pmf_kernel
+
+    def recording(*args):
+        block = inner(*args)
+
+        def recording_block(a, b):
+            weights = block(a, b)
+
+            def recorded(s, e, ca, cb, *buffers):
+                built.append((s, e, ca, cb))
+                return weights(s, e, ca, cb, *buffers)
+
+            return recorded
+
+        return recording_block
+
+    monkeypatch.setattr(operators, "pmf_kernel", recording)
+    _exact_sums([builtin_catalog("square")], "bernoulli", n, xs)
+    return built
 
 
 def batch_grid(kind: str, ends, size: int, spread: bool, seed: int) -> np.ndarray:

@@ -777,17 +777,28 @@ class TestConjugateCurve:
 
     def test_one_boundary_warning_per_read_past_the_last_line(self):
         # the message names the cap and the last breakpoint, not the u, so it is
-        # the same for every read of one curve, and Python's default filter shows it once
-        curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=101)
+        # the same for every read of one curve, and Python's default filter shows it
+        # once; at the cap 6, Q stays above 0.0 up to u near 130
+        curve = conjugate_curve(SUBGAUSS, 4.0, lambda_cap=6.0, grid_size=101)
         last_break = np.max(np.diff(SUBGAUSS(frozen_grid(curve))) / np.diff(frozen_grid(curve)))
-        message = f"conjugate maximizer at the lambda grid boundary 50 for u past the last breakpoint {last_break:g}"
+        message = f"conjugate maximizer at the lambda grid boundary 6 for u past the last breakpoint {last_break:g}"
         with pytest.warns(BoundaryWarning) as record:
-            curve.at(np.array([3.0, 3000.0, 4000.0]))
-            curve.at(np.array([5000.0]))
+            curve.at(np.array([3.0, 30.0, 40.0]))
+            curve.at(np.array([50.0]))
         assert [str(w.message) for w in record] == [message] * 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryWarning)
             curve.at(np.array([0.0, 3.0, 0.99 * last_break]))
+
+    def test_no_boundary_warning_where_q_is_zero(self):
+        # past the last breakpoint of the cap 50, 2 exp(-nu*(u)) underflows to 0.0,
+        # which a larger cap cannot lower: such a read does not warn
+        curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryWarning)
+            assert curve.at(np.array([3.0, 3000.0, 4000.0])).tolist()[1:] == [0.0, 0.0]
+        with pytest.warns(BoundaryWarning):  # one u with Q > 0.0 on the last line warns
+            conjugate_curve(SUBGAUSS, 4.0, lambda_cap=6.0, grid_size=101).at(np.array([3000.0, 50.0]))
 
     def test_reading_the_curve_calls_nu_zero_times(self, bern_nu):
         calls = []
