@@ -151,17 +151,12 @@ def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return np.minimum(start + np.arange(int(np.max(end - start)) + 1), end)
 
 
-def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray) -> Callable[[int, int], Callable[..., np.ndarray]]:
-    """block(a, b) -> weights for the lattice block k = a..b, where
-    weights(s, e, ca, cb, frame, scratch) = P(n*S_n = k) for the rows
-    x = xs[s:e] and the columns k = ca..cb inside the block, Binomial(n, x)
-    or Poisson(n*x), as an (e - s, cb - ca + 1) view of ``frame``.  frame and
-    scratch are 1-d buffers of at least that many floats, and the call
-    overwrites both.
+def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray
+               ) -> tuple[np.ndarray, int, Callable[..., None], Callable[..., np.ndarray]]:
+    """(modes, base_rows, bases, weights) of Binomial(n, x) or Poisson(n*x) for the rows xs.
 
     Each x lies in a family's x-domain, so 0 < x (and x < 1 for Binomial), and
-    [lo, hi] is its window of n*S_n.  Row i anchors at its mode m_i,
+    [lo, hi] is its window of n*S_n.  Row i anchors at its mode modes[i],
     floor((n+1)x) for Binomial and floor(nx) for Poisson, clipped into the
     window, whose pmf comes from Loader's saddle-point form ("Fast and Accurate
     Computation of Binomial Probabilities", 2000), for every x in one vector
@@ -169,82 +164,84 @@ def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray,
     (n-k+1)/k * x/(1-x) or nx/k going up and their inverses going down.  Every
     ratio away from the mode is at most 1, so no term can overflow, far terms
     underflow to 0, and rounding grows with the distance from the mode, not
-    with n.  The x-free Binomial factors (n-k+1)/k and (k+1)/(n-k) are built
-    once per lattice block, over its k only, and each row scales them by one
-    scalar; so no array spans [0, n].
+    with n.
 
-    Column j of the frame holds k = ca + j in every row, so one slice of f
-    values serves all of its rows.  2-D ufuncs fill the frame with the
-    ratios, each row's mode takes its pmf, and one cumulative product per
-    side multiplies the frame out from the modes.  Between the rows' smallest
-    and largest mode, the up pass reads 1.0 left of each row's mode, and a
-    band in scratch, multiplied down from the largest mode, reads 1.0 right
-    of it and is then copied in.  A product with 1.0 is exact, so every
-    weight is the product a row of its own gives, in the same order, bit for
-    bit.
+    bases(k, out) writes the x-free half of the ratios at the lattice points
+    k (floats) into the base_rows rows of out: (n-k+1)/k, the ratio into k
+    from k - 1, and (k+1)/(n-k), into k from k + 1, for Binomial; k alone
+    for Poisson, whose ratio into k from k + 1 reads k + 1 one column on.
+    The up ratio is read only right of a mode and the down ratio only left
+    of one, so the Binomial infinities at k = 0 and k = n are never read.
+
+    weights(s, e, ca, m0, m1, base, frame, scratch) = P(n*S_n = k) for the
+    rows x = xs[s:e] and the columns k = ca..ca + W - 1, as an (e - s, W)
+    view of ``frame``, or a (W,) view for one row, which is computed on
+    scalars.  base is bases' (base_rows, W) output at those columns
+    and m0, m1 are the rows' smallest and largest mode.  frame and scratch
+    are 1-d buffers of at least (e - s) W and (e - s)(m1 - m0 + 1) floats,
+    and the call overwrites both.  One ufunc call per side scales the bases
+    by each row's x-factor into the frame (a multiply by x/(1-x) or
+    (1-x)/x, or a divide of and by nx), the mode column takes the rows'
+    pmfs, and one cumulative product per side multiplies the frame out from
+    the modes.  Between m0 and m1, the up pass reads 1.0 left of each row's
+    mode, and a band in scratch, multiplied down from the largest mode, reads
+    1.0 right of it and is then copied in.  A product with 1.0 is exact, so
+    every weight is the product a row of its own gives, in the same order,
+    bit for bit.
     """
     if kind == "bernoulli":
-        modes = np.floor((n + 1) * xs)
-        up_x, down_x = xs / (1.0 - xs), (1.0 - xs) / xs
+        modes, base_rows, shift = np.floor((n + 1) * xs), 2, 0
+        ratio, x_up, x_down = np.multiply, (xs / (1.0 - xs))[:, None], ((1.0 - xs) / xs)[:, None]
+
+        def bases(k: np.ndarray, out: np.ndarray) -> None:
+            with np.errstate(divide="ignore"):  # k = 0 and k = n give inf, which is never read
+                np.divide((n + 1.0) - k, k, out=out[0])
+                np.divide(k + 1.0, n - k, out=out[1])
     else:
-        mu = n * xs
-        modes = np.floor(mu)
+        ratio, x_up, base_rows, shift = np.divide, (n * xs)[:, None], 1, 1
+        modes, x_down = np.floor(x_up[:, 0]), x_up
+
+        def bases(k: np.ndarray, out: np.ndarray) -> None:
+            out[0] = k
     modes = np.minimum(np.maximum(modes, lo), hi).astype(np.int64)
     mode_pmfs = _mode_pmfs(kind, n, xs, modes)
-    rows_mode = modes.tolist()
 
-    def block(a: int, b: int) -> Callable[..., np.ndarray]:
-        ks = np.arange(a, b + 2, dtype=float)  # ks[j] = a + j, exactly
-        if kind == "bernoulli":
-            # up[j] and down[j] are the ratios into k = a + j from k - 1 and from k + 1;
-            # k = 0 has no up ratio and k = n no down ratio: a mode's pmf or 1.0 replaces them
-            rest = (n + 1.0) - ks  # n - k + 1, exactly
-            up, down = np.ones(b - a + 1), np.ones(b - a + 1)
-            first, count = int(a == 0), b - a + int(b < n)  # the first up ratio, the number of down ratios
-            np.divide(rest[first:-1], ks[first:-1], out=up[first:])
-            np.divide(ks[1:count + 1], rest[1:count + 1], out=down[:count])
-
-        def weights(s: int, e: int, ca: int, cb: int, frame: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-            m, p = modes[s:e], mode_pmfs[s:e]
-            m0, m1 = min(rows_mode[s:e]), max(rows_mode[s:e])
-            o0, o1 = m0 - ca, m1 - ca  # the modes' columns
-            w = frame[:(e - s) * (cb - ca + 1)].reshape(e - s, cb - ca + 1)
-            d = None if o1 == o0 else scratch[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
-            if kind == "bernoulli":
-                np.multiply(up[m0 - a:cb - a + 1], up_x[s:e, None], out=w[:, o0:])
-                np.multiply(down[ca - a:m0 - a], down_x[s:e, None], out=w[:, :o0])
-                if d is not None:
-                    np.multiply(down[m0 - a:m1 - a + 1], down_x[s:e, None], out=d)
-            else:
-                kc = ks[ca - a:cb - a + 2]  # k = ca..cb + 1
-                u = o0 + (m0 == 0)  # k = 0 is at or left of every mode: no ratio into it
-                np.divide(mu[s:e, None], kc[u:-1], out=w[:, u:])
-                np.divide(kc[1:o0 + 1], mu[s:e, None], out=w[:, :o0])
-                if d is not None:
-                    np.divide(kc[o0 + 1:o1 + 2], mu[s:e, None], out=d)
-            if d is None:  # one mode: both passes start at it
-                w[:, o0] = p
-                np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
-                np.multiply.accumulate(w[:, o0::-1], axis=1, out=w[:, o0::-1])
-                return w
-            k = np.arange(m0, m1 + 1)
-            left = k < m[:, None]
-            np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
-            np.copyto(d, 1.0, where=k > m[:, None])
-            rows, cols = np.arange(e - s), m - m0
-            w[rows, o0 + cols] = p
-            d[rows, cols] = p
-            np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
-            np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
-            if o0:  # carry the band's last product into the rows' common down side
-                w[:, o0 - 1] *= d[:, 0]
-                np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
-            np.copyto(w[:, o0:o1 + 1], d, where=left)
+    def weights(s: int, e: int, ca: int, m0: int, m1: int, base: np.ndarray, frame: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+        o0, o1 = m0 - ca, m1 - ca  # the modes' columns
+        up, down = base[0], base[-1, shift:]
+        if e - s == 1:  # one row: a 1-d ufunc call on scalars costs less than a 2-d one
+            w, xu, xd, p = frame[:up.size], x_up[s, 0], x_down[s, 0], mode_pmfs[s]
+        else:
+            w = frame[:(e - s) * up.size].reshape(e - s, up.size)
+            xu, xd, p = x_up[s:e], x_down[s:e], mode_pmfs[s:e]
+        ratio(xu, up[o0 + 1:], out=w[..., o0 + 1:])
+        ratio(down[:o0], xd, out=w[..., :o0])
+        if o1 == o0:  # one mode: both passes start at it
+            w[..., o0] = p
+            u, v = w[..., o0:], w[..., o0::-1]
+            np.multiply.accumulate(u, axis=-1, out=u)
+            np.multiply.accumulate(v, axis=-1, out=v)
             return w
+        d = scratch[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
+        ratio(down[o0:o1], xd, out=d[:, :-1])
+        m = modes[s:e]
+        k = np.arange(m0, m1 + 1)
+        left = k < m[:, None]
+        np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
+        np.copyto(d, 1.0, where=k > m[:, None])
+        rows, cols = np.arange(e - s), m - m0
+        w[rows, o0 + cols] = p
+        d[rows, cols] = p
+        np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+        np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
+        if o0:  # carry the band's last product into the rows' common down side
+            w[:, o0 - 1] *= d[:, 0]
+            np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
+        np.copyto(w[:, o0:o1 + 1], d, where=left)
+        return w
 
-        return weights
-
-    return block
+    return modes, base_rows, bases, weights
 
 
 def _mode_pmfs(kind: str, n: int, xs: np.ndarray, m: np.ndarray) -> np.ndarray:

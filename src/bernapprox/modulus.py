@@ -16,6 +16,7 @@ x-domain's upper end when unbounded (``experiments.build_modulus_profile``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -85,16 +86,28 @@ class ModulusProfile:
 def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> tuple[float, float]:
     """(fine, coarse): max |f(x + h sigma(x)) - f(x)| over xs and an h grid on
     [-delta, delta], and over its every other x and h point.  The h rows go in
-    blocks of at most 64 KiB per temporary: from about 110 KiB up, malloc
-    returns their pages at every free and faults them in again for every delta."""
+    blocks of at most 64 KiB through one frame (from about 110 KiB up, malloc
+    faults a temporary's pages in again for every delta); a non-finite block
+    max re-evaluates the block through eval_clamped, which names the point."""
     if delta == 0.0:
         return 0.0, 0.0
     hs = symmetric_grid(delta, h_grid_size)[:, None]
     rows = max(1, 2**13 // xs.size)
+    frame = np.empty((min(rows, hs.size), xs.size))
     fine = coarse = 0.0
     for i in range(0, hs.size, rows):
-        d = np.abs(eval_clamped(f, xs + hs[i:i + rows] * sig) - base)
-        fine = max(fine, float(np.max(d)))
+        pts = np.multiply(hs[i:i + rows], sig, out=frame[:min(rows, hs.size - i)])
+        np.add(pts, xs, out=pts)
+        np.maximum(pts, f.interval.a, out=pts)  # eval_clamped's clamp, in place
+        if f.interval.finite:
+            np.minimum(pts, f.interval.b, out=pts)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f.evaluator(pts), dtype=float)
+        d = np.abs(np.subtract(vals, base, out=pts), out=pts)
+        top = float(np.max(d))
+        if not math.isfinite(top):
+            eval_clamped(f, xs + hs[i:i + rows] * sig)  # raises DomainEvaluationError at the point
+        fine = max(fine, top)
         coarse = max(coarse, float(np.max(d[i % 2::2, ::2], initial=0.0)))
     return fine, coarse
 

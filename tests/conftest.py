@@ -115,7 +115,8 @@ def per_x_pmf_kernel(kind: str, n: int):
 def per_x_exact_sums(fs, kind: str, n: int, xs: np.ndarray, tail_tol: float = 1e-12,
                      full: bool = False) -> np.ndarray:
     """Oracle for ``operators._exact_sums``'s values: per x, one ``per_x_pmf_kernel``
-    weight array times its window of f values on the same lattice blocks,
+    weight array times its window of f values, read on lattice blocks of
+    consecutive windows (at most LATTICE_BLOCK points or one wider window),
     summed by np.sum.  With ``full``, every Binomial row sums all of [0, n]."""
     if kind == "bernoulli":
         lo, hi = ([0] * xs.size, [n] * xs.size) if full else \

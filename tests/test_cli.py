@@ -653,18 +653,13 @@ class TestRowsOnce:
             built = []
 
             def counting_kernel(kind, n, *grid):
-                block = inner(kind, n, *grid)
+                modes, base_rows, bases, weights = inner(kind, n, *grid)
 
-                def counted_block(a, b):
-                    weights = block(a, b)
+                def counted(s, e, *frame):
+                    built.append((n, s, e))
+                    return weights(s, e, *frame)
 
-                    def counted(s, e, *frame):
-                        built.append((n, s, e))
-                        return weights(s, e, *frame)
-
-                    return counted
-
-                return counted_block
+                return modes, base_rows, bases, counted
 
             monkeypatch.setattr(operators, "pmf_kernel", counting_kernel)
             res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + args)

@@ -40,9 +40,11 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
 
 def row_weights(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
     """P(n*S_n = k) for k = lo..hi from pmf_kernel, as a chunk of the one row x."""
-    frame, scratch = np.empty(hi - lo + 1), np.empty(hi - lo + 1)
-    block = pmf_kernel(kind, n, np.array([x]), np.array([lo]), np.array([hi]))(lo, hi)
-    return block(0, 1, lo, hi, frame, scratch)[0]
+    modes, base_rows, bases, weights = pmf_kernel(kind, n, np.array([x]), np.array([lo]), np.array([hi]))
+    base = np.empty((base_rows, hi - lo + 1))
+    bases(np.arange(lo, hi + 1, dtype=float), base)
+    m = int(modes[0])
+    return weights(0, 1, lo, m, m, base, np.empty(hi - lo + 1), np.empty(1))
 
 
 def family_sample(fam: Family, x: float, n: int, rng: np.random.Generator):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import scale_function, two_pass_modulus
 
-from bernapprox.errors import InsufficientDataError, ParameterError
+from bernapprox.errors import DomainEvaluationError, InsufficientDataError, ParameterError
 from bernapprox.families import bernoulli_family, poisson_family
-from bernapprox.functions import CATALOG_NAMES, builtin_catalog, trial_function
+from bernapprox.functions import CATALOG_NAMES, UNIT_INTERVAL, TargetFunction, builtin_catalog, trial_function
 from bernapprox.modulus import (
     ModulusProfile,
     _raw_modulus,
@@ -181,6 +181,17 @@ class TestRawModulusBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**16
+
+    def test_a_non_finite_value_names_its_point(self):
+        # f is NaN past 0.7: a block whose max is not finite is evaluated again
+        # through eval_clamped, which names the first offending point of the grid
+        f = TargetFunction(UNIT_INTERVAL, lambda x: np.where(np.asarray(x) > 0.7, np.nan, x), "gap", 1.0)
+        xs = np.linspace(0.0, 0.6, 257)
+        sig = bernoulli_family().sigma(xs)
+        pts = np.clip(xs + np.linspace(-0.5, 0.5, 65)[:, None] * sig, 0.0, 1.0).ravel()
+        with pytest.raises(DomainEvaluationError) as err:
+            _raw_modulus(f, xs, f(xs), sig, 0.5, 65)
+        assert err.value.x == pts[np.argmax(pts > 0.7)]
 
 
 class TestOnePassSlack:

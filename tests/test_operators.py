@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -577,6 +578,7 @@ def sweep_peak(f, fam, n: int) -> int:
     return peak
 
 
+WORKLOAD_ENDS = ((1.0 - 1e-3) / (64.0 - 1e-3), 1.0)  # batch_grid's fractions for x in [1, 64]
 BATCH_FUNCTIONS = {
     "bernoulli": [builtin_catalog("square"), builtin_catalog("sine", freq=3.0),
                   builtin_catalog("power-cusp", x0=0.3, alpha=0.5), trial_function(0.5, 0.5, UNIT_INTERVAL)],
@@ -600,10 +602,18 @@ class TestBatchedSweep:
              seed=0)
     @example(kind="bernoulli", n=1, ends=(0.0, 1.0), size=300, spread=True, which=[0, 1, 2], tol=1e-12,
              seed=1)
+    @example(kind="bernoulli", n=256, ends=(0.0, 1.0), size=300, spread=False, which=[2, 3], tol=1e-12,
+             seed=0)
+    @example(kind="poisson", n=1024, ends=WORKLOAD_ENDS, size=257, spread=False, which=[0, 1], tol=1e-12,
+             seed=0)
+    @example(kind="poisson", n=4096, ends=WORKLOAD_ENDS, size=257, spread=False, which=[0, 1], tol=1e-12,
+             seed=0)
     def test_chunks_equal_the_per_x_sums(self, kind, n, ends, size, spread, which, tol, seed):
         # a Bernoulli grid in [1e-3, 1 - 1e-3] and a Poisson grid in [1e-3, 64], spread at
         # random or evenly between two ends; the first example's Szasz windows are
-        # about LATTICE_BLOCK wide, and the next two put 2 and 1 rows in a chunk
+        # wider than LATTICE_BLOCK, the next two put one row in a chunk, at n = 256
+        # the CHUNK budget cuts the chunks, and the last two are the Poisson/exp-decay
+        # workload's grid, whose rows are chunks of their own
         xs = batch_grid(kind, ends, size, spread, seed)
         fs = [BATCH_FUNCTIONS[kind][i % len(BATCH_FUNCTIONS[kind])] for i in which]
         values, _ = _exact_sums(fs, kind, n, xs, tol)
@@ -616,54 +626,107 @@ class TestBatchedSweep:
     @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, rows=1, seed=0)
     def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, rows, seed):
         # every weight of a row's window, in chunks of up to ``rows`` x, each
-        # chunk the one chunk of its lattice block
+        # chunk's ratio bases built for its own frame
         xs = batch_grid(kind, ends, size, spread, seed)
         lo, hi = bernstein_window(n, xs, 1e-12) if kind == "bernoulli" else szasz_window(n * xs, 1e-12)
-        kernel, oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
+        (modes, base_rows, bases, weights), oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
         for s in range(0, xs.size, rows):
             e = min(s + rows, xs.size)
             a, b = int(lo[s:e].min()), int(hi[s:e].max())
+            m0, m1 = int(modes[s:e].min()), int(modes[s:e].max())
+            base = np.empty((base_rows, b - a + 1))
+            bases(np.arange(a, b + 1, dtype=float), base)
             frame = np.empty((e - s) * (b - a + 1))
-            w = kernel(a, b)(s, e, a, b, frame, np.empty(frame.size))
+            w = weights(s, e, a, m0, m1, base, frame, np.empty((e - s) * (m1 - m0 + 1))).reshape(e - s, -1)
             for i in range(s, e):
                 got = w[i - s, lo[i] - a:hi[i] - a + 1]
                 assert got.tolist() == oracle(float(xs[i]), int(lo[i]), int(hi[i])).tolist()
 
     def test_the_examples_reach_the_block_and_the_budget(self, monkeypatch):
-        # the Szasz windows of the first example straddle LATTICE_BLOCK; the two
-        # Binomial windows of the next, at both ends of [0, n], fill a chunk
-        # exactly, and one more point splits them into two chunks
+        # the Szasz windows of the first example are wider than LATTICE_BLOCK, and
+        # those of the workload's shape at n = 4096 straddle it, so the lattice
+        # buffer fills a window in more than one piece; the 300 Binomial rows at
+        # n = 256 share chunks whose frames the CHUNK budget cuts, each with a band
+        # between its modes; the two rows at both ends of [0, n] and the Szasz rows
+        # of the workload's shape are a chunk each
         lo, hi = szasz_window(2**14 * batch_grid("poisson", (0.15, 0.6), 40, False, 0), 1e-12)
-        widths = hi - lo + 1
-        assert widths.min() < LATTICE_BLOCK < widths.max()
-        xs = batch_grid("bernoulli", (0.0, 1.0), 2, False, 0)
-        assert chunk_frames(monkeypatch, CHUNK // 2 - 1, xs) == [(0, 2, 0, CHUNK // 2 - 1)]
-        assert [(s, e) for s, e, _, _ in chunk_frames(monkeypatch, CHUNK // 2, xs)] == [(0, 1), (1, 2)]
+        assert LATTICE_BLOCK < np.min(hi - lo + 1)
+        lo, hi = szasz_window(4096 * workload_grid(), 1e-12)
+        assert np.min(hi - lo + 1) < LATTICE_BLOCK < np.max(hi - lo + 1)
+        frames = chunk_frames(monkeypatch, "bernoulli", 256, batch_grid("bernoulli", (0.0, 1.0), 300, False, 0))
+        assert len(frames) > 1 and all(m0 < m1 for *_, m0, m1 in frames)
+        assert CHUNK // 2 < max((e - s) * (cb - ca + 1) for s, e, ca, cb, _, _ in frames) <= CHUNK
+        ends = batch_grid("bernoulli", (0.0, 1.0), 2, False, 0)
+        assert [(s, e) for s, e, *_ in chunk_frames(monkeypatch, "bernoulli", CHUNK // 2, ends)] == [(0, 1), (1, 2)]
+        rows = [(s, e) for s, e, *_ in chunk_frames(monkeypatch, "poisson", 1024, workload_grid())]
+        assert rows == [(i, i + 1) for i in range(257)]
+
+    @pytest.mark.parametrize("kind, n", [("poisson", 4096), ("bernoulli", 4096), ("poisson", 2**14)])
+    def test_f_is_read_once_per_lattice_point(self, kind, n):
+        # the windows of neighbouring x overlap: on the workload grid at n = 4096
+        # they hold 1,343,054 points in all, and their union 262,404
+        if kind == "poisson":
+            xs = workload_grid() if n == 4096 else batch_grid("poisson", (0.15, 0.6), 40, False, 0)
+            fs = [builtin_catalog("exp-decay")]
+            lo, hi = szasz_window(n * xs, 1e-12)
+        else:
+            xs, fs = np.linspace(0.05, 0.95, 257), [builtin_catalog("power-cusp", alpha=0.5), trial_function(0.5, 0.5)]
+            lo, hi = bernstein_window(n, xs, 1e-12)
+        counted = [counting(f) for f in fs]
+        _exact_sums([f for f, _ in counted], kind, n, xs)
+        union = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(lo, hi)]))
+        for _, seen in counted:
+            k = np.round(np.concatenate(seen) * n).astype(np.int64)
+            assert np.unique(k).size == k.size  # no point twice
+            assert lo.min() <= k.min() and k.max() <= hi.max() and np.all(np.isin(union, k))
+
+    @pytest.mark.parametrize("kind, n", [("poisson", 64), ("poisson", 4096), ("bernoulli", 256)])
+    def test_x_in_any_order_gives_the_same_floats(self, kind, n):
+        # descending x move every window down, so the lattice buffer starts afresh
+        # below what it holds at each chunk
+        xs = workload_grid() if kind == "poisson" else np.linspace(0.01, 0.99, 101)
+        fs = BATCH_FUNCTIONS[kind][:2]
+        values, _ = _exact_sums(fs, kind, n, xs[::-1].copy())
+        assert values[:, ::-1].tolist() == _exact_sums(fs, kind, n, xs)[0].tolist()
 
 
-def chunk_frames(monkeypatch, n: int, xs: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """(s, e, ca, cb) of every chunk of a Bernstein sweep at n, as its weights are built."""
+def counting(f: TargetFunction) -> tuple[TargetFunction, list]:
+    """f with an evaluator that keeps a copy of every array of points it is given."""
+    seen = []
+
+    def evaluator(x, _inner=f.evaluator):
+        seen.append(np.array(x, dtype=float))
+        return _inner(x)
+
+    return dataclasses.replace(f, evaluator=evaluator), seen
+
+
+def chunk_frames(monkeypatch, kind: str, n: int, xs: np.ndarray) -> list[tuple[int, ...]]:
+    """(s, e, ca, cb, m0, m1) of every chunk of a sweep of the square (Bernoulli) or
+    exp-decay (Poisson) at n, as its weights are built."""
     import bernapprox.operators as operators
 
     built, inner = [], operators.pmf_kernel
 
     def recording(*args):
-        block = inner(*args)
+        modes, base_rows, bases, weights = inner(*args)
 
-        def recording_block(a, b):
-            weights = block(a, b)
+        def recorded(s, e, ca, m0, m1, base, *buffers):
+            built.append((s, e, ca, ca + base.shape[1] - 1, m0, m1))
+            return weights(s, e, ca, m0, m1, base, *buffers)
 
-            def recorded(s, e, ca, cb, *buffers):
-                built.append((s, e, ca, cb))
-                return weights(s, e, ca, cb, *buffers)
-
-            return recorded
-
-        return recording_block
+        return modes, base_rows, bases, recorded
 
     monkeypatch.setattr(operators, "pmf_kernel", recording)
-    _exact_sums([builtin_catalog("square")], "bernoulli", n, xs)
+    _exact_sums([builtin_catalog("square" if kind == "bernoulli" else "exp-decay")], kind, n, xs)
     return built
+
+
+def workload_grid() -> np.ndarray:
+    """The 257 evenly spaced x over [1, 64] of the Poisson/exp-decay workload, through batch_grid."""
+    xs = batch_grid("poisson", WORKLOAD_ENDS, 257, False, 0)
+    assert xs.tolist() == np.linspace(1.0, 64.0, 257).tolist()
+    return xs
 
 
 def batch_grid(kind: str, ends, size: int, spread: bool, seed: int) -> np.ndarray:
