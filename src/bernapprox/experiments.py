@@ -140,7 +140,7 @@ class ExperimentConfig:
     seed: int = _key("run.seed", 20240809, "root seed (pcg64; children via seedsequence-spawn)", _at_least(0))
     mode: str = _key("run.mode", "exact", "operator path", _one_of("exact", "monte-carlo"))
     szasz_tail_tol: float = _key(
-        "run.szasz_tail_tol", 1e-12, "certified truncation tolerance of the Bernstein and Szasz windows",
+        "run.szasz_tail_tol", 1e-12, "certified truncation tolerance of the Bernstein window of either family",
         ("in (0, 1e-6]", lambda v: 0.0 < v <= 1e-6))
     mc_trials: int = _key("run.mc_trials", 10_000, "trials per grid point in monte-carlo mode", _at_least(100))
 
@@ -211,7 +211,6 @@ class ConvergenceTable:
 class ValiditySummary:
     passed: bool
     violations: tuple[dict, ...]
-    warning: Optional[str] = None
 
 
 def build_function(cfg: ExperimentConfig) -> TargetFunction:
@@ -411,8 +410,6 @@ def validity_check(table: ConvergenceTable) -> ValiditySummary:
 
     Violations are returned as data with their row context, never raised.
     """
-    if not table.rows:
-        return ValiditySummary(passed=True, violations=(), warning="empty table: vacuous pass")
     violations = []
     for r in table.rows:
         allowance = r.upper_bracket + r.error_radius

@@ -7,10 +7,9 @@ Poisson(n*x).  Its pmf comes from one kernel, ``pmf_kernel``, for a chunk
 of x at a time: the mode terms from Loader's saddle-point form, every other
 term by a ratio recurrence out of the mode, so nothing can overflow and no
 log-gamma sum amplifies rounding with n.  Both sums are cut to certified
-windows, each side dropping at most tail_tol / 2 of the mass:
-``bernstein_window`` by Bernstein's inequality in closed form for a whole
-array of x, ``szasz_window`` by one padded vector scan of the Poisson
-Chernoff exponent per side for a whole array of means, no bisection.
+windows, each side dropping at most tail_tol / 2 of the mass, by one rule:
+``bernstein_window`` applies Bernstein's inequality in closed form to a
+whole array of x, with the variance of either law.
 
 For the tail calculus this module gives the Bernoulli log-MGF
 ``zeta_log_mgf`` and jump bound ``zeta_bound``, and the Poisson conjugate
@@ -93,62 +92,31 @@ def poisson_conjugate(u: np.ndarray) -> np.ndarray:
     return (1.0 + arr) * np.log1p(arr) - arr
 
 
-def szasz_window(mu: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer windows [lo, hi] outside which Poisson(mu) has mass <= tail_tol,
-    for a 1-d array of mu.
-
-    Each side drops at most tail_tol / 2, by Chernoff bounds with the exact
-    Poisson conjugate h: hi is the smallest K >= mu whose upper exponent
-    mu * h((K-mu)/mu) reaches ln(2 / tail_tol), lo is 1 + the largest j <= mu
-    whose lower exponent mu * h((mu-j)/mu) reaches it, or 0 if none does;
-    mu <= 0 gives (0, 0).  lo is certified because
-    P(N <= mu - t) <= exp(-mu h(-t/mu)) and h(-s) >= h(s) on [0, 1], so h is
-    only queried at nonnegative arguments.  Each side takes one conjugate
-    call for all of mu.
-    """
-    mus = np.asarray(mu, dtype=float)
-    pos = mus > 0
-    m = np.where(pos, mus, 1.0)[:, None]
-    target = math.log(2.0 / tail_tol)
-    # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the target
-    # in [mu - t - target, mu - t] and the first K in [mu + t, mu + t1], so one
-    # padded scan covers each side; the K scan ends one past mu + t1 against rounding
-    t = np.sqrt(2.0 * m * target)
-    t1 = target / 3.0 + np.sqrt(target * target / 9.0 + t * t)
-    j_end = np.maximum(0, np.floor(m - t))
-    j = _scan(np.maximum(0, np.floor(m - t - target)), j_end)
-    k_end = np.ceil(m + t1) + 1
-    k = _scan(np.maximum(np.ceil(m), np.floor(m + t)), k_end)
-    misses = m * poisson_conjugate((m - j) / m) < target
-    hits = m * poisson_conjugate((k - m) / m) >= target
-    lo = np.where(misses.any(axis=1), j[:, 0] + np.argmax(misses, axis=1), j_end[:, 0] + 1)
-    hi = np.where(hits.any(axis=1), k[:, 0] + np.argmax(hits, axis=1), k_end[:, 0] + 1)
-    return np.where(pos, lo, 0).astype(np.int64), np.where(pos, hi, 0).astype(np.int64)
-
-
-def bernstein_window(n: int, xs: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer windows [lo, hi] outside which Binomial(n, x) has mass <= tail_tol,
-    for a 1-d array of x in (0, 1).
+def bernstein_window(kind: str, n: int, xs: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer windows [lo, hi] outside which n*S_n, Binomial(n, x) or
+    Poisson(nx), has mass <= tail_tol, for a 1-d array of x in a family's
+    x-domain.
 
     Each side drops at most tail_tol / 2 by Bernstein's inequality
-    P(K - nx >= t) <= exp(-t^2 / (2 n x(1-x) + 2t/3)), and the same for
-    nx - K (Boucheron, Lugosi and Massart, Concentration Inequalities, 2013,
-    2.8): its exponent reaches T = ln(2 / tail_tol) at
-    t = T/3 + sqrt(T^2/9 + 2 T n x(1-x)).  The window is
-    [floor(nx - t), ceil(nx + t)], rounded outward by one lattice point
-    against the rounding of t and clipped to [0, n].
+    P(K - nx >= t) <= exp(-t^2 / (2v + 2t/3)), and the same for nx - K, with
+    the variance v = nx(1-x) (Binomial) or nx (Poisson) (Boucheron, Lugosi and
+    Massart, Concentration Inequalities, 2013, 2.4 and 2.8): its exponent
+    reaches T = ln(2 / tail_tol) at t = T/3 + sqrt(T^2/9 + 2 T v).  Both laws
+    are sub-gamma with variance v and scale 1/3: a Binomial is a sum of n
+    steps bounded by 1, and for Poisson(mu), ln E e^(lam(K - mu)) =
+    mu(e^lam - 1 - lam) <= mu lam^2 / (2(1 - lam/3)) for 0 <= lam < 3, since
+    k! >= 2 * 3^(k-2); on the left side mu(e^-lam - 1 + lam) <= mu lam^2 / 2.
+    The window is [floor(nx - t), ceil(nx + t)], rounded outward by one
+    lattice point against the rounding of t and clipped to [0, n] for
+    Binomial and at 0 for Poisson.
     """
     target = math.log(2.0 / tail_tol)
     mu = n * xs
-    t = target / 3.0 + np.sqrt(target * target / 9.0 + 2.0 * target * mu * (1.0 - xs))
+    v, top = (mu * (1.0 - xs), n) if kind == "bernoulli" else (mu, math.inf)
+    t = target / 3.0 + np.sqrt(target * target / 9.0 + 2.0 * target * v)
     lo = np.maximum(np.floor(mu - t) - 1.0, 0.0)
-    hi = np.minimum(np.ceil(mu + t) + 1.0, n)
+    hi = np.minimum(np.ceil(mu + t) + 1.0, top)
     return lo.astype(np.int64), hi.astype(np.int64)
-
-
-def _scan(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Rows start..end of consecutive integers (as floats), padded with end."""
-    return np.minimum(start + np.arange(int(np.max(end - start)) + 1), end)
 
 
 def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray

@@ -3,10 +3,10 @@
 ``sup_errors`` is the one entry: it returns A_n[f] on the whole x grid as
 an array, with an error radius at each x.  Both families share one
 exact-sum kernel and one path through it.  Per n it builds the windows of
-n*S_n for the whole grid at once: families.bernstein_window, from
-Bernstein's inequality, for Binomial weights (Bernstein polynomials) and
-families.szasz_window, from the Poisson Chernoff bound, for Poisson(nx)
-weights (Szasz sums).  The chunks of consecutive x that share one frame of
+n*S_n for the whole grid at once by one rule, families.bernstein_window:
+Bernstein's inequality, with the variance of the law, for Binomial
+weights (Bernstein polynomials) and for Poisson(nx) weights
+(Szasz sums).  The chunks of consecutive x that share one frame of
 pmf weights, rows by [min lo, max hi], are planned for the whole grid at
 once.  f(k/n) is read from a lattice buffer that slides up with the chunks
 and is filled ahead in pieces of at most LATTICE_BLOCK points, so each
@@ -35,7 +35,6 @@ from .families import (
     pmf_kernel,
     sample_scaled_sum,
     spawn_rngs,
-    szasz_window,
 )
 from .functions import TargetFunction, eval_clamped
 from .grids import resolve_grid
@@ -66,7 +65,7 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
     xs is a finite grid inside a family's x-domain, so 0 < x (and x < 1 for
     Binomial) and n*S_n is never a point mass.  n, tail_tol and each sup_abs
     are checked once.  Per x the sum runs over the window of n*S_n,
-    bernstein_window(n, x, tail_tol) or szasz_window(nx, tail_tol).  The
+    bernstein_window(kind, n, x, tail_tol).  The
     chunks (_chunk_starts), their frames, mode bands and runs of rows with one
     window are planned up front, and the buffers allocated once.  A lattice
     buffer holds the ratio bases and f(k/n) of each f on k = fa..fb; a chunk
@@ -85,7 +84,7 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
     for f in fs:
         if f.sup_abs is None:
             raise InsufficientDataError(f"{f.name}: sup_abs metadata is required to certify the window")
-    lo, hi = bernstein_window(n, xs, tail_tol) if kind == "bernoulli" else szasz_window(n * xs, tail_tol)
+    lo, hi = bernstein_window(kind, n, xs, tail_tol)
     modes, base_rows, bases, weights = pmf_kernel(kind, n, xs, lo, hi)
     starts = _chunk_starts(lo, hi, modes)
     ends = np.append(starts[1:], xs.size)

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import (
     _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, Family, _check_n, bernstein_window, normalized_sum_samples,
-    poisson_conjugate, spawn_rngs, szasz_window,
+    spawn_rngs,
 )
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
 from bernapprox.operators import LATTICE_BLOCK
@@ -118,11 +118,10 @@ def per_x_exact_sums(fs, kind: str, n: int, xs: np.ndarray, tail_tol: float = 1e
     weight array times its window of f values, read on lattice blocks of
     consecutive windows (at most LATTICE_BLOCK points or one wider window),
     summed by np.sum.  With ``full``, every Binomial row sums all of [0, n]."""
-    if kind == "bernoulli":
-        lo, hi = ([0] * xs.size, [n] * xs.size) if full else \
-            (v.tolist() for v in bernstein_window(n, xs, tail_tol))
+    if kind == "bernoulli" and full:
+        lo, hi = [0] * xs.size, [n] * xs.size
     else:
-        lo, hi = (v.tolist() for v in szasz_window(n * xs, tail_tol))
+        lo, hi = (v.tolist() for v in bernstein_window(kind, n, xs, tail_tol))
     weights = per_x_pmf_kernel(kind, n)
     starts = []
     for i in range(xs.size):
@@ -190,56 +189,6 @@ def bd0(k: float, np_: float) -> float:
             return s1
         s = s1
         j += 2
-
-
-def szasz_truncation_point(mu: float, tail_tol: float) -> int:
-    """Bisection oracle: the smallest K with the Chernoff bound P(Poisson(mu) > K) <= tail_tol.
-
-    The exponent is mu * h((K - mu)/mu) with h the exact Poisson conjugate,
-    so the dropped mass is certified.  ``szasz_window`` finds the same cut
-    by a bracketed vector scan.
-    """
-    if mu <= 0:
-        return 0
-    target = math.log(1.0 / tail_tol)
-
-    def exponent(k: float) -> float:
-        return mu * poisson_conjugate((k - mu) / mu)
-
-    lo = int(math.ceil(mu))
-    hi = max(lo + 1, int(math.ceil(mu + 10.0 * math.sqrt(mu) + 10.0)))
-    while exponent(hi) < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exponent(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def szasz_window_oracle(mu: float, tail_tol: float) -> tuple[int, int]:
-    """Scalar oracle for ``szasz_window``: one bracketed scan per side for one mu.
-
-    hi is the smallest K >= mu whose upper exponent mu * h((K-mu)/mu) reaches
-    ln(2 / tail_tol), lo is 1 + the largest j <= mu whose lower exponent
-    mu * h((mu-j)/mu) reaches it, or 0 if none does.
-    """
-    if mu <= 0:
-        return 0, 0
-    target = math.log(2.0 / tail_tol)
-    # s^2 / (2 + 2s/3) <= h(s) <= s^2 / 2 puts the last j that reaches the target
-    # in [mu - t - target, mu - t] and the first K in [mu + t, mu + t1]
-    t = math.sqrt(2.0 * mu * target)
-    t1 = target / 3.0 + math.sqrt(target * target / 9.0 + t * t)
-    j = np.arange(max(0, math.floor(mu - t - target)), max(0, math.floor(mu - t)) + 1)
-    k = np.arange(max(math.ceil(mu), math.floor(mu + t)), math.ceil(mu + t1) + 2)
-    misses = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) < target)
-    hits = np.flatnonzero(mu * poisson_conjugate((k - mu) / mu) >= target)
-    lo = int(j[misses[0]]) if misses.size else int(j[-1]) + 1
-    hi = int(k[hits[0]]) if hits.size else int(k[-1]) + 1
-    return lo, hi
 
 
 def two_pass_modulus(f: TargetFunction, sigma, delta_grid, xs, h_size: int):

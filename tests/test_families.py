@@ -12,19 +12,19 @@ from bernapprox.families import (
     Family,
     _check_n,
     bernoulli_family,
+    bernstein_window,
     normalized_sum_samples,
     poisson_family,
     sample_scaled_sum,
     _mode_pmfs,
     pmf_kernel,
     spawn_rngs,
-    szasz_window,
     zeta_bound,
     zeta_log_mgf,
 )
 from bernapprox.functions import HALF_LINE, UNIT_INTERVAL, builtin_catalog
 from bernapprox.operators import generic_mc
-from conftest import family_pmf, mode_pmf, poisson_log_mgf, szasz_truncation_point
+from conftest import family_pmf, mode_pmf, poisson_log_mgf
 
 POISSON_TAIL_MASS = 1e-16
 
@@ -35,7 +35,7 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
     _check_n(n)
     if fam.kind == "bernoulli":
         return np.arange(n + 1)
-    return np.arange(szasz_truncation_point(n * x, tail_mass) + 1)
+    return np.arange(bernstein_window("poisson", n, np.array([x]), tail_mass)[1][0] + 1)
 
 
 def row_weights(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
@@ -224,7 +224,7 @@ class TestScaledSumPmf:
     def test_poisson_window_weights_are_a_distribution(self, log_mu, tol):
         # the window drops at most tol of Poisson mass
         mu = math.exp(log_mu)
-        (lo,), (hi,) = szasz_window(np.array([mu]), tol)
+        (lo,), (hi,) = bernstein_window("poisson", 1, np.array([mu]), tol)
         w = row_weights("poisson", 1, mu, lo, hi)
         assert np.all(np.isfinite(w)) and np.all((0.0 <= w) & (w <= 1.0))
         assert -tol - 1e-13 <= float(np.sum(w)) - 1.0 <= 1e-13

@@ -116,17 +116,17 @@ GOLDEN = {
     },
     "poisson-exp": {
         "run": {
-            "report.json": "58bb77c815f823870a78ed78043653dab88d34393ade2e611692f9d7eb089edb",
-            "table.csv": "75b13acdf43209b0dad98805953c0838e7f7234b1c8645821513fc47882d3f55",
+            "report.json": "37db1151069b0f71b3ce071d376c9efb427ae1f25130b10e1dff03c9eb29f738",
+            "table.csv": "22ba548b6d063d04a8bc2fd9381349de4cb882c521fae433c87ea5197d4a3fa7",
         },
         "bound": {
-            "bound.csv": "a8b17ae7b0b5d1bc913d3b1c820bae8f3a81247da27731ab1fc8e0ae906bcfd9",
-            "bound.json": "5ea32cce97bd1236af3cdcc1a270f236c98b8fcacd25d0bc3ce78f3cb50329df",
+            "bound.csv": "8ed5791d11389448b61b7d7989ed3858ff41a6d99c74522f8e4100bc98fd94f6",
+            "bound.json": "7c7e81c0fc805cefd0cdc733fb1a9412b3bd10f7b6a4db6b12deed60921a868b",
         },
         "evaluate": {
-            "evaluate.json": "6d433ad0cdb43c6625244529e52bd7f73ba804a64f10f7ae755dff872c342741",
-            "evaluate_n16.csv": "e53019ec889c25322e664513ff23fbfc3c606f3e66c35ac5220a0a6ebde7a755",
-            "evaluate_n64.csv": "e2ff2fb2c8cd8483eda2cfa963257448f5476a65e7dc7a2a915563996b810914",
+            "evaluate.json": "e18e3846026f057b5ab6731d0e73740de516a1021823bf16178bf99a1eb7b4a1",
+            "evaluate_n16.csv": "5e278149afc2cec8e7f725b716eaf8bf24c1ef857e6e6fa71f8f8227d5f30d07",
+            "evaluate_n64.csv": "7cca47681cb8605bf0c99e86c5493cd572acfdfc7a7a5f550aa1dee7a68ee28c",
         },
         "modulus": {
             "modulus.csv": "0de8a9fe2592d7dc5980edd65270a4c064d60e3c3e79115e783cf324750ab77e",

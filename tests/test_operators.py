@@ -9,7 +9,7 @@ from scipy.stats import binom, poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.families import (
-    bernoulli_family, bernstein_window, pmf_kernel, poisson_conjugate, poisson_family, spawn_rngs, szasz_window,
+    bernoulli_family, bernstein_window, pmf_kernel, poisson_family, spawn_rngs,
 )
 from bernapprox.functions import (
     HALF_LINE,
@@ -23,7 +23,7 @@ from bernapprox.modulus import modulus_profile
 from bernapprox.operators import (
     CHUNK, LATTICE_BLOCK, MAX_BERNSTEIN_N, _exact_sums, generic_mc, sup_error, sup_errors,
 )
-from conftest import per_x_exact_sums, per_x_pmf_kernel, scale_function, szasz_truncation_point, szasz_window_oracle
+from conftest import per_x_exact_sums, per_x_pmf_kernel, scale_function
 
 BERN = bernoulli_family(0.01)
 BERN_GRID = np.linspace(*BERN.x_domain, 33)  # holds x = 1/2
@@ -164,15 +164,15 @@ class TestSzasz:
             sup_error(builtin_catalog("exp-decay"), POIS, 2, np.linspace(-0.5, 4.0, 33))
 
     def test_truncation_point_certifies_tail(self):
-        # the dropped Poisson mass beyond the cut is below the tolerance
+        # the dropped Poisson mass beyond the window's upper end is below half the tolerance
         mu, tol = 12.0, 1e-10
-        cut = szasz_truncation_point(mu, tol)
+        (cut,) = bernstein_window("poisson", 1, np.array([mu]), tol)[1]
         w = math.exp(-mu)
         mass = 0.0
         for k in range(cut + 1):
             mass += w
             w *= mu / (k + 1)
-        assert 1.0 - mass <= tol
+        assert 1.0 - mass <= tol / 2
 
 
 class TestBernsteinWindow:
@@ -182,7 +182,7 @@ class TestBernsteinWindow:
     @example(n=2**14, x=0.5, tol=1e-12)
     @example(n=1, x=5e-324, tol=1e-6)
     def test_each_side_drops_at_most_half_the_tolerance(self, n, x, tol):
-        lo, hi = (int(v[0]) for v in bernstein_window(n, np.array([x]), tol))
+        lo, hi = (int(v[0]) for v in bernstein_window("bernoulli", n, np.array([x]), tol))
         assert 0 <= lo <= n * x <= hi <= n
         assert binom.cdf(lo - 1, n, x) <= tol / 2
         assert binom.sf(hi, n, x) <= tol / 2
@@ -190,7 +190,7 @@ class TestBernsteinWindow:
     def test_windows_are_a_tenth_of_the_row_at_4096(self):
         # the default grid at n = 4096 sums about 400 of the 4097 points per x
         xs = np.linspace(1e-3, 1.0 - 1e-3, 257)
-        lo, hi = bernstein_window(4096, xs, 1e-12)
+        lo, hi = bernstein_window("bernoulli", 4096, xs, 1e-12)
         assert 350 <= np.mean(hi - lo + 1) <= 450
 
     @given(n=st.integers(1, 2**14), ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -210,83 +210,29 @@ class TestBernsteinWindow:
             assert np.all(np.abs(v - fv) <= r + 1e-13)
 
 
-def window(mu: float, tol: float) -> tuple[int, int]:
-    """szasz_window of the one mean mu."""
-    lo, hi = szasz_window(np.array([mu]), tol)
-    return int(lo[0]), int(hi[0])
-
-
 class TestSzaszWindow:
-    MUS = np.geomspace(1e-3, 1e7, 61)
+    """bernstein_window on Poisson(mu), mu = n x, from 1e-4 up to the workload's largest, 2^22 * 64."""
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-    def test_dropped_mass_is_certified(self, tol):
-        lo, hi = szasz_window(self.MUS, tol)
-        assert np.all(poisson.cdf(lo - 1, self.MUS) + poisson.sf(hi, self.MUS) <= tol)
+    MUS = np.geomspace(1e-4, 2.0**22 * 64.0, 61)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+    @given(mu=st.floats(math.log(1e-4), math.log(2.0**22 * 64.0)).map(math.exp))
+    @settings(max_examples=100, deadline=None)
+    @example(mu=1e-4)
+    @example(mu=2.0**22 * 64.0)
+    def test_dropped_mass_is_certified(self, tol, mu):
+        (lo,), (hi,) = bernstein_window("poisson", 1, np.array([mu]), tol)
+        assert 0 <= lo <= mu <= hi
+        assert poisson.cdf(lo - 1, mu) <= tol / 2
+        assert poisson.sf(hi, mu) <= tol / 2
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_width_grows_like_sqrt_mu(self, tol):
-        lo, hi = szasz_window(self.MUS, tol)
+        # hi - lo <= 2t + 4 with t = T/3 + sqrt(T^2/9 + 2 T mu) <= 2T/3 + sqrt(2 T mu)
+        lo, hi = bernstein_window("poisson", 1, self.MUS, tol)
+        target = math.log(2.0 / tol)
         assert np.all((0 <= lo) & (lo <= self.MUS) & (self.MUS <= hi))
-        assert np.all(hi - lo <= 4.0 * np.sqrt(self.MUS * math.log(1.0 / tol)) + 10.0)
-
-    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
-    def test_cuts_match_their_definition(self, tol):
-        # lo: 1 + the largest j <= mu whose lower exponent reaches ln(2/tol)
-        target = math.log(2.0 / tol)
-        for mu in (0.5, 1.0, 28.0, 73.0, 74.0, 100.0, 1234.5, 54321.0):
-            j = np.arange(math.floor(mu) + 1)  # scan every j, no bracket
-            reach = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) >= target)
-            lo = int(reach[-1]) + 1 if reach.size else 0
-            assert window(mu, tol) == (lo, szasz_truncation_point(mu, tol / 2.0))
-
-    @given(log_mu=st.floats(math.log(1e-4), math.log(1e8)),
-           tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_the_bisection_oracle(self, log_mu, tol):
-        # lo: 1 + the largest j <= mu whose lower exponent reaches ln(2/tol); by
-        # h(s) >= s^2 / (2 + 2s/3) every j at least 12 sqrt(mu) + 60 below mu reaches it
-        mu = math.exp(log_mu)
-        target = math.log(2.0 / tol)
-        j = np.arange(max(0, math.floor(mu - 12.0 * math.sqrt(mu) - 60.0)), math.floor(mu) + 1)
-        reach = np.flatnonzero(mu * poisson_conjugate((mu - j) / mu) >= target)
-        lo = int(j[reach[-1]]) + 1 if reach.size else 0
-        assert window(mu, tol) == (lo, szasz_truncation_point(mu, tol / 2.0))
-
-    def test_one_vector_conjugate_call_per_side(self, monkeypatch):
-        import bernapprox.families as families
-
-        calls = []
-
-        def counted(u, _inner=families.poisson_conjugate):
-            calls.append(u)
-            return _inner(u)
-
-        monkeypatch.setattr(families, "poisson_conjugate", counted)
-        mus = (0.37, 12.0, 5e3, 7.5e7)
-        for mu in mus:
-            calls.clear()
-            szasz_window(np.array([mu]), 1e-12)
-            assert len(calls) == 2  # one vector call per side, no bisection
-        calls.clear()
-        szasz_window(np.array(mus), 1e-12)
-        assert len(calls) == 2  # and per array of mu, not per mu
-
-    @given(log_mus=st.lists(st.floats(math.log(1e-4), math.log(1e8)), min_size=1, max_size=40),
-           tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]))
-    @settings(max_examples=200, deadline=None)
-    @example(log_mus=[math.log(0.3), math.log(0.999), 0.0, math.log(5e7)], tol=1e-15)
-    def test_vector_windows_match_the_scalar_oracle(self, log_mus, tol):
-        # mu < 1 has the single lower scan point j = 0
-        mus = np.exp(log_mus)
-        lo, hi = szasz_window(mus, tol)
-        assert lo.dtype == hi.dtype == np.int64
-        assert list(zip(lo.tolist(), hi.tolist())) == [szasz_window_oracle(float(mu), tol) for mu in mus]
-
-    def test_nonpositive_means_get_the_empty_window(self):
-        lo, hi = szasz_window(np.array([0.0, 3.0, -1.0]), 1e-12)
-        assert (lo[0], hi[0]) == (lo[2], hi[2]) == (0, 0)
-        assert (lo[1], hi[1]) == window(3.0, 1e-12) == szasz_window_oracle(3.0, 1e-12)
+        assert np.all(hi - lo <= 4.0 * target / 3.0 + 2.0 * np.sqrt(2.0 * target * self.MUS) + 4.0)
 
     @given(
         n=st.integers(1, 4096),
@@ -628,7 +574,7 @@ class TestBatchedSweep:
         # every weight of a row's window, in chunks of up to ``rows`` x, each
         # chunk's ratio bases built for its own frame
         xs = batch_grid(kind, ends, size, spread, seed)
-        lo, hi = bernstein_window(n, xs, 1e-12) if kind == "bernoulli" else szasz_window(n * xs, 1e-12)
+        lo, hi = bernstein_window(kind, n, xs, 1e-12)
         (modes, base_rows, bases, weights), oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
         for s in range(0, xs.size, rows):
             e = min(s + rows, xs.size)
@@ -649,9 +595,9 @@ class TestBatchedSweep:
         # n = 256 share chunks whose frames the CHUNK budget cuts, each with a band
         # between its modes; the two rows at both ends of [0, n] and the Szasz rows
         # of the workload's shape are a chunk each
-        lo, hi = szasz_window(2**14 * batch_grid("poisson", (0.15, 0.6), 40, False, 0), 1e-12)
+        lo, hi = bernstein_window("poisson", 2**14, batch_grid("poisson", (0.15, 0.6), 40, False, 0), 1e-12)
         assert LATTICE_BLOCK < np.min(hi - lo + 1)
-        lo, hi = szasz_window(4096 * workload_grid(), 1e-12)
+        lo, hi = bernstein_window("poisson", 4096, workload_grid(), 1e-12)
         assert np.min(hi - lo + 1) < LATTICE_BLOCK < np.max(hi - lo + 1)
         frames = chunk_frames(monkeypatch, "bernoulli", 256, batch_grid("bernoulli", (0.0, 1.0), 300, False, 0))
         assert len(frames) > 1 and all(m0 < m1 for *_, m0, m1 in frames)
@@ -664,14 +610,13 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("kind, n", [("poisson", 4096), ("bernoulli", 4096), ("poisson", 2**14)])
     def test_f_is_read_once_per_lattice_point(self, kind, n):
         # the windows of neighbouring x overlap: on the workload grid at n = 4096
-        # they hold 1,343,054 points in all, and their union 262,404
+        # they hold 1,343,839 points in all, and their union 262,407
         if kind == "poisson":
             xs = workload_grid() if n == 4096 else batch_grid("poisson", (0.15, 0.6), 40, False, 0)
             fs = [builtin_catalog("exp-decay")]
-            lo, hi = szasz_window(n * xs, 1e-12)
         else:
             xs, fs = np.linspace(0.05, 0.95, 257), [builtin_catalog("power-cusp", alpha=0.5), trial_function(0.5, 0.5)]
-            lo, hi = bernstein_window(n, xs, 1e-12)
+        lo, hi = bernstein_window(kind, n, xs, 1e-12)
         counted = [counting(f) for f in fs]
         _exact_sums([f for f, _ in counted], kind, n, xs)
         union = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(lo, hi)]))
