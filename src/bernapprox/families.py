@@ -3,13 +3,17 @@
 For parameter x the single draw xi(x) has mean x and variance sigma(x)^2
 with sigma(x) = sqrt(x(1-x)) (Bernoulli on [0,1]) or sqrt(x) (Poisson on
 [0,inf)).  The scaled sum n*S_n = sum_i xi_i is Binomial(n, x) respectively
-Poisson(n*x).  Its pmf comes from one kernel, ``pmf_kernel``, for a chunk
-of x at a time: the mode terms from Loader's saddle-point form, every other
+Poisson(n*x).  Both sums are cut to certified windows, each side dropping
+at most tail_tol / 2 of the mass, by one rule: ``bernstein_window`` applies
+Bernstein's inequality in closed form to a whole array of x, with the
+variance of either law.  ``frames`` plans a sweep over a grid of x and
+yields it chunk by chunk: the rows of a chunk, their k range, their runs
+of one window, the frame of pmf weights and its products with f(k/n).  The
+pmf takes the mode terms from Loader's saddle-point form and every other
 term by a ratio recurrence out of the mode, so nothing can overflow and no
-log-gamma sum amplifies rounding with n.  Both sums are cut to certified
-windows, each side dropping at most tail_tol / 2 of the mass, by one rule:
-``bernstein_window`` applies Bernstein's inequality in closed form to a
-whole array of x, with the variance of either law.
+log-gamma sum amplifies rounding with n.  The chunk plan, the modes, the
+lattice of ratio bases and f values, and the band fill all live here; a
+consumer only sums.
 
 For the tail calculus this module gives the Bernoulli log-MGF
 ``zeta_log_mgf`` and jump bound ``zeta_bound``, and the Poisson conjugate
@@ -26,14 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .functions import HALF_LINE, UNIT_INTERVAL, Interval
+from .functions import HALF_LINE, UNIT_INTERVAL, Interval, TargetFunction, eval_clamped
 
 RNG_NAME = "pcg64"
+LATTICE_BLOCK = 2**12  # lattice points of f per evaluation, and the lattice buffer's read-ahead
+CHUNK = 2**13  # weights in a chunk's frame, unless its one window is wider
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling-series coefficients B_2j / (2j (2j - 1)) for j = 1..5
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
@@ -119,97 +125,141 @@ def bernstein_window(kind: str, n: int, xs: np.ndarray, tail_tol: float) -> tupl
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def pmf_kernel(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray
-               ) -> tuple[np.ndarray, int, Callable[..., None], Callable[..., np.ndarray]]:
-    """(modes, base_rows, bases, weights) of Binomial(n, x) or Poisson(n*x) for the rows xs.
+def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           fs: Sequence[TargetFunction]) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray, list]]:
+    """Yield the frames of pmf weights of Binomial(n, x) or Poisson(n*x) for the
+    rows xs, one chunk at a time, as (s, e, a, w, p, runs).
 
     Each x lies in a family's x-domain, so 0 < x (and x < 1 for Binomial), and
-    [lo, hi] is its window of n*S_n.  Row i anchors at its mode modes[i],
-    floor((n+1)x) for Binomial and floor(nx) for Poisson, clipped into the
-    window, whose pmf comes from Loader's saddle-point form ("Fast and Accurate
-    Computation of Binomial Probabilities", 2000), for every x in one vector
-    call.  Both sides follow by cumulative products of the pmf ratios,
-    (n-k+1)/k * x/(1-x) or nx/k going up and their inverses going down.  Every
-    ratio away from the mode is at most 1, so no term can overflow, far terms
-    underflow to 0, and rounding grows with the distance from the mode, not
-    with n.
+    [lo, hi] is its window of n*S_n.  A chunk (_chunk_starts) is the rows
+    s..e-1 and the columns k = a..a+W-1 that hold their windows: w[i, j] =
+    P(n*S_n = a + j) at x = xs[s + i], and p[l] = w * f(k/n) for the l-th f of
+    fs, of shapes (e - s, W) and (len(fs), e - s, W).  runs are the runs of
+    rows of the chunk with one window, as (i, j, l, h): the rows i..j-1 of xs
+    and the window [l, h].  w and p are views of buffers that the next chunk
+    overwrites.
 
-    bases(k, out) writes the x-free half of the ratios at the lattice points
-    k (floats) into the base_rows rows of out: (n-k+1)/k, the ratio into k
-    from k - 1, and (k+1)/(n-k), into k from k + 1, for Binomial; k alone
-    for Poisson, whose ratio into k from k + 1 reads k + 1 one column on.
-    The up ratio is read only right of a mode and the down ratio only left
-    of one, so the Binomial infinities at k = 0 and k = n are never read.
+    Row i anchors at its mode, floor((n+1)x) or floor(nx) clipped into the
+    window, whose pmf comes from Loader's saddle-point form ("Fast and
+    Accurate Computation of Binomial Probabilities", 2000).  Both sides follow
+    by cumulative products of the pmf ratios, (n-k+1)/k * x/(1-x) or nx/k
+    going up and their inverses going down.  Every ratio away from the mode
+    is at most 1, so no term can overflow, far terms underflow to 0, and
+    rounding grows with the distance from the mode, not with n.
 
-    weights(s, e, ca, m0, m1, base, frame, scratch) = P(n*S_n = k) for the
-    rows x = xs[s:e] and the columns k = ca..ca + W - 1, as an (e - s, W)
-    view of ``frame``, or a (W,) view for one row, which is computed on
-    scalars.  base is bases' (base_rows, W) output at those columns
-    and m0, m1 are the rows' smallest and largest mode.  frame and scratch
-    are 1-d buffers of at least (e - s) W and (e - s)(m1 - m0 + 1) floats,
-    and the call overwrites both.  One ufunc call per side scales the bases
-    by each row's x-factor into the frame (a multiply by x/(1-x) or
-    (1-x)/x, or a divide of and by nx), the mode column takes the rows'
-    pmfs, and one cumulative product per side multiplies the frame out from
-    the modes.  Between m0 and m1, the up pass reads 1.0 left of each row's
-    mode, and a band in scratch, multiplied down from the largest mode, reads
-    1.0 right of it and is then copied in.  A product with 1.0 is exact, so
-    every weight is the product a row of its own gives, in the same order,
-    bit for bit.
+    A lattice buffer holds the x-free half of the ratios at k = fa..fb, then
+    f(k/n) per f: (n-k+1)/k and (k+1)/(n-k), into k from k - 1 and from k + 1,
+    for Binomial; k alone for Poisson, whose ratio into k from k + 1 reads
+    k + 1 one column on.  The up ratio is read only right of a mode and the
+    down ratio only left of one, so the Binomial infinities at k = 0 and k = n
+    are never read.  A chunk past fb slides the buffer up to its lowest k,
+    keeping what it holds from there, and fills it ahead in pieces of at most
+    LATTICE_BLOCK points, so each lattice point is evaluated once per f.
+    One ufunc call per side scales the bases by each row's x-factor into the
+    frame, the mode column takes the rows' pmfs, and one cumulative product
+    per side multiplies it out; a one-row chunk does so on a 1-d row and
+    scalars.  Between a chunk's smallest and largest mode the up pass reads
+    1.0 left of each row's mode, and a band multiplied down from the largest
+    mode reads 1.0 right of it and is then copied in.  A product with 1.0 is
+    exact, so every weight is the float a row of its own gives.
     """
     if kind == "bernoulli":
         modes, base_rows, shift = np.floor((n + 1) * xs), 2, 0
         ratio, x_up, x_down = np.multiply, (xs / (1.0 - xs))[:, None], ((1.0 - xs) / xs)[:, None]
-
-        def bases(k: np.ndarray, out: np.ndarray) -> None:
-            with np.errstate(divide="ignore"):  # k = 0 and k = n give inf, which is never read
-                np.divide((n + 1.0) - k, k, out=out[0])
-                np.divide(k + 1.0, n - k, out=out[1])
     else:
         ratio, x_up, base_rows, shift = np.divide, (n * xs)[:, None], 1, 1
         modes, x_down = np.floor(x_up[:, 0]), x_up
-
-        def bases(k: np.ndarray, out: np.ndarray) -> None:
-            out[0] = k
     modes = np.minimum(np.maximum(modes, lo), hi).astype(np.int64)
     mode_pmfs = _mode_pmfs(kind, n, xs, modes)
-
-    def weights(s: int, e: int, ca: int, m0: int, m1: int, base: np.ndarray, frame: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
-        o0, o1 = m0 - ca, m1 - ca  # the modes' columns
-        up, down = base[0], base[-1, shift:]
+    starts = _chunk_starts(lo, hi, modes)
+    ends = np.append(starts[1:], xs.size)
+    ca, cb = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    m0, m1 = np.minimum.reduceat(modes, starts), np.maximum.reduceat(modes, starts)
+    first = np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1)  # nonzero where a window starts a run
+    first[starts] = 1
+    run = np.flatnonzero(first)
+    runs = list(zip(run.tolist(), np.append(run[1:], xs.size).tolist(), lo[run].tolist(), hi[run].tolist()))
+    r0 = np.searchsorted(run, starts)
+    plan = zip(starts.tolist(), ends.tolist(), ca.tolist(), cb.tolist(), m0.tolist(), m1.tolist(),
+               r0.tolist(), np.append(r0[1:], run.size).tolist())
+    rows, width = ends - starts, cb - ca + 1
+    frame, band = np.empty(int(np.max(rows * width))), np.empty(int(np.max(rows * (m1 - m0 + 1))))
+    prod = np.empty(len(fs) * frame.size)
+    fa, fb, top = 0, -1, int(np.max(hi))
+    lattice = np.empty((base_rows + len(fs), min(int(np.max(width)) + LATTICE_BLOCK, top - int(np.min(lo)) + 1)))
+    for s, e, a, b, mode0, mode1, r0, r1 in plan:
+        if a < fa or b > fb:  # slide the buffer to start at a, keeping what it holds from a on
+            keep = max(0, fb - a + 1) if a >= fa else 0
+            lattice[:, :keep] = lattice[:, a - fa:a - fa + keep]
+            fa, fb = a, min(a + lattice.shape[1] - 1, top)
+            for k0 in range(a + keep, fb + 1, LATTICE_BLOCK):
+                piece = lattice[:, k0 - a:min(k0 + LATTICE_BLOCK, fb + 1) - a]
+                k = np.arange(k0, k0 + piece.shape[1], dtype=float)
+                if kind == "bernoulli":
+                    with np.errstate(divide="ignore"):  # k = 0 and k = n give inf, which is never read
+                        np.divide((n + 1.0) - k, k, out=piece[0])
+                        np.divide(k + 1.0, n - k, out=piece[1])
+                else:
+                    piece[0] = k
+                if fs:  # with no f the last row is a base row
+                    x = np.divide(k, n, out=piece[-1])  # k/n, until the last f overwrites it
+                    del k
+                    for row, f in zip(piece[base_rows:], fs):
+                        row[:] = eval_clamped(f, x)
+        lat = lattice[:, a - fa:b - fa + 1]
+        o0, o1 = mode0 - a, mode1 - a  # the modes' columns
+        up, down = lat[0], lat[base_rows - 1, shift:]
         if e - s == 1:  # one row: a 1-d ufunc call on scalars costs less than a 2-d one
-            w, xu, xd, p = frame[:up.size], x_up[s, 0], x_down[s, 0], mode_pmfs[s]
+            w, xu, xd, pm = frame[:b - a + 1], x_up[s, 0], x_down[s, 0], mode_pmfs[s]
         else:
-            w = frame[:(e - s) * up.size].reshape(e - s, up.size)
-            xu, xd, p = x_up[s:e], x_down[s:e], mode_pmfs[s:e]
+            w = frame[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
+            xu, xd, pm = x_up[s:e], x_down[s:e], mode_pmfs[s:e]
         ratio(xu, up[o0 + 1:], out=w[..., o0 + 1:])
         ratio(down[:o0], xd, out=w[..., :o0])
         if o1 == o0:  # one mode: both passes start at it
-            w[..., o0] = p
+            w[..., o0] = pm
             u, v = w[..., o0:], w[..., o0::-1]
             np.multiply.accumulate(u, axis=-1, out=u)
             np.multiply.accumulate(v, axis=-1, out=v)
-            return w
-        d = scratch[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
-        ratio(down[o0:o1], xd, out=d[:, :-1])
-        m = modes[s:e]
-        k = np.arange(m0, m1 + 1)
-        left = k < m[:, None]
-        np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
-        np.copyto(d, 1.0, where=k > m[:, None])
-        rows, cols = np.arange(e - s), m - m0
-        w[rows, o0 + cols] = p
-        d[rows, cols] = p
-        np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
-        np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
-        if o0:  # carry the band's last product into the rows' common down side
-            w[:, o0 - 1] *= d[:, 0]
-            np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
-        np.copyto(w[:, o0:o1 + 1], d, where=left)
-        return w
+        else:
+            d = band[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
+            ratio(down[o0:o1], xd, out=d[:, :-1])
+            m = modes[s:e]
+            k = np.arange(mode0, mode1 + 1)
+            left = k < m[:, None]
+            np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
+            np.copyto(d, 1.0, where=k > m[:, None])
+            i, j = np.arange(e - s), m - mode0
+            w[i, o0 + j] = pm
+            d[i, j] = pm
+            np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+            np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
+            if o0:  # carry the band's last product into the rows' common down side
+                w[:, o0 - 1] *= d[:, 0]
+                np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
+            np.copyto(w[:, o0:o1 + 1], d, where=left)
+        w = w.reshape(e - s, b - a + 1)
+        p = prod[:len(fs) * w.size].reshape(len(fs), e - s, b - a + 1)
+        np.multiply(w, lat[base_rows:, None], out=p)
+        yield s, e, a, w, p, runs[r0:r1]
 
-    return modes, base_rows, bases, weights
+
+def _chunk_starts(lo: np.ndarray, hi: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The first row of each chunk: the consecutive rows whose modes lie within
+    CHUNK // 32 of its first, as many as a frame of CHUNK floats holds, if that
+    is three or more (a band chunk makes about twice the ufunc calls of a
+    one-row chunk), else one row.  Running maxima keep it defined for any x
+    order, and for the dips of an increasing grid: where its points lie a few
+    ulp apart, rounding can lower hi by one point from one x to the next."""
+    first, modes, hi = np.arange(lo.size), np.maximum.accumulate(modes), np.maximum.accumulate(hi)
+    end = np.searchsorted(modes, modes + CHUNK // 32, side="right")
+    rows = np.minimum(end - first, CHUNK // (hi[end - 1] - lo + 1))
+    reach = np.where(rows >= 3, first + rows, first + 1).tolist()
+    starts, i = [], 0
+    while i < lo.size:
+        starts.append(i)
+        i = reach[i]
+    return np.array(starts)
 
 
 def _mode_pmfs(kind: str, n: int, xs: np.ndarray, m: np.ndarray) -> np.ndarray:

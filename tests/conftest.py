@@ -8,11 +8,10 @@ from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import (
-    _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, Family, _check_n, bernstein_window, normalized_sum_samples,
-    spawn_rngs,
+    _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, LATTICE_BLOCK, Family, _check_n, bernstein_window,
+    normalized_sum_samples, spawn_rngs,
 )
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
-from bernapprox.operators import LATTICE_BLOCK
 from bernapprox.tails import (
     DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve, _lambda_grid,
 )
@@ -82,7 +81,7 @@ def family_pmf(fam: Family, x: float, n: int, k):
 
 
 def per_x_pmf_kernel(kind: str, n: int):
-    """Oracle for ``families.pmf_kernel``, one x at a time: weights(x, lo, hi) =
+    """Oracle for the weights of ``families.frames``, one x at a time: weights(x, lo, hi) =
     P(n*S_n = k) for k = lo..hi, from the ratio recurrence out of the mode
     min(max(floor((n+1)x) or floor(nx), lo), hi), whose pmf is ``mode_pmf``."""
     if kind == "bernoulli":

@@ -647,21 +647,17 @@ class TestRowsOnce:
         # f and the trial cusp share each chunk's weights: per n, the chunks of x
         # whose weights are built are the same with and without the trial, and
         # they cover every x once
-        inner = operators.pmf_kernel
+        inner = operators.frames
 
         def weight_builds(args):
             built = []
 
-            def counting_kernel(kind, n, *grid):
-                modes, base_rows, bases, weights = inner(kind, n, *grid)
+            def counting_frames(kind, n, *grid):
+                for chunk in inner(kind, n, *grid):
+                    built.append((n, *chunk[:2]))
+                    yield chunk
 
-                def counted(s, e, *frame):
-                    built.append((n, s, e))
-                    return weights(s, e, *frame)
-
-                return modes, base_rows, bases, counted
-
-            monkeypatch.setattr(operators, "pmf_kernel", counting_kernel)
+            monkeypatch.setattr(operators, "frames", counting_frames)
             res = runner.invoke(main, ["run", "--out", str(tmp_path)] + FAST + args)
             assert res.exit_code == 0, res.output
             return built

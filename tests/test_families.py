@@ -13,11 +13,11 @@ from bernapprox.families import (
     _check_n,
     bernoulli_family,
     bernstein_window,
+    frames,
     normalized_sum_samples,
     poisson_family,
     sample_scaled_sum,
     _mode_pmfs,
-    pmf_kernel,
     spawn_rngs,
     zeta_bound,
     zeta_log_mgf,
@@ -39,12 +39,9 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
 
 
 def row_weights(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
-    """P(n*S_n = k) for k = lo..hi from pmf_kernel, as a chunk of the one row x."""
-    modes, base_rows, bases, weights = pmf_kernel(kind, n, np.array([x]), np.array([lo]), np.array([hi]))
-    base = np.empty((base_rows, hi - lo + 1))
-    bases(np.arange(lo, hi + 1, dtype=float), base)
-    m = int(modes[0])
-    return weights(0, 1, lo, m, m, base, np.empty(hi - lo + 1), np.empty(1))
+    """P(n*S_n = k) for k = lo..hi from families.frames, as the one row x with the window [lo, hi]."""
+    _, _, _, w, _, _ = next(frames(kind, n, np.array([x]), np.array([lo]), np.array([hi]), ()))
+    return w[0]
 
 
 def family_sample(fam: Family, x: float, n: int, rng: np.random.Generator):

@@ -9,7 +9,7 @@ from scipy.stats import binom, poisson
 
 from bernapprox.errors import InsufficientDataError, ParameterError
 from bernapprox.families import (
-    bernoulli_family, bernstein_window, pmf_kernel, poisson_family, spawn_rngs,
+    CHUNK, LATTICE_BLOCK, bernoulli_family, bernstein_window, frames, poisson_family, spawn_rngs,
 )
 from bernapprox.functions import (
     HALF_LINE,
@@ -21,7 +21,7 @@ from bernapprox.functions import (
 )
 from bernapprox.modulus import modulus_profile
 from bernapprox.operators import (
-    CHUNK, LATTICE_BLOCK, MAX_BERNSTEIN_N, _exact_sums, generic_mc, sup_error, sup_errors,
+    MAX_BERNSTEIN_N, _exact_sums, generic_mc, sup_error, sup_errors,
 )
 from conftest import per_x_exact_sums, per_x_pmf_kernel, scale_function
 
@@ -567,28 +567,52 @@ class TestBatchedSweep:
 
     @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**14),
            ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), size=st.integers(1, 60),
-           spread=st.booleans(), rows=st.integers(1, 8), seed=st.integers(0, 2**16))
+           spread=st.booleans(), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, rows=1, seed=0)
-    def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, rows, seed):
-        # every weight of a row's window, in chunks of up to ``rows`` x, each
-        # chunk's ratio bases built for its own frame
+    @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, seed=0)
+    def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, seed):
+        # every weight of a row's window, in the frames of a sweep with no function,
+        # whose lattice holds only the ratio bases
         xs = batch_grid(kind, ends, size, spread, seed)
         lo, hi = bernstein_window(kind, n, xs, 1e-12)
-        (modes, base_rows, bases, weights), oracle = pmf_kernel(kind, n, xs, lo, hi), per_x_pmf_kernel(kind, n)
-        for s in range(0, xs.size, rows):
-            e = min(s + rows, xs.size)
-            a, b = int(lo[s:e].min()), int(hi[s:e].max())
-            m0, m1 = int(modes[s:e].min()), int(modes[s:e].max())
-            base = np.empty((base_rows, b - a + 1))
-            bases(np.arange(a, b + 1, dtype=float), base)
-            frame = np.empty((e - s) * (b - a + 1))
-            w = weights(s, e, a, m0, m1, base, frame, np.empty((e - s) * (m1 - m0 + 1))).reshape(e - s, -1)
+        oracle = per_x_pmf_kernel(kind, n)
+        for s, e, a, w, p, _ in frames(kind, n, xs, lo, hi, ()):
+            assert p.shape == (0, e - s, w.shape[1])
             for i in range(s, e):
                 got = w[i - s, lo[i] - a:hi[i] - a + 1]
                 assert got.tolist() == oracle(float(xs[i]), int(lo[i]), int(hi[i])).tolist()
 
-    def test_the_examples_reach_the_block_and_the_budget(self, monkeypatch):
+    @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**14),
+           ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), size=st.integers(1, 300),
+           spread=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_the_chunks_tile_the_grid_within_the_budget(self, kind, n, ends, size, spread, seed):
+        # the chunks cover the rows in order, each row's window inside its chunk's
+        # k range, and a chunk of more rows than one holds 3 or more, modes close
+        # to its first row's and a frame of at most CHUNK floats
+        xs = batch_grid(kind, ends, size, spread, seed)
+        lo, hi = bernstein_window(kind, n, xs, 1e-12)
+        modes = row_modes(kind, n, xs, lo, hi)
+        chunks = chunk_frames(kind, n, xs)
+        assert [s for s, *_ in chunks] + [xs.size] == [0] + [e for _, e, *_ in chunks]
+        for s, e, a, b in chunks:
+            assert s < e and a <= lo[s:e].min() and hi[s:e].max() <= b
+            if e - s > 1:
+                assert e - s >= 3 and np.abs(modes[s:e] - modes[s]).max() <= CHUNK // 32
+                assert (e - s) * (b - a + 1) <= CHUNK
+
+    def test_a_window_that_dips_between_neighbours_keeps_every_float(self):
+        # on 33 x one ulp apart, rounding lowers hi by one point from one x to the
+        # next, once; the chunk plan's running maxima still hold every window
+        x0 = 0.8869934090606073
+        xs = x0 + math.ulp(x0) * np.arange(-16, 17)
+        lo, hi = bernstein_window("bernoulli", 9404, xs, 1e-12)
+        assert np.count_nonzero(np.diff(hi) < 0) == 1 and np.all(np.diff(lo) >= 0)
+        fs = BATCH_FUNCTIONS["bernoulli"]
+        values = [r.values.tolist() for r in sup_errors(fs, bernoulli_family(), 9404, xs, tail_tol=1e-12)]
+        assert values == per_x_exact_sums(fs, "bernoulli", 9404, xs, 1e-12).tolist()
+
+    def test_the_examples_reach_the_block_and_the_budget(self):
         # the Szasz windows of the first example are wider than LATTICE_BLOCK, and
         # those of the workload's shape at n = 4096 straddle it, so the lattice
         # buffer fills a window in more than one piece; the 300 Binomial rows at
@@ -599,12 +623,14 @@ class TestBatchedSweep:
         assert LATTICE_BLOCK < np.min(hi - lo + 1)
         lo, hi = bernstein_window("poisson", 4096, workload_grid(), 1e-12)
         assert np.min(hi - lo + 1) < LATTICE_BLOCK < np.max(hi - lo + 1)
-        frames = chunk_frames(monkeypatch, "bernoulli", 256, batch_grid("bernoulli", (0.0, 1.0), 300, False, 0))
-        assert len(frames) > 1 and all(m0 < m1 for *_, m0, m1 in frames)
-        assert CHUNK // 2 < max((e - s) * (cb - ca + 1) for s, e, ca, cb, _, _ in frames) <= CHUNK
+        xs = batch_grid("bernoulli", (0.0, 1.0), 300, False, 0)
+        modes = row_modes("bernoulli", 256, xs, *bernstein_window("bernoulli", 256, xs, 1e-12))
+        chunks = chunk_frames("bernoulli", 256, xs)
+        assert len(chunks) > 1 and all(modes[s] < modes[e - 1] for s, e, _, _ in chunks)
+        assert CHUNK // 2 < max((e - s) * (b - a + 1) for s, e, a, b in chunks) <= CHUNK
         ends = batch_grid("bernoulli", (0.0, 1.0), 2, False, 0)
-        assert [(s, e) for s, e, *_ in chunk_frames(monkeypatch, "bernoulli", CHUNK // 2, ends)] == [(0, 1), (1, 2)]
-        rows = [(s, e) for s, e, *_ in chunk_frames(monkeypatch, "poisson", 1024, workload_grid())]
+        assert [(s, e) for s, e, *_ in chunk_frames("bernoulli", CHUNK // 2, ends)] == [(0, 1), (1, 2)]
+        rows = [(s, e) for s, e, *_ in chunk_frames("poisson", 1024, workload_grid())]
         assert rows == [(i, i + 1) for i in range(257)]
 
     @pytest.mark.parametrize("kind, n", [("poisson", 4096), ("bernoulli", 4096), ("poisson", 2**14)])
@@ -646,25 +672,16 @@ def counting(f: TargetFunction) -> tuple[TargetFunction, list]:
     return dataclasses.replace(f, evaluator=evaluator), seen
 
 
-def chunk_frames(monkeypatch, kind: str, n: int, xs: np.ndarray) -> list[tuple[int, ...]]:
-    """(s, e, ca, cb, m0, m1) of every chunk of a sweep of the square (Bernoulli) or
-    exp-decay (Poisson) at n, as its weights are built."""
-    import bernapprox.operators as operators
+def chunk_frames(kind: str, n: int, xs: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(s, e, a, b) of every chunk that families.frames yields for the windows of xs
+    at n and tail_tol 1e-12: its rows s..e-1 and its k range [a, b]."""
+    lo, hi = bernstein_window(kind, n, xs, 1e-12)
+    return [(s, e, a, a + w.shape[1] - 1) for s, e, a, w, _, _ in frames(kind, n, xs, lo, hi, ())]
 
-    built, inner = [], operators.pmf_kernel
 
-    def recording(*args):
-        modes, base_rows, bases, weights = inner(*args)
-
-        def recorded(s, e, ca, m0, m1, base, *buffers):
-            built.append((s, e, ca, ca + base.shape[1] - 1, m0, m1))
-            return weights(s, e, ca, m0, m1, base, *buffers)
-
-        return modes, base_rows, bases, recorded
-
-    monkeypatch.setattr(operators, "pmf_kernel", recording)
-    _exact_sums([builtin_catalog("square" if kind == "bernoulli" else "exp-decay")], kind, n, xs)
-    return built
+def row_modes(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The mode each row anchors at, floor((n+1)x) or floor(nx), clipped into its window."""
+    return np.clip(np.floor((n + 1) * xs if kind == "bernoulli" else n * xs), lo, hi).astype(np.int64)
 
 
 def workload_grid() -> np.ndarray:
