@@ -43,6 +43,9 @@ CHUNK = 2**13  # weights in a chunk's frame, unless its one window is wider
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling-series coefficients B_2j / (2j (2j - 1)) for j = 1..5
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
+# stirlerr at k = 0..15 by lgamma (0 at k = 0, which no caller reads)
+_STIRLERR_TABLE = np.array([0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
+                                    for k in map(float, range(1, 16))])
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,10 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     [lo, hi] is its window of n*S_n.  A chunk (_chunk_starts) is the rows
     s..e-1 and the columns k = a..a+W-1 that hold their windows: w[i, j] =
     P(n*S_n = a + j) at x = xs[s + i], and p[l] = w * f(k/n) for the l-th f of
-    fs, of shapes (e - s, W) and (len(fs), e - s, W).  runs are the runs of
-    rows of the chunk with one window, as (i, j, l, h): the rows i..j-1 of xs
-    and the window [l, h].  w and p are views of buffers that the next chunk
+    fs, of shapes (e - s, W) and (len(fs), e - s, W), or (W,) and (len(fs), W)
+    for a one-row chunk, whose frame is its window.  runs are the runs of rows
+    of the chunk with one window, as (i, j, l, h): the rows i..j-1 of xs and
+    the window [l, h].  w and p are views of buffers that the next chunk
     overwrites.
 
     Row i anchors at its mode, floor((n+1)x) or floor(nx) clipped into the
@@ -157,18 +161,19 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     LATTICE_BLOCK points, so each lattice point is evaluated once per f.
     One ufunc call per side scales the bases by each row's x-factor into the
     frame, the mode column takes the rows' pmfs, and one cumulative product
-    per side multiplies it out; a one-row chunk does so on a 1-d row and
-    scalars.  Between a chunk's smallest and largest mode the up pass reads
-    1.0 left of each row's mode, and a band multiplied down from the largest
-    mode reads 1.0 right of it and is then copied in.  A product with 1.0 is
-    exact, so every weight is the float a row of its own gives.
+    per side multiplies it out; a one-row chunk makes just these calls on a
+    1-d row and the Python floats of lists built once per sweep.  Between a
+    chunk's smallest and largest mode the up pass reads 1.0 left of each
+    row's mode, and a band multiplied down from the largest mode reads 1.0
+    right of it and is then copied in.  A product with 1.0 is exact, so every
+    weight is the float a row of its own gives.
     """
     if kind == "bernoulli":
         modes, base_rows, shift = np.floor((n + 1) * xs), 2, 0
-        ratio, x_up, x_down = np.multiply, (xs / (1.0 - xs))[:, None], ((1.0 - xs) / xs)[:, None]
+        ratio, x_up, x_down = np.multiply, xs / (1.0 - xs), (1.0 - xs) / xs
     else:
-        ratio, x_up, base_rows, shift = np.divide, (n * xs)[:, None], 1, 1
-        modes, x_down = np.floor(x_up[:, 0]), x_up
+        ratio, x_up, base_rows, shift = np.divide, n * xs, 1, 1
+        modes, x_down = np.floor(x_up), x_up
     modes = np.minimum(np.maximum(modes, lo), hi).astype(np.int64)
     mode_pmfs = _mode_pmfs(kind, n, xs, modes)
     starts = _chunk_starts(lo, hi, modes)
@@ -182,11 +187,13 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     r0 = np.searchsorted(run, starts)
     plan = zip(starts.tolist(), ends.tolist(), ca.tolist(), cb.tolist(), m0.tolist(), m1.tolist(),
                r0.tolist(), np.append(r0[1:], run.size).tolist())
+    row_up, row_down, row_pmf = x_up.tolist(), x_down.tolist(), mode_pmfs.tolist()  # one-row chunks' scalars
     rows, width = ends - starts, cb - ca + 1
     frame, band = np.empty(int(np.max(rows * width))), np.empty(int(np.max(rows * (m1 - m0 + 1))))
-    prod = np.empty(len(fs) * frame.size)
+    prod = np.empty((len(fs), frame.size))
     fa, fb, top = 0, -1, int(np.max(hi))
     lattice = np.empty((base_rows + len(fs), min(int(np.max(width)) + LATTICE_BLOCK, top - int(np.min(lo)) + 1)))
+    iota = np.arange(min(LATTICE_BLOCK, lattice.shape[1]), dtype=float)
     for s, e, a, b, mode0, mode1, r0, r1 in plan:
         if a < fa or b > fb:  # slide the buffer to start at a, keeping what it holds from a on
             keep = max(0, fb - a + 1) if a >= fa else 0
@@ -194,67 +201,76 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             fa, fb = a, min(a + lattice.shape[1] - 1, top)
             for k0 in range(a + keep, fb + 1, LATTICE_BLOCK):
                 piece = lattice[:, k0 - a:min(k0 + LATTICE_BLOCK, fb + 1) - a]
-                k = np.arange(k0, k0 + piece.shape[1], dtype=float)
                 if kind == "bernoulli":
+                    k = np.arange(k0, k0 + piece.shape[1], dtype=float)
                     with np.errstate(divide="ignore"):  # k = 0 and k = n give inf, which is never read
                         np.divide((n + 1.0) - k, k, out=piece[0])
                         np.divide(k + 1.0, n - k, out=piece[1])
-                else:
-                    piece[0] = k
+                else:  # the base row is k itself
+                    k = np.add(iota[:piece.shape[1]], k0, out=piece[0])
                 if fs:  # with no f the last row is a base row
                     x = np.divide(k, n, out=piece[-1])  # k/n, until the last f overwrites it
                     del k
                     for row, f in zip(piece[base_rows:], fs):
                         row[:] = eval_clamped(f, x)
-        lat = lattice[:, a - fa:b - fa + 1]
-        o0, o1 = mode0 - a, mode1 - a  # the modes' columns
-        up, down = lat[0], lat[base_rows - 1, shift:]
-        if e - s == 1:  # one row: a 1-d ufunc call on scalars costs less than a 2-d one
-            w, xu, xd, pm = frame[:b - a + 1], x_up[s, 0], x_down[s, 0], mode_pmfs[s]
+        c, o0, o1, wd = a - fa, mode0 - a, mode1 - a, b - a + 1  # the frame's lattice column, the modes' columns
+        if e - s == 1:  # one row, 1-d from end to end: its frame is its window
+            w, p = frame[:wd], prod[:, :wd]
+            ratio(row_up[s], lattice[0, c + o0 + 1:c + wd], out=w[o0 + 1:])
+            ratio(lattice[base_rows - 1, c + shift:c + shift + o0], row_down[s], out=w[:o0])
+            w[o0] = row_pmf[s]
+            u, v = w[o0:], w[o0::-1]
+            np.multiply.accumulate(u, out=u)
+            np.multiply.accumulate(v, out=v)
+            np.multiply(w, lattice[base_rows:, c:c + wd], out=p)
         else:
-            w = frame[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
-            xu, xd, pm = x_up[s:e], x_down[s:e], mode_pmfs[s:e]
-        ratio(xu, up[o0 + 1:], out=w[..., o0 + 1:])
-        ratio(down[:o0], xd, out=w[..., :o0])
-        if o1 == o0:  # one mode: both passes start at it
-            w[..., o0] = pm
-            u, v = w[..., o0:], w[..., o0::-1]
-            np.multiply.accumulate(u, axis=-1, out=u)
-            np.multiply.accumulate(v, axis=-1, out=v)
-        else:
-            d = band[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
-            ratio(down[o0:o1], xd, out=d[:, :-1])
-            m = modes[s:e]
-            k = np.arange(mode0, mode1 + 1)
-            left = k < m[:, None]
-            np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
-            np.copyto(d, 1.0, where=k > m[:, None])
-            i, j = np.arange(e - s), m - mode0
-            w[i, o0 + j] = pm
-            d[i, j] = pm
-            np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
-            np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
-            if o0:  # carry the band's last product into the rows' common down side
-                w[:, o0 - 1] *= d[:, 0]
-                np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
-            np.copyto(w[:, o0:o1 + 1], d, where=left)
-        w = w.reshape(e - s, b - a + 1)
-        p = prod[:len(fs) * w.size].reshape(len(fs), e - s, b - a + 1)
-        np.multiply(w, lat[base_rows:, None], out=p)
+            lat = lattice[:, c:c + wd]
+            up, down = lat[0], lat[base_rows - 1, shift:]
+            w = frame[:(e - s) * wd].reshape(e - s, wd)
+            xu, xd, pm = x_up[s:e, None], x_down[s:e, None], mode_pmfs[s:e]
+            ratio(xu, up[o0 + 1:], out=w[:, o0 + 1:])
+            ratio(down[:o0], xd, out=w[:, :o0])
+            if o1 == o0:  # one mode: both passes start at it
+                w[:, o0] = pm
+                u, v = w[:, o0:], w[:, o0::-1]
+                np.multiply.accumulate(u, axis=1, out=u)
+                np.multiply.accumulate(v, axis=1, out=v)
+            else:
+                d = band[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
+                ratio(down[o0:o1], xd, out=d[:, :-1])
+                m = modes[s:e]
+                k = np.arange(mode0, mode1 + 1)
+                left = k < m[:, None]
+                np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
+                np.copyto(d, 1.0, where=k > m[:, None])
+                i, j = np.arange(e - s), m - mode0
+                w[i, o0 + j] = pm
+                d[i, j] = pm
+                np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+                np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
+                if o0:  # carry the band's last product into the rows' common down side
+                    w[:, o0 - 1] *= d[:, 0]
+                    np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
+                np.copyto(w[:, o0:o1 + 1], d, where=left)
+            p = prod[:, :w.size].reshape(len(fs), e - s, wd)
+            np.multiply(w, lat[base_rows:, None], out=p)
         yield s, e, a, w, p, runs[r0:r1]
 
 
 def _chunk_starts(lo: np.ndarray, hi: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """The first row of each chunk: the consecutive rows whose modes lie within
     CHUNK // 32 of its first, as many as a frame of CHUNK floats holds, if that
-    is three or more (a band chunk makes about twice the ufunc calls of a
-    one-row chunk), else one row.  Running maxima keep it defined for any x
-    order, and for the dips of an increasing grid: where its points lie a few
-    ulp apart, rounding can lower hi by one point from one x to the next."""
+    is three or more and the frame at most CHUNK // 8 points wide (a band chunk
+    makes about twice a one-row chunk's ufunc calls, but multiplies out the
+    frame's width, not each window), else one row.  Running maxima keep it
+    defined for any x order, and for the dips of an increasing grid: where its
+    points lie a few ulp apart, rounding can lower hi by one point from one x
+    to the next."""
     first, modes, hi = np.arange(lo.size), np.maximum.accumulate(modes), np.maximum.accumulate(hi)
     end = np.searchsorted(modes, modes + CHUNK // 32, side="right")
-    rows = np.minimum(end - first, CHUNK // (hi[end - 1] - lo + 1))
-    reach = np.where(rows >= 3, first + rows, first + 1).tolist()
+    width = hi[end - 1] - lo + 1
+    rows = np.minimum(end - first, CHUNK // width)
+    reach = np.where((rows >= 3) & (width <= CHUNK // 8), first + rows, first + 1).tolist()
     starts, i = [], 0
     while i < lo.size:
         starts.append(i)
@@ -280,8 +296,8 @@ def _mode_pmfs(kind: str, n: int, xs: np.ndarray, m: np.ndarray) -> np.ndarray:
         out[full] = [x**n for x in xs[full].tolist()]
         mid = ~(zero | full)
         k, x = k[mid], xs[mid]
-        lc = (_stirlerrs(np.array([float(n)]))[0] - _stirlerrs(k) - _stirlerrs(n - k)
-              - _bd0s(k, n * x) - _bd0s(n - k, n * (1.0 - x)))
+        se = _stirlerrs(np.concatenate(([float(n)], k, n - k)))  # one call for n, k and n - k
+        lc = se[0] - se[1:k.size + 1] - se[k.size + 1:] - _bd0s(k, n * x) - _bd0s(n - k, n * (1.0 - x))
         out[mid] = _each(math.exp, lc) / np.sqrt(2.0 * math.pi * k * (n - k) / n)
         return out
     mu = n * xs
@@ -298,43 +314,37 @@ def _each(fn: Callable[[float], float], v: np.ndarray) -> np.ndarray:
 
 
 def _stirlerrs(k: np.ndarray) -> np.ndarray:
-    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k) at integer k >= 1: lgamma up to 15, the
-    Stirling series above."""
+    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k) at integer k >= 1: a table up to 15,
+    the Stirling series above, cut after its second, third and fourth terms
+    above 500, 80 and 35.  A cut term's coefficient is 0, which leaves every
+    sum the float of the shorter series."""
     kk = k * k
-    out = np.select(
-        [k > 500, k > 80, k > 35],
-        [(_S0 - _S1 / kk) / k,
-         (_S0 - (_S1 - _S2 / kk) / kk) / k,
-         (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k],
-        (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k)
-    small = k <= 15
-    s = k[small]
-    out[small] = _each(math.lgamma, s + 1.0) - (s + 0.5) * _each(math.log, s) + s - _LN_SQRT_2PI
-    return out
+    s4, s3, s2 = (k <= 35) * _S4, (k <= 80) * _S3, (k <= 500) * _S2
+    series = (_S0 - (_S1 - (s2 - (s3 - s4 / kk) / kk) / kk) / kk) / k
+    return np.where(k <= 15, _STIRLERR_TABLE[np.minimum(k, 15).astype(np.intp)], series)
 
 
 def _bd0s(k: np.ndarray, np_: np.ndarray) -> np.ndarray:
-    """k ln(k/np) + np - k, by a series in (k-np)/(k+np) where k is near np."""
+    """k ln(k/np) + np - k, by a series in v = (k-np)/(k+np) where |v| < 0.1, run on
+    every element at once (v = 0 where far) until no term moves a sum: the terms
+    keep one sign and shrink by v^2 < 0.01, so once one leaves a sum no later one moves it."""
     d = k - np_
     far = np.abs(d) >= 0.1 * (k + np_)
-    out = np.empty(k.size)
-    kf, nf = k[far], np_[far]
-    out[far] = kf * _each(math.log, kf / nf) + nf - kf
-    near = ~far
-    k, d = k[near], d[near]
-    v = d / (k + np_[near])
+    v = d / (k + np_)
     s = d * v
     ej = 2.0 * k * v
-    v = v * v
-    live, j = np.arange(k.size), 3
-    while live.size:  # each term until it no longer moves the sum
-        ej[live] *= v[live]
-        s1 = s[live] + ej[live] / j
-        moved = s1 != s[live]
-        s[live] = s1
-        live, j = live[moved], j + 2
-    out[near] = s
-    return out
+    v = np.where(far, 0.0, v * v)
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if (s1 == s).all():
+            break
+        s, j = s1, j + 2
+    if far.any():
+        kf, nf = k[far], np_[far]
+        s[far] = kf * _each(math.log, kf / nf) + nf - kf
+    return s
 
 
 def sample_scaled_sum(fam: Family, x: float, n: int, rng: np.random.Generator, size=None):

@@ -85,9 +85,9 @@ def eval_clamped(f: TargetFunction, x):
         np.minimum(clamped, f.interval.b, out=clamped)
     with np.errstate(all="ignore"):
         vals = np.asarray(f.evaluator(clamped), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        offending = np.atleast_1d(clamped)[np.atleast_1d(bad)][0]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        offending = np.atleast_1d(clamped)[~np.atleast_1d(finite)][0]
         raise DomainEvaluationError(
             f"{f.name}: evaluator returned non-finite value at x={offending!r}",
             x=float(offending),

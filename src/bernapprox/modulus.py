@@ -27,6 +27,8 @@ from .errors import GridResolutionWarning, InsufficientDataError, ParameterError
 from .functions import HolderSpec, TargetFunction, eval_clamped
 from .grids import resolve_grid, symmetric_grid
 
+FRAME = 9 * 2**10  # floats of (x, h) points per evaluation of f in the modulus: 72 KiB
+
 
 @dataclass(frozen=True)
 class ModulusProfile:
@@ -86,13 +88,14 @@ class ModulusProfile:
 def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> tuple[float, float]:
     """(fine, coarse): max |f(x + h sigma(x)) - f(x)| over xs and an h grid on
     [-delta, delta], and over its every other x and h point.  The h rows go in
-    blocks of at most 64 KiB through one frame (from about 110 KiB up, malloc
-    faults a temporary's pages in again for every delta); a non-finite block
-    max re-evaluates the block through eval_clamped, which names the point."""
+    blocks of at most FRAME floats through one frame, two on the default grids,
+    each with two ndarray maxima (at 131 KiB, malloc could fault a block's
+    pages in again for every delta); a non-finite block max re-evaluates the
+    block through eval_clamped, which names the point."""
     if delta == 0.0:
         return 0.0, 0.0
     hs = symmetric_grid(delta, h_grid_size)[:, None]
-    rows = max(1, 2**13 // xs.size)
+    rows = max(1, FRAME // xs.size)
     frame = np.empty((min(rows, hs.size), xs.size))
     fine = coarse = 0.0
     for i in range(0, hs.size, rows):
@@ -102,13 +105,11 @@ def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> tuple[float, float]:
         if f.interval.finite:
             np.minimum(pts, f.interval.b, out=pts)
         with np.errstate(all="ignore"):
-            vals = np.asarray(f.evaluator(pts), dtype=float)
-        d = np.abs(np.subtract(vals, base, out=pts), out=pts)
-        top = float(np.max(d))
+            d = np.abs(np.subtract(np.asarray(f.evaluator(pts), dtype=float), base, out=pts), out=pts)
+        top = float(d.max())
         if not math.isfinite(top):
             eval_clamped(f, xs + hs[i:i + rows] * sig)  # raises DomainEvaluationError at the point
-        fine = max(fine, top)
-        coarse = max(coarse, float(np.max(d[i % 2::2, ::2], initial=0.0)))
+        fine, coarse = max(fine, top), max(coarse, float(d[i % 2::2, ::2].max(initial=0.0)))
     return fine, coarse
 
 

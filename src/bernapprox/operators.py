@@ -59,10 +59,10 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
     Binomial) and n*S_n is never a point mass.  n, tail_tol and each sup_abs
     are checked once.  Per x the sum runs over the window of n*S_n,
     bernstein_window(kind, n, x, tail_tol), of the products that
-    families.frames yields, one reduce per run of rows with one window, so a
-    value is the same float as from a chunk of its own.  Each window drops at
-    most tail_tol of the mass, so the radius is tail_tol * sup|f| for both
-    families.
+    families.frames yields, one reduce per run of rows with one window (of a
+    one-row chunk's whole row), so a value is the same float as from a chunk
+    of its own.  Each window drops at most tail_tol of the mass, so the
+    radius is tail_tol * sup|f| for both families.
     """
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_BERNSTEIN_N):
         raise ParameterError(f"n must be an integer in [1, {MAX_BERNSTEIN_N}], got {n!r}")
@@ -77,7 +77,10 @@ def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,
         # a broadcasting ufunc call on a chunk buffers its operands; numpy's
         # default buffer of 8192 floats per operand would outweigh the chunk
         np.setbufsize(BUFSIZE)
-        for s, _, a, _, p, runs in frames(kind, n, xs, lo, hi, fs):
+        for s, e, a, _, p, runs in frames(kind, n, xs, lo, hi, fs):
+            if e - s == 1:  # a one-row frame is its window
+                np.add.reduce(p, axis=1, out=out[:, s])
+                continue
             for i, j, l, h in runs:
                 np.add.reduce(p[:, i - s:j - s, l - a:h - a + 1], axis=2, out=out[:, i:j])
     return out, [tail_tol * f.sup_abs for f in fs]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernapprox.errors import ParameterError
@@ -41,7 +41,7 @@ def family_support(fam: Family, x: float, n: int, tail_mass: float = POISSON_TAI
 def row_weights(kind: str, n: int, x: float, lo: int, hi: int) -> np.ndarray:
     """P(n*S_n = k) for k = lo..hi from families.frames, as the one row x with the window [lo, hi]."""
     _, _, _, w, _, _ = next(frames(kind, n, np.array([x]), np.array([lo]), np.array([hi]), ()))
-    return w[0]
+    return w  # a one-row chunk's frame is its 1-d window
 
 
 def family_sample(fam: Family, x: float, n: int, rng: np.random.Generator):
@@ -262,6 +262,22 @@ class TestModePmfs:
             assert got == [mode_pmf(kind, n, float(x), int(m)) for x, m in zip(xs, ms)]
             total += len(got)
         assert total > 5000
+
+    # the pmf at the row modes of 64 x: Poisson n = 16 at m = 15 and 16 and Binomial
+    # n = 31 at m = 16, n - m = 15 (the table's last k and the series' first), and
+    # Poisson n = 1 at m = 1 and nx = 11/9 + i ulp, i = -32..31, where bd0 turns far
+    @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**22),
+           fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=64, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    @example(kind="poisson", n=16, fracs=[15 / 16 / 64, 1 / 64] * 32)
+    @example(kind="bernoulli", n=31, fracs=[0.5] * 64)
+    @example(kind="poisson", n=1, fracs=((11 / 9 + math.ulp(11 / 9) * np.arange(-32, 32)) / 64).tolist())
+    def test_random_rows_equal_the_scalar_form_bit_for_bit(self, kind, n, fracs):
+        xs = np.array(fracs) * (1.0 if kind == "bernoulli" else 64.0)  # Poisson x in (0, 64], exactly
+        lo, hi = bernstein_window(kind, n, xs, 1e-12)
+        m = np.clip(np.floor((n + 1) * xs if kind == "bernoulli" else n * xs), lo, hi).astype(np.int64)
+        got = _mode_pmfs(kind, n, xs, m).tolist()
+        assert got == [mode_pmf(kind, n, float(x), int(k)) for x, k in zip(xs, m)]
 
     def test_the_cases_meet_every_branch(self):
         # stirlerr: lgamma up to 15, then the series cut at 35, 80 and 500; bd0: the

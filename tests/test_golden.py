@@ -1,13 +1,16 @@
 """Golden bytes: SHA-256 digests of every canonical file the five subcommands
-write, on four small configs.
+write, on four small configs, and of the canonical files of the benchmark's
+three workloads at full size (257 x, 65 h points, n up to 4096).
 
 A change that moves a byte of a report must update the digest here on
 purpose.  `timings.csv` holds wall times and is not canonical.
 """
 
+import ast
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +143,31 @@ GOLDEN = {
 }
 
 
+# the benchmark's workloads (perfbench/workloads.py) at full size: the only configs
+# that reach one-row Szasz chunks (n >= 256) and the 257 x 65 modulus grid
+WORKLOADS = {
+    "bern-cusp-run": ("run", ("function.name=power-cusp", "function.alpha=0.5", "family.eps=0.05",
+                              "trial.x0=0.5", "trial.alpha=0.5")),
+    "poisson-szasz-run": ("run", ("family.kind=poisson", "function.name=exp-decay")),
+    "bern-square-bound": ("bound", ()),
+}
+
+WORKLOAD_GOLDEN = {
+    "bern-cusp-run": {
+        "report.json": "ffda21ce5476e7f3a24a8ddccf2f2d1edf4d3d17877799927a17029a5ecfcf03",
+        "table.csv": "e1484ab0d82955ec10f567fa071bd784115b29b708867cf02eaf79d8220b5aeb",
+    },
+    "poisson-szasz-run": {
+        "report.json": "e123f5ec2ee65eaddfe55350612e7c3aa5da1d7f499383b50a5876af5e205d31",
+        "table.csv": "b993e9561b929261c8c8d8a5ba78ddd5493bd644869874b6cfe44b33d9757a09",
+    },
+    "bern-square-bound": {
+        "bound.csv": "7a8023306a019856137d3f142c607fe128856ad03850c12f6c6fb4e83aebc660",
+        "bound.json": "72e0d03841a2df80b58860af2ac3fa7aa99b0297f06b40167f08588e9005698d",
+    },
+}
+
+
 def digests(out) -> dict:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -157,6 +185,38 @@ def test_canonical_bytes(tmp_path, config, cmd):
     res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path)] + CONFIGS[config])
     assert res.exit_code == 0, res.output
     assert digests(tmp_path) == GOLDEN[config][cmd]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_bytes(tmp_path, workload):
+    cmd, overrides = WORKLOADS[workload]
+    res = CliRunner().invoke(main, [cmd, "--out", str(tmp_path)] + [a for kv in overrides for a in ("--set", kv)])
+    assert res.exit_code == 0, res.output
+    assert digests(tmp_path) == WORKLOAD_GOLDEN[workload]
+
+
+def _literal(node, names: dict):
+    """The value of a literal tuple, string or dict node of workloads.py, with its names resolved."""
+    if isinstance(node, ast.Name):
+        return names[node.id]
+    if isinstance(node, ast.Tuple):
+        return tuple(_literal(e, names) for e in node.elts)
+    if isinstance(node, ast.Dict):
+        return {_literal(k, names): _literal(v, names) for k, v in zip(node.keys, node.values)}
+    if isinstance(node, ast.Call):  # Workload(command, overrides, ...)
+        return tuple(_literal(a, names) for a in node.args[:2])
+    return ast.literal_eval(node)
+
+
+def test_the_workloads_are_the_benchmarks():
+    # read, not imported: the benchmark's workloads as written in its source
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, (ast.Tuple, ast.Dict)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            names[target.id] = _literal(node.value, names)
+    assert names["WORKLOADS"] == WORKLOADS
 
 
 # the one message of bern-cusp-cap's curve: it names the cap and the last breakpoint, not a u

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scale_function, two_pass_modulus
@@ -12,6 +12,7 @@ from bernapprox.errors import DomainEvaluationError, InsufficientDataError, Para
 from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.functions import CATALOG_NAMES, UNIT_INTERVAL, TargetFunction, builtin_catalog, trial_function
 from bernapprox.modulus import (
+    FRAME,
     ModulusProfile,
     _raw_modulus,
     default_delta_grid,
@@ -157,7 +158,7 @@ class TestProfile:
 
 
 class TestRawModulusBlocks:
-    """At 257 x points the h rows go in blocks; neither a bit nor the memory bound may move."""
+    """At 257 x points the 65 h rows go in two blocks; neither a bit nor the memory bound may move."""
 
     def test_blocks_match_one_pass_bit_for_bit(self):
         f = trial_function(0.5, 0.5)
@@ -168,19 +169,43 @@ class TestRawModulusBlocks:
             d = np.abs(f(XS[None, :] + hs[:, None] * sig[None, :]) - base[None, :])
             assert _raw_modulus(f, XS, base, sig, delta, 65) == (float(np.max(d)), float(np.max(d[::2, ::2])))
 
-    def test_temporaries_stay_in_64_kib_blocks(self):
-        # a few live temporaries of at most 64 KiB each; one pass over 65 x 257
-        # points holds four of 134 KB (536 KB)
+    def test_the_frame_and_the_evaluators_temporaries_set_the_peak(self):
+        # the frame of at most FRAME floats and the cusp's two temporaries of its size
+        # are about 3 frames, for the kernel and a profile alike, which also holds a
+        # few arrays of x: 35 of 65 h rows on 257 x, and 2 of 129 on 4097 x, where one
+        # frame of every row would take 4.2 MB
         f = trial_function(0.5, 0.5)
-        sig = bernoulli_family().sigma(XS)
-        base = f(XS)
-        tracemalloc.start()
-        try:
-            _raw_modulus(f, XS, base, sig, 0.3, 65)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**16
+        fam = bernoulli_family()
+        for xs, h_size in ((XS, 65), (np.linspace(0.0, 1.0, 4097), 129)):
+            sig, base = fam.sigma(xs), f(xs)
+            frame = min(h_size, FRAME // xs.size) * xs.size * 8
+            for run in (lambda: _raw_modulus(f, xs, base, sig, 0.3, h_size),
+                        lambda: modulus_profile(f, fam.sigma, default_delta_grid(17, 2.0), xs, h_size)):
+                tracemalloc.start()
+                try:
+                    run()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 3.25 * frame + 3 * xs.nbytes
+
+    @given(name=st.sampled_from(CATALOG_NAMES), family=st.sampled_from(["bernoulli", "poisson"]),
+           x_size=st.integers(33, 513), h_size=st.integers(1, 32).map(lambda i: 4 * i + 1),
+           small=st.floats(1e-4, 1.0), wide=st.floats(1.5, 4.0))
+    @settings(max_examples=60, deadline=None)
+    @example(name="power-cusp", family="bernoulli", x_size=513, h_size=129, small=1e-4, wide=4.0)
+    @example(name="exp-decay", family="poisson", x_size=33, h_size=5, small=1.0, wide=1.5)
+    def test_the_blocks_equal_the_two_pass_oracle(self, name, family, x_size, h_size, small, wide):
+        # (fine, coarse) per delta, bit for bit the oracle's; the wide delta steps
+        # past each finite end of f's interval, so the in-place clamp is read
+        fam = bernoulli_family() if family == "bernoulli" else poisson_family()
+        f = builtin_catalog(name)
+        xs = np.linspace(0.0, 1.0 if family == "bernoulli" else 64.0, x_size)
+        sig, deltas = fam.sigma(xs), [0.0, small, wide]
+        reach = xs + np.array([[-wide], [wide]]) * sig
+        assert reach.min() < f.interval.a and (reach.max() > f.interval.b or not f.interval.finite)
+        fine, coarse, _, _ = two_pass_modulus(f, fam.sigma, deltas, xs, h_size)
+        assert [_raw_modulus(f, xs, f(xs), sig, d, h_size) for d in deltas] == list(zip(fine, coarse))
 
     def test_a_non_finite_value_names_its_point(self):
         # f is NaN past 0.7: a block whose max is not finite is evaluated again

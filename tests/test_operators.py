@@ -554,12 +554,17 @@ class TestBatchedSweep:
              seed=0)
     @example(kind="poisson", n=4096, ends=WORKLOAD_ENDS, size=257, spread=False, which=[0, 1], tol=1e-12,
              seed=0)
+    @example(kind="poisson", n=4096, ends=WORKLOAD_ENDS, size=257, spread=False, which=[0, 1, 2], tol=1e-12,
+             seed=0)
+    @example(kind="bernoulli", n=CHUNK // 2, ends=(0.0, 1.0), size=2, spread=False, which=[3, 0, 1],
+             tol=1e-12, seed=0)
     def test_chunks_equal_the_per_x_sums(self, kind, n, ends, size, spread, which, tol, seed):
         # a Bernoulli grid in [1e-3, 1 - 1e-3] and a Poisson grid in [1e-3, 64], spread at
         # random or evenly between two ends; the first example's Szasz windows are
         # wider than LATTICE_BLOCK, the next two put one row in a chunk, at n = 256
-        # the CHUNK budget cuts the chunks, and the last two are the Poisson/exp-decay
-        # workload's grid, whose rows are chunks of their own
+        # the CHUNK budget cuts the chunks, and the last four put every row in a
+        # chunk of its own: the Poisson/exp-decay workload's grid with two, two and
+        # three functions, and the two ends of the Bernoulli x-domain with three
         xs = batch_grid(kind, ends, size, spread, seed)
         fs = [BATCH_FUNCTIONS[kind][i % len(BATCH_FUNCTIONS[kind])] for i in which]
         values, _ = _exact_sums(fs, kind, n, xs, tol)
@@ -572,14 +577,14 @@ class TestBatchedSweep:
     @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, seed=0)
     def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, seed):
         # every weight of a row's window, in the frames of a sweep with no function,
-        # whose lattice holds only the ratio bases
+        # whose lattice holds only the ratio bases; a one-row chunk's frame is 1-d
         xs = batch_grid(kind, ends, size, spread, seed)
         lo, hi = bernstein_window(kind, n, xs, 1e-12)
         oracle = per_x_pmf_kernel(kind, n)
         for s, e, a, w, p, _ in frames(kind, n, xs, lo, hi, ()):
-            assert p.shape == (0, e - s, w.shape[1])
+            assert p.shape == (0,) + w.shape and w.ndim == (1 if e - s == 1 else 2)
             for i in range(s, e):
-                got = w[i - s, lo[i] - a:hi[i] - a + 1]
+                got = w.reshape(e - s, -1)[i - s, lo[i] - a:hi[i] - a + 1]
                 assert got.tolist() == oracle(float(xs[i]), int(lo[i]), int(hi[i])).tolist()
 
     @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**14),
@@ -589,7 +594,7 @@ class TestBatchedSweep:
     def test_the_chunks_tile_the_grid_within_the_budget(self, kind, n, ends, size, spread, seed):
         # the chunks cover the rows in order, each row's window inside its chunk's
         # k range, and a chunk of more rows than one holds 3 or more, modes close
-        # to its first row's and a frame of at most CHUNK floats
+        # to its first row's and a frame of at most CHUNK floats and CHUNK // 8 points
         xs = batch_grid(kind, ends, size, spread, seed)
         lo, hi = bernstein_window(kind, n, xs, 1e-12)
         modes = row_modes(kind, n, xs, lo, hi)
@@ -599,7 +604,7 @@ class TestBatchedSweep:
             assert s < e and a <= lo[s:e].min() and hi[s:e].max() <= b
             if e - s > 1:
                 assert e - s >= 3 and np.abs(modes[s:e] - modes[s]).max() <= CHUNK // 32
-                assert (e - s) * (b - a + 1) <= CHUNK
+                assert (e - s) * (b - a + 1) <= CHUNK and b - a + 1 <= CHUNK // 8
 
     def test_a_window_that_dips_between_neighbours_keeps_every_float(self):
         # on 33 x one ulp apart, rounding lowers hi by one point from one x to the
@@ -630,8 +635,9 @@ class TestBatchedSweep:
         assert CHUNK // 2 < max((e - s) * (b - a + 1) for s, e, a, b in chunks) <= CHUNK
         ends = batch_grid("bernoulli", (0.0, 1.0), 2, False, 0)
         assert [(s, e) for s, e, *_ in chunk_frames("bernoulli", CHUNK // 2, ends)] == [(0, 1), (1, 2)]
-        rows = [(s, e) for s, e, *_ in chunk_frames("poisson", 1024, workload_grid())]
-        assert rows == [(i, i + 1) for i in range(257)]
+        for n in (1024, 4096):
+            rows = [(s, e) for s, e, *_ in chunk_frames("poisson", n, workload_grid())]
+            assert rows == [(i, i + 1) for i in range(257)]
 
     @pytest.mark.parametrize("kind, n", [("poisson", 4096), ("bernoulli", 4096), ("poisson", 2**14)])
     def test_f_is_read_once_per_lattice_point(self, kind, n):
@@ -676,7 +682,7 @@ def chunk_frames(kind: str, n: int, xs: np.ndarray) -> list[tuple[int, int, int,
     """(s, e, a, b) of every chunk that families.frames yields for the windows of xs
     at n and tail_tol 1e-12: its rows s..e-1 and its k range [a, b]."""
     lo, hi = bernstein_window(kind, n, xs, 1e-12)
-    return [(s, e, a, a + w.shape[1] - 1) for s, e, a, w, _, _ in frames(kind, n, xs, lo, hi, ())]
+    return [(s, e, a, a + w.shape[-1] - 1) for s, e, a, w, _, _ in frames(kind, n, xs, lo, hi, ())]
 
 
 def row_modes(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
