@@ -10,10 +10,10 @@ variance of either law.  ``frames`` plans a sweep over a grid of x and
 yields it chunk by chunk: the rows of a chunk, their k range, their runs
 of one window, the frame of pmf weights and its products with f(k/n).  The
 pmf takes the mode terms from Loader's saddle-point form and every other
-term by a ratio recurrence out of the mode, so nothing can overflow and no
-log-gamma sum amplifies rounding with n.  The chunk plan, the modes, the
-lattice of ratio bases and f values, and the band fill all live here; a
-consumer only sums.
+term by one ratio recurrence out of the mode for both laws, P(k) / P(k-1) =
+x_up / L[k], so nothing can overflow and no log-gamma sum amplifies
+rounding with n.  The chunk plan, the modes, the lattice of L[k] and f
+values, and the band fill all live here; a consumer only sums.
 
 For the tail calculus this module gives the Bernoulli log-MGF
 ``zeta_log_mgf`` and jump bound ``zeta_bound``, and the Poisson conjugate
@@ -145,36 +145,32 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     Row i anchors at its mode, floor((n+1)x) or floor(nx) clipped into the
     window, whose pmf comes from Loader's saddle-point form ("Fast and
-    Accurate Computation of Binomial Probabilities", 2000).  Both sides follow
-    by cumulative products of the pmf ratios, (n-k+1)/k * x/(1-x) or nx/k
-    going up and their inverses going down.  Every ratio away from the mode
-    is at most 1, so no term can overflow, far terms underflow to 0, and
-    rounding grows with the distance from the mode, not with n.
+    Accurate Computation of Binomial Probabilities", 2000).  Both laws follow
+    one recurrence, P(k) / P(k-1) = x_up / L[k], with x_up = x/(1-x) and
+    L[k] = k/(n+1-k) for Binomial, x_up = nx and L[k] = k for Poisson: the
+    ratio into k is x_up / L[k] going up and L[k+1] / x_up going down.  Every
+    ratio away from the mode is at most 1, so no term can overflow, far terms
+    underflow to 0, and rounding grows with the distance from the mode, not
+    with n.
 
-    A lattice buffer holds the x-free half of the ratios at k = fa..fb, then
-    f(k/n) per f: (n-k+1)/k and (k+1)/(n-k), into k from k - 1 and from k + 1,
-    for Binomial; k alone for Poisson, whose ratio into k from k + 1 reads
-    k + 1 one column on.  The up ratio is read only right of a mode and the
-    down ratio only left of one, so the Binomial infinities at k = 0 and k = n
-    are never read.  A chunk past fb slides the buffer up to its lowest k,
+    A lattice buffer holds the base row L[k] at k = fa..fb, then f(k/n) per
+    f.  No L[k] of k in [0, n] has a zero denominator, and L[0] = 0 is never
+    read: the up ratio is read only right of a mode and the down ratio only
+    left of one.  A chunk past fb slides the buffer up to its lowest k,
     keeping what it holds from there, and fills it ahead in pieces of at most
     LATTICE_BLOCK points, so each lattice point is evaluated once per f.
-    One ufunc call per side scales the bases by each row's x-factor into the
+    One division per side takes the base row and each row's x_up into the
     frame, the mode column takes the rows' pmfs, and one cumulative product
     per side multiplies it out; a one-row chunk makes just these calls on a
     1-d row and the Python floats of lists built once per sweep.  Between a
     chunk's smallest and largest mode the up pass reads 1.0 left of each
     row's mode, and a band multiplied down from the largest mode reads 1.0
-    right of it and is then copied in.  A product with 1.0 is exact, so every
-    weight is the float a row of its own gives.
+    right of it and is then copied in; with one mode the band is the one
+    column of the pmfs.  A product with 1.0 is exact, so every weight is the
+    float a row of its own gives.
     """
-    if kind == "bernoulli":
-        modes, base_rows, shift = np.floor((n + 1) * xs), 2, 0
-        ratio, x_up, x_down = np.multiply, xs / (1.0 - xs), (1.0 - xs) / xs
-    else:
-        ratio, x_up, base_rows, shift = np.divide, n * xs, 1, 1
-        modes, x_down = np.floor(x_up), x_up
-    modes = np.minimum(np.maximum(modes, lo), hi).astype(np.int64)
+    x_up = xs / (1.0 - xs) if kind == "bernoulli" else n * xs
+    modes = np.clip(np.floor((n + 1) * xs if kind == "bernoulli" else x_up), lo, hi).astype(np.int64)
     mode_pmfs = _mode_pmfs(kind, n, xs, modes)
     starts = _chunk_starts(lo, hi, modes)
     ends = np.append(starts[1:], xs.size)
@@ -187,12 +183,12 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     r0 = np.searchsorted(run, starts)
     plan = zip(starts.tolist(), ends.tolist(), ca.tolist(), cb.tolist(), m0.tolist(), m1.tolist(),
                r0.tolist(), np.append(r0[1:], run.size).tolist())
-    row_up, row_down, row_pmf = x_up.tolist(), x_down.tolist(), mode_pmfs.tolist()  # one-row chunks' scalars
+    row_up, row_pmf = x_up.tolist(), mode_pmfs.tolist()  # one-row chunks' scalars
     rows, width = ends - starts, cb - ca + 1
     frame, band = np.empty(int(np.max(rows * width))), np.empty(int(np.max(rows * (m1 - m0 + 1))))
     prod = np.empty((len(fs), frame.size))
     fa, fb, top = 0, -1, int(np.max(hi))
-    lattice = np.empty((base_rows + len(fs), min(int(np.max(width)) + LATTICE_BLOCK, top - int(np.min(lo)) + 1)))
+    lattice = np.empty((1 + len(fs), min(int(np.max(width)) + LATTICE_BLOCK, top - int(np.min(lo)) + 1)))
     iota = np.arange(min(LATTICE_BLOCK, lattice.shape[1]), dtype=float)
     for s, e, a, b, mode0, mode1, r0, r1 in plan:
         if a < fa or b > fb:  # slide the buffer to start at a, keeping what it holds from a on
@@ -201,59 +197,46 @@ def frames(kind: str, n: int, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             fa, fb = a, min(a + lattice.shape[1] - 1, top)
             for k0 in range(a + keep, fb + 1, LATTICE_BLOCK):
                 piece = lattice[:, k0 - a:min(k0 + LATTICE_BLOCK, fb + 1) - a]
-                if kind == "bernoulli":
-                    k = np.arange(k0, k0 + piece.shape[1], dtype=float)
-                    with np.errstate(divide="ignore"):  # k = 0 and k = n give inf, which is never read
-                        np.divide((n + 1.0) - k, k, out=piece[0])
-                        np.divide(k + 1.0, n - k, out=piece[1])
-                else:  # the base row is k itself
-                    k = np.add(iota[:piece.shape[1]], k0, out=piece[0])
-                if fs:  # with no f the last row is a base row
+                k = np.add(iota[:piece.shape[1]], k0, out=piece[0])
+                if fs:  # with no f the last row is the base row
                     x = np.divide(k, n, out=piece[-1])  # k/n, until the last f overwrites it
-                    del k
-                    for row, f in zip(piece[base_rows:], fs):
+                    for row, f in zip(piece[1:], fs):
                         row[:] = eval_clamped(f, x)
+                if kind == "bernoulli":  # L[k] = k/(n+1-k); for Poisson it is k itself
+                    np.divide(k, (n + 1.0) - k, out=k)
         c, o0, o1, wd = a - fa, mode0 - a, mode1 - a, b - a + 1  # the frame's lattice column, the modes' columns
         if e - s == 1:  # one row, 1-d from end to end: its frame is its window
             w, p = frame[:wd], prod[:, :wd]
-            ratio(row_up[s], lattice[0, c + o0 + 1:c + wd], out=w[o0 + 1:])
-            ratio(lattice[base_rows - 1, c + shift:c + shift + o0], row_down[s], out=w[:o0])
+            np.divide(row_up[s], lattice[0, c + o0 + 1:c + wd], out=w[o0 + 1:])
+            np.divide(lattice[0, c + 1:c + o0 + 1], row_up[s], out=w[:o0])
             w[o0] = row_pmf[s]
             u, v = w[o0:], w[o0::-1]
             np.multiply.accumulate(u, out=u)
             np.multiply.accumulate(v, out=v)
-            np.multiply(w, lattice[base_rows:, c:c + wd], out=p)
+            np.multiply(w, lattice[1:, c:c + wd], out=p)
         else:
             lat = lattice[:, c:c + wd]
-            up, down = lat[0], lat[base_rows - 1, shift:]
             w = frame[:(e - s) * wd].reshape(e - s, wd)
-            xu, xd, pm = x_up[s:e, None], x_down[s:e, None], mode_pmfs[s:e]
-            ratio(xu, up[o0 + 1:], out=w[:, o0 + 1:])
-            ratio(down[:o0], xd, out=w[:, :o0])
-            if o1 == o0:  # one mode: both passes start at it
-                w[:, o0] = pm
-                u, v = w[:, o0:], w[:, o0::-1]
-                np.multiply.accumulate(u, axis=1, out=u)
-                np.multiply.accumulate(v, axis=1, out=v)
-            else:
-                d = band[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
-                ratio(down[o0:o1], xd, out=d[:, :-1])
-                m = modes[s:e]
-                k = np.arange(mode0, mode1 + 1)
-                left = k < m[:, None]
-                np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
-                np.copyto(d, 1.0, where=k > m[:, None])
-                i, j = np.arange(e - s), m - mode0
-                w[i, o0 + j] = pm
-                d[i, j] = pm
-                np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
-                np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
-                if o0:  # carry the band's last product into the rows' common down side
-                    w[:, o0 - 1] *= d[:, 0]
-                    np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
-                np.copyto(w[:, o0:o1 + 1], d, where=left)
+            d = band[:(e - s) * (o1 - o0 + 1)].reshape(e - s, o1 - o0 + 1)
+            xu, m, pm = x_up[s:e, None], modes[s:e], mode_pmfs[s:e]
+            np.divide(xu, lat[0, o0 + 1:], out=w[:, o0 + 1:])
+            np.divide(lat[0, 1:o0 + 1], xu, out=w[:, :o0])
+            np.divide(lat[0, o0 + 1:o1 + 1], xu, out=d[:, :-1])
+            k = np.arange(mode0, mode1 + 1)
+            left = k < m[:, None]
+            np.copyto(w[:, o0:o1 + 1], 1.0, where=left)
+            np.copyto(d, 1.0, where=k > m[:, None])
+            i, j = np.arange(e - s), m - mode0
+            w[i, o0 + j] = pm
+            d[i, j] = pm
+            np.multiply.accumulate(w[:, o0:], axis=1, out=w[:, o0:])
+            np.multiply.accumulate(d[:, ::-1], axis=1, out=d[:, ::-1])
+            if o0:  # carry the band's last product into the rows' common down side
+                w[:, o0 - 1] *= d[:, 0]
+                np.multiply.accumulate(w[:, o0 - 1::-1], axis=1, out=w[:, o0 - 1::-1])
+            np.copyto(w[:, o0:o1 + 1], d, where=left)
             p = prod[:, :w.size].reshape(len(fs), e - s, wd)
-            np.multiply(w, lat[base_rows:, None], out=p)
+            np.multiply(w, lat[1:, None], out=p)
         yield s, e, a, w, p, runs[r0:r1]
 
 

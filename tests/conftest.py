@@ -82,26 +82,21 @@ def family_pmf(fam: Family, x: float, n: int, k):
 
 def per_x_pmf_kernel(kind: str, n: int):
     """Oracle for the weights of ``families.frames``, one x at a time: weights(x, lo, hi) =
-    P(n*S_n = k) for k = lo..hi, from the ratio recurrence out of the mode
-    min(max(floor((n+1)x) or floor(nx), lo), hi), whose pmf is ``mode_pmf``."""
-    if kind == "bernoulli":
-        k = np.arange(1, n + 1, dtype=float)
-        up_base = (n - k + 1.0) / k  # ratio into k, k = 1..n
-        k = np.arange(0, n, dtype=float)
-        down_base = (k + 1.0) / (n - k)  # ratio into k from k + 1, k = 0..n-1
+    P(n*S_n = k) for k = lo..hi by the one recurrence P(k) / P(k-1) = x_up / L[k], with
+    x_up = x/(1-x) and L[k] = k/(n+1-k) (Binomial) or x_up = nx and L[k] = k (Poisson),
+    out of the mode min(max(floor((n+1)x) or floor(nx), lo), hi), whose pmf is ``mode_pmf``.
+    It checks the chunking, not the accuracy: the exact-rational, log-gamma and mpmath
+    references do that."""
+    bern = kind == "bernoulli"
 
     def weights(x: float, lo: int, hi: int) -> np.ndarray:
-        mu = n * x
-        m = min(max(math.floor((n + 1) * x if kind == "bernoulli" else mu), lo), hi)
+        k = np.arange(lo, hi + 1, dtype=float)
+        lk, x_up = (k / ((n + 1.0) - k), x / (1.0 - x)) if bern else (k, n * x)
+        m = min(max(math.floor((n + 1) * x if bern else n * x), lo), hi)
         i = m - lo
-        ratios = np.empty(hi - lo + 1)
-        if kind == "bernoulli":
-            ratios[i + 1:] = up_base[m:hi] * (x / (1.0 - x))
-            ratios[:i] = down_base[lo:m] * ((1.0 - x) / x)
-        else:
-            k = np.arange(lo, hi + 1, dtype=float)
-            ratios[i + 1:] = mu / k[i + 1:]
-            ratios[:i] = (k[:i] + 1.0) / mu
+        ratios = np.empty(k.size)
+        ratios[i + 1:] = x_up / lk[i + 1:]  # into k from k - 1
+        ratios[:i] = lk[1:i + 1] / x_up  # into k from k + 1
         ratios[i] = mode_pmf(kind, n, x, m)
         w = np.empty(ratios.size)
         w[i:] = np.cumprod(ratios[i:])

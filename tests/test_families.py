@@ -206,6 +206,30 @@ class TestScaledSumPmf:
         assert np.all(np.abs(w[ks] - exact)[normal] <= tol[normal])
         assert np.all(w[ks][~normal] <= 1e-280)
 
+    @pytest.mark.parametrize("kind,n,x", [("bernoulli", n, x) for n in (16, 1000, 2**16, 2**22)
+                                          for x in (1e-3, 0.3, 0.5, 0.999)]
+                             + [("poisson", 1, mu) for mu in (1e-3, 0.7, 30.0, 1e4, 2.0**22 * 64)])
+    def test_weights_match_mpmath_pmfs(self, kind, n, x):
+        # the same rule as against exact rationals, where those are too slow: up
+        # to n = 2^22 and Poisson means up to 2^22 * 64, on the windows of 1e-12
+        import mpmath
+        (lo,), (hi,) = bernstein_window(kind, n, np.array([x]), 1e-12)
+        w = row_weights(kind, n, x, lo, hi)
+        m = math.floor((n + 1) * x if kind == "bernoulli" else n * x)
+        ks = sorted(set(np.linspace(lo, hi, 65).astype(int).tolist())
+                    | set(range(max(m - 4, lo), min(m + 5, hi + 1))))
+        with mpmath.workdps(40):
+            mx, nf = mpmath.mpf(x), mpmath.mpf(n)
+            if kind == "bernoulli":
+                logs = [mpmath.loggamma(nf + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(nf - k + 1)
+                        + k * mpmath.log(mx) + (nf - k) * mpmath.log1p(-mx) for k in ks]
+            else:
+                logs = [k * mpmath.log(nf * mx) - nf * mx - mpmath.loggamma(k + 1) for k in ks]
+            exact = np.array([float(mpmath.exp(v)) for v in logs])
+        ks = np.array(ks)
+        tol = (16.0 + 4.0 * np.abs(ks - n * x)) * np.finfo(float).eps * exact
+        assert np.all(exact >= 1e-290) and np.all(np.abs(w[ks - lo] - exact) <= tol)
+
     @given(n=st.integers(1, 2**16), log_x=st.floats(math.log(1e-6), math.log(0.5)),
            mirror=st.booleans())
     @settings(max_examples=60, deadline=None)

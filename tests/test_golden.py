@@ -73,17 +73,17 @@ GOLDEN = {
     },
     "bern-cusp": {
         "run": {
-            "report.json": "595992022d294d9ceb17c480f7703aeaac16043d5a4f57bddd34e1e0310afb51",
-            "table.csv": "dd232cc3642727aee1fc6a08c09a59cee9818e0807b8b748d61db8df4d8fff0c",
+            "report.json": "6e841e7a0d7665c9e25d7c2de344a5748e2c70d4c3f0ee7409fae2d6d7d4b850",
+            "table.csv": "a2c759c2f22d593ef596bb5d8d70c91dc8ddbffbea2116f3e895340123017858",
         },
         "bound": {
-            "bound.csv": "f45af55fa8b63e67f8a2a66695c7cc3640f91be1e734a1ca0b8b6201c95d54e3",
-            "bound.json": "e6642d2d1fca3bc913ee2ed9a5441e626d88e2b75c1ad378ed9fb5b05f73ed53",
+            "bound.csv": "bdddfd0feb96de538cd557d6fd43832cb28046fdec699b5ff08051e6191a4813",
+            "bound.json": "e5436fb6a1b3dbc9e46c57ba18eebede6cb3bbaf4865212f24565cdf23118596",
         },
         "evaluate": {
-            "evaluate.json": "c21ab33bc2b911c8438570ce7b58ba87fd095cff8941d9d999e6c543426d8628",
-            "evaluate_n16.csv": "815b4350c3dc635299de757cf55f5c446721abb1bdf631eb1e0870f3c1ad8965",
-            "evaluate_n64.csv": "7852e1e9fe5ee8f5f651684b4cd500099e6bbef03ff7c9de30f1fdd04afe8564",
+            "evaluate.json": "a762fcb2ba66897f2999c40fe821064be32a3701c96736683727af728a963331",
+            "evaluate_n16.csv": "c94f5452d2bca24b2e5da0db0c5b8381848156aa24af9c232483252f6a84f4e8",
+            "evaluate_n64.csv": "11ceae687505ca6a5647a5d79d47f384e33ddb3dad0805508f117f2c7c4450c3",
         },
         "modulus": {
             "modulus.csv": "cc3158734925023807a1528017fd52912cc90461d00fc8146743de0d0c031b6e",
@@ -96,17 +96,17 @@ GOLDEN = {
     },
     "bern-cusp-cap": {
         "run": {
-            "report.json": "c8ef4e7045177406505982f0d44679ab6cb4894bcbf1cb3e1e0de5ce8f9f9895",
-            "table.csv": "61f909487f03af6b105f0c74215ce5d1bdad4ef890ef88e8179c10bff1595e55",
+            "report.json": "269265e8c62768dc2afa056ea8390f5152f73aed8030ee48204659b49583fa88",
+            "table.csv": "0f449eab458b63771413e01c28d4b05b66d930b6e40707fe6221cfe7449579c0",
         },
         "bound": {
-            "bound.csv": "5a14b9d594089ba0ab20bad627a59e6a3b1e804e8fd6f2fb8a7c78689ae189a9",
-            "bound.json": "0a191b53d875b9a758d2c5b0dc9f0f70e18104ed3c3e563f504f0472849e7902",
+            "bound.csv": "4725dd9b3d2bedf690915bd900bcfc28576210366a3632dbade0b19d1ef50a6a",
+            "bound.json": "2d395eb450420f47b66c9ad8da43afb487a1677dcf8c5b8f29c81b8a63646d1c",
         },
         "evaluate": {
-            "evaluate.json": "335886e06932b8e8451f97b0f88fe0f404af5631af3deb1679e9039eeae72b1b",
-            "evaluate_n16.csv": "815b4350c3dc635299de757cf55f5c446721abb1bdf631eb1e0870f3c1ad8965",
-            "evaluate_n64.csv": "7852e1e9fe5ee8f5f651684b4cd500099e6bbef03ff7c9de30f1fdd04afe8564",
+            "evaluate.json": "6828d3326febcb6aca6179e07b58d8d351c47eeec974da643a95cc09785133fe",
+            "evaluate_n16.csv": "c94f5452d2bca24b2e5da0db0c5b8381848156aa24af9c232483252f6a84f4e8",
+            "evaluate_n64.csv": "11ceae687505ca6a5647a5d79d47f384e33ddb3dad0805508f117f2c7c4450c3",
         },
         "modulus": {
             "modulus.csv": "c5f72d798a3dd050f7a3eb0f30c3a056be901b594e03cfb398a320999c07be82",
@@ -154,16 +154,16 @@ WORKLOADS = {
 
 WORKLOAD_GOLDEN = {
     "bern-cusp-run": {
-        "report.json": "ffda21ce5476e7f3a24a8ddccf2f2d1edf4d3d17877799927a17029a5ecfcf03",
-        "table.csv": "e1484ab0d82955ec10f567fa071bd784115b29b708867cf02eaf79d8220b5aeb",
+        "report.json": "41d4d44d2cc5e546751fbdb0a0d9450062e6222d5d1a886e2d2100b355ce704f",
+        "table.csv": "be3a9d52762101156d637247973bb0542543107584d20686e8f416253cf57320",
     },
     "poisson-szasz-run": {
         "report.json": "e123f5ec2ee65eaddfe55350612e7c3aa5da1d7f499383b50a5876af5e205d31",
         "table.csv": "b993e9561b929261c8c8d8a5ba78ddd5493bd644869874b6cfe44b33d9757a09",
     },
     "bern-square-bound": {
-        "bound.csv": "7a8023306a019856137d3f142c607fe128856ad03850c12f6c6fb4e83aebc660",
-        "bound.json": "72e0d03841a2df80b58860af2ac3fa7aa99b0297f06b40167f08588e9005698d",
+        "bound.csv": "cb4497a9b38d68721c17e4c8706e650656fb5bf7cdd977bfc1722005b285b92b",
+        "bound.json": "5710f47ef8a7a733faa636839e79a45f667e6cc77afc72c59af809938cc6a84b",
     },
 }
 

@@ -6,10 +6,12 @@ writing the CLI's bytes."""
 import ast
 import importlib
 import importlib.util
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_golden import CONFIGS
@@ -17,7 +19,9 @@ from test_golden import CONFIGS
 from bernapprox import config as cfgmod
 from bernapprox.bounds import hdt_bound
 from bernapprox.experiments import ExperimentConfig, Study
-from bernapprox.operators import MAX_BERNSTEIN_N
+from bernapprox.families import bernoulli_family, poisson_family
+from bernapprox.functions import builtin_catalog
+from bernapprox.operators import MAX_BERNSTEIN_N, sup_error
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bernapprox"
@@ -265,6 +269,60 @@ def test_n_bound_guard_catches_a_stale_readme():
     k = MAX_BERNSTEIN_N.bit_length() - 1
     readme = (ROOT / "README.md").read_text(encoding="utf-8").replace(f"[1, 2^{k}]", f"[1, 2^{k - 2}]")
     assert set(stated_n_bounds(readme).values()) == {2 ** (k - 2), MAX_BERNSTEIN_N}
+
+
+def stated_accuracy(readme: str) -> dict[str, float]:
+    """The README's measured errors of the exact sums: "at most X on the
+    Szasz-MGF identity" and "Y on `B_n[x^2]`"."""
+    readme = " ".join(readme.split())  # a statement may wrap
+    szasz = re.search(r"at most (\S+) on the Szasz-MGF identity", readme)
+    square = re.search(r"(\S+) on `B_n\[x\^2\]`", readme)
+    return {"szasz": float(szasz.group(1)), "square": float(square.group(1))}
+
+
+def measured_accuracy() -> dict[str, float]:
+    """The worst error on 257 x: of B_n[x^2] against x^2 + x(1-x)/n for n = 2^4..2^22,
+    and of the Szasz-MGF identity E exp(-N/n) = exp(nx expm1(-1/n)) for n = 2^4..2^16
+    (2^17..2^22 would add about 2 s)."""
+    square, szasz = 0.0, 0.0
+    xs = np.linspace(1e-3, 1.0 - 1e-3, 257)
+    for n in (2**e for e in range(4, MAX_BERNSTEIN_N.bit_length())):
+        got = sup_error(builtin_catalog("square"), bernoulli_family(), n, xs).values
+        square = max(square, float(np.max(np.abs(got - xs**2 - xs * (1.0 - xs) / n))))
+    xs = np.linspace(1.0, 64.0, 257)
+    for n in (2**e for e in range(4, 17)):
+        got = sup_error(builtin_catalog("exp-decay"), poisson_family(), n, xs).values
+        szasz = max(szasz, float(np.max(np.abs(got - np.exp(n * xs * math.expm1(-1.0 / n))))))
+    return {"szasz": szasz, "square": square}
+
+
+def stale_accuracy(stated: dict[str, float], measured: dict[str, float]) -> set[str]:
+    """The figures that do not describe the measured errors: the B_n[x^2] figure is
+    its worst error rounded up to two digits, and the Szasz-MGF figure, which
+    also covers n up to 2^22, is at least the worst error up to 2^16."""
+    unit = 10.0 ** (math.floor(math.log10(measured["square"])) - 1)
+    rounded_up = float(f"{math.ceil(measured['square'] / unit) * unit:.1e}")
+    return {name for name, stale in (("square", stated["square"] != rounded_up),
+                                     ("szasz", stated["szasz"] < measured["szasz"])) if stale}
+
+
+@pytest.fixture(scope="module")
+def accuracy() -> dict[str, float]:
+    return measured_accuracy()
+
+
+def test_stated_accuracy_agrees_with_the_operators(accuracy):
+    stated = stated_accuracy((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert stale_accuracy(stated, accuracy) == set()
+
+
+def test_accuracy_guard_catches_a_stale_readme(accuracy):
+    # twice the B_n[x^2] figure, and a Szasz-MGF figure below the measured error
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = stated_accuracy(readme)
+    readme = re.sub(r"\S+(\s+on `B_n)", rf"{2 * stated['square']:.1e}\1", readme)
+    readme = re.sub(r"(at\s+most\s+)\S+(\s+on\s+the\s+Szasz)", rf"\g<1>{accuracy['szasz'] / 2:.1e}\2", readme)
+    assert stale_accuracy(stated_accuracy(readme), accuracy) == {"square", "szasz"}
 
 
 def test_no_numerical_integration_in_the_package():

@@ -505,7 +505,7 @@ class TestSharedSweep:
         assert sweep_peak(builtin_catalog("square"), bernoulli_family(), 65536) <= 3.5 * 2**20
 
     def test_bernstein_sweep_stays_bounded_at_the_largest_n(self):
-        # at n = 2^22 no array spans [0, n], 32 MiB each: the ratio bases are built per
+        # at n = 2^22 no array spans [0, n], 32 MiB each: the base row L[k] is built per
         # lattice block, here one window of at most about 15,500 points; peaks near 0.8 MiB
         assert sweep_peak(builtin_catalog("square"), bernoulli_family(), MAX_BERNSTEIN_N) <= 4 * 2**20
 
@@ -525,6 +525,13 @@ def sweep_peak(f, fam, n: int) -> int:
 
 
 WORKLOAD_ENDS = ((1.0 - 1e-3) / (64.0 - 1e-3), 1.0)  # batch_grid's fractions for x in [1, 64]
+# batch_grid's fractions for x in [0.3, 0.3001] (Bernoulli) and [5.3, 5.30001] (Poisson): 40 such x
+# share one mode at n = 16 and at n = 1000
+ONE_MODE_ENDS = {"bernoulli": ((0.3 - 1e-3) / (1.0 - 2e-3), (0.3001 - 1e-3) / (1.0 - 2e-3)),
+                 "poisson": ((5.3 - 1e-3) / (64.0 - 1e-3), (5.30001 - 1e-3) / (64.0 - 1e-3))}
+# (kind, n, tail_tol): at 1e-12 the Szasz windows at n = 1000 are too wide to share a chunk
+ONE_MODE_CASES = [("bernoulli", 16, 1e-12), ("bernoulli", 1000, 1e-12), ("poisson", 16, 1e-12),
+                  ("poisson", 1000, 1e-6)]
 BATCH_FUNCTIONS = {
     "bernoulli": [builtin_catalog("square"), builtin_catalog("sine", freq=3.0),
                   builtin_catalog("power-cusp", x0=0.3, alpha=0.5), trial_function(0.5, 0.5, UNIT_INTERVAL)],
@@ -558,13 +565,22 @@ class TestBatchedSweep:
              seed=0)
     @example(kind="bernoulli", n=CHUNK // 2, ends=(0.0, 1.0), size=2, spread=False, which=[3, 0, 1],
              tol=1e-12, seed=0)
+    @example(kind="bernoulli", n=16, ends=ONE_MODE_ENDS["bernoulli"], size=40, spread=False, which=[0, 2],
+             tol=1e-12, seed=0)
+    @example(kind="bernoulli", n=1000, ends=ONE_MODE_ENDS["bernoulli"], size=40, spread=False, which=[0, 2],
+             tol=1e-12, seed=0)
+    @example(kind="poisson", n=16, ends=ONE_MODE_ENDS["poisson"], size=40, spread=False, which=[0, 1],
+             tol=1e-12, seed=0)
+    @example(kind="poisson", n=1000, ends=ONE_MODE_ENDS["poisson"], size=40, spread=False, which=[0, 1],
+             tol=1e-6, seed=0)
     def test_chunks_equal_the_per_x_sums(self, kind, n, ends, size, spread, which, tol, seed):
         # a Bernoulli grid in [1e-3, 1 - 1e-3] and a Poisson grid in [1e-3, 64], spread at
         # random or evenly between two ends; the first example's Szasz windows are
         # wider than LATTICE_BLOCK, the next two put one row in a chunk, at n = 256
-        # the CHUNK budget cuts the chunks, and the last four put every row in a
+        # the CHUNK budget cuts the chunks, the next four put every row in a
         # chunk of its own: the Poisson/exp-decay workload's grid with two, two and
-        # three functions, and the two ends of the Bernoulli x-domain with three
+        # three functions, and the two ends of the Bernoulli x-domain with three,
+        # and the last four make chunks of many rows with one mode (ONE_MODE_CASES)
         xs = batch_grid(kind, ends, size, spread, seed)
         fs = [BATCH_FUNCTIONS[kind][i % len(BATCH_FUNCTIONS[kind])] for i in which]
         values, _ = _exact_sums(fs, kind, n, xs, tol)
@@ -577,7 +593,7 @@ class TestBatchedSweep:
     @example(kind="bernoulli", n=4096, ends=(0.0, 1.0), size=33, spread=False, seed=0)
     def test_chunk_weights_equal_the_per_x_weights(self, kind, n, ends, size, spread, seed):
         # every weight of a row's window, in the frames of a sweep with no function,
-        # whose lattice holds only the ratio bases; a one-row chunk's frame is 1-d
+        # whose lattice holds only the base row L[k]; a one-row chunk's frame is 1-d
         xs = batch_grid(kind, ends, size, spread, seed)
         lo, hi = bernstein_window(kind, n, xs, 1e-12)
         oracle = per_x_pmf_kernel(kind, n)
@@ -639,6 +655,15 @@ class TestBatchedSweep:
             rows = [(s, e) for s, e, *_ in chunk_frames("poisson", n, workload_grid())]
             assert rows == [(i, i + 1) for i in range(257)]
 
+    @pytest.mark.parametrize("kind, n, tol", ONE_MODE_CASES)
+    def test_the_one_mode_examples_make_multi_row_chunks(self, kind, n, tol):
+        # 40 x inside one mode: every chunk holds more than one row, all anchored at
+        # one mode, so the band between its smallest and largest mode is one column
+        xs = batch_grid(kind, ONE_MODE_ENDS[kind], 40, False, 0)
+        modes = row_modes(kind, n, xs, *bernstein_window(kind, n, xs, tol))
+        chunks = chunk_frames(kind, n, xs, tol)
+        assert xs.size == 40 and np.unique(modes).size == 1 and all(e - s > 1 for s, e, *_ in chunks)
+
     @pytest.mark.parametrize("kind, n", [("poisson", 4096), ("bernoulli", 4096), ("poisson", 2**14)])
     def test_f_is_read_once_per_lattice_point(self, kind, n):
         # the windows of neighbouring x overlap: on the workload grid at n = 4096
@@ -678,10 +703,10 @@ def counting(f: TargetFunction) -> tuple[TargetFunction, list]:
     return dataclasses.replace(f, evaluator=evaluator), seen
 
 
-def chunk_frames(kind: str, n: int, xs: np.ndarray) -> list[tuple[int, int, int, int]]:
+def chunk_frames(kind: str, n: int, xs: np.ndarray, tol: float = 1e-12) -> list[tuple[int, int, int, int]]:
     """(s, e, a, b) of every chunk that families.frames yields for the windows of xs
-    at n and tail_tol 1e-12: its rows s..e-1 and its k range [a, b]."""
-    lo, hi = bernstein_window(kind, n, xs, 1e-12)
+    at n and tail_tol tol: its rows s..e-1 and its k range [a, b]."""
+    lo, hi = bernstein_window(kind, n, xs, tol)
     return [(s, e, a, a + w.shape[-1] - 1) for s, e, a, w, _, _ in frames(kind, n, xs, lo, hi, ())]
 
 
