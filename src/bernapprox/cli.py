@@ -37,8 +37,6 @@ from .experiments import (
     write_report,
     write_timings,
 )
-from .families import RNG_NAME
-from .tails import empirical_half_width
 
 BOUND_COLUMNS = ("n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio")
 
@@ -164,14 +162,16 @@ def modulus(study: Study, outdir: Path):
 @main.command()
 @_study_command
 def tail(study: Study, outdir: Path):
-    """Tail curve: CSV columns u, value, half_width plus a JSON header."""
+    """Tail curve on the z grid: CSV columns u, value plus a JSON header.
+
+    The exact-law source is the exact sup over run.n_grid of the law at
+    tail.x plus the dropped mass, not a bound over the x-domain; every other
+    source is a bound uniform in n."""
     cfg, curve, us = study.cfg, study.curve, study.z_grid
-    hw = empirical_half_width(curve, us) if curve.kind == "empirical" else [None] * us.size
-    write_csv(outdir / "tail.csv", ["u", "value", "half_width"], zip(us, curve.at(us), hw))
+    write_csv(outdir / "tail.csv", ["u", "value"], zip(us, curve.at(us)))
     write_json(outdir / "tail.json", {
         **_echo(cfg), "method": curve.kind, "z_max": study.z_max,
-        "lambda_cap": curve.params.get("lambda_cap"),
-        "n_max": cfg.tail_n_max, "rng": RNG_NAME,
+        "lambda_cap": curve.params.get("lambda_cap"), "n_max": cfg.tail_n_max,
     })
     click.echo(f"tail: wrote {curve.kind} curve ({us.size} points) to {outdir}")
 

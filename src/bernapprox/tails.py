@@ -10,6 +10,11 @@ larger n, a bound from phi's chords and Bennett's inequality (``make_nu``).
 The Poisson conjugate is a closed form (``poisson_curve``).  Every function
 of the chain, and every curve read ``TailCurve.at``, takes an array.
 
+``exact_law_curve`` is not a bound but the law itself at one x: the exact
+sup over a set of n of P(|zeta_n(x)| > u), from the operator sweep's own
+weights, plus the mass their windows drop.  It holds for that x and those
+n only, not over the x-domain.
+
 Conjugation is a discrete Legendre transform over supporting lines.  nu is
 evaluated once, on lambda = 0 plus ``tail.lambda_size - 1`` geometric points
 up to a cap that doubles while the maximizer sits on its end; each point
@@ -39,9 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundaryWarning, ParameterError
-from .families import (
-    RNG_NAME, Family, normalized_sum_samples, poisson_conjugate, spawn_rngs, zeta_bound, zeta_log_mgf,
-)
+from .families import Family, bernstein_window, frames, poisson_conjugate, zeta_bound, zeta_log_mgf
 
 DEFAULT_LAMBDA_CAP = 50.0
 DEFAULT_LAMBDA_GRID_SIZE = 1001
@@ -69,8 +72,9 @@ class TailCurve:
     """Nonincreasing curve u -> Q(u) with Q(0) <= 1, read through ``fn``.
 
     ``at`` caps ``fn`` at 1 over an array of u.  Each builder owns its
-    curve's form: a closed form, the supporting lines of a conjugate, or an
-    empirical step rule.
+    curve's form: a closed form, the supporting lines of a conjugate, or the
+    step rule of the exact law at one x, which is the sup over a set of n of
+    that law plus its dropped mass and not a bound over the x-domain.
     """
 
     kind: str
@@ -367,62 +371,39 @@ def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
 
 
 # ---------------------------------------------------------------------------
-# Empirical ATF
+# The exact law at one x
 # ---------------------------------------------------------------------------
 
-def empirical_atf(
-    fam: Family,
-    x: float,
-    us,
-    n_set: Sequence[int],
-    trials: int,
-    seed,
-) -> TailCurve:
-    """Empirical sup over n of P(|zeta_n| > u), strict inequality as in the
-    tail definition; each n gets its own child generator split from the
-    root seed via SeedSequence.spawn.
+def exact_law_curve(fam: Family, x: float, n_set: Sequence[int], tol: float) -> TailCurve:
+    """max over n of n_set of P(|zeta_n(x)| > u), plus tol for the dropped mass:
+    the exact law at one x, strict inequality as in the tail definition.
 
-    The frequencies on the grid ``us`` are made nonincreasing and capped at 1,
-    and the curve reads them by the right-continuous step rule: at u it is
-    the value of the largest grid point <= u, and the last one past the
-    grid.  Below the grid it is 1, the only value that dominates every tail
-    there.  ``empirical_half_width`` gives one binomial standard error of
-    that value.
+    Each n takes the weights of ``frames`` on its Bernstein window of tol,
+    which drops at most tol of the mass.  Lattice point k leaves the tail at
+    its breakpoint |k - nx| / (sigma(x) sqrt(n)), so the curve is a
+    right-continuous step curve over the breakpoints of every n: at u it is
+    the value of the largest breakpoint <= u, and below them all the largest
+    window mass.  A read is one binary search.  It holds for this x and these
+    n only, so it is not a bound over the x-domain or over every n.
     """
+    x = fam.check_x(x)
     ns = sorted(set(int(n) for n in n_set))
     if not ns:
         raise ParameterError("n_set must be nonempty")
-    if trials < 10_000:
-        raise ParameterError(f"trials must be >= 10^4, got {trials}")
-    us = np.asarray(us, dtype=float)
-    if us.ndim != 1 or us.size < 1 or np.any(np.diff(us) <= 0) or np.any(us < 0):
-        raise ParameterError("u grid must be 1-d, nonnegative, strictly increasing")
-    rngs = spawn_rngs(seed, len(ns))
-    freqs = np.zeros((len(ns), us.size))
-    for row, (n, rng) in enumerate(zip(ns, rngs)):
-        z = np.abs(normalized_sum_samples(fam, x, n, trials, rng))
-        freqs[row] = np.mean(z[None, :] > us[:, None], axis=1)
-    vals = np.minimum(1.0, np.maximum.accumulate(freqs.max(axis=0)[::-1])[::-1])  # enforce nonincreasing
-    steps = np.concatenate([[1.0], vals])  # steps[i] holds from us[i - 1] on
+    xs, sig = np.array([x]), float(fam.sigma(x))
+    laws = []
+    for n in ns:
+        lo, hi = bernstein_window(fam.kind, n, xs, tol)
+        ((_, _, a, w, _, _),) = frames(fam.kind, n, xs, lo, hi, ())
+        z = np.abs(np.arange(a, a + w.size) - n * x) / (sig * math.sqrt(n))
+        order = np.argsort(z)
+        # mass[i]: the weight of the i-th smallest breakpoint and of every larger one
+        laws.append((z[order], np.append(np.cumsum(w[order][::-1])[::-1], 0.0)))
+    breaks = np.unique(np.concatenate([z for z, _ in laws]))
+    steps = tol + np.max([mass[np.concatenate(([0], np.searchsorted(z, breaks, side="right")))]
+                          for z, mass in laws], axis=0)  # steps[i] holds from breaks[i - 1] on
 
     def fn(u):
-        return steps[np.searchsorted(us, u, side="right")]
+        return steps[np.searchsorted(breaks, u, side="right")]
 
-    return TailCurve(
-        kind="empirical",
-        fn=fn,
-        params={
-            "x": x,
-            "n_set": ns,
-            "trials": trials,
-            "seed": seed,
-            "rng": RNG_NAME,
-            "splitting": "seedsequence-spawn",
-        },
-    )
-
-
-def empirical_half_width(curve: TailCurve, u) -> np.ndarray:
-    """One binomial standard error sqrt(Q (1 - Q) / trials) of an empirical curve at u."""
-    q = curve.at(u)
-    return np.sqrt(q * (1.0 - q) / curve.params["trials"])
+    return TailCurve(kind="exact-law", fn=fn, params={"x": x, "n_set": ns, "tol": tol})

@@ -4,12 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.stats
 from scipy.special import gammaln
 
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.families import (
-    _LN_SQRT_2PI, _S0, _S1, _S2, _S3, _S4, LATTICE_BLOCK, Family, _check_n, bernstein_window,
-    normalized_sum_samples, spawn_rngs,
+    _S0, _S1, _S2, _S3, _S4, LATTICE_BLOCK, Family, _check_n, bernstein_window,
 )
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
 from bernapprox.tails import (
@@ -152,10 +152,19 @@ def mode_pmf(kind: str, n: int, x: float, m: int) -> float:
     return math.exp(-stirlerr(m) - bd0(m, mu)) / math.sqrt(2.0 * math.pi * m)
 
 
+# stirlerr at k = 1..15, the floats nearest mpmath's values at 50 digits
+STIRLERR_SMALL = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+
 def stirlerr(k: int) -> float:
-    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k): lgamma up to 15, the Stirling series above."""
+    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k): a table of exact constants up to 15, the Stirling series above."""
     if k <= 15:
-        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
+        return STIRLERR_SMALL[k - 1]
     kk = float(k) * k
     if k > 500:
         return (_S0 - _S1 / kk) / k
@@ -312,21 +321,27 @@ def brute_force_conjugate_curve(
                      params={"lambda_cap": float(grid[-1]), "lambda_grid_size": int(grid.size)})
 
 
-def empirical_table(fam: Family, x: float, u_grid, n_set, trials: int, seed):
-    """Oracle for ``empirical_atf``'s table on u_grid: per n, from its spawned
-    child generator, the frequency of |zeta_n| > u; the max over n, made
-    nonincreasing from the right and capped at 1; and one binomial standard
-    error of each value.  Returns (values, half_widths)."""
-    us = [float(u) for u in u_grid]
-    ns = sorted(set(int(n) for n in n_set))
-    vals = [0.0] * len(us)
-    for n, rng in zip(ns, spawn_rngs(seed, len(ns))):
-        z = np.abs(normalized_sum_samples(fam, x, n, trials, rng))
-        vals = [max(v, float(np.mean(z > u))) for v, u in zip(vals, us)]
-    for i in range(len(us) - 2, -1, -1):
-        vals[i] = max(vals[i], vals[i + 1])
-    vals = np.minimum(1.0, vals)
-    return vals, np.sqrt(vals * (1.0 - vals) / trials)
+def law_breakpoints(fam: Family, x: float, n: int, tol: float) -> np.ndarray:
+    """The breakpoints |k - nx| / (sigma(x) sqrt(n)) of ``exact_law_curve`` for one n:
+    one per lattice point k of the Bernstein window of tol, in k order."""
+    (lo,), (hi,) = bernstein_window(fam.kind, n, np.array([x]), tol)
+    return np.abs(np.arange(lo, hi + 1) - n * x) / (float(fam.sigma(x)) * math.sqrt(n))
+
+
+def law_tail(kind: str, n: int, x: float, u: float) -> float:
+    """Oracle for the exact law: P(|K - nx| > u sigma(x) sqrt(n)) for K ~ Binomial(n, x)
+    or Poisson(nx), from scipy's survival function and cdf.  Which lattice points lie
+    past u is decided by the curve's own breakpoint expression, so that a u on a
+    breakpoint splits the lattice as the curve does; a Poisson point beyond u + 12
+    standard deviations and 50 more is left out, which for u <= 12 drops less than 1e-30."""
+    sig = math.sqrt(x * (1.0 - x)) if kind == "bernoulli" else math.sqrt(x)
+    mu, scale = n * x, sig * math.sqrt(n)
+    reach = (u + 12.0) * scale + 50.0
+    k = np.arange(max(0, math.floor(mu - reach)), n + 1 if kind == "bernoulli" else math.ceil(mu + reach) + 1)
+    past = np.abs(k - mu) / scale > u
+    up, down = k[past & (k > mu)], k[past & (k < mu)]
+    law = scipy.stats.binom(n, x) if kind == "bernoulli" else scipy.stats.poisson(mu)
+    return (float(law.sf(up[0] - 1)) if up.size else 0.0) + (float(law.cdf(down[-1])) if down.size else 0.0)
 
 
 def step_read(u_grid, table, u: float, below: float) -> float:

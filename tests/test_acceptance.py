@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import POISSON_PHI, fenchel_conjugate, hdt_bound_exp
+from conftest import POISSON_PHI, fenchel_conjugate, hdt_bound_exp, law_breakpoints
 
 from bernapprox.bounds import hdt_bound, lower_bound_constant
 from bernapprox.cli import main as cli_main
@@ -18,7 +18,7 @@ from bernapprox.experiments import ExperimentConfig, Study, validity_check
 from bernapprox.families import bernoulli_family, poisson_conjugate, poisson_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.operators import sup_error
-from bernapprox.tails import PowerTailSpec, empirical_atf, empirical_half_width, power_tail_curve
+from bernapprox.tails import PowerTailSpec, exact_law_curve, power_tail_curve
 
 # x = 0.01 .. 0.99 in steps of 0.01: the x-domain ends short of 0 and 1, where sigma vanishes
 MATRIX_FAMILY = bernoulli_family(0.01)
@@ -148,18 +148,18 @@ def test_criterion_7_lower_bound_constant_and_trajectory():
 
 
 def test_criterion_8_atf_dominance():
+    # Hoeffding holds exactly for Rademacher sums, so the exact law at x = 1/2, n = 1..64, lies at
+    # or below min(1, 2 exp(-u^2/2)) with no allowance; a tolerance of 1e-300, which no window of
+    # these n reaches, keeps the curve the law itself.  Each step is read at its right end
     t0 = time.perf_counter()
-    us = np.arange(0.5, 4.01, 0.5)
-    curve = empirical_atf(
-        bernoulli_family(), 0.5, us, [1, 2, 4, 8, 16, 32, 64], 100_000, seed=20240809
-    )
-    worst_excess = -math.inf
-    for u, v, hw in zip(us, curve.at(us), empirical_half_width(curve, us)):
-        bound = min(1.0, 2.0 * math.exp(-u * u / 2.0)) + 3.0 * hw
-        worst_excess = max(worst_excess, v - bound)
+    fam, ns = bernoulli_family(), range(1, 65)
+    breaks = np.unique(np.concatenate([law_breakpoints(fam, 0.5, n, 1e-300) for n in ns]))
+    us = np.nextafter(breaks[1:], 0.0)
+    excess = exact_law_curve(fam, 0.5, ns, 1e-300).at(us) - np.minimum(1.0, 2.0 * np.exp(-us * us / 2.0))
+    worst_excess = float(np.max(excess))
     elapsed = time.perf_counter() - t0
     ok = worst_excess <= 0.0 and elapsed < 60.0
-    _report(8, ok, f"empirical ATF below 2exp(-u^2/2)+3se, "
+    _report(8, ok, f"exact tail law below min(1, 2exp(-u^2/2)) at {us.size} step ends, "
                    f"worst excess {worst_excess:.3e}, {elapsed:.1f}s")
 
 

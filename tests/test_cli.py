@@ -133,14 +133,15 @@ class TestUsageErrors:
         (["grids.delta_size=8"], "grids.delta_size"),
         (["tail.p=-1"], "tail.p"),
         (["tail.k=0"], "tail.k"),
-        (["tail.trials=9999"], "tail.trials"),
+        (["tail.trials=9999"], "tail.trials"),  # a key the schema no longer has is refused as unknown
         (["run.mc_trials=99"], "run.mc_trials"),
         (["run.seed=-1"], "run.seed"),
         (["run.mode=monte-carlo", "run.seed=-1"], "run.seed"),
-        (["tail.source=empirical", "tail.x=7"], "tail.x"),
+        (["tail.source=exact-law", "tail.x=7"], "tail.x"),
+        (["tail.source=empirical"], "tail.source"),
     ], ids=["name", "alpha-5", "alpha-0", "x0", "trial-alpha", "trial-x0", "square-freq", "x_max-inf",
             "x_min-nan", "x_size", "delta_size", "p", "k", "trials", "mc_trials", "seed", "mc-seed",
-            "tail-x"])
+            "tail-x", "empirical-source"])
     def test_function_and_trial_keys_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
         # ExperimentConfig rejects them, so every subcommand does, whatever it reads
         args = [a for kv in sets for a in ("--set", kv)]
@@ -407,34 +408,25 @@ class TestOtherSubcommands:
                                    "--set", "function.name=exp-decay", "--set", "grids.z_size=65"])
         assert res.exit_code == 0, res.output
         lines = (out / "tail.csv").read_text().splitlines()
-        assert lines[0] == "u,value,half_width"
+        assert lines[0] == "u,value"
         header = json.loads((out / "tail.json").read_text())
         assert header["method"] == "poisson-conjugate"
-        assert header["rng"] == "pcg64"
+        assert "rng" not in header  # no tail source draws
 
-    def test_empirical_tail_has_half_widths(self, runner, tmp_path):
-        out = tmp_path / "o"
-        res = runner.invoke(main, ["tail", "--out", str(out),
-                                   "--set", "tail.source=empirical",
-                                   "--set", "tail.trials=10000",
-                                   "--set", "run.n_grid=1,4,16",
-                                   "--set", "grids.z_size=65"])
-        assert res.exit_code == 0, res.output
-        rows = (out / "tail.csv").read_text().splitlines()[1:]
-        assert any(r.rsplit(",", 1)[1] != "" for r in rows)
-
-    def test_empirical_half_width_is_read_like_the_value(self, runner, tmp_path):
-        # both columns take the curve's step rule, so each half-width is the
-        # binomial standard error of the value beside it
-        out = tmp_path / "o"
-        res = runner.invoke(main, ["tail", "--out", str(out), "--set", "tail.source=empirical",
-                                   "--set", "tail.trials=10000", "--set", "run.n_grid=4,16"])
-        assert res.exit_code == 0, res.output
-        rows = list(csv.DictReader((out / "tail.csv").read_text().splitlines()))
-        assert len(rows) == 257
-        for r in rows:
-            v = float(r["value"])
-            assert float(r["half_width"]) == np.sqrt(v * (1.0 - v) / 10_000), r
+    @pytest.mark.parametrize("sets", [
+        [], ["family.kind=poisson", "function.name=exp-decay"],
+        ["function.name=power-cusp", "function.alpha=0.5", "family.eps=0.05", "trial.x0=0.5", "trial.alpha=0.5"],
+    ], ids=["default", "poisson-exp", "bern-cusp-run"])
+    def test_exact_law_source_warns_nothing_and_ends_below_the_cap(self, runner, tmp_path, sets):
+        # its windows drop half the floor at most, so Q falls below the floor past the last breakpoint
+        args = [a for kv in sets + ["tail.source=exact-law"] for a in ("--set", kv)]
+        for cmd in ("run", "bound", "tail"):
+            res = runner.invoke(main, [cmd, "--out", str(tmp_path / cmd), *args])
+            assert res.exit_code == 0, res.output
+            assert "warning" not in res.stderr
+        header = json.loads((tmp_path / "tail" / "tail.json").read_text())
+        assert header["method"] == "exact-law"
+        assert 0.0 < header["z_max"] < header["config"]["tail_z_cap"]
 
     def test_bound_table_columns(self, runner, tmp_path):
         out = tmp_path / "o"

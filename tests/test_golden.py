@@ -50,94 +50,94 @@ CONFIGS = {
 GOLDEN = {
     "bern-mc": {
         "run": {
-            "report.json": "ff5458db58f8ccc986a6d1589f7147e86e51a109579097a69137b33d2a1a923e",
+            "report.json": "ede036695d6f8fb838907d4420dbd7d638772ae90c8a66201f87eeb9eb1d82c4",
             "table.csv": "a4be35909c87bc28fef0d48b4b39d4e46618b2d7133e36a8e88d62a56463bbbf",
         },
         "bound": {
             "bound.csv": "8e147f62a6e39194275880d2ce7b8c187ec983d108781bcabe5fe11a4b804e24",
-            "bound.json": "b0d02cfdb069ffa86a906e424ed6fdbccc533c0c3ca1ed94abd03b3b4fed8623",
+            "bound.json": "7e0fc42aee9335c4af12c2c8522a9bf24624e80327c4c9155ee35273db365069",
         },
         "evaluate": {
-            "evaluate.json": "2f02f5b615f486a5d3683175c8b951497e882c704a6e0a58baee016782c693f9",
+            "evaluate.json": "42301e53cbb6f5bfd69f623ea05431664d23233f4b4ad60dec18b71c1f041458",
             "evaluate_n16.csv": "3cb5e402ccff87a1725f2891b048dba622d9e41aa503f292226225a872faceda",
             "evaluate_n64.csv": "5e9d38c7c19be22dc0dc65cf3a81e3a4fcb182dcb4295623393cd4bfa2932250",
         },
         "modulus": {
             "modulus.csv": "6d0440af0369a309df04aa5aa60840cccce481987d1aa86a9e9fc96fff4ef2ec",
-            "modulus.json": "a279e83f145e5eeebe0c9d0838307c202aedcf98c3f4a5d6d8f0fe76076ab4d5",
+            "modulus.json": "834d4f99f2eca0d13d79155e7be6838fb1d64100978a0dc4a9e6156c62834822",
         },
         "tail": {
-            "tail.csv": "9599110b616e1b55a5185ccbb82fe7dfecc3351cd9419cbfb5aaca5a54baab2c",
-            "tail.json": "78cd31f920e7a44b8e7814d1a9c7d93dfd043eb72dac34cfe18314aeeec8a04d",
+            "tail.csv": "bf935eaf8a1f05c4607d3cdcbbee69c1f5052a76e2c97cad03d9fc18445a7c05",
+            "tail.json": "9fd121d8fbfe7d7cb7349ae95848d30fa6d729f3708c2be5f2bfc847a25ab1dc",
         },
     },
     "bern-cusp": {
         "run": {
-            "report.json": "6e841e7a0d7665c9e25d7c2de344a5748e2c70d4c3f0ee7409fae2d6d7d4b850",
-            "table.csv": "a2c759c2f22d593ef596bb5d8d70c91dc8ddbffbea2116f3e895340123017858",
+            "report.json": "67860f094a96ae0ecf64c311fffac14883b31692ccac418c953bba2eb7be767f",
+            "table.csv": "0f2f4cfac495bb6965f1669afd0a60af81e1d99bcbe24eca83425bad5dc60aad",
         },
         "bound": {
-            "bound.csv": "bdddfd0feb96de538cd557d6fd43832cb28046fdec699b5ff08051e6191a4813",
-            "bound.json": "e5436fb6a1b3dbc9e46c57ba18eebede6cb3bbaf4865212f24565cdf23118596",
+            "bound.csv": "8d1f0a020efe08902d28d04095935badc1c5aa5e0853d4bba6afe082e40eced8",
+            "bound.json": "c409ec838385ca9e619aec78b968e27f0849e601863c9b3f4b07883f7037e817",
         },
         "evaluate": {
-            "evaluate.json": "a762fcb2ba66897f2999c40fe821064be32a3701c96736683727af728a963331",
-            "evaluate_n16.csv": "c94f5452d2bca24b2e5da0db0c5b8381848156aa24af9c232483252f6a84f4e8",
-            "evaluate_n64.csv": "11ceae687505ca6a5647a5d79d47f384e33ddb3dad0805508f117f2c7c4450c3",
+            "evaluate.json": "75f5bd9d1322eedff5a356bd4b2fc327bcce89d893bdbd54fcd2d3ad27ff8ded",
+            "evaluate_n16.csv": "70deb08798518dad1e301e9ba6d0fbf74b9ac50d43d8816b09f80b53e3e50632",
+            "evaluate_n64.csv": "270a5fbbe9430860a800bc5f963029309531cd9f7ddac8168647cbc8f65503ad",
         },
         "modulus": {
             "modulus.csv": "cc3158734925023807a1528017fd52912cc90461d00fc8146743de0d0c031b6e",
-            "modulus.json": "de7c016a854852da4049fce21bb92822186b47b60fdb9443708513a9c7f68e1f",
+            "modulus.json": "ccf86733b5942973163aec6abdf05b31159df149efe7ada9d9db4d4cd166e560",
         },
         "tail": {
-            "tail.csv": "e3d064e40ac45577f05adb88843c71fca64aaf0e740d20056a22e9b0c1254ca5",
-            "tail.json": "d8c52c7986801b46d9e08b41d8591643c7f8c826e97e3e6438288910d6d53cb0",
+            "tail.csv": "870d0d9f452050aee55bf595c40d3b43595909b0626f9ae0d8e0fdce3c865105",
+            "tail.json": "af2d9cad522e4c4e6ea23b2ce69e0093d01d75589271cc7249dee1b3013b4b06",
         },
     },
     "bern-cusp-cap": {
         "run": {
-            "report.json": "269265e8c62768dc2afa056ea8390f5152f73aed8030ee48204659b49583fa88",
-            "table.csv": "0f449eab458b63771413e01c28d4b05b66d930b6e40707fe6221cfe7449579c0",
+            "report.json": "1aa59ac50ed51f9e7b7ae71a861968d423375e046f384af935093472340fb730",
+            "table.csv": "a8feb0f0e10ff633dce97fe9bad78fe1d38d3198e266d1ff14359a73aa1bb315",
         },
         "bound": {
-            "bound.csv": "4725dd9b3d2bedf690915bd900bcfc28576210366a3632dbade0b19d1ef50a6a",
-            "bound.json": "2d395eb450420f47b66c9ad8da43afb487a1677dcf8c5b8f29c81b8a63646d1c",
+            "bound.csv": "63aec4fe21810e804e06c6c923766558cbb1d8765842c785b10ca7fe6f4abde0",
+            "bound.json": "5f771ffe945f7af7c972229676da8bfd51f506f77215e776764a531af3f12390",
         },
         "evaluate": {
-            "evaluate.json": "6828d3326febcb6aca6179e07b58d8d351c47eeec974da643a95cc09785133fe",
-            "evaluate_n16.csv": "c94f5452d2bca24b2e5da0db0c5b8381848156aa24af9c232483252f6a84f4e8",
-            "evaluate_n64.csv": "11ceae687505ca6a5647a5d79d47f384e33ddb3dad0805508f117f2c7c4450c3",
+            "evaluate.json": "fd969ed55b74034e5f5bc6702581b52fa33c76cd9a3fcb671b6f6989d6b05ed4",
+            "evaluate_n16.csv": "70deb08798518dad1e301e9ba6d0fbf74b9ac50d43d8816b09f80b53e3e50632",
+            "evaluate_n64.csv": "270a5fbbe9430860a800bc5f963029309531cd9f7ddac8168647cbc8f65503ad",
         },
         "modulus": {
             "modulus.csv": "c5f72d798a3dd050f7a3eb0f30c3a056be901b594e03cfb398a320999c07be82",
-            "modulus.json": "ef5733c0461552f487bc9714f5ef6d18268443b9756d797ec794bb88e887ef41",
+            "modulus.json": "f0fe6fc49612400dc78c5fb9f0c50f24e0bc4fdf7e5e9c458f865b7637cceec8",
         },
         "tail": {
-            "tail.csv": "70d6a5b211c4a1fc58c9595e1f14ab3fb209d9f8c4dc9bce10b5434f10e63dfe",
-            "tail.json": "9660db5dc81fbc0f6401f796f2834550ae93a6209afeee923a8cbbf92cc98d34",
+            "tail.csv": "82786a17b27895c0370a1535753f581bf53a6df3212c70765a01ee8443694853",
+            "tail.json": "78a1e7053fa6a2bb3136dcdf44b48a3710f454755c3abbf1efb473e227efc012",
         },
     },
     "poisson-exp": {
         "run": {
-            "report.json": "37db1151069b0f71b3ce071d376c9efb427ae1f25130b10e1dff03c9eb29f738",
+            "report.json": "ef3abe41cd55ce93a57cd12e31b624529748aff2e07f9882cff8f3e0412aec3b",
             "table.csv": "22ba548b6d063d04a8bc2fd9381349de4cb882c521fae433c87ea5197d4a3fa7",
         },
         "bound": {
             "bound.csv": "8ed5791d11389448b61b7d7989ed3858ff41a6d99c74522f8e4100bc98fd94f6",
-            "bound.json": "7c7e81c0fc805cefd0cdc733fb1a9412b3bd10f7b6a4db6b12deed60921a868b",
+            "bound.json": "6eb9c5b184f0a246bbde94a9df461dc67eb9f7a12036eb8ad936d66cf18d7223",
         },
         "evaluate": {
-            "evaluate.json": "e18e3846026f057b5ab6731d0e73740de516a1021823bf16178bf99a1eb7b4a1",
+            "evaluate.json": "7205222e09de8ccbcc309edda0b86a1de7a39fc924875b3d8ecb40bb2be2bcea",
             "evaluate_n16.csv": "5e278149afc2cec8e7f725b716eaf8bf24c1ef857e6e6fa71f8f8227d5f30d07",
             "evaluate_n64.csv": "7cca47681cb8605bf0c99e86c5493cd572acfdfc7a7a5f550aa1dee7a68ee28c",
         },
         "modulus": {
             "modulus.csv": "0de8a9fe2592d7dc5980edd65270a4c064d60e3c3e79115e783cf324750ab77e",
-            "modulus.json": "d0a0c575cf45d8a9cf3aade37f82d77cd4a08b6f2e768ba70d924aec44116ac1",
+            "modulus.json": "cac7fc71a78c9d434777fa97b66476b8cb15fcd07688f6c51b1c012d499cae5b",
         },
         "tail": {
-            "tail.csv": "67d53ee5f782bdecbe7d483716d6478ecfc84e4caa72c841461f49ff4d0ff964",
-            "tail.json": "01d8cc70750773426b58b937fcfb596051a08b137f5ceeb4fbdbf94457aa56d7",
+            "tail.csv": "cb4892de452f6632e205950d95e45584d74acf6ad1282ca5b24690aaf3ef0845",
+            "tail.json": "77a773fcd4a59c6057bb02b23349c28ca57e63d875c8d8200227245eee6e5830",
         },
     },
 }
@@ -154,16 +154,16 @@ WORKLOADS = {
 
 WORKLOAD_GOLDEN = {
     "bern-cusp-run": {
-        "report.json": "41d4d44d2cc5e546751fbdb0a0d9450062e6222d5d1a886e2d2100b355ce704f",
-        "table.csv": "be3a9d52762101156d637247973bb0542543107584d20686e8f416253cf57320",
+        "report.json": "0bed2606baebab7cae6c95f7b9677e84184edf9d4ee5f1d23d50a29c731ddce3",
+        "table.csv": "88cd32fb624de6c6a5d122c0764912fcc308f01cfdf4fa48f959eb4dcff841f1",
     },
     "poisson-szasz-run": {
-        "report.json": "e123f5ec2ee65eaddfe55350612e7c3aa5da1d7f499383b50a5876af5e205d31",
+        "report.json": "6a651b3eb1f7cf8ed89507954e7a58a81c6a2efc8e96139c5be0701af72785d2",
         "table.csv": "b993e9561b929261c8c8d8a5ba78ddd5493bd644869874b6cfe44b33d9757a09",
     },
     "bern-square-bound": {
-        "bound.csv": "cb4497a9b38d68721c17e4c8706e650656fb5bf7cdd977bfc1722005b285b92b",
-        "bound.json": "5710f47ef8a7a733faa636839e79a45f667e6cc77afc72c59af809938cc6a84b",
+        "bound.csv": "73fedb9f51dc1abc5fe967d4b6535ccba10ee1412c5aae1b059a5ef8411c52e8",
+        "bound.json": "f5bdf7ed5b44c819b0ef3d7afa1224c4a47a9e756b1d80dc39820d2f84c4e0a2",
     },
 }
 

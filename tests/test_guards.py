@@ -325,6 +325,50 @@ def test_accuracy_guard_catches_a_stale_readme(accuracy):
     assert stale_accuracy(stated_accuracy(readme), accuracy) == {"square", "szasz"}
 
 
+# the CSV each subcommand writes, on a small config
+CSV_OF = {"evaluate": "evaluate_n16.csv", "modulus": "modulus.csv", "tail": "tail.csv", "bound": "bound.csv"}
+
+
+def stated_csv_headers(readme: str) -> dict[str, str]:
+    """The CSV header the README's Subcommands paragraph gives each of CSV_OF's
+    subcommands: the first comma-joined code span after "`cmd` (" ."""
+    text = " ".join(readme.split("\nSubcommands:", 1)[1].split("\n\n", 1)[0].split())
+    return {m.group(1): m.group(2) for m in re.finditer(r"`(\w+)` \(.*?`(\w+(?:,\w+)+)`", text)
+            if m.group(1) in CSV_OF}
+
+
+def stale_csv_headers(stated: dict[str, str], written: dict[str, str]) -> set[str]:
+    return {cmd for cmd in CSV_OF if stated.get(cmd) != written[cmd]}
+
+
+@pytest.fixture(scope="module")
+def written_csv_headers(tmp_path_factory) -> dict[str, str]:
+    from click.testing import CliRunner
+
+    from bernapprox.cli import main
+
+    small = ["grids.x_size=33", "grids.delta_size=9", "grids.z_size=33", "tail.lambda_size=301", "run.n_grid=16"]
+    headers = {}
+    for cmd, name in CSV_OF.items():
+        out = tmp_path_factory.mktemp(cmd)
+        res = CliRunner().invoke(main, [cmd, "--out", str(out)] + [a for kv in small for a in ("--set", kv)])
+        assert res.exit_code == 0, res.output
+        headers[cmd] = (out / name).read_text(encoding="utf-8").split("\n", 1)[0]
+    return headers
+
+
+def test_readme_csv_headers_are_the_written_ones(written_csv_headers):
+    stated = stated_csv_headers((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert stale_csv_headers(stated, written_csv_headers) == set()
+
+
+def test_csv_header_guard_catches_a_stale_readme(written_csv_headers):
+    # a column the tail CSV no longer writes, and a bound column missing
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = readme.replace("`u,value`", "`u,value,half_width`").replace(",empirical,ratio`", ",ratio`")
+    assert stale_csv_headers(stated_csv_headers(readme), written_csv_headers) == {"tail", "bound"}
+
+
 def test_no_numerical_integration_in_the_package():
     assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
 
@@ -358,7 +402,7 @@ def test_cli_reads_every_number_from_the_study():
 
 def test_cli_import_guard_catches_an_added_import():
     text = (SRC / "cli.py").read_text(encoding="utf-8")
-    anchor = "from .tails import empirical_half_width\n"
+    anchor = "from .errors import BernApproxError, ParameterError\n"
     assert anchor in text
     added = text.replace(anchor, anchor + "from .modulus import holder_seminorm\n")
     assert imported_modules(added) & BELOW_THE_STUDY == {"modulus"}

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    POISSON_PHI, brute_force_conjugate_curve, empirical_table, fenchel_conjugate, gaussian_curve, poisson_log_mgf,
-    poisson_nu, scalar_z_max, step_read,
+    POISSON_PHI, brute_force_conjugate_curve, fenchel_conjugate, gaussian_curve, law_breakpoints, law_tail,
+    poisson_log_mgf, poisson_nu, scalar_z_max, step_read,
 )
 
 from bernapprox import config as cfgmod
@@ -29,8 +29,7 @@ from bernapprox.tails import (
     TailCurve,
     TabulatedPhi,
     conjugate_curve,
-    empirical_atf,
-    empirical_half_width,
+    exact_law_curve,
     family_nu,
     make_nu,
     phi_sup,
@@ -476,95 +475,122 @@ class TestZMaxRounds:
         assert reads == [2] + [2**tails.Z_MAX_LEVELS - 1] * 6
 
 
-BERN_US = np.arange(0.0, 4.01, 0.5)
+# a window tolerance so small that the exact law's curve is the law to within 1e-300 (dropped and added)
+TINY_TOL = 1e-300
+# the tolerance a default config gives the exact law: min(run.szasz_tail_tol, tail.floor / 2)
+LAW_TOL = 5e-13
 
 
 @pytest.fixture(scope="module")
-def bern_curve():
-    return empirical_atf(bernoulli_family(), 0.5, BERN_US, [1, 2, 4, 8, 16, 32, 64], 100_000, seed=20240809)
+def conjugate_curves():
+    """The default config's Bernoulli curves at eps 1e-3 and 0.05, and its Poisson curve."""
+    return {eps: Study(ExperimentConfig(family_eps=eps)).curve for eps in (1e-3, 0.05)} | {
+        "poisson": Study(ExperimentConfig(family_kind="poisson", function_name="exp-decay")).curve}
 
 
 class TestEmpiricalAtf:
-    def test_value_at_zero_near_one(self, bern_curve):
+    """The tail function of zeta_n at one x, from the exact law: ``exact_law_curve``."""
+
+    def test_value_at_zero_near_one(self):
         # at x = 1/2 the n = 1 summand is +-1, so P(|zeta| > 0) = 1 exactly
-        assert bern_curve.at(0.0) == 1.0
+        assert exact_law_curve(bernoulli_family(), 0.5, range(1, 65), TINY_TOL).at(0.0) == 1.0
 
     def test_reads_one_below_the_grid(self):
-        # P(|zeta_4| > 0) = 0.625 at x = 1/2; the first grid value, P(|zeta_4| > 1), would be 0.125
-        curve = empirical_atf(bernoulli_family(), 0.5, [1.0, 2.0], [4], 10_000, seed=5)
-        assert curve.at(0.0) == 1.0
-        assert curve.at(np.array([0.0, 0.999, 1.0])).tolist() == [1.0, 1.0, curve.at(1.0)]
-        assert curve.at(1.0) < 0.2
-        assert empirical_half_width(curve, 0.5) == 0.0
+        # at x = 0.3 no lattice point of n = 4 sits at nx, so the curve reads the whole law, 1, below
+        # its first breakpoint 0.2/sqrt(0.84); at x = 1/2 the first breakpoint is 0, at k = 2, and
+        # P(|zeta_4| > 0) = 0.625 and P(|zeta_4| > 1) = 0.125, right-continuously, bit for bit
+        curve = exact_law_curve(bernoulli_family(), 0.3, [4], TINY_TOL)
+        first = 0.2 / math.sqrt(0.84)
+        assert curve.at(np.array([0.0, first / 2.0])).tolist() == [1.0, 1.0]
+        assert curve.at(first) < 1.0
+        curve = exact_law_curve(bernoulli_family(), 0.5, [4], TINY_TOL)
+        assert curve.at(np.array([0.0, 0.999, 1.0, 1.999])).tolist() == [0.625, 0.625, 0.125, 0.125]
 
     def test_two_point_distribution_at_half(self):
-        curve = empirical_atf(bernoulli_family(), 0.5, np.array([0.5]), [1], 10_000, seed=3)
-        assert curve.at(0.5) == 1.0
+        curve = exact_law_curve(bernoulli_family(), 0.5, [1], TINY_TOL)
+        assert curve.at(np.array([0.5, 1.0])).tolist() == [1.0, TINY_TOL]
 
-    def test_hoeffding_dominance(self, bern_curve):
-        for u, v, hw in zip(BERN_US, bern_curve.at(BERN_US), empirical_half_width(bern_curve, BERN_US)):
-            assert v <= min(1.0, 2.0 * math.exp(-u * u / 2.0)) + 3.0 * hw
-
-    def test_deterministic_given_seed(self):
-        a = empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [4], 10_000, seed=5)
-        b = empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [4], 10_000, seed=5)
-        assert a.at(1.0) == b.at(1.0)
-
-    def test_trials_minimum(self):
-        with pytest.raises(ParameterError):
-            empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [1], 100, seed=1)
-
-    @pytest.mark.parametrize("us,n_set", [
-        ([1.0], []), ([], [1]), ([2.0, 1.0], [1]), ([-1.0, 1.0], [1]), ([[1.0, 2.0]], [1]),
-    ], ids=["no-n", "empty-u", "decreasing-u", "negative-u", "2d-u"])
-    def test_bad_n_set_or_u_grid_rejected(self, us, n_set):
-        with pytest.raises(ParameterError):
-            empirical_atf(bernoulli_family(), 0.5, np.array(us), n_set, 10_000, seed=1)
-
-    def test_needs_a_seed(self):
-        # SeedSequence(None) would draw OS entropy
-        with pytest.raises(ParameterError, match="seed"):
-            empirical_atf(bernoulli_family(), 0.5, np.array([1.0]), [1], 10_000, seed=None)
+    def test_hoeffding_dominance(self):
+        # Rademacher sums: P(|zeta_n| > u) <= 2 exp(-u^2/2) exactly, here on the default n grid (the
+        # acceptance suite takes n = 1..64), read on each step's right end, plus the 1e-300 the curve adds
+        ns = ExperimentConfig().n_grid
+        breaks = np.unique(np.concatenate([law_breakpoints(bernoulli_family(), 0.5, n, TINY_TOL) for n in ns]))
+        us = np.nextafter(breaks[1:], 0.0)
+        curve = exact_law_curve(bernoulli_family(), 0.5, ns, TINY_TOL)
+        assert np.all(curve.at(us) <= np.minimum(1.0, 2.0 * np.exp(-us * us / 2.0)) + TINY_TOL)
 
     def test_clt_floor_at_large_n(self):
-        # the tail cannot drop below half the Gaussian tail for moderate u
+        # Berry-Esseen (constant 0.56, rho = 1 at x = 1/2) on both sides: within 1.12/sqrt(n) of the Gaussian tail
         us = np.array([0.5, 1.0, 1.5, 2.0])
-        curve = empirical_atf(bernoulli_family(), 0.5, us, [4096], 100_000, seed=99)
-        for u, v, hw in zip(us, curve.at(us), empirical_half_width(curve, us)):
-            gauss = math.erfc(u / math.sqrt(2.0))
-            assert v >= 0.5 * gauss - 3.0 * hw
+        got = exact_law_curve(bernoulli_family(), 0.5, [4096], LAW_TOL).at(us)
+        gauss = np.array([math.erfc(u / math.sqrt(2.0)) for u in us])
+        assert np.all(got >= gauss - 1.12 / 64.0)
+
+    @pytest.mark.parametrize("n_set", [[]], ids=["no-n"])
+    def test_bad_n_set_or_u_grid_rejected(self, n_set):
+        with pytest.raises(ParameterError, match="n_set"):
+            exact_law_curve(bernoulli_family(), 0.5, n_set, LAW_TOL)
+
+    def test_x_outside_the_domain_rejected(self):
+        with pytest.raises(ParameterError, match="x-domain"):
+            exact_law_curve(bernoulli_family(), 0.9995, [4], LAW_TOL)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
-    def test_conjugate_bound_dominates_empirical(self, kind):
-        if kind == "bernoulli":
-            fam, x, nu = bernoulli_family(), 0.5, family_nu(bernoulli_family())
-        else:
-            fam, x, nu = poisson_family(), 1.0, poisson_nu
-        us = np.arange(0.0, 4.01, 0.5)
-        curve = conjugate_curve(nu, 8.0)
-        emp = empirical_atf(fam, x, us, [1, 4, 16, 64], 50_000, seed=11)
-        for u, v, hw in zip(us, emp.at(us), empirical_half_width(emp, us)):
-            assert v <= curve.at(float(u)) + 3.0 * hw
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 2**12), frac=st.floats(0.0, 1.0), eps=st.sampled_from([1e-3, 0.05]))
+    @example(n=4096, frac=0.5, eps=1e-3)
+    @example(n=1, frac=0.0, eps=1e-3)
+    def test_conjugate_bound_dominates_empirical(self, conjugate_curves, kind, n, frac, eps):
+        # the uniform-in-n curve lies at or above the exact law of every (n, x), with no allowance,
+        # wherever that law is at least 1e-9: on each step's right end, where the gap is least
+        fam = bernoulli_family(eps) if kind == "bernoulli" else poisson_family()
+        lo, hi = fam.x_domain
+        x = min(lo + frac * (hi - lo), hi)
+        breaks = np.unique(law_breakpoints(fam, x, n, LAW_TOL))
+        us = np.concatenate([[0.0], np.nextafter(breaks[1:], 0.0)])
+        law = exact_law_curve(fam, x, [n], LAW_TOL).at(us)
+        bound = conjugate_curves[eps if kind == "bernoulli" else "poisson"].at(us)
+        assert np.all((bound >= law) | (law < 1e-9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**12), frac=st.floats(0.0, 1.0),
+           us=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=8), tol=st.sampled_from([LAW_TOL, 1e-9]))
+    @example(kind="bernoulli", n=4, frac=0.5, us=[0.0, 1.0], tol=LAW_TOL)
+    def test_matches_the_scipy_law(self, kind, n, frac, us, tol):
+        # at or above P(|K - nx| > u sigma sqrt(n)), the window's dropped mass being at most tol; at
+        # most that plus tol plus the weights' rounding: the ulp rule of TestScaledSumPmf summed,
+        # (16 + 4 E|K - nx|) eps <= (16 + 4 sqrt(v)) eps, and one eps per summed weight
+        fam = bernoulli_family() if kind == "bernoulli" else poisson_family()
+        lo, hi = fam.x_domain
+        x = min(lo + frac * (hi - lo), hi)
+        v = n * x * (1.0 - x) if kind == "bernoulli" else n * x
+        width = law_breakpoints(fam, x, n, tol).size
+        allowance = (16.0 + 4.0 * math.sqrt(v) + width) * np.finfo(float).eps
+        got = exact_law_curve(fam, x, [n], tol).fn(np.array(us))
+        want = np.array([law_tail(kind, n, x, u) for u in us])
+        assert np.all(got >= want)
+        assert np.all(got <= want + tol + allowance)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        grid=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12, unique=True),
-        n_set=st.lists(st.integers(1, 64), min_size=1, max_size=3),
-        poisson=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_step_read_matches_the_table_oracle(self, grid, n_set, poisson, seed):
-        fam, x = (poisson_family(), 1.5) if poisson else (bernoulli_family(), 0.3)
-        us = np.sort(np.asarray(grid))
-        curve = empirical_atf(fam, x, us, n_set, 10_000, seed)
-        table, half_widths = empirical_table(fam, x, us, n_set, 10_000, seed)
-        # the grid points, the points between them, and points below and past the grid
-        probes = np.concatenate([us, (us[:-1] + us[1:]) / 2.0, [us[0] / 2.0, us[-1] + 0.5, us[-1] + 100.0]])
-        want = [step_read(us, table, u, below=1.0) for u in probes]
-        want_hw = [step_read(us, half_widths, u, below=0.0) for u in probes]
+    @given(n_set=st.lists(st.integers(1, 64), min_size=1, max_size=3), poisson=st.booleans(),
+           frac=st.floats(0.0, 1.0))
+    def test_step_read_matches_the_table_oracle(self, n_set, poisson, frac):
+        # a right-continuous step curve over the breakpoints of every n, each step the max over n
+        # of the one-n curves there, read alike from an array and from scalars
+        fam = poisson_family() if poisson else bernoulli_family()
+        lo, hi = fam.x_domain
+        x = min(lo + frac * (hi - lo), hi)
+        curve = exact_law_curve(fam, x, n_set, LAW_TOL)
+        singles = [exact_law_curve(fam, x, [n], LAW_TOL) for n in n_set]
+        breaks = np.unique(np.concatenate([law_breakpoints(fam, x, n, LAW_TOL) for n in n_set]))
+        table = np.max([c.at(breaks) for c in singles], axis=0)
+        below = max(float(c.at(-1.0)) for c in singles)
+        # the breakpoints, the points between them, and points below and past them
+        probes = np.concatenate([breaks, (breaks[:-1] + breaks[1:]) / 2.0,
+                                 [breaks[0] / 2.0, breaks[-1] + 0.5, breaks[-1] + 100.0]])
+        want = [step_read(breaks, table, u, below=below) for u in probes]
         assert curve.at(probes).tolist() == want
-        assert [curve.at(float(u)) for u in probes] == want
-        assert empirical_half_width(curve, probes).tolist() == want_hw
+        assert [float(curve.at(float(u))) for u in probes] == want
 
 
 class TestConjugatePairType:
