@@ -102,6 +102,14 @@ def _exit_on_violations(summary: ValiditySummary) -> None:
         sys.exit(1)
 
 
+def _validity(summary: ValiditySummary, cfg: ExperimentConfig) -> str:
+    """``validity pass|FAIL``, naming the exact-law curve as the law it is, not a bound."""
+    word = "pass" if summary.passed else "FAIL"
+    if cfg.tail_source == "exact-law":
+        return f"validity {word} (tail.source=exact-law: the law at tail.x, not a bound)"
+    return f"validity {word}"
+
+
 class SuggestingGroup(click.Group):
     def resolve_command(self, ctx, args):
         try:
@@ -171,7 +179,7 @@ def tail(study: Study, outdir: Path):
     write_csv(outdir / "tail.csv", ["u", "value"], zip(us, curve.at(us)))
     write_json(outdir / "tail.json", {
         **_echo(cfg), "method": curve.kind, "z_max": study.z_max,
-        "lambda_cap": curve.params.get("lambda_cap"), "n_max": cfg.tail_n_max,
+        "lambda_cap": curve.params.get("lambda_cap"),
     })
     click.echo(f"tail: wrote {curve.kind} curve ({us.size} points) to {outdir}")
 
@@ -193,8 +201,7 @@ def bound(study: Study, outdir: Path):
         **_echo(study.cfg), "rows": rows, "holder": {"alpha": h.alpha, "seminorm": h.seminorm},
     })
     summary = validity_check(table)
-    click.echo(f"bound: wrote {len(rows)} rows, validity {'pass' if summary.passed else 'FAIL'} "
-               f"-> {outdir}")
+    click.echo(f"bound: wrote {len(rows)} rows, {_validity(summary, study.cfg)} -> {outdir}")
     _exit_on_violations(summary)
 
 
@@ -210,7 +217,7 @@ def run(study: Study, outdir: Path):
     slope = "n/a" if table.fit is None else f"{table.fit.slope:.4f}"
     click.echo(
         f"run: {len(table.rows)} rows, fitted slope {slope}, "
-        f"validity {'pass' if summary.passed else 'FAIL'} -> {outdir}"
+        f"{_validity(summary, study.cfg)} -> {outdir}"
     )
     _exit_on_violations(summary)
 

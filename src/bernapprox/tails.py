@@ -367,7 +367,7 @@ class PowerTailSpec:
 def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
     """min(1, exp(-K u^q)) with q = min(p, 2)."""
     fn = lambda u: np.exp(-spec.K * np.asarray(u, dtype=float) ** spec.q)  # noqa: E731
-    return TailCurve(kind="power-tail", fn=fn, params={"p": spec.p, "q": spec.q, "K": spec.K})
+    return TailCurve(kind="power-tail", fn=fn)
 
 
 # ---------------------------------------------------------------------------

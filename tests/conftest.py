@@ -344,6 +344,20 @@ def law_tail(kind: str, n: int, x: float, u: float) -> float:
     return (float(law.sf(up[0] - 1)) if up.size else 0.0) + (float(law.cdf(down[-1])) if down.size else 0.0)
 
 
+def law_abs_moment(kind: str, n: int, x: float, alpha: float) -> float:
+    """Oracle for E|zeta_n(x)|^alpha, zeta_n(x) = (K - nx) / (sigma(x) sqrt(n)) with K ~
+    Binomial(n, x) or Poisson(nx), from scipy's pmf; a Poisson point beyond 40 standard
+    deviations and 50 more is left out."""
+    sig = math.sqrt(x * (1.0 - x)) if kind == "bernoulli" else math.sqrt(x)
+    mu, scale = n * x, sig * math.sqrt(n)
+    if kind == "bernoulli":
+        k, pmf = np.arange(n + 1), scipy.stats.binom(n, x).pmf
+    else:
+        reach = 40.0 * scale + 50.0
+        k, pmf = np.arange(max(0, math.floor(mu - reach)), math.ceil(mu + reach) + 1), scipy.stats.poisson(mu).pmf
+    return float(np.sum(pmf(k) * (np.abs(k - mu) / scale) ** alpha))
+
+
 def step_read(u_grid, table, u: float, below: float) -> float:
     """The right-continuous step rule: the entry of the largest grid point <= u,
     ``below`` below the grid."""

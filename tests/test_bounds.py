@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.integrate
+import scipy.special
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_curve, hdt_bound_exp, simpson
+from conftest import gaussian_curve, hdt_bound_exp, law_abs_moment, simpson
 
 from bernapprox.bounds import (
     HDT_Z_SIZE,
@@ -18,11 +20,18 @@ from bernapprox.bounds import (
 )
 from bernapprox.errors import DivergenceWarning, InsufficientDataError, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
-from bernapprox.families import bernoulli_family
+from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.modulus import ModulusProfile, modulus_profile
 from bernapprox.operators import sup_error
-from bernapprox.tails import PowerTailSpec, TailCurve, poisson_curve, power_tail_curve, tail_z_max
+from bernapprox.tails import (
+    PowerTailSpec,
+    TailCurve,
+    exact_law_curve,
+    poisson_curve,
+    power_tail_curve,
+    tail_z_max,
+)
 
 
 def linear_profile(delta_max: float, size: int = 2001) -> ModulusProfile:
@@ -119,12 +128,23 @@ class TestHdtBound:
     )
     @settings(max_examples=40, deadline=None)
     def test_power_tail_upper_sum_is_certified_and_tight(self, alpha, p, K):
-        # integral alpha z^{alpha-1} exp(-K z^q) dz = (alpha/q) K^{-alpha/q} Gamma(alpha/q)
+        # on [0, z_max], integral alpha z^{alpha-1} exp(-K z^q) dz = s K^{-s} Gamma(s) P(s, K z_max^q)
+        # with s = alpha / q; past z_max the sum integrates the envelope min(Q(z_max), 1/z^2), which
+        # can exceed the curve's own tail when z_max sits at the cap
         spec = PowerTailSpec(p=p, K=K)
+        curve = power_tail_curve(spec)
+        z_max = tail_z_max(curve)
         s = alpha / spec.q
-        analytic = s * K ** (-s) * math.gamma(s)
-        res = hdt_bound(HolderSpec(alpha, 1.0), power_tail_curve(spec), 1)
-        assert analytic <= res.constant <= 1.01 * analytic
+        inner = s * K ** (-s) * math.gamma(s) * float(scipy.special.gammainc(s, K * z_max**spec.q))
+        q_cut = float(curve.at(np.array([z_max]))[0])
+        kink = max(z_max, q_cut**-0.5)
+        envelope = lambda z: alpha * z ** (alpha - 1.0) * min(q_cut, z**-2.0)  # noqa: E731
+        # z = 1/t maps the envelope's tail past its kink onto (0, 1/kink]
+        outer = (scipy.integrate.quad(envelope, z_max, kink, epsabs=0.0, epsrel=1e-10)[0]
+                 + scipy.integrate.quad(lambda t: envelope(1.0 / t) / t**2, 0.0, 1.0 / kink,
+                                        epsabs=0.0, epsrel=1e-10)[0])
+        res = hdt_bound(HolderSpec(alpha, 1.0), curve, 1)
+        assert inner + (1.0 - 1e-9) * outer <= res.constant <= 1.01 * (inner + outer)
 
     @pytest.mark.parametrize("z_max", [0.0, -1.0])
     def test_nonpositive_z_max_rejected(self, z_max):
@@ -157,8 +177,8 @@ class TestHdtBound:
         assert (res.value, res.constant) == (1.0, 1.0)
 
     def test_remainder_never_reads_below_zero(self):
-        # z_max below h = 1e-6: the read before z_max is clipped at 0, so a power tail with
-        # q = 1.5 never sees a negative u (numpy would warn on its fractional power)
+        # z_max far below one: a power tail with q = 1.5 is read on [0, z_max] only, so it never
+        # sees a negative u (numpy would warn on its fractional power)
         curve = power_tail_curve(PowerTailSpec(p=1.5, K=1e20))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -166,17 +186,31 @@ class TestHdtBound:
         assert math.isfinite(res.value)
 
     def test_divergence_flag_for_flat_tail(self):
+        # Q = 0.5 at z_max = 10 is above 1/z_max^2, so the remainder is integral_10^inf z^-2 dz = 0.1,
+        # finite but more than 1% of the cells' 5
         flat = TailCurve(kind="flat", fn=lambda z: 0.5 * np.ones_like(np.asarray(z, dtype=float)))
-        with pytest.warns(DivergenceWarning):
+        with pytest.warns(DivergenceWarning, match="tail remainder 0.1 "):
             res = hdt_bound(HolderSpec(1.0, 1.0), flat, 1, z_max=10.0)
-        assert res.value == math.inf  # no decay past z_max: the remainder is unbounded
+        assert res.value == pytest.approx(5.1, rel=1e-12)
 
-    def test_divergence_flag_for_equal_logs(self):
-        # Q(z_max - h) > Q(z_max), but the two are adjacent floats with the same log: no decay rate
-        fn = lambda z: np.where(z < 1.0, 1.0, np.where(z < 10.0, np.nextafter(1e-300, 1.0), 1e-300))  # noqa: E731
-        with pytest.warns(DivergenceWarning):
-            res = hdt_bound(HolderSpec(1.0, 1.0), TailCurve(kind="steps", fn=fn), 1, z_max=10.0)
-        assert res.value == math.inf
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**12), frac=st.floats(0.0, 1.0),
+           z_max=st.floats(1.0, 12.0), alpha=st.sampled_from([0.5, 1.0]))
+    @example(kind="bernoulli", n=16, frac=0.5, z_max=2.0, alpha=1.0)
+    @example(kind="bernoulli", n=16, frac=0.5, z_max=2.0, alpha=0.5)
+    @example(kind="poisson", n=4, frac=0.0, z_max=2.0, alpha=1.0)
+    def test_certifies_the_exact_law_moment(self, kind, n, frac, z_max, alpha):
+        # the exact law of zeta_n(x) dominates itself on [0, z_max], and zeta_n(x) has variance 1,
+        # so the constant is at least alpha integral z^{alpha-1} P(|zeta| > z) dz = E|zeta_n(x)|^alpha
+        # whatever z_max is
+        fam = bernoulli_family() if kind == "bernoulli" else poisson_family()
+        lo, hi = fam.x_domain
+        x = min(lo + frac * (hi - lo), hi)
+        curve = exact_law_curve(fam, x, [n], 1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            res = hdt_bound(HolderSpec(alpha, 1.0), curve, 1, z_max=z_max)
+        assert res.constant >= law_abs_moment(kind, n, x, alpha)
 
 
 class TestHdtBoundExp:

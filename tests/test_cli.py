@@ -412,6 +412,7 @@ class TestOtherSubcommands:
         header = json.loads((out / "tail.json").read_text())
         assert header["method"] == "poisson-conjugate"
         assert "rng" not in header  # no tail source draws
+        assert "n_max" not in header  # only the Bernoulli conjugate reads it, and the echo has it
 
     @pytest.mark.parametrize("sets", [
         [], ["family.kind=poisson", "function.name=exp-decay"],
@@ -428,6 +429,17 @@ class TestOtherSubcommands:
         assert header["method"] == "exact-law"
         assert 0.0 < header["z_max"] < header["config"]["tail_z_cap"]
 
+    @pytest.mark.parametrize("cmd", ["run", "bound"])
+    def test_exact_law_validity_line_names_the_law(self, runner, tmp_path, cmd):
+        # the exact-law curve is the law at tail.x, so its pass is not a certificate
+        for source, said in [("exact-conjugate", "validity pass ->"),
+                             ("exact-law", "validity pass (tail.source=exact-law: the law at tail.x, "
+                                           "not a bound) ->")]:
+            res = runner.invoke(main, [cmd, "--out", str(tmp_path / source), "--set", f"tail.source={source}"]
+                                + FAST)
+            assert res.exit_code == 0, res.output
+            assert said in res.stdout
+
     def test_bound_table_columns(self, runner, tmp_path):
         out = tmp_path / "o"
         res = runner.invoke(main, ["bound", "--out", str(out)] + FAST)
@@ -437,22 +449,16 @@ class TestOtherSubcommands:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("eps", ["1e-16", "1e-13"])
-    def test_infinite_closed_form_is_null_in_json_and_inf_in_csv(self, runner, tmp_path, eps):
-        # at these trims Q stays above the floor up to tail.z_cap, so no decay rate bounds the rest
+    def test_closed_form_past_the_cap_is_finite(self, runner, tmp_path, eps):
+        # at these trims Q stays above the floor up to tail.z_cap = 64; the Chebyshev envelope
+        # past it still integrates to a finite remainder, small against the cells
         res = runner.invoke(main, ["bound", "--set", f"family.eps={eps}", "--out", str(tmp_path)] + FAST)
         assert res.exit_code == 0, res.output
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
-        rows = json.loads((tmp_path / "bound.json").read_text(), parse_constant=refuse)["rows"]
-        assert [r["closed_form"] for r in rows] == [None, None]
-        with open(tmp_path / "bound.csv", newline="") as fh:
-            table = list(csv.DictReader(fh))
-        assert [r["closed_form"] for r in table] == ["inf", "inf"]
-        for line, row in zip(table, rows):
-            assert line == {**{c: "%.17g" % row[c] for c in line if c not in ("n", "closed_form")},
-                            "n": str(row["n"]), "closed_form": "inf"}
+        assert "warning" not in res.stderr
+        payload = json.loads((tmp_path / "bound.json").read_text())
+        h = payload["holder"]
+        assert [r["closed_form"] for r in payload["rows"]] == [
+            h["seminorm"] * n ** (-h["alpha"] / 2.0) * 64.015625 for n in (16, 64)]
 
     def test_outputs_use_lf_line_endings(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -521,9 +527,9 @@ class TestStudyStagesOnce:
         assert calls == []
         (curve,) = counting_curve
         # after z_max, each row's Stieltjes sum reads the z grid, and the one cell sum reads its
-        # grid and then the tail remainder's two points at z_max - h and z_max
+        # grid and then the tail remainder's one point at z_max
         assert curve.sizes[:len(Z_MAX_READS)] == Z_MAX_READS
-        assert sorted(curve.sizes[len(Z_MAX_READS):]) == [2, 65, 65, 65, bounds.HDT_Z_SIZE]
+        assert sorted(curve.sizes[len(Z_MAX_READS):]) == [1, 65, 65, 65, bounds.HDT_Z_SIZE]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
 
     def test_bound_never_imports_scipy_integrate(self, tmp_path):
@@ -572,13 +578,15 @@ class TestStudyStagesOnce:
 
 
 def test_cli_calls_never_import_scipy(tmp_path):
-    # run on a Bernoulli cusp, run on Poisson/exp-decay and bound, in one
-    # interpreter; scipy is only for power tails and the exponential-tail check
+    # run on a Bernoulli cusp, run on Poisson/exp-decay, bound, and bound on a power tail, in
+    # one interpreter; scipy serves only the tests' oracles
     small = ["--set", "grids.x_size=33", "--set", "grids.z_size=33",
              "--set", "tail.lambda_size=101", "--set", "run.n_grid=16,64"]
     cusp = ["--set", "function.name=power-cusp", "--set", "function.alpha=0.5"]
     poisson = ["--set", "family.kind=poisson", "--set", "function.name=exp-decay"]
-    calls = [["run"] + small + cusp, ["run"] + small + poisson, ["bound"] + small + cusp]
+    power = ["--set", "tail.source=power-tail", "--set", "tail.p=0.5", "--set", "tail.k=0.5"]
+    calls = [["run"] + small + cusp, ["run"] + small + poisson, ["bound"] + small + cusp,
+             ["bound"] + small + power]
     calls = [c + ["--out", str(tmp_path / str(i))] for i, c in enumerate(calls)]
     code = (
         "import sys\n"
@@ -594,7 +602,7 @@ def test_cli_calls_never_import_scipy(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert res.stdout.strip().splitlines()[-1] == "[]"
     assert all((tmp_path / d / f).exists()
-               for d, f in [("0", "report.json"), ("1", "report.json"), ("2", "bound.json")])
+               for d, f in [("0", "report.json"), ("1", "report.json"), ("2", "bound.json"), ("3", "bound.json")])
 
 
 def test_monte_carlo_evaluate_table_matches_summary(runner, tmp_path):

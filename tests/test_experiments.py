@@ -13,6 +13,8 @@ from bernapprox.experiments import (
     Study,
     rate_fit,
     validity_check,
+    write_csv,
+    write_json,
     write_report,
     write_timings,
 )
@@ -217,6 +219,22 @@ class TestReports:
         rows = [synthetic_row(16, 1 / 3)]
         write_report(make_table(rows), "csv", tmp_path / "t.csv")
         assert "0.33333333333333331" in (tmp_path / "t.csv").read_text()
+
+    def test_non_finite_floats_are_null_in_json_and_inf_in_csv(self, tmp_path):
+        rows = [{"n": 16, "closed_form": float("inf"), "ratio": 0.5},
+                {"n": 64, "closed_form": float("nan"), "ratio": -float("inf")}]
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        write_json(tmp_path / "t.json", {"rows": rows, "pair": (1.0, float("inf"))})
+        payload = json.loads((tmp_path / "t.json").read_text(), parse_constant=refuse)
+        assert payload == {"rows": [{"n": 16, "closed_form": None, "ratio": 0.5},
+                                    {"n": 64, "closed_form": None, "ratio": None}],
+                           "pair": [1.0, None]}
+        write_csv(tmp_path / "t.csv", ["n", "closed_form", "ratio"], [list(r.values()) for r in rows])
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "n,closed_form,ratio", "16,inf,0.5", "64,nan,-inf"]
 
     def test_rows_must_be_sorted(self):
         with pytest.raises(ParameterError):

@@ -54,8 +54,8 @@ GOLDEN = {
             "table.csv": "a4be35909c87bc28fef0d48b4b39d4e46618b2d7133e36a8e88d62a56463bbbf",
         },
         "bound": {
-            "bound.csv": "8e147f62a6e39194275880d2ce7b8c187ec983d108781bcabe5fe11a4b804e24",
-            "bound.json": "7e0fc42aee9335c4af12c2c8522a9bf24624e80327c4c9155ee35273db365069",
+            "bound.csv": "92cce382849bfed869d97bcd9c13cfd11deb162525827e364442674d877c3baa",
+            "bound.json": "ab77bf46574bbe6a52f776983599f454e2a42c5058701c85896e3bc5fa54f334",
         },
         "evaluate": {
             "evaluate.json": "42301e53cbb6f5bfd69f623ea05431664d23233f4b4ad60dec18b71c1f041458",
@@ -68,7 +68,7 @@ GOLDEN = {
         },
         "tail": {
             "tail.csv": "bf935eaf8a1f05c4607d3cdcbbee69c1f5052a76e2c97cad03d9fc18445a7c05",
-            "tail.json": "9fd121d8fbfe7d7cb7349ae95848d30fa6d729f3708c2be5f2bfc847a25ab1dc",
+            "tail.json": "a26fd3c3f33daab26937d0110c29b4124c5849ed1a5c17918146bbe61fa3d91e",
         },
     },
     "bern-cusp": {
@@ -77,8 +77,8 @@ GOLDEN = {
             "table.csv": "0f2f4cfac495bb6965f1669afd0a60af81e1d99bcbe24eca83425bad5dc60aad",
         },
         "bound": {
-            "bound.csv": "8d1f0a020efe08902d28d04095935badc1c5aa5e0853d4bba6afe082e40eced8",
-            "bound.json": "c409ec838385ca9e619aec78b968e27f0849e601863c9b3f4b07883f7037e817",
+            "bound.csv": "7237cade2d5555d0d9cf5f41ee6840d563f16de7efb7fe5b08cd726131384798",
+            "bound.json": "dbbf016f09189c79525ad1b7875d475400fd1dae91835d1e73eea2920d8b5514",
         },
         "evaluate": {
             "evaluate.json": "75f5bd9d1322eedff5a356bd4b2fc327bcce89d893bdbd54fcd2d3ad27ff8ded",
@@ -91,7 +91,7 @@ GOLDEN = {
         },
         "tail": {
             "tail.csv": "870d0d9f452050aee55bf595c40d3b43595909b0626f9ae0d8e0fdce3c865105",
-            "tail.json": "af2d9cad522e4c4e6ea23b2ce69e0093d01d75589271cc7249dee1b3013b4b06",
+            "tail.json": "78e58115dc21d78466d337b979a47fa00768e97373ebb727db21480c569f1529",
         },
     },
     "bern-cusp-cap": {
@@ -100,8 +100,8 @@ GOLDEN = {
             "table.csv": "a8feb0f0e10ff633dce97fe9bad78fe1d38d3198e266d1ff14359a73aa1bb315",
         },
         "bound": {
-            "bound.csv": "63aec4fe21810e804e06c6c923766558cbb1d8765842c785b10ca7fe6f4abde0",
-            "bound.json": "5f771ffe945f7af7c972229676da8bfd51f506f77215e776764a531af3f12390",
+            "bound.csv": "8a3676e4e09e89fd7a3f98fb36922cd0aca8c687dea4159b58c1e7407919458e",
+            "bound.json": "f481f0a5799d6bdb987a2235d27fb534bd8210fb7964a2907da3d0e5501ac905",
         },
         "evaluate": {
             "evaluate.json": "fd969ed55b74034e5f5bc6702581b52fa33c76cd9a3fcb671b6f6989d6b05ed4",
@@ -114,7 +114,7 @@ GOLDEN = {
         },
         "tail": {
             "tail.csv": "82786a17b27895c0370a1535753f581bf53a6df3212c70765a01ee8443694853",
-            "tail.json": "78a1e7053fa6a2bb3136dcdf44b48a3710f454755c3abbf1efb473e227efc012",
+            "tail.json": "6534c86908c5088f7ca16c19efb2fbb8f52ece54b4ec016f3f8d6267565bcc61",
         },
     },
     "poisson-exp": {
@@ -123,8 +123,8 @@ GOLDEN = {
             "table.csv": "22ba548b6d063d04a8bc2fd9381349de4cb882c521fae433c87ea5197d4a3fa7",
         },
         "bound": {
-            "bound.csv": "8ed5791d11389448b61b7d7989ed3858ff41a6d99c74522f8e4100bc98fd94f6",
-            "bound.json": "6eb9c5b184f0a246bbde94a9df461dc67eb9f7a12036eb8ad936d66cf18d7223",
+            "bound.csv": "7eb41f499d1759fbc80d67a1ec3d7a62e913574599d37393443c8d2ac1650e0d",
+            "bound.json": "88189ae16c2be87b088004e2100f05fe9325d9153273a75a982025a0f991a606",
         },
         "evaluate": {
             "evaluate.json": "7205222e09de8ccbcc309edda0b86a1de7a39fc924875b3d8ecb40bb2be2bcea",
@@ -137,7 +137,7 @@ GOLDEN = {
         },
         "tail": {
             "tail.csv": "cb4892de452f6632e205950d95e45584d74acf6ad1282ca5b24690aaf3ef0845",
-            "tail.json": "77a773fcd4a59c6057bb02b23349c28ca57e63d875c8d8200227245eee6e5830",
+            "tail.json": "903a730f901141454f424c83683e2037c93c5a72f58a0a450251f7d12569d134",
         },
     },
 }
@@ -162,8 +162,8 @@ WORKLOAD_GOLDEN = {
         "table.csv": "b993e9561b929261c8c8d8a5ba78ddd5493bd644869874b6cfe44b33d9757a09",
     },
     "bern-square-bound": {
-        "bound.csv": "73fedb9f51dc1abc5fe967d4b6535ccba10ee1412c5aae1b059a5ef8411c52e8",
-        "bound.json": "f5bdf7ed5b44c819b0ef3d7afa1224c4a47a9e756b1d80dc39820d2f84c4e0a2",
+        "bound.csv": "60c97bbd7109183ea6b31ea5f7a1f78c83e0d00e53bd0ca4a610d6c52051ff49",
+        "bound.json": "ce497d6627a2dff7d02e2a22d0fbe180d4de0f68fc22a768659ffd6eaef8c7b0",
     },
 }
 

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -371,6 +372,41 @@ def test_csv_header_guard_catches_a_stale_readme(written_csv_headers):
 
 def test_no_numerical_integration_in_the_package():
     assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
+
+
+def third_party_imports(src: Path = SRC) -> set[str]:
+    """Top-level modules that the package imports from outside itself and the standard library."""
+    found = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+    return found - set(sys.stdlib_module_names) - {"__future__", "bernapprox"}
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """The distribution names of ``[project].dependencies``, version specifiers dropped."""
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.S | re.M).group(1)
+    return set(re.findall(r'"([\w.-]+)', block))
+
+
+def test_runtime_dependencies_are_the_imported_ones():
+    # scipy serves only the tests' oracles, so it sits in the test extra
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert third_party_imports() == declared == {"numpy", "click"}
+
+
+def test_dependency_guard_catches_a_stale_list(tmp_path):
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    stale = pyproject.replace('"numpy>=1.24",', '"numpy>=1.24",\n    "scipy>=1.10",')
+    assert declared_dependencies(stale) - third_party_imports() == {"scipy"}
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "bounds.py", "a", encoding="utf-8") as fh:
+        fh.write("\nfrom scipy.special import gammaincc\n")
+    assert third_party_imports(tmp_path) - declared_dependencies(pyproject) == {"scipy"}
 
 
 def imported_modules(source: str) -> set[str]:
