@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,20 +34,24 @@ DIVERGENCE_FRACTION = 0.01
 HDT_Z_SIZE = 2049  # uniform nodes of the hdt_bound cell sum on [0, z_max]
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """The Stieltjes bound at one n and the enclosure that brackets it."""
-
+class _BoundReport(NamedTuple):
     upper_stieltjes: float
     enclosure: tuple[float, float]
 
-    def __post_init__(self):
-        lo, hi = self.enclosure
-        if not (lo <= self.upper_stieltjes <= hi):
+
+class BoundReport(_BoundReport):
+    """The Stieltjes bound at one n and the enclosure that brackets it."""
+
+    __slots__ = ()
+
+    def __new__(cls, upper_stieltjes: float, enclosure: tuple[float, float]):
+        lo, hi = enclosure
+        if not (lo <= upper_stieltjes <= hi):
             raise ParameterError(
                 f"enclosure ({lo}, {hi}) must bracket the Stieltjes value "
-                f"{self.upper_stieltjes}"
+                f"{upper_stieltjes}"
             )
+        return super().__new__(cls, upper_stieltjes, enclosure)
 
 
 def stieltjes_bound(
@@ -96,8 +99,7 @@ def stieltjes_bound(
     return BoundReport(upper_stieltjes=nominal, enclosure=(lower, upper))
 
 
-@dataclass(frozen=True)
-class HdtBoundResult:
+class HdtBoundResult(NamedTuple):
     """alpha H n^{-alpha/2} integral z^{alpha-1} Q(z) dz, with its n-free prefactor.
 
     ``constant`` is the certified upper sum for alpha times the integral.

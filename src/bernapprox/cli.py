@@ -16,7 +16,6 @@ failure can leave that directory empty.
 from __future__ import annotations
 
 import contextlib
-import difflib
 import functools
 import sys
 import warnings
@@ -115,6 +114,8 @@ class SuggestingGroup(click.Group):
         try:
             return super().resolve_command(ctx, args)
         except click.UsageError:
+            import difflib
+
             name = args[0]
             hints = difflib.get_close_matches(name, self.list_commands(ctx), n=3)
             extra = f" Did you mean: {', '.join(hints)}?" if hints else ""

@@ -11,8 +11,6 @@ values.
 
 from __future__ import annotations
 
-import configparser
-import difflib
 import json
 from dataclasses import Field, fields
 from pathlib import Path
@@ -26,6 +24,8 @@ _ATTR_TO_KEY = {f.name: key for key, f in SCHEMA.items()}
 
 
 def _unknown_key(key: str):
+    import difflib
+
     hint = difflib.get_close_matches(key, SCHEMA, n=3)
     extra = f" (did you mean: {', '.join(hint)}?)" if hint else ""
     raise ConfigError(f"unknown config key {key!r}{extra}")
@@ -108,6 +108,8 @@ def load_config_file(path) -> dict:
         if not isinstance(obj, dict):
             raise ConfigError(f"{p}: top-level JSON value must be an object")
         return _flatten_json(obj)
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(p))

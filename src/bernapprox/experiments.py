@@ -19,10 +19,10 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,8 +173,7 @@ class ExperimentConfig:
                                  f"got {self.tail_x!r}")
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     empirical_delta: float
     argmax_x: float
@@ -185,8 +184,7 @@ class ConvergenceRow:
     lower_ratio: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     stderr: float
@@ -208,8 +206,7 @@ class ConvergenceTable:
             raise ParameterError("rows must be sorted by n")
 
 
-@dataclass(frozen=True)
-class ValiditySummary:
+class ValiditySummary(NamedTuple):
     passed: bool
     violations: tuple[dict, ...]
 
@@ -432,7 +429,7 @@ def validity_check(table: ConvergenceTable) -> ValiditySummary:
 # Serialization: bit-stable CSV / JSON
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
+CSV_COLUMNS = ConvergenceRow._fields
 
 
 def _fmt(value) -> str:
@@ -478,15 +475,15 @@ def write_json(path, payload: dict) -> None:
 def write_report(table: ConvergenceTable, fmt: str, destination) -> None:
     """Emit a run's table as bit-stable CSV or JSON."""
     if fmt == "csv":
-        write_csv(destination, CSV_COLUMNS, [astuple(r) for r in table.rows])
+        write_csv(destination, CSV_COLUMNS, table.rows)
     elif fmt == "json":
         write_json(destination, {
             "config": table.config,
             "seed": table.seed,
             "rng": table.rng,
             "version": table.version,
-            "fit": None if table.fit is None else asdict(table.fit),
-            "rows": [asdict(r) for r in table.rows],
+            "fit": None if table.fit is None else table.fit._asdict(),
+            "rows": [r._asdict() for r in table.rows],
         })
     else:
         raise ParameterError(f"unknown report format {fmt!r}")

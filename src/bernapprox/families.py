@@ -29,8 +29,7 @@ come from ``Generator.poisson`` at every mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,24 +51,28 @@ _STIRLERR_TABLE = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class Family:
-    """Immutable family descriptor whose x_domain keeps sigma(x) strictly positive:
-    0 < lo < hi < 1 for Bernoulli and 0 < lo < hi for Poisson.  So no x of the
-    domain makes n*S_n a point mass."""
-
+class _Family(NamedTuple):
     kind: str  # "bernoulli" | "poisson"
     interval: Interval
     x_domain: tuple[float, float]
 
-    def __post_init__(self):
-        if self.kind not in ("bernoulli", "poisson"):
-            raise ParameterError(f"unknown family kind {self.kind!r}")
-        lo, hi = self.x_domain
-        if not (0.0 < lo < hi and (hi < 1.0 or self.kind == "poisson")):
-            rule = "0 < lo < hi < 1" if self.kind == "bernoulli" else "0 < lo < hi"
-            raise ParameterError(f"{self.kind} x-domain [{lo}, {hi}] must have {rule}, "
+
+class Family(_Family):
+    """Immutable family descriptor whose x_domain keeps sigma(x) strictly positive:
+    0 < lo < hi < 1 for Bernoulli and 0 < lo < hi for Poisson.  So no x of the
+    domain makes n*S_n a point mass."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, interval: Interval, x_domain: tuple[float, float]):
+        if kind not in ("bernoulli", "poisson"):
+            raise ParameterError(f"unknown family kind {kind!r}")
+        lo, hi = x_domain
+        if not (0.0 < lo < hi and (hi < 1.0 or kind == "poisson")):
+            rule = "0 < lo < hi < 1" if kind == "bernoulli" else "0 < lo < hi"
+            raise ParameterError(f"{kind} x-domain [{lo}, {hi}] must have {rule}, "
                                  "so that sigma stays positive")
+        return super().__new__(cls, kind, interval, x_domain)
 
     def sigma(self, x) -> np.ndarray:
         """sigma over an array of x, without x-domain gating: the modulus step weight."""

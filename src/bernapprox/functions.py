@@ -9,26 +9,29 @@ and the evaluator must be total on [a, inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CatalogError, DomainEvaluationError, ParameterError
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Finite-left interval [a, b]; b may be math.inf."""
-
+class _Interval(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.a):
+
+class Interval(_Interval):
+    """Finite-left interval [a, b]; b may be math.inf."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float):
+        if not math.isfinite(a):
             raise ParameterError("lower endpoint must be finite")
-        if not self.a < self.b:
-            raise ParameterError(f"need a < b, got [{self.a}, {self.b}]")
+        if not a < b:
+            raise ParameterError(f"need a < b, got [{a}, {b}]")
+        return super().__new__(cls, a, b)
 
     @property
     def finite(self) -> bool:
@@ -39,22 +42,25 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 HALF_LINE = Interval(0.0, math.inf)
 
 
-@dataclass(frozen=True)
-class HolderSpec:
-    """Smoothness tag: omega(delta) <= seminorm * delta**alpha."""
-
+class _HolderSpec(NamedTuple):
     alpha: float
     seminorm: float
 
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.seminorm < 0:
+
+class HolderSpec(_HolderSpec):
+    """Smoothness tag: omega(delta) <= seminorm * delta**alpha."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, seminorm: float):
+        if not (0.0 < alpha <= 1.0):
+            raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
+        if seminorm < 0:
             raise ParameterError("seminorm must be nonnegative")
+        return super().__new__(cls, alpha, seminorm)
 
 
-@dataclass(frozen=True)
-class TargetFunction:
+class TargetFunction(NamedTuple):
     """Immutable evaluable function with optional analytic metadata.
 
     ``evaluator`` must accept scalars and numpy arrays alike.  ``sup_abs``

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,18 +11,22 @@ from .errors import ParameterError
 GRID_KINDS = ("uniform", "chebyshev")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridSpec(NamedTuple):
+    kind: str  # one of GRID_KINDS
+    size: int
+
+
+class GridSpec(_GridSpec):
     """Declarative 1-d grid: resolved to points only once endpoints are known."""
 
-    kind: str = "uniform"  # one of GRID_KINDS
-    size: int = 257
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in GRID_KINDS:
-            raise ParameterError(f"unknown grid kind {self.kind!r}")
-        if self.size < 2:
+    def __new__(cls, kind: str = "uniform", size: int = 257):
+        if kind not in GRID_KINDS:
+            raise ParameterError(f"unknown grid kind {kind!r}")
+        if size < 2:
             raise ParameterError("grid size must be at least 2")
+        return super().__new__(cls, kind, size)
 
     def points(self, lo: float, hi: float) -> np.ndarray:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -37,6 +41,8 @@ class GridSpec:
 
 def resolve_grid(grid) -> np.ndarray:
     """Explicit points as a float array, checked nonempty, 1-d, finite and strictly increasing."""
+    if isinstance(grid, GridSpec):  # a tuple that numpy would read as points
+        raise TypeError("a GridSpec has no endpoints; pass its points(lo, hi)")
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ParameterError("grid must be a nonempty 1-d array of points")

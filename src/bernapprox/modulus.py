@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,26 +29,31 @@ from .grids import resolve_grid, symmetric_grid
 FRAME = 9 * 2**10  # floats of (x, h) points per evaluation of f in the modulus: 72 KiB
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
-    """Tabulated nondecreasing curve delta -> omega(delta) with grid slack."""
-
+class _ModulusProfile(NamedTuple):
     deltas: np.ndarray
     values: np.ndarray
     enclosure_slack: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
-    def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+
+class ModulusProfile(_ModulusProfile):
+    """Tabulated nondecreasing curve delta -> omega(delta) with grid slack."""
+
+    __slots__ = ()
+
+    def __new__(cls, deltas: np.ndarray, values: np.ndarray, enclosure_slack: float,
+                metadata: Optional[dict] = None):
+        d = np.asarray(deltas, dtype=float)
+        v = np.asarray(values, dtype=float)
         if d.shape != v.shape or d.ndim != 1 or d.size < 2:
             raise ParameterError("profile needs matching 1-d delta/value arrays")
         if d[0] != 0.0 or np.any(np.diff(d) <= 0):
             raise ParameterError("delta grid must start at 0 and increase strictly")
         if v[0] != 0.0 or np.any(v < 0) or np.any(np.diff(v) < 0):
             raise ParameterError("profile values must be nonnegative, start at 0, nondecrease")
-        if self.enclosure_slack < 0:
+        if enclosure_slack < 0:
             raise ParameterError("enclosure slack must be nonnegative")
+        return super().__new__(cls, deltas, values, enclosure_slack, {} if metadata is None else metadata)
 
     @property
     def delta_max(self) -> float:

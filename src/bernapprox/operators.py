@@ -18,8 +18,7 @@ definition, with a 3-sigma radius at each x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,16 +37,15 @@ MAX_BERNSTEIN_N = 2**22
 BUFSIZE = 512  # floats of numpy's buffer per operand of a ufunc call in the sweep
 
 
-@dataclass(frozen=True)
-class SupError:
+class SupError(NamedTuple):
     """Grid approximation of Delta_n = sup_x |A_n[f](x) - f(x)|, with A_n[f] and
     its error radius at each grid x in ``values`` and ``radii``."""
 
     delta: float
     argmax_x: float
     error_radius: float  # max(radii)
-    values: np.ndarray = field(repr=False, compare=False)
-    radii: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray
+    radii: np.ndarray
 
 
 def _exact_sums(fs: Sequence[TargetFunction], kind: str, n: int, xs: np.ndarray,

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,8 +66,13 @@ Z_MAX_LEVELS = 5  # bisection steps per array read of tail_z_max
 # Tail curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailCurve:
+class _TailCurve(NamedTuple):
+    kind: str
+    fn: Callable
+    params: dict
+
+
+class TailCurve(_TailCurve):
     """Nonincreasing curve u -> Q(u) with Q(0) <= 1, read through ``fn``.
 
     ``at`` caps ``fn`` at 1 over an array of u.  Each builder owns its
@@ -77,9 +81,10 @@ class TailCurve:
     that law plus its dropped mass and not a bound over the x-domain.
     """
 
-    kind: str
-    fn: Callable
-    params: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, fn: Callable, params: Optional[dict] = None):
+        return super().__new__(cls, kind, fn, {} if params is None else params)
 
     def at(self, u) -> np.ndarray:
         return np.minimum(1.0, np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float))
@@ -343,21 +348,25 @@ def poisson_curve(m: float) -> TailCurve:
     return TailCurve(kind="poisson-conjugate", fn=fn)
 
 
-@dataclass(frozen=True)
-class PowerTailSpec:
+class _PowerTailSpec(NamedTuple):
+    p: float
+    K: float
+
+
+class PowerTailSpec(_PowerTailSpec):
     """Power-tail transfer: single-draw exponent p gives sum exponent min(p, 2).
 
     The constant K is never implied by the theory here; callers must supply it.
     """
 
-    p: float
-    K: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 0:
+    def __new__(cls, p: float, K: float):
+        if p <= 0:
             raise ParameterError("p must be positive")
-        if self.K <= 0:
+        if K <= 0:
             raise ParameterError("K must be positive (no default exists)")
+        return super().__new__(cls, p, K)
 
     @property
     def q(self) -> float:

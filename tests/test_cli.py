@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 from click.testing import CliRunner
 
 from bernapprox import bounds, config as cfgmod, operators
@@ -511,44 +510,16 @@ class TestStudyStagesOnce:
         # then each row's Stieltjes sum reads the z grid (65 points)
         assert curve.sizes == Z_MAX_READS + [65] * len(n_grid.split(","))
 
-    def test_bound_integrates_hdt_once(self, runner, tmp_path, counting_curve, monkeypatch):
-        calls = []
-        quad = scipy.integrate.quad
-
-        def counted_quad(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "quad", counted_quad)
+    def test_bound_integrates_hdt_once(self, runner, tmp_path, counting_curve):
         res = runner.invoke(main, ["bound", "--out", str(tmp_path)] + FAST
                             + ["--set", "run.n_grid=16,64,256"])
         assert res.exit_code == 0, res.output
-        # one cell sum on its own grid for all three n, and no quadrature
-        assert calls == []
         (curve,) = counting_curve
-        # after z_max, each row's Stieltjes sum reads the z grid, and the one cell sum reads its
-        # grid and then the tail remainder's one point at z_max
+        # after z_max, each row's Stieltjes sum reads the z grid, and the one cell sum for all
+        # three n reads its grid and then the tail remainder's one point at z_max
         assert curve.sizes[:len(Z_MAX_READS)] == Z_MAX_READS
         assert sorted(curve.sizes[len(Z_MAX_READS):]) == [1, 65, 65, 65, bounds.HDT_Z_SIZE]
         assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
-
-    def test_bound_never_imports_scipy_integrate(self, tmp_path):
-        code = (
-            "import sys\n"
-            "from bernapprox.cli import main\n"
-            "try:\n"
-            "    main(['bound', '--set', 'grids.x_size=33', '--set', 'grids.z_size=33',\n"
-            "          '--set', 'tail.lambda_size=101', '--set', 'run.n_grid=16,64',\n"
-            "          '--set', 'function.name=power-cusp', '--set', 'function.alpha=0.5',\n"
-            f"          '--out', {str(tmp_path)!r}])\n"
-            "except SystemExit as e:\n"
-            "    assert e.code == 0, e.code\n"
-            "print('scipy.integrate' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).parents[1]))
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert res.stdout.strip().splitlines()[-1] == "False"
-        assert (tmp_path / "bound.csv").exists()
 
     @pytest.mark.parametrize("cmd", ["evaluate"])
     def test_curve_free_subcommands_never_build_the_curve(self, runner, tmp_path,
@@ -579,7 +550,8 @@ class TestStudyStagesOnce:
 
 def test_cli_calls_never_import_scipy(tmp_path):
     # run on a Bernoulli cusp, run on Poisson/exp-decay, bound, and bound on a power tail, in
-    # one interpreter; scipy serves only the tests' oracles
+    # one interpreter; scipy serves only the tests' oracles, and configparser and difflib only
+    # an INI config and a mistyped key or subcommand
     small = ["--set", "grids.x_size=33", "--set", "grids.z_size=33",
              "--set", "tail.lambda_size=101", "--set", "run.n_grid=16,64"]
     cusp = ["--set", "function.name=power-cusp", "--set", "function.alpha=0.5"]
@@ -596,7 +568,7 @@ def test_cli_calls_never_import_scipy(tmp_path):
         "        main(args)\n"
         "    except SystemExit as e:\n"
         "        assert e.code == 0, e.code\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'configparser', 'difflib')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)

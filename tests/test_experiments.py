@@ -162,7 +162,7 @@ class TestValidityCheck:
         assert summary.violations[0]["excess"] == pytest.approx(1.0)
 
     def test_radius_allowance(self):
-        row = replace(synthetic_row(16, 1.05), error_radius=0.1)
+        row = synthetic_row(16, 1.05)._replace(error_radius=0.1)
         assert validity_check(make_table([row])).passed
 
     def test_empty_table_vacuous_pass(self):
@@ -296,6 +296,6 @@ def test_profile_evaluates_f_once_per_grid_point():
         count[0] += np.size(x)
         return evaluator(x)
 
-    study.f = replace(study.f, evaluator=counting)
+    study.f = study.f._replace(evaluator=counting)
     _ = study.profile
     assert count[0] <= cfg.x_grid_size * (1 + (cfg.delta_grid_size - 1) * cfg.h_grid_size) == 802_097

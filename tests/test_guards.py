@@ -7,9 +7,10 @@ import ast
 import importlib
 import importlib.util
 import math
+import pkgutil
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,15 @@ import pytest
 
 from test_golden import CONFIGS
 
+import bernapprox
 from bernapprox import config as cfgmod
 from bernapprox.bounds import hdt_bound
 from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.functions import builtin_catalog
+from bernapprox.modulus import ModulusProfile
 from bernapprox.operators import MAX_BERNSTEIN_N, sup_error
+from bernapprox.tails import TailCurve
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bernapprox"
@@ -370,10 +374,6 @@ def test_csv_header_guard_catches_a_stale_readme(written_csv_headers):
     assert stale_csv_headers(stated_csv_headers(readme), written_csv_headers) == {"tail", "bound"}
 
 
-def test_no_numerical_integration_in_the_package():
-    assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text(encoding="utf-8")] == []
-
-
 def third_party_imports(src: Path = SRC) -> set[str]:
     """Top-level modules that the package imports from outside itself and the standard library."""
     found = set()
@@ -407,6 +407,30 @@ def test_dependency_guard_catches_a_stale_list(tmp_path):
     with open(tmp_path / "bounds.py", "a", encoding="utf-8") as fh:
         fh.write("\nfrom scipy.special import gammaincc\n")
     assert third_party_imports(tmp_path) - declared_dependencies(pyproject) == {"scipy"}
+
+
+def package_dataclasses() -> set[str]:
+    """The names of the dataclasses that the modules of bernapprox define."""
+    found = set()
+    for info in pkgutil.iter_modules(bernapprox.__path__):
+        module = importlib.import_module(f"bernapprox.{info.name}")
+        found.update(name for name, obj in vars(module).items()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__ and is_dataclass(obj))
+    return found
+
+
+def test_records_are_named_tuples_but_two():
+    # A frozen dataclass generates its methods when its module is imported, several times the
+    # cost of a NamedTuple, so every record is a NamedTuple except two. ExperimentConfig's field
+    # metadata is the config schema, and every report echoes asdict(cfg). ConvergenceTable is
+    # rebuilt with replace(table, fit=...) by Study.table and by the benchmark's traced run.
+    assert package_dataclasses() == {"ExperimentConfig", "ConvergenceTable"}
+
+
+def test_record_dict_defaults_are_not_shared():
+    d = np.array([0.0, 1.0])
+    assert ModulusProfile(d, d, 0.0).metadata is not ModulusProfile(d, d, 0.0).metadata
+    assert TailCurve("flat", np.ones_like).params is not TailCurve("flat", np.ones_like).params
 
 
 def imported_modules(source: str) -> set[str]:

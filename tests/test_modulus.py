@@ -143,6 +143,16 @@ class TestProfile:
             with pytest.raises(ParameterError, match="matching 1-d"):
                 ModulusProfile(np.array(deltas), np.array(values), 0.0)
 
+    @pytest.mark.parametrize("deltas,values", [
+        ([0.0, 1.0, 0.5], [0.0, 0.5, 1.0]),
+        ([0.0, 1.0], [0.0, -1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 0.5]),
+        ([[0.0, 1.0]], [[0.0, 1.0]]),
+    ], ids=["deltas-decrease", "negative-value", "values-decrease", "not-1-d"])
+    def test_bad_arrays_rejected_when_built(self, deltas, values):
+        with pytest.raises(ParameterError):
+            ModulusProfile(np.array(deltas), np.array(values), 0.0)
+
     @pytest.mark.parametrize("deltas", [[0.0], [0.1, 0.2], [0.0, 0.2, 0.1], [0.0, math.nan, 0.2], [0.0, math.inf]])
     def test_bad_delta_grid_rejected(self, deltas):
         with pytest.raises(ParameterError, match="delta grid"):
