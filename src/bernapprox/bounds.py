@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceWarning, InsufficientDataError, ParameterError
-from .functions import HolderSpec
+from .functions import Checked, HolderSpec
 from .modulus import ModulusProfile
 from .tails import TailCurve, tail_z_max
 
@@ -39,7 +39,7 @@ class _BoundReport(NamedTuple):
     enclosure: tuple[float, float]
 
 
-class BoundReport(_BoundReport):
+class BoundReport(Checked, _BoundReport):
     """The Stieltjes bound at one n and the enclosure that brackets it."""
 
     __slots__ = ()
@@ -68,6 +68,8 @@ def stieltjes_bound(
     below by its left and above by its right endpoint value.  Mass beyond
     the last grid point contributes 2 sup|f| Q(z_max) to the upper bracket,
     and the profile's own grid slack is added once against the total mass.
+    With sup|f| known, the bracket is capped at 2 sup|f|, a bound on
+    |A_n f - f| whatever the sums give.
     """
     if n < 1:
         raise ParameterError("n must be positive")
@@ -96,6 +98,9 @@ def stieltjes_bound(
     nominal = upper_core + tail_term
     total_mass = float(qv[0] - qv[-1])
     upper = nominal + profile.enclosure_slack * total_mass
+    if f_sup is not None:
+        # the lower bracket is at most 2 sup|f| already, up to rounding, which the cap keeps in order
+        lower, nominal, upper = (min(v, 2.0 * f_sup) for v in (lower, nominal, upper))
     return BoundReport(upper_stieltjes=nominal, enclosure=(lower, upper))
 
 

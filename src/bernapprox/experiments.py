@@ -35,7 +35,6 @@ from .modulus import ModulusProfile, default_delta_grid, holder_seminorm, modulu
 from .operators import MAX_BERNSTEIN_N, SupError, sup_error, sup_errors
 from .bounds import BoundReport, hdt_bound, stieltjes_bound
 from .tails import (
-    DEFAULT_LAMBDA_CAP,
     DEFAULT_LAMBDA_GRID_SIZE,
     DEFAULT_N_MAX,
     TAIL_FLOOR,
@@ -117,8 +116,6 @@ class ExperimentConfig:
     tail_n_max: int = _key(
         "tail.n_max", DEFAULT_N_MAX, "n scanned exactly; every larger n is covered by a certified bound",
         _at_least(2**8))
-    tail_lambda_cap: float = _key(
-        "tail.lambda_cap", DEFAULT_LAMBDA_CAP, "conjugation lambda cap (auto-doubles up to 5 times)", _POSITIVE)
     tail_lambda_size: int = _key(
         "tail.lambda_size", DEFAULT_LAMBDA_GRID_SIZE,
         "conjugation lambda grid size: the number of supporting lines", _at_least(3))
@@ -252,9 +249,9 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
         return exact_law_curve(fam, x, cfg.n_grid, min(cfg.szasz_tail_tol, cfg.tail_floor / 2.0))
     if fam.kind == "poisson":
         return poisson_curve(fam.x_domain[0])
-    nu = family_nu(fam, n_max=cfg.tail_n_max, lambda_cap=cfg.tail_lambda_cap)
-    # the frozen lambda grid is wide enough that u = z_cap / 4 peaks inside it
-    return conjugate_curve(nu, cfg.tail_z_cap / 4.0, lambda_cap=cfg.tail_lambda_cap,
+    # the frozen lambda grid is wide enough that every u up to z_cap / 4 peaks inside it
+    u_hint = cfg.tail_z_cap / 4.0
+    return conjugate_curve(family_nu(fam, n_max=cfg.tail_n_max, u_hint=u_hint), u_hint,
                            grid_size=cfg.tail_lambda_size)
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .functions import HALF_LINE, UNIT_INTERVAL, Interval, TargetFunction, eval_clamped
+from .functions import HALF_LINE, Checked, UNIT_INTERVAL, Interval, TargetFunction, eval_clamped
 
 RNG_NAME = "pcg64"
 LATTICE_BLOCK = 2**12  # lattice points of f per evaluation, and the lattice buffer's read-ahead
@@ -57,7 +57,7 @@ class _Family(NamedTuple):
     x_domain: tuple[float, float]
 
 
-class Family(_Family):
+class Family(Checked, _Family):
     """Immutable family descriptor whose x_domain keeps sigma(x) strictly positive:
     0 < lo < hi < 1 for Bernoulli and 0 < lo < hi for Poisson.  So no x of the
     domain makes n*S_n a point mass."""

@@ -16,12 +16,23 @@ import numpy as np
 from .errors import CatalogError, DomainEvaluationError, ParameterError
 
 
+class Checked:
+    """Mixin for a NamedTuple record whose ``__new__`` checks its fields:
+    ``_make``, and so ``_replace``, builds through ``cls(...)`` and runs it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _Interval(NamedTuple):
     a: float
     b: float
 
 
-class Interval(_Interval):
+class Interval(Checked, _Interval):
     """Finite-left interval [a, b]; b may be math.inf."""
 
     __slots__ = ()
@@ -47,7 +58,7 @@ class _HolderSpec(NamedTuple):
     seminorm: float
 
 
-class HolderSpec(_HolderSpec):
+class HolderSpec(Checked, _HolderSpec):
     """Smoothness tag: omega(delta) <= seminorm * delta**alpha."""
 
     __slots__ = ()

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
+from .functions import Checked
 
 GRID_KINDS = ("uniform", "chebyshev")
 
@@ -16,7 +17,7 @@ class _GridSpec(NamedTuple):
     size: int
 
 
-class GridSpec(_GridSpec):
+class GridSpec(Checked, _GridSpec):
     """Declarative 1-d grid: resolved to points only once endpoints are known."""
 
     __slots__ = ()

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import GridResolutionWarning, InsufficientDataError, ParameterError
-from .functions import HolderSpec, TargetFunction, eval_clamped
+from .functions import Checked, HolderSpec, TargetFunction, eval_clamped
 from .grids import resolve_grid, symmetric_grid
 
 FRAME = 9 * 2**10  # floats of (x, h) points per evaluation of f in the modulus: 72 KiB
@@ -36,7 +36,7 @@ class _ModulusProfile(NamedTuple):
     metadata: dict
 
 
-class ModulusProfile(_ModulusProfile):
+class ModulusProfile(Checked, _ModulusProfile):
     """Tabulated nondecreasing curve delta -> omega(delta) with grid slack."""
 
     __slots__ = ()

@@ -17,7 +17,8 @@ n only, not over the x-domain.
 
 Conjugation is a discrete Legendre transform over supporting lines.  nu is
 evaluated once, on lambda = 0 plus ``tail.lambda_size - 1`` geometric points
-up to a cap that doubles while the maximizer sits on its end; each point
+up to the cap ``lambda_cap(u_hint)``, past which no line beats the one at 0
+for a u up to u_hint, since every nu here is at least lambda^2/2; each point
 lambda_j gives the line lambda_j u - nu(lambda_j), and nu*(u) is bounded
 below by the largest line at u, rounded down by a few ulp.  Nothing is
 refined: a read of the curve is one binary search over the lines'
@@ -44,10 +45,11 @@ import numpy as np
 
 from .errors import BoundaryWarning, ParameterError
 from .families import Family, bernstein_window, frames, poisson_conjugate, zeta_bound, zeta_log_mgf
+from .functions import Checked
 
-DEFAULT_LAMBDA_CAP = 50.0
+DEFAULT_LAMBDA_CAP = 50.0  # the least lambda cap, whatever the u_hint
 DEFAULT_LAMBDA_GRID_SIZE = 1001
-MAX_CAP_DOUBLINGS = 5
+PHI_TABLE_END = 1600.0  # the least end of family_nu's phi table
 LAMBDA_MIN = 1e-3  # smallest positive lambda of the conjugation grid
 # one n-scan temporary of make_nu.  A block holds about three at once, which
 # fit in the 128 KiB that glibc malloc keeps free above the heap, so no block
@@ -59,7 +61,6 @@ DEFAULT_N_MAX = 256
 ROUND_UP = 1.0 + 8.0 * np.finfo(float).eps
 TAIL_FLOOR = 1e-12
 Z_CAP = 64.0
-Z_MAX_LEVELS = 5  # bisection steps per array read of tail_z_max
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +73,11 @@ class _TailCurve(NamedTuple):
     params: dict
 
 
-class TailCurve(_TailCurve):
+class TailCurve(Checked, _TailCurve):
     """Nonincreasing curve u -> Q(u) with Q(0) <= 1, read through ``fn``.
 
-    ``at`` caps ``fn`` at 1 over an array of u.  Each builder owns its
+    ``at`` caps ``fn`` at 1 over an array of u, and refuses a u that is
+    negative, NaN or infinite, so no ``fn`` sees one.  Each builder owns its
     curve's form: a closed form, the supporting lines of a conjugate, or the
     step rule of the exact law at one x, which is the sup over a set of n of
     that law plus its dropped mass and not a bound over the x-domain.
@@ -87,44 +89,29 @@ class TailCurve(_TailCurve):
         return super().__new__(cls, kind, fn, {} if params is None else params)
 
     def at(self, u) -> np.ndarray:
-        return np.minimum(1.0, np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float))
+        arr = np.asarray(u, dtype=float)
+        bad = ~((arr >= 0) & (arr < np.inf))  # NaN fails both
+        if bad.any():
+            raise ParameterError(f"u must be nonnegative and finite, got {arr[bad][0]}")
+        return np.minimum(1.0, np.asarray(self.fn(arr), dtype=float))
 
 
 def tail_z_max(curve: TailCurve, floor: float = TAIL_FLOOR, cap: float = Z_CAP) -> float:
-    """Where Q drops below floor: bisects [0, cap] to a bracket of width <= 1e-6 and
-    returns its end with Q(z) < floor; 0 if Q(0) < floor, cap if Q(cap) >= floor.
-
-    The bisection runs in rounds.  A round reads Q at all the midpoints its
-    next Z_MAX_LEVELS steps can take, in one array read, and then takes those
-    steps with the comparisons of one scalar read per step.  An array read
-    gives each point the bits of a scalar read, so this is the scalar
-    bisection's float, even where rounding makes Q not monotone.
-    """
-    q0, qcap = curve.at(np.array([0.0, cap])).tolist()
-    if q0 < floor:
+    """Where Q drops below floor: bisects [0, cap] to a bracket of width <= 1e-6,
+    one read of Q per step, and returns its end with Q(z) < floor; 0 if
+    Q(0) < floor, cap if Q(cap) >= floor."""
+    if curve.at(0.0) < floor:
         return 0.0
-    if qcap >= floor:
+    if curve.at(cap) >= floor:
         return cap
     lo, hi = 0.0, cap
     while hi - lo > 1e-6:
-        tree = _midpoint_tree(lo, hi, Z_MAX_LEVELS)
-        below = (curve.at(np.array(tree)) < floor).tolist()
-        i = 0
-        while i < len(tree) and hi - lo > 1e-6:
-            lo, hi, i = (lo, tree[i], 2 * i + 1) if below[i] else (tree[i], hi, 2 * i + 2)
+        mid = 0.5 * (lo + hi)
+        if curve.at(mid) < floor:
+            hi = mid
+        else:
+            lo = mid
     return hi
-
-
-def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
-    """The midpoints that the next ``levels`` steps of a bisection of [lo, hi]
-    can take, in heap order: the lower and upper halves of point i hold the
-    points 2i + 1 and 2i + 2."""
-    tree, spans = [], [(lo, hi)]
-    for _ in range(levels):
-        mids = [0.5 * (a + b) for a, b in spans]
-        tree += mids
-        spans = [half for (a, b), m in zip(spans, mids) for half in ((a, m), (m, b))]
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -255,45 +242,39 @@ def make_nu(phi: TabulatedPhi, n_max: int = DEFAULT_N_MAX) -> Callable:
     return nu
 
 
-def family_nu(fam: Family, n_max: int = DEFAULT_N_MAX, lambda_cap: float = DEFAULT_LAMBDA_CAP) -> Callable:
-    """The Bernoulli family's nu, from a tabulated phi whose table reaches the
-    largest cap the conjugation may double to.  The Poisson nu has a closed
-    conjugate, so its curve is ``poisson_curve``."""
+def family_nu(fam: Family, n_max: int = DEFAULT_N_MAX, u_hint: float = Z_CAP / 4.0) -> Callable:
+    """The Bernoulli family's nu, from a tabulated phi whose table reaches
+    ``lambda_cap(u_hint)``, the largest lambda ``conjugate_curve`` reads for
+    that u_hint.  The Poisson nu has a closed conjugate, so its curve is
+    ``poisson_curve``."""
     if fam.kind == "poisson":
         raise ParameterError("the Poisson family's tail curve is the closed form poisson_curve(x_min)")
-    return make_nu(TabulatedPhi(fam, t_max=lambda_cap * 2**MAX_CAP_DOUBLINGS), n_max)
+    return make_nu(TabulatedPhi(fam, t_max=max(PHI_TABLE_END, lambda_cap(u_hint))), n_max)
 
 
 # ---------------------------------------------------------------------------
 # Young-Fenchel conjugation
 # ---------------------------------------------------------------------------
 
-def _lambda_grid(g: Callable, u: float, cap: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """0 plus size - 1 geometric points from LAMBDA_MIN to cap, and g on them,
-    the cap doubled (at most MAX_CAP_DOUBLINGS times) while lambda u -
-    g(lambda) peaks at its end."""
-    for attempt in range(MAX_CAP_DOUBLINGS + 1):
-        grid = np.concatenate([[0.0], np.geomspace(min(LAMBDA_MIN, cap), cap, size - 1)])
-        gv = np.asarray(g(grid), dtype=float)
-        if int(np.argmax(grid * u - gv)) < size - 1 or attempt == MAX_CAP_DOUBLINGS:
-            return grid, gv
-        cap *= 2.0
+def lambda_cap(u_hint: float) -> float:
+    """max(DEFAULT_LAMBDA_CAP, 2 u_hint).  Every nu here is at least lambda^2/2,
+    the n -> infinity term of its sup for a mean-0, variance-1 zeta, so past
+    lambda = 2 u_hint a line lambda u - nu(lambda) <= lambda (u_hint - lambda/2)
+    is below the line at 0 for every u <= u_hint."""
+    return max(DEFAULT_LAMBDA_CAP, 2.0 * u_hint)
 
 
 # ---------------------------------------------------------------------------
 # Upper-bound curves
 # ---------------------------------------------------------------------------
 
-def conjugate_curve(
-    nu: Callable,
-    u_hint: float,
-    lambda_cap: float = DEFAULT_LAMBDA_CAP,
-    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
-) -> TailCurve:
+def conjugate_curve(nu: Callable, u_hint: float, grid_size: int = DEFAULT_LAMBDA_GRID_SIZE) -> TailCurve:
     """min(1, 2 exp(-nu*(u))), the uniform-in-n tail bound, from supporting lines.
 
-    nu is evaluated once, on the lambda grid whose cap doubles until the
-    maximizer for ``u_hint`` lies inside.  Each lambda_j gives the affine
+    nu is evaluated once, on 0 and ``grid_size - 1`` geometric lambdas from
+    LAMBDA_MIN to ``lambda_cap(u_hint)``; a nu whose maximizer for u_hint
+    still lands on the last line is below lambda^2/2, so it is the envelope
+    of no variance-1 zeta, and is refused.  Each lambda_j gives the affine
     minorant lambda_j u - nu(lambda_j) of nu*; their maximum, less 4 ulp of
     its two terms for the rounding, is a lower bound on nu* at every u.
     A read finds the maximum by binary search over the lines' breakpoints
@@ -304,7 +285,12 @@ def conjugate_curve(
     gives the same message; a Q that is 0.0 there reads no differently from
     a larger cap's.
     """
-    grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
+    cap = lambda_cap(u_hint)
+    grid = np.concatenate([[0.0], np.geomspace(LAMBDA_MIN, cap, grid_size - 1)])
+    gv = np.asarray(nu(grid), dtype=float)
+    if int(np.argmax(grid * u_hint - gv)) == grid.size - 1:
+        raise ParameterError(f"lambda u - nu(lambda) peaks at the lambda cap {cap:g} for u = {u_hint:g}: "
+                             "nu lies below lambda^2/2, the envelope of no variance-1 zeta")
     # nu is convex, so line j + 1 overtakes line j at their secant slope and these breakpoints
     # increase; the found line or a neighbour (rounding, ties) is the first maximum of a scan.
     # Rounding can invert a few; their running max keeps the search sorted, so a read
@@ -313,10 +299,7 @@ def conjugate_curve(
     eps = np.finfo(float).eps
 
     def fn(u):
-        flat = np.ravel(np.asarray(u, dtype=float))
-        bad = ~((flat >= 0) & (flat < np.inf))  # NaN fails both
-        if bad.any():
-            raise ParameterError(f"u must be nonnegative and finite, got {flat[bad][0]}")
+        flat = np.ravel(u)
         cand = np.minimum(np.maximum(np.searchsorted(slopes, flat)[:, None] + [-1, 0, 1], 0), grid.size - 1)
         lines = flat[:, None] * grid[cand] - gv[cand]
         j = cand[np.arange(flat.size), np.argmax(lines, axis=1)]
@@ -344,7 +327,7 @@ def poisson_curve(m: float) -> TailCurve:
     m h(u/sqrt(m)).  At m = 1 the curve is 2 exp(-h(u)), bit for bit.
     """
     root = math.sqrt(m)
-    fn = lambda u: 2.0 * np.exp(-m * poisson_conjugate(np.abs(np.asarray(u, dtype=float)) / root))  # noqa: E731
+    fn = lambda u: 2.0 * np.exp(-m * poisson_conjugate(u / root))  # noqa: E731
     return TailCurve(kind="poisson-conjugate", fn=fn)
 
 
@@ -353,7 +336,7 @@ class _PowerTailSpec(NamedTuple):
     K: float
 
 
-class PowerTailSpec(_PowerTailSpec):
+class PowerTailSpec(Checked, _PowerTailSpec):
     """Power-tail transfer: single-draw exponent p gives sum exponent min(p, 2).
 
     The constant K is never implied by the theory here; callers must supply it.
@@ -375,7 +358,7 @@ class PowerTailSpec(_PowerTailSpec):
 
 def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
     """min(1, exp(-K u^q)) with q = min(p, 2)."""
-    fn = lambda u: np.exp(-spec.K * np.asarray(u, dtype=float) ** spec.q)  # noqa: E731
+    fn = lambda u: np.exp(-spec.K * u**spec.q)  # noqa: E731
     return TailCurve(kind="power-tail", fn=fn)
 
 

@@ -12,9 +12,7 @@ from bernapprox.families import (
     _S0, _S1, _S2, _S3, _S4, LATTICE_BLOCK, Family, _check_n, bernstein_window,
 )
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
-from bernapprox.tails import (
-    DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, MAX_CAP_DOUBLINGS, PowerTailSpec, TailCurve, _lambda_grid,
-)
+from bernapprox.tails import DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, LAMBDA_MIN, PowerTailSpec, TailCurve
 
 
 # e^z - 1 - z: the Poisson log-MGF at x = 1 and its nu, whose conjugate is
@@ -214,23 +212,6 @@ def two_pass_modulus(f: TargetFunction, sigma, delta_grid, xs, h_size: int):
     return fine, coarse, max(float(np.max(fine - coarse)), 0.0), np.maximum.accumulate(fine)
 
 
-def scalar_z_max(curve: TailCurve, floor: float, cap: float) -> float:
-    """Oracle for ``tails.tail_z_max``: the bisection of [0, cap] with one scalar
-    read of the curve per step."""
-    if curve.at(0.0) < floor:
-        return 0.0
-    if curve.at(cap) >= floor:
-        return cap
-    lo, hi = 0.0, cap
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if curve.at(mid) < floor:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def scale_function(f: TargetFunction, c: float) -> TargetFunction:
     """c * f with metadata scaled accordingly."""
     return TargetFunction(
@@ -242,19 +223,13 @@ def scale_function(f: TargetFunction, c: float) -> TargetFunction:
     )
 
 
-def fenchel_conjugate(
-    g,
-    u: float,
-    lambda_grid=None,
-    lambda_cap: float = DEFAULT_LAMBDA_CAP,
-    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
-) -> float:
+def fenchel_conjugate(g, u: float, lambda_grid=None, grid_size: int = DEFAULT_LAMBDA_GRID_SIZE) -> float:
     """Refined oracle for sup over lambda >= 0 of (lambda u - g(lambda)), convex g, g(0) = 0.
 
-    The maximum on a uniform grid on [0, cap], refined by bounded
-    golden-section search between the maximizer's neighbours.  With the
-    default grid the cap doubles (up to MAX_CAP_DOUBLINGS times) while the
-    maximizer lands on the boundary; an explicit grid only warns.
+    The maximum on a uniform grid, refined by bounded golden-section search
+    between the maximizer's neighbours.  The default grid ends at
+    max(DEFAULT_LAMBDA_CAP, 2u), past which a g >= lambda^2/2 has no
+    maximizer; a grid too short for its maximizer warns.
     """
     from scipy.optimize import minimize_scalar
 
@@ -265,17 +240,11 @@ def fenchel_conjugate(
     if u < 0:
         raise ParameterError(f"u must be nonnegative, got {u}")
     if lambda_grid is None:
-        for attempt in range(MAX_CAP_DOUBLINGS + 1):
-            grid = np.linspace(0.0, lambda_cap, grid_size)
-            gv = np.asarray(g(grid), dtype=float)
-            if int(np.argmax(grid * u - gv)) < grid_size - 1 or attempt == MAX_CAP_DOUBLINGS:
-                break
-            lambda_cap *= 2.0
-    else:
-        grid = np.asarray(lambda_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 3 or grid[0] != 0.0:
-            raise ParameterError("lambda grid must be 1-d, start at 0, size >= 3")
-        gv = np.asarray(g(grid), dtype=float)
+        lambda_grid = np.linspace(0.0, max(DEFAULT_LAMBDA_CAP, 2.0 * u), grid_size)
+    grid = np.asarray(lambda_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 3 or grid[0] != 0.0:
+        raise ParameterError("lambda grid must be 1-d, start at 0, size >= 3")
+    gv = np.asarray(g(grid), dtype=float)
     h = grid * u - gv
     i = int(np.argmax(h))
     if i == grid.size - 1:
@@ -290,24 +259,19 @@ def fenchel_conjugate(
     return max(0.0, float(h[i]), float(-res.fun))
 
 
-def brute_force_conjugate_curve(
-    nu,
-    u_hint: float,
-    lambda_cap: float = DEFAULT_LAMBDA_CAP,
-    grid_size: int = DEFAULT_LAMBDA_GRID_SIZE,
-) -> TailCurve:
-    """Oracle for ``conjugate_curve``: the same frozen lines, every one scored
-    at every u and the first maximum kept, then the same 4-ulp rounding,
+def brute_force_conjugate_curve(nu, u_hint: float, grid_size: int = DEFAULT_LAMBDA_GRID_SIZE) -> TailCurve:
+    """Oracle for ``conjugate_curve``: the same frozen lines, 0 and geometric
+    lambdas up to max(DEFAULT_LAMBDA_CAP, 2 u_hint), every one scored at
+    every u and the first maximum kept, then the same 4-ulp rounding,
     2 exp(-max(best, 0)) and boundary warning (once per read with a u on the
     last line and a Q above 0.0, naming the last breakpoint)."""
-    grid, gv = _lambda_grid(nu, u_hint, lambda_cap, grid_size)
+    grid = np.concatenate([[0.0], np.geomspace(LAMBDA_MIN, max(DEFAULT_LAMBDA_CAP, 2.0 * u_hint), grid_size - 1)])
+    gv = np.asarray(nu(grid), dtype=float)
     eps = np.finfo(float).eps
     last_break = float(np.max(np.diff(gv) / np.diff(grid)))
 
     def fn(u):
         flat = np.ravel(np.asarray(u, dtype=float))
-        if np.any(flat < 0):
-            raise ParameterError(f"u must be nonnegative, got {flat[flat < 0][0]}")
         lines = flat[:, None] * grid - gv
         j = np.argmax(lines, axis=1)
         best = lines[np.arange(flat.size), j] - 4.0 * eps * (np.abs(flat * grid[j]) + np.abs(gv[j]))

@@ -60,6 +60,18 @@ class TestStieltjesBound:
         assert rep.enclosure[1] <= c + 1e-12
         assert rep.enclosure[0] >= c * (q.at(1e-6) - q.at(9.0)) - 1e-9
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_bracket_capped_at_twice_sup_f(self, n):
+        # sine freq 3 saturates the modulus at 2 sup|f| = 2, and the grid slack went on top:
+        # |A_n f - f| <= 2 sup|f| caps the bracket there, and the lower bracket stays below it
+        study = Study(ExperimentConfig(function_name="sine", function_freq=3.0, n_grid=(16, 64, 256)))
+        rep = study.stieltjes(n)
+        assert study.profile.enclosure_slack > 0.0
+        assert rep.enclosure[0] <= rep.upper_stieltjes <= rep.enclosure[1] == 2.0 * study.f.sup_abs
+        # under a sup|f| too large to bind, the sums stand as they are, past 2
+        loose = stieltjes_bound(study.profile, study.curve, n, study.z_grid, f_sup=10.0)
+        assert loose.enclosure[1] > 2.0 and loose.enclosure[0] == rep.enclosure[0]
+
     def test_point_mass_step_curve(self):
         # Q drops 1 -> 0 at z0: the integral is exactly omega(z0/sqrt(n))
         z0 = 2.0

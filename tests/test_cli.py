@@ -95,6 +95,7 @@ class TestUsageErrors:
         res = runner.invoke(main, ["run", "--set", "run.seed=abc", "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    # tail.lambda_cap is no key since the lambda cap follows tail.z_cap: any value of it is refused
     @pytest.mark.parametrize("key", ["tail.z_cap", "tail.lambda_cap"])
     @pytest.mark.parametrize("value", ["0", "-1.5", "inf"])
     def test_nonpositive_tail_cap_exit_two(self, runner, tmp_path, key, value):
@@ -102,6 +103,12 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert "error kind=usage" in res.output
         assert key in res.output
+
+    def test_removed_lambda_cap_key_exit_two(self, runner, tmp_path):
+        res = runner.invoke(main, ["tail", "--set", "tail.lambda_cap=3", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "error kind=usage" in res.output
+        assert "unknown config key 'tail.lambda_cap'" in res.output
 
     def test_unknown_weight_kind_exit_two(self, runner, tmp_path):
         res = runner.invoke(main, ["modulus", "--set", "weight.kind=foo", "--out", str(tmp_path)])
@@ -482,9 +489,8 @@ class CountingCurve:
         return getattr(self._curve, name)
 
 
-# tail_z_max reads both ends of [0, 64], then one round of 2^5 - 1 midpoints per 5
-# of its 26 bisection steps
-Z_MAX_READS = [2] + [2**5 - 1] * 6
+# tail_z_max reads both ends of [0, 64], then one midpoint per step of its 26 bisection steps
+Z_MAX_READS = [1] * 28
 
 
 @pytest.fixture

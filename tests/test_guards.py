@@ -20,13 +20,15 @@ from test_golden import CONFIGS
 
 import bernapprox
 from bernapprox import config as cfgmod
-from bernapprox.bounds import hdt_bound
+from bernapprox.bounds import BoundReport, hdt_bound
+from bernapprox.errors import ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family, poisson_family
-from bernapprox.functions import builtin_catalog
+from bernapprox.functions import HolderSpec, Interval, builtin_catalog
+from bernapprox.grids import GridSpec
 from bernapprox.modulus import ModulusProfile
 from bernapprox.operators import MAX_BERNSTEIN_N, sup_error
-from bernapprox.tails import TailCurve
+from bernapprox.tails import PowerTailSpec, TailCurve
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bernapprox"
@@ -425,6 +427,27 @@ def test_records_are_named_tuples_but_two():
     # metadata is the config schema, and every report echoes asdict(cfg). ConvergenceTable is
     # rebuilt with replace(table, fit=...) by Study.table and by the benchmark's traced run.
     assert package_dataclasses() == {"ExperimentConfig", "ConvergenceTable"}
+
+
+@pytest.mark.parametrize("record,fields", [
+    (lambda: Interval(0.0, 1.0), {"b": -1.0}),
+    (lambda: HolderSpec(1.0, 1.0), {"alpha": 1.5}),
+    (lambda: bernoulli_family(0.05), {"x_domain": (0.5, 0.2)}),
+    (lambda: GridSpec("uniform", 33), {"size": 1}),
+    (lambda: ModulusProfile(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0), {"enclosure_slack": -1.0}),
+    (lambda: TailCurve("flat", np.ones_like), {"kind": "flat", "params": None}),
+    (lambda: PowerTailSpec(1.0, 1.0), {"K": -1.0}),
+    (lambda: BoundReport(1.0, (0.5, 2.0)), {"upper_stieltjes": 3.0}),
+], ids=["Interval", "HolderSpec", "Family", "GridSpec", "ModulusProfile", "TailCurve", "PowerTailSpec",
+        "BoundReport"])
+def test_replace_runs_the_record_check(record, fields):
+    # _replace builds through the record's own __new__, so it checks what a call checks
+    rec = record()
+    if isinstance(rec, TailCurve):
+        assert rec._replace(**fields).params == {}
+    else:
+        with pytest.raises(ParameterError):
+            rec._replace(**fields)
 
 
 def test_record_dict_defaults_are_not_shared():

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     POISSON_PHI, brute_force_conjugate_curve, fenchel_conjugate, gaussian_curve, law_breakpoints, law_tail,
-    poisson_log_mgf, poisson_nu, scalar_z_max, step_read,
+    poisson_log_mgf, poisson_nu, step_read,
 )
 
-from bernapprox import config as cfgmod
 from bernapprox import experiments, tails
 from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
@@ -105,7 +104,7 @@ def endpoint_phi(fam, lam: float) -> float:
     return max(0.0, *(float(poisson_log_mgf(x, s * lam)) for x in fam.x_domain for s in (1.0, -1.0)))
 
 
-TABLE_CAP = tails.DEFAULT_LAMBDA_CAP * 2**tails.MAX_CAP_DOUBLINGS
+TABLE_CAP = tails.PHI_TABLE_END
 
 
 class TestPhiSup:
@@ -252,7 +251,7 @@ class TestFenchelConjugate:
             fenchel_conjugate(SUBGAUSS, 3.0, lambda_grid=grid)
 
     def test_cap_autoextension_avoids_warning(self):
-        # maximizer at lambda = 60 > default cap 50; doubling must absorb it
+        # maximizer at lambda = 60 > default cap 50; the cap 2u = 120 holds it
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryWarning)
             val = fenchel_conjugate(SUBGAUSS, 60.0)
@@ -270,7 +269,8 @@ class TestFenchelConjugate:
             return float(out[0]) if np.isscalar(u) else out
 
         for lam in (0.1, 0.5, 1.0, 2.0, 3.0):
-            nn = fenchel_conjugate(nu_star, float(lam), lambda_cap=40.0, grid_size=201)
+            # nu* grows like u ln u, below u^2/2, so its maximizer e^lam - 1 needs a grid of its own
+            nn = fenchel_conjugate(nu_star, float(lam), lambda_grid=np.linspace(0.0, 40.0, 201))
             assert nn == pytest.approx(float(poisson_nu(lam)), rel=1e-6)
 
 
@@ -407,6 +407,22 @@ class TestTailCurveType:
         assert curve.at(z) < 1e-12
         assert curve.at(z - 1e-3) >= 1e-12
 
+    @pytest.mark.parametrize("u", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("source", ["conjugate", "poisson-conjugate", "power-tail", "exact-law"])
+    def test_every_source_refuses_a_bad_u(self, source, u):
+        # one contract in TailCurve.at: no curve reads a negative, NaN or infinite u
+        curve = {
+            "conjugate": lambda: conjugate_curve(SUBGAUSS, 4.0, grid_size=101),
+            "poisson-conjugate": lambda: poisson_curve(1.0),
+            "power-tail": lambda: power_tail_curve(PowerTailSpec(p=1.5, K=0.5)),
+            "exact-law": lambda: exact_law_curve(bernoulli_family(), 0.5, [16, 64], 1e-12),
+        }[source]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            for arg in (u, np.array([0.5, u, 2.0])):
+                with pytest.raises(ParameterError, match="nonnegative and finite"):
+                    curve.at(arg)
+
     @pytest.mark.parametrize("level,z_max", [(1e-13, 0.0), (1e-11, tails.Z_CAP)])
     def test_tail_z_max_ends(self, level, z_max):
         # below the floor from z = 0 on, or above it up to the cap
@@ -414,65 +430,32 @@ class TestTailCurveType:
         assert tail_z_max(curve) == z_max
 
 
-def workload_overrides() -> dict[str, list[str]]:
-    """The benchmark's workloads, as --set overrides by name."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return {name: list(w.overrides) for name, w in module.WORKLOADS.items()}
-
-
-@pytest.fixture(scope="module")
-def study_curves():
-    """(tail curve, tail.floor, tail.z_cap) of every golden config and workload, by name."""
-    from test_golden import CONFIGS
-
-    configs = {**{name: args[1::2] for name, args in CONFIGS.items()}, **workload_overrides()}
-    studies = {name: Study(cfgmod.resolve(overrides=cfgmod.parse_overrides(sets)))
-               for name, sets in configs.items()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryWarning)
-        return {name: (s.curve, s.cfg.tail_floor, s.cfg.tail_z_cap) for name, s in studies.items()}
-
-
-class TestZMaxRounds:
-    @given(data=st.data(), log_floor=st.floats(-16.0, -0.05), z_cap=st.floats(0.5, 200.0))
-    @settings(max_examples=120, deadline=None)
-    def test_rounds_give_the_scalar_bisection_bit_for_bit(self, study_curves, data, log_floor, z_cap):
-        # the same float and the same distinct warnings on every golden config and workload,
-        # at its own floor and cap and at random ones.  Both read the cap first, and a curve's
-        # warning names no u, so the rounds warn if and only if the scalar bisection does
-        curve, own_floor, own_cap = study_curves[data.draw(st.sampled_from(sorted(study_curves)))]
-        for floor, cap in ((own_floor, own_cap), (10.0**log_floor, z_cap)):
-            with warnings.catch_warnings(record=True) as scalar_warns:
-                warnings.simplefilter("always")
-                scalar = scalar_z_max(curve, floor, cap)
-            with warnings.catch_warnings(record=True) as round_warns:
-                warnings.simplefilter("always")
-                rounds = tail_z_max(curve, floor, cap)
-            assert type(rounds) is type(scalar) and rounds == scalar
-            assert {str(w.message) for w in round_warns} == {str(w.message) for w in scalar_warns}
-
-    def test_the_cap_config_warns_in_the_bisection(self, study_curves):
-        # the warnings above are not vacuous: on bern-cusp-cap the read of both ends and the
-        # first round's read, whose midpoints reach 32 and up, fall past the last line at u = 19.04;
-        # the later rounds stay below it.  Each such read warns once, with the curve's one message
+class TestZMaxBisection:
+    def test_a_read_past_the_last_line_warns_in_the_bisection(self):
+        # five lines end at the cap 50, their last breakpoint at u = 25.68: the probe at the cap 64
+        # reads Q = 0.0 there and stays silent, the first midpoint 32 reads Q > 0.0 there and warns,
+        # and every later midpoint stays below it.  The one read warns with the curve's one message
+        curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=5)
         with warnings.catch_warnings(record=True) as warns:
             warnings.simplefilter("always")
-            tail_z_max(*study_curves["bern-cusp-cap"])
-        assert [str(w.message) for w in warns] == [
-            "conjugate maximizer at the lambda grid boundary 6 for u past the last breakpoint 19.0441"] * 2
+            assert curve.at(64.0) == 0.0 and curve.at(32.0) > 0.0
+            assert [str(w.message) for w in warns] == [CUT_WARNING]
+            warns.clear()
+            tail_z_max(curve)
+        assert [str(w.message) for w in warns] == [CUT_WARNING]
 
-    def test_one_array_read_per_round(self):
+    def test_one_scalar_read_per_step(self):
         reads = []
         curve = gaussian_curve()
-        counted = TailCurve(kind="counted", fn=lambda u: reads.append(np.size(u)) or curve.fn(u))
-        assert tail_z_max(counted) == scalar_z_max(curve, tails.TAIL_FLOOR, tails.Z_CAP)
-        # the two ends, then 26 steps to a bracket of 64 / 2^26 < 1e-6, 5 per round
-        assert reads == [2] + [2**tails.Z_MAX_LEVELS - 1] * 6
+        counted = TailCurve(kind="counted", fn=lambda u: reads.append(np.shape(u)) or curve.fn(u))
+        z = tail_z_max(counted)
+        # the two ends, then 26 steps to a bracket of 64 / 2^26 < 1e-6
+        assert reads == [()] * 28
+        assert curve.at(z) < tails.TAIL_FLOOR <= curve.at(z - 64.0 / 2**26)
+
+
+# the one message of a five-line subgaussian curve: it names the cap and the last breakpoint, not a u
+CUT_WARNING = "conjugate maximizer at the lambda grid boundary 50 for u past the last breakpoint 25.6786"
 
 
 # a window tolerance so small that the exact law's curve is the law to within 1e-300 (dropped and added)
@@ -584,7 +567,7 @@ class TestEmpiricalAtf:
         singles = [exact_law_curve(fam, x, [n], LAW_TOL) for n in n_set]
         breaks = np.unique(np.concatenate([law_breakpoints(fam, x, n, LAW_TOL) for n in n_set]))
         table = np.max([c.at(breaks) for c in singles], axis=0)
-        below = max(float(c.at(-1.0)) for c in singles)
+        below = max(min(1.0, float(c.fn(-1.0))) for c in singles)  # the step rule below every breakpoint
         # the breakpoints, the points between them, and points below and past them
         probes = np.concatenate([breaks, (breaks[:-1] + breaks[1:]) / 2.0,
                                  [breaks[0] / 2.0, breaks[-1] + 0.5, breaks[-1] + 100.0]])
@@ -723,28 +706,59 @@ class TestNuEveryN:
 
 
 class TestLambdaGridStaysInTheTable:
-    """family_nu's table ends at lambda_cap * 2^MAX_CAP_DOUBLINGS, the largest cap the
-    conjugation may double to, and np.geomspace returns that stop exactly."""
+    """family_nu's table ends at max(PHI_TABLE_END, lambda_cap(u_hint)), the cap the
+    conjugation reads for that u_hint, and np.geomspace returns that stop exactly."""
 
     @settings(max_examples=25, deadline=None)
-    @given(eps=st.floats(min_value=1e-9, max_value=0.5, exclude_max=True), log_cap=st.floats(-2.0, 3.0),
+    @given(eps=st.floats(min_value=1e-9, max_value=0.5, exclude_max=True),
            size=st.integers(3, 1001), log_z_cap=st.floats(-1.0, 4.0))
-    @example(eps=0.05, log_cap=-2.0, size=3, log_z_cap=4.0)  # all 5 doublings: nu reads t_max itself
-    def test_the_largest_lambda_nu_reads_is_within_the_table(self, eps, log_cap, size, log_z_cap):
-        cfg = ExperimentConfig(family_eps=eps, tail_lambda_cap=10.0**log_cap, tail_lambda_size=size,
-                               tail_z_cap=10.0**log_z_cap)
-        largest = []
+    @example(eps=0.05, size=3, log_z_cap=4.0)  # the cap 5000 extends the table: nu reads t_max itself
+    def test_the_largest_lambda_nu_reads_is_within_the_table(self, eps, size, log_z_cap):
+        cfg = ExperimentConfig(family_eps=eps, tail_lambda_size=size, tail_z_cap=10.0**log_z_cap)
+        largest, tables = [], []
         build = experiments.family_nu
 
         def recorded(*args, **kwargs):
             nu = build(*args, **kwargs)
+            tables.append(max(tails.PHI_TABLE_END, tails.lambda_cap(kwargs["u_hint"])))
             return lambda lam: largest.append(float(np.max(lam))) or nu(lam)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "family_nu", recorded)
-            Study(cfg).curve
-        assert 1 <= len(largest) <= tails.MAX_CAP_DOUBLINGS + 1
-        assert max(largest) <= cfg.tail_lambda_cap * 2**tails.MAX_CAP_DOUBLINGS
+            curve = Study(cfg).curve
+        assert len(largest) == 1  # one nu call, on the one grid
+        assert largest[0] == curve.params["lambda_cap"] == tails.lambda_cap(cfg.tail_z_cap / 4.0) <= tables[0]
+
+
+class TestLambdaCapTheorem:
+    """nu >= lambda^2/2 puts the maximizer of lambda u - nu(lambda), for every u up to
+    u_hint, before the last line of the grid that ends at lambda_cap(u_hint)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(eps=st.floats(min_value=1e-12, max_value=0.5, exclude_max=True),
+           u_hint=st.floats(min_value=0.0, max_value=64.0, exclude_min=True), size=st.integers(3, 1001))
+    @example(eps=0.4999, u_hint=64.0, size=3)
+    @example(eps=1e-12, u_hint=25.0, size=1001)  # the cap is 2 u_hint = 50 exactly
+    def test_the_maximizer_lies_before_the_last_line(self, eps, u_hint, size):
+        nu = family_nu(bernoulli_family(eps), u_hint=u_hint)
+        curve = conjugate_curve(nu, u_hint, grid_size=size)
+        grid = frozen_grid(curve)
+        assert grid[-1] == max(50.0, 2.0 * u_hint)
+        gv = nu(grid)
+        # lines are increasing in u, so the last one, at most 0 = the line at lambda = 0 at u_hint,
+        # is at most 0 at every smaller u too, and the first maximum is never the last line
+        assert grid[-1] * u_hint - gv[-1] <= 0.0
+        for u in np.linspace(0.0, u_hint, 17):
+            assert int(np.argmax(grid * u - gv)) < size - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryWarning)
+            curve.at(np.linspace(0.0, u_hint, 65))
+
+    def test_a_nu_below_the_theorem_is_refused(self):
+        # lambda u - lambda^2/4 peaks at lambda = 2u, for u = u_hint = 40 at the cap 80 itself:
+        # a maximizer on the last line means nu is the envelope of no variance-1 zeta
+        with pytest.raises(ParameterError, match="below lambda\\^2/2"):
+            conjugate_curve(lambda lam: np.asarray(lam) ** 2 / 4.0, 40.0)
 
 
 class TestConjugateCurve:
@@ -754,12 +768,11 @@ class TestConjugateCurve:
         # oracle, and at the default grid size at most 2% above it
         nu = {"subgauss": SUBGAUSS, "poisson": POISSON_PHI, "bernoulli": bern_nu}[which]
         curve = conjugate_curve(nu, 16.0)
-        cap = curve.params["lambda_cap"]
 
         @given(st.floats(min_value=0.0, max_value=16.0))
         @settings(max_examples=40, deadline=None)
         def check(u):
-            oracle = min(1.0, 2.0 * math.exp(-fenchel_conjugate(nu, u, lambda_cap=cap)))
+            oracle = min(1.0, 2.0 * math.exp(-fenchel_conjugate(nu, u)))
             q = curve.at(u)
             assert q >= oracle
             if q > 1e-12:
@@ -785,9 +798,10 @@ class TestConjugateCurve:
             assert pois_curve.at(float(u)) >= min(1.0, 2.0 * math.exp(-poisson_conjugate(float(u))))
 
     def test_params_record_the_frozen_grid(self):
-        # maximizer of lambda u - lambda^2/2 is lambda = u: 120 needs 50 -> 100 -> 200
+        # u_hint 120 sets the cap 2 * 120; one below 25 keeps the least cap 50
         curve = conjugate_curve(SUBGAUSS, 120.0, grid_size=101)
-        assert curve.params == {"lambda_cap": 200.0, "lambda_grid_size": 101}
+        assert curve.params == {"lambda_cap": 240.0, "lambda_grid_size": 101}
+        assert conjugate_curve(SUBGAUSS, 4.0, grid_size=101).params["lambda_cap"] == 50.0
 
     def test_negative_u_rejected(self):
         with pytest.raises(ParameterError):
@@ -804,27 +818,28 @@ class TestConjugateCurve:
     def test_one_boundary_warning_per_read_past_the_last_line(self):
         # the message names the cap and the last breakpoint, not the u, so it is
         # the same for every read of one curve, and Python's default filter shows it
-        # once; at the cap 6, Q stays above 0.0 up to u near 130
-        curve = conjugate_curve(SUBGAUSS, 4.0, lambda_cap=6.0, grid_size=101)
+        # once; on five lines to the cap 50, Q stays above 0.0 up to u near 39.9
+        curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=5)
         last_break = np.max(np.diff(SUBGAUSS(frozen_grid(curve))) / np.diff(frozen_grid(curve)))
-        message = f"conjugate maximizer at the lambda grid boundary 6 for u past the last breakpoint {last_break:g}"
+        message = f"conjugate maximizer at the lambda grid boundary 50 for u past the last breakpoint {last_break:g}"
+        assert message == CUT_WARNING
         with pytest.warns(BoundaryWarning) as record:
-            curve.at(np.array([3.0, 30.0, 40.0]))
-            curve.at(np.array([50.0]))
+            curve.at(np.array([3.0, 30.0, 35.0]))
+            curve.at(np.array([39.0]))
         assert [str(w.message) for w in record] == [message] * 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryWarning)
             curve.at(np.array([0.0, 3.0, 0.99 * last_break]))
 
     def test_no_boundary_warning_where_q_is_zero(self):
-        # past the last breakpoint of the cap 50, 2 exp(-nu*(u)) underflows to 0.0,
-        # which a larger cap cannot lower: such a read does not warn
+        # past the last breakpoint of 101 lines to the cap 50, 2 exp(-nu*(u)) underflows
+        # to 0.0, which a larger cap cannot lower: such a read does not warn
         curve = conjugate_curve(SUBGAUSS, 4.0, grid_size=101)
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryWarning)
             assert curve.at(np.array([3.0, 3000.0, 4000.0])).tolist()[1:] == [0.0, 0.0]
         with pytest.warns(BoundaryWarning):  # one u with Q > 0.0 on the last line warns
-            conjugate_curve(SUBGAUSS, 4.0, lambda_cap=6.0, grid_size=101).at(np.array([3000.0, 50.0]))
+            conjugate_curve(SUBGAUSS, 4.0, grid_size=5).at(np.array([3000.0, 30.0]))
 
     def test_reading_the_curve_calls_nu_zero_times(self, bern_nu):
         calls = []
@@ -909,7 +924,8 @@ def read_nus():
 
 def frozen_lines(nu, size):
     """The lines conjugate_curve freezes for the CLI's u_hint, and their breakpoints."""
-    grid, gv = tails._lambda_grid(nu, tails.Z_CAP / 4.0, tails.DEFAULT_LAMBDA_CAP, size)
+    grid = np.concatenate([[0.0], np.geomspace(tails.LAMBDA_MIN, tails.lambda_cap(tails.Z_CAP / 4.0), size - 1)])
+    gv = nu(grid)
     return grid, gv, np.diff(gv) / np.diff(grid)
 
 
