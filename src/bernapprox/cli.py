@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -24,18 +25,29 @@ from pathlib import Path
 
 import click
 
-from . import __version__, config as cfgmod
-from .errors import BernApproxError, ParameterError
-from .experiments import (
-    ExperimentConfig,
-    Study,
-    ValiditySummary,
-    validity_check,
-    write_csv,
-    write_json,
-    write_report,
-    write_timings,
-)
+# No module of the package calls BLAS, but numpy's OpenBLAS starts a worker
+# thread per core when it loads, and an idle worker spins and takes CPU from
+# the main thread.  So numpy loads with one thread, and the caller's setting,
+# or its absence, is back in os.environ once the import is done (kept in a
+# dict, so the restore needs no branch on whether it was set).
+_caller_blas = {k: v for k, v in os.environ.items() if k == "OPENBLAS_NUM_THREADS"}
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from . import __version__, config as cfgmod
+    from .errors import BernApproxError, ParameterError
+    from .experiments import (
+        ExperimentConfig,
+        Study,
+        ValiditySummary,
+        validity_check,
+        write_csv,
+        write_json,
+        write_report,
+        write_timings,
+    )
+finally:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+    os.environ.update(_caller_blas)
 
 BOUND_COLUMNS = ("n", "lower_bracket", "upper_bracket", "closed_form", "empirical", "ratio")
 

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import runpy
@@ -581,6 +582,43 @@ def test_cli_calls_never_import_scipy(tmp_path):
     assert res.stdout.strip().splitlines()[-1] == "[]"
     assert all((tmp_path / d / f).exists()
                for d, f in [("0", "report.json"), ("1", "report.json"), ("2", "bound.json"), ("3", "bound.json")])
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task (Linux)")
+@pytest.mark.parametrize("threads", ["2", None], ids=["capped-at-2", "unset"])
+def test_cli_import_loads_numpy_with_one_thread(threads):
+    # numpy's OpenBLAS starts a worker per core unless told otherwise, and the benchmark
+    # caps it at the core count; importing the CLI loads numpy with one thread either
+    # way, then hands the caller's environment back as it was
+    code = (
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        "import bernapprox.cli\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(dict.fromkeys(BLAS_VARS, threads) if threads else {})
+    env["PYTHONPATH"] = str(Path(bounds.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert json.loads(res.stdout) == [1, threads, True]
+
+
+@pytest.mark.parametrize("threads", ["3", None], ids=["set", "unset"])
+def test_cli_import_leaves_the_environment_as_it_was(monkeypatch, threads):
+    # numpy is loaded already here, so the import changes nothing that lasts
+    assert "numpy" in sys.modules
+    if threads:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    else:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    spec = importlib.util.find_spec("bernapprox.cli")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert dict(os.environ) == before
 
 
 def test_monte_carlo_evaluate_table_matches_summary(runner, tmp_path):
