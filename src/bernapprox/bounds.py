@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DivergenceWarning, InsufficientDataError, ParameterError
+from .errors import DivergenceWarning, ParameterError
 from .functions import Checked, HolderSpec
 from .modulus import ModulusProfile
 from .tails import TailCurve, tail_z_max
@@ -59,7 +59,7 @@ def stieltjes_bound(
     q: TailCurve,
     n: int,
     z_grid,
-    f_sup: Optional[float] = None,
+    f_sup: float,
 ) -> BoundReport:
     """Two-sided enclosure of integral omega(z/sqrt(n)) |dQ(z)| on z_grid.
 
@@ -68,8 +68,8 @@ def stieltjes_bound(
     below by its left and above by its right endpoint value.  Mass beyond
     the last grid point contributes 2 sup|f| Q(z_max) to the upper bracket,
     and the profile's own grid slack is added once against the total mass.
-    With sup|f| known, the bracket is capped at 2 sup|f|, a bound on
-    |A_n f - f| whatever the sums give.
+    The bracket is capped at 2 sup|f|, a bound on |A_n f - f| whatever the
+    sums give.
     """
     if n < 1:
         raise ParameterError("n must be positive")
@@ -85,22 +85,11 @@ def stieltjes_bound(
     lower = float(np.sum(profile.value_lower(d_lo) * masses))
     upper_core = float(np.sum(profile.value_upper(d_hi, f_sup) * masses))
 
-    tail_q = float(qv[-1])
-    if tail_q > 0.0:
-        if f_sup is None:
-            raise InsufficientDataError(
-                "tail mass beyond z-max is positive; sup|f| is required to cap it"
-            )
-        tail_term = 2.0 * f_sup * tail_q
-    else:
-        tail_term = 0.0
-
-    nominal = upper_core + tail_term
+    nominal = upper_core + 2.0 * f_sup * float(qv[-1])
     total_mass = float(qv[0] - qv[-1])
     upper = nominal + profile.enclosure_slack * total_mass
-    if f_sup is not None:
-        # the lower bracket is at most 2 sup|f| already, up to rounding, which the cap keeps in order
-        lower, nominal, upper = (min(v, 2.0 * f_sup) for v in (lower, nominal, upper))
+    # the lower bracket is at most 2 sup|f| already, up to rounding, which the cap keeps in order
+    lower, nominal, upper = (min(v, 2.0 * f_sup) for v in (lower, nominal, upper))
     return BoundReport(upper_stieltjes=nominal, enclosure=(lower, upper))
 
 

@@ -42,7 +42,6 @@ from .tails import (
     PowerTailSpec,
     TailCurve,
     conjugate_curve,
-    exact_law_curve,
     family_nu,
     poisson_curve,
     power_tail_curve,
@@ -106,10 +105,8 @@ class ExperimentConfig:
         ("at least 5 and 1 more than a multiple of 4", lambda v: v >= 5 and v % 4 == 1))
     delta_grid_size: int = _key("grids.delta_size", 49, "modulus delta grid size", _at_least(9))
     z_grid_size: int = _key("grids.z_size", 257, "z grid size for the Stieltjes enclosure", _at_least(2))
-    tail_source: str = _key(
-        "tail.source", "exact-conjugate", "tail curve; exact-law is the exact sup over run.n_grid of the law "
-        "at tail.x plus the dropped mass, not a bound over the x-domain",
-        _one_of("exact-conjugate", "power-tail", "exact-law"))
+    tail_source: str = _key("tail.source", "exact-conjugate", "tail curve, a bound uniform in n and x",
+                            _one_of("exact-conjugate", "power-tail"))
     tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p", _unset_or(_POSITIVE))
     tail_k: Optional[float] = _key(
         "tail.k", None, "power-tail constant K (required; no default exists)", _unset_or(_POSITIVE))
@@ -122,9 +119,6 @@ class ExperimentConfig:
     # Q <= 1, so a floor of 1 or more cuts the curve at z = 0
     tail_floor: float = _key("tail.floor", TAIL_FLOOR, "tail value treated as zero beyond z-max", _INSIDE_UNIT)
     tail_z_cap: float = _key("tail.z_cap", Z_CAP, "hard cap on z-max", _POSITIVE)
-    tail_x: Optional[float] = _key(
-        "tail.x", None, "the one x of the exact-law tail, in the family's x-domain "
-        "(default: 1/2 for bernoulli, family.x_min for poisson)", _unset_or(_FINITE))
     trial_x0: Optional[float] = _key(
         "trial.x0", None, "trial cusp location (enables the lower-ratio column; bernoulli only)",
         _unset_or(_INSIDE_UNIT))
@@ -165,9 +159,6 @@ class ExperimentConfig:
             # the report would be about f clamped to its interval, not about f
             raise ParameterError(f"function.name={self.function_name} lives on [{iv.a}, {iv.b}], which does not "
                                  f"hold the family.kind={self.family_kind} x-domain [{lo}, {hi}]")
-        if self.tail_x is not None and not lo <= self.tail_x <= hi:
-            raise ParameterError(f"tail.x must lie in the {self.family_kind} x-domain [{lo}, {hi}], "
-                                 f"got {self.tail_x!r}")
 
 
 class ConvergenceRow(NamedTuple):
@@ -236,17 +227,12 @@ def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
     The default exact-conjugate source takes the closed Poisson conjugate at
     the x-domain's lower end, the worst x, for the Poisson family and the
     envelope conjugate built from the exact log-MGF on the restricted
-    x-domain for Bernoulli.  The exact-law source is the law at tail.x over
-    run.n_grid only; its windows drop half of tail.floor at most, so that
-    the dropped mass it adds stays below the floor and z_max is finite.
+    x-domain for Bernoulli.  The power-tail source is the bound of a
+    user-supplied K.  Every source bounds the tail of zeta_n(x) for every n
+    and every x of the x-domain, as the bracket needs.
     """
     if cfg.tail_source == "power-tail":
         return power_tail_curve(PowerTailSpec(p=cfg.tail_p, K=cfg.tail_k))
-    if cfg.tail_source == "exact-law":
-        x = cfg.tail_x
-        if x is None:
-            x = 0.5 if fam.kind == "bernoulli" else fam.x_domain[0]
-        return exact_law_curve(fam, x, cfg.n_grid, min(cfg.szasz_tail_tol, cfg.tail_floor / 2.0))
     if fam.kind == "poisson":
         return poisson_curve(fam.x_domain[0])
     # the frozen lambda grid is wide enough that every u up to z_cap / 4 peaks inside it

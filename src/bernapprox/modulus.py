@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import GridResolutionWarning, InsufficientDataError, ParameterError
+from .errors import GridResolutionWarning, ParameterError
 from .functions import Checked, HolderSpec, TargetFunction, eval_clamped
 from .grids import resolve_grid, symmetric_grid
 
@@ -55,10 +55,6 @@ class ModulusProfile(Checked, _ModulusProfile):
             raise ParameterError("enclosure slack must be nonnegative")
         return super().__new__(cls, deltas, values, enclosure_slack, {} if metadata is None else metadata)
 
-    @property
-    def delta_max(self) -> float:
-        return float(self.deltas[-1])
-
     def value_lower(self, delta) -> np.ndarray:
         """Value at the largest tabulated delta <= target (an under-estimate)."""
         d = np.asarray(delta, dtype=float)
@@ -66,27 +62,16 @@ class ModulusProfile(Checked, _ModulusProfile):
         idx = np.clip(idx, 0, self.deltas.size - 1)
         return self.values[idx]
 
-    def value_upper(self, delta, f_sup: Optional[float] = None) -> np.ndarray:
+    def value_upper(self, delta, f_sup: float) -> np.ndarray:
         """Value at the smallest tabulated delta >= target (an over-estimate).
 
-        Beyond the tabulated range the 2*sup|f| cap is used; without a known
-        sup bound the call fails rather than guessing.
+        Beyond the tabulated range it is the cap 2 sup|f|.
         """
         d = np.asarray(delta, dtype=float)
         beyond = d > self.deltas[-1]
-        if np.any(beyond):
-            if f_sup is None:
-                raise InsufficientDataError(
-                    f"profile covers deltas up to {self.delta_max:g} but "
-                    f"{float(np.max(d)):g} was requested and no sup bound is known"
-                )
-            cap = 2.0 * f_sup
-        else:
-            cap = 0.0
         idx = np.searchsorted(self.deltas, np.where(beyond, self.deltas[-1], d), side="left")
         idx = np.clip(idx, 0, self.deltas.size - 1)
-        out = np.where(beyond, cap, self.values[idx])
-        return out
+        return np.where(beyond, 2.0 * f_sup, self.values[idx])
 
 
 def _raw_modulus(f, xs, base, sig, delta, h_grid_size) -> tuple[float, float]:

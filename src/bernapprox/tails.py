@@ -46,6 +46,7 @@ import numpy as np
 from .errors import BoundaryWarning, ParameterError
 from .families import Family, bernstein_window, frames, poisson_conjugate, zeta_bound, zeta_log_mgf
 from .functions import Checked
+from .operators import MAX_BERNSTEIN_N
 
 DEFAULT_LAMBDA_CAP = 50.0  # the least lambda cap, whatever the u_hint
 DEFAULT_LAMBDA_GRID_SIZE = 1001
@@ -376,12 +377,19 @@ def exact_law_curve(fam: Family, x: float, n_set: Sequence[int], tol: float) -> 
     right-continuous step curve over the breakpoints of every n: at u it is
     the value of the largest breakpoint <= u, and below them all the largest
     window mass.  A read is one binary search.  It holds for this x and these
-    n only, so it is not a bound over the x-domain or over every n.
+    n only, so it is not a bound over the x-domain or over every n.  Each n
+    is an integer in [1, MAX_BERNSTEIN_N] and tol lies in (0, 1).
     """
     x = fam.check_x(x)
-    ns = sorted(set(int(n) for n in n_set))
+    ns = list(n_set)
     if not ns:
         raise ParameterError("n_set must be nonempty")
+    bad = [n for n in ns if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_BERNSTEIN_N)]
+    if bad:
+        raise ParameterError(f"n_set must hold integers in [1, {MAX_BERNSTEIN_N}], got {bad[0]!r}")
+    ns = sorted(set(map(int, ns)))
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"tol must be in (0, 1), got {tol!r}")
     xs, sig = np.array([x]), float(fam.sigma(x))
     laws = []
     for n in ns:

@@ -144,11 +144,12 @@ class TestUsageErrors:
         (["run.mc_trials=99"], "run.mc_trials"),
         (["run.seed=-1"], "run.seed"),
         (["run.mode=monte-carlo", "run.seed=-1"], "run.seed"),
-        (["tail.source=exact-law", "tail.x=7"], "tail.x"),
+        (["tail.x=0.5"], "unknown config key 'tail.x'"),
+        (["tail.source=exact-law"], "tail.source"),  # the law at one x bounds nothing, so it is no source
         (["tail.source=empirical"], "tail.source"),
     ], ids=["name", "alpha-5", "alpha-0", "x0", "trial-alpha", "trial-x0", "square-freq", "x_max-inf",
             "x_min-nan", "x_size", "delta_size", "p", "k", "trials", "mc_trials", "seed", "mc-seed",
-            "tail-x", "empirical-source"])
+            "tail-x", "exact-law-source", "empirical-source"])
     def test_function_and_trial_keys_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
         # ExperimentConfig rejects them, so every subcommand does, whatever it reads
         args = [a for kv in sets for a in ("--set", kv)]
@@ -171,7 +172,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("cfg,key", [
         ({"function": {"name": "constant", "c": True}}, "function.c"),
         ({"family": {"eps": False}}, "family.eps"),
-        ({"tail": {"x": True}}, "tail.x"),
+        ({"tail": {"p": True}}, "tail.p"),
     ], ids=["float", "float-false", "opt-float"])
     def test_json_float_keys_refuse_booleans(self, runner, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -352,6 +353,14 @@ class TestRun:
         ] + FAST)
         assert res.exit_code == 1
         assert "kind=validation" in res.output
+        assert res.stdout.endswith(f", validity FAIL -> {tmp_path / 'o'}\n")
+
+    @pytest.mark.parametrize("cmd", ["run", "bound"])
+    def test_validity_line_is_the_word_alone(self, runner, tmp_path, cmd):
+        # every tail source bounds the tail for every n and x, so a pass needs no qualifier
+        res = runner.invoke(main, [cmd, "--out", str(tmp_path / "o")] + FAST)
+        assert res.exit_code == 0, res.output
+        assert res.stdout.endswith(f", validity pass -> {tmp_path / 'o'}\n")
 
     def test_seed_flag_changes_echo(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -384,6 +393,14 @@ class TestRun:
         res = runner.invoke(main, ["run", "--config", str(a / "report.json"), "--out", str(b)])
         assert res.exit_code == 0, res.output
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+        # a report written while tail.x was a key echoes "tail_x": null; it loads and reruns to today's bytes
+        old = json.loads((a / "report.json").read_text())
+        assert "tail_x" not in old["config"]
+        old["config"]["tail_x"] = None
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        res = runner.invoke(main, ["run", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "c")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "c" / "report.json").read_bytes() == (a / "report.json").read_bytes()
 
 
 class TestOtherSubcommands:
@@ -420,32 +437,6 @@ class TestOtherSubcommands:
         assert header["method"] == "poisson-conjugate"
         assert "rng" not in header  # no tail source draws
         assert "n_max" not in header  # only the Bernoulli conjugate reads it, and the echo has it
-
-    @pytest.mark.parametrize("sets", [
-        [], ["family.kind=poisson", "function.name=exp-decay"],
-        ["function.name=power-cusp", "function.alpha=0.5", "family.eps=0.05", "trial.x0=0.5", "trial.alpha=0.5"],
-    ], ids=["default", "poisson-exp", "bern-cusp-run"])
-    def test_exact_law_source_warns_nothing_and_ends_below_the_cap(self, runner, tmp_path, sets):
-        # its windows drop half the floor at most, so Q falls below the floor past the last breakpoint
-        args = [a for kv in sets + ["tail.source=exact-law"] for a in ("--set", kv)]
-        for cmd in ("run", "bound", "tail"):
-            res = runner.invoke(main, [cmd, "--out", str(tmp_path / cmd), *args])
-            assert res.exit_code == 0, res.output
-            assert "warning" not in res.stderr
-        header = json.loads((tmp_path / "tail" / "tail.json").read_text())
-        assert header["method"] == "exact-law"
-        assert 0.0 < header["z_max"] < header["config"]["tail_z_cap"]
-
-    @pytest.mark.parametrize("cmd", ["run", "bound"])
-    def test_exact_law_validity_line_names_the_law(self, runner, tmp_path, cmd):
-        # the exact-law curve is the law at tail.x, so its pass is not a certificate
-        for source, said in [("exact-conjugate", "validity pass ->"),
-                             ("exact-law", "validity pass (tail.source=exact-law: the law at tail.x, "
-                                           "not a bound) ->")]:
-            res = runner.invoke(main, [cmd, "--out", str(tmp_path / source), "--set", f"tail.source={source}"]
-                                + FAST)
-            assert res.exit_code == 0, res.output
-            assert said in res.stdout
 
     def test_bound_table_columns(self, runner, tmp_path):
         out = tmp_path / "o"

@@ -265,19 +265,6 @@ def test_monte_carlo_mode_run():
     assert [r.lower_ratio for r in table.rows] == [r.lower_ratio for r in exact.rows]
 
 
-def test_exact_law_tail_source_run():
-    cfg = ExperimentConfig(
-        function_name="square", n_grid=(16, 64), x_grid_size=65,
-        delta_grid_size=17, z_grid_size=65, tail_source="exact-law",
-    )
-    study = Study(cfg)
-    table = study.table(trial=True)
-    assert len(table.rows) == 2
-    assert all(r.upper_bracket > 0 for r in table.rows)
-    # the law at the default x = 1/2 over run.n_grid, its windows at min(run.szasz_tail_tol, tail.floor / 2)
-    assert study.curve.params == {"x": 0.5, "n_set": [16, 64], "tol": 5e-13}
-
-
 def test_write_report_io_error(tmp_path):
     from bernapprox.errors import ReportIOError
 

@@ -48,71 +48,71 @@ CONFIGS = {
 GOLDEN = {
     "bern-mc": {
         "run": {
-            "report.json": "d363a9a3c3bdbe075ccb9ca903b3345454b471789af073daaa1abf1d3fc375c0",
+            "report.json": "1f5d2aacdc31598f2b0b607c9a60ceb6efb4e8e7b97cd6b1e257fc7efedc76af",
             "table.csv": "a4be35909c87bc28fef0d48b4b39d4e46618b2d7133e36a8e88d62a56463bbbf",
         },
         "bound": {
             "bound.csv": "92cce382849bfed869d97bcd9c13cfd11deb162525827e364442674d877c3baa",
-            "bound.json": "fe12db59678f48e8849209641348fa756d460a8bd80f21a770f4ae186d6acfe6",
+            "bound.json": "51402bca3948153d66f1376410b8dc3099a03440c060ad089be0cb2b8916a9ea",
         },
         "evaluate": {
-            "evaluate.json": "3648772b49c7e2436b63e48dcd6e094a3c280d6a7e4d07b197c0a8f2ec5d0039",
+            "evaluate.json": "196ec82e2564ec520168e6b3b88e57db457aa2174f529359d91ceb88e92cb7e7",
             "evaluate_n16.csv": "3cb5e402ccff87a1725f2891b048dba622d9e41aa503f292226225a872faceda",
             "evaluate_n64.csv": "5e9d38c7c19be22dc0dc65cf3a81e3a4fcb182dcb4295623393cd4bfa2932250",
         },
         "modulus": {
             "modulus.csv": "6d0440af0369a309df04aa5aa60840cccce481987d1aa86a9e9fc96fff4ef2ec",
-            "modulus.json": "9c63121e74c3760a516839db6ff28da22e820008aa36b80b2c15c79712745b91",
+            "modulus.json": "85003d8aad5739561c76530a7219c56ba699468ed2f65c6764782ca5abb89131",
         },
         "tail": {
             "tail.csv": "bf935eaf8a1f05c4607d3cdcbbee69c1f5052a76e2c97cad03d9fc18445a7c05",
-            "tail.json": "9be233408ba09f445af8fc92f4fe44908b3f3cbbd2ffb80165b83dba35e33af2",
+            "tail.json": "af502c4bb663c518a0a494d702e9e481d48eeb259a4b5f910b4883307374cb80",
         },
     },
     "bern-cusp": {
         "run": {
-            "report.json": "f2b97ec035b25a8bab1be424795509f08d4c399dfc08d31655e4391a2f015f5a",
+            "report.json": "e95b3c1a653d5129c334558f1b65279f45822cbcfcbd28cc7c5b2b963ce51d9f",
             "table.csv": "0f2f4cfac495bb6965f1669afd0a60af81e1d99bcbe24eca83425bad5dc60aad",
         },
         "bound": {
             "bound.csv": "7237cade2d5555d0d9cf5f41ee6840d563f16de7efb7fe5b08cd726131384798",
-            "bound.json": "65e701f4e98591764715cdff50db5cb12308ae53aaefbd9fc5c5a7e834e837c8",
+            "bound.json": "1b9d4fd095f2baf1d698d0d6cffe6e80f72048629fca8f71c0b9ec911ff63d15",
         },
         "evaluate": {
-            "evaluate.json": "0865865731c9132849e2e5dacfc1949a485db8a63a26390e5753a33f358ea49a",
+            "evaluate.json": "dbf68f43daef6ac225d769ce321b4bf3ab63d86461b9855c693ecce698cd23c7",
             "evaluate_n16.csv": "70deb08798518dad1e301e9ba6d0fbf74b9ac50d43d8816b09f80b53e3e50632",
             "evaluate_n64.csv": "270a5fbbe9430860a800bc5f963029309531cd9f7ddac8168647cbc8f65503ad",
         },
         "modulus": {
             "modulus.csv": "cc3158734925023807a1528017fd52912cc90461d00fc8146743de0d0c031b6e",
-            "modulus.json": "ea5db9c2d03a461b83fbda0552e5e527aab583ef6f03aa59f1869a45a7e26d6b",
+            "modulus.json": "e545e2d357274459c049dd28063a0314b6ee20418985830c5cce897af77fb6cd",
         },
         "tail": {
             "tail.csv": "870d0d9f452050aee55bf595c40d3b43595909b0626f9ae0d8e0fdce3c865105",
-            "tail.json": "ec897e3914304dc99c80b9245f20fceb517a5688a478a9d1dae377269bf7d5db",
+            "tail.json": "4af3ae9812b0ab82409cf0a71f89e3f9d179dd12028074a43e6c2c2181d9c427",
         },
     },
     "poisson-exp": {
         "run": {
-            "report.json": "d3da774d6ef05445deade26272f86c28273f10a1d1815bc52ba4fbb47cab47fb",
+            "report.json": "56871324955551d965b4c15e8c3c25fac228b57b7d1abec30479756b14805577",
             "table.csv": "22ba548b6d063d04a8bc2fd9381349de4cb882c521fae433c87ea5197d4a3fa7",
         },
         "bound": {
             "bound.csv": "7eb41f499d1759fbc80d67a1ec3d7a62e913574599d37393443c8d2ac1650e0d",
-            "bound.json": "ddb61a97ba55667b1e835a41e88a3c3f9782af50ca8ac94fddc26245360dc12c",
+            "bound.json": "49c5b4766a41e8971e3193a37a2f48744332a10bfb3f6d1fd09e64372b04b219",
         },
         "evaluate": {
-            "evaluate.json": "0d9145d54d5c964d6d9c48f602a176c233d142a922de0e18b3a9e02004b96e9c",
+            "evaluate.json": "d02aa949646f30ef036f0f9c569fb653cc0f1cc3a319c37f5a96c1647bfd211d",
             "evaluate_n16.csv": "5e278149afc2cec8e7f725b716eaf8bf24c1ef857e6e6fa71f8f8227d5f30d07",
             "evaluate_n64.csv": "7cca47681cb8605bf0c99e86c5493cd572acfdfc7a7a5f550aa1dee7a68ee28c",
         },
         "modulus": {
             "modulus.csv": "0de8a9fe2592d7dc5980edd65270a4c064d60e3c3e79115e783cf324750ab77e",
-            "modulus.json": "4d5843091dc78f305a5e510320ce2b4160cf73f85d0e079113c3e2f248b85abd",
+            "modulus.json": "72af4eed1feaa6d48900c5f620bb9683a6b53f56cb686163c58c9863bc3f4114",
         },
         "tail": {
             "tail.csv": "cb4892de452f6632e205950d95e45584d74acf6ad1282ca5b24690aaf3ef0845",
-            "tail.json": "9df74d5c57a96ae8b0579c6b67b753055554cba00bd85098c62fb270e0ca2b66",
+            "tail.json": "8bd0ca9a8adc528bdd98c67a8b28df6c4e13f953c9f23f4464bc70392c61d463",
         },
     },
 }
@@ -129,16 +129,16 @@ WORKLOADS = {
 
 WORKLOAD_GOLDEN = {
     "bern-cusp-run": {
-        "report.json": "a774e75badce4eff6737c8881fb6af8943232505a81f0f99ac122a793256588c",
+        "report.json": "c2610e2d228e6414bec9082394e667ba732e702704b0d4ace99f4b8b3afa0f46",
         "table.csv": "88cd32fb624de6c6a5d122c0764912fcc308f01cfdf4fa48f959eb4dcff841f1",
     },
     "poisson-szasz-run": {
-        "report.json": "a8c72c76a56af002b9fe6cd5e9d8cf2a3820cf8b7bebadf951ec740c5d5d3997",
+        "report.json": "7273f02c2688eecf15c10ef9eda0c916b72bc9282f21bda0ef345479c2aa3441",
         "table.csv": "b993e9561b929261c8c8d8a5ba78ddd5493bd644869874b6cfe44b33d9757a09",
     },
     "bern-square-bound": {
         "bound.csv": "60c97bbd7109183ea6b31ea5f7a1f78c83e0d00e53bd0ca4a610d6c52051ff49",
-        "bound.json": "3a65e6fe472e35bb73063c631851ff6c9f610bc87542dc6269834e6bfa6961f0",
+        "bound.json": "3db8ad92d725b02010947e10a8f5c93d1783acbb20177633767e199b1a135f89",
     },
 }
 

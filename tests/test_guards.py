@@ -376,6 +376,27 @@ def test_csv_header_guard_catches_a_stale_readme(written_csv_headers):
     assert stale_csv_headers(stated_csv_headers(readme), written_csv_headers) == {"tail", "bound"}
 
 
+def readme_keys(readme: str) -> set[str]:
+    """The dotted config keys that the README names in its code spans, fenced blocks left out."""
+    text = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)
+    sections = "|".join({key.split(".", 1)[0] for key in cfgmod.SCHEMA})
+    return {m.group(1) for span in re.findall(r"`([^`]+)`", text)
+            for m in re.finditer(rf"(?<![\w.])((?:{sections})\.\w+)", span)}
+
+
+def test_readme_names_only_schema_keys():
+    # a key deleted from the schema must leave the README with it
+    keys = readme_keys((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "tail.source" in keys
+    assert keys - set(cfgmod.SCHEMA) == set()
+
+
+def test_readme_key_guard_catches_a_stale_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = readme.replace("`tail.floor`", "`tail.x`", 1) + "\nSet `--set tail.lambda_cap=50`.\n"
+    assert readme_keys(readme) - set(cfgmod.SCHEMA) == {"tail.x", "tail.lambda_cap"}
+
+
 def third_party_imports(src: Path = SRC) -> set[str]:
     """Top-level modules that the package imports from outside itself and the standard library."""
     found = set()

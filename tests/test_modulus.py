@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import scale_function, two_pass_modulus
 
-from bernapprox.errors import DomainEvaluationError, InsufficientDataError, ParameterError
+from bernapprox.errors import DomainEvaluationError, ParameterError
 from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.functions import CATALOG_NAMES, UNIT_INTERVAL, TargetFunction, builtin_catalog, trial_function
 from bernapprox.modulus import (
@@ -161,10 +161,8 @@ class TestProfile:
     def test_lookup_brackets_value(self):
         prof = ModulusProfile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.3, 0.4]), 0.0)
         assert prof.value_lower(0.7) == 0.3
-        assert prof.value_upper(0.7) == 0.4
+        assert prof.value_upper(0.7, f_sup=1.0) == 0.4
         assert prof.value_upper(2.0, f_sup=1.0) == 2.0
-        with pytest.raises(InsufficientDataError):
-            prof.value_upper(2.0)
 
 
 class TestRawModulusBlocks:

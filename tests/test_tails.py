@@ -509,10 +509,16 @@ class TestEmpiricalAtf:
         gauss = np.array([math.erfc(u / math.sqrt(2.0)) for u in us])
         assert np.all(got >= gauss - 1.12 / 64.0)
 
-    @pytest.mark.parametrize("n_set", [[]], ids=["no-n"])
-    def test_bad_n_set_or_u_grid_rejected(self, n_set):
-        with pytest.raises(ParameterError, match="n_set"):
-            exact_law_curve(bernoulli_family(), 0.5, n_set, LAW_TOL)
+    @pytest.mark.parametrize("n_set,tol,match", [
+        ([], LAW_TOL, "n_set"), ([0], LAW_TOL, "n_set"), ([4, 2.5], LAW_TOL, "n_set"),
+        ([2**22 + 1], LAW_TOL, "n_set"), (["4"], LAW_TOL, "n_set"),
+        ([4], 0.0, "tol"), ([4], -1e-3, "tol"), ([4], math.nan, "tol"), ([4], 1.0, "tol"), ([4], 2.0, "tol"),
+    ], ids=["no-n", "n-0", "n-2.5", "n-past-max", "n-str", "tol-0", "tol-negative", "tol-nan", "tol-1",
+            "tol-2"])
+    def test_bad_n_set_or_u_grid_rejected(self, n_set, tol, match):
+        # each n an integer in [1, 2^22], as the operator sweep takes it, and tol a mass in (0, 1)
+        with pytest.raises(ParameterError, match=match):
+            exact_law_curve(bernoulli_family(), 0.5, n_set, tol)
 
     def test_x_outside_the_domain_rejected(self):
         with pytest.raises(ParameterError, match="x-domain"):
@@ -866,7 +872,7 @@ class TestConjugateCurve:
         reads = []
         stieltjes = experiments.stieltjes_bound
 
-        def recorded(profile, q, n, z_grid, f_sup=None):
+        def recorded(profile, q, n, z_grid, f_sup):
             reads.append((q, z_grid))
             return stieltjes(profile, q, n, z_grid, f_sup)
 
