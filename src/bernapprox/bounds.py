@@ -108,8 +108,8 @@ def _tail_remainder(q: TailCurve, alpha: float, z_max: float) -> float:
 
     Past z_max the tail of any zeta with E zeta^2 <= 1 whose tail Q dominates
     at z_max is at most Q(z_max) and, by Chebyshev, at most 1/z^2; zeta_n(x)
-    has variance 1 for every n and x of both families, whatever the source
-    of Q.  The envelope crosses over at u = max(z_max, Q(z_max)^{-1/2}).
+    has variance 1 for every n and x of both families, whatever the curve
+    Q.  The envelope crosses over at u = max(z_max, Q(z_max)^{-1/2}).
     """
     qz = float(q.at(np.array([z_max]))[0])
     if qz <= 0.0:

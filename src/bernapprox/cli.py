@@ -177,7 +177,7 @@ def modulus(study: Study, outdir: Path):
 def tail(study: Study, outdir: Path):
     """Tail curve on the z grid: CSV columns u, value plus a JSON header.
 
-    Every source is a bound uniform in n and over the x-domain."""
+    The curve is the family's certified one, a bound uniform in n and over the x-domain."""
     cfg, curve, us = study.cfg, study.curve, study.z_grid
     write_csv(outdir / "tail.csv", ["u", "value"], zip(us, curve.at(us)))
     write_json(outdir / "tail.json", {

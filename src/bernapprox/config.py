@@ -1,10 +1,11 @@
 """Strict flat config schema shared by the CLI subcommands.
 
 Two input formats are accepted: an INI-style text file whose sections map
-to key prefixes, and JSON (either flat dotted keys or nested sections; a
-full run report is also accepted, in which case its echoed ``config``
-object is used).  Unknown keys are rejected so a typo in a tolerance name
-can never silently corrupt a run.  The schema is derived from the fields of
+to key prefixes, and JSON (either flat dotted keys or nested sections; any
+JSON report a subcommand writes is also accepted, in which case its echoed
+``config`` object is used, less the fields the schema no longer has).
+Unknown keys are rejected so a typo in a tolerance name can never silently
+corrupt a run.  The schema is derived from the fields of
 ``ExperimentConfig``, which carry each key's default, help text and accepted
 values.
 """
@@ -82,9 +83,8 @@ def _merge(base: dict, updates: dict) -> dict:
 
 
 def _flatten_json(obj) -> dict:
-    if "rows" in obj and "config" in obj:  # a full run report; reuse its echo
-        obj = obj["config"]
-        return {_ATTR_TO_KEY[k]: v for k, v in obj.items() if k in _ATTR_TO_KEY}
+    if isinstance(obj.get("config"), dict):  # a JSON report; reuse its echo
+        return {_ATTR_TO_KEY[k]: v for k, v in obj["config"].items() if k in _ATTR_TO_KEY}
     flat = {}
     for key, value in obj.items():
         if isinstance(value, dict):

@@ -39,12 +39,10 @@ from .tails import (
     DEFAULT_N_MAX,
     TAIL_FLOOR,
     Z_CAP,
-    PowerTailSpec,
     TailCurve,
     conjugate_curve,
     family_nu,
     poisson_curve,
-    power_tail_curve,
     tail_z_max,
 )
 
@@ -105,11 +103,6 @@ class ExperimentConfig:
         ("at least 5 and 1 more than a multiple of 4", lambda v: v >= 5 and v % 4 == 1))
     delta_grid_size: int = _key("grids.delta_size", 49, "modulus delta grid size", _at_least(9))
     z_grid_size: int = _key("grids.z_size", 257, "z grid size for the Stieltjes enclosure", _at_least(2))
-    tail_source: str = _key("tail.source", "exact-conjugate", "tail curve, a bound uniform in n and x",
-                            _one_of("exact-conjugate", "power-tail"))
-    tail_p: Optional[float] = _key("tail.p", None, "power-tail single-draw exponent p", _unset_or(_POSITIVE))
-    tail_k: Optional[float] = _key(
-        "tail.k", None, "power-tail constant K (required; no default exists)", _unset_or(_POSITIVE))
     tail_n_max: int = _key(
         "tail.n_max", DEFAULT_N_MAX, "n scanned exactly; every larger n is covered by a certified bound",
         _at_least(2**8))
@@ -118,7 +111,9 @@ class ExperimentConfig:
         "conjugation lambda grid size: the number of supporting lines", _at_least(3))
     # Q <= 1, so a floor of 1 or more cuts the curve at z = 0
     tail_floor: float = _key("tail.floor", TAIL_FLOOR, "tail value treated as zero beyond z-max", _INSIDE_UNIT)
-    tail_z_cap: float = _key("tail.z_cap", Z_CAP, "hard cap on z-max", _POSITIVE)
+    # past 2^32 the float spacing outgrows tail_z_max's 1e-6 bisection width, and lambda^2 nears overflow
+    tail_z_cap: float = _key("tail.z_cap", Z_CAP, "hard cap on z-max",
+                             ("in (0, 2^32]", lambda v: 0.0 < v <= 2.0**32))
     trial_x0: Optional[float] = _key(
         "trial.x0", None, "trial cusp location (enables the lower-ratio column; bernoulli only)",
         _unset_or(_INSIDE_UNIT))
@@ -145,8 +140,6 @@ class ExperimentConfig:
         if not self.family_x_min < self.family_x_max:
             raise ParameterError(f"family.x_min must be below family.x_max, got {self.family_x_min!r}, "
                                  f"{self.family_x_max!r}")
-        if self.tail_source == "power-tail" and (self.tail_p is None or self.tail_k is None):
-            raise ParameterError("tail.source=power-tail needs both tail.p and tail.k (no default K exists)")
         if (self.trial_x0 is None) != (self.trial_alpha is None):
             raise ParameterError("trial.x0 and trial.alpha must be set together")
         if self.trial_x0 is not None and self.family_kind != "bernoulli":
@@ -222,17 +215,12 @@ def build_weight(cfg: ExperimentConfig, fam: Family) -> Callable[[np.ndarray], n
 
 
 def build_tail_curve(cfg: ExperimentConfig, fam: Family) -> TailCurve:
-    """Tail curve per configured source.
-
-    The default exact-conjugate source takes the closed Poisson conjugate at
-    the x-domain's lower end, the worst x, for the Poisson family and the
+    """The family's certified tail curve: the closed Poisson conjugate at the
+    x-domain's lower end, the worst x, for Poisson, and for Bernoulli the
     envelope conjugate built from the exact log-MGF on the restricted
-    x-domain for Bernoulli.  The power-tail source is the bound of a
-    user-supplied K.  Every source bounds the tail of zeta_n(x) for every n
-    and every x of the x-domain, as the bracket needs.
+    x-domain.  Either bounds the tail of zeta_n(x) for every n and every x of
+    the x-domain, as the bracket needs.
     """
-    if cfg.tail_source == "power-tail":
-        return power_tail_curve(PowerTailSpec(p=cfg.tail_p, K=cfg.tail_k))
     if fam.kind == "poisson":
         return poisson_curve(fam.x_domain[0])
     # the frozen lambda grid is wide enough that every u up to z_cap / 4 peaks inside it

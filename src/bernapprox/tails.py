@@ -79,9 +79,10 @@ class TailCurve(Checked, _TailCurve):
 
     ``at`` caps ``fn`` at 1 over an array of u, and refuses a u that is
     negative, NaN or infinite, so no ``fn`` sees one.  Each builder owns its
-    curve's form: a closed form, the supporting lines of a conjugate, or the
-    step rule of the exact law at one x, which is the sup over a set of n of
-    that law plus its dropped mass and not a bound over the x-domain.
+    curve's form: the Poisson closed form and the Bernoulli conjugate's
+    supporting lines, the two bounds over every n and the x-domain that a
+    study reads, or the step rule of the exact law at one x, which is the
+    sup over a set of n of that law plus its dropped mass and not a bound.
     """
 
     __slots__ = ()
@@ -330,37 +331,6 @@ def poisson_curve(m: float) -> TailCurve:
     root = math.sqrt(m)
     fn = lambda u: 2.0 * np.exp(-m * poisson_conjugate(u / root))  # noqa: E731
     return TailCurve(kind="poisson-conjugate", fn=fn)
-
-
-class _PowerTailSpec(NamedTuple):
-    p: float
-    K: float
-
-
-class PowerTailSpec(Checked, _PowerTailSpec):
-    """Power-tail transfer: single-draw exponent p gives sum exponent min(p, 2).
-
-    The constant K is never implied by the theory here; callers must supply it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: float, K: float):
-        if p <= 0:
-            raise ParameterError("p must be positive")
-        if K <= 0:
-            raise ParameterError("K must be positive (no default exists)")
-        return super().__new__(cls, p, K)
-
-    @property
-    def q(self) -> float:
-        return min(self.p, 2.0)
-
-
-def power_tail_curve(spec: PowerTailSpec) -> TailCurve:
-    """min(1, exp(-K u^q)) with q = min(p, 2)."""
-    fn = lambda u: np.exp(-spec.K * u**spec.q)  # noqa: E731
-    return TailCurve(kind="power-tail", fn=fn)
 
 
 # ---------------------------------------------------------------------------

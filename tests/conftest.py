@@ -12,7 +12,7 @@ from bernapprox.families import (
     _S0, _S1, _S2, _S3, _S4, LATTICE_BLOCK, Family, _check_n, bernstein_window,
 )
 from bernapprox.functions import HolderSpec, TargetFunction, eval_clamped
-from bernapprox.tails import DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, LAMBDA_MIN, PowerTailSpec, TailCurve
+from bernapprox.tails import DEFAULT_LAMBDA_CAP, DEFAULT_LAMBDA_GRID_SIZE, LAMBDA_MIN, TailCurve
 
 
 # e^z - 1 - z: the Poisson log-MGF at x = 1 and its nu, whose conjugate is
@@ -294,18 +294,29 @@ def law_breakpoints(fam: Family, x: float, n: int, tol: float) -> np.ndarray:
 
 def law_tail(kind: str, n: int, x: float, u: float) -> float:
     """Oracle for the exact law: P(|K - nx| > u sigma(x) sqrt(n)) for K ~ Binomial(n, x)
-    or Poisson(nx), from scipy's survival function and cdf.  Which lattice points lie
-    past u is decided by the curve's own breakpoint expression, so that a u on a
-    breakpoint splits the lattice as the curve does; a Poisson point beyond u + 12
-    standard deviations and 50 more is left out, which for u <= 12 drops less than 1e-30."""
+    or Poisson(nx), from mpmath's regularized incomplete beta and gamma functions at 40
+    digits (scipy's binomial sf is off by up to about 1e-13 relative, more than the
+    rounding the exact law is checked to).  Which lattice points lie past u is decided
+    by the curve's own breakpoint expression, so that a u on a breakpoint splits the
+    lattice as the curve does; a Poisson point beyond u + 12 standard deviations and 50
+    more is left out, which for u <= 12 drops less than 1e-30."""
+    import mpmath
+
     sig = math.sqrt(x * (1.0 - x)) if kind == "bernoulli" else math.sqrt(x)
     mu, scale = n * x, sig * math.sqrt(n)
     reach = (u + 12.0) * scale + 50.0
     k = np.arange(max(0, math.floor(mu - reach)), n + 1 if kind == "bernoulli" else math.ceil(mu + reach) + 1)
     past = np.abs(k - mu) / scale > u
     up, down = k[past & (k > mu)], k[past & (k < mu)]
-    law = scipy.stats.binom(n, x) if kind == "bernoulli" else scipy.stats.poisson(mu)
-    return (float(law.sf(up[0] - 1)) if up.size else 0.0) + (float(law.cdf(down[-1])) if down.size else 0.0)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(x)
+        if kind == "bernoulli":  # P(K >= a) = I_x(a, n - a + 1), P(K <= b) = I_{1-x}(n - b, b + 1)
+            sf = lambda a: mpmath.betainc(a, n - a + 1, 0, p, regularized=True)  # noqa: E731
+            cdf = lambda b: mpmath.betainc(n - b, b + 1, 0, 1 - p, regularized=True)  # noqa: E731
+        else:  # P(K >= a) = P(a, nx), P(K <= b) = Q(b + 1, nx)
+            sf = lambda a: mpmath.gammainc(a, 0, n * p, regularized=True)  # noqa: E731
+            cdf = lambda b: mpmath.gammainc(b + 1, n * p, mpmath.inf, regularized=True)  # noqa: E731
+        return float((sf(int(up[0])) if up.size else 0) + (cdf(int(down[-1])) if down.size else 0))
 
 
 def law_abs_moment(kind: str, n: int, x: float, alpha: float) -> float:
@@ -338,6 +349,12 @@ def gaussian_curve() -> TailCurve:
     return TailCurve(kind="subgaussian", fn=fn)
 
 
+def exp_tail_curve(q: float, K: float) -> TailCurve:
+    """Exponential-tail reference curve min(1, exp(-K u^q)), for a K the caller assumes."""
+    fn = lambda u: np.exp(-K * np.asarray(u, dtype=float) ** q)  # noqa: E731
+    return TailCurve(kind="exp-tail", fn=fn)
+
+
 @dataclass(frozen=True)
 class HdtExpBound:
     """Both readings of the exponential-tail closed form.
@@ -355,12 +372,11 @@ class HdtExpBound:
     ratio: float
 
 
-def hdt_bound_exp(h: HolderSpec, spec: PowerTailSpec, n: int) -> HdtExpBound:
+def hdt_bound_exp(h: HolderSpec, q_exp: float, K: float, n: int) -> HdtExpBound:
     """quad oracle for the Holder closed form against the curve exp(-K z^q)."""
     from scipy.integrate import quad
 
     alpha, H = h.alpha, h.seminorm
-    q_exp, K = spec.q, spec.K
     scale = H * n ** (-alpha / 2.0)
 
     # integral z^{alpha-1} exp(-K z^q) dz over (0, inf); substitute z = t^(1/alpha)

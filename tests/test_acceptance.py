@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import POISSON_PHI, fenchel_conjugate, hdt_bound_exp, law_breakpoints
+from conftest import POISSON_PHI, exp_tail_curve, fenchel_conjugate, hdt_bound_exp, law_breakpoints
 
 from bernapprox.bounds import hdt_bound, lower_bound_constant
 from bernapprox.cli import main as cli_main
@@ -18,7 +18,7 @@ from bernapprox.experiments import ExperimentConfig, Study, validity_check
 from bernapprox.families import bernoulli_family, poisson_conjugate, poisson_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.operators import sup_error
-from bernapprox.tails import PowerTailSpec, exact_law_curve, power_tail_curve
+from bernapprox.tails import exact_law_curve
 
 # x = 0.01 .. 0.99 in steps of 0.01: the x-domain ends short of 0 and 1, where sigma vanishes
 MATRIX_FAMILY = bernoulli_family(0.01)
@@ -105,7 +105,6 @@ def test_criterion_6_rate_windows():
             function_name="power-cusp", function_x0=0.5, function_alpha=alpha,
             family_kind="bernoulli",
             n_grid=tuple(2**k for k in range(4, 13)),
-            tail_source="power-tail", tail_p=2.0, tail_k=0.5,
         )
         slopes[alpha] = Study(cfg).table(trial=True).fit.slope
     elapsed = time.perf_counter() - t0
@@ -164,11 +163,11 @@ def test_criterion_8_atf_dominance():
 
 
 def test_criterion_9_formula_discrepancy_ledger():
-    res = hdt_bound_exp(HolderSpec(1.0, 1.0), PowerTailSpec(p=2.0, K=0.5), 1)
+    res = hdt_bound_exp(HolderSpec(1.0, 1.0), 2.0, 0.5, 1)
     direct_expected = math.sqrt(math.pi / 2.0)
     printed_expected = math.sqrt(2.0 * math.pi)
     # the certified upper sum the CLI reports, against the same curve
-    certified = hdt_bound(HolderSpec(1.0, 1.0), power_tail_curve(PowerTailSpec(2.0, 0.5)), 1).value
+    certified = hdt_bound(HolderSpec(1.0, 1.0), exp_tail_curve(2.0, 0.5), 1).value
     ok = (
         abs(res.direct - direct_expected) <= 1e-6 * direct_expected
         and abs(res.printed_formula - printed_expected) <= 1e-6 * printed_expected

@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_curve, hdt_bound_exp, law_abs_moment, simpson
+from conftest import exp_tail_curve, gaussian_curve, hdt_bound_exp, law_abs_moment, simpson
 
 from bernapprox.bounds import (
     HDT_Z_SIZE,
@@ -24,14 +24,7 @@ from bernapprox.families import bernoulli_family, poisson_family
 from bernapprox.functions import HolderSpec, builtin_catalog, trial_function
 from bernapprox.modulus import ModulusProfile, modulus_profile
 from bernapprox.operators import sup_error
-from bernapprox.tails import (
-    PowerTailSpec,
-    TailCurve,
-    exact_law_curve,
-    poisson_curve,
-    power_tail_curve,
-    tail_z_max,
-)
+from bernapprox.tails import TailCurve, exact_law_curve, poisson_curve, tail_z_max
 
 
 def linear_profile(delta_max: float, size: int = 2001) -> ModulusProfile:
@@ -124,19 +117,18 @@ class TestHdtBound:
 
     @given(
         alpha=st.floats(min_value=0.25, max_value=1.0),
-        p=st.floats(min_value=1.0, max_value=3.0),
+        q=st.floats(min_value=1.0, max_value=2.0),
         K=st.floats(min_value=0.1, max_value=4.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_power_tail_upper_sum_is_certified_and_tight(self, alpha, p, K):
+    def test_power_tail_upper_sum_is_certified_and_tight(self, alpha, q, K):
         # on [0, z_max], integral alpha z^{alpha-1} exp(-K z^q) dz = s K^{-s} Gamma(s) P(s, K z_max^q)
         # with s = alpha / q; past z_max the sum integrates the envelope min(Q(z_max), 1/z^2), which
         # can exceed the curve's own tail when z_max sits at the cap
-        spec = PowerTailSpec(p=p, K=K)
-        curve = power_tail_curve(spec)
+        curve = exp_tail_curve(q, K)
         z_max = tail_z_max(curve)
-        s = alpha / spec.q
-        inner = s * K ** (-s) * math.gamma(s) * float(scipy.special.gammainc(s, K * z_max**spec.q))
+        s = alpha / q
+        inner = s * K ** (-s) * math.gamma(s) * float(scipy.special.gammainc(s, K * z_max**q))
         q_cut = float(curve.at(np.array([z_max]))[0])
         kink = max(z_max, q_cut**-0.5)
         envelope = lambda z: alpha * z ** (alpha - 1.0) * min(q_cut, z**-2.0)  # noqa: E731
@@ -178,9 +170,9 @@ class TestHdtBound:
         assert (res.value, res.constant) == (1.0, 1.0)
 
     def test_remainder_never_reads_below_zero(self):
-        # z_max far below one: a power tail with q = 1.5 is read on [0, z_max] only, so it never
-        # sees a negative u (numpy would warn on its fractional power)
-        curve = power_tail_curve(PowerTailSpec(p=1.5, K=1e20))
+        # z_max far below one: an exponential tail with q = 1.5 is read on [0, z_max] only, so it
+        # never sees a negative u (numpy would warn on its fractional power)
+        curve = exp_tail_curve(1.5, 1e20)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = hdt_bound(HolderSpec(1.0, 1.0), curve, 1, z_max=5e-7)
@@ -216,31 +208,30 @@ class TestHdtBound:
 
 class TestHdtBoundExp:
     def test_alpha_q_one_agreement(self):
-        res = hdt_bound_exp(HolderSpec(1.0, 1.0), PowerTailSpec(p=1.0, K=1.0), 1)
+        res = hdt_bound_exp(HolderSpec(1.0, 1.0), 1.0, 1.0, 1)
         assert res.direct == pytest.approx(1.0, rel=1e-8)
         assert res.printed_formula == pytest.approx(1.0, rel=1e-12)
         assert res.ratio == pytest.approx(1.0, rel=1e-8)
 
     def test_bernstein_configuration_discrepancy(self):
-        res = hdt_bound_exp(HolderSpec(1.0, 1.0), PowerTailSpec(p=2.0, K=0.5), 1)
+        res = hdt_bound_exp(HolderSpec(1.0, 1.0), 2.0, 0.5, 1)
         assert res.direct == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-6)
         assert res.printed_formula == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-6)
         assert res.ratio == pytest.approx(2.0, rel=1e-6)
 
     def test_direct_matches_simpson_oracle(self):
-        alpha, p, K = 0.5, 2.0, 0.7
-        res = hdt_bound_exp(HolderSpec(alpha, 2.0), PowerTailSpec(p=p, K=K), 9)
+        alpha, q, K = 0.5, 2.0, 0.7
+        res = hdt_bound_exp(HolderSpec(alpha, 2.0), q, K, 9)
         # oracle: substitute z = t^2 to remove the origin singularity
-        integrand = lambda t: 2.0 * t ** (2 * alpha - 1) * math.exp(-K * t ** (2 * p))  # noqa: E731
+        integrand = lambda t: 2.0 * t ** (2 * alpha - 1) * math.exp(-K * t ** (2 * q))  # noqa: E731
         oracle = simpson(integrand, 1e-9, 6.0, panels=40000)
         expected = 2.0 * 9 ** (-alpha / 2.0) * alpha * oracle
         assert res.direct == pytest.approx(expected, rel=1e-6)
         assert res.direct == pytest.approx(res.closed_form, rel=1e-6)
 
     def test_quarter_n_halves_alpha_one(self):
-        spec = PowerTailSpec(p=2.0, K=0.5)
-        r1 = hdt_bound_exp(HolderSpec(1.0, 1.0), spec, 1)
-        r4 = hdt_bound_exp(HolderSpec(1.0, 1.0), spec, 4)
+        r1 = hdt_bound_exp(HolderSpec(1.0, 1.0), 2.0, 0.5, 1)
+        r4 = hdt_bound_exp(HolderSpec(1.0, 1.0), 2.0, 0.5, 4)
         assert r4.direct == pytest.approx(r1.direct / 2.0, rel=1e-12)
         assert r4.printed_formula == pytest.approx(r1.printed_formula / 2.0, rel=1e-12)
 

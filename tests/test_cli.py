@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import exp_tail_curve
+
 from bernapprox import bounds, config as cfgmod, operators
 from bernapprox import experiments
 from bernapprox.cli import main
@@ -105,6 +107,12 @@ class TestUsageErrors:
         assert "error kind=usage" in res.output
         assert key in res.output
 
+    def test_z_cap_at_its_upper_end_runs_without_warning(self, runner, tmp_path):
+        # at 2^32 the float spacing, 9.5e-7, is below the z_max bisection's width, and lambda^2 is finite
+        res = runner.invoke(main, ["bound", "--set", "tail.z_cap=4294967296", "--out", str(tmp_path)] + FAST)
+        assert res.exit_code == 0, res.output
+        assert "warning" not in res.stderr
+
     def test_removed_lambda_cap_key_exit_two(self, runner, tmp_path):
         res = runner.invoke(main, ["tail", "--set", "tail.lambda_cap=3", "--out", str(tmp_path)])
         assert res.exit_code == 2
@@ -132,24 +140,27 @@ class TestUsageErrors:
         (["function.name=power-cusp", "function.x0=1"], "function.x0"),
         (["trial.x0=0.5", "trial.alpha=5"], "trial.alpha"),
         (["trial.x0=2", "trial.alpha=0.5"], "trial.x0"),
-        # a key's range does not depend on the function, family or source chosen
+        # a key's range does not depend on the function or family chosen
         (["function.freq=-1"], "function.freq"),
         (["family.kind=poisson", "function.name=exp-decay", "family.x_max=inf"], "family.x_max"),
         (["family.x_min=nan"], "family.x_min"),
         (["grids.x_size=32"], "grids.x_size"),
         (["grids.delta_size=8"], "grids.delta_size"),
-        (["tail.p=-1"], "tail.p"),
-        (["tail.k=0"], "tail.k"),
+        (["tail.z_cap=1e200"], "tail.z_cap"),  # past 2^32 the z_max bisection cannot end
+        # each study reads its family's certified tail curve, so the keys of another source are refused
+        (["tail.p=2"], "unknown config key 'tail.p'"),
+        (["tail.k=0.5"], "unknown config key 'tail.k'"),
         (["tail.trials=9999"], "tail.trials"),  # a key the schema no longer has is refused as unknown
         (["run.mc_trials=99"], "run.mc_trials"),
         (["run.seed=-1"], "run.seed"),
         (["run.mode=monte-carlo", "run.seed=-1"], "run.seed"),
         (["tail.x=0.5"], "unknown config key 'tail.x'"),
-        (["tail.source=exact-law"], "tail.source"),  # the law at one x bounds nothing, so it is no source
-        (["tail.source=empirical"], "tail.source"),
+        (["tail.source=power-tail"], "unknown config key 'tail.source'"),
+        (["tail.source=exact-law"], "unknown config key 'tail.source'"),
+        (["tail.source=empirical"], "unknown config key 'tail.source'"),
     ], ids=["name", "alpha-5", "alpha-0", "x0", "trial-alpha", "trial-x0", "square-freq", "x_max-inf",
-            "x_min-nan", "x_size", "delta_size", "p", "k", "trials", "mc_trials", "seed", "mc-seed",
-            "tail-x", "exact-law-source", "empirical-source"])
+            "x_min-nan", "x_size", "delta_size", "z_cap-1e200", "p", "k", "trials", "mc_trials", "seed",
+            "mc-seed", "tail-x", "power-tail-source", "exact-law-source", "empirical-source"])
     def test_function_and_trial_keys_checked_with_the_config(self, runner, tmp_path, cmd, sets, key):
         # ExperimentConfig rejects them, so every subcommand does, whatever it reads
         args = [a for kv in sets for a in ("--set", kv)]
@@ -172,7 +183,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("cfg,key", [
         ({"function": {"name": "constant", "c": True}}, "function.c"),
         ({"family": {"eps": False}}, "family.eps"),
-        ({"tail": {"p": True}}, "tail.p"),
+        ({"trial": {"x0": True}}, "trial.x0"),
     ], ids=["float", "float-false", "opt-float"])
     def test_json_float_keys_refuse_booleans(self, runner, tmp_path, cfg, key):
         path = tmp_path / "cfg.json"
@@ -345,19 +356,17 @@ class TestRun:
         assert (out / "timings.csv").exists()
 
     @pytest.mark.parametrize("cmd", ["run", "bound"])
-    def test_validation_violation_exit_one(self, runner, tmp_path, cmd):
-        # a claimed power tail with huge K makes the bound impossibly thin
-        res = runner.invoke(main, [
-            cmd, "--out", str(tmp_path / "o"),
-            "--set", "tail.source=power-tail", "--set", "tail.p=2", "--set", "tail.k=500",
-        ] + FAST)
+    def test_validation_violation_exit_one(self, runner, tmp_path, monkeypatch, cmd):
+        # a curve far thinner than the law, exp(-500 u^2), makes the bound impossibly thin
+        monkeypatch.setattr(experiments, "build_tail_curve", lambda cfg, fam: exp_tail_curve(2.0, 500.0))
+        res = runner.invoke(main, [cmd, "--out", str(tmp_path / "o")] + FAST)
         assert res.exit_code == 1
         assert "kind=validation" in res.output
         assert res.stdout.endswith(f", validity FAIL -> {tmp_path / 'o'}\n")
 
     @pytest.mark.parametrize("cmd", ["run", "bound"])
     def test_validity_line_is_the_word_alone(self, runner, tmp_path, cmd):
-        # every tail source bounds the tail for every n and x, so a pass needs no qualifier
+        # the family's tail curve bounds the tail for every n and x, so a pass needs no qualifier
         res = runner.invoke(main, [cmd, "--out", str(tmp_path / "o")] + FAST)
         assert res.exit_code == 0, res.output
         assert res.stdout.endswith(f", validity pass -> {tmp_path / 'o'}\n")
@@ -393,14 +402,29 @@ class TestRun:
         res = runner.invoke(main, ["run", "--config", str(a / "report.json"), "--out", str(b)])
         assert res.exit_code == 0, res.output
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-        # a report written while tail.x was a key echoes "tail_x": null; it loads and reruns to today's bytes
+        # a report written while tail.x, tail.source, tail.p and tail.k were keys echoes them; it loads,
+        # and reruns on the family's certified curve to today's bytes
         old = json.loads((a / "report.json").read_text())
-        assert "tail_x" not in old["config"]
-        old["config"]["tail_x"] = None
+        removed = {"tail_x": None, "tail_source": "power-tail", "tail_p": 2.0, "tail_k": 500.0}
+        assert not removed.keys() & old["config"].keys()
+        old["config"].update(removed)
         (tmp_path / "old.json").write_text(json.dumps(old))
         res = runner.invoke(main, ["run", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "c")])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "c" / "report.json").read_bytes() == (a / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("cmd", ["evaluate", "modulus", "tail", "bound", "run"])
+    def test_every_json_report_feeds_back_identically(self, runner, tmp_path, cmd):
+        # each JSON report echoes its config, so each reruns its own subcommand to the same files
+        a, b = tmp_path / "a", tmp_path / "b"
+        res = runner.invoke(main, [cmd, "--out", str(a)] + FAST)
+        assert res.exit_code == 0, res.output
+        report = "report.json" if cmd == "run" else f"{cmd}.json"
+        res = runner.invoke(main, [cmd, "--config", str(a / report), "--out", str(b)])
+        assert res.exit_code == 0, res.output
+        files = sorted(p.name for p in a.iterdir() if p.name != "timings.csv")
+        assert files == sorted(p.name for p in b.iterdir() if p.name != "timings.csv")
+        assert all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
 
 
 class TestOtherSubcommands:
@@ -435,7 +459,7 @@ class TestOtherSubcommands:
         assert lines[0] == "u,value"
         header = json.loads((out / "tail.json").read_text())
         assert header["method"] == "poisson-conjugate"
-        assert "rng" not in header  # no tail source draws
+        assert "rng" not in header  # no tail curve draws
         assert "n_max" not in header  # only the Bernoulli conjugate reads it, and the echo has it
 
     def test_bound_table_columns(self, runner, tmp_path):
@@ -547,16 +571,15 @@ class TestStudyStagesOnce:
 
 
 def test_cli_calls_never_import_scipy(tmp_path):
-    # run on a Bernoulli cusp, run on Poisson/exp-decay, bound, and bound on a power tail, in
+    # run on a Bernoulli cusp, run on Poisson/exp-decay, bound, and bound on Poisson/exp-decay, in
     # one interpreter; scipy serves only the tests' oracles, and configparser and difflib only
     # an INI config and a mistyped key or subcommand
     small = ["--set", "grids.x_size=33", "--set", "grids.z_size=33",
              "--set", "tail.lambda_size=101", "--set", "run.n_grid=16,64"]
     cusp = ["--set", "function.name=power-cusp", "--set", "function.alpha=0.5"]
     poisson = ["--set", "family.kind=poisson", "--set", "function.name=exp-decay"]
-    power = ["--set", "tail.source=power-tail", "--set", "tail.p=0.5", "--set", "tail.k=0.5"]
     calls = [["run"] + small + cusp, ["run"] + small + poisson, ["bound"] + small + cusp,
-             ["bound"] + small + power]
+             ["bound"] + small + poisson]
     calls = [c + ["--out", str(tmp_path / str(i))] for i, c in enumerate(calls)]
     code = (
         "import sys\n"

@@ -40,9 +40,11 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(n_grid=(16, 16))
 
-    def test_power_tail_requires_k(self):
-        with pytest.raises(ParameterError):
-            ExperimentConfig(tail_source="power-tail", tail_p=2.0)
+    @pytest.mark.parametrize("name", ["tail_source", "tail_p", "tail_k"])
+    def test_no_field_picks_another_tail_curve(self, name):
+        # the study's tail curve is its family's certified one, so no field names another
+        with pytest.raises(TypeError, match=name):
+            ExperimentConfig(**{name: "power-tail" if name == "tail_source" else 2.0})
 
     def test_trial_fields_together(self):
         with pytest.raises(ParameterError):

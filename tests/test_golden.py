@@ -48,71 +48,71 @@ CONFIGS = {
 GOLDEN = {
     "bern-mc": {
         "run": {
-            "report.json": "1f5d2aacdc31598f2b0b607c9a60ceb6efb4e8e7b97cd6b1e257fc7efedc76af",
+            "report.json": "a8c39ee7861bab82a5e3af4987ab3caf9e341b7935759792ecf8ff2820adc22e",
             "table.csv": "a4be35909c87bc28fef0d48b4b39d4e46618b2d7133e36a8e88d62a56463bbbf",
         },
         "bound": {
             "bound.csv": "92cce382849bfed869d97bcd9c13cfd11deb162525827e364442674d877c3baa",
-            "bound.json": "51402bca3948153d66f1376410b8dc3099a03440c060ad089be0cb2b8916a9ea",
+            "bound.json": "5ce66fb826100a2decf9a48180b7a61721c775d6f591006c031c72f0dbc7fef3",
         },
         "evaluate": {
-            "evaluate.json": "196ec82e2564ec520168e6b3b88e57db457aa2174f529359d91ceb88e92cb7e7",
+            "evaluate.json": "69f859b928b76475bd6aea7e79e2ec1f2eb4af7faf85c939a121d6ab9db804bc",
             "evaluate_n16.csv": "3cb5e402ccff87a1725f2891b048dba622d9e41aa503f292226225a872faceda",
             "evaluate_n64.csv": "5e9d38c7c19be22dc0dc65cf3a81e3a4fcb182dcb4295623393cd4bfa2932250",
         },
         "modulus": {
             "modulus.csv": "6d0440af0369a309df04aa5aa60840cccce481987d1aa86a9e9fc96fff4ef2ec",
-            "modulus.json": "85003d8aad5739561c76530a7219c56ba699468ed2f65c6764782ca5abb89131",
+            "modulus.json": "bd5ea85ec0669b77b6f286b141503907430d588335723c80d315ec93a8887050",
         },
         "tail": {
             "tail.csv": "bf935eaf8a1f05c4607d3cdcbbee69c1f5052a76e2c97cad03d9fc18445a7c05",
-            "tail.json": "af502c4bb663c518a0a494d702e9e481d48eeb259a4b5f910b4883307374cb80",
+            "tail.json": "4a0765908e590b3b87d8117d52c24111868dcb2304c0711dd798e08bbf3d92e3",
         },
     },
     "bern-cusp": {
         "run": {
-            "report.json": "e95b3c1a653d5129c334558f1b65279f45822cbcfcbd28cc7c5b2b963ce51d9f",
+            "report.json": "5c4d6b9795be2190204b050ab72824e5e255e72cdccd85ac624478f7566e709f",
             "table.csv": "0f2f4cfac495bb6965f1669afd0a60af81e1d99bcbe24eca83425bad5dc60aad",
         },
         "bound": {
             "bound.csv": "7237cade2d5555d0d9cf5f41ee6840d563f16de7efb7fe5b08cd726131384798",
-            "bound.json": "1b9d4fd095f2baf1d698d0d6cffe6e80f72048629fca8f71c0b9ec911ff63d15",
+            "bound.json": "00770be0fb58e2b47f591d62fc90769e32c7995cd1fc44555cbb45db5fffb42d",
         },
         "evaluate": {
-            "evaluate.json": "dbf68f43daef6ac225d769ce321b4bf3ab63d86461b9855c693ecce698cd23c7",
+            "evaluate.json": "ff7c9a5e628454c30ddb793906fc1df318508399f387d4f9e69c5e1ac3755ba2",
             "evaluate_n16.csv": "70deb08798518dad1e301e9ba6d0fbf74b9ac50d43d8816b09f80b53e3e50632",
             "evaluate_n64.csv": "270a5fbbe9430860a800bc5f963029309531cd9f7ddac8168647cbc8f65503ad",
         },
         "modulus": {
             "modulus.csv": "cc3158734925023807a1528017fd52912cc90461d00fc8146743de0d0c031b6e",
-            "modulus.json": "e545e2d357274459c049dd28063a0314b6ee20418985830c5cce897af77fb6cd",
+            "modulus.json": "3ebef896f58e2e1df8f4a080c4eaf95886603b7840aa90ae61e4a8a69ba39e3a",
         },
         "tail": {
             "tail.csv": "870d0d9f452050aee55bf595c40d3b43595909b0626f9ae0d8e0fdce3c865105",
-            "tail.json": "4af3ae9812b0ab82409cf0a71f89e3f9d179dd12028074a43e6c2c2181d9c427",
+            "tail.json": "927b26e5531bc034cf436c1a1171a11d9bdb461c7d2dbe09e6526d069df1991b",
         },
     },
     "poisson-exp": {
         "run": {
-            "report.json": "56871324955551d965b4c15e8c3c25fac228b57b7d1abec30479756b14805577",
+            "report.json": "7caa2deee850ab378e9010470e20a05da0094ad8a21fff00c72c416d28be31f0",
             "table.csv": "22ba548b6d063d04a8bc2fd9381349de4cb882c521fae433c87ea5197d4a3fa7",
         },
         "bound": {
             "bound.csv": "7eb41f499d1759fbc80d67a1ec3d7a62e913574599d37393443c8d2ac1650e0d",
-            "bound.json": "49c5b4766a41e8971e3193a37a2f48744332a10bfb3f6d1fd09e64372b04b219",
+            "bound.json": "b2687c163b4099fa3195a402389847985f2d58725b81bf8cb7626a145ea5579d",
         },
         "evaluate": {
-            "evaluate.json": "d02aa949646f30ef036f0f9c569fb653cc0f1cc3a319c37f5a96c1647bfd211d",
+            "evaluate.json": "6307485595062e28ff9ebc9240a14c9d6abd9e56770debcfcab2bce00a63ce4b",
             "evaluate_n16.csv": "5e278149afc2cec8e7f725b716eaf8bf24c1ef857e6e6fa71f8f8227d5f30d07",
             "evaluate_n64.csv": "7cca47681cb8605bf0c99e86c5493cd572acfdfc7a7a5f550aa1dee7a68ee28c",
         },
         "modulus": {
             "modulus.csv": "0de8a9fe2592d7dc5980edd65270a4c064d60e3c3e79115e783cf324750ab77e",
-            "modulus.json": "72af4eed1feaa6d48900c5f620bb9683a6b53f56cb686163c58c9863bc3f4114",
+            "modulus.json": "3d175c9091918ca1d09773d0746f6d1a3bc414a86f6c7d6f3c56ca5da99e35a7",
         },
         "tail": {
             "tail.csv": "cb4892de452f6632e205950d95e45584d74acf6ad1282ca5b24690aaf3ef0845",
-            "tail.json": "8bd0ca9a8adc528bdd98c67a8b28df6c4e13f953c9f23f4464bc70392c61d463",
+            "tail.json": "627928a7ede7b96e7ba4c92f90d916f62ffb6fb69bc3a10d0b5b10b976ba73b5",
         },
     },
 }
@@ -129,16 +129,16 @@ WORKLOADS = {
 
 WORKLOAD_GOLDEN = {
     "bern-cusp-run": {
-        "report.json": "c2610e2d228e6414bec9082394e667ba732e702704b0d4ace99f4b8b3afa0f46",
+        "report.json": "431a1117ab185b45126dbd51f8d60ce01f652f499f83e499a552c697f7f25700",
         "table.csv": "88cd32fb624de6c6a5d122c0764912fcc308f01cfdf4fa48f959eb4dcff841f1",
     },
     "poisson-szasz-run": {
-        "report.json": "7273f02c2688eecf15c10ef9eda0c916b72bc9282f21bda0ef345479c2aa3441",
+        "report.json": "b0f0b89f2bd55de5147b35b29cbf8350920a297a4860f8c18d82c5947e117551",
         "table.csv": "b993e9561b929261c8c8d8a5ba78ddd5493bd644869874b6cfe44b33d9757a09",
     },
     "bern-square-bound": {
         "bound.csv": "60c97bbd7109183ea6b31ea5f7a1f78c83e0d00e53bd0ca4a610d6c52051ff49",
-        "bound.json": "3db8ad92d725b02010947e10a8f5c93d1783acbb20177633767e199b1a135f89",
+        "bound.json": "f5d1bf6922471e4a36cec1c969f7afd2915a5d735822e4ed9a84f87f871826a2",
     },
 }
 

@@ -28,7 +28,7 @@ from bernapprox.functions import HolderSpec, Interval, builtin_catalog
 from bernapprox.grids import GridSpec
 from bernapprox.modulus import ModulusProfile
 from bernapprox.operators import MAX_BERNSTEIN_N, sup_error
-from bernapprox.tails import PowerTailSpec, TailCurve
+from bernapprox.tails import TailCurve
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bernapprox"
@@ -387,7 +387,7 @@ def readme_keys(readme: str) -> set[str]:
 def test_readme_names_only_schema_keys():
     # a key deleted from the schema must leave the README with it
     keys = readme_keys((ROOT / "README.md").read_text(encoding="utf-8"))
-    assert "tail.source" in keys
+    assert "tail.floor" in keys
     assert keys - set(cfgmod.SCHEMA) == set()
 
 
@@ -494,10 +494,8 @@ def test_records_are_named_tuples_but_two():
     (lambda: GridSpec("uniform", 33), {"size": 1}),
     (lambda: ModulusProfile(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0), {"enclosure_slack": -1.0}),
     (lambda: TailCurve("flat", np.ones_like), {"kind": "flat", "params": None}),
-    (lambda: PowerTailSpec(1.0, 1.0), {"K": -1.0}),
     (lambda: BoundReport(1.0, (0.5, 2.0)), {"upper_stieltjes": 3.0}),
-], ids=["Interval", "HolderSpec", "Family", "GridSpec", "ModulusProfile", "TailCurve", "PowerTailSpec",
-        "BoundReport"])
+], ids=["Interval", "HolderSpec", "Family", "GridSpec", "ModulusProfile", "TailCurve", "BoundReport"])
 def test_replace_runs_the_record_check(record, fields):
     # _replace builds through the record's own __new__, so it checks what a call checks
     rec = record()

@@ -24,7 +24,6 @@ from bernapprox.errors import BoundaryWarning, ParameterError
 from bernapprox.experiments import ExperimentConfig, Study
 from bernapprox.families import bernoulli_family, poisson_conjugate, poisson_family, zeta_log_mgf
 from bernapprox.tails import (
-    PowerTailSpec,
     TailCurve,
     TabulatedPhi,
     conjugate_curve,
@@ -33,7 +32,6 @@ from bernapprox.tails import (
     make_nu,
     phi_sup,
     poisson_curve,
-    power_tail_curve,
     tail_z_max,
 )
 
@@ -368,38 +366,6 @@ class TestPoissonCurve:
             family_nu(poisson_family(0.5, 8.0))
 
 
-class TestPowerTail:
-    def test_q_is_clipped_at_two(self):
-        assert PowerTailSpec(p=4.0, K=1.0).q == 2.0
-        assert PowerTailSpec(p=1.5, K=1.0).q == 1.5
-
-    def test_k_required_positive(self):
-        with pytest.raises(ParameterError):
-            PowerTailSpec(p=2.0, K=0.0)
-
-    @pytest.mark.parametrize("p", [0.0, -1.0])
-    def test_p_required_positive(self, p):
-        with pytest.raises(ParameterError, match="p must be positive"):
-            PowerTailSpec(p=p, K=1.0)
-
-    def test_value_at_zero(self):
-        assert power_tail_curve(PowerTailSpec(p=2.0, K=0.5)).at(0.0) == 1.0
-
-    def test_bernstein_case_value(self):
-        # p = q = 2, K = 1/2 is the classical Bernstein configuration
-        assert power_tail_curve(PowerTailSpec(p=2.0, K=0.5)).at(2.0) == pytest.approx(
-            math.exp(-2.0), abs=1e-12
-        )
-
-    def test_exponent_uses_q_not_p(self):
-        curve = power_tail_curve(PowerTailSpec(p=4.0, K=1.0))
-        assert curve.at(1.5) == pytest.approx(math.exp(-1.5**2), abs=1e-12)
-
-    def test_curve_reaches_floor(self):
-        curve = power_tail_curve(PowerTailSpec(p=2.0, K=0.5))
-        assert curve.at(tail_z_max(curve) + 1e-3) < 1e-12
-
-
 class TestTailCurveType:
     def test_tail_z_max_bisection(self):
         curve = gaussian_curve()
@@ -408,13 +374,12 @@ class TestTailCurveType:
         assert curve.at(z - 1e-3) >= 1e-12
 
     @pytest.mark.parametrize("u", [-1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("source", ["conjugate", "poisson-conjugate", "power-tail", "exact-law"])
+    @pytest.mark.parametrize("source", ["conjugate", "poisson-conjugate", "exact-law"])
     def test_every_source_refuses_a_bad_u(self, source, u):
         # one contract in TailCurve.at: no curve reads a negative, NaN or infinite u
         curve = {
             "conjugate": lambda: conjugate_curve(SUBGAUSS, 4.0, grid_size=101),
             "poisson-conjugate": lambda: poisson_curve(1.0),
-            "power-tail": lambda: power_tail_curve(PowerTailSpec(p=1.5, K=0.5)),
             "exact-law": lambda: exact_law_curve(bernoulli_family(), 0.5, [16, 64], 1e-12),
         }[source]()
         with warnings.catch_warnings():
@@ -545,6 +510,8 @@ class TestEmpiricalAtf:
     @given(kind=st.sampled_from(["bernoulli", "poisson"]), n=st.integers(1, 2**12), frac=st.floats(0.0, 1.0),
            us=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=8), tol=st.sampled_from([LAW_TOL, 1e-9]))
     @example(kind="bernoulli", n=4, frac=0.5, us=[0.0, 1.0], tol=LAW_TOL)
+    # scipy's binomial sf read 1.6e-14 below the law here, more than the allowance
+    @example(kind="bernoulli", n=2617, frac=1.192092896e-07, us=[1.0], tol=LAW_TOL)
     def test_matches_the_scipy_law(self, kind, n, frac, us, tol):
         # at or above P(|K - nx| > u sigma sqrt(n)), the window's dropped mass being at most tol; at
         # most that plus tol plus the weights' rounding: the ulp rule of TestScaledSumPmf summed,
